@@ -151,10 +151,12 @@ def cmd_identities(args) -> int:
 def cmd_states(args) -> int:
     parsed = ff.parse(_read_text(args.file))
     rs = parsed.rotation
+    # Both halves run before anything prints, so a request over a cap
+    # exits 2 with empty stdout.
     profile = st.noncrossing_profile(rs, args.cap)
+    results = st.run_state_checks(rs, sweep_cap=args.sweep_cap, cap=args.cap)
     for k in sorted(profile):
         print(f"crossing-free curves {k}: {profile[k]}")
-    results = st.run_state_checks(rs, sweep_cap=args.sweep_cap, cap=args.cap)
     return _print_results(results)
 
 

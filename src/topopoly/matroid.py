@@ -28,20 +28,21 @@ class MatroidError(ValueError):
 class RankMatroid:
     """A matroid given by its rank oracle."""
 
-    __slots__ = ("ground", "_rank_fn", "_cache", "name")
+    __slots__ = ("ground", "_ground_set", "_rank_fn", "_cache", "name")
 
     def __init__(self, ground: Iterable[int], rank_fn: Callable[[frozenset], int],
                  name: str = "matroid"):
         self.ground: tuple[int, ...] = tuple(sorted(ground))
         if len(set(self.ground)) != len(self.ground):
             raise MatroidError("duplicate ground element")
+        self._ground_set = frozenset(self.ground)
         self._rank_fn = rank_fn
         self._cache: dict[frozenset, int] = {}
         self.name = name
 
     def rank(self, subset: Iterable[int] | None = None) -> int:
-        a = frozenset(self.ground) if subset is None else frozenset(subset)
-        if not a <= frozenset(self.ground):
+        a = self._ground_set if subset is None else frozenset(subset)
+        if not a <= self._ground_set:
             raise MatroidError(f"{set(a) - set(self.ground)} not in the ground set")
         cached = self._cache.get(a)
         if cached is None:

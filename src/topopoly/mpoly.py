@@ -97,14 +97,6 @@ class MPolynomial:
             exps[_VAR_INDEX[name]] = 2 * p
         return self._terms.get(tuple(exps), 0)
 
-    def variables(self) -> set[str]:
-        out = set()
-        for exps in self._terms:
-            for i, h in enumerate(exps):
-                if h:
-                    out.add(VARS[i])
-        return out
-
     def max_half_power(self, name: str) -> int:
         i = _VAR_INDEX[name]
         return max((exps[i] for exps in self._terms), default=0)

@@ -75,10 +75,6 @@ class Multigraph:
         u, v = self.ends[e]
         return u == v
 
-    def incident(self, v: int) -> list[int]:
-        """Edge ids incident to v; loops appear once."""
-        return [e for e, (a, b) in self.ends.items() if v in (a, b)]
-
     def __repr__(self):
         ends = ", ".join(f"{e}:{uv}" for e, uv in sorted(self.ends.items()))
         return f"Multigraph(v={list(self.vertices)}, ends={{{ends}}})"

@@ -6,6 +6,34 @@ recursive evaluations (matroid pair and embedding scheme) process the
 highest surviving edge id, so expansion and recursion build byte-equal
 canonical strings whenever they agree as polynomials.
 
+The embedded expansions read their counts from ribbon.subset_sweep,
+which visits the subsets A as bitmasks and yields |A|, c(A), the
+boundary circles f(A) and, on request, the components of a second
+graph on E - A.  Each expansion sets up its invariants once, not per
+subset, and tallies the distinct rows before mapping them to
+exponents:
+
+  bollobas_riordan      c and f; c(E) once
+  krushkal              c, f and rho(A) on the dagger graph; validate,
+                        derive_dagger and c(E) once
+  las_vergnas_cellular  c and f, plus c and f of E - A from a second
+                        sweep over the dual, which traces the dual
+                        itself; rb.dual, c(E) and the genus once
+  las_vergnas_embedded  c and rho(A), no tracing; c(E), rho(E) and
+                        rho(0) once
+  dichromatic           c alone
+
+verify_identities builds the cellular rows once per call and reuses
+them for L, lv-tidy and lv-dichromatic.
+
+The routes that check one another stay independent: the cellular
+expansion counts the dual's circles in its own trace instead of
+deriving them from f(A), so it shares no boundary count with the
+scheme expansion; tutte and tutte_perspective keep the rank oracles
+of the matroid module; both recursions work on minors; and the
+exhaustive checks in the states module trace every subset with
+trace_boundary.
+
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
 polynomial identities or at seeded rational sample points chosen away
@@ -16,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -79,6 +108,13 @@ def _subsets(edges: tuple[int, ...]):
     for size in range(len(edges) + 1):
         for combo in itertools.combinations(edges, size):
             yield frozenset(combo)
+
+
+def _first_subset(edges: tuple[int, ...], rows, row) -> list[int]:
+    """Sorted edge ids of the first subset at which a fresh sweep over
+    edges yields row; error messages name a subset this way."""
+    k = next(k for k, r in enumerate(rows) if r == row)
+    return [e for i, e in enumerate(edges) if k >> i & 1]
 
 
 def _assemble_xyz(counts: Mapping[tuple[int, int, int], int]) -> MPolynomial:
@@ -161,18 +197,18 @@ def _perspective_recursion(m: mt.RankMatroid, m_prime: mt.RankMatroid) -> MPolyn
     return _perspective_recursion(*dele) + _perspective_recursion(*cont)
 
 
-def _cellular_subset_stats(rs: rb.RotationSystem, cap: int):
-    """Per subset A: (|A|, r(A), genus(A), genus of dual on E-A)."""
-    rb.require_pinch_free(rs, "the cellular polynomial")
-    check_cap(len(rs.edges), cap, "subset expansion")
-    g = rs.underlying()
-    gd = rb.dual(rs)
-    full = rs.edge_set()
-    rows = []
-    for a in _subsets(rs.edges):
-        rows.append((a, mg.rank(g, a), rb.euler_genus(rs, a),
-                     rb.euler_genus(gd, full - a)))
-    return rows
+def _cellular_sweep(rs: rb.RotationSystem):
+    """Per subset A: (|A|, c(A), genus(A), c*(E-A), genus*(E-A)).
+
+    The starred values come from a second sweep over the geometric
+    dual, with its own trace, so this route shares no boundary count
+    with the scheme expansion it is checked against.
+    """
+    d = rb.dual(rs)
+    v, vd = len(rs.sectors), len(d.sectors)
+    for (size, c, f, _), (size_d, cd, fd, _) in zip(
+            rb.subset_sweep(rs), rb.subset_sweep(d, complement=True)):
+        yield size, c, 2 * c - v + size - f, cd, 2 * cd - vd + size_d - fd
 
 
 def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
@@ -184,21 +220,27 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
         return las_vergnas_embedded(em.derive_dagger(emb), "recursion", cap)
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
-    rows = _cellular_subset_stats(rs, cap)
-    g = rs.underlying()
-    r_full = mg.rank(g)
+    rb.require_pinch_free(rs, "the cellular polynomial")
+    check_cap(len(rs.edges), cap, "subset expansion")
+    return _cellular_from_rows(rs, Counter(_cellular_sweep(rs)))
+
+
+def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
+    v = len(rs.sectors)
+    c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
     counts: dict[tuple[int, int, int], int] = {}
-    for a, r_a, g_a, gd_ac in rows:
+    for row, m in rows.items():
+        size, c, g_a, _, gd_ac = row
         split = gamma + g_a - gd_ac
-        if split % 2:
-            raise PolyError(f"odd genus split on {sorted(a)}")
-        ey = (len(a) - r_a) - split // 2
+        ey = (size - v + c) - split // 2
         ez2 = gamma - g_a + gd_ac
-        if ez2 % 2 or ey < 0 or ez2 < 0:
-            raise PolyError(f"bad exponents on {sorted(a)}")
-        key = (r_full - r_a, ey, ez2 // 2)
-        counts[key] = counts.get(key, 0) + 1
+        if split % 2 or ey < 0 or ez2 < 0:
+            what = "odd genus split" if split % 2 else "bad exponents"
+            raise PolyError(f"{what} on "
+                            f"{_first_subset(rs.edges, _cellular_sweep(rs), row)}")
+        key = (c - c_full, ey, ez2 // 2)
+        counts[key] = counts.get(key, 0) + m
     return _assemble_xyz(counts)
 
 
@@ -216,20 +258,19 @@ def las_vergnas_embedded(x, method: str = "expansion",
         return _scheme_recursion(s)
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
-    edges = s.g.edges
+    n = len(s.g.edges)
     c_full = mg.components(s.g)
     rho_full = em.rho(s)
     rho_empty = em.rho(s, ())
-    n = len(edges)
     counts: dict[tuple[int, int, int], int] = {}
-    for a in _subsets(edges):
-        c_a = mg.components(s.g, a)
-        rho_a = em.rho(s, a)
-        ez = (n - len(a)) - (rho_full - rho_a) - (c_a - c_full)
+    for row, m in Counter(rb.subset_sweep(s.g, s.dagger)).items():
+        size, c_a, _, rho_a = row
+        ez = (n - size) - (rho_full - rho_a) - (c_a - c_full)
         if ez < 0 or c_a < c_full or rho_a < rho_empty:
-            raise PolyError(f"bad exponents on {sorted(a)}")
+            bad = _first_subset(s.g.edges, rb.subset_sweep(s.g, s.dagger), row)
+            raise PolyError(f"bad exponents on {bad}")
         key = (c_a - c_full, rho_a - rho_empty, ez)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + m
     return _assemble_xyz(counts)
 
 
@@ -254,15 +295,14 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
     """Rank-nullity-genus sum of a ribbon graph."""
     rb.require_pinch_free(rs, "the ribbon polynomial")
     check_cap(len(rs.edges), cap, "subset expansion")
-    g = rs.underlying()
-    r_full = mg.rank(g)
+    v = len(rs.sectors)
+    c_full = mg.components(rs.underlying())
     xm = MPolynomial.variable("x") - 1
     xp = [MPolynomial.one()]
     counts: dict[tuple[int, int, int], int] = {}
-    for a in _subsets(rs.edges):
-        r_a = mg.rank(g, a)
-        key = (r_full - r_a, len(a) - r_a, rb.euler_genus(rs, a))
-        counts[key] = counts.get(key, 0) + 1
+    for (size, c, f, _), m in Counter(rb.subset_sweep(rs)).items():
+        key = (c - c_full, size - v + c, 2 * c - v + size - f)
+        counts[key] = counts.get(key, 0) + m
     top = max((i for i, _, _ in counts), default=0)
     for _ in range(top):
         xp.append(xp[-1] * xm)
@@ -280,15 +320,24 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     if report.components != 1:
         raise PolyError("the surface polynomial needs a connected ambient surface")
     check_cap(len(emb.rotation.edges), cap, "subset expansion")
-    g = emb.rotation.underlying()
-    c_full = mg.components(g)
+    rs = emb.rotation
+    v = len(rs.sectors)
+    dagger = em.derive_dagger(emb).dagger
+    c_full = mg.components(rs.underlying())
     total = MPolynomial.zero()
     counts: dict[tuple[int, int, int, int], int] = {}
-    for a in _subsets(emb.rotation.edges):
-        stats = em.complement_stats(emb, a)
-        key = (mg.components(g, a) - c_full, stats.components - 1,
-               stats.neighborhood_genus, stats.euler_genus)
-        counts[key] = counts.get(key, 0) + 1
+    for row, m in Counter(rb.subset_sweep(rs, dagger)).items():
+        # The complement of the neighbourhood of (V, A): rho(A) regions,
+        # f(A) circles shared with the neighbourhood, and Euler
+        # characteristic chi(surface) - (v - |A|), as in complement_stats.
+        size, c, f, k = row
+        ngenus = 2 * c - v + size - f
+        genus = 2 * k - f - (report.euler_characteristic - (v - size))
+        if genus < 0 or ngenus < 0:
+            bad = _first_subset(rs.edges, rb.subset_sweep(rs, dagger), row)
+            raise em.EmbeddingError(f"negative genus from subset {bad}")
+        key = (c - c_full, k - 1, ngenus, genus)
+        counts[key] = counts.get(key, 0) + m
     for (ex, ey, ha, hb), c in sorted(counts.items()):
         total = total + MPolynomial.monomial(c, x=2 * ex, y=2 * ey, a=ha, b=hb)
     return total
@@ -299,9 +348,9 @@ def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     check_cap(len(g.edges), cap, "subset expansion")
     total = MPolynomial.zero()
     counts: dict[tuple[int, int], int] = {}
-    for a in _subsets(g.edges):
-        key = (mg.components(g, a), len(a))
-        counts[key] = counts.get(key, 0) + 1
+    for (size, c, _, _), m in Counter(rb.subset_sweep(g)).items():
+        key = (c, size)
+        counts[key] = counts.get(key, 0) + m
     for (c_a, sz), c in sorted(counts.items()):
         total = total + MPolynomial.monomial(c, x=2 * c_a, y=2 * sz)
     return total
@@ -337,6 +386,9 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     Identities whose preconditions the input does not meet come back
     as skips, never silently dropped.  All comparisons are exact.
     """
+    if points < 1:
+        raise PolyError(f"the pointwise identities need at least one sample "
+                        f"point, not {points}")
     rs = emb.rotation
     n = len(rs.edges)
     check_cap(n, cap, "the identity suite")
@@ -387,7 +439,9 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     l_cell = t_cycle = r_poly = None
     gamma = None
     if cellular:
-        l_cell = las_vergnas_cellular(rs, "expansion", cap)
+        # One pair of sweeps serves L itself, lv-tidy and lv-dichromatic.
+        rows = Counter(_cellular_sweep(rs))
+        l_cell = _cellular_from_rows(rs, rows)
         t_cycle = tutte(mt.cycle_matroid(g), cap)
         r_poly = bollobas_riordan(rs, cap)
         gamma = rb.euler_genus(rs)
@@ -409,35 +463,32 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         out.append(_pointwise("lv-to-tutte", _points(rng, pool, 2, points),
                               lv_to_tutte))
 
-        rows = _cellular_subset_stats(rs, cap)
-        r_full = mg.rank(g)
+        v = len(rs.sectors)
+        c_g = mg.components(g)
+        n_dual = mg.nullity(rb.dual(rs).underlying())
+        tidy_rows: Counter = Counter()
+        comp_rows: Counter = Counter()
+        for (size, c_a, g_a, cd_ac, gd_ac), m in rows.items():
+            # (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) z^(g(A)-g*(E-A))
+            tidy_rows[(c_a - c_g, size - v + c_a, g_a - gd_ac)] += m
+            comp_rows[(size, c_a, cd_ac)] += m
 
         def tidy(x0, y0, z0):
             lhs = (z0 * (y0 - 1)) ** gamma * l_cell.evaluate(
                 {"x": x0, "y": y0, "z": 1 / (z0 * z0 * (y0 - 1))})
             rhs = Fraction(0)
-            for a, r_a, g_a, gd_ac in rows:
-                rhs += ((x0 - 1) ** (r_full - r_a)
-                        * (y0 - 1) ** (len(a) - r_a)
-                        * Fraction(z0) ** (g_a - gd_ac))
+            for (i, j, k), m in tidy_rows.items():
+                rhs += m * (x0 - 1) ** i * (y0 - 1) ** j * Fraction(z0) ** k
             return lhs, rhs
 
         out.append(_pointwise("lv-tidy", _points(rng, pool, 3, points), tidy))
 
-        dual_rs = rb.dual(rs)
-        dual_g = dual_rs.underlying()
-        n_dual = mg.nullity(dual_g)
-        c_g = mg.components(g)
-        full = rs.edge_set()
-        comp_rows = [(a, mg.components(g, a), mg.components(dual_g, full - a))
-                     for a in _subsets(rs.edges)]
-
         def dichro(x0, y0, z0):
             lhs = l_cell.evaluate({"x": x0, "y": y0, "z": z0})
             rhs = Fraction(0)
-            for a, c_a, cd_ac in comp_rows:
-                rhs += (((x0 - 1) / z0) ** c_a * ((y0 - 1) * z0) ** cd_ac
-                        * Fraction(1, 1) / Fraction(z0) ** len(a))
+            for (size, c_a, cd_ac), m in comp_rows.items():
+                rhs += m * (((x0 - 1) / z0) ** c_a * ((y0 - 1) * z0) ** cd_ac
+                            * Fraction(1, 1) / Fraction(z0) ** size)
             rhs *= Fraction(z0) ** n_dual / ((x0 - 1) * (y0 - 1)) ** c_g
             return lhs, rhs
 

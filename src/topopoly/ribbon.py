@@ -22,6 +22,9 @@ one band per edge are the orbits alternating beta and kappa.  Tracing
 a subset of the edges erases the other bands but keeps every disc; a
 sector left without half-edges still bounds one circle.
 
+subset_sweep counts the same circles for every edge subset at once,
+on int-encoded corner points, without building any Circle.
+
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), quasi-tree detection, orientability, the
 medial map with its per-vertex smoothing pairings, and the sector
@@ -263,6 +266,102 @@ def trace_boundary(g: RotationSystem,
     if not a <= g.edge_set():
         raise RibbonError(f"subset {sorted(set(a) - g.edge_set())} not among the edges")
     return trace_sectors(all_sectors(g), g.signs, a)
+
+
+def subset_sweep(x: RotationSystem | mg.Multigraph,
+                 cut: mg.Multigraph | None = None, complement: bool = False):
+    """Yield (|A|, c(A), f(A), c_cut(E - A)) for every edge subset A.
+
+    x is a rotation system, whose boundary circles are counted too, or
+    a bare multigraph, for which f is None.  cut is a second multigraph
+    on the same edge ids (the dagger graph, say); c_cut counts its
+    components on the edges outside A, and is None without it.
+
+    Subsets are bitmasks, bit i standing for the i-th smallest edge id,
+    visited in increasing order, so two sweeps over graphs that share
+    their edge ids line up row by row.  With complement, row k
+    describes E - A_k instead of A_k.
+
+    Everything that does not depend on A is set up once: vertex and
+    edge indices, and each sector as its list of in points.  c(A) comes
+    from an int union-find.  f(A) counts the orbits of beta and kappa
+    as trace_sectors does, on corner points encoded as ints
+    4i + 2 end + io, so beta is p ^ 3 for a +1 band and p ^ 2 for a -1
+    band; a sector left bare adds one circle.
+    """
+    ribbon = x if isinstance(x, RotationSystem) else None
+    g = x.underlying() if ribbon is not None else x
+    edges = g.edges
+    n = len(edges)
+    if cut is not None and cut.edge_set() != g.edge_set():
+        raise RibbonError("a cut graph must share the sweep's edge ids")
+
+    def links(h: mg.Multigraph):
+        vid = {v: k for k, v in enumerate(h.vertices)}
+        return len(vid), [(vid[h.ends[e][0]], vid[h.ends[e][1]]) for e in edges]
+
+    def count(nv, pairs, mask):
+        parent = list(range(nv))
+        c = nv
+        for u, w in pairs:
+            if mask & 1:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[w] != w:
+                    w = parent[w]
+                if u != w:
+                    parent[u] = w
+                    c -= 1
+            mask >>= 1
+        return c
+
+    if ribbon is not None:
+        index = {e: i for i, e in enumerate(edges)}
+        discs = [[(4 * index[e] + 2 * end, 1 << index[e]) for e, end in sec]
+                 for _, sec in all_sectors(ribbon)]
+        flip = [3 if ribbon.signs[e] > 0 else 2 for e in edges]
+        kappa = [0] * (4 * n)
+
+    def circles(mask):
+        f = 0
+        starts = []
+        for disc in discs:
+            present = [p for p, bit in disc if mask & bit]
+            if not present:
+                f += 1
+                continue
+            # The out point of a half-edge is its in point + 1.
+            prev = present[-1] + 1
+            for p in present:
+                kappa[prev] = p
+                kappa[p] = prev
+                prev = p + 1
+            starts += present
+        # Every circle passes through an in point.
+        seen = bytearray(4 * n)
+        for start in starts:
+            if seen[start]:
+                continue
+            f += 1
+            p = start
+            while True:
+                seen[p] = 1
+                q = p ^ flip[p >> 2]
+                seen[q] = 1
+                p = kappa[q]
+                if p == start:
+                    break
+        return f
+
+    nv, pairs = links(g)
+    if cut is not None:
+        cut_nv, cut_pairs = links(cut)
+    full = (1 << n) - 1
+    for k in range(1 << n):
+        a = k ^ full if complement else k
+        yield (a.bit_count(), count(nv, pairs, a),
+               circles(a) if ribbon is not None else None,
+               count(cut_nv, cut_pairs, a ^ full) if cut is not None else None)
 
 
 def boundary_count(g: RotationSystem, subset: Iterable[int] | None = None) -> int:

@@ -6,6 +6,7 @@ Run with -s to see the ACCEPT lines:
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from collections import Counter
 import pytest
 
 import corpus
+import topopoly
 from topopoly import embedding as em
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
@@ -316,10 +318,14 @@ def test_criterion_8_cli_determinism(tmp_path):
         ["states", str(theta)],
         ["classify", str(loop)],
     ]
+    # The child processes import the same topopoly as this test.
+    src = os.path.dirname(os.path.dirname(topopoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     problems = []
     for argv in commands:
         runs = [subprocess.run([sys.executable, "-m", "topopoly.cli"] + argv,
-                               capture_output=True) for _ in range(2)]
+                               capture_output=True, env=env) for _ in range(2)]
         if any(r.returncode != 0 for r in runs):
             problems.append(f"{argv[0]}: exit {runs[0].returncode}")
         if runs[0].stdout != runs[1].stdout:

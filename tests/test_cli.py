@@ -165,6 +165,15 @@ def test_identities_digon_all_pass(capsys, files):
     assert any("state-tracer-agreement" in line for line in lines)
 
 
+def test_identities_rejects_no_points(capsys, files):
+    for points in ("0", "-3"):
+        rc, out, err = run(capsys, "identities", files["theta"],
+                           "--points", points)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error:")
+        assert "sample point" in err
+
+
 def test_identities_suite_selectors(capsys, files):
     _, out, _ = run(capsys, "identities", files["digon"], "--suite", "poly")
     assert not any(name in out for name in STATE_NAMES)
@@ -193,9 +202,10 @@ def test_states_output(capsys, files):
 
 
 def test_states_sweep_cap(capsys, files):
-    rc, _, err = run(capsys, "states", files["theta"], "--sweep-cap", "2")
+    rc, out, err = run(capsys, "states", files["theta"], "--sweep-cap", "2")
     assert rc == 2
     assert "cap" in err
+    assert out == ""
 
 
 def test_classify_output(capsys, files):

@@ -205,3 +205,39 @@ def test_check_result_lines():
     assert poly.CheckResult("x", "pass").line() == "RESULT: x pass"
     assert poly.CheckResult("x", "fail", "why").line() == "RESULT: x fail: why"
     assert poly.CheckResult("x", "skip", "gate").line() == "RESULT: x skip: gate"
+
+
+# ---------------------------------------------------------------------------
+# work counters
+
+
+def test_expansions_trace_a_fixed_number_of_times(monkeypatch):
+    """krushkal, lv and br count circles in the subset sweep, so the
+    number of full traces they run does not grow with 2^|E|."""
+    calls = []
+    real = rb.trace_sectors
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rb, "trace_sectors", counting)
+    suited = [emb for emb in corpus.main_corpus()
+              if not emb.rotation.pinch_vertices()
+              and em.validate(emb).components == 1]
+    counts = []
+    for n in (4, 10):
+        emb = next(e for e in suited if len(e.rotation.edges) == n)
+        calls.clear()
+        poly.krushkal(emb)
+        poly.las_vergnas_cellular(emb.rotation, "expansion")
+        poly.bollobas_riordan(emb.rotation)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_first_subset_names_the_mask_of_a_row():
+    # Error messages of the expansions name a subset by its sweep row.
+    rows = [(0, "a"), (1, "b"), (1, "b"), (2, "c")]
+    assert poly._first_subset((4, 6), iter(rows), (1, "b")) == [4]
+    assert poly._first_subset((4, 6), iter(rows), (2, "c")) == [4, 6]

@@ -10,6 +10,7 @@ import random
 import pytest
 
 import corpus
+from topopoly import embedding as em
 from topopoly import multigraph as mg
 from topopoly import ribbon as rb
 
@@ -18,6 +19,51 @@ def all_subsets(edges):
     import itertools
     for k in range(len(edges) + 1):
         yield from map(frozenset, itertools.combinations(edges, k))
+
+
+# ---------------------------------------------------------------------------
+# the subset sweep against the per-subset oracles
+
+
+def test_subset_sweep_matches_oracles():
+    # Every subset of every corpus graph up to 9 edges: pinched sectors
+    # left bare, sign -1 bands, disconnected surfaces.
+    checked = 0
+    for emb in corpus.main_corpus():
+        rs = emb.rotation
+        if len(rs.edges) > 9:
+            continue
+        scheme = em.derive_dagger(emb)
+        rows = rb.subset_sweep(rs, scheme.dagger)
+        for k, (size, c, f, rho) in enumerate(rows):
+            a = [e for i, e in enumerate(rs.edges) if k >> i & 1]
+            assert size == len(a)
+            assert c == mg.components(scheme.g, a)
+            assert f == rb.trace_boundary(rs, a).f
+            assert rho == em.rho(scheme, a)
+            checked += 1
+        assert k == 2 ** len(rs.edges) - 1
+    assert checked > 10000
+
+
+def test_subset_sweep_bare_graph_and_complement():
+    for rs in corpus.cellular_corpus():
+        g, d = rs.underlying(), rb.dual(rs)
+        full = rs.edge_set()
+        bare = list(rb.subset_sweep(g))
+        dual_rows = rb.subset_sweep(d, complement=True)
+        for k, ((size, c, f, cut), row_d) in enumerate(zip(bare, dual_rows)):
+            a = frozenset(e for i, e in enumerate(rs.edges) if k >> i & 1)
+            assert (f, cut) == (None, None)
+            assert (size, c) == (len(a), mg.components(g, a))
+            assert row_d == (len(full - a), mg.components(d.underlying(), full - a),
+                             rb.trace_boundary(d, full - a).f, None)
+
+
+def test_subset_sweep_rejects_foreign_cut():
+    g = corpus.theta_torus().underlying()
+    with pytest.raises(rb.RibbonError):
+        list(rb.subset_sweep(g, mg.delete_edge(g, 1)))
 
 
 # ---------------------------------------------------------------------------
