@@ -137,8 +137,8 @@ def cmd_identities(args) -> int:
                                               points=args.points, cap=args.cap))
     if args.suite in ("all", "states"):
         # State checks run on the rotation alone; inputs they cannot cover
-        # (pinched, disconnected, over the sweep cap) skip rather than abort
-        # so the polynomial half of the suite still reports.
+        # (pinched, edgeless, disconnected, over the sweep cap) skip rather
+        # than abort so the polynomial half of the suite still reports.
         try:
             results.extend(st.run_state_checks(emb.rotation,
                                                sweep_cap=args.sweep_cap,
@@ -151,10 +151,10 @@ def cmd_identities(args) -> int:
 def cmd_states(args) -> int:
     parsed = ff.parse(_read_text(args.file))
     rs = parsed.rotation
-    # Both halves run before anything prints, so a request over a cap
-    # exits 2 with empty stdout.
-    profile = st.noncrossing_profile(rs, args.cap)
+    # The checks run first, so a request over the sweep cap fails before
+    # any sweep, and before anything prints: stdout stays empty.
     results = st.run_state_checks(rs, sweep_cap=args.sweep_cap, cap=args.cap)
+    profile = st.noncrossing_profile(rs, args.cap)
     for k in sorted(profile):
         print(f"crossing-free curves {k}: {profile[k]}")
     return _print_results(results)

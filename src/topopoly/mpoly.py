@@ -15,7 +15,8 @@ so the same polynomial always prints the same way:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import comb
+from typing import Iterable, Mapping, Sequence
 
 VARS = ("x", "y", "z", "a", "b", "t")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -241,6 +242,38 @@ def _coerce(value) -> MPolynomial:
     raise TypeError(f"cannot combine MPolynomial with {type(value).__name__}")
 
 
+def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
+             shifted: Iterable[str] = ()) -> MPolynomial:
+    """Sum of count * prod w^(h/2) over the buckets.
+
+    Each bucket key gives one half-unit exponent h per name in names;
+    w is the variable itself, or v - 1 for each v in shifted, whose
+    exponents must be whole and are expanded binomially.  All buckets
+    go into one term dict, so no polynomial products are formed.
+    """
+    shifted = frozenset(shifted)
+    index = [_VAR_INDEX[v] for v in names]
+    terms: dict[tuple[int, ...], int] = {}
+    for key, count in buckets.items():
+        if not count:
+            continue
+        partial = {_ZEROS: count}
+        for i, v, h in zip(index, names, key):
+            if v in shifted:
+                if h % 2:
+                    raise ValueError(f"half-power of the shifted {v} - 1")
+                n = h // 2
+                powers = [(2 * p, (-1) ** (n - p) * comb(n, p))
+                          for p in range(n + 1)]
+            else:
+                powers = [(h, 1)]
+            partial = {e[:i] + (d,) + e[i + 1:]: c * m
+                       for e, c in partial.items() for d, m in powers}
+        for e, c in partial.items():
+            terms[e] = terms.get(e, 0) + c
+    return MPolynomial(terms)
+
+
 def compose_laurent(poly: MPolynomial,
                     images: Mapping[str, Mapping[int, int]]) -> dict[int, int]:
     """Substitute a one-symbol Laurent polynomial for each variable.
@@ -292,8 +325,4 @@ def laurent_to_poly(laurent: Mapping[int, int], name: str = "t") -> MPolynomial:
     bad = [d for d, c in laurent.items() if d < 0 and c]
     if bad:
         raise ValueError(f"negative powers survive: {sorted(bad)}")
-    out = MPolynomial.zero()
-    for d, c in laurent.items():
-        if c:
-            out = out + MPolynomial.monomial(c, **{name: 2 * d})
-    return out
+    return assemble((name,), {(2 * d,): c for d, c in laurent.items()})

@@ -1,38 +1,37 @@
 """Polynomials of graphs in surfaces, and their exact identities.
 
-Subset expansions are computed by bucketing the exponent triples over
-all edge subsets and expanding each distinct bucket once.  The two
-recursive evaluations (matroid pair and embedding scheme) process the
-highest surviving edge id, so expansion and recursion build byte-equal
-canonical strings whenever they agree as polynomials.
+Subset expansions tally one exponent bucket per edge subset and hand
+the buckets to mpoly.assemble, which expands each distinct bucket
+once.  The two recursive evaluations (matroid pair and embedding
+scheme) process the highest surviving edge id, so expansion and
+recursion build byte-equal canonical strings whenever they agree as
+polynomials.
 
 The embedded expansions read their counts from ribbon.subset_sweep,
 which visits the subsets A as bitmasks and yields |A|, c(A), the
 boundary circles f(A) and, on request, the components of a second
 graph on E - A.  Each expansion sets up its invariants once, not per
-subset, and tallies the distinct rows before mapping them to
-exponents:
+subset:
 
   bollobas_riordan      c and f; c(E) once
   krushkal              c, f and rho(A) on the dagger graph; validate,
                         derive_dagger and c(E) once
-  las_vergnas_cellular  c and f, plus c and f of E - A from a second
-                        sweep over the dual, which traces the dual
-                        itself; rb.dual, c(E) and the genus once
+  las_vergnas_cellular  the rows of ribbon.dual_sweep: c and f of A,
+                        and of E - A in the dual, which is traced
+                        itself; c(E) and the genus once
   las_vergnas_embedded  c and rho(A), no tracing; c(E), rho(E) and
                         rho(0) once
   dichromatic           c alone
 
-verify_identities builds the cellular rows once per call and reuses
-them for L, lv-tidy and lv-dichromatic.
+verify_identities builds the dual_sweep rows once per call and reuses
+them for L, lv-tidy and lv-dichromatic; the states module reads the
+same rows.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
 deriving them from f(A), so it shares no boundary count with the
 scheme expansion; tutte and tutte_perspective keep the rank oracles
-of the matroid module; both recursions work on minors; and the
-exhaustive checks in the states module trace every subset with
-trace_boundary.
+of the matroid module; and both recursions work on minors.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
@@ -47,13 +46,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from . import embedding as em
 from . import matroid as mt
 from . import multigraph as mg
 from . import ribbon as rb
-from .mpoly import MPolynomial
+from .mpoly import MPolynomial, assemble
 
 EXPANSION_CAP = 20
 IDENTITY_CAP = 16
@@ -117,24 +115,6 @@ def _first_subset(edges: tuple[int, ...], rows, row) -> list[int]:
     return [e for i, e in enumerate(edges) if k >> i & 1]
 
 
-def _assemble_xyz(counts: Mapping[tuple[int, int, int], int]) -> MPolynomial:
-    """Sum of count * (x-1)^i (y-1)^j z^k over the buckets."""
-    xm = MPolynomial.variable("x") - 1
-    ym = MPolynomial.variable("y") - 1
-    top_i = max((i for i, _, _ in counts), default=0)
-    top_j = max((j for _, j, _ in counts), default=0)
-    xp = [MPolynomial.one()]
-    for _ in range(top_i):
-        xp.append(xp[-1] * xm)
-    yp = [MPolynomial.one()]
-    for _ in range(top_j):
-        yp.append(yp[-1] * ym)
-    total = MPolynomial.zero()
-    for (i, j, k), c in sorted(counts.items()):
-        total = total + c * xp[i] * yp[j] * MPolynomial.monomial(1, z=2 * k)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the polynomials
 
@@ -143,12 +123,11 @@ def tutte(m: mt.RankMatroid, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Corank-nullity sum of a matroid."""
     check_cap(len(m.ground), cap, "Tutte expansion")
     r_full = m.rank()
-    counts: dict[tuple[int, int, int], int] = {}
+    counts: Counter = Counter()
     for a in _subsets(m.ground):
         r_a = m.rank(a)
-        key = (r_full - r_a, len(a) - r_a, 0)
-        counts[key] = counts.get(key, 0) + 1
-    return _assemble_xyz(counts)
+        counts[2 * (r_full - r_a), 2 * (len(a) - r_a)] += 1
+    return assemble("xy", counts, shifted="xy")
 
 
 def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
@@ -159,7 +138,7 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
     if method == "expansion":
         r_full = mp.m.rank()
         rp_full = mp.m_prime.rank()
-        counts: dict[tuple[int, int, int], int] = {}
+        counts: Counter = Counter()
         for a in _subsets(mp.ground):
             r_a = mp.m.rank(a)
             rp_a = mp.m_prime.rank(a)
@@ -167,9 +146,8 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
             if k < 0:
                 raise PolyError(f"rank drop inversion on {sorted(a)}; "
                                 "not a matroid perspective")
-            key = (rp_full - rp_a, len(a) - r_a, k)
-            counts[key] = counts.get(key, 0) + 1
-        return _assemble_xyz(counts)
+            counts[2 * (rp_full - rp_a), 2 * (len(a) - r_a), 2 * k] += 1
+        return assemble("xyz", counts, shifted="xy")
     if method == "recursion":
         return _perspective_recursion(mp.m, mp.m_prime)
     raise PolyError(f"unknown method {method!r}")
@@ -197,20 +175,6 @@ def _perspective_recursion(m: mt.RankMatroid, m_prime: mt.RankMatroid) -> MPolyn
     return _perspective_recursion(*dele) + _perspective_recursion(*cont)
 
 
-def _cellular_sweep(rs: rb.RotationSystem):
-    """Per subset A: (|A|, c(A), genus(A), c*(E-A), genus*(E-A)).
-
-    The starred values come from a second sweep over the geometric
-    dual, with its own trace, so this route shares no boundary count
-    with the scheme expansion it is checked against.
-    """
-    d = rb.dual(rs)
-    v, vd = len(rs.sectors), len(d.sectors)
-    for (size, c, f, _), (size_d, cd, fd, _) in zip(
-            rb.subset_sweep(rs), rb.subset_sweep(d, complement=True)):
-        yield size, c, 2 * c - v + size - f, cd, 2 * cd - vd + size_d - fd
-
-
 def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
                          cap: int = EXPANSION_CAP) -> MPolynomial:
     """The cellular three-variable polynomial, from boundary data of
@@ -222,26 +186,24 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
         raise PolyError(f"unknown method {method!r}")
     rb.require_pinch_free(rs, "the cellular polynomial")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return _cellular_from_rows(rs, Counter(_cellular_sweep(rs)))
+    return _cellular_from_rows(rs, Counter(rb.dual_sweep(rs)))
 
 
 def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
-    counts: dict[tuple[int, int, int], int] = {}
+    counts: Counter = Counter()
     for row, m in rows.items():
-        size, c, g_a, _, gd_ac = row
-        split = gamma + g_a - gd_ac
-        ey = (size - v + c) - split // 2
-        ez2 = gamma - g_a + gd_ac
+        split = gamma + row.genus - row.genus_dual
+        ey = (row.size - v + row.c) - split // 2
+        ez2 = gamma - row.genus + row.genus_dual
         if split % 2 or ey < 0 or ez2 < 0:
             what = "odd genus split" if split % 2 else "bad exponents"
             raise PolyError(f"{what} on "
-                            f"{_first_subset(rs.edges, _cellular_sweep(rs), row)}")
-        key = (c - c_full, ey, ez2 // 2)
-        counts[key] = counts.get(key, 0) + m
-    return _assemble_xyz(counts)
+                            f"{_first_subset(rs.edges, rb.dual_sweep(rs), row)}")
+        counts[2 * (row.c - c_full), 2 * ey, ez2] += m
+    return assemble("xyz", counts, shifted="xy")
 
 
 def las_vergnas_embedded(x, method: str = "expansion",
@@ -262,16 +224,15 @@ def las_vergnas_embedded(x, method: str = "expansion",
     c_full = mg.components(s.g)
     rho_full = em.rho(s)
     rho_empty = em.rho(s, ())
-    counts: dict[tuple[int, int, int], int] = {}
+    counts: Counter = Counter()
     for row, m in Counter(rb.subset_sweep(s.g, s.dagger)).items():
         size, c_a, _, rho_a = row
         ez = (n - size) - (rho_full - rho_a) - (c_a - c_full)
         if ez < 0 or c_a < c_full or rho_a < rho_empty:
             bad = _first_subset(s.g.edges, rb.subset_sweep(s.g, s.dagger), row)
             raise PolyError(f"bad exponents on {bad}")
-        key = (c_a - c_full, rho_a - rho_empty, ez)
-        counts[key] = counts.get(key, 0) + m
-    return _assemble_xyz(counts)
+        counts[2 * (c_a - c_full), 2 * (rho_a - rho_empty), 2 * ez] += m
+    return assemble("xyz", counts, shifted="xy")
 
 
 def _scheme_recursion(s: em.EmbeddingScheme) -> MPolynomial:
@@ -297,19 +258,9 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
     check_cap(len(rs.edges), cap, "subset expansion")
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
-    xm = MPolynomial.variable("x") - 1
-    xp = [MPolynomial.one()]
-    counts: dict[tuple[int, int, int], int] = {}
-    for (size, c, f, _), m in Counter(rb.subset_sweep(rs)).items():
-        key = (c - c_full, size - v + c, 2 * c - v + size - f)
-        counts[key] = counts.get(key, 0) + m
-    top = max((i for i, _, _ in counts), default=0)
-    for _ in range(top):
-        xp.append(xp[-1] * xm)
-    total = MPolynomial.zero()
-    for (i, j, k), c in sorted(counts.items()):
-        total = total + c * xp[i] * MPolynomial.monomial(1, y=2 * j, z=2 * k)
-    return total
+    counts = Counter((2 * (c - c_full), 2 * (size - v + c), 2 * (2 * c - v + size - f))
+                     for size, c, f, _ in rb.subset_sweep(rs))
+    return assemble("xyz", counts, shifted="x")
 
 
 def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
@@ -324,8 +275,7 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     v = len(rs.sectors)
     dagger = em.derive_dagger(emb).dagger
     c_full = mg.components(rs.underlying())
-    total = MPolynomial.zero()
-    counts: dict[tuple[int, int, int, int], int] = {}
+    counts: Counter = Counter()
     for row, m in Counter(rb.subset_sweep(rs, dagger)).items():
         # The complement of the neighbourhood of (V, A): rho(A) regions,
         # f(A) circles shared with the neighbourhood, and Euler
@@ -336,24 +286,15 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
         if genus < 0 or ngenus < 0:
             bad = _first_subset(rs.edges, rb.subset_sweep(rs, dagger), row)
             raise em.EmbeddingError(f"negative genus from subset {bad}")
-        key = (c - c_full, k - 1, ngenus, genus)
-        counts[key] = counts.get(key, 0) + m
-    for (ex, ey, ha, hb), c in sorted(counts.items()):
-        total = total + MPolynomial.monomial(c, x=2 * ex, y=2 * ey, a=ha, b=hb)
-    return total
+        counts[2 * (c - c_full), 2 * (k - 1), ngenus, genus] += m
+    return assemble("xyab", counts)
 
 
 def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Component-count sum: x^c(A) y^|A| over edge subsets."""
     check_cap(len(g.edges), cap, "subset expansion")
-    total = MPolynomial.zero()
-    counts: dict[tuple[int, int], int] = {}
-    for (size, c, _, _), m in Counter(rb.subset_sweep(g)).items():
-        key = (c, size)
-        counts[key] = counts.get(key, 0) + m
-    for (c_a, sz), c in sorted(counts.items()):
-        total = total + MPolynomial.monomial(c, x=2 * c_a, y=2 * sz)
-    return total
+    counts = Counter((2 * c, 2 * size) for size, c, _, _ in rb.subset_sweep(g))
+    return assemble("xy", counts)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +381,8 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     gamma = None
     if cellular:
         # One pair of sweeps serves L itself, lv-tidy and lv-dichromatic.
-        rows = Counter(_cellular_sweep(rs))
+        d = rb.dual(rs)
+        rows = Counter(rb.dual_sweep(rs, d))
         l_cell = _cellular_from_rows(rs, rows)
         t_cycle = tutte(mt.cycle_matroid(g), cap)
         r_poly = bollobas_riordan(rs, cap)
@@ -465,13 +407,14 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
 
         v = len(rs.sectors)
         c_g = mg.components(g)
-        n_dual = mg.nullity(rb.dual(rs).underlying())
+        n_dual = mg.nullity(d.underlying())
         tidy_rows: Counter = Counter()
         comp_rows: Counter = Counter()
-        for (size, c_a, g_a, cd_ac, gd_ac), m in rows.items():
+        for row, m in rows.items():
             # (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) z^(g(A)-g*(E-A))
-            tidy_rows[(c_a - c_g, size - v + c_a, g_a - gd_ac)] += m
-            comp_rows[(size, c_a, cd_ac)] += m
+            tidy_rows[(row.c - c_g, row.size - v + row.c,
+                       row.genus - row.genus_dual)] += m
+            comp_rows[(row.size, row.c, row.c_dual)] += m
 
         def tidy(x0, y0, z0):
             lhs = (z0 * (y0 - 1)) ** gamma * l_cell.evaluate(

@@ -23,7 +23,8 @@ a subset of the edges erases the other bands but keeps every disc; a
 sector left without half-edges still bounds one circle.
 
 subset_sweep counts the same circles for every edge subset at once,
-on int-encoded corner points, without building any Circle.
+on int-encoded corner points, without building any Circle; dual_sweep
+zips it with a second sweep over the geometric dual on E - A.
 
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), quasi-tree detection, orientability, the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import multigraph as mg
 
@@ -163,9 +164,6 @@ class Circle:
     sides: tuple[tuple[int, int], ...]
     entry_ends: tuple[int, ...]
     home: Home | None = None
-
-    def visit_set(self) -> frozenset:
-        return frozenset(self.visits)
 
 
 @dataclass(frozen=True)
@@ -362,6 +360,32 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
         yield (a.bit_count(), count(nv, pairs, a),
                circles(a) if ribbon is not None else None,
                count(cut_nv, cut_pairs, a ^ full) if cut is not None else None)
+
+
+class DualRow(NamedTuple):
+    """Counts of one edge subset A, and of E - A in the dual."""
+    size: int           # |A|
+    c: int              # c(A)
+    f: int              # f(A)
+    genus: int          # Euler genus of the ribbon subgraph on A
+    c_dual: int         # c*(E - A)
+    f_dual: int         # f*(E - A)
+    genus_dual: int     # Euler genus of the dual's ribbon subgraph on E - A
+
+
+def dual_sweep(g: RotationSystem, d: RotationSystem | None = None):
+    """Yield one DualRow per edge subset A, in subset_sweep order.
+
+    The starred counts come from a second sweep over the geometric
+    dual d (built here unless given), which traces the dual itself, so
+    they share no boundary count with the graph's own.
+    """
+    d = dual(g) if d is None else d
+    v, vd = len(g.sectors), len(d.sectors)
+    for (size, c, f, _), (size_d, cd, fd, _) in zip(
+            subset_sweep(g), subset_sweep(d, complement=True)):
+        yield DualRow(size, c, f, 2 * c - v + size - f,
+                      cd, fd, 2 * cd - vd + size_d - fd)
 
 
 def boundary_count(g: RotationSystem, subset: Iterable[int] | None = None) -> int:

@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 import corpus
+import golden
 import topopoly
 from topopoly import embedding as em
 from topopoly import matroid as mt
@@ -285,6 +286,15 @@ def test_criterion_7_low_genus_results():
     ok = not problems and kinds == {"sphere", "projective-plane", "torus"}
     _accept("low-genus-results", ok,
             problems[0] if problems else f"surfaces seen: {sorted(kinds)}")
+
+
+def test_golden_state_results():
+    """Every RESULT line over the cellular corpus, against golden.json."""
+    results, _ = _state_results()
+    got = [golden.state_digest(res) for res in results]
+    want = golden.load()["states"]
+    drift = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not drift, drift
 
 
 THETA_TEXT = """\

@@ -8,6 +8,7 @@ import corpus
 from topopoly import cli
 from topopoly import fileformat as ff
 from topopoly import poly
+from topopoly import ribbon as rb
 
 THETA = """\
 vertex 0: sector (1.0 2.0 3.0)
@@ -199,6 +200,17 @@ def test_states_output(capsys, files):
                           "crossing-free curves 2: 4\n")
     assert "RESULT: state-tracer-agreement pass" in out
     assert "RESULT: lr-relation pass: torus" in out
+
+
+def test_identities_reports_a_broken_dual_as_failure(capsys, files,
+                                                    monkeypatch):
+    real = rb.dual
+    monkeypatch.setattr(rb, "dual",
+                        lambda g: rb.twist(real(g), [min(g.edges)]))
+    rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "states")
+    assert rc == 1
+    assert "RESULT: quasi-tree-duality fail: " in out
+    assert "state-checks skip" not in out
 
 
 def test_states_sweep_cap(capsys, files):

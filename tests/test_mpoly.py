@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from topopoly.mpoly import (MPolynomial, compose_laurent, laurent_to_poly)
+from topopoly.mpoly import (MPolynomial, assemble, compose_laurent,
+                            laurent_to_poly)
 
 X = MPolynomial.variable("x")
 Y = MPolynomial.variable("y")
@@ -122,3 +123,22 @@ def test_ring_laws(a, b, c):
     assert pa * pb == pb * pa
     assert (pa + pb) * pc == pa * pc + pb * pc
     assert (pa * pb) * pc == pa * (pb * pc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.dictionaries(
+    hst.tuples(hst.integers(0, 4), hst.integers(0, 4), hst.integers(0, 5)),
+    hst.integers(-5, 5), max_size=6))
+def test_assemble_matches_products(buckets):
+    # (x-1)^i y^(h/2) z^(k/2) over whole i, half-unit h and k.
+    keys = {(2 * i, h, k): c for (i, h, k), c in buckets.items()}
+    want = MPolynomial.zero()
+    for (i, h, k), c in buckets.items():
+        want = want + c * (X - 1) ** i * MPolynomial.monomial(1, y=h, z=k)
+    assert assemble("xyz", keys, shifted="x") == want
+
+
+def test_assemble_rejects_half_powers_of_shifted_variables():
+    assert str(assemble("yx", {(2, 4): 3}, shifted="x")) == "3y - 6xy + 3x^2y"
+    with pytest.raises(ValueError):
+        assemble("x", {(1,): 1}, shifted="x")

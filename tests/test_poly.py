@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import corpus
+import golden
 from topopoly import embedding as em
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
@@ -241,3 +242,16 @@ def test_first_subset_names_the_mask_of_a_row():
     rows = [(0, "a"), (1, "b"), (1, "b"), (2, "c")]
     assert poly._first_subset((4, 6), iter(rows), (1, "b")) == [4]
     assert poly._first_subset((4, 6), iter(rows), (2, "c")) == [4, 6]
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+
+def test_golden_polynomials():
+    want = golden.load()
+    for key, pool in (("main", golden.main_embeddings()),
+                      ("cellular", golden.cellular_embeddings())):
+        got = [golden.poly_digest(emb) for emb in pool]
+        drift = [i for i, (a, b) in enumerate(zip(got, want[key])) if a != b]
+        assert len(got) == len(want[key]) and not drift, (key, drift)

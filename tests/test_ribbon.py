@@ -60,6 +60,22 @@ def test_subset_sweep_bare_graph_and_complement():
                              rb.trace_boundary(d, full - a).f, None)
 
 
+def test_dual_sweep_matches_oracles():
+    for rs in corpus.cellular_corpus():
+        if len(rs.edges) > 6:
+            continue
+        d = rb.dual(rs)
+        full = rs.edge_set()
+        for k, row in enumerate(rb.dual_sweep(rs)):
+            a = frozenset(e for i, e in enumerate(rs.edges) if k >> i & 1)
+            assert row == (len(a), mg.components(rs.underlying(), a),
+                           rb.boundary_count(rs, a), rb.euler_genus(rs, a),
+                           mg.components(d.underlying(), full - a),
+                           rb.boundary_count(d, full - a),
+                           rb.euler_genus(d, full - a))
+            assert row.f == row.f_dual
+
+
 def test_subset_sweep_rejects_foreign_cut():
     g = corpus.theta_torus().underlying()
     with pytest.raises(rb.RibbonError):

@@ -1,5 +1,7 @@
 """State counting on medials and the low-genus formulas."""
 
+from collections import Counter
+
 import pytest
 
 import corpus
@@ -7,6 +9,7 @@ from topopoly import embedding as em
 from topopoly import poly
 from topopoly import ribbon as rb
 from topopoly import states as st
+from topopoly.mpoly import MPolynomial
 from topopoly.ribbon import BLACK, CROSSING, WHITE
 
 
@@ -127,3 +130,70 @@ def test_run_state_checks_preconditions():
             {0: (((1, 0), (1, 1)),), 1: (((2, 0), (2, 1)),)}, {1: 1, 2: 1}))
     with pytest.raises(poly.CapError):
         st.run_state_checks(corpus.theta_torus(), sweep_cap=2)
+
+
+# ---------------------------------------------------------------------------
+# failures are fail lines, and the sweep is shared
+
+
+def _twist_one_dual_edge(monkeypatch):
+    real = rb.dual
+
+    def dual(g):
+        d = real(g)
+        return rb.twist(d, [min(d.edges)])
+
+    monkeypatch.setattr(rb, "dual", dual)
+
+
+def test_broken_dual_fails_quasi_tree_duality(monkeypatch):
+    _twist_one_dual_edge(monkeypatch)
+    results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())}
+    assert results["quasi-tree-duality"].status == "fail"
+    assert "boundary circles" in results["quasi-tree-duality"].detail
+
+
+def test_forced_gate_fails_instead_of_raising(monkeypatch):
+    # the genus-4 bouquet of test_surface_kind_rejects_high_genus
+    rs = rb.RotationSystem.single(
+        {0: ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (3, 1), (4, 1))},
+        {1: 1, 2: 1, 3: 1, 4: 1})
+    monkeypatch.setattr(st, "surface_kind", lambda g: "torus")
+    results = {r.name: r for r in st.run_state_checks(rs)}
+    assert results["noncrossing-min-formula"].status == "fail"
+    assert results["lr-relation"].status == "fail"
+    assert results["lr-relation"].detail == "z-degree 4 on a torus graph"
+
+
+def test_lr_relation_fails_on_half_powers(monkeypatch):
+    real = poly.las_vergnas_cellular
+    monkeypatch.setattr(poly, "las_vergnas_cellular", lambda *a, **k: (
+        real(*a, **k) * MPolynomial.variable_half("z", 1)))
+    res = st.lr_relation(corpus.theta_torus())
+    assert (res.status, res.detail) == (
+        "fail", "half-power of z in the cellular polynomial")
+
+
+def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rb, "dual")
+    counted(st, "lv_component_formula")
+    counted(st, "quasi_tree_duality")
+    seven = next(rs for rs in corpus.cellular_corpus()
+                 if len(rs.edges) == 7 and rb.euler_genus(rs) <= 2)
+    per_graph = []
+    for rs in (corpus.theta_torus(), seven):
+        calls.clear()
+        st.run_state_checks(rs)
+        per_graph.append(dict(calls))
+    assert per_graph[0] == per_graph[1] == {"dual": 2}
