@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="expansion",
                    choices=("expansion", "recursion"))
     p.add_argument("--cap", type=int, default=poly.EXPANSION_CAP,
-                   help="edge cap on subset expansion "
+                   help="edge cap on expansion and recursion "
                         f"(default {poly.EXPANSION_CAP})")
     p.set_defaults(func=cmd_poly)
 

@@ -1,11 +1,11 @@
 """Polynomials of graphs in surfaces, and their exact identities.
 
-Subset expansions tally one exponent bucket per edge subset and hand
-the buckets to mpoly.assemble, which expands each distinct bucket
-once.  The two recursive evaluations (matroid pair and embedding
-scheme) process the highest surviving edge id, so expansion and
-recursion build byte-equal canonical strings whenever they agree as
-polynomials.
+Every polynomial here comes from mpoly.assemble, which expands each
+distinct exponent bucket once.  Subset expansions tally one bucket
+per edge subset; the two delete/contract recursions (matroid pair and
+embedding scheme) tally one monomial per leaf, scored on the path to
+it.  Expansion and recursion therefore build byte-equal canonical
+strings whenever they agree as polynomials.
 
 The embedded expansions read their counts from ribbon.subset_sweep,
 which visits the subsets A as bitmasks and yields |A|, c(A), the
@@ -134,7 +134,7 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
                       cap: int = EXPANSION_CAP) -> MPolynomial:
     """Three-variable corank-nullity sum of a matroid pair; z tracks
     how much of the rank drop M' has not yet seen."""
-    check_cap(len(mp.ground), cap, "perspective expansion")
+    check_cap(len(mp.ground), cap, f"perspective {method}")
     if method == "expansion":
         r_full = mp.m.rank()
         rp_full = mp.m_prime.rank()
@@ -149,42 +149,41 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
             counts[2 * (rp_full - rp_a), 2 * (len(a) - r_a), 2 * k] += 1
         return assemble("xyz", counts, shifted="xy")
     if method == "recursion":
-        return _perspective_recursion(mp.m, mp.m_prime)
+        return assemble("xyz", Counter(_perspective_leaves(mp.m, mp.m_prime)))
     raise PolyError(f"unknown method {method!r}")
 
 
-def _perspective_recursion(m: mt.RankMatroid, m_prime: mt.RankMatroid) -> MPolynomial:
-    """Delete/contract on the highest edge id.
-
-    An isthmus of M' (hence of M) gives x, a loop of M (hence of M')
-    gives y, an isthmus of M alone gives z on the deletion branch plus
-    the contraction branch, and an ordinary element branches plainly.
-    """
+def _perspective_leaves(m: mt.RankMatroid, m_prime: mt.RankMatroid,
+                        x: int = 0, y: int = 0, z: int = 0):
+    """Delete/contract on the highest edge id, yielding the half-unit
+    exponents (x, y, z) scored on the path to each leaf: a loop of M
+    scores y, an isthmus of M' x, and an isthmus of M alone z, beside
+    an unscored contraction branch."""
     if not m.ground:
-        return MPolynomial.one()
+        yield x, y, z
+        return
     e = max(m.ground)
     dele = (mt.delete(m, e), mt.delete(m_prime, e))
     if mt.is_loop(m, e):
-        return MPolynomial.variable("y") * _perspective_recursion(*dele)
-    if mt.is_isthmus(m_prime, e):
-        return MPolynomial.variable("x") * _perspective_recursion(*dele)
-    cont = (mt.contract(m, e), mt.contract(m_prime, e))
-    if mt.is_isthmus(m, e):
-        return (MPolynomial.variable("z") * _perspective_recursion(*dele)
-                + _perspective_recursion(*cont))
-    return _perspective_recursion(*dele) + _perspective_recursion(*cont)
+        yield from _perspective_leaves(*dele, x, y + 2, z)
+    elif mt.is_isthmus(m_prime, e):
+        yield from _perspective_leaves(*dele, x + 2, y, z)
+    else:
+        yield from _perspective_leaves(*dele, x, y, z + 2 * mt.is_isthmus(m, e))
+        yield from _perspective_leaves(mt.contract(m, e), mt.contract(m_prime, e),
+                                       x, y, z)
 
 
 def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
                          cap: int = EXPANSION_CAP) -> MPolynomial:
     """The cellular three-variable polynomial, from boundary data of
     the graph and its dual; z records half the genus deficiency."""
+    rb.require_pinch_free(rs, "the cellular polynomial")
     if method == "recursion":
         emb = em.with_disc_regions(rs)
         return las_vergnas_embedded(em.derive_dagger(emb), "recursion", cap)
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
-    rb.require_pinch_free(rs, "the cellular polynomial")
     check_cap(len(rs.edges), cap, "subset expansion")
     return _cellular_from_rows(rs, Counter(rb.dual_sweep(rs)))
 
@@ -215,11 +214,12 @@ def las_vergnas_embedded(x, method: str = "expansion",
     id, scoring bridges x, quasi-loops y and proper quasi-bridges z.
     """
     s = em.derive_dagger(x) if isinstance(x, em.EmbeddedGraph) else x
-    check_cap(len(s.g.edges), cap, "subset expansion")
     if method == "recursion":
-        return _scheme_recursion(s)
+        check_cap(len(s.g.edges), cap, "delete/contract recursion")
+        return assemble("xyz", Counter(_scheme_leaves(s)))
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
+    check_cap(len(s.g.edges), cap, "subset expansion")
     n = len(s.g.edges)
     c_full = mg.components(s.g)
     rho_full = em.rho(s)
@@ -235,21 +235,21 @@ def las_vergnas_embedded(x, method: str = "expansion",
     return assemble("xyz", counts, shifted="xy")
 
 
-def _scheme_recursion(s: em.EmbeddingScheme) -> MPolynomial:
-    edges = s.g.edges
-    if not edges:
-        return MPolynomial.one()
-    e = max(edges)
+def _scheme_leaves(s: em.EmbeddingScheme, x: int = 0, y: int = 0, z: int = 0):
+    """The same walk over a scheme: a quasi-loop scores y, a bridge x,
+    and a proper quasi-bridge z, beside an unscored contraction."""
+    if not s.g.edges:
+        yield x, y, z
+        return
+    e = max(s.g.edges)
     dele = em.delete_edge(s, e)
     if em.rho(s, {e}) > em.rho(s, ()):          # quasi-loop
-        return MPolynomial.variable("y") * _scheme_recursion(dele)
-    if mg.is_bridge(s.g, e):
-        return MPolynomial.variable("x") * _scheme_recursion(dele)
-    cont = em.contract_edge(s, e)
-    if s.dagger.is_loop(e):                      # quasi-bridge, not a bridge
-        return (MPolynomial.variable("z") * _scheme_recursion(dele)
-                + _scheme_recursion(cont))
-    return _scheme_recursion(dele) + _scheme_recursion(cont)
+        yield from _scheme_leaves(dele, x, y + 2, z)
+    elif mg.is_bridge(s.g, e):
+        yield from _scheme_leaves(dele, x + 2, y, z)
+    else:                                        # a dagger loop is a quasi-bridge
+        yield from _scheme_leaves(dele, x, y, z + 2 * s.dagger.is_loop(e))
+        yield from _scheme_leaves(em.contract_edge(s, e), x, y, z)
 
 
 def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolynomial:

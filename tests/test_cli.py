@@ -139,6 +139,24 @@ def test_poly_cap(capsys, files):
                      "--cap", "2")
     assert rc == 2
     assert "cap" in err
+    # The message names the method that was capped.
+    for which, method, what in (
+            ("lv-ext", "expansion", "subset expansion"),
+            ("lv-ext", "recursion", "delete/contract recursion"),
+            ("lv", "recursion", "delete/contract recursion")):
+        rc, out, err = run(capsys, "poly", files["theta"], "--which", which,
+                           "--method", method, "--cap", "2")
+        assert (rc, out) == (2, "")
+        assert err.endswith(f"error: {what} on 3 edges exceeds the cap of 2; "
+                            "pass a larger cap to force it\n")
+
+
+def test_poly_lv_rejects_pinches_by_either_method(capsys, files):
+    for method in ("expansion", "recursion"):
+        rc, out, err = run(capsys, "poly", files["pinched"], "--which", "lv",
+                           "--method", method)
+        assert (rc, out) == (2, "")
+        assert "needs an ordinary ribbon graph" in err
 
 
 def test_auto_close_notes_on_stderr(capsys, files):

@@ -120,7 +120,7 @@ def test_torus_loop_value():
 
 
 def test_cellular_routes_agree_on_corpus():
-    for rs in corpus.cellular_corpus()[:14]:
+    for rs in corpus.cellular_corpus():
         a = poly.las_vergnas_cellular(rs, "expansion")
         b = poly.las_vergnas_cellular(rs, "recursion")
         c = poly.las_vergnas_embedded(em.with_disc_regions(rs), "expansion")
@@ -133,6 +133,13 @@ def test_plane_cellular_polynomial_is_tutte():
             continue
         assert (poly.las_vergnas_cellular(rs, "expansion")
                 == poly.tutte(mt.cycle_matroid(rs.underlying())))
+
+
+def test_cellular_polynomial_rejects_pinches_by_either_method():
+    rs = corpus.pinched_spheres().rotation
+    for method in ("expansion", "recursion"):
+        with pytest.raises(rb.RibbonError):
+            poly.las_vergnas_cellular(rs, method)
 
 
 def test_embedded_recursion_matches_expansion_non_cellular():
@@ -186,6 +193,10 @@ def test_cap_is_enforced():
                                 allow_pinch=False)
     with pytest.raises(poly.CapError):
         poly.bollobas_riordan(rs, cap=5)
+    mp = em.scheme_perspective(em.derive_dagger(em.with_disc_regions(rs)),
+                               validate_strength=False)
+    with pytest.raises(poly.CapError, match="^perspective recursion on 6 "):
+        poly.tutte_perspective(mp, "recursion", cap=5)
 
 
 def test_identity_suite_on_named_fixtures():
@@ -235,6 +246,35 @@ def test_expansions_trace_a_fixed_number_of_times(monkeypatch):
         poly.bollobas_riordan(emb.rotation)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_recursions_tally_leaves_into_one_assembly(monkeypatch):
+    """Both delete/contract recursions count one monomial per leaf and
+    assemble once: no polynomial product or sum along the tree."""
+    calls = []
+    for name in ("__mul__", "__add__"):
+        real_op = getattr(MPolynomial, name)
+
+        def op(self, other, name=name, real_op=real_op):
+            calls.append(name)
+            return real_op(self, other)
+
+        monkeypatch.setattr(MPolynomial, name, op)
+    real_assemble = poly.assemble
+
+    def assemble(*args, **kwargs):
+        calls.append("assemble")
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "assemble", assemble)
+    ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
+    for emb in (em.with_disc_regions(corpus.theta_torus()), ten):
+        scheme = em.derive_dagger(emb)
+        mp = em.scheme_perspective(scheme, validate_strength=False)
+        calls.clear()
+        poly.las_vergnas_embedded(scheme, "recursion")
+        poly.tutte_perspective(mp, "recursion")
+        assert calls == ["assemble", "assemble"]
 
 
 def test_first_subset_names_the_mask_of_a_row():
