@@ -27,12 +27,11 @@ from .poly import (CapError, CheckResult, PolyError, bollobas_riordan,
                    las_vergnas_embedded, tutte, tutte_perspective,
                    verify_identities)
 from .ribbon import (RibbonError, RotationSystem, boundary_count, dual,
-                     euler_genus, is_orientable, is_quasi_tree, medial,
-                     trace_boundary, twist)
+                     euler_genus, is_orientable, medial, trace_boundary,
+                     twist)
 from .states import (GenusRangeError, StateError, lr_relation,
                      lv_component_formula, medial_state_components,
-                     noncrossing_profile, quasi_tree_duality,
-                     run_state_checks, state_components)
+                     noncrossing_profile, run_state_checks, state_components)
 
 __version__ = "0.1.0"
 
@@ -43,10 +42,9 @@ __all__ = [
     "RibbonError", "RotationSystem", "StateError", "bollobas_riordan",
     "bond_matroid", "boundary_count", "classify_edge", "complement_stats",
     "cycle_matroid", "derive_dagger", "dichromatic", "dual", "euler_genus",
-    "is_orientable", "is_quasi_tree", "krushkal", "las_vergnas_cellular",
-    "las_vergnas_embedded", "lr_relation", "lv_component_formula",
-    "make_perspective", "medial", "medial_state_components",
-    "noncrossing_profile", "quasi_tree_duality", "run_state_checks",
+    "is_orientable", "krushkal", "las_vergnas_cellular", "las_vergnas_embedded",
+    "lr_relation", "lv_component_formula", "make_perspective", "medial",
+    "medial_state_components", "noncrossing_profile", "run_state_checks",
     "scheme_perspective", "state_components", "trace_boundary", "tutte",
     "tutte_perspective", "twist", "validate", "verify_identities",
     "with_disc_regions",

@@ -141,8 +141,7 @@ def cmd_identities(args) -> int:
         # than abort so the polynomial half of the suite still reports.
         try:
             results.extend(st.run_state_checks(emb.rotation,
-                                               sweep_cap=args.sweep_cap,
-                                               cap=args.cap))
+                                               sweep_cap=args.sweep_cap))
         except (st.StateError, rb.RibbonError, poly.CapError) as exc:
             results.append(poly.CheckResult("state-checks", "skip", str(exc)))
     return _print_results(results)
@@ -153,8 +152,8 @@ def cmd_states(args) -> int:
     rs = parsed.rotation
     # The checks run first, so a request over the sweep cap fails before
     # any sweep, and before anything prints: stdout stays empty.
-    results = st.run_state_checks(rs, sweep_cap=args.sweep_cap, cap=args.cap)
-    profile = st.noncrossing_profile(rs, args.cap)
+    results = st.run_state_checks(rs, sweep_cap=args.sweep_cap)
+    profile = st.noncrossing_profile(rs)
     for k in sorted(profile):
         print(f"crossing-free curves {k}: {profile[k]}")
     return _print_results(results)
@@ -227,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,
                    help="edge cap on the 3^e state sweep "
                         f"(default {st.STATE_SWEEP_CAP})")
-    p.add_argument("--cap", type=int, default=poly.EXPANSION_CAP,
-                   help="edge cap on subset expansions "
-                        f"(default {poly.EXPANSION_CAP})")
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("classify", help="edge classes in the surface")

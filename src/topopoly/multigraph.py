@@ -106,9 +106,14 @@ def nullity(g: Multigraph, a: Iterable[int] | None = None) -> int:
 
 
 def is_bridge(g: Multigraph, e: int) -> bool:
-    """True iff deleting e increases the component count."""
-    rest = g.edge_set() - {e}
-    return components(g, rest) == components(g) + 1
+    """True iff deleting e increases the component count, that is, iff
+    the ends of e fall in different components of (V, E - e)."""
+    ds = DisjointSets(g.vertices)
+    for f, (u, v) in g.ends.items():
+        if f != e:
+            ds.union(u, v)
+    u, v = g.ends[e]
+    return ds.find(u) != ds.find(v)
 
 
 def delete_edge(g: Multigraph, e: int) -> Multigraph:

@@ -24,8 +24,8 @@ subset:
   dichromatic           c alone
 
 verify_identities builds the dual_sweep rows once per call and reuses
-them for L, lv-tidy and lv-dichromatic; the states module reads the
-same rows.
+them for L, R, lv-tidy and lv-dichromatic; the states module reads the
+same rows for L, R and its state checks.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
@@ -243,7 +243,7 @@ def _scheme_leaves(s: em.EmbeddingScheme, x: int = 0, y: int = 0, z: int = 0):
         return
     e = max(s.g.edges)
     dele = em.delete_edge(s, e)
-    if em.rho(s, {e}) > em.rho(s, ()):          # quasi-loop
+    if mg.is_bridge(s.dagger, e):                # quasi-loop
         yield from _scheme_leaves(dele, x, y + 2, z)
     elif mg.is_bridge(s.g, e):
         yield from _scheme_leaves(dele, x + 2, y, z)
@@ -256,10 +256,17 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
     """Rank-nullity-genus sum of a ribbon graph."""
     rb.require_pinch_free(rs, "the ribbon polynomial")
     check_cap(len(rs.edges), cap, "subset expansion")
+    return _ribbon_from_rows(rs, Counter(rb.subset_sweep(rs)))
+
+
+def _ribbon_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
+    """R from a tally of sweep rows that start with |A|, c(A), f(A):
+    subset_sweep rows and dual_sweep rows both do."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
-    counts = Counter((2 * (c - c_full), 2 * (size - v + c), 2 * (2 * c - v + size - f))
-                     for size, c, f, _ in rb.subset_sweep(rs))
+    counts: Counter = Counter()
+    for (size, c, f, *_), m in rows.items():
+        counts[2 * (c - c_full), 2 * (size - v + c), 2 * (2 * c - v + size - f)] += m
     return assemble("xyz", counts, shifted="x")
 
 
@@ -377,15 +384,14 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                           _points(rng, pool, 2, points), to_m_prime))
 
     # Cellular-only material.
-    l_cell = t_cycle = r_poly = None
+    l_cell = r_poly = None
     gamma = None
     if cellular:
-        # One pair of sweeps serves L itself, lv-tidy and lv-dichromatic.
+        # One pair of sweeps serves L, R, lv-tidy and lv-dichromatic.
         d = rb.dual(rs)
         rows = Counter(rb.dual_sweep(rs, d))
         l_cell = _cellular_from_rows(rs, rows)
-        t_cycle = tutte(mt.cycle_matroid(g), cap)
-        r_poly = bollobas_riordan(rs, cap)
+        r_poly = _ribbon_from_rows(rs, rows)
         gamma = rb.euler_genus(rs)
         if l_cell == l_ext:
             out.append(_ok("lv-extension-matches-cellular"))
@@ -400,7 +406,8 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         def lv_to_tutte(x0, y0):
             lhs = (y0 - 1) ** gamma * l_cell.evaluate(
                 {"x": x0, "y": y0, "z": Fraction(1, 1) / (y0 - 1)})
-            return lhs, t_cycle.evaluate({"x": x0, "y": y0})
+            # M' is the cycle matroid of the graph
+            return lhs, t_mp.evaluate({"x": x0, "y": y0})
 
         out.append(_pointwise("lv-to-tutte", _points(rng, pool, 2, points),
                               lv_to_tutte))

@@ -436,14 +436,6 @@ def is_orientable(g: RotationSystem, subset: Iterable[int] | None = None) -> boo
     return True
 
 
-def is_quasi_tree(g: RotationSystem, subset: Iterable[int]) -> bool:
-    """True iff the spanning ribbon subgraph on the subset is connected
-    with exactly one boundary circle."""
-    a = frozenset(subset)
-    return (mg.components(g.underlying(), a) == 1
-            and trace_boundary(g, a).f == 1)
-
-
 # ---------------------------------------------------------------------------
 # duality and petriality
 

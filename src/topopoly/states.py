@@ -15,10 +15,15 @@ set from ribbon.dual_sweep; a two-term minimum formula, exact on the
 sphere, the torus and the projective plane, predicts the same count.
 
 run_state_checks sweeps all 3^e states and every relation that
-applies, one result line per check.  Its per-subset counts come from
-one list of dual_sweep rows, with the dual built once.  A check that
+applies, one result line per check.  Everything else it needs comes
+from one list of dual_sweep rows, with the dual built once: the
+crossing-free counts f(W), the minimum formula and the quasi-tree
+duality read the rows directly, the crossing-free profile is their
+tally of f, and the polynomials R and L of the diagonal relations are
+assembled from their tally, with no sweep of their own.  A check that
 finds a disagreement fails; only inputs outside the preconditions
-(pinched, edgeless, disconnected, over the sweep cap) raise.
+(pinched, edgeless, disconnected, over the sweep cap) raise, and the
+sweep cap, checked first, bounds all the work.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import multigraph as mg
 from . import poly
@@ -123,32 +128,6 @@ def lv_component_formula(rs: rb.RotationSystem,
 
 
 # ---------------------------------------------------------------------------
-# quasi-trees
-
-
-@dataclass(frozen=True)
-class QuasiTreeReport:
-    deleted: tuple[int, ...]
-    quasi_tree: bool            # G - A connected with one boundary circle
-    dual_quasi_tree: bool       # same for the dual on the complement
-    genus_identity: bool | None  # genus(G-A) + genus(G* on A) = genus(G)
-
-
-def quasi_tree_duality(rs: rb.RotationSystem, a: Iterable[int]) -> QuasiTreeReport:
-    rb.require_pinch_free(rs, "quasi-tree duality")
-    a = frozenset(a)
-    kept = rs.edge_set() - a
-    dual_rs = rb.dual(rs)
-    q1 = rb.is_quasi_tree(rs, kept)
-    q2 = rb.is_quasi_tree(dual_rs, a)
-    identity = None
-    if q1 and q2:
-        identity = (rb.euler_genus(rs, kept) + rb.euler_genus(dual_rs, a)
-                    == rb.euler_genus(rs))
-    return QuasiTreeReport(tuple(sorted(a)), q1, q2, identity)
-
-
-# ---------------------------------------------------------------------------
 # low-genus surfaces and the diagonal relation
 
 
@@ -173,37 +152,33 @@ _DIAGONAL = {"x": {0: 1, 1: 1}, "y": {1: 1}, "z": {-1: 1}}
 _SHIFTED = {"x": {0: 1, 1: 1}, "y": {0: 1, 1: 1}, "z": {0: 1}}
 
 
-def generating_function_check(rs: rb.RotationSystem,
-                              cap: int = poly.EXPANSION_CAP) -> CheckResult:
+def generating_function_check(r_poly: MPolynomial,
+                              profile: Mapping[int, int]) -> CheckResult:
     """t R(t+1, t, 1/t) must list the crossing-free states by curve
     count (connected graphs)."""
     name = "state-generating-function"
-    if mg.components(rs.underlying(), rs.edge_set()) != 1:
-        return _skip(name, "needs a connected graph")
-    r_poly = poly.bollobas_riordan(rs, cap)
     diag = compose_laurent(r_poly, _DIAGONAL)
     got = {d + 1: c for d, c in diag.items() if c}
-    want = noncrossing_profile(rs, cap)
-    if got != want:
+    if got != profile:
         return _bad(name, f"diagonal gives {sorted(got.items())}, "
-                          f"profile is {sorted(want.items())}")
+                          f"profile is {sorted(profile.items())}")
     return _ok(name)
 
 
-def lr_relation(rs: rb.RotationSystem,
-                cap: int = poly.EXPANSION_CAP) -> CheckResult:
+def lr_relation(rs: rb.RotationSystem, rows: Counter, r_poly: MPolynomial,
+                kind: str) -> CheckResult:
     """The diagonal of R against the z-slices of L, by surface:
     sphere and projective plane use L(t+1, t+1, 1); the torus weights
-    the z-slices of L as L2 + t L1 + L0 at (t+1, t+1)."""
+    the z-slices of L as L2 + t L1 + L0 at (t+1, t+1).
+
+    L comes from the tally of dual_sweep rows of the connected graph
+    rs, whose surface is kind.
+    """
     name = "lr-relation"
-    kind = surface_kind(rs)
-    if mg.components(rs.underlying(), rs.edge_set()) != 1:
-        return _skip(name, "needs a connected graph")
     try:
-        l_poly = poly.las_vergnas_cellular(rs, "expansion", cap)
+        l_poly = poly._cellular_from_rows(rs, rows)
     except poly.PolyError as exc:   # the graph and its dual disagree
         return _bad(name, f"no cellular polynomial: {exc}")
-    r_poly = poly.bollobas_riordan(rs, cap)
     rhs = laurent_to_poly(compose_laurent(r_poly, _DIAGONAL))
 
     if kind in ("sphere", "projective-plane"):
@@ -242,8 +217,8 @@ def _verdict(name: str, problems, detail: str = "") -> CheckResult:
     return _bad(name, bad) if bad else _ok(name, detail)
 
 
-def run_state_checks(rs: rb.RotationSystem, *, sweep_cap: int = STATE_SWEEP_CAP,
-                     cap: int = poly.EXPANSION_CAP) -> list[CheckResult]:
+def run_state_checks(rs: rb.RotationSystem, *,
+                     sweep_cap: int = STATE_SWEEP_CAP) -> list[CheckResult]:
     """Every state-level check that applies to one ribbon graph.
 
     Needs an ordinary (pinch-free) connected ribbon graph with at
@@ -318,9 +293,11 @@ def run_state_checks(rs: rb.RotationSystem, *, sweep_cap: int = STATE_SWEEP_CAP,
             kind))
     else:
         out.append(_skip("noncrossing-min-formula", gate_detail))
-    out.append(generating_function_check(rs, cap))
+    tally = Counter(rows)
+    r_poly = poly._ribbon_from_rows(rs, tally)
+    out.append(generating_function_check(r_poly, Counter(row.f for row in rows)))
     if low_genus:
-        out.append(lr_relation(rs, cap))
+        out.append(lr_relation(rs, tally, r_poly, kind))
     else:
         out.append(_skip("lr-relation", gate_detail))
     out.append(_verdict("quasi-tree-duality", quasi_tree_problems()))

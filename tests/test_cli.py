@@ -211,6 +211,16 @@ def test_identities_state_half_skips_when_inapplicable(capsys, files):
     assert "RESULT: state-checks skip: " in out and "cap" in out
 
 
+def test_identities_state_checks_ignore_the_suite_cap(capsys, files):
+    # The sweep cap bounds the state checks; --cap bounds the expansions
+    # of the polynomial half alone.
+    rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "states",
+                     "--cap", "2")
+    assert rc == 0
+    assert "RESULT: lr-relation pass: torus" in out
+    assert "state-checks skip" not in out
+
+
 def test_states_output(capsys, files):
     rc, out, _ = run(capsys, "states", files["theta"])
     assert rc == 0

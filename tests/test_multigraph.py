@@ -123,3 +123,13 @@ def test_rank_is_monotone_and_unit_increment(ends):
         a.add(e)
         after = mg.rank(g, a)
         assert after - before in (0, 1)
+
+
+@given(ends=st_edges)
+@settings(max_examples=60, deadline=None)
+def test_bridge_is_a_component_split(ends):
+    g = mg.Multigraph(tuple(range(5)),
+                      {i + 1: uw for i, uw in enumerate(ends)})
+    for e in g.edges:
+        split = mg.components(g, g.edge_set() - {e}) == mg.components(g) + 1
+        assert mg.is_bridge(g, e) == split

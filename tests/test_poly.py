@@ -1,5 +1,6 @@
 """The polynomials: frozen small values, route agreement, relations."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,24 @@ def test_recursions_tally_leaves_into_one_assembly(monkeypatch):
         poly.las_vergnas_embedded(scheme, "recursion")
         poly.tutte_perspective(mp, "recursion")
         assert calls == ["assemble", "assemble"]
+
+
+def test_identity_suite_expands_each_polynomial_once(monkeypatch):
+    # Tutte of M' is the Tutte polynomial of the cycle matroid, and R
+    # comes from the suite's own dual_sweep rows.
+    calls: Counter = Counter()
+    for module, name in ((poly, "tutte"), (poly, "bollobas_riordan"),
+                         (rb, "subset_sweep")):
+        real = getattr(module, name)
+
+        def wrapper(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
+    assert not [r.line() for r in results if r.status != "pass"]
+    assert calls == {"tutte": 2, "subset_sweep": 4}
 
 
 def test_first_subset_names_the_mask_of_a_row():

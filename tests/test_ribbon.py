@@ -361,16 +361,3 @@ def test_cyclic_forms_equal():
     assert rb.cyclic_forms_equal([1, 2, 3], [3, 2, 1])  # reflection allowed
     assert not rb.cyclic_forms_equal([1, 2, 3], [1, 3, 2, 2])
     assert rb.cyclic_forms_equal([], [])
-
-
-# ---------------------------------------------------------------------------
-# quasi-trees
-
-
-def test_quasi_tree_examples():
-    theta = corpus.theta_torus()
-    assert rb.is_quasi_tree(theta, theta.edge_set())  # f = 1
-    assert rb.is_quasi_tree(theta, {1})
-    assert not rb.is_quasi_tree(theta, frozenset())  # disconnected
-    assert not rb.is_quasi_tree(corpus.plane_loop(), {1})  # f = 2
-    assert rb.is_quasi_tree(corpus.proj_loop(), {1})

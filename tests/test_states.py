@@ -75,34 +75,28 @@ def test_surface_kind_rejects_high_genus():
         st.surface_kind(rs)
 
 
+def _lr_relation(rs):
+    """lr-relation on the inputs run_state_checks hands it, with R from
+    its own expansion."""
+    return st.lr_relation(rs, Counter(rb.dual_sweep(rs)),
+                          poly.bollobas_riordan(rs), st.surface_kind(rs))
+
+
 def test_lr_relation_on_low_genus_fixtures():
     for rs in (corpus.plane_edge(), corpus.plane_digon(), corpus.proj_loop(),
                corpus.theta_torus(), corpus.bouquet_torus()):
-        res = st.lr_relation(rs)
+        res = _lr_relation(rs)
         assert res.status == "pass", res.line()
 
 
-def test_lr_relation_raises_out_of_range():
-    with pytest.raises(st.GenusRangeError):
-        st.lr_relation(corpus.klein_bouquet())
-
-
 def test_generating_function_check():
-    res = st.generating_function_check(corpus.theta_torus())
-    assert res.status == "pass"
-    two = rb.RotationSystem(
-        {0: (((1, 0), (1, 1)),), 1: (((2, 0), (2, 1)),)}, {1: 1, 2: 1})
-    assert st.generating_function_check(two).status == "skip"
-
-
-def test_quasi_tree_duality_on_theta():
     theta = corpus.theta_torus()
-    report = st.quasi_tree_duality(theta, ())
-    assert report.quasi_tree and report.dual_quasi_tree
-    assert report.genus_identity is True
-    # deleting everything leaves two vertex discs: not a quasi-tree
-    report = st.quasi_tree_duality(theta, (1, 2, 3))
-    assert not report.quasi_tree and not report.dual_quasi_tree
+    r_poly = poly.bollobas_riordan(theta)
+    profile = st.noncrossing_profile(theta)
+    assert st.generating_function_check(r_poly, profile).status == "pass"
+    res = st.generating_function_check(r_poly, {**profile, 1: 5})
+    assert (res.status, res.detail) == (
+        "fail", "diagonal gives [(1, 4), (2, 4)], profile is [(1, 5), (2, 4)]")
 
 
 def test_run_state_checks_on_fixtures():
@@ -166,10 +160,10 @@ def test_forced_gate_fails_instead_of_raising(monkeypatch):
 
 
 def test_lr_relation_fails_on_half_powers(monkeypatch):
-    real = poly.las_vergnas_cellular
-    monkeypatch.setattr(poly, "las_vergnas_cellular", lambda *a, **k: (
+    real = poly._cellular_from_rows
+    monkeypatch.setattr(poly, "_cellular_from_rows", lambda *a, **k: (
         real(*a, **k) * MPolynomial.variable_half("z", 1)))
-    res = st.lr_relation(corpus.theta_torus())
+    res = _lr_relation(corpus.theta_torus())
     assert (res.status, res.detail) == (
         "fail", "half-power of z in the cellular polynomial")
 
@@ -187,8 +181,10 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(rb, "dual")
+    counted(rb, "subset_sweep")
     counted(st, "lv_component_formula")
-    counted(st, "quasi_tree_duality")
+    counted(poly, "bollobas_riordan")
+    counted(poly, "las_vergnas_cellular")
     seven = next(rs for rs in corpus.cellular_corpus()
                  if len(rs.edges) == 7 and rb.euler_genus(rs) <= 2)
     per_graph = []
@@ -196,4 +192,4 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
         calls.clear()
         st.run_state_checks(rs)
         per_graph.append(dict(calls))
-    assert per_graph[0] == per_graph[1] == {"dual": 2}
+    assert per_graph[0] == per_graph[1] == {"dual": 1, "subset_sweep": 2}
