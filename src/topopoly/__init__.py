@@ -31,7 +31,7 @@ from .ribbon import (RibbonError, RotationSystem, boundary_count, dual,
                      twist)
 from .states import (GenusRangeError, StateError, lr_relation,
                      lv_component_formula, medial_state_components,
-                     noncrossing_profile, run_state_checks, state_components)
+                     run_state_checks, state_components)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "cycle_matroid", "derive_dagger", "dichromatic", "dual", "euler_genus",
     "is_orientable", "krushkal", "las_vergnas_cellular", "las_vergnas_embedded",
     "lr_relation", "lv_component_formula", "make_perspective", "medial",
-    "medial_state_components", "noncrossing_profile", "run_state_checks",
+    "medial_state_components", "run_state_checks",
     "scheme_perspective", "state_components", "trace_boundary", "tutte",
     "tutte_perspective", "twist", "validate", "verify_identities",
     "with_disc_regions",

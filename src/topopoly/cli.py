@@ -141,7 +141,7 @@ def cmd_identities(args) -> int:
         # than abort so the polynomial half of the suite still reports.
         try:
             results.extend(st.run_state_checks(emb.rotation,
-                                               sweep_cap=args.sweep_cap))
+                                               sweep_cap=args.sweep_cap)[0])
         except (st.StateError, rb.RibbonError, poly.CapError) as exc:
             results.append(poly.CheckResult("state-checks", "skip", str(exc)))
     return _print_results(results)
@@ -150,10 +150,9 @@ def cmd_identities(args) -> int:
 def cmd_states(args) -> int:
     parsed = ff.parse(_read_text(args.file))
     rs = parsed.rotation
-    # The checks run first, so a request over the sweep cap fails before
-    # any sweep, and before anything prints: stdout stays empty.
-    results = st.run_state_checks(rs, sweep_cap=args.sweep_cap)
-    profile = st.noncrossing_profile(rs)
+    # The profile comes with the checks, so a request over the sweep cap
+    # fails before anything prints: stdout stays empty.
+    results, profile = st.run_state_checks(rs, sweep_cap=args.sweep_cap)
     for k in sorted(profile):
         print(f"crossing-free curves {k}: {profile[k]}")
     return _print_results(results)

@@ -1,10 +1,16 @@
 """Matroids as rank oracles, and matroid perspectives.
 
 A matroid is a ground set together with a rank function; nothing else
-is ever materialised.  Duals and minors wrap the parent oracle, so a
-chain of operations stays cheap to build and correct by construction.
-Rank values are memoised per matroid instance (desk-scale ground sets;
-the cache is bounded by 2^|E|).
+is ever materialised.  A subset is an int mask, bit i standing for
+ground[i]: the multigraph encoding, so mask k of a graphic matroid is
+row k of ribbon.subset_sweep.  RankMatroid.mask, the one subset check,
+turns ids into a mask; every exhaustive walk is range(m.full + 1).
+
+Duals and minors are mask transforms of the parent oracle, so a chain
+of operations stays cheap to build and correct by construction.  Ranks
+are memoised per instance, keyed by the mask (at most 2^|E| ints): the
+identity suite reads the same bond and cycle ranks in several
+expansions, and a dual or minor reads its parent's.
 
 A matroid perspective (M, M') is a pair on the same ground set such
 that rank increments in M dominate those in M'; equivalently every
@@ -13,7 +19,6 @@ circuit of M is a union of circuits of M'.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -26,24 +31,30 @@ class MatroidError(ValueError):
 
 
 class RankMatroid:
-    """A matroid given by its rank oracle."""
+    """A matroid given by its rank oracle on masks of the ground set."""
 
-    __slots__ = ("ground", "_ground_set", "_rank_fn", "_cache", "name")
+    __slots__ = ("ground", "full", "_rank_fn", "_cache", "name")
 
-    def __init__(self, ground: Iterable[int], rank_fn: Callable[[frozenset], int],
+    def __init__(self, ground: Iterable[int], rank_fn: Callable[[int], int],
                  name: str = "matroid"):
         self.ground: tuple[int, ...] = tuple(sorted(ground))
         if len(set(self.ground)) != len(self.ground):
             raise MatroidError("duplicate ground element")
-        self._ground_set = frozenset(self.ground)
+        self.full = (1 << len(self.ground)) - 1
         self._rank_fn = rank_fn
-        self._cache: dict[frozenset, int] = {}
+        self._cache: dict[int, int] = {}
         self.name = name
 
-    def rank(self, subset: Iterable[int] | None = None) -> int:
-        a = self._ground_set if subset is None else frozenset(subset)
-        if not a <= self._ground_set:
-            raise MatroidError(f"{set(a) - set(self.ground)} not in the ground set")
+    def mask(self, ids: Iterable[int]) -> int:
+        """The mask of a set of ground elements."""
+        ids = set(ids)
+        if not ids <= set(self.ground):
+            raise MatroidError(f"{ids - set(self.ground)} not in the ground set")
+        return sum(1 << self.ground.index(e) for e in ids)
+
+    def rank(self, a: int | None = None) -> int:
+        """Rank of the subset with mask a; of the ground set by default."""
+        a = self.full if a is None else a
         cached = self._cache.get(a)
         if cached is None:
             cached = self._cache[a] = self._rank_fn(a)
@@ -53,9 +64,16 @@ class RankMatroid:
         return f"RankMatroid({self.name}, ground={list(self.ground)})"
 
 
+def _bits(a: int) -> list[int]:
+    """The one-bit masks of the elements in a."""
+    return [1 << i for i in range(a.bit_length()) if a >> i & 1]
+
+
 def cycle_matroid(g: mg.Multigraph) -> RankMatroid:
     """C(G): rank of A is v(G) - c(A)."""
-    return RankMatroid(g.edges, lambda a: mg.rank(g, a), name="cycle")
+    v = len(g.vertices)
+    count = mg.component_counter(g)
+    return RankMatroid(g.edges, lambda a: v - count(a), name="cycle")
 
 
 def bond_matroid(g: mg.Multigraph) -> RankMatroid:
@@ -66,59 +84,53 @@ def bond_matroid(g: mg.Multigraph) -> RankMatroid:
 
 
 def dual(m: RankMatroid) -> RankMatroid:
-    full = frozenset(m.ground)
+    """r*(A) = |A| + r(E - A) - r(E)."""
     r_full = m.rank()
+    return RankMatroid(m.ground,
+                       lambda a: a.bit_count() + m.rank(m.full ^ a) - r_full,
+                       name=f"{m.name}*")
 
-    def r(a: frozenset) -> int:
-        return len(a) + m.rank(full - a) - r_full
 
-    return RankMatroid(m.ground, r, name=f"{m.name}*")
+def _minor(m: RankMatroid, e: int, contract: bool) -> RankMatroid:
+    """M \\ e or M / e.  A mask of the minor lifts to the parent by
+    keeping the bits below e's, moving the rest up one place, and for
+    a contraction setting e's bit."""
+    if e not in m.ground:
+        raise MatroidError(f"no element {e}")
+    i = m.ground.index(e)
+    low = (1 << i) - 1
+    bit = 1 << i if contract else 0
+    r_e = m.rank(bit) if contract else 0
+
+    def r(a: int) -> int:
+        return m.rank((a & low) | ((a >> i) << (i + 1)) | bit) - r_e
+
+    sep = "/" if contract else "\\"
+    return RankMatroid(m.ground[:i] + m.ground[i + 1:], r,
+                       name=f"{m.name}{sep}{e}")
 
 
 def delete(m: RankMatroid, e: int) -> RankMatroid:
-    if e not in m.ground:
-        raise MatroidError(f"no element {e}")
-    ground = tuple(x for x in m.ground if x != e)
-    return RankMatroid(ground, m.rank, name=f"{m.name}\\{e}")
+    return _minor(m, e, contract=False)
 
 
 def contract(m: RankMatroid, e: int) -> RankMatroid:
-    if e not in m.ground:
-        raise MatroidError(f"no element {e}")
-    ground = tuple(x for x in m.ground if x != e)
-    r_e = m.rank({e})
-
-    def r(a: frozenset) -> int:
-        return m.rank(a | {e}) - r_e
-
-    return RankMatroid(ground, r, name=f"{m.name}/{e}")
+    return _minor(m, e, contract=True)
 
 
 def is_loop(m: RankMatroid, e: int) -> bool:
-    return m.rank({e}) == 0
+    return m.rank(m.mask((e,))) == 0
 
 
 def is_isthmus(m: RankMatroid, e: int) -> bool:
     """True iff e is in every basis: r(E) - r(E - e) = 1."""
-    full = frozenset(m.ground)
-    return m.rank() - m.rank(full - {e}) == 1
+    return m.rank() - m.rank(m.full ^ m.mask((e,))) == 1
 
 
-def is_circuit(m: RankMatroid, a: Iterable[int]) -> bool:
-    """Minimal dependent set: r(A) = |A| - 1 and A - e independent for all e."""
-    a = frozenset(a)
-    if not a:
-        return False
-    if m.rank(a) != len(a) - 1:
-        return False
-    return all(m.rank(a - {e}) == len(a) - 1 for e in a)
-
-
-def is_flat(m: RankMatroid, a: Iterable[int]) -> bool:
+def is_flat(m: RankMatroid, a: int) -> bool:
     """True iff adding any outside element raises the rank."""
-    a = frozenset(a)
     r_a = m.rank(a)
-    return all(m.rank(a | {e}) == r_a + 1 for e in set(m.ground) - a)
+    return all(m.rank(a | b) == r_a + 1 for b in _bits(m.full ^ a))
 
 
 def check_rank_axioms(m: RankMatroid, max_exhaustive: int = 12) -> None:
@@ -132,24 +144,22 @@ def check_rank_axioms(m: RankMatroid, max_exhaustive: int = 12) -> None:
         raise MatroidError(
             f"axiom check is exhaustive; ground set of {len(m.ground)} exceeds "
             f"cap {max_exhaustive}")
-    if m.rank(frozenset()) != 0:
+    if m.rank(0) != 0:
         raise MatroidError("rank of the empty set is not 0")
-    elems = m.ground
-    for size in range(len(elems) + 1):
-        for a in itertools.combinations(elems, size):
-            a = frozenset(a)
-            r_a = m.rank(a)
-            rest = [e for e in elems if e not in a]
-            for e in rest:
-                step = m.rank(a | {e}) - r_a
-                if step not in (0, 1):
-                    raise MatroidError(f"rank step {step} at A={sorted(a)}, e={e}")
-            for e, f in itertools.combinations(rest, 2):
-                lhs = m.rank(a | {e}) + m.rank(a | {f})
-                rhs = m.rank(a | {e, f}) + r_a
-                if lhs < rhs:
+    for a in range(m.full + 1):
+        r_a = m.rank(a)
+        rest = [(1 << i, e) for i, e in enumerate(m.ground) if not a >> i & 1]
+        for b, e in rest:
+            step = m.rank(a | b) - r_a
+            if step not in (0, 1):
+                raise MatroidError(f"rank step {step} at "
+                                   f"A={mg.subset_ids(m.ground, a)}, e={e}")
+        for j, (b, e) in enumerate(rest):
+            for c, f in rest[j + 1:]:
+                if m.rank(a | b) + m.rank(a | c) < m.rank(a | b | c) + r_a:
                     raise MatroidError(
-                        f"submodularity fails at A={sorted(a)}, e={e}, f={f}")
+                        f"submodularity fails at A={mg.subset_ids(m.ground, a)}, "
+                        f"e={e}, f={f}")
 
 
 @dataclass(frozen=True)
@@ -165,18 +175,6 @@ class MatroidPerspective:
         return self.m.ground
 
 
-def _perspective_witness(m: RankMatroid, mp: RankMatroid,
-                         subsets: Iterable[frozenset]):
-    for a in subsets:
-        r_a, rp_a = m.rank(a), mp.rank(a)
-        for e in m.ground:
-            if e in a:
-                continue
-            if m.rank(a | {e}) - r_a < mp.rank(a | {e}) - rp_a:
-                return (sorted(a), e)
-    return None
-
-
 def make_perspective(m: RankMatroid, m_prime: RankMatroid, *,
                      exhaustive_cap: int = 12, samples: int = 500,
                      seed: int = 2) -> MatroidPerspective:
@@ -190,28 +188,28 @@ def make_perspective(m: RankMatroid, m_prime: RankMatroid, *,
         raise MatroidError("ground sets differ")
     n = len(m.ground)
     if n <= exhaustive_cap:
-        subsets = (frozenset(c) for size in range(n)
-                   for c in itertools.combinations(m.ground, size))
+        subsets = range(m.full)     # E itself has no element to add
     else:
         rng = random.Random(seed)
-        subsets = (frozenset(e for e in m.ground if rng.random() < 0.5)
-                   for _ in range(samples))
-    witness = _perspective_witness(m, m_prime, subsets)
-    if witness is not None:
-        a, e = witness
-        raise MatroidError(
-            f"not a perspective: rank step of M at A={a}, e={e} is below M'")
+        subsets = (rng.getrandbits(n) for _ in range(samples))
+    for a in subsets:
+        r_a, rp_a = m.rank(a), m_prime.rank(a)
+        for i, e in enumerate(m.ground):
+            b = 1 << i
+            if not a & b and m.rank(a | b) - r_a < m_prime.rank(a | b) - rp_a:
+                raise MatroidError(
+                    f"not a perspective: rank step of M at "
+                    f"A={mg.subset_ids(m.ground, a)}, e={e} is below M'")
     return MatroidPerspective(m, m_prime)
 
 
-def circuits(m: RankMatroid) -> list[frozenset]:
-    """All circuits, by exhaustive search (small ground sets only)."""
-    out = []
-    for size in range(1, len(m.ground) + 1):
-        for a in itertools.combinations(m.ground, size):
-            if is_circuit(m, a):
-                out.append(frozenset(a))
-    return out
+def circuits(m: RankMatroid) -> list[int]:
+    """The masks of all circuits, the minimal dependent sets: r(A) =
+    |A| - 1 with every A - e independent.  Exhaustive (small ground
+    sets only)."""
+    return [a for a in range(1, m.full + 1)
+            if m.rank(a) == a.bit_count() - 1
+            and all(m.rank(a ^ e) == a.bit_count() - 1 for e in _bits(a))]
 
 
 def check_circuit_refinement(mp: MatroidPerspective, cap: int = 8) -> None:
@@ -223,20 +221,20 @@ def check_circuit_refinement(mp: MatroidPerspective, cap: int = 8) -> None:
         raise MatroidError(f"circuit check capped at {cap} elements")
     prime_circuits = circuits(mp.m_prime)
     for c in circuits(mp.m):
-        covered = set()
+        covered = 0
         for cp in prime_circuits:
-            if cp <= c:
+            if cp & c == cp:
                 covered |= cp
         if covered != c:
-            raise MatroidError(
-                f"circuit {sorted(c)} of M is not a union of circuits of M'")
+            raise MatroidError(f"circuit {mg.subset_ids(mp.ground, c)} of M "
+                               f"is not a union of circuits of M'")
 
 
 def check_flat_refinement(mp: MatroidPerspective, cap: int = 8) -> None:
     """Opt-in: every flat of M' must be a flat of M (small ground sets)."""
     if len(mp.ground) > cap:
         raise MatroidError(f"flat check capped at {cap} elements")
-    for size in range(len(mp.ground) + 1):
-        for a in itertools.combinations(mp.ground, size):
-            if is_flat(mp.m_prime, a) and not is_flat(mp.m, a):
-                raise MatroidError(f"flat {sorted(a)} of M' is not a flat of M")
+    for a in range(mp.m.full + 1):
+        if is_flat(mp.m_prime, a) and not is_flat(mp.m, a):
+            raise MatroidError(
+                f"flat {mg.subset_ids(mp.ground, a)} of M' is not a flat of M")

@@ -4,12 +4,15 @@ Vertices and edges are small integers chosen by the caller (insertion
 order by convention).  Loops and parallel edges are allowed.  Values are
 immutable: minors return new graphs and never renumber surviving edges,
 so an edge keeps its id through any chain of deletions and contractions.
+
+Subsets walked exhaustively are int masks, bit i standing for the i-th
+smallest edge id: subset_ids decodes one, component_counter counts c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class DisjointSets:
@@ -92,6 +95,36 @@ def components(g: Multigraph, a: Iterable[int] | None = None) -> int:
         u, v = g.ends[e]
         ds.union(u, v)
     return ds.count
+
+
+def subset_ids(edges: Sequence[int], mask: int) -> list[int]:
+    """The ids of the subset mask encodes, bit i standing for edges[i]."""
+    return [e for i, e in enumerate(edges) if mask >> i & 1]
+
+
+def component_counter(g: Multigraph) -> Callable[[int], int]:
+    """c(A) of the spanning subgraph (V, A) as a function of the mask
+    of A: one int union-find per call, with indices set up once."""
+    vid = {v: k for k, v in enumerate(g.vertices)}
+    nv = len(vid)
+    pairs = [(vid[g.ends[e][0]], vid[g.ends[e][1]]) for e in g.edges]
+
+    def count(mask: int) -> int:
+        parent = list(range(nv))
+        c = nv
+        for u, w in pairs:
+            if mask & 1:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[w] != w:
+                    w = parent[w]
+                if u != w:
+                    parent[u] = w
+                    c -= 1
+            mask >>= 1
+        return c
+
+    return count
 
 
 def rank(g: Multigraph, a: Iterable[int] | None = None) -> int:

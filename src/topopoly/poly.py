@@ -30,8 +30,9 @@ same rows for L, R and its state checks.
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
 deriving them from f(A), so it shares no boundary count with the
-scheme expansion; tutte and tutte_perspective keep the rank oracles
-of the matroid module; and both recursions work on minors.
+scheme expansion; tutte and tutte_perspective walk the masks of
+subset_sweep but read every rank through RankMatroid.rank, not sweep
+rows; and both recursions work on minors.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
@@ -41,7 +42,6 @@ from the poles of the substitution being tested.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -102,17 +102,10 @@ def _skip(name, detail):
 # subset machinery
 
 
-def _subsets(edges: tuple[int, ...]):
-    for size in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, size):
-            yield frozenset(combo)
-
-
 def _first_subset(edges: tuple[int, ...], rows, row) -> list[int]:
     """Sorted edge ids of the first subset at which a fresh sweep over
     edges yields row; error messages name a subset this way."""
-    k = next(k for k, r in enumerate(rows) if r == row)
-    return [e for i, e in enumerate(edges) if k >> i & 1]
+    return mg.subset_ids(edges, next(k for k, r in enumerate(rows) if r == row))
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +117,9 @@ def tutte(m: mt.RankMatroid, cap: int = EXPANSION_CAP) -> MPolynomial:
     check_cap(len(m.ground), cap, "Tutte expansion")
     r_full = m.rank()
     counts: Counter = Counter()
-    for a in _subsets(m.ground):
+    for a in range(m.full + 1):
         r_a = m.rank(a)
-        counts[2 * (r_full - r_a), 2 * (len(a) - r_a)] += 1
+        counts[2 * (r_full - r_a), 2 * (a.bit_count() - r_a)] += 1
     return assemble("xy", counts, shifted="xy")
 
 
@@ -139,14 +132,15 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
         r_full = mp.m.rank()
         rp_full = mp.m_prime.rank()
         counts: Counter = Counter()
-        for a in _subsets(mp.ground):
+        for a in range(mp.m.full + 1):
             r_a = mp.m.rank(a)
             rp_a = mp.m_prime.rank(a)
             k = (r_full - r_a) - (rp_full - rp_a)
             if k < 0:
-                raise PolyError(f"rank drop inversion on {sorted(a)}; "
+                raise PolyError(f"rank drop inversion on "
+                                f"{mg.subset_ids(mp.ground, a)}; "
                                 "not a matroid perspective")
-            counts[2 * (rp_full - rp_a), 2 * (len(a) - r_a), 2 * k] += 1
+            counts[2 * (rp_full - rp_a), 2 * (a.bit_count() - r_a), 2 * k] += 1
         return assemble("xyz", counts, shifted="xy")
     if method == "recursion":
         return assemble("xyz", Counter(_perspective_leaves(mp.m, mp.m_prime)))

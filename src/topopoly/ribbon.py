@@ -27,7 +27,7 @@ on int-encoded corner points, without building any Circle; dual_sweep
 zips it with a second sweep over the geometric dual on E - A.
 
 On top of the tracer sit Euler genus, the geometric dual, partial
-petrials (band twists), quasi-tree detection, orientability, the
+petrials (band twists), orientability, the
 medial map with its per-vertex smoothing pairings, and the sector
 surgery (disc flips and non-loop contraction) used for topological
 minors.  Circles are numbered canonically, so traces are reproducible.
@@ -35,7 +35,6 @@ minors.  Circles are numbered canonically, so traces are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -275,17 +274,18 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
     on the same edge ids (the dagger graph, say); c_cut counts its
     components on the edges outside A, and is None without it.
 
-    Subsets are bitmasks, bit i standing for the i-th smallest edge id,
-    visited in increasing order, so two sweeps over graphs that share
-    their edge ids line up row by row.  With complement, row k
-    describes E - A_k instead of A_k.
+    Row k is the subset with mask k in the multigraph encoding, bit i
+    standing for the i-th smallest edge id, so two sweeps over graphs
+    that share their edge ids line up row by row, and mask k of a
+    matroid names the same subset.  With complement, row k describes
+    E - A_k instead of A_k.
 
     Everything that does not depend on A is set up once: vertex and
-    edge indices, and each sector as its list of in points.  c(A) comes
-    from an int union-find.  f(A) counts the orbits of beta and kappa
-    as trace_sectors does, on corner points encoded as ints
-    4i + 2 end + io, so beta is p ^ 3 for a +1 band and p ^ 2 for a -1
-    band; a sector left bare adds one circle.
+    edge indices, and each sector as its list of in points.  c(A) and
+    c_cut come from multigraph.component_counter.  f(A) counts the
+    orbits of beta and kappa as trace_sectors does, on corner points
+    encoded as ints 4i + 2 end + io, so beta is p ^ 3 for a +1 band and
+    p ^ 2 for a -1 band; a sector left bare adds one circle.
     """
     ribbon = x if isinstance(x, RotationSystem) else None
     g = x.underlying() if ribbon is not None else x
@@ -293,25 +293,6 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
     n = len(edges)
     if cut is not None and cut.edge_set() != g.edge_set():
         raise RibbonError("a cut graph must share the sweep's edge ids")
-
-    def links(h: mg.Multigraph):
-        vid = {v: k for k, v in enumerate(h.vertices)}
-        return len(vid), [(vid[h.ends[e][0]], vid[h.ends[e][1]]) for e in edges]
-
-    def count(nv, pairs, mask):
-        parent = list(range(nv))
-        c = nv
-        for u, w in pairs:
-            if mask & 1:
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[w] != w:
-                    w = parent[w]
-                if u != w:
-                    parent[u] = w
-                    c -= 1
-            mask >>= 1
-        return c
 
     if ribbon is not None:
         index = {e: i for i, e in enumerate(edges)}
@@ -351,15 +332,15 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
                     break
         return f
 
-    nv, pairs = links(g)
+    count = mg.component_counter(g)
     if cut is not None:
-        cut_nv, cut_pairs = links(cut)
+        count_cut = mg.component_counter(cut)
     full = (1 << n) - 1
     for k in range(1 << n):
         a = k ^ full if complement else k
-        yield (a.bit_count(), count(nv, pairs, a),
+        yield (a.bit_count(), count(a),
                circles(a) if ribbon is not None else None,
-               count(cut_nv, cut_pairs, a ^ full) if cut is not None else None)
+               count_cut(a ^ full) if cut is not None else None)
 
 
 class DualRow(NamedTuple):
@@ -741,14 +722,11 @@ def cyclic_forms_equal(a: Sequence[int], b: Sequence[int]) -> bool:
 def same_boundary_profile(g1: RotationSystem, g2: RotationSystem,
                           max_edges: int = 12) -> bool:
     """True iff both systems have the same edge ids and identical
-    boundary counts on every edge subset.  Exponential; capped."""
+    boundary counts on every edge subset, from the f column of one
+    subset_sweep each.  Exponential; capped."""
     if g1.edge_set() != g2.edge_set():
         return False
-    edges = g1.edges
-    if len(edges) > max_edges:
+    if len(g1.edges) > max_edges:
         raise RibbonError(f"profile comparison capped at {max_edges} edges")
-    for size in range(len(edges) + 1):
-        for a in itertools.combinations(edges, size):
-            if trace_boundary(g1, a).f != trace_boundary(g2, a).f:
-                return False
-    return True
+    return all(r1[2] == r2[2]
+               for r1, r2 in zip(subset_sweep(g1), subset_sweep(g2)))

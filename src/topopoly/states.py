@@ -19,7 +19,8 @@ applies, one result line per check.  Everything else it needs comes
 from one list of dual_sweep rows, with the dual built once: the
 crossing-free counts f(W), the minimum formula and the quasi-tree
 duality read the rows directly, the crossing-free profile is their
-tally of f, and the polynomials R and L of the diagonal relations are
+tally of f (handed back with the results, for the states command to
+print), and the polynomials R and L of the diagonal relations are
 assembled from their tally, with no sweep of their own.  A check that
 finds a disagreement fails; only inputs outside the preconditions
 (pinched, edgeless, disconnected, over the sweep cap) raise, and the
@@ -87,13 +88,6 @@ def medial_state_components(mm: rb.MedialMap, state: Mapping[int, str]) -> int:
         for p, q in mm.pairings[e][s]:
             ds.union(p, q)
     return ds.count
-
-
-def noncrossing_profile(rs: rb.RotationSystem,
-                        cap: int = poly.EXPANSION_CAP) -> dict[int, int]:
-    """How many crossing-free states split into k curves, per k."""
-    check_cap(len(rs.edges), cap, "the crossing-free sweep")
-    return dict(Counter(f for _, _, f, _ in rb.subset_sweep(rs)))
 
 
 @dataclass(frozen=True)
@@ -218,8 +212,11 @@ def _verdict(name: str, problems, detail: str = "") -> CheckResult:
 
 
 def run_state_checks(rs: rb.RotationSystem, *,
-                     sweep_cap: int = STATE_SWEEP_CAP) -> list[CheckResult]:
-    """Every state-level check that applies to one ribbon graph.
+                     sweep_cap: int = STATE_SWEEP_CAP
+                     ) -> tuple[list[CheckResult], dict[int, int]]:
+    """Every state-level check that applies to one ribbon graph, and
+    the crossing-free profile: how many crossing-free states split
+    into k curves, per k.
 
     Needs an ordinary (pinch-free) connected ribbon graph with at
     least one edge, the medial preconditions.
@@ -246,9 +243,6 @@ def run_state_checks(rs: rb.RotationSystem, *,
     rows = list(rb.dual_sweep(rs, dual_rs))
     full = len(rows) - 1
 
-    def named(k: int) -> list[int]:
-        return [e for i, e in enumerate(edges) if k >> i & 1]
-
     def tracer_problems():
         for combo in itertools.product(rb.STATE_NAMES, repeat=len(edges)):
             state = dict(zip(edges, combo))
@@ -267,7 +261,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
         # c(W) = f(W) = 1, and G* on A when c*(A) = f*(A) = 1.
         n, v, vd = len(edges), len(rs.sectors), len(dual_rs.sectors)
         for k, row in enumerate(rows):
-            deleted = named(full ^ k)
+            deleted = mg.subset_ids(edges, full ^ k)
             q1 = row.c == 1 and row.f == 1
             trees = ((row.size == v - 1 and row.c == 1)
                      or (n - row.size == vd - 1 and row.c_dual == 1))
@@ -287,7 +281,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
         # The crossing-free state with white set W has f(W) curves, and
         # the minimum is f(W) + min(genus(W), genus*(E - W)).
         out.append(_verdict("noncrossing-min-formula", (
-            f"white set {named(k)}: minimum "
+            f"white set {mg.subset_ids(edges, k)}: minimum "
             f"{row.f + min(row.genus, row.genus_dual)}, curves {row.f}"
             for k, row in enumerate(rows) if min(row.genus, row.genus_dual)),
             kind))
@@ -295,10 +289,11 @@ def run_state_checks(rs: rb.RotationSystem, *,
         out.append(_skip("noncrossing-min-formula", gate_detail))
     tally = Counter(rows)
     r_poly = poly._ribbon_from_rows(rs, tally)
-    out.append(generating_function_check(r_poly, Counter(row.f for row in rows)))
+    profile = dict(Counter(row.f for row in rows))
+    out.append(generating_function_check(r_poly, profile))
     if low_genus:
         out.append(lr_relation(rs, tally, r_poly, kind))
     else:
         out.append(_skip("lr-relation", gate_detail))
     out.append(_verdict("quasi-tree-duality", quasi_tree_problems()))
-    return out
+    return out, profile

@@ -78,7 +78,7 @@ def record() -> None:
     data = {
         "main": [poly_digest(e) for e in main_embeddings()],
         "cellular": [poly_digest(e) for e in cellular_embeddings()],
-        "states": [state_digest(st.run_state_checks(rs))
+        "states": [state_digest(st.run_state_checks(rs)[0])
                    for rs in corpus.cellular_corpus()],
     }
     with open(PATH, "w", encoding="ascii") as fh:

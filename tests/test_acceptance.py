@@ -46,7 +46,7 @@ def _state_results():
     """run_state_checks once per cellular graph; criteria 6 and 7 share."""
     if "states" not in _CACHE:
         t0 = time.perf_counter()
-        results = [st.run_state_checks(rs) for rs in _cellular_pool()]
+        results = [st.run_state_checks(rs)[0] for rs in _cellular_pool()]
         _CACHE["states"] = (results, time.perf_counter() - t0)
     return _CACHE["states"]
 
@@ -126,7 +126,7 @@ def test_criterion_3_region_matroid():
         b = mt.bond_matroid(s.dagger)
         rho0 = em.rho(s, ())
         for a in _subsets(edges, cap_size=8):
-            if b.rank(a) != len(a) - em.rho(s, a) + rho0:
+            if b.rank(b.mask(a)) != len(a) - em.rho(s, a) + rho0:
                 problems.append(f"rank identity fails on graph {idx} at "
                                 f"{sorted(a)}")
                 break
@@ -154,7 +154,8 @@ def test_criterion_3_region_matroid():
             md = mt.delete(b, e)
             mc = mt.contract(b, e)
             for a in _subsets(rest, cap_size=6):
-                if bd.rank(a) != md.rank(a) or bc.rank(a) != mc.rank(a):
+                if (bd.rank(bd.mask(a)) != md.rank(md.mask(a))
+                        or bc.rank(bc.mask(a)) != mc.rank(mc.mask(a))):
                     problems.append(f"graph {idx} edge {e}: minor ranks differ "
                                     f"at {sorted(a)}")
                     break
@@ -166,7 +167,7 @@ def test_criterion_3_region_matroid():
             rho_e = em.rho(s, {e})
             rest = [x for x in edges if x != e]
             for a in _subsets(rest, cap_size=6):
-                if bc.rank(a) != len(a) - em.rho(s, a | {e}) + rho_e:
+                if bc.rank(bc.mask(a)) != len(a) - em.rho(s, a | {e}) + rho_e:
                     problems.append(f"graph {idx} loop {e}: contracted rank "
                                     f"identity fails at {sorted(a)}")
                     break

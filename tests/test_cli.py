@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import io
+from collections import Counter
 
 import pytest
 
@@ -228,6 +229,22 @@ def test_states_output(capsys, files):
                           "crossing-free curves 2: 4\n")
     assert "RESULT: state-tracer-agreement pass" in out
     assert "RESULT: lr-relation pass: torus" in out
+
+
+def test_states_sweeps_the_subsets_twice(capsys, files, monkeypatch):
+    # one sweep of the graph and one of its dual, built once; the
+    # printed profile reuses their rows
+    calls = Counter()
+    for name in ("subset_sweep", "dual"):
+        def wrapper(*args, real=getattr(rb, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rb, name, wrapper)
+    rc, out, _ = run(capsys, "states", files["theta"])
+    assert rc == 0
+    assert out.startswith("crossing-free curves 1: 4\n")
+    assert calls == {"subset_sweep": 2, "dual": 1}
 
 
 def test_identities_reports_a_broken_dual_as_failure(capsys, files,

@@ -5,8 +5,10 @@ import random
 import pytest
 
 import corpus
+from topopoly import embedding as em
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
+from topopoly import ribbon as rb
 
 
 def triangle():
@@ -20,9 +22,32 @@ def loops_and_bridge():
 def test_cycle_matroid_ranks():
     m = mt.cycle_matroid(triangle())
     assert m.rank() == 2
-    assert m.rank(frozenset({1, 2})) == 2
-    assert m.rank(frozenset({1})) == 1
-    assert m.rank(frozenset()) == 0
+    assert m.rank(m.mask({1, 2})) == 2
+    assert m.rank(m.mask({1})) == 1
+    assert m.rank(m.mask(())) == 0
+    # bit i stands for the i-th smallest element
+    assert (m.mask({1}), m.mask({1, 3}), m.full) == (0b001, 0b101, 0b111)
+    assert mg.subset_ids(m.ground, 0b101) == [1, 3]
+    with pytest.raises(mt.MatroidError, match=r"\{4\} not in the ground set"):
+        m.mask({1, 4})
+
+
+def test_matroid_masks_match_sweep():
+    # Mask k of either matroid names the same edges as row k of the
+    # sweep, on pinched and disconnected corpus graphs too.
+    checked = 0
+    for emb in corpus.main_corpus():
+        if len(emb.rotation.edges) > 9:
+            continue
+        s = em.derive_dagger(emb)
+        cycle, bond = mt.cycle_matroid(s.g), mt.bond_matroid(s.dagger)
+        v, rho0 = len(s.g.vertices), em.rho(s, ())
+        for k, (size, c, _, c_cut) in enumerate(rb.subset_sweep(s.g, s.dagger)):
+            assert cycle.rank(k) == v - c
+            assert bond.rank(k) == size - c_cut + rho0
+            checked += 1
+        assert k == cycle.full == bond.full
+    assert checked > 10000
 
 
 def test_loops_and_isthmuses():
@@ -39,10 +64,10 @@ def test_dual_rank_formula():
     m = mt.cycle_matroid(triangle())
     d = mt.dual(m)
     n = len(m.ground)
-    for a in map(frozenset, [(), (1,), (1, 2), (1, 2, 3), (2, 3)]):
-        comp = frozenset(m.ground) - a
-        assert d.rank(a) == len(a) + m.rank(comp) - m.rank()
-    assert mt.dual(d).rank(frozenset({1, 2})) == m.rank(frozenset({1, 2}))
+    for ids in [(), (1,), (1, 2), (1, 2, 3), (2, 3)]:
+        comp = set(m.ground) - set(ids)
+        assert d.rank(d.mask(ids)) == len(ids) + m.rank(m.mask(comp)) - m.rank()
+    assert mt.dual(d).rank(m.mask({1, 2})) == m.rank(m.mask({1, 2}))
     assert d.rank() == n - m.rank()
 
 
@@ -51,9 +76,22 @@ def test_minors():
     dm = mt.delete(m, 3)
     cm = mt.contract(m, 3)
     assert dm.ground == (1, 2) and cm.ground == (1, 2)
-    assert dm.rank(frozenset({1, 2})) == 2
-    assert cm.rank(frozenset({1, 2})) == 1
-    assert cm.rank(frozenset({1})) == 1
+    assert dm.rank(dm.mask({1, 2})) == 2
+    assert cm.rank(cm.mask({1, 2})) == 1
+    assert cm.rank(cm.mask({1})) == 1
+    # the middle element: the bit of 3 moves down to where 2's was
+    dm, cm = mt.delete(m, 2), mt.contract(m, 2)
+    assert dm.ground == (1, 3) and cm.ground == (1, 3)
+    assert (dm.rank(dm.mask({3})), dm.rank(dm.mask({1, 3}))) == (1, 2)
+    assert (cm.rank(cm.mask({3})), cm.rank(cm.mask({1, 3}))) == (1, 1)
+    # every element, every subset, against the graph's own minors
+    g = triangle()
+    for e in g.edges:
+        dm, cm = mt.delete(m, e), mt.contract(m, e)
+        for a in range(dm.full + 1):
+            ids = mg.subset_ids(dm.ground, a)
+            assert dm.rank(a) == mg.rank(mg.delete_edge(g, e), ids)
+            assert cm.rank(a) == mg.rank(mg.contract_edge(g, e), ids)
 
 
 def test_axioms_on_graphic_matroids():
@@ -67,17 +105,18 @@ def test_axioms_on_graphic_matroids():
 
 def test_circuits_of_triangle():
     m = mt.cycle_matroid(triangle())
-    assert mt.circuits(m) == [frozenset({1, 2, 3})]
+    assert mt.circuits(m) == [m.mask({1, 2, 3})]
     b = mt.bond_matroid(triangle())
-    assert sorted(map(sorted, mt.circuits(b))) == [[1, 2], [1, 3], [2, 3]]
+    assert sorted(mg.subset_ids(b.ground, c) for c in mt.circuits(b)) \
+        == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_is_flat():
     m = mt.cycle_matroid(triangle())
-    assert mt.is_flat(m, frozenset())
-    assert mt.is_flat(m, frozenset({1}))
-    assert not mt.is_flat(m, frozenset({1, 2}))  # closure is everything
-    assert mt.is_flat(m, frozenset({1, 2, 3}))
+    assert mt.is_flat(m, m.mask(()))
+    assert mt.is_flat(m, m.mask({1}))
+    assert not mt.is_flat(m, m.mask({1, 2}))  # closure is everything
+    assert mt.is_flat(m, m.mask({1, 2, 3}))
 
 
 def test_self_perspective_is_valid():
@@ -90,8 +129,9 @@ def test_identity_like_perspective():
     # cycle matroid maps onto its contraction-by-nothing; a genuinely
     # different quotient: contract one element on the target side
     m = mt.cycle_matroid(triangle())
+    one = m.mask({1})
     target = mt.RankMatroid(m.ground,
-                            lambda a: m.rank(a | {1}) - m.rank(frozenset({1})),
+                            lambda a: m.rank(a | one) - m.rank(one),
                             name="contracted")
     mp = mt.make_perspective(m, target)
     mt.check_circuit_refinement(mp)  # raises on failure

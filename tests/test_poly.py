@@ -224,6 +224,26 @@ def test_check_result_lines():
 # work counters
 
 
+def test_tutte_counts_no_components(monkeypatch):
+    # The cycle and bond oracles count components on masks, with no
+    # per-subset call into the multigraph module.
+    calls: Counter = Counter()
+    for name in ("components", "rank"):
+        def wrapper(*args, real=getattr(mg, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mg, name, wrapper)
+    ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
+    g = ten.rotation.underlying()
+    t = poly.tutte(mt.cycle_matroid(g))
+    td = poly.tutte(mt.bond_matroid(g))
+    assert calls == {}
+    assert t.evaluate({"x": F(2), "y": F(2)}) == 2 ** 10
+    assert (t.evaluate({"x": F(2), "y": F(3)})
+            == td.evaluate({"x": F(3), "y": F(2)}))
+
+
 def test_expansions_trace_a_fixed_number_of_times(monkeypatch):
     """krushkal, lv and br count circles in the subset sweep, so the
     number of full traces they run does not grow with 2^|E|."""

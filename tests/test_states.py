@@ -41,7 +41,7 @@ def test_plane_loop_state_counts():
 
 
 def test_theta_profile():
-    assert st.noncrossing_profile(corpus.theta_torus()) == {1: 4, 2: 4}
+    assert st.run_state_checks(corpus.theta_torus())[1] == {1: 4, 2: 4}
 
 
 def test_component_formula_on_theta():
@@ -92,7 +92,7 @@ def test_lr_relation_on_low_genus_fixtures():
 def test_generating_function_check():
     theta = corpus.theta_torus()
     r_poly = poly.bollobas_riordan(theta)
-    profile = st.noncrossing_profile(theta)
+    profile = st.run_state_checks(theta)[1]
     assert st.generating_function_check(r_poly, profile).status == "pass"
     res = st.generating_function_check(r_poly, {**profile, 1: 5})
     assert (res.status, res.detail) == (
@@ -102,7 +102,7 @@ def test_generating_function_check():
 def test_run_state_checks_on_fixtures():
     for rs in (corpus.theta_torus(), corpus.plane_digon(), corpus.proj_loop(),
                corpus.bouquet_torus()):
-        results = st.run_state_checks(rs)
+        results, _ = st.run_state_checks(rs)
         bad = [r.line() for r in results if r.failed]
         assert not bad, bad
         assert [r.name for r in results] == [
@@ -111,7 +111,7 @@ def test_run_state_checks_on_fixtures():
 
 
 def test_run_state_checks_gates_klein():
-    results = {r.name: r for r in st.run_state_checks(corpus.klein_bouquet())}
+    results = {r.name: r for r in st.run_state_checks(corpus.klein_bouquet())[0]}
     assert results["state-tracer-agreement"].status == "pass"
     assert results["noncrossing-min-formula"].status == "skip"
     assert results["lr-relation"].status == "skip"
@@ -142,7 +142,7 @@ def _twist_one_dual_edge(monkeypatch):
 
 def test_broken_dual_fails_quasi_tree_duality(monkeypatch):
     _twist_one_dual_edge(monkeypatch)
-    results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())}
+    results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())[0]}
     assert results["quasi-tree-duality"].status == "fail"
     assert "boundary circles" in results["quasi-tree-duality"].detail
 
@@ -153,7 +153,7 @@ def test_forced_gate_fails_instead_of_raising(monkeypatch):
         {0: ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (3, 1), (4, 1))},
         {1: 1, 2: 1, 3: 1, 4: 1})
     monkeypatch.setattr(st, "surface_kind", lambda g: "torus")
-    results = {r.name: r for r in st.run_state_checks(rs)}
+    results = {r.name: r for r in st.run_state_checks(rs)[0]}
     assert results["noncrossing-min-formula"].status == "fail"
     assert results["lr-relation"].status == "fail"
     assert results["lr-relation"].detail == "z-degree 4 on a torus graph"
