@@ -174,15 +174,10 @@ def contract_edge(s: EmbeddingScheme, e: int) -> EmbeddingScheme:
     return EmbeddingScheme(mg.contract_edge(s.g, e), mg.delete_edge(s.dagger, e))
 
 
-def scheme_perspective(s: EmbeddingScheme, validate_strength: bool = True
-                       ) -> mt.MatroidPerspective:
+def scheme_perspective(s: EmbeddingScheme) -> mt.MatroidPerspective:
     """The bond matroid of the dagger graph seen through the cycle
-    matroid of the graph itself."""
-    bond = mt.bond_matroid(s.dagger)
-    cycle = mt.cycle_matroid(s.g)
-    if validate_strength:
-        return mt.make_perspective(bond, cycle)
-    return mt.MatroidPerspective(bond, cycle)
+    matroid of the graph itself, validated as a perspective."""
+    return mt.make_perspective(mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g))
 
 
 # ---------------------------------------------------------------------------

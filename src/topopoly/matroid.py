@@ -3,8 +3,8 @@
 A matroid is a ground set together with a rank function; nothing else
 is ever materialised.  A subset is an int mask, bit i standing for
 ground[i]: the multigraph encoding, so mask k of a graphic matroid is
-row k of ribbon.subset_sweep.  RankMatroid.mask, the one subset check,
-turns ids into a mask; every exhaustive walk is range(m.full + 1).
+row k of ribbon.subset_sweep.  RankMatroid.mask checks ids, and rank
+its mask; every exhaustive walk is range(m.full + 1).
 
 Duals and minors are mask transforms of the parent oracle, so a chain
 of operations stays cheap to build and correct by construction.  Ranks
@@ -53,10 +53,13 @@ class RankMatroid:
         return sum(1 << self.ground.index(e) for e in ids)
 
     def rank(self, a: int | None = None) -> int:
-        """Rank of the subset with mask a; of the ground set by default."""
+        """Rank of mask a, of the ground set by default; a is checked
+        on a cache miss only."""
         a = self.full if a is None else a
         cached = self._cache.get(a)
         if cached is None:
+            if not 0 <= a <= self.full:
+                raise MatroidError(f"mask {a} is outside 0..{self.full}")
             cached = self._cache[a] = self._rank_fn(a)
         return cached
 

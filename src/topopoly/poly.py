@@ -32,7 +32,9 @@ expansion counts the dual's circles in its own trace instead of
 deriving them from f(A), so it shares no boundary count with the
 scheme expansion; tutte and tutte_perspective walk the masks of
 subset_sweep but read every rank through RankMatroid.rank, not sweep
-rows; and both recursions work on minors.
+rows; the scheme recursion tests its edges on component counts of its
+own masks, not on sweep rows; and the perspective recursion works on
+matroid minors.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
@@ -229,21 +231,31 @@ def las_vergnas_embedded(x, method: str = "expansion",
     return assemble("xyz", counts, shifted="xy")
 
 
-def _scheme_leaves(s: em.EmbeddingScheme, x: int = 0, y: int = 0, z: int = 0):
+def _scheme_leaves(s: em.EmbeddingScheme):
     """The same walk over a scheme: a quasi-loop scores y, a bridge x,
-    and a proper quasi-bridge z, beside an unscored contraction."""
-    if not s.g.edges:
-        yield x, y, z
-        return
-    e = max(s.g.edges)
-    dele = em.delete_edge(s, e)
-    if mg.is_bridge(s.dagger, e):                # quasi-loop
-        yield from _scheme_leaves(dele, x, y + 2, z)
-    elif mg.is_bridge(s.g, e):
-        yield from _scheme_leaves(dele, x + 2, y, z)
-    else:                                        # a dagger loop is a quasi-bridge
-        yield from _scheme_leaves(dele, x, y, z + 2 * s.dagger.is_loop(e))
-        yield from _scheme_leaves(em.contract_edge(s, e), x, y, z)
+    and a proper quasi-bridge z, beside an unscored contraction.
+
+    No minor is built: a node holds the masks K and D of the edges above
+    its bit (bit i is the i-th smallest id) contracted and deleted so far.
+    Deleting e contracts it in the dagger graph H, and contracting K merges
+    just the vertices K joins, so on any set S of undecided edges
+    c(G/K\\D on S) = c_G(K | S) and c(H/D\\K on S) = c_H(D | S).
+    """
+    c_g, c_d = mg.component_counter(s.g), mg.component_counter(s.dagger)
+    stack = [(1 << len(s.g.edges) >> 1, 0, 0, 0, 0, 0)]
+    while stack:
+        bit, k, d, x, y, z = stack.pop()
+        if not bit:
+            yield x, y, z
+            continue
+        low, nxt = bit - 1, bit >> 1
+        if c_d(d | low) != c_d(d | low | bit):      # quasi-loop
+            stack.append((nxt, k, d | bit, x, y + 2, z))
+        elif c_g(k | low) != c_g(k | low | bit):    # bridge
+            stack.append((nxt, k, d | bit, x + 2, y, z))
+        else:                                       # a dagger loop is a quasi-bridge
+            stack.append((nxt, k | bit, d, x, y, z))
+            stack.append((nxt, k, d | bit, x, y, z + 2 * (c_d(d | bit) == c_d(d))))
 
 
 def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolynomial:

@@ -714,19 +714,3 @@ def cyclic_forms_equal(a: Sequence[int], b: Sequence[int]) -> bool:
     return any(doubled[i:i + len(a)] == a or rev[i:i + len(a)] == a
                for i in range(len(b)))
 
-
-# ---------------------------------------------------------------------------
-# comparison helper
-
-
-def same_boundary_profile(g1: RotationSystem, g2: RotationSystem,
-                          max_edges: int = 12) -> bool:
-    """True iff both systems have the same edge ids and identical
-    boundary counts on every edge subset, from the f column of one
-    subset_sweep each.  Exponential; capped."""
-    if g1.edge_set() != g2.edge_set():
-        return False
-    if len(g1.edges) > max_edges:
-        raise RibbonError(f"profile comparison capped at {max_edges} edges")
-    return all(r1[2] == r2[2]
-               for r1, r2 in zip(subset_sweep(g1), subset_sweep(g2)))

@@ -103,8 +103,9 @@ def test_criterion_2_expansion_matches_recursion():
     for embd in pool:
         l_exp = poly.las_vergnas_embedded(embd, "expansion")
         l_rec = poly.las_vergnas_embedded(embd, "recursion")
-        mp = em.scheme_perspective(em.derive_dagger(embd),
-                                   validate_strength=False)
+        sd = em.derive_dagger(embd)
+        mp = mt.MatroidPerspective(mt.bond_matroid(sd.dagger),
+                                   mt.cycle_matroid(sd.g))
         t_exp = poly.tutte_perspective(mp, "expansion")
         t_rec = poly.tutte_perspective(mp, "recursion")
         if not (l_exp == l_rec == t_exp == t_rec):

@@ -32,6 +32,17 @@ def test_cycle_matroid_ranks():
         m.mask({1, 4})
 
 
+def test_rank_rejects_masks_outside_the_ground_set():
+    g = triangle()
+    bond, cycle = mt.bond_matroid(g), mt.cycle_matroid(g)
+    assert bond.rank() == 1
+    for m, a in ((bond, 0b1111), (cycle, 0b1000), (cycle, -1), (bond, -1)):
+        with pytest.raises(mt.MatroidError, match=rf"mask {a} is outside 0\.\.7"):
+            m.rank(a)
+    # the ranks inside the ground set are untouched by the failed lookups
+    assert [cycle.rank(a) for a in range(8)] == [0, 1, 1, 2, 1, 2, 2, 2]
+
+
 def test_matroid_masks_match_sweep():
     # Mask k of either matroid names the same edges as row k of the
     # sweep, on pinched and disconnected corpus graphs too.

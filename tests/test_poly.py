@@ -150,6 +150,49 @@ def test_embedded_recursion_matches_expansion_non_cellular():
                 == poly.las_vergnas_embedded(emb, "recursion"))
 
 
+def _scheme_leaves_on_minors(s, x=0, y=0, z=0):
+    """Reference for poly._scheme_leaves: the same walk on materialised
+    scheme minors, testing bridges and dagger loops on each minor."""
+    if not s.g.edges:
+        yield x, y, z
+        return
+    e = max(s.g.edges)
+    dele = em.delete_edge(s, e)
+    if mg.is_bridge(s.dagger, e):                # quasi-loop
+        yield from _scheme_leaves_on_minors(dele, x, y + 2, z)
+    elif mg.is_bridge(s.g, e):
+        yield from _scheme_leaves_on_minors(dele, x + 2, y, z)
+    else:                                        # a dagger loop is a quasi-bridge
+        yield from _scheme_leaves_on_minors(dele, x, y, z + 2 * s.dagger.is_loop(e))
+        yield from _scheme_leaves_on_minors(em.contract_edge(s, e), x, y, z)
+
+
+def test_scheme_walk_on_masks_matches_minors():
+    pool = corpus.main_corpus()
+    pool += [em.with_disc_regions(rs) for rs in corpus.cellular_corpus()]
+    for emb in pool:
+        s = em.derive_dagger(emb)
+        assert Counter(poly._scheme_leaves(s)) == Counter(_scheme_leaves_on_minors(s))
+    assert len(pool) == 254
+
+
+def test_scheme_recursion_builds_no_minor(monkeypatch):
+    calls: Counter = Counter()
+    for owner, name in ((em, "delete_edge"), (em, "contract_edge"),
+                        (mg, "delete_edge"), (mg, "contract_edge"),
+                        (mg, "is_bridge"), (mg.Multigraph, "is_loop")):
+        def wrapper(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
+    scheme = em.derive_dagger(ten)
+    l_rec = poly.las_vergnas_embedded(scheme, "recursion")
+    assert calls == {}
+    assert l_rec == poly.las_vergnas_embedded(scheme, "expansion")
+
+
 # ---------------------------------------------------------------------------
 # ribbon and surface polynomials
 
@@ -194,8 +237,8 @@ def test_cap_is_enforced():
                                 allow_pinch=False)
     with pytest.raises(poly.CapError):
         poly.bollobas_riordan(rs, cap=5)
-    mp = em.scheme_perspective(em.derive_dagger(em.with_disc_regions(rs)),
-                               validate_strength=False)
+    s = em.derive_dagger(em.with_disc_regions(rs))
+    mp = mt.MatroidPerspective(mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g))
     with pytest.raises(poly.CapError, match="^perspective recursion on 6 "):
         poly.tutte_perspective(mp, "recursion", cap=5)
 
@@ -291,7 +334,8 @@ def test_recursions_tally_leaves_into_one_assembly(monkeypatch):
     ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
     for emb in (em.with_disc_regions(corpus.theta_torus()), ten):
         scheme = em.derive_dagger(emb)
-        mp = em.scheme_perspective(scheme, validate_strength=False)
+        mp = mt.MatroidPerspective(mt.bond_matroid(scheme.dagger),
+                                   mt.cycle_matroid(scheme.g))
         calls.clear()
         poly.las_vergnas_embedded(scheme, "recursion")
         poly.tutte_perspective(mp, "recursion")
