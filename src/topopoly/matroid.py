@@ -25,6 +25,11 @@ from typing import Callable, Iterable
 
 from . import multigraph as mg
 
+# make_perspective checks domination on every subset up to this many
+# elements, and on this many seeded random subsets above it.
+PERSPECTIVE_EXHAUSTIVE_CAP = 12
+PERSPECTIVE_SAMPLES = 500
+
 
 class MatroidError(ValueError):
     pass
@@ -179,7 +184,8 @@ class MatroidPerspective:
 
 
 def make_perspective(m: RankMatroid, m_prime: RankMatroid, *,
-                     exhaustive_cap: int = 12, samples: int = 500,
+                     exhaustive_cap: int = PERSPECTIVE_EXHAUSTIVE_CAP,
+                     samples: int = PERSPECTIVE_SAMPLES,
                      seed: int = 2) -> MatroidPerspective:
     """Validate and build the perspective (M, M').
 

@@ -152,6 +152,24 @@ def test_poly_cap(capsys, files):
                             "pass a larger cap to force it\n")
 
 
+def _bouquet(tmp_path, n):
+    """A plane bouquet of n loops on one vertex, no two interlaced."""
+    halves = " ".join(f"{e}.{end}" for e in range(1, n + 1) for end in (0, 1))
+    p = tmp_path / f"bouquet{n}.txt"
+    p.write_text(f"vertex 0: sector ({halves})\n"
+                 + "".join(f"edge {e}: 0 0 sign +\n" for e in range(1, n + 1))
+                 + "cellular\n")
+    return str(p)
+
+
+def test_poly_recursion_depth_is_not_the_stack(capsys, tmp_path):
+    # Every loop is a quasi-loop, so the walk is one chain 1,200 deep:
+    # deeper than Python's recursion limit.
+    rc, out, err = run(capsys, "poly", _bouquet(tmp_path, 1200), "--which", "lv",
+                       "--method", "recursion", "--cap", "2000")
+    assert (rc, out, err) == (0, "y^1200\n", "")
+
+
 def test_poly_lv_rejects_pinches_by_either_method(capsys, files):
     for method in ("expansion", "recursion"):
         rc, out, err = run(capsys, "poly", files["pinched"], "--which", "lv",
@@ -183,6 +201,17 @@ def test_identities_digon_all_pass(capsys, files):
     # both halves of the suite are present
     assert any("perspective-self" in line for line in lines)
     assert any("state-tracer-agreement" in line for line in lines)
+
+
+def test_identities_say_when_domination_is_sampled(capsys, tmp_path):
+    for n, detail in ((12, ""),
+                      (13, ": domination sampled on 500 of 2^13 subsets")):
+        rc, out, _ = run(capsys, "identities", _bouquet(tmp_path, n),
+                         "--suite", "poly")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "RESULT: perspective-self pass" + detail
+        assert all(line.endswith(" pass") for line in lines[1:])
 
 
 def test_identities_rejects_no_points(capsys, files):

@@ -1,6 +1,8 @@
 """The text format: round trips and line-numbered rejection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import corpus
 from topopoly import embedding as em
@@ -127,3 +129,34 @@ def test_serialize_is_stable():
     assert ff.serialize(ff.parse(text).rotation) == text
     etext = ff.serialize(corpus.torus_loop_annulus())
     assert ff.serialize(ff.parse(etext).embedded) == etext
+
+
+_TEXTS = ([ff.serialize(emb) for emb in corpus.named_embedded()]
+          + [ff.serialize(rs) for rs in corpus.cellular_corpus()])
+# Characters of the format itself, so that most mutants stay near-valid.
+_CHARS = hst.sampled_from("0123456789.,:()+-# \ncellular vertex sector edge "
+                          "sign region genus circles") | hst.characters()
+
+
+def _mutate(text, mutations):
+    for kind, at, char in mutations:
+        at %= len(text) + 1
+        if kind == "replace":
+            text = text[:at] + char + text[at + 1:]
+        elif kind == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.sampled_from(_TEXTS),
+       hst.lists(hst.tuples(hst.sampled_from(("replace", "insert", "delete")),
+                            hst.integers(min_value=0), _CHARS),
+                 min_size=1, max_size=4))
+def test_mutated_inputs_raise_only_format_errors(text, mutations):
+    try:
+        ff.parse(_mutate(text, mutations))
+    except ff.FormatError:
+        pass

@@ -1,5 +1,6 @@
 """The polynomials: frozen small values, route agreement, relations."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -167,13 +168,39 @@ def _scheme_leaves_on_minors(s, x=0, y=0, z=0):
         yield from _scheme_leaves_on_minors(em.contract_edge(s, e), x, y, z)
 
 
-def test_scheme_walk_on_masks_matches_minors():
+def test_scheme_memo_matches_minors():
     pool = corpus.main_corpus()
     pool += [em.with_disc_regions(rs) for rs in corpus.cellular_corpus()]
     for emb in pool:
         s = em.derive_dagger(emb)
         assert Counter(poly._scheme_leaves(s)) == Counter(_scheme_leaves_on_minors(s))
     assert len(pool) == 254
+
+
+def _large_embedded():
+    """Seeded connected graphs of 16-18 edges and at most 8 vertices:
+    two cellular, and one pinched with random regions of genus."""
+    rng = random.Random(2026)
+    out = []
+    for n_vertices, n_edges, pinched in ((4, 16, False), (6, 18, False),
+                                         (5, 16, True)):
+        while True:
+            rs = corpus.random_rotation(rng, n_vertices, n_edges,
+                                        allow_pinch=pinched)
+            if (mg.components(rs.underlying()) == 1
+                    and bool(rs.pinch_vertices()) == pinched):
+                break
+        out.append(corpus.close_random(rng, rs, disc_prob=0.0) if pinched
+                   else em.with_disc_regions(rs))
+    return out
+
+
+def test_scheme_memo_matches_expansion_on_large_graphs():
+    # The unmemoised walk took seconds here; the memo takes milliseconds.
+    for emb in _large_embedded():
+        s = em.derive_dagger(emb)
+        assert (poly.las_vergnas_embedded(s, "recursion")
+                == poly.las_vergnas_embedded(s, "expansion"))
 
 
 def test_scheme_recursion_builds_no_minor(monkeypatch):
