@@ -22,9 +22,11 @@ one band per edge are the orbits alternating beta and kappa.  Tracing
 a subset of the edges erases the other bands but keeps every disc; a
 sector left without half-edges still bounds one circle.
 
-subset_sweep counts the same circles for every edge subset at once,
-on int-encoded corner points, without building any Circle; dual_sweep
-zips it with a second sweep over the geometric dual on E - A.
+circle_counter counts the same circles on int-encoded corner points,
+without building any Circle: its kappa is fixed, and an absent band
+pairs its points in to out at each end.  subset_sweep counts f(A) on
+one counter, the state checks count every medial state on one, and
+dual_sweep zips the sweep with a second sweep over the dual on E - A.
 
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), orientability, the
@@ -265,6 +267,54 @@ def trace_boundary(g: RotationSystem,
     return trace_sectors(all_sectors(g), g.signs, a)
 
 
+def circle_counter(g: RotationSystem):
+    """Set up the fixed disc arcs of g once; return count(pairing).
+
+    Corner points are the ints 4i + 2 end + io of the i-th smallest
+    edge id.  kappa joins out(h) to in(next h) around the full rotation
+    of every sector, whatever bands are present.  pairing[i] pairs the
+    points of edge i as p ^ pairing[i]: 3 for an untwisted band, 2 for
+    a half-twisted one, 1 for no band (in to out at each end, so a
+    circle walks past the edge).  count returns the circles of
+    trace_sectors: the orbits, plus one per sector with no half-edges.
+    """
+    index = {e: i for i, e in enumerate(g.edges)}
+    kappa = [0] * (4 * len(index))
+    bare = 0
+    for _, sec in all_sectors(g):
+        ins = [4 * index[e] + 2 * end for e, end in sec]
+        if not ins:
+            bare += 1
+            continue
+        # The out point of a half-edge is its in point + 1.
+        prev = ins[-1] + 1
+        for p in ins:
+            kappa[prev] = p
+            kappa[p] = prev
+            prev = p + 1
+    # kappa ends every arc at an in point, so every circle has one.
+    starts = range(0, len(kappa), 2)
+
+    def count(pairing: Sequence[int]) -> int:
+        f = bare
+        seen = bytearray(len(kappa))
+        for start in starts:
+            if seen[start]:
+                continue
+            f += 1
+            p = start
+            while True:
+                seen[p] = 1
+                q = p ^ pairing[p >> 2]
+                seen[q] = 1
+                p = kappa[q]
+                if p == start:
+                    break
+        return f
+
+    return count
+
+
 def subset_sweep(x: RotationSystem | mg.Multigraph,
                  cut: mg.Multigraph | None = None, complement: bool = False):
     """Yield (|A|, c(A), f(A), c_cut(E - A)) for every edge subset A.
@@ -280,12 +330,9 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
     matroid names the same subset.  With complement, row k describes
     E - A_k instead of A_k.
 
-    Everything that does not depend on A is set up once: vertex and
-    edge indices, and each sector as its list of in points.  c(A) and
-    c_cut come from multigraph.component_counter.  f(A) counts the
-    orbits of beta and kappa as trace_sectors does, on corner points
-    encoded as ints 4i + 2 end + io, so beta is p ^ 3 for a +1 band and
-    p ^ 2 for a -1 band; a sector left bare adds one circle.
+    c(A) and c_cut come from multigraph.component_counter, and f(A)
+    from one circle_counter, on which each edge of A pairs its corner
+    points as its band and each absent edge as no band (p ^ 1).
     """
     ribbon = x if isinstance(x, RotationSystem) else None
     g = x.underlying() if ribbon is not None else x
@@ -295,43 +342,8 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
         raise RibbonError("a cut graph must share the sweep's edge ids")
 
     if ribbon is not None:
-        index = {e: i for i, e in enumerate(edges)}
-        discs = [[(4 * index[e] + 2 * end, 1 << index[e]) for e, end in sec]
-                 for _, sec in all_sectors(ribbon)]
-        flip = [3 if ribbon.signs[e] > 0 else 2 for e in edges]
-        kappa = [0] * (4 * n)
-
-    def circles(mask):
-        f = 0
-        starts = []
-        for disc in discs:
-            present = [p for p, bit in disc if mask & bit]
-            if not present:
-                f += 1
-                continue
-            # The out point of a half-edge is its in point + 1.
-            prev = present[-1] + 1
-            for p in present:
-                kappa[prev] = p
-                kappa[p] = prev
-                prev = p + 1
-            starts += present
-        # Every circle passes through an in point.
-        seen = bytearray(4 * n)
-        for start in starts:
-            if seen[start]:
-                continue
-            f += 1
-            p = start
-            while True:
-                seen[p] = 1
-                q = p ^ flip[p >> 2]
-                seen[q] = 1
-                p = kappa[q]
-                if p == start:
-                    break
-        return f
-
+        circles = circle_counter(ribbon)
+        band = [3 if ribbon.signs[e] > 0 else 2 for e in edges]
     count = mg.component_counter(g)
     if cut is not None:
         count_cut = mg.component_counter(cut)
@@ -339,7 +351,8 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
     for k in range(1 << n):
         a = k ^ full if complement else k
         yield (a.bit_count(), count(a),
-               circles(a) if ribbon is not None else None,
+               circles([band[i] if a >> i & 1 else 1 for i in range(n)])
+               if ribbon is not None else None,
                count_cut(a ^ full) if cut is not None else None)
 
 

@@ -1,4 +1,4 @@
-"""Vertex states of the medial graph, counted three ways.
+"""Vertex states of the medial graph, counted two ways.
 
 Every vertex of the medial graph sits on one edge e of the original
 graph and admits three smoothings: black (the curve hugs e), white
@@ -7,24 +7,26 @@ vertex and splits the medial into closed curves.  The edge sets W, B,
 C below always name the edges whose medial vertex got the white,
 black, or crossing smoothing.
 
-The number of curves is computed here by three independent routes:
-tracing the smoothed medial itself (medial_state_components), tracing
-the original graph after twisting C and dropping B (state_components),
-and, for crossing-free states, the boundary count f(W) of the white
-set from ribbon.dual_sweep; a two-term minimum formula, exact on the
-sphere, the torus and the projective plane, predicts the same count.
+The number of curves is computed here by two independent routes:
+tracing the smoothed medial itself (medial_state_components), and
+counting the boundary circles of the original graph with C twisted
+and B dropped, on the subset sweep's ribbon.circle_counter
+(state_components is the same count by twist and trace, kept as the
+reference); a two-term minimum formula, exact on the sphere, the
+torus and the projective plane, predicts the count of a crossing-free
+state.
 
-run_state_checks sweeps all 3^e states and every relation that
-applies, one result line per check.  Everything else it needs comes
-from one list of dual_sweep rows, with the dual built once: the
-crossing-free counts f(W), the minimum formula and the quasi-tree
-duality read the rows directly, the crossing-free profile is their
-tally of f (handed back with the results, for the states command to
-print), and the polynomials R and L of the diagonal relations are
-assembled from their tally, with no sweep of their own.  A check that
-finds a disagreement fails; only inputs outside the preconditions
-(pinched, edgeless, disconnected, over the sweep cap) raise, and the
-sweep cap, checked first, bounds all the work.
+run_state_checks sweeps all 3^e states, comparing the two routes on
+each, and runs every relation that applies, one result line per
+check.  Everything else it needs comes from one list of dual_sweep
+rows, with the dual built once: the minimum formula and the
+quasi-tree duality read the rows directly, the crossing-free profile
+is their tally of f (handed back with the results, for the states
+command to print), and the polynomials R and L of the diagonal
+relations are assembled from their tally, with no sweep of their own.
+A check that finds a disagreement fails; only inputs outside the
+preconditions (pinched, edgeless, disconnected, over the sweep cap)
+raise, and the sweep cap, checked first, bounds all the work.
 """
 
 from __future__ import annotations
@@ -243,18 +245,20 @@ def run_state_checks(rs: rb.RotationSystem, *,
     rows = list(rb.dual_sweep(rs, dual_rs))
     full = len(rows) - 1
 
+    # The graph route: no band for black, the band for white, the
+    # band twisted for crossing.
+    count = rb.circle_counter(rs)
+    band = [3 if rs.signs[e] > 0 else 2 for e in edges]
+    pairing = {BLACK: [1] * len(edges), WHITE: band,
+               CROSSING: [b ^ 1 for b in band]}
+
     def tracer_problems():
         for combo in itertools.product(rb.STATE_NAMES, repeat=len(edges)):
-            state = dict(zip(edges, combo))
-            direct = medial_state_components(mm, state)
-            via_graph = state_components(rs, state)
-            white = sum(1 << i for i, s in enumerate(combo) if s == WHITE)
+            direct = medial_state_components(mm, dict(zip(edges, combo)))
+            via_graph = count([pairing[s][i] for i, s in enumerate(combo)])
             if direct != via_graph:
                 yield (f"state {combo} on edges {list(edges)}: medial "
                        f"{direct}, graph {via_graph}")
-            elif CROSSING not in combo and rows[white].f != direct:
-                yield (f"state {combo}: sweep f(W) {rows[white].f}, "
-                       f"medial {direct}")
 
     def quasi_tree_problems():
         # Row k keeps W and deletes A = E - W: G - A is a quasi-tree when

@@ -1,5 +1,7 @@
 """The text format: round trips and line-numbered rejection."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -160,3 +162,18 @@ def test_mutated_inputs_raise_only_format_errors(text, mutations):
         ff.parse(_mutate(text, mutations))
     except ff.FormatError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(min_value=0), hst.integers(min_value=1, max_value=6),
+       hst.integers(min_value=0, max_value=9))
+def test_parse_inverts_serialize(seed, n_vertices, n_edges):
+    # Pinched, empty and signed sectors, and regions of positive genus.
+    rng = random.Random(seed)
+    rs = corpus.random_rotation(rng, n_vertices, n_edges)
+    emb = corpus.close_random(rng, rs)
+    for x, field in ((rs, "rotation"), (emb, "embedded")):
+        text = ff.serialize(x)
+        parsed = ff.parse(text)
+        assert getattr(parsed, field) == x
+        assert ff.serialize(getattr(parsed, field)) == text

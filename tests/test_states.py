@@ -1,5 +1,6 @@
 """State counting on medials and the low-genus formulas."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -38,6 +39,24 @@ def test_plane_loop_state_counts():
     for state, want in (({1: BLACK}, 1), ({1: WHITE}, 2), ({1: CROSSING}, 1)):
         assert st.state_components(loop, state) == want
         assert st.medial_state_components(mm, state) == want
+
+
+def test_circle_counter_matches_twist_and_trace_on_every_state():
+    # The graph route of the state checks: black drops the band, white
+    # keeps it, crossing twists it.
+    checked = 0
+    for rs in corpus.cellular_corpus():
+        if len(rs.edges) > 6:
+            continue
+        count = rb.circle_counter(rs)
+        band = [3 if rs.signs[e] > 0 else 2 for e in rs.edges]
+        for combo in itertools.product(rb.STATE_NAMES, repeat=len(band)):
+            pairing = [{BLACK: 1, WHITE: b, CROSSING: b ^ 1}[s]
+                       for s, b in zip(combo, band)]
+            state = dict(zip(rs.edges, combo))
+            assert count(pairing) == st.state_components(rs, state), state
+            checked += 1
+    assert checked == 8685
 
 
 def test_theta_profile():
@@ -159,6 +178,39 @@ def test_forced_gate_fails_instead_of_raising(monkeypatch):
     assert results["lr-relation"].detail == "z-degree 4 on a torus graph"
 
 
+def _corrupt_medial(monkeypatch):
+    real = st.medial_state_components
+    monkeypatch.setattr(st, "medial_state_components", lambda mm, state: (
+        real(mm, state) + (CROSSING in state.values())))
+
+
+def _corrupt_counter(monkeypatch):
+    real = rb.circle_counter
+
+    def circle_counter(g):
+        count = real(g)
+        band = [3 if g.signs[e] > 0 else 2 for e in g.edges]
+        return lambda pairing: count(pairing) + any(
+            p not in (1, b) for p, b in zip(pairing, band))
+
+    monkeypatch.setattr(rb, "circle_counter", circle_counter)
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (_corrupt_medial, "medial 2, graph 1"),
+    (_corrupt_counter, "medial 1, graph 2")])
+def test_one_curve_off_on_crossing_states_fails_agreement(monkeypatch, corrupt,
+                                                          detail):
+    corrupt(monkeypatch)
+    results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())[0]}
+    res = results["state-tracer-agreement"]
+    assert (res.status, res.detail) == (
+        "fail", "state ('black', 'black', 'crossing') on edges [1, 2, 3]: "
+        + detail)
+    # Only crossing states were corrupted; the sweep rows are untouched.
+    assert results["quasi-tree-duality"].status == "pass"
+
+
 def test_lr_relation_fails_on_half_powers(monkeypatch):
     real = poly._cellular_from_rows
     monkeypatch.setattr(poly, "_cellular_from_rows", lambda *a, **k: (
@@ -182,14 +234,20 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
 
     counted(rb, "dual")
     counted(rb, "subset_sweep")
+    counted(rb, "twist")
+    counted(rb, "trace_sectors")
+    counted(st, "state_components")
     counted(st, "lv_component_formula")
     counted(poly, "bollobas_riordan")
     counted(poly, "las_vergnas_cellular")
     seven = next(rs for rs in corpus.cellular_corpus()
                  if len(rs.edges) == 7 and rb.euler_genus(rs) <= 2)
     per_graph = []
-    for rs in (corpus.theta_torus(), seven):
+    for rs in (corpus.theta_torus(), seven):     # 27 and 2,187 states
         calls.clear()
         st.run_state_checks(rs)
         per_graph.append(dict(calls))
-    assert per_graph[0] == per_graph[1] == {"dual": 1, "subset_sweep": 2}
+    # Three traces, none per state: the surface's genus, the dual, and
+    # the genus again when lr-relation assembles L.
+    assert per_graph[0] == per_graph[1] == {
+        "dual": 1, "subset_sweep": 2, "trace_sectors": 3}
