@@ -6,7 +6,8 @@ The package is organized bottom-up:
   matroid      rank-oracle matroids, duality, strong-map pairs
   mpoly        integer polynomials with half-integer exponents
   ribbon       rotation systems with signs, boundary tracing, duals,
-               partial duals via twisting, medial graphs
+               partial duals via twisting, medial graphs, and the
+               subset sweeps and frontier tallies the expansions read
   embedding    region data on top of a rotation system, pseudo-surface
                invariants, edge classification, topological minors
   fileformat   the text format the CLI reads and writes

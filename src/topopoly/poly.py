@@ -9,34 +9,40 @@ leaves below each distinct minor once instead of listing them.
 Expansion and recursion therefore build byte-equal canonical strings
 whenever they agree as polynomials.
 
-The embedded expansions read their counts from ribbon.subset_sweep,
-which visits the subsets A as bitmasks and yields |A|, c(A), the
-boundary circles f(A) and, on request, the components of a second
-graph on E - A.  Each expansion sets up its invariants once, not per
-subset:
+The embedded expansions read their counts from the tallies of
+ribbon.transfer_tally, which gives, per distinct row, how many subsets
+A have that |A|, c(A), boundary circle count f(A) and, on request,
+component count of a second graph on E - A.  It decides the edges one
+at a time on frontier states instead of visiting the 2^|E| subsets.
+Each expansion sets up its invariants once and maps each distinct row
+to a bucket:
 
-  bollobas_riordan      c and f; c(E) once
-  krushkal              c, f and rho(A) on the dagger graph; validate,
-                        derive_dagger and c(E) once
-  las_vergnas_cellular  the rows of ribbon.dual_sweep: c and f of A,
-                        and of E - A in the dual, which is traced
-                        itself; c(E) and the genus once
-  las_vergnas_embedded  c and rho(A), no tracing; c(E), rho(E) and
-                        rho(0) once
-  dichromatic           c alone
+  bollobas_riordan      transfer_tally(rs): c and f; c(E) once
+  krushkal              transfer_tally(rs, dagger): c, f and rho(A);
+                        validate, derive_dagger and c(E) once
+  las_vergnas_cellular  ribbon.dual_tally: c and f of A, and of E - A
+                        in the dual, which is traced itself; c(E) and
+                        the genus once
+  las_vergnas_embedded  transfer_tally(g, dagger): c and rho(A), no
+                        tracing; c(E), rho(E) and rho(0) once
+  dichromatic           transfer_tally(g): c alone
 
-verify_identities builds the dual_sweep rows once per call and reuses
+A bad row names the first subset, in mask order, that yields it: only
+that failure path sweeps the subsets (ribbon.subset_sweep or
+dual_sweep), in _first_subset.
+
+verify_identities builds the dual_tally rows once per call and reuses
 them for L, R, lv-tidy and lv-dichromatic; the states module reads the
-same rows for L, R and its state checks.
+dual_sweep rows subset by subset for L, R and its state checks.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
 deriving them from f(A), so it shares no boundary count with the
-scheme expansion; tutte and tutte_perspective walk the masks of
-subset_sweep but read every rank through RankMatroid.rank, not sweep
-rows; the scheme recursion tests its edges on its own memoised minor
-tuples, not on sweep rows; and the perspective recursion works on
-matroid minors, unmemoised.
+scheme expansion; tutte and tutte_perspective walk the subset masks
+and read every rank through RankMatroid.rank, not tally rows; the
+scheme recursion tests its edges on its own memoised minor tuples,
+not on tally rows; and the perspective recursion works on matroid
+minors, unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
@@ -106,10 +112,13 @@ def _skip(name, detail):
 # subset machinery
 
 
-def _first_subset(edges: tuple[int, ...], rows, row) -> list[int]:
-    """Sorted edge ids of the first subset at which a fresh sweep over
-    edges yields row; error messages name a subset this way."""
-    return mg.subset_ids(edges, next(k for k, r in enumerate(rows) if r == row))
+def _first_subset(edges: tuple[int, ...], rows, bad) -> str:
+    """The error of the first subset at which a fresh sweep over edges
+    yields a row of bad, which maps each bad row of a tally to its
+    message: that message, then the subset's sorted edge ids.  The
+    tallies are not in subset order, so only the failure path sweeps."""
+    k, row = next((k, r) for k, r in enumerate(rows) if r in bad)
+    return f"{bad[row]} {mg.subset_ids(edges, k)}"
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +192,7 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return _cellular_from_rows(rs, Counter(rb.dual_sweep(rs)))
+    return _cellular_from_rows(rs, rb.dual_tally(rs))
 
 
 def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
@@ -191,15 +200,16 @@ def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
     counts: Counter = Counter()
+    bad = {}
     for row, m in rows.items():
         split = gamma + row.genus - row.genus_dual
         ey = (row.size - v + row.c) - split // 2
         ez2 = gamma - row.genus + row.genus_dual
         if split % 2 or ey < 0 or ez2 < 0:
-            what = "odd genus split" if split % 2 else "bad exponents"
-            raise PolyError(f"{what} on "
-                            f"{_first_subset(rs.edges, rb.dual_sweep(rs), row)}")
+            bad[row] = "odd genus split on" if split % 2 else "bad exponents on"
         counts[2 * (row.c - c_full), 2 * ey, ez2] += m
+    if bad:
+        raise PolyError(_first_subset(rs.edges, rb.dual_sweep(rs), bad))
     return assemble("xyz", counts, shifted="xy")
 
 
@@ -223,13 +233,16 @@ def las_vergnas_embedded(x, method: str = "expansion",
     rho_full = em.rho(s)
     rho_empty = em.rho(s, ())
     counts: Counter = Counter()
-    for row, m in Counter(rb.subset_sweep(s.g, s.dagger)).items():
+    bad = {}
+    for row, m in rb.transfer_tally(s.g, s.dagger).items():
         size, c_a, _, rho_a = row
         ez = (n - size) - (rho_full - rho_a) - (c_a - c_full)
         if ez < 0 or c_a < c_full or rho_a < rho_empty:
-            bad = _first_subset(s.g.edges, rb.subset_sweep(s.g, s.dagger), row)
-            raise PolyError(f"bad exponents on {bad}")
+            bad[row] = "bad exponents on"
         counts[2 * (c_a - c_full), 2 * (rho_a - rho_empty), 2 * ez] += m
+    if bad:
+        raise PolyError(
+            _first_subset(s.g.edges, rb.subset_sweep(s.g, s.dagger), bad))
     return assemble("xyz", counts, shifted="xy")
 
 
@@ -324,12 +337,12 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
     """Rank-nullity-genus sum of a ribbon graph."""
     rb.require_pinch_free(rs, "the ribbon polynomial")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return _ribbon_from_rows(rs, Counter(rb.subset_sweep(rs)))
+    return _ribbon_from_rows(rs, rb.transfer_tally(rs))
 
 
 def _ribbon_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
-    """R from a tally of sweep rows that start with |A|, c(A), f(A):
-    subset_sweep rows and dual_sweep rows both do."""
+    """R from a tally of rows that start with |A|, c(A), f(A): the rows
+    of transfer_tally and of dual_tally (or dual_sweep) all do."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     counts: Counter = Counter()
@@ -351,7 +364,8 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     dagger = em.derive_dagger(emb).dagger
     c_full = mg.components(rs.underlying())
     counts: Counter = Counter()
-    for row, m in Counter(rb.subset_sweep(rs, dagger)).items():
+    bad = {}
+    for row, m in rb.transfer_tally(rs, dagger).items():
         # The complement of the neighbourhood of (V, A): rho(A) regions,
         # f(A) circles shared with the neighbourhood, and Euler
         # characteristic chi(surface) - (v - |A|), as in complement_stats.
@@ -359,16 +373,20 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
         ngenus = 2 * c - v + size - f
         genus = 2 * k - f - (report.euler_characteristic - (v - size))
         if genus < 0 or ngenus < 0:
-            bad = _first_subset(rs.edges, rb.subset_sweep(rs, dagger), row)
-            raise em.EmbeddingError(f"negative genus from subset {bad}")
+            bad[row] = "negative genus from subset"
         counts[2 * (c - c_full), 2 * (k - 1), ngenus, genus] += m
+    if bad:
+        raise em.EmbeddingError(
+            _first_subset(rs.edges, rb.subset_sweep(rs, dagger), bad))
     return assemble("xyab", counts)
 
 
 def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Component-count sum: x^c(A) y^|A| over edge subsets."""
     check_cap(len(g.edges), cap, "subset expansion")
-    counts = Counter((2 * c, 2 * size) for size, c, _, _ in rb.subset_sweep(g))
+    counts: Counter = Counter()
+    for (size, c, _, _), m in rb.transfer_tally(g).items():
+        counts[2 * c, 2 * size] += m
     return assemble("xy", counts)
 
 
@@ -459,9 +477,9 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     l_cell = r_poly = None
     gamma = None
     if cellular:
-        # One pair of sweeps serves L, R, lv-tidy and lv-dichromatic.
+        # One tally serves L, R, lv-tidy and lv-dichromatic.
         d = rb.dual(rs)
-        rows = Counter(rb.dual_sweep(rs, d))
+        rows = rb.dual_tally(rs, d)
         l_cell = _cellular_from_rows(rs, rows)
         r_poly = _ribbon_from_rows(rs, rows)
         gamma = rb.euler_genus(rs)

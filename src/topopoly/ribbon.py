@@ -28,6 +28,17 @@ pairs its points in to out at each end.  subset_sweep counts f(A) on
 one counter, the state checks count every medial state on one, and
 dual_sweep zips the sweep with a second sweep over the dual on E - A.
 
+transfer_tally and dual_tally return the tallies of those rows without
+visiting the subsets.  They decide the edges one at a time, vertex by
+vertex in breadth-first order and each vertex's half-edges in rotation
+order.  A state after each step holds, per traced graph, the block
+labels of the frontier vertices and the pairing that the decided
+bands induce on the frontier corner points (the undecided points whose
+kappa partner is decided); subsets that reach one state have the same
+future, so equal states merge and carry a tally of |A| and the
+components and circles already closed.  Their cost follows the number
+of states, not 2^|E|.
+
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), orientability, the
 medial map with its per-vertex smoothing pairings, and the sector
@@ -37,6 +48,7 @@ minors.  Circles are numbered canonically, so traces are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -267,17 +279,10 @@ def trace_boundary(g: RotationSystem,
     return trace_sectors(all_sectors(g), g.signs, a)
 
 
-def circle_counter(g: RotationSystem):
-    """Set up the fixed disc arcs of g once; return count(pairing).
-
-    Corner points are the ints 4i + 2 end + io of the i-th smallest
-    edge id.  kappa joins out(h) to in(next h) around the full rotation
-    of every sector, whatever bands are present.  pairing[i] pairs the
-    points of edge i as p ^ pairing[i]: 3 for an untwisted band, 2 for
-    a half-twisted one, 1 for no band (in to out at each end, so a
-    circle walks past the edge).  count returns the circles of
-    trace_sectors: the orbits, plus one per sector with no half-edges.
-    """
+def _disc_arcs(g: RotationSystem) -> tuple[list[int], int]:
+    """kappa on the int corner points 4i + 2 end + io of the i-th
+    smallest edge id, around the full rotation of every sector, and the
+    number of sectors with no half-edges."""
     index = {e: i for i, e in enumerate(g.edges)}
     kappa = [0] * (4 * len(index))
     bare = 0
@@ -292,6 +297,21 @@ def circle_counter(g: RotationSystem):
             kappa[prev] = p
             kappa[p] = prev
             prev = p + 1
+    return kappa, bare
+
+
+def circle_counter(g: RotationSystem):
+    """Set up the fixed disc arcs of g once; return count(pairing).
+
+    Corner points are the ints 4i + 2 end + io of the i-th smallest
+    edge id.  kappa joins out(h) to in(next h) around the full rotation
+    of every sector, whatever bands are present.  pairing[i] pairs the
+    points of edge i as p ^ pairing[i]: 3 for an untwisted band, 2 for
+    a half-twisted one, 1 for no band (in to out at each end, so a
+    circle walks past the edge).  count returns the circles of
+    trace_sectors: the orbits, plus one per sector with no half-edges.
+    """
+    kappa, bare = _disc_arcs(g)
     # kappa ends every arc at an in point, so every circle has one.
     starts = range(0, len(kappa), 2)
 
@@ -380,6 +400,287 @@ def dual_sweep(g: RotationSystem, d: RotationSystem | None = None):
             subset_sweep(g), subset_sweep(d, complement=True)):
         yield DualRow(size, c, f, 2 * c - v + size - f,
                       cd, fd, 2 * cd - vd + size_d - fd)
+
+
+# ---------------------------------------------------------------------------
+# the transfer tally: the same rows, counted edge by edge
+
+
+def transfer_tally(x: RotationSystem | mg.Multigraph,
+                   cut: mg.Multigraph | None = None) -> Counter:
+    """Counter(subset_sweep(x, cut)), without visiting the subsets.
+
+    The edges are decided one at a time (see _frontier_tally), carrying
+    the vertex partition of A, the circles of A if x is a rotation
+    system, and the partition of cut on E - A.
+    """
+    ribbon = x if isinstance(x, RotationSystem) else None
+    g = x.underlying() if ribbon is not None else x
+    if cut is not None and cut.edge_set() != g.edge_set():
+        raise RibbonError("a cut graph must share the sweep's edge ids")
+    order = _edge_order(g, ribbon)
+    layers = [_block_moves(g, order, True)]
+    if ribbon is not None:
+        layers.append(_circle_moves(ribbon, order, True))
+    if cut is not None:
+        layers.append(_block_moves(cut, order, False))
+    out: Counter = Counter()
+    for (size, c, *rest), m in _frontier_tally(order, layers):
+        f = rest.pop(0) if ribbon is not None else None
+        c_cut = rest.pop(0) if cut is not None else None
+        out[size, c, f, c_cut] += m
+    return out
+
+
+def dual_tally(g: RotationSystem, d: RotationSystem | None = None) -> Counter:
+    """Counter(dual_sweep(g, d)), without visiting the subsets.
+
+    One joint state carries the partition and the circles of A in g and
+    of E - A in the dual d (built here unless given), which is traced
+    on its own, as in dual_sweep.
+    """
+    d = dual(g) if d is None else d
+    if d.edge_set() != g.edge_set():
+        raise RibbonError("a dual must share the graph's edge ids")
+    order = _edge_order(g.underlying(), g)
+    layers = [_block_moves(g.underlying(), order, True),
+              _circle_moves(g, order, True),
+              _block_moves(d.underlying(), order, False),
+              _circle_moves(d, order, False)]
+    v, vd, n = len(g.sectors), len(d.sectors), len(order)
+    out: Counter = Counter()
+    for (size, c, f, cd, fd), m in _frontier_tally(order, layers):
+        out[DualRow(size, c, f, 2 * c - v + size - f,
+                    cd, fd, 2 * cd - vd + n - size - fd)] += m
+    return out
+
+
+def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
+    """The order the transfer tally decides edges in: vertex by vertex,
+    breadth first from the smallest vertex id (then from the smallest
+    one not yet reached), each vertex's half-edges in rotation order,
+    sector by sector (in id order for a bare multigraph)."""
+    at: dict[int, list[int]] = {v: [] for v in g.vertices}
+    if ribbon is not None:
+        for v, secs in ribbon.sectors.items():
+            at[v] = [e for sec in secs for e, _ in sec]
+    else:
+        for e in g.edges:
+            for v in g.ends[e]:
+                at[v].append(e)
+    order: dict[int, None] = {}
+    reached: dict[int, None] = {}
+    for root in g.vertices:
+        if root in reached:
+            continue
+        reached[root] = None
+        queue = deque([root])
+        while queue:
+            for e in at[queue.popleft()]:
+                if e not in order:
+                    order[e] = None
+                    for w in g.ends[e]:
+                        if w not in reached:
+                            reached[w] = None
+                            queue.append(w)
+    return list(order)
+
+
+def _frontier_tally(order: list[int], layers) -> list[tuple[tuple[int, ...], int]]:
+    """Decide the edges of order one at a time over the given layers;
+    list the distinct (|A|, closed count per layer) tuples with their
+    number of subsets.
+
+    A layer is (moves, base): moves[t] maps the layer's part of a state
+    before edge order[t] is decided to its (part, closed) pair for
+    order[t] outside A and inside A, and base is added to the layer's
+    count at the end (isolated vertices, bare sectors).  A state is the
+    tuple of the parts; its value counts subsets by their packed tally,
+    one bit field for |A| and one per layer.  Subsets that reach one
+    state have the same future, so equal states merge.
+    """
+    # No field exceeds 4|E|: |A| <= |E|, and each layer closes at most
+    # one block or circle per two of the 4|E| corner points.
+    width = (4 * len(order)).bit_length()
+    shifts = [width * (k + 1) for k in range(len(layers))]
+    states: dict = {tuple(() for _ in layers): (0, {0: 1})}
+    for t in range(len(order)):
+        # Many states share a layer's part, so each part moves once.
+        known = []
+        for (moves, _), shift, parts in zip(layers, shifts, zip(*states)):
+            move, out = moves[t], {}
+            for part in parts:
+                if part not in out:
+                    (p0, c0), (p1, c1) = move(part)
+                    out[part] = (p0, c0 << shift, p1, c1 << shift)
+            known.append(out)
+        # A state's value is an offset and the tally it shifts; a state
+        # reached from one state alone shares that tally.
+        merged: dict = {}
+        owned: set = set()
+        for key, (offset, tally) in states.items():
+            outside, closed_outside, inside, closed_inside = zip(
+                *map(dict.__getitem__, known, key))
+            for new, step in ((outside, offset + sum(closed_outside)),
+                              (inside, offset + 1 + sum(closed_inside))):
+                entry = merged.get(new)
+                if entry is None:
+                    merged[new] = (step, tally)
+                    continue
+                at, target = entry
+                if new not in owned:
+                    owned.add(new)
+                    target = {packed + at: m for packed, m in target.items()}
+                    merged[new] = (0, target)
+                for packed, m in tally.items():
+                    packed += step
+                    target[packed] = target.get(packed, 0) + m
+        states = merged
+    ((offset, tally),) = states.values()
+    tally = {packed + offset: m for packed, m in tally.items()}
+    mask = (1 << width) - 1
+    return [((packed & mask,) + tuple((packed >> shift & mask) + base
+                                      for shift, (_, base) in zip(shifts, layers)),
+             m) for packed, m in tally.items()]
+
+
+def _block_moves(g: mg.Multigraph, order: list[int], inside: bool):
+    """The layer of the vertex partition of (V, A) if inside, else of
+    (V, E - A), over the edge order.  Its part of a state labels the
+    frontier vertices (ends of both decided and undecided edges) by
+    block, in order of first appearance; a block closes into a
+    component when its last frontier vertex leaves."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for t, e in enumerate(order):
+        for v in g.ends[e]:
+            first.setdefault(v, t)
+            last[v] = t
+    moves = []
+    frontier: tuple[int, ...] = ()
+    for t, e in enumerate(order):
+        u, w = g.ends[e]
+        ends = (u,) if u == w else (u, w)
+        enter = tuple(v for v in ends if first[v] == t)
+        leave = frozenset(v for v in ends if last[v] == t)
+        before = frontier
+        frontier = tuple(v for v in before + enter if v not in leave)
+        moves.append(_block_move(before, enter, leave, frontier, u, w, inside))
+    return moves, len(g.vertices) - len(first)
+
+
+def _block_move(before, enter, leave, after, u, w, inside):
+    def settle(label):
+        kept = [label[v] for v in after]
+        closed = len({label[v] for v in leave}.difference(kept))
+        ids: dict = {}
+        return tuple([ids.setdefault(k, len(ids)) for k in kept]), closed
+
+    def move(labels):
+        label = dict(zip(before, labels))
+        for k, v in enumerate(enter, len(before)):
+            label[v] = k
+        apart = settle(label)
+        a, b = label[u], label[w]
+        if a == b:
+            return apart, apart
+        joined = settle({v: b if k == a else k for v, k in label.items()})
+        return (apart, joined) if inside else (joined, apart)
+
+    return move
+
+
+def _circle_moves(g: RotationSystem, order: list[int], inside: bool):
+    """The layer of the boundary circles of the bands of A in g if
+    inside, else of E - A, over the edge order, on the fixed disc arcs
+    of circle_counter.  Its part of a state pairs the frontier points
+    (the undecided corner points whose kappa partner is decided): each
+    is followed by the point at the other end of the path through the
+    decided points.  A circle closes when a decided edge's pairing
+    completes a cycle."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    kappa, bare = _disc_arcs(g)
+    when = {index[e]: t for t, e in enumerate(order)}
+    moves = []
+    frontier: tuple[int, ...] = ()
+    for t, e in enumerate(order):
+        i = index[e]
+        band = 3 if g.signs[e] > 0 else 2
+        own = range(4 * i, 4 * i + 4)
+        fresh = tuple(kappa[p] for p in own if when[kappa[p] >> 2] > t)
+        before = frontier
+        frontier = tuple(p for p in before if p >> 2 != i) + fresh
+        decided = tuple(when[kappa[p] >> 2] < t for p in own)
+        moves.append(_circle_move(before, frontier, i, kappa[4 * i:4 * i + 4],
+                                  decided, (1, band) if inside else (band, 1)))
+    return moves, bare
+
+
+def _circle_move(before, after, i, arcs, decided, pairings):
+    base = 4 * i
+    # The edge's own frontier points sit at fixed places in a part; the
+    # rest of the part is carried over in the spans between them.
+    at = [before.index(base + j) if decided[j] else -1 for j in range(4)]
+    cuts = sorted(k for k in at if k >= 0)
+    spans = list(zip([0] + [k + 1 for k in cuts], cuts + [len(before)]))
+    fresh = [0] * (len(after) - len(before) + len(cuts))
+    where = {p: k for k, p in enumerate(after)}
+    plans: dict = {}
+
+    def plan(inner):
+        # inner[j] is the edge's own point that the link of point j
+        # reaches, or -1 if it leaves the edge.  Walk from each point
+        # whose link leaves, through the edge's pairing x and the links,
+        # to the next point whose link leaves; points no walk meets lie
+        # on closed circles.
+        out = []
+        for x in pairings:
+            ends, seen = [], 0
+            for j in range(4):
+                if inner[j] >= 0 or seen >> j & 1:
+                    continue
+                k = j
+                while True:
+                    seen |= 1 << k
+                    k ^= x
+                    seen |= 1 << k
+                    if inner[k] < 0:
+                        break
+                    k = inner[k]
+                ends.append((j, k))
+            closed = 0
+            for j in range(4):
+                if not seen >> j & 1:
+                    closed += 1
+                    k = j
+                    while not seen >> k & 1:
+                        seen |= 1 << k
+                        k ^= x
+                        seen |= 1 << k
+                        k = inner[k]
+            out.append((ends, closed))
+        return out
+
+    def move(mates):
+        link = [mates[at[j]] if decided[j] else arcs[j] for j in range(4)]
+        inner = tuple([p - base if p >> 2 == i else -1 for p in link])
+        steps = plans.get(inner)
+        if steps is None:
+            plans[inner] = steps = plan(inner)
+        carried = []
+        for a, b in spans:
+            carried += mates[a:b]
+        carried += fresh
+        moved = []
+        for ends, closed in steps:
+            out = carried[:]
+            for j, k in ends:
+                out[where[link[j]]] = link[k]
+                out[where[link[k]]] = link[j]
+            moved.append((tuple(out), closed))
+        return moved
+
+    return move
 
 
 def boundary_count(g: RotationSystem, subset: Iterable[int] | None = None) -> int:

@@ -8,7 +8,8 @@ C below always name the edges whose medial vertex got the white,
 black, or crossing smoothing.
 
 The number of curves is computed here by two independent routes:
-tracing the smoothed medial itself (medial_state_components), and
+gluing the smoothed medial's edges on one union-find set up per medial
+(medial_state_counter; medial_state_components counts one state), and
 counting the boundary circles of the original graph with C twisted
 and B dropped, on the subset sweep's ribbon.circle_counter
 (state_components is the same count by twist and trace, kept as the
@@ -19,10 +20,10 @@ state.
 run_state_checks sweeps all 3^e states, comparing the two routes on
 each, and runs every relation that applies, one result line per
 check.  Everything else it needs comes from one list of dual_sweep
-rows, with the dual built once: the minimum formula and the
-quasi-tree duality read the rows directly, the crossing-free profile
-is their tally of f (handed back with the results, for the states
-command to print), and the polynomials R and L of the diagonal
+rows, one per subset, with the dual built once: the minimum formula
+and the quasi-tree duality read the rows directly, the crossing-free
+profile is their tally of f (handed back with the results, for the
+states command to print), and the polynomials R and L of the diagonal
 relations are assembled from their tally, with no sweep of their own.
 A check that finds a disagreement fails; only inputs outside the
 preconditions (pinched, edgeless, disconnected, over the sweep cap)
@@ -80,16 +81,41 @@ def state_components(rs: rb.RotationSystem, state: Mapping[int, str]) -> int:
 
 
 def medial_state_components(mm: rb.MedialMap, state: Mapping[int, str]) -> int:
-    """Direct count on the medial: glue its edges end to end through
-    the chosen smoothing at every medial vertex."""
-    halves = list(mm.medial.half_home)
-    ds = mg.DisjointSets(halves)
-    for cid in mm.corners:
-        ds.union((cid, 0), (cid, 1))
-    for e, s in state.items():
-        for p, q in mm.pairings[e][s]:
-            ds.union(p, q)
-    return ds.count
+    """Direct count on the medial, for one state: see medial_state_counter."""
+    return medial_state_counter(mm)([state[e] for e in sorted(mm.pairings)])
+
+
+def medial_state_counter(mm: rb.MedialMap):
+    """Set up the medial once; return count(combo), the curves of the
+    state that smooths the medial vertex of the i-th smallest edge id
+    by combo[i].
+
+    The curves glue the medial's edges end to end through the chosen
+    smoothing at every medial vertex.  Every medial edge is one corner,
+    whose two half-edges are glued whatever the state, so the corner
+    ids are the nodes of one int union-find and a state only adds the
+    two unions of its smoothing per vertex.
+    """
+    joins = [{s: tuple((p[0], q[0]) for p, q in pairs)
+              for s, pairs in mm.pairings[e].items()}
+             for e in sorted(mm.pairings)]
+    corners = len(mm.corners)
+
+    def count(combo) -> int:
+        parent = list(range(corners))
+        curves = corners
+        for pairs, s in zip(joins, combo):
+            for u, w in pairs[s]:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[w] != w:
+                    w = parent[w]
+                if u != w:
+                    parent[u] = w
+                    curves -= 1
+        return curves
+
+    return count
 
 
 @dataclass(frozen=True)
@@ -251,10 +277,11 @@ def run_state_checks(rs: rb.RotationSystem, *,
     band = [3 if rs.signs[e] > 0 else 2 for e in edges]
     pairing = {BLACK: [1] * len(edges), WHITE: band,
                CROSSING: [b ^ 1 for b in band]}
+    medial_count = medial_state_counter(mm)
 
     def tracer_problems():
         for combo in itertools.product(rb.STATE_NAMES, repeat=len(edges)):
-            direct = medial_state_components(mm, dict(zip(edges, combo)))
+            direct = medial_count(combo)
             via_graph = count([pairing[s][i] for i, s in enumerate(combo)])
             if direct != via_graph:
                 yield (f"state {combo} on edges {list(edges)}: medial "

@@ -256,6 +256,50 @@ def test_krushkal_rejects_pinches_and_disconnection():
 
 
 # ---------------------------------------------------------------------------
+# error paths: the first bad subset in sweep order
+
+
+def _eight_edge_graphs():
+    return [emb for emb in corpus.main_corpus() if len(emb.rotation.edges) == 8
+            and not emb.rotation.pinch_vertices()
+            and em.validate(emb).components == 1]
+
+
+def test_lv_ext_names_its_first_bad_subset():
+    bridge = corpus.plane_edge().underlying()
+    with pytest.raises(poly.PolyError, match=r"^bad exponents on \[\]$"):
+        poly.las_vergnas_embedded(em.EmbeddingScheme(bridge, bridge))
+
+
+def test_lv_names_its_first_odd_genus_split(monkeypatch):
+    real = rb.dual
+    monkeypatch.setattr(rb, "dual", lambda g: rb.twist(real(g), [g.edges[0]]))
+    with pytest.raises(poly.PolyError, match=r"^odd genus split on \[2\]$"):
+        poly.las_vergnas_cellular(corpus.bouquet_torus())
+    monkeypatch.setattr(rb, "dual", lambda g: rb.twist(real(g), [g.edges[-1]]))
+    with pytest.raises(poly.PolyError, match=r"^odd genus split on \[6\]$"):
+        poly.las_vergnas_cellular(_eight_edge_graphs()[5].rotation)
+
+
+def test_krushkal_names_its_first_negative_genus(monkeypatch):
+    real = em.derive_dagger
+
+    def derive_dagger(x):
+        # every region merged into one
+        s = real(x)
+        return em.EmbeddingScheme(
+            s.g, mg.Multigraph((0,), {e: (0, 0) for e in s.g.edges}))
+
+    monkeypatch.setattr(em, "derive_dagger", derive_dagger)
+    with pytest.raises(em.EmbeddingError,
+                       match=r"^negative genus from subset \[1, 2\]$"):
+        poly.krushkal(em.with_disc_regions(corpus.plane_digon()))
+    with pytest.raises(em.EmbeddingError,
+                       match=r"^negative genus from subset \[1, 5, 6, 8\]$"):
+        poly.krushkal(_eight_edge_graphs()[1])
+
+
+# ---------------------------------------------------------------------------
 # caps and the identity suite
 
 
@@ -369,12 +413,9 @@ def test_recursions_tally_leaves_into_one_assembly(monkeypatch):
         assert calls == ["assemble", "assemble"]
 
 
-def test_identity_suite_expands_each_polynomial_once(monkeypatch):
-    # Tutte of M' is the Tutte polynomial of the cycle matroid, and R
-    # comes from the suite's own dual_sweep rows.
+def _count_calls(monkeypatch, names) -> Counter:
     calls: Counter = Counter()
-    for module, name in ((poly, "tutte"), (poly, "bollobas_riordan"),
-                         (rb, "subset_sweep")):
+    for module, name in names:
         real = getattr(module, name)
 
         def wrapper(*args, real=real, name=name, **kwargs):
@@ -382,16 +423,50 @@ def test_identity_suite_expands_each_polynomial_once(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+_SWEEPS = ((rb, "subset_sweep"), (rb, "dual_sweep"), (rb, "circle_counter"),
+           (rb, "transfer_tally"), (rb, "dual_tally"))
+
+
+def test_identity_suite_expands_each_polynomial_once(monkeypatch):
+    # Tutte of M' is the Tutte polynomial of the cycle matroid, and R
+    # comes from the suite's own dual_tally rows.  lv-ext and krushkal
+    # each make one transfer tally; no subset is swept.
+    calls = _count_calls(monkeypatch,
+                         ((poly, "tutte"), (poly, "bollobas_riordan")) + _SWEEPS)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
-    assert calls == {"tutte": 2, "subset_sweep": 4}
+    assert calls == {"tutte": 2, "transfer_tally": 2, "dual_tally": 1}
+
+
+def test_expansions_sweep_no_subset(monkeypatch):
+    # br, krushkal, lv, lv-ext and dichromatic each make one tally and
+    # neither sweep the subsets nor count circles subset by subset.
+    calls = _count_calls(monkeypatch, _SWEEPS)
+    ten = next(e for e in corpus.main_corpus()
+               if len(e.rotation.edges) == 10 and not e.rotation.pinch_vertices()
+               and em.validate(e).components == 1)
+    rs = ten.rotation
+    for run, tally in ((lambda: poly.bollobas_riordan(rs), "transfer_tally"),
+                       (lambda: poly.krushkal(ten), "transfer_tally"),
+                       (lambda: poly.las_vergnas_cellular(rs), "dual_tally"),
+                       (lambda: poly.las_vergnas_embedded(ten), "transfer_tally"),
+                       (lambda: poly.dichromatic(rs.underlying()), "transfer_tally")):
+        calls.clear()
+        run()
+        assert calls == {tally: 1}
 
 
 def test_first_subset_names_the_mask_of_a_row():
-    # Error messages of the expansions name a subset by its sweep row.
+    # Error messages of the expansions name the first subset, in sweep
+    # order, whose row is bad.
     rows = [(0, "a"), (1, "b"), (1, "b"), (2, "c")]
-    assert poly._first_subset((4, 6), iter(rows), (1, "b")) == [4]
-    assert poly._first_subset((4, 6), iter(rows), (2, "c")) == [4, 6]
+    assert poly._first_subset((4, 6), iter(rows), {(1, "b"): "on"}) == "on [4]"
+    assert poly._first_subset((4, 6), iter(rows), {(2, "c"): "at"}) == "at [4, 6]"
+    assert poly._first_subset((4, 6), iter(rows),
+                              {(2, "c"): "at", (1, "b"): "on"}) == "on [4]"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ them.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -80,6 +81,78 @@ def test_subset_sweep_rejects_foreign_cut():
     g = corpus.theta_torus().underlying()
     with pytest.raises(rb.RibbonError):
         list(rb.subset_sweep(g, mg.delete_edge(g, 1)))
+    with pytest.raises(rb.RibbonError):
+        rb.transfer_tally(g, mg.delete_edge(g, 1))
+    theta = corpus.theta_torus()
+    with pytest.raises(rb.RibbonError):
+        rb.dual_tally(theta, rb.delete_edge(rb.dual(theta), 1))
+
+
+# ---------------------------------------------------------------------------
+# the transfer tallies against the sweeps
+
+
+def test_transfer_tally_matches_subset_sweep():
+    # Pinched sectors, sign -1 bands, disconnected graphs and surfaces,
+    # with and without the ribbon and the dagger graph.
+    checked = 0
+    for emb in corpus.main_corpus():
+        rs, dagger = emb.rotation, em.derive_dagger(emb).dagger
+        g = rs.underlying()
+        for args in ((rs,), (rs, dagger), (g, dagger), (g,)):
+            assert rb.transfer_tally(*args) == Counter(rb.subset_sweep(*args)), args
+            checked += 1
+    assert checked == 832
+
+
+def test_dual_tally_matches_dual_sweep():
+    for rs in corpus.cellular_corpus():
+        d = rb.dual(rs)
+        assert rb.dual_tally(rs) == Counter(rb.dual_sweep(rs)), rs
+        assert rb.dual_tally(rs, d) == Counter(rb.dual_sweep(rs, d)), rs
+
+
+def _edge_cases():
+    two = mg.Multigraph((0, 1), {})
+    bare = rb.RotationSystem({0: ((),)}, {})
+    # vertex 2 is isolated: one bare sector, no edge
+    isolated = rb.RotationSystem.single({0: ((1, 0),), 1: ((1, 1),), 2: ()}, {1: 1})
+    # a pinch vertex whose second sector is bare
+    pinched = rb.RotationSystem({0: (((1, 0), (1, 1)), ())}, {1: -1})
+    # a plane loop beside a twisted bouquet of two loops
+    apart = rb.RotationSystem.single(
+        {0: ((1, 0), (1, 1)), 5: ((2, 0), (3, 0), (2, 1), (3, 1))},
+        {1: 1, 2: -1, 3: 1})
+    return [
+        ("bare sector", (bare,), {(0, 1, 1, None): 1}),
+        ("bare sector and cut", (bare, two), {(0, 1, 1, 2): 1}),
+        ("bare multigraph", (two,), {(0, 2, None, None): 1}),
+        ("isolated vertex", (isolated,), {(0, 3, 3, None): 1, (1, 2, 2, None): 1}),
+        ("pinch", (pinched,), {(0, 1, 2, None): 1, (1, 1, 2, None): 1}),
+        ("plane loop", (corpus.plane_loop(),),
+         {(0, 1, 1, None): 1, (1, 1, 2, None): 1}),
+        ("twisted loop", (corpus.proj_loop(),),
+         {(0, 1, 1, None): 1, (1, 1, 1, None): 1}),
+        ("disconnected", (apart,), None),
+        ("disconnected, dual cut", (apart, rb.dual(apart).underlying()), None),
+    ]
+
+
+@pytest.mark.parametrize("name, args, want", _edge_cases(),
+                         ids=[case[0] for case in _edge_cases()])
+def test_transfer_tally_edge_cases(name, args, want):
+    got = rb.transfer_tally(*args)
+    assert got == Counter(rb.subset_sweep(*args))
+    if want is not None:
+        assert got == want
+    assert sum(got.values()) == 2 ** len(args[0].edges)
+
+
+def test_dual_tally_on_a_disconnected_graph():
+    apart = rb.RotationSystem.single(
+        {0: ((1, 0), (1, 1)), 5: ((2, 0), (3, 0), (2, 1), (3, 1))},
+        {1: 1, 2: -1, 3: 1})
+    assert rb.dual_tally(apart) == Counter(rb.dual_sweep(apart))
 
 
 # ---------------------------------------------------------------------------

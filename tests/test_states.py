@@ -7,6 +7,7 @@ import pytest
 
 import corpus
 from topopoly import embedding as em
+from topopoly import multigraph as mg
 from topopoly import poly
 from topopoly import ribbon as rb
 from topopoly import states as st
@@ -55,6 +56,27 @@ def test_circle_counter_matches_twist_and_trace_on_every_state():
                        for s, b in zip(combo, band)]
             state = dict(zip(rs.edges, combo))
             assert count(pairing) == st.state_components(rs, state), state
+            checked += 1
+    assert checked == 8685
+
+
+def test_medial_state_counter_matches_glued_half_edges():
+    # The reference glues all medial half-edges per state, corners too.
+    checked = 0
+    for rs in corpus.cellular_corpus():
+        if len(rs.edges) > 6:
+            continue
+        mm = rb.medial(rs)
+        count = st.medial_state_counter(mm)
+        for combo in itertools.product(rb.STATE_NAMES, repeat=len(rs.edges)):
+            ds = mg.DisjointSets(mm.medial.half_home)
+            for cid in mm.corners:
+                ds.union((cid, 0), (cid, 1))
+            for e, s in zip(rs.edges, combo):
+                for p, q in mm.pairings[e][s]:
+                    ds.union(p, q)
+            state = dict(zip(rs.edges, combo))
+            assert count(combo) == ds.count == st.medial_state_components(mm, state)
             checked += 1
     assert checked == 8685
 
@@ -179,9 +201,13 @@ def test_forced_gate_fails_instead_of_raising(monkeypatch):
 
 
 def _corrupt_medial(monkeypatch):
-    real = st.medial_state_components
-    monkeypatch.setattr(st, "medial_state_components", lambda mm, state: (
-        real(mm, state) + (CROSSING in state.values())))
+    real = st.medial_state_counter
+
+    def medial_state_counter(mm):
+        count = real(mm)
+        return lambda combo: count(combo) + (CROSSING in combo)
+
+    monkeypatch.setattr(st, "medial_state_counter", medial_state_counter)
 
 
 def _corrupt_counter(monkeypatch):
