@@ -21,7 +21,6 @@ import sys
 
 from . import embedding as em
 from . import fileformat as ff
-from . import matroid as mt
 from . import poly
 from . import ribbon as rb
 from . import states as st
@@ -100,7 +99,7 @@ def cmd_poly(args) -> int:
         raise ff.FormatError(f"--which {which} only supports --method expansion")
 
     if which == "tutte":
-        result = poly.tutte(mt.cycle_matroid(parsed.rotation.underlying()), cap)
+        result = poly.tutte(parsed.rotation.underlying(), cap)
     elif which == "dichromatic":
         result = poly.dichromatic(parsed.rotation.underlying(), cap)
     elif which == "br":

@@ -9,7 +9,7 @@ leaves below each distinct minor once instead of listing them.
 Expansion and recursion therefore build byte-equal canonical strings
 whenever they agree as polynomials.
 
-The embedded expansions read their counts from the tallies of
+The subset expansions read their counts from the tallies of
 ribbon.transfer_tally, which gives, per distinct row, how many subsets
 A have that |A|, c(A), boundary circle count f(A) and, on request,
 component count of a second graph on E - A.  It decides the edges one
@@ -25,7 +25,7 @@ to a bucket:
                         the genus once
   las_vergnas_embedded  transfer_tally(g, dagger): c and rho(A), no
                         tracing; c(E), rho(E) and rho(0) once
-  dichromatic           transfer_tally(g): c alone
+  tutte, dichromatic    transfer_tally(g): c alone
 
 A bad row names the first subset, in mask order, that yields it: only
 that failure path sweeps the subsets (ribbon.subset_sweep or
@@ -38,11 +38,11 @@ dual_sweep rows subset by subset for L, R and its state checks.
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
 deriving them from f(A), so it shares no boundary count with the
-scheme expansion; tutte and tutte_perspective walk the subset masks
-and read every rank through RankMatroid.rank, not tally rows; the
-scheme recursion tests its edges on its own memoised minor tuples,
-not on tally rows; and the perspective recursion works on matroid
-minors, unmemoised.
+scheme expansion; tutte_perspective's expansion, the one rank walk,
+is checked against T(G) and T(H; y, x), H the dagger graph, from
+tallies; the scheme recursion tests its edges on its own memoised
+minor tuples, not on tally rows; and the perspective recursion works
+on matroid minors, unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
@@ -125,15 +125,18 @@ def _first_subset(edges: tuple[int, ...], rows, bad) -> str:
 # the polynomials
 
 
-def tutte(m: mt.RankMatroid, cap: int = EXPANSION_CAP) -> MPolynomial:
-    """Corank-nullity sum of a matroid."""
-    check_cap(len(m.ground), cap, "Tutte expansion")
-    r_full = m.rank()
-    counts: Counter = Counter()
-    for a in range(m.full + 1):
-        r_a = m.rank(a)
-        counts[2 * (r_full - r_a), 2 * (a.bit_count() - r_a)] += 1
-    return assemble("xy", counts, shifted="xy")
+def tutte(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
+    """Corank-nullity sum of the cycle matroid of g."""
+    return _graphic_tutte(g, "xy", cap)
+
+
+def _graphic_tutte(g: mg.Multigraph, names: str, cap: int) -> MPolynomial:
+    """T(C(g)) in the (corank, nullity) variables names: "yx" gives T(B(g))."""
+    check_cap(len(g.edges), cap, "Tutte expansion")
+    rows = rb.transfer_tally(g)     # one row per (|A|, c(A)); c(E) is the least c
+    v, c_full = len(g.vertices), min(c for _, c, _, _ in rows)
+    return assemble(names, {(2 * (c - c_full), 2 * (size - v + c)): m
+                            for (size, c, _, _), m in rows.items()}, shifted="xy")
 
 
 def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
@@ -440,13 +443,12 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     l_ext = las_vergnas_embedded(scheme, "expansion", cap)
     mp = em.scheme_perspective(scheme)
     t_pers = tutte_perspective(mp, "expansion", cap)
-    t_m = tutte(mp.m, cap)
-    t_mp = tutte(mp.m_prime, cap)
+    t_m = _graphic_tutte(scheme.dagger, "yx", cap)     # M = B(H), H the dagger
+    t_mp = tutte(g, cap)                                # M' = C(G)
 
-    # Perspective specialisations.
-    self_b = tutte_perspective(mt.MatroidPerspective(mp.m, mp.m), "expansion", cap)
-    self_c = tutte_perspective(mt.MatroidPerspective(mp.m_prime, mp.m_prime),
-                               "expansion", cap)
+    # Perspective specialisations: the rank walk against the tallies.
+    self_b, self_c = (tutte_perspective(mt.MatroidPerspective(m, m), cap=cap)
+                      for m in (mp.m, mp.m_prime))
     # scheme_perspective checked domination on a sample above the cap.
     sampled = ""
     if n > mt.PERSPECTIVE_EXHAUSTIVE_CAP:
@@ -496,7 +498,6 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         def lv_to_tutte(x0, y0):
             lhs = (y0 - 1) ** gamma * l_cell.evaluate(
                 {"x": x0, "y": y0, "z": Fraction(1, 1) / (y0 - 1)})
-            # M' is the cycle matroid of the graph
             return lhs, t_mp.evaluate({"x": x0, "y": y0})
 
         out.append(_pointwise("lv-to-tutte", _points(rng, pool, 2, points),

@@ -1,8 +1,8 @@
 """Golden outputs over both test corpora, one sha256 per graph.
 
 golden.json holds, per graph of main_corpus() and cellular_corpus(),
-a digest of the canonical strings of every expansion (tutte on the
-cycle matroid, the perspective expansion, br, lv, lv-ext, krushkal,
+a digest of the canonical strings of every expansion (tutte of the
+underlying graph, the perspective expansion, br, lv, lv-ext, krushkal,
 dichromatic; the exception class name where one raises), and, per
 graph of cellular_corpus(), a digest of its run_state_checks RESULT
 lines.  test_poly and test_acceptance compare against it.
@@ -23,15 +23,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import corpus  # noqa: E402
 from topopoly import embedding as em  # noqa: E402
-from topopoly import matroid as mt  # noqa: E402
 from topopoly import poly  # noqa: E402
 from topopoly import states as st  # noqa: E402
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
 _EXPANSIONS = (
-    ("tutte", lambda emb: poly.tutte(
-        mt.cycle_matroid(emb.rotation.underlying()))),
+    ("tutte", lambda emb: poly.tutte(emb.rotation.underlying())),
     ("perspective", lambda emb: poly.tutte_perspective(
         em.scheme_perspective(em.derive_dagger(emb)))),
     ("br", lambda emb: poly.bollobas_riordan(emb.rotation)),

@@ -1,13 +1,16 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import io
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import corpus
 from topopoly import cli
 from topopoly import fileformat as ff
+from topopoly import multigraph as mg
 from topopoly import poly
 from topopoly import ribbon as rb
 
@@ -119,6 +122,21 @@ def test_poly_tutte_and_dichromatic(capsys, files):
     assert (rc, out) == (0, "x\n")
     rc, out, _ = run(capsys, "poly", files["edge"], "--which", "dichromatic")
     assert (rc, out) == (0, "xy + x^2\n")
+
+
+def test_poly_tutte_at_the_default_cap(capsys, tmp_path):
+    # A seeded connected graph on 20 edges, the default cap: T(2, 2)
+    # counts all 2^20 subsets.
+    rng = random.Random(20)
+    rs = corpus.random_rotation(rng, 6, 20, allow_pinch=False)
+    while mg.components(rs.underlying()) != 1:
+        rs = corpus.random_rotation(rng, 6, 20, allow_pinch=False)
+    path = tmp_path / "twenty.txt"
+    path.write_text(ff.serialize(rs))
+    rc, out, _ = run(capsys, "poly", str(path), "--which", "tutte")
+    t = poly.tutte(rs.underlying())
+    assert (rc, out) == (0, f"{t}\n")
+    assert t.evaluate({"x": Fraction(2), "y": Fraction(2)}) == 2 ** 20
 
 
 def test_poly_rejects_recursion_where_unsupported(capsys, files):

@@ -22,12 +22,18 @@ def triangle():
     return mg.Multigraph((0, 1, 2), {1: (0, 1), 2: (1, 2), 3: (0, 2)})
 
 
+def rank_walk_tutte(m: mt.RankMatroid):
+    """T(M) as the perspective expansion of (M, M): the rank walk, a
+    route that shares no tally with the expansions it is checked against."""
+    return poly.tutte_perspective(mt.MatroidPerspective(m, m))
+
+
 # ---------------------------------------------------------------------------
 # Tutte
 
 
 def test_tutte_triangle_counts():
-    t = poly.tutte(mt.cycle_matroid(triangle()))
+    t = poly.tutte(triangle())
     assert str(t) == "y + x + x^2"
     ev = lambda x0, y0: t.evaluate({"x": F(x0), "y": F(y0)})
     assert ev(1, 1) == 3   # spanning trees
@@ -37,19 +43,27 @@ def test_tutte_triangle_counts():
 
 
 def test_tutte_respects_duality():
+    # The plane dual of the triangle is three parallel edges, and the
+    # swapped form of either graph is the Tutte polynomial of its bonds.
     g = triangle()
-    t = poly.tutte(mt.cycle_matroid(g))
-    td = poly.tutte(mt.bond_matroid(g))
+    dual = mg.Multigraph((0, 1), {1: (0, 1), 2: (0, 1), 3: (0, 1)})
+    t = poly.tutte(g)
+    td = poly.tutte(dual)
     for x0, y0 in ((2, 3), (-1, 2), (5, -2)):
         assert (t.evaluate({"x": F(x0), "y": F(y0)})
                 == td.evaluate({"x": F(y0), "y": F(x0)}))
+    assert poly._graphic_tutte(g, "yx", poly.EXPANSION_CAP) == td
+    assert poly._graphic_tutte(dual, "yx", poly.EXPANSION_CAP) == t
+    bonds = mt.bond_matroid(g)
+    assert td == poly.tutte_perspective(mt.make_perspective(bonds, bonds))
 
 
 def test_dichromatic_vs_tutte():
     for g in (triangle(), corpus.plane_loop().underlying(),
               mg.Multigraph((0, 1, 2), {1: (0, 1)})):  # disconnected too
         z = poly.dichromatic(g)
-        t = poly.tutte(mt.cycle_matroid(g))
+        t = rank_walk_tutte(mt.cycle_matroid(g))
+        assert poly.tutte(g) == t
         c = mg.components(g)
         r = mg.rank(g)
         for x0, y0 in ((F(2), F(3)), (F(1, 2), F(5)), (F(-3), F(2))):
@@ -57,6 +71,24 @@ def test_dichromatic_vs_tutte():
             rhs = (x0 ** c) * (y0 ** r) * t.evaluate(
                 {"x": x0 / y0 + 1, "y": y0 + 1})
             assert lhs == rhs
+
+
+def _corpus_schemes():
+    for emb in corpus.main_corpus():
+        yield em.derive_dagger(emb)
+    for rs in corpus.cellular_corpus():
+        yield em.derive_dagger(em.with_disc_regions(rs))
+
+
+def test_tally_tutte_matches_rank_walk_on_corpora():
+    # T(G) from the tally is the rank walk of (C(G), C(G)), and the
+    # dagger graph's swapped form is the rank walk of (B(H), B(H)).
+    for scheme in _corpus_schemes():
+        cycles = mt.cycle_matroid(scheme.g)
+        bonds = mt.bond_matroid(scheme.dagger)
+        assert str(poly.tutte(scheme.g)) == str(rank_walk_tutte(cycles))
+        assert (str(poly._graphic_tutte(scheme.dagger, "yx", poly.EXPANSION_CAP))
+                == str(rank_walk_tutte(bonds)))
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +109,20 @@ def test_perspective_expansion_matches_recursion():
 def test_perspective_self_is_tutte():
     m = mt.cycle_matroid(triangle())
     mp = mt.make_perspective(m, m)
-    assert poly.tutte_perspective(mp, "expansion") == poly.tutte(m)
+    assert poly.tutte_perspective(mp, "expansion") == poly.tutte(triangle())
 
 
 def test_perspective_specializes_to_both_ends():
-    mp = _theta_perspective()
+    scheme = em.derive_dagger(em.with_disc_regions(corpus.theta_torus()))
+    mp = em.scheme_perspective(scheme)
     t = poly.tutte_perspective(mp, "expansion")
-    # z -> x-1 recovers the source matroid's polynomial
+    # z -> x-1 recovers the source matroid's polynomial: M = B(H) has
+    # T(M; x, y) = T(H; y, x), H the dagger graph
     x = MPolynomial.variable("x")
-    assert t.substitute("z", x - MPolynomial.one()) == poly.tutte(mp.m)
-    # scaled evaluation at z = 1/(y-1) recovers the target's
-    tp = poly.tutte(mp.m_prime)
+    t_m = poly._graphic_tutte(scheme.dagger, "yx", poly.EXPANSION_CAP)
+    assert t.substitute("z", x - MPolynomial.one()) == t_m
+    # scaled evaluation at z = 1/(y-1) recovers the target's, M' = C(G)
+    tp = poly.tutte(scheme.g)
     drop = mp.m.rank() - mp.m_prime.rank()
     for x0, y0 in ((F(2), F(3)), (F(-1), F(4)), (F(3), F(1, 2))):
         lhs = ((y0 - 1) ** drop) * t.evaluate(
@@ -134,7 +169,7 @@ def test_plane_cellular_polynomial_is_tutte():
         if rb.euler_genus(rs) != 0:
             continue
         assert (poly.las_vergnas_cellular(rs, "expansion")
-                == poly.tutte(mt.cycle_matroid(rs.underlying())))
+                == rank_walk_tutte(mt.cycle_matroid(rs.underlying())))
 
 
 def test_cellular_polynomial_rejects_pinches_by_either_method():
@@ -232,7 +267,7 @@ def test_bollobas_riordan_frozen_values():
 def test_bollobas_riordan_specializes_to_tutte():
     for rs in corpus.cellular_corpus()[:14]:
         r = poly.bollobas_riordan(rs)
-        t = poly.tutte(mt.cycle_matroid(rs.underlying()))
+        t = rank_walk_tutte(mt.cycle_matroid(rs.underlying()))
         for x0, y0 in ((F(2), F(3)), (F(-1), F(1, 2))):
             assert (r.evaluate({"x": x0, "y": y0 - 1, "z": F(1)})
                     == t.evaluate({"x": x0, "y": y0}))
@@ -328,6 +363,42 @@ def test_identity_suite_is_deterministic():
     assert lines1 == lines2
 
 
+def _theta_statuses():
+    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
+    return {r.name: r.status for r in results}
+
+
+def test_identity_suite_catches_a_wrong_rank(monkeypatch):
+    # One rank of M raised after make_perspective validated it: the rank
+    # walk reads it, the tally does not, so the checks must disagree.
+    real = em.scheme_perspective
+
+    def corrupted(scheme):
+        mp = real(scheme)
+        mp.m._cache[0b011] += 1
+        return mp
+
+    monkeypatch.setattr(em, "scheme_perspective", corrupted)
+    status = _theta_statuses()
+    assert status["perspective-self"] == "fail"
+    assert status["perspective-to-m"] == "fail"
+
+
+def test_identity_suite_catches_a_wrong_tally_row(monkeypatch):
+    # One spurious subset in the tally of a bare graph: the Tutte
+    # polynomials read it, the rank walk does not.
+    real = rb.transfer_tally
+
+    def corrupted(x, cut=None):
+        rows = real(x, cut)
+        if isinstance(x, mg.Multigraph) and cut is None:
+            rows[next(iter(rows))] += 1
+        return rows
+
+    monkeypatch.setattr(rb, "transfer_tally", corrupted)
+    assert _theta_statuses()["perspective-self"] == "fail"
+
+
 def test_check_result_lines():
     assert poly.CheckResult("x", "pass").line() == "RESULT: x pass"
     assert poly.CheckResult("x", "fail", "why").line() == "RESULT: x fail: why"
@@ -339,8 +410,9 @@ def test_check_result_lines():
 
 
 def test_tutte_counts_no_components(monkeypatch):
-    # The cycle and bond oracles count components on masks, with no
-    # per-subset call into the multigraph module.
+    # The graph and its swapped form read one transfer tally each, and
+    # the cycle and bond oracles of the rank walk count components on
+    # masks: no route calls into the multigraph module's counts.
     calls: Counter = Counter()
     for name in ("components", "rank"):
         def wrapper(*args, real=getattr(mg, name), name=name, **kwargs):
@@ -350,9 +422,12 @@ def test_tutte_counts_no_components(monkeypatch):
         monkeypatch.setattr(mg, name, wrapper)
     ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
     g = ten.rotation.underlying()
-    t = poly.tutte(mt.cycle_matroid(g))
-    td = poly.tutte(mt.bond_matroid(g))
+    t = poly.tutte(g)
+    td = poly._graphic_tutte(g, "yx", poly.EXPANSION_CAP)
+    t_cycles = rank_walk_tutte(mt.cycle_matroid(g))
+    t_bonds = rank_walk_tutte(mt.bond_matroid(g))
     assert calls == {}
+    assert (t, td) == (t_cycles, t_bonds)
     assert t.evaluate({"x": F(2), "y": F(2)}) == 2 ** 10
     assert (t.evaluate({"x": F(2), "y": F(3)})
             == td.evaluate({"x": F(3), "y": F(2)}))
@@ -431,19 +506,22 @@ _SWEEPS = ((rb, "subset_sweep"), (rb, "dual_sweep"), (rb, "circle_counter"),
 
 
 def test_identity_suite_expands_each_polynomial_once(monkeypatch):
-    # Tutte of M' is the Tutte polynomial of the cycle matroid, and R
-    # comes from the suite's own dual_tally rows.  lv-ext and krushkal
-    # each make one transfer tally; no subset is swept.
+    # T(M') = tutte(G) and T(M) = T(H; y, x) read one transfer tally
+    # each, R comes from the suite's own dual_tally rows, and lv-ext and
+    # krushkal each make one transfer tally; no subset is swept.
     calls = _count_calls(monkeypatch,
-                         ((poly, "tutte"), (poly, "bollobas_riordan")) + _SWEEPS)
+                         ((poly, "tutte"), (poly, "_graphic_tutte"),
+                          (poly, "bollobas_riordan")) + _SWEEPS)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
-    assert calls == {"tutte": 2, "transfer_tally": 2, "dual_tally": 1}
+    # tutte itself is one of the two _graphic_tutte calls
+    assert calls == {"tutte": 1, "_graphic_tutte": 2, "transfer_tally": 4,
+                     "dual_tally": 1}
 
 
 def test_expansions_sweep_no_subset(monkeypatch):
-    # br, krushkal, lv, lv-ext and dichromatic each make one tally and
-    # neither sweep the subsets nor count circles subset by subset.
+    # br, krushkal, lv, lv-ext, dichromatic and tutte each make one tally
+    # and neither sweep the subsets nor count circles subset by subset.
     calls = _count_calls(monkeypatch, _SWEEPS)
     ten = next(e for e in corpus.main_corpus()
                if len(e.rotation.edges) == 10 and not e.rotation.pinch_vertices()
@@ -453,7 +531,8 @@ def test_expansions_sweep_no_subset(monkeypatch):
                        (lambda: poly.krushkal(ten), "transfer_tally"),
                        (lambda: poly.las_vergnas_cellular(rs), "dual_tally"),
                        (lambda: poly.las_vergnas_embedded(ten), "transfer_tally"),
-                       (lambda: poly.dichromatic(rs.underlying()), "transfer_tally")):
+                       (lambda: poly.dichromatic(rs.underlying()), "transfer_tally"),
+                       (lambda: poly.tutte(rs.underlying()), "transfer_tally")):
         calls.clear()
         run()
         assert calls == {tally: 1}
