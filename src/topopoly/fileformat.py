@@ -45,12 +45,6 @@ class ParsedInput:
     rotation: rb.RotationSystem
     embedded: em.EmbeddedGraph | None
 
-    def require_embedded(self) -> em.EmbeddedGraph:
-        if self.embedded is None:
-            raise FormatError("this input has no region lines and no "
-                              "'cellular' keyword")
-        return self.embedded
-
 
 def _fail(lineno: int, msg: str):
     raise FormatError(f"line {lineno}: {msg}")

@@ -98,10 +98,6 @@ class MPolynomial:
             exps[_VAR_INDEX[name]] = 2 * p
         return self._terms.get(tuple(exps), 0)
 
-    def max_half_power(self, name: str) -> int:
-        i = _VAR_INDEX[name]
-        return max((exps[i] for exps in self._terms), default=0)
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):

@@ -29,11 +29,11 @@ to a bucket:
 
 A bad row names the first subset, in mask order, that yields it: only
 that failure path sweeps the subsets (ribbon.subset_sweep or
-dual_sweep), in _first_subset.
+dual_sweep), in _first_subset, which the state checks share.
 
 verify_identities builds the dual_tally rows once per call and reuses
-them for L, R, lv-tidy and lv-dichromatic; the states module reads the
-dual_sweep rows subset by subset for L, R and its state checks.
+them for L, R, lv-tidy and lv-dichromatic; the states module reads one
+dual_tally for L, R and its state checks.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
@@ -113,12 +113,15 @@ def _skip(name, detail):
 
 
 def _first_subset(edges: tuple[int, ...], rows, bad) -> str:
-    """The error of the first subset at which a fresh sweep over edges
-    yields a row of bad, which maps each bad row of a tally to its
-    message: that message, then the subset's sorted edge ids.  The
-    tallies are not in subset order, so only the failure path sweeps."""
+    """The error of the first subset A, in mask order, at which a fresh
+    sweep over edges yields a row of bad, which maps each bad row of a
+    tally to its message: a template whose fields {a} and {rest} take
+    the sorted edge ids of A and of E - A.  The tallies are not in
+    subset order, so only the failure path sweeps."""
+    full = (1 << len(edges)) - 1
     k, row = next((k, r) for k, r in enumerate(rows) if r in bad)
-    return f"{bad[row]} {mg.subset_ids(edges, k)}"
+    return bad[row].format(a=mg.subset_ids(edges, k),
+                           rest=mg.subset_ids(edges, full ^ k))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,8 @@ def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
         ey = (row.size - v + row.c) - split // 2
         ez2 = gamma - row.genus + row.genus_dual
         if split % 2 or ey < 0 or ez2 < 0:
-            bad[row] = "odd genus split on" if split % 2 else "bad exponents on"
+            bad[row] = ("odd genus split on {a}" if split % 2
+                        else "bad exponents on {a}")
         counts[2 * (row.c - c_full), 2 * ey, ez2] += m
     if bad:
         raise PolyError(_first_subset(rs.edges, rb.dual_sweep(rs), bad))
@@ -241,7 +245,7 @@ def las_vergnas_embedded(x, method: str = "expansion",
         size, c_a, _, rho_a = row
         ez = (n - size) - (rho_full - rho_a) - (c_a - c_full)
         if ez < 0 or c_a < c_full or rho_a < rho_empty:
-            bad[row] = "bad exponents on"
+            bad[row] = "bad exponents on {a}"
         counts[2 * (c_a - c_full), 2 * (rho_a - rho_empty), 2 * ez] += m
     if bad:
         raise PolyError(
@@ -376,7 +380,7 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
         ngenus = 2 * c - v + size - f
         genus = 2 * k - f - (report.euler_characteristic - (v - size))
         if genus < 0 or ngenus < 0:
-            bad[row] = "negative genus from subset"
+            bad[row] = "negative genus from subset {a}"
         counts[2 * (c - c_full), 2 * (k - 1), ngenus, genus] += m
     if bad:
         raise em.EmbeddingError(

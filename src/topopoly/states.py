@@ -19,15 +19,16 @@ state.
 
 run_state_checks sweeps all 3^e states, comparing the two routes on
 each, and runs every relation that applies, one result line per
-check.  Everything else it needs comes from one list of dual_sweep
-rows, one per subset, with the dual built once: the minimum formula
-and the quasi-tree duality read the rows directly, the crossing-free
-profile is their tally of f (handed back with the results, for the
-states command to print), and the polynomials R and L of the diagonal
-relations are assembled from their tally, with no sweep of their own.
-A check that finds a disagreement fails; only inputs outside the
-preconditions (pinched, edgeless, disconnected, over the sweep cap)
-raise, and the sweep cap, checked first, bounds all the work.
+check.  Everything else it needs comes from one ribbon.dual_tally,
+with the dual built once: the minimum formula and the quasi-tree
+duality are predicates on its rows, the crossing-free profile is its
+marginal over f (handed back with the results, for the states command
+to print), and the polynomials R and L of the diagonal relations are
+assembled from it.  Only a failing check sweeps the subsets
+(dual_sweep, over the same dual), to name the first bad one in mask
+order.  A check that finds a disagreement fails; only inputs outside
+the preconditions (pinched, edgeless, disconnected, over the sweep
+cap) raise, and the sweep cap, checked first, bounds all the work.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def lr_relation(rs: rb.RotationSystem, rows: Counter, r_poly: MPolynomial,
     sphere and projective plane use L(t+1, t+1, 1); the torus weights
     the z-slices of L as L2 + t L1 + L0 at (t+1, t+1).
 
-    L comes from the tally of dual_sweep rows of the connected graph
-    rs, whose surface is kind.
+    L comes from rows, the dual_tally of the connected graph rs, whose
+    surface is kind.
     """
     name = "lr-relation"
     try:
@@ -233,12 +234,6 @@ def lr_relation(rs: rb.RotationSystem, rows: Counter, r_poly: MPolynomial,
 # the full sweep
 
 
-def _verdict(name: str, problems, detail: str = "") -> CheckResult:
-    """Fail on the first problem the generator yields, else pass."""
-    bad = next(problems, None)
-    return _bad(name, bad) if bad else _ok(name, detail)
-
-
 def run_state_checks(rs: rb.RotationSystem, *,
                      sweep_cap: int = STATE_SWEEP_CAP
                      ) -> tuple[list[CheckResult], dict[int, int]]:
@@ -265,11 +260,19 @@ def run_state_checks(rs: rb.RotationSystem, *,
         low_genus = False
         gate_detail = str(exc)
 
-    # Row k: the edges W with bitmask k (bit i is edges[i]), and E - W
-    # in the dual.
+    # The rows count a white set W, and E - W in the dual; the row of
+    # W = E holds the genus of the surface.
     dual_rs = rb.dual(rs)
-    rows = list(rb.dual_sweep(rs, dual_rs))
-    full = len(rows) - 1
+    tally = rb.dual_tally(rs, dual_rs)
+    n, v, vd = len(edges), len(rs.sectors), len(dual_rs.sectors)
+    gamma = next(row.genus for row in tally if row.size == n)
+
+    def verdict(name, bad, detail=""):
+        # Only a failure sweeps, to name the first white set with a bad row.
+        if not bad:
+            return _ok(name, detail)
+        return _bad(name, poly._first_subset(
+            edges, rb.dual_sweep(rs, dual_rs), bad))
 
     # The graph route: no band for black, the band for white, the
     # band twisted for crossing.
@@ -287,44 +290,45 @@ def run_state_checks(rs: rb.RotationSystem, *,
                 yield (f"state {combo} on edges {list(edges)}: medial "
                        f"{direct}, graph {via_graph}")
 
-    def quasi_tree_problems():
-        # Row k keeps W and deletes A = E - W: G - A is a quasi-tree when
-        # c(W) = f(W) = 1, and G* on A when c*(A) = f*(A) = 1.
-        n, v, vd = len(edges), len(rs.sectors), len(dual_rs.sectors)
-        for k, row in enumerate(rows):
-            deleted = mg.subset_ids(edges, full ^ k)
-            q1 = row.c == 1 and row.f == 1
-            trees = ((row.size == v - 1 and row.c == 1)
-                     or (n - row.size == vd - 1 and row.c_dual == 1))
-            if row.f != row.f_dual:
-                yield (f"deleted {deleted}: G - A has {row.f} boundary "
-                       f"circles, G* on A has {row.f_dual}")
-            elif q1 != (row.c_dual == 1 and row.f_dual == 1):
-                yield f"deleted {deleted}: duality breaks"
-            elif q1 and row.genus + row.genus_dual != rows[full].genus:
-                yield f"deleted {deleted}: genus identity fails"
-            elif low_genus and q1 != trees:
-                yield (f"deleted {deleted}: quasi-tree {q1} "
-                       f"but spanning-tree dichotomy says {trees}")
+    def quasi_tree_problem(row):
+        # The row keeps W and deletes A = E - W: G - A is a quasi-tree
+        # when c(W) = f(W) = 1, and G* on A when c*(A) = f*(A) = 1.
+        q1 = row.c == 1 and row.f == 1
+        trees = ((row.size == v - 1 and row.c == 1)
+                 or (n - row.size == vd - 1 and row.c_dual == 1))
+        if row.f != row.f_dual:
+            return (f"G - A has {row.f} boundary circles, "
+                    f"G* on A has {row.f_dual}")
+        if q1 != (row.c_dual == 1 and row.f_dual == 1):
+            return "duality breaks"
+        if q1 and row.genus + row.genus_dual != gamma:
+            return "genus identity fails"
+        if low_genus and q1 != trees:
+            return f"quasi-tree {q1} but spanning-tree dichotomy says {trees}"
+        return None
 
-    out = [_verdict("state-tracer-agreement", tracer_problems())]
+    mismatch = next(tracer_problems(), None)
+    out = [_bad("state-tracer-agreement", mismatch) if mismatch
+           else _ok("state-tracer-agreement")]
     if low_genus:
         # The crossing-free state with white set W has f(W) curves, and
         # the minimum is f(W) + min(genus(W), genus*(E - W)).
-        out.append(_verdict("noncrossing-min-formula", (
-            f"white set {mg.subset_ids(edges, k)}: minimum "
-            f"{row.f + min(row.genus, row.genus_dual)}, curves {row.f}"
-            for k, row in enumerate(rows) if min(row.genus, row.genus_dual)),
-            kind))
+        out.append(verdict("noncrossing-min-formula", {
+            row: f"white set {{a}}: minimum "
+                 f"{row.f + min(row.genus, row.genus_dual)}, curves {row.f}"
+            for row in tally if min(row.genus, row.genus_dual)}, kind))
     else:
         out.append(_skip("noncrossing-min-formula", gate_detail))
-    tally = Counter(rows)
     r_poly = poly._ribbon_from_rows(rs, tally)
-    profile = dict(Counter(row.f for row in rows))
+    profile: dict[int, int] = {}
+    for row, m in tally.items():
+        profile[row.f] = profile.get(row.f, 0) + m
     out.append(generating_function_check(r_poly, profile))
     if low_genus:
         out.append(lr_relation(rs, tally, r_poly, kind))
     else:
         out.append(_skip("lr-relation", gate_detail))
-    out.append(_verdict("quasi-tree-duality", quasi_tree_problems()))
+    out.append(verdict("quasi-tree-duality", {
+        row: "deleted {rest}: " + problem for row in tally
+        if (problem := quasi_tree_problem(row))}))
     return out, profile

@@ -278,11 +278,11 @@ def test_states_output(capsys, files):
     assert "RESULT: lr-relation pass: torus" in out
 
 
-def test_states_sweeps_the_subsets_twice(capsys, files, monkeypatch):
-    # one sweep of the graph and one of its dual, built once; the
-    # printed profile reuses their rows
+def test_states_sweeps_no_subset(capsys, files, monkeypatch):
+    # A passing run reads one tally of the graph and its dual, built
+    # once; the printed profile comes from it.  Only a failure sweeps.
     calls = Counter()
-    for name in ("subset_sweep", "dual"):
+    for name in ("subset_sweep", "dual_sweep", "dual", "dual_tally"):
         def wrapper(*args, real=getattr(rb, name), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
@@ -291,7 +291,12 @@ def test_states_sweeps_the_subsets_twice(capsys, files, monkeypatch):
     rc, out, _ = run(capsys, "states", files["theta"])
     assert rc == 0
     assert out.startswith("crossing-free curves 1: 4\n")
-    assert calls == {"subset_sweep": 2, "dual": 1}
+    assert calls == {"dual": 1, "dual_tally": 1}
+    calls.clear()
+    rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "states")
+    assert rc == 0
+    assert "RESULT: quasi-tree-duality pass" in out
+    assert calls == {"dual": 1, "dual_tally": 1}
 
 
 def test_identities_reports_a_broken_dual_as_failure(capsys, files,

@@ -64,12 +64,6 @@ def test_round_trip_embedded():
         assert again.embedded == emb
 
 
-def test_require_embedded_message():
-    parsed = ff.parse(THETA)
-    with pytest.raises(ff.FormatError, match="no region lines"):
-        parsed.require_embedded()
-
-
 def _fails(text, match):
     with pytest.raises(ff.FormatError, match=match):
         ff.parse(text)

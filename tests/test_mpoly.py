@@ -97,12 +97,6 @@ def test_laurent_to_poly():
     assert laurent_to_poly({-1: 0, 0: 1}) == ONE
 
 
-def test_max_half_power():
-    p = ONE + Z * 3 + X * Z * Z
-    assert p.max_half_power("z") == 4
-    assert p.max_half_power("y") == 0
-
-
 st_poly = hst.lists(
     hst.tuples(hst.integers(-3, 3), hst.integers(0, 3), hst.integers(0, 3)),
     min_size=0, max_size=5)

@@ -542,10 +542,14 @@ def test_first_subset_names_the_mask_of_a_row():
     # Error messages of the expansions name the first subset, in sweep
     # order, whose row is bad.
     rows = [(0, "a"), (1, "b"), (1, "b"), (2, "c")]
-    assert poly._first_subset((4, 6), iter(rows), {(1, "b"): "on"}) == "on [4]"
-    assert poly._first_subset((4, 6), iter(rows), {(2, "c"): "at"}) == "at [4, 6]"
+    assert poly._first_subset((4, 6), iter(rows), {(1, "b"): "on {a}"}) == "on [4]"
+    assert poly._first_subset((4, 6), iter(rows), {(2, "c"): "at {a}"}) == "at [4, 6]"
     assert poly._first_subset((4, 6), iter(rows),
-                              {(2, "c"): "at", (1, "b"): "on"}) == "on [4]"
+                              {(2, "c"): "at {a}", (1, "b"): "on {a}"}) == "on [4]"
+    # {rest} names the complement, as the state checks' deleted sets do.
+    assert poly._first_subset((4, 6), iter(rows),
+                              {(1, "b"): "{rest}: off"}) == "[6]: off"
+    assert poly._first_subset((4, 6), iter(rows), {(0, "a"): "{rest}"}) == "[4, 6]"
 
 
 # ---------------------------------------------------------------------------

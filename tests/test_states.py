@@ -184,8 +184,10 @@ def _twist_one_dual_edge(monkeypatch):
 def test_broken_dual_fails_quasi_tree_duality(monkeypatch):
     _twist_one_dual_edge(monkeypatch)
     results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())[0]}
-    assert results["quasi-tree-duality"].status == "fail"
-    assert "boundary circles" in results["quasi-tree-duality"].detail
+    res = results["quasi-tree-duality"]
+    assert (res.status, res.detail) == (
+        "fail", "deleted [1, 2, 3]: G - A has 2 boundary circles, "
+                "G* on A has 1")
 
 
 def test_forced_gate_fails_instead_of_raising(monkeypatch):
@@ -195,9 +197,13 @@ def test_forced_gate_fails_instead_of_raising(monkeypatch):
         {1: 1, 2: 1, 3: 1, 4: 1})
     monkeypatch.setattr(st, "surface_kind", lambda g: "torus")
     results = {r.name: r for r in st.run_state_checks(rs)[0]}
-    assert results["noncrossing-min-formula"].status == "fail"
-    assert results["lr-relation"].status == "fail"
-    assert results["lr-relation"].detail == "z-degree 4 on a torus graph"
+    details = {name: (r.status, r.detail) for name, r in results.items()}
+    assert details["noncrossing-min-formula"] == (
+        "fail", "white set [1, 2]: minimum 3, curves 1")
+    assert details["lr-relation"] == ("fail", "z-degree 4 on a torus graph")
+    assert details["quasi-tree-duality"] == (
+        "fail", "deleted [3, 4]: quasi-tree True but spanning-tree "
+                "dichotomy says False")
 
 
 def _corrupt_medial(monkeypatch):
@@ -260,6 +266,8 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
 
     counted(rb, "dual")
     counted(rb, "subset_sweep")
+    counted(rb, "dual_sweep")
+    counted(rb, "dual_tally")
     counted(rb, "twist")
     counted(rb, "trace_sectors")
     counted(st, "state_components")
@@ -274,6 +282,6 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
         st.run_state_checks(rs)
         per_graph.append(dict(calls))
     # Three traces, none per state: the surface's genus, the dual, and
-    # the genus again when lr-relation assembles L.
+    # the genus again when lr-relation assembles L.  No subset is swept.
     assert per_graph[0] == per_graph[1] == {
-        "dual": 1, "subset_sweep": 2, "trace_sectors": 3}
+        "dual": 1, "dual_tally": 1, "trace_sectors": 3}
