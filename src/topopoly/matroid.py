@@ -1,16 +1,19 @@
 """Matroids as rank oracles, and matroid perspectives.
 
-A matroid is a ground set together with a rank function; nothing else
-is ever materialised.  A subset is an int mask, bit i standing for
-ground[i]: the multigraph encoding, so mask k of a graphic matroid is
-row k of ribbon.subset_sweep.  RankMatroid.mask checks ids, and rank
-its mask; every exhaustive walk is range(m.full + 1).
+A matroid is a ground set together with a rank function.  A subset is
+an int mask, bit i standing for ground[i]: the multigraph encoding, so
+mask k of a graphic matroid is row k of ribbon.subset_sweep.
+RankMatroid.mask checks ids, and rank its mask.
 
 Duals and minors are mask transforms of the parent oracle, so a chain
-of operations stays cheap to build and correct by construction.  Ranks
-are memoised per instance, keyed by the mask (at most 2^|E| ints): the
-identity suite reads the same bond and cycle ranks in several
-expansions, and a dual or minor reads its parent's.
+of operations stays cheap to build and correct by construction.  Point
+queries are memoised per instance, keyed by the mask.  An exhaustive
+walk reads RankMatroid.table instead, the list of all 2^|E| ranks
+indexed by the mask, built on first use: from one rollback union-find
+walk (multigraph.component_table) for a cycle matroid, from the
+parent's table for a dual, and from the oracle otherwise.  Once it
+exists, rank reads it too, so the identity suite reads the same bond
+and cycle ranks in several expansions for one walk each.
 
 A matroid perspective (M, M') is a pair on the same ground set such
 that rank increments in M dominate those in M'; equivalently every
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress, cycle
+from operator import gt
 from typing import Callable, Iterable
 
 from . import multigraph as mg
@@ -38,16 +43,20 @@ class MatroidError(ValueError):
 class RankMatroid:
     """A matroid given by its rank oracle on masks of the ground set."""
 
-    __slots__ = ("ground", "full", "_rank_fn", "_cache", "name")
+    __slots__ = ("ground", "full", "_rank_fn", "_table_fn", "_cache",
+                 "_table", "name")
 
     def __init__(self, ground: Iterable[int], rank_fn: Callable[[int], int],
-                 name: str = "matroid"):
+                 name: str = "matroid",
+                 table_fn: Callable[[], list[int]] | None = None):
         self.ground: tuple[int, ...] = tuple(sorted(ground))
         if len(set(self.ground)) != len(self.ground):
             raise MatroidError("duplicate ground element")
         self.full = (1 << len(self.ground)) - 1
         self._rank_fn = rank_fn
+        self._table_fn = table_fn
         self._cache: dict[int, int] = {}
+        self._table: list[int] | None = None
         self.name = name
 
     def mask(self, ids: Iterable[int]) -> int:
@@ -57,10 +66,21 @@ class RankMatroid:
             raise MatroidError(f"{ids - set(self.ground)} not in the ground set")
         return sum(1 << self.ground.index(e) for e in ids)
 
+    def table(self) -> list[int]:
+        """The rank of every mask, indexed by the mask; built on the
+        first call, by table_fn if given, else by the oracle."""
+        if self._table is None:
+            self._table = (self._table_fn() if self._table_fn is not None
+                           else [self._rank_fn(a) for a in range(self.full + 1)])
+            self._cache.clear()
+        return self._table
+
     def rank(self, a: int | None = None) -> int:
-        """Rank of mask a, of the ground set by default; a is checked
-        on a cache miss only."""
+        """Rank of mask a, of the ground set by default, read from the
+        table once it exists; a is checked on a cache miss only."""
         a = self.full if a is None else a
+        if self._table is not None and 0 <= a <= self.full:
+            return self._table[a]
         cached = self._cache.get(a)
         if cached is None:
             if not 0 <= a <= self.full:
@@ -81,7 +101,8 @@ def cycle_matroid(g: mg.Multigraph) -> RankMatroid:
     """C(G): rank of A is v(G) - c(A)."""
     v = len(g.vertices)
     count = mg.component_counter(g)
-    return RankMatroid(g.edges, lambda a: v - count(a), name="cycle")
+    return RankMatroid(g.edges, lambda a: v - count(a), name="cycle",
+                       table_fn=lambda: [v - c for c in mg.component_table(g)])
 
 
 def bond_matroid(g: mg.Multigraph) -> RankMatroid:
@@ -91,12 +112,26 @@ def bond_matroid(g: mg.Multigraph) -> RankMatroid:
     return m
 
 
+def mask_sizes(n: int) -> list[int]:
+    """|A| for every mask A of n elements, indexed by the mask."""
+    out = [0]
+    for _ in range(n):
+        out += [k + 1 for k in out]
+    return out
+
+
 def dual(m: RankMatroid) -> RankMatroid:
-    """r*(A) = |A| + r(E - A) - r(E)."""
+    """r*(A) = |A| + r(E - A) - r(E).  Mask full ^ a is full - a, so
+    the dual's table is the parent's reversed."""
     r_full = m.rank()
+
+    def table() -> list[int]:
+        return [k + r - r_full for k, r in
+                zip(mask_sizes(len(m.ground)), reversed(m.table()))]
+
     return RankMatroid(m.ground,
                        lambda a: a.bit_count() + m.rank(m.full ^ a) - r_full,
-                       name=f"{m.name}*")
+                       name=f"{m.name}*", table_fn=table)
 
 
 def _minor(m: RankMatroid, e: int, contract: bool) -> RankMatroid:
@@ -190,22 +225,33 @@ def make_perspective(m: RankMatroid, m_prime: RankMatroid, *,
     """Validate and build the perspective (M, M').
 
     Unit-increment domination is checked on every subset when the
-    ground set has at most exhaustive_cap elements, otherwise on a
-    seeded random sample.  Raises MatroidError with a witness pair.
+    ground set has at most exhaustive_cap elements, on the rank tables,
+    otherwise on a seeded random sample, by point queries.  Raises
+    MatroidError with a witness pair, the first in mask order.
     """
     if m.ground != m_prime.ground:
         raise MatroidError("ground sets differ")
     n = len(m.ground)
     if n <= exhaustive_cap:
-        subsets = range(m.full)     # E itself has no element to add
+        # Domination says k = r - r' never falls when an element is
+        # added: k[a] > k[a + b] nowhere that bit b is clear in a.  Only
+        # a fall walks the subsets, to name the first one.
+        t, tp = m.table(), m_prime.table()
+        k = [r - rp for r, rp in zip(t, tp)]
+        falls = any(any(compress(map(gt, k, k[b:]),
+                                 cycle((True,) * b + (False,) * b)))
+                    for b in _bits(m.full))
+        subsets = range(m.full) if falls else ()   # E has no element to add
+        rank, rank_prime = t.__getitem__, tp.__getitem__
     else:
         rng = random.Random(seed)
         subsets = (rng.getrandbits(n) for _ in range(samples))
+        rank, rank_prime = m.rank, m_prime.rank
     for a in subsets:
-        r_a, rp_a = m.rank(a), m_prime.rank(a)
+        r_a, rp_a = rank(a), rank_prime(a)
         for i, e in enumerate(m.ground):
             b = 1 << i
-            if not a & b and m.rank(a | b) - r_a < m_prime.rank(a | b) - rp_a:
+            if not a & b and rank(a | b) - r_a < rank_prime(a | b) - rp_a:
                 raise MatroidError(
                     f"not a perspective: rank step of M at "
                     f"A={mg.subset_ids(m.ground, a)}, e={e} is below M'")

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 VARS = ("x", "y", "z", "a", "b", "t")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _ZEROS = (0,) * len(VARS)
+_odd = (1).__and__          # h & 1, mapped over an exponent column
+_half = (1).__rrshift__     # h >> 1
 
 
 def _power_suffix(h: int) -> str:
@@ -158,30 +161,45 @@ class MPolynomial:
         """Exact value at a rational point.
 
         Variables with odd half-unit exponents need an entry in sqrts
-        giving a rational square root of their value.
+        giving a rational square root of their value.  A variable with
+        such an entry is raised to its half-unit exponent h on the root,
+        any other to h/2 on its value; the terms are summed by
+        _power_sum on integer numerators.
         """
         sqrts = sqrts or {}
         for name, s in sqrts.items():
             v = values.get(name)
             if v is None or Fraction(s) * Fraction(s) != Fraction(v):
                 raise ValueError(f"sqrts[{name!r}] is not a square root of the value")
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            prod = Fraction(coeff)
+        cols = list(zip(*self._terms))      # one exponent column per variable
+        used = [(VARS[i], col) for i, col in enumerate(cols) if any(col)]
+        if not used:                        # a constant
+            return Fraction(sum(self._terms.values()))
+        if any(name not in sqrts and (name not in values or any(map(_odd, col)))
+               for name, col in used):
+            self._first_missing(values, sqrts)
+        bases, exps = [], []
+        for name, col in used:
+            if name in sqrts:
+                bases.append(Fraction(sqrts[name]))
+                exps.append(col)
+            else:
+                bases.append(Fraction(values[name]))
+                exps.append(map(_half, col))
+        return _power_sum(dict(zip(zip(*exps), self._terms.values())), bases)
+
+    def _first_missing(self, values, sqrts) -> None:
+        """Raise the error of the first term, in term order, that needs
+        a value or a square root evaluate was not given."""
+        for exps in self._terms:
             for i, h in enumerate(exps):
-                if not h:
-                    continue
                 name = VARS[i]
-                if h % 2 == 0:
-                    if name not in values:
-                        raise ValueError(f"no value for {name}")
-                    prod *= Fraction(values[name]) ** (h // 2)
-                else:
-                    if name not in sqrts:
-                        raise ValueError(f"odd half-power of {name} needs sqrts")
-                    prod *= Fraction(sqrts[name]) ** h
-            total += prod
-        return total
+                if not h or name in sqrts:
+                    continue
+                if h % 2:
+                    raise ValueError(f"odd half-power of {name} needs sqrts")
+                if name not in values:
+                    raise ValueError(f"no value for {name}")
 
     def substitute(self, name: str, image: "MPolynomial") -> "MPolynomial":
         """Replace a whole-power variable by a polynomial."""
@@ -236,6 +254,27 @@ def _coerce(value) -> MPolynomial:
     if isinstance(value, int):
         return MPolynomial.constant(value)
     raise TypeError(f"cannot combine MPolynomial with {type(value).__name__}")
+
+
+def _power_sum(rows: Mapping[tuple[int, ...], int],
+               bases: Sequence[Fraction]) -> Fraction:
+    """Exact sum of count * prod bases[i]^e[i] over the rows, which map
+    integer exponent tuples e, negative entries allowed, to counts.
+
+    Base p/q to the power e is p^(e + P) q^(Q - e) over p^P q^Q, with
+    P and Q the largest negative and positive exponent of the column:
+    one numerator table and one denominator per base, so the sum runs
+    on Python ints, term by term, and builds a single Fraction at the
+    end.
+    """
+    terms, den = iter(rows.values()), 1
+    for b, col in zip(bases, zip(*rows)):
+        neg, pos = max(-min(col), 0), max(max(col), 0)
+        p, q = b.numerator, b.denominator
+        power = {e: p ** (e + neg) * q ** (pos - e) for e in range(-neg, pos + 1)}
+        terms = map(mul, terms, map(power.__getitem__, col))
+        den *= p ** neg * q ** pos
+    return Fraction(sum(terms), den)
 
 
 def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],

@@ -6,7 +6,8 @@ immutable: minors return new graphs and never renumber surviving edges,
 so an edge keeps its id through any chain of deletions and contractions.
 
 Subsets walked exhaustively are int masks, bit i standing for the i-th
-smallest edge id: subset_ids decodes one, component_counter counts c.
+smallest edge id: subset_ids decodes one, component_counter counts c
+of one mask, and component_table lists c of every mask.
 """
 
 from __future__ import annotations
@@ -125,6 +126,46 @@ def component_counter(g: Multigraph) -> Callable[[int], int]:
         return c
 
     return count
+
+
+def component_table(g: Multigraph) -> list[int]:
+    """c(A) of the spanning subgraph (V, A) for every mask A, indexed by
+    the mask: one depth-first walk deciding the edges in bit order, on
+    a union-find with rollback (union by size, no path compression, so
+    undoing a union resets one parent and one size)."""
+    vid = {v: k for k, v in enumerate(g.vertices)}
+    pairs = [(vid[g.ends[e][0]], vid[g.ends[e][1]]) for e in g.edges]
+    if not pairs:
+        return [len(vid)]
+    parent = list(range(len(vid)))
+    size = [1] * len(vid)
+    table = [0] * (1 << len(pairs))
+    last = len(pairs) - 1
+
+    def walk(i: int, mask: int, c: int) -> None:
+        u, w = pairs[i]
+        while parent[u] != u:
+            u = parent[u]
+        while parent[w] != w:
+            w = parent[w]
+        if i == last:               # both leaves at once
+            table[mask] = c
+            table[mask | 1 << i] = c - (u != w)
+            return
+        walk(i + 1, mask, c)
+        if u == w:
+            walk(i + 1, mask | 1 << i, c)
+            return
+        if size[u] > size[w]:
+            u, w = w, u
+        parent[u] = w
+        size[w] += size[u]
+        walk(i + 1, mask | 1 << i, c - 1)
+        size[w] -= size[u]
+        parent[u] = u
+
+    walk(0, 0, len(vid))
+    return table
 
 
 def rank(g: Multigraph, a: Iterable[int] | None = None) -> int:

@@ -32,22 +32,26 @@ that failure path sweeps the subsets (ribbon.subset_sweep or
 dual_sweep), in _first_subset, which the state checks share.
 
 verify_identities builds the dual_tally rows once per call and reuses
-them for L, R, lv-tidy and lv-dichromatic; the states module reads one
-dual_tally for L, R and its state checks.
+them for L, R, lv-tidy and lv-dichromatic, and reads the surface's
+genus off their row of A = E; the states module reads one dual_tally
+for L, R, the genus and its state checks.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
 deriving them from f(A), so it shares no boundary count with the
 scheme expansion; tutte_perspective's expansion, the one rank walk,
-is checked against T(G) and T(H; y, x), H the dagger graph, from
-tallies; the scheme recursion tests its edges on its own memoised
+reads the matroids' rank tables, filled on the graphs by
+multigraph.component_table, and is checked against T(G) and
+T(H; y, x), H the dagger graph, from tallies; the scheme recursion tests its edges on its own memoised
 minor tuples, not on tally rows; and the perspective recursion works
 on matroid minors, unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
 polynomial identities or at seeded rational sample points chosen away
-from the poles of the substitution being tested.
+from the poles of the substitution being tested.  Every sum at a point,
+MPolynomial.evaluate and the row sums of lv-tidy and lv-dichromatic,
+runs on mpoly._power_sum, in integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from . import embedding as em
 from . import matroid as mt
 from . import multigraph as mg
 from . import ribbon as rb
-from .mpoly import MPolynomial, assemble
+from .mpoly import MPolynomial, _power_sum, assemble
 
 EXPANSION_CAP = 20
 IDENTITY_CAP = 16
@@ -148,18 +152,19 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
     how much of the rank drop M' has not yet seen."""
     check_cap(len(mp.ground), cap, f"perspective {method}")
     if method == "expansion":
-        r_full = mp.m.rank()
-        rp_full = mp.m_prime.rank()
+        t, tp = mp.m.table(), mp.m_prime.table()
+        r_full, rp_full = t[-1], tp[-1]
         counts: Counter = Counter()
-        for a in range(mp.m.full + 1):
-            r_a = mp.m.rank(a)
-            rp_a = mp.m_prime.rank(a)
+        for (size, r_a, rp_a), m in Counter(
+                zip(mt.mask_sizes(len(mp.ground)), t, tp)).items():
             k = (r_full - r_a) - (rp_full - rp_a)
             if k < 0:
+                a = next(a for a, (r, rp) in enumerate(zip(t, tp))
+                         if r - rp > r_full - rp_full)
                 raise PolyError(f"rank drop inversion on "
                                 f"{mg.subset_ids(mp.ground, a)}; "
                                 "not a matroid perspective")
-            counts[2 * (rp_full - rp_a), 2 * (a.bit_count() - r_a), 2 * k] += 1
+            counts[2 * (rp_full - rp_a), 2 * (size - r_a), 2 * k] += m
         return assemble("xyz", counts, shifted="xy")
     if method == "recursion":
         return assemble("xyz", Counter(_perspective_leaves(mp.m, mp.m_prime)))
@@ -201,10 +206,17 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
     return _cellular_from_rows(rs, rb.dual_tally(rs))
 
 
+def _surface_genus(rs: rb.RotationSystem, rows: Counter) -> int:
+    """The Euler genus of the surface, read off the row of A = E of a
+    dual_tally of rs."""
+    n = len(rs.edges)
+    return next(row.genus for row in rows if row.size == n)
+
+
 def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
-    gamma = rb.euler_genus(rs)
+    gamma = _surface_genus(rs, rows)
     counts: Counter = Counter()
     bad = {}
     for row, m in rows.items():
@@ -488,7 +500,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         rows = rb.dual_tally(rs, d)
         l_cell = _cellular_from_rows(rs, rows)
         r_poly = _ribbon_from_rows(rs, rows)
-        gamma = rb.euler_genus(rs)
+        gamma = _surface_genus(rs, rows)
         if l_cell == l_ext:
             out.append(_ok("lv-extension-matches-cellular"))
         else:
@@ -516,26 +528,20 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
             # (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) z^(g(A)-g*(E-A))
             tidy_rows[(row.c - c_g, row.size - v + row.c,
                        row.genus - row.genus_dual)] += m
-            comp_rows[(row.size, row.c, row.c_dual)] += m
+            # ((x-1)/z)^c(A) ((y-1)z)^c*(E-A) z^(n(G*)-|A|) / ((x-1)(y-1))^c(G)
+            comp_rows[(row.c - c_g, row.c_dual - c_g,
+                       n_dual + row.c_dual - row.c - row.size)] += m
 
         def tidy(x0, y0, z0):
             lhs = (z0 * (y0 - 1)) ** gamma * l_cell.evaluate(
                 {"x": x0, "y": y0, "z": 1 / (z0 * z0 * (y0 - 1))})
-            rhs = Fraction(0)
-            for (i, j, k), m in tidy_rows.items():
-                rhs += m * (x0 - 1) ** i * (y0 - 1) ** j * Fraction(z0) ** k
-            return lhs, rhs
+            return lhs, _power_sum(tidy_rows, (x0 - 1, y0 - 1, Fraction(z0)))
 
         out.append(_pointwise("lv-tidy", _points(rng, pool, 3, points), tidy))
 
         def dichro(x0, y0, z0):
             lhs = l_cell.evaluate({"x": x0, "y": y0, "z": z0})
-            rhs = Fraction(0)
-            for (size, c_a, cd_ac), m in comp_rows.items():
-                rhs += m * (((x0 - 1) / z0) ** c_a * ((y0 - 1) * z0) ** cd_ac
-                            * Fraction(1, 1) / Fraction(z0) ** size)
-            rhs *= Fraction(z0) ** n_dual / ((x0 - 1) * (y0 - 1)) ** c_g
-            return lhs, rhs
+            return lhs, _power_sum(comp_rows, (x0 - 1, y0 - 1, Fraction(z0)))
 
         out.append(_pointwise("lv-dichromatic", _points(rng, pool, 3, points),
                               dichro))

@@ -154,10 +154,11 @@ def lv_component_formula(rs: rb.RotationSystem,
 # low-genus surfaces and the diagonal relation
 
 
-def surface_kind(rs: rb.RotationSystem) -> str:
+def surface_kind(rs: rb.RotationSystem, gamma: int | None = None) -> str:
     """sphere / projective-plane / torus for a connected cellular
-    filling; anything else raises GenusRangeError."""
-    gamma = rb.euler_genus(rs)
+    filling; anything else raises GenusRangeError.  gamma, the Euler
+    genus of the surface, is traced unless given."""
+    gamma = rb.euler_genus(rs) if gamma is None else gamma
     orientable = rb.is_orientable(rs)
     if gamma == 0:
         return "sphere"
@@ -253,19 +254,18 @@ def run_state_checks(rs: rb.RotationSystem, *,
     check_cap(len(edges), sweep_cap, "the full state sweep")
 
     mm = rb.medial(rs)
-    low_genus = True
-    try:
-        kind = surface_kind(rs)
-    except GenusRangeError as exc:
-        low_genus = False
-        gate_detail = str(exc)
-
     # The rows count a white set W, and E - W in the dual; the row of
     # W = E holds the genus of the surface.
     dual_rs = rb.dual(rs)
     tally = rb.dual_tally(rs, dual_rs)
     n, v, vd = len(edges), len(rs.sectors), len(dual_rs.sectors)
-    gamma = next(row.genus for row in tally if row.size == n)
+    gamma = poly._surface_genus(rs, tally)
+    low_genus = True
+    try:
+        kind = surface_kind(rs, gamma)
+    except GenusRangeError as exc:
+        low_genus = False
+        gate_detail = str(exc)
 
     def verdict(name, bad, detail=""):
         # Only a failure sweeps, to name the first white set with a bad row.

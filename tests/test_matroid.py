@@ -8,6 +8,7 @@ import corpus
 from topopoly import embedding as em
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
+from topopoly import poly
 from topopoly import ribbon as rb
 
 
@@ -161,3 +162,101 @@ def test_perspective_rejects_cycle_to_bond():
     g = loops_and_bridge()
     with pytest.raises(mt.MatroidError):
         mt.make_perspective(mt.cycle_matroid(g), mt.bond_matroid(g))
+
+
+def _counted_counters(monkeypatch):
+    """Patch component_counter so each per-mask count is tallied."""
+    calls = {"mask": 0, "table": 0}
+    real_counter, real_table = mg.component_counter, mg.component_table
+
+    def component_counter(g):
+        count = real_counter(g)
+
+        def counted(a):
+            calls["mask"] += 1
+            return count(a)
+
+        return counted
+
+    def component_table(g):
+        calls["table"] += 1
+        return real_table(g)
+
+    monkeypatch.setattr(mg, "component_counter", component_counter)
+    monkeypatch.setattr(mg, "component_table", component_table)
+    return calls
+
+
+def test_exhaustive_walks_read_the_tables(monkeypatch):
+    calls = _counted_counters(monkeypatch)
+    emb = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
+    s = em.derive_dagger(emb)
+    bond, cycle = mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g)
+    calls["mask"] = 0
+    mp = mt.make_perspective(bond, cycle)       # exhaustive: 10 <= 12
+    t = poly.tutte_perspective(mp)
+    assert calls == {"mask": 0, "table": 2}
+    # rank reads the tables too, and they agree with the oracles
+    assert [bond.rank(a) for a in range(bond.full + 1)] == bond.table()
+    assert calls["mask"] == 0
+    fresh_bond, fresh_cycle = mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g)
+    assert bond.table() == [fresh_bond.rank(a) for a in range(bond.full + 1)]
+    assert cycle.table() == [fresh_cycle.rank(a) for a in range(cycle.full + 1)]
+    assert t == poly.tutte_perspective(mp, "recursion")
+
+
+def test_point_queries_build_no_table(monkeypatch):
+    calls = _counted_counters(monkeypatch)
+    real = mt.RankMatroid.table
+
+    def table(self):
+        calls["table"] += 1
+        return real(self)
+
+    monkeypatch.setattr(mt.RankMatroid, "table", table)
+    for emb in corpus.main_corpus():
+        if len(emb.rotation.edges) >= 8:
+            s = em.derive_dagger(emb)
+            for e in s.g.edges:
+                em.classify_edge(emb, e, s)
+            m = mt.cycle_matroid(s.g)
+            mt.is_flat(mt.contract(mt.delete(m, s.g.edges[0]), s.g.edges[-1]), 0)
+    assert calls["table"] == 0 and calls["mask"] > 0
+    # the sampled domination check above the cap queries points too
+    g = corpus.random_rotation(random.Random(2), 3, 14).underlying()
+    mt.make_perspective(mt.cycle_matroid(g), mt.cycle_matroid(g))
+    assert calls["table"] == 0
+
+
+def _first_fall(m, m_prime):
+    """The witness of the point-query domination walk, in mask order."""
+    for a in range(m.full):
+        for i, e in enumerate(m.ground):
+            b = 1 << i
+            if not a & b and (m.rank(a | b) - m.rank(a)
+                              < m_prime.rank(a | b) - m_prime.rank(a)):
+                return (f"not a perspective: rank step of M at "
+                        f"A={mg.subset_ids(m.ground, a)}, e={e} is below M'")
+    return None
+
+
+def test_exhaustive_domination_names_the_first_witness():
+    rng = random.Random(8)
+    seen = 0
+    for _ in range(12):
+        g = corpus.random_rotation(rng, rng.randint(1, 4),
+                                   rng.randint(1, 8)).underlying()
+        h = corpus.random_rotation(rng, rng.randint(1, 4), len(g.edges)).underlying()
+        for m, m_prime in ((mt.cycle_matroid(g), mt.bond_matroid(g)),
+                           (mt.cycle_matroid(g), mt.cycle_matroid(h)),
+                           (mt.bond_matroid(h), mt.cycle_matroid(g))):
+            want = _first_fall(mt.RankMatroid(m.ground, m.rank),
+                               mt.RankMatroid(m.ground, m_prime.rank))
+            if want is None:
+                mt.make_perspective(m, m_prime)
+                continue
+            seen += 1
+            with pytest.raises(mt.MatroidError) as err:
+                mt.make_perspective(m, m_prime)
+            assert str(err.value) == want
+    assert seen > 5

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from topopoly.mpoly import (MPolynomial, assemble, compose_laurent,
-                            laurent_to_poly)
+from topopoly.mpoly import (VARS, MPolynomial, _power_sum, assemble,
+                            compose_laurent, laurent_to_poly)
 
 X = MPolynomial.variable("x")
 Y = MPolynomial.variable("y")
@@ -69,6 +69,39 @@ def test_evaluate_half_powers_need_square_roots():
         p.evaluate({"a": Fraction(9)}, sqrts={"a": Fraction(2)})
     with pytest.raises(ValueError):
         p.evaluate({"a": Fraction(9)})
+
+
+def test_evaluate_errors_name_the_missing_input():
+    p = MPolynomial.monomial(1, x=2, a=1)
+    with pytest.raises(ValueError, match=r"^sqrts\['a'\] is not a square root "
+                                         r"of the value$"):
+        p.evaluate({"x": 1, "a": Fraction(9)}, sqrts={"a": Fraction(2)})
+    with pytest.raises(ValueError, match=r"^sqrts\['b'\] is not a square root "
+                                         r"of the value$"):
+        p.evaluate({"x": 1}, sqrts={"b": 1})
+    with pytest.raises(ValueError, match=r"^odd half-power of a needs sqrts$"):
+        p.evaluate({"x": 1, "a": Fraction(9)})
+    with pytest.raises(ValueError, match=r"^no value for x$"):
+        p.evaluate({"a": Fraction(9)}, sqrts={"a": 3})
+    # The first term, in term order, that lacks an input names it.
+    q = MPolynomial.monomial(1, y=2) + MPolynomial.monomial(1, x=1)
+    with pytest.raises(ValueError, match=r"^no value for y$"):
+        q.evaluate({})
+    with pytest.raises(ValueError, match=r"^odd half-power of x needs sqrts$"):
+        q.evaluate({"y": 2})
+    # A variable no term uses needs no value.
+    assert (X * 2).evaluate({"x": 3}) == 6
+
+
+def test_power_sum_with_negative_exponents():
+    # 3 (2/3) (-1/2)^-2 + 1 + 2 (2/3)^-1 (-1/2) - (2/3)^-3
+    rows = {(1, -2): 3, (0, 0): 1, (-1, 1): 2, (-3, 0): -1}
+    got = _power_sum(rows, (Fraction(2, 3), Fraction(-1, 2)))
+    assert got == Fraction(15, 2) - Fraction(27, 8)
+    assert _power_sum({}, (Fraction(2),)) == 0
+    assert _power_sum({(0,): 5}, (Fraction(0),)) == 5
+    with pytest.raises(ZeroDivisionError):
+        _power_sum({(-1,): 1}, (Fraction(0),))
 
 
 def test_substitute():
@@ -136,3 +169,31 @@ def test_assemble_rejects_half_powers_of_shifted_variables():
     assert str(assemble("yx", {(2, 4): 3}, shifted="x")) == "3y - 6xy + 3x^2y"
     with pytest.raises(ValueError):
         assemble("x", {(1,): 1}, shifted="x")
+
+
+st_rational = hst.builds(Fraction, hst.integers(-6, 6), hst.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms=hst.dictionaries(
+           hst.tuples(*(hst.integers(0, 5) for _ in VARS)),
+           hst.integers(-4, 4), max_size=6),
+       points=hst.tuples(*(st_rational for _ in VARS)),
+       rooted=hst.tuples(*(hst.booleans() for _ in VARS)))
+def test_evaluate_matches_a_naive_product(terms, points, rooted):
+    # A rooted variable is given as the square of its root and may take
+    # odd half-powers; any other takes whole powers of its value.
+    terms = {tuple(h if on else h - h % 2 for h, on in zip(e, rooted)): c
+             for e, c in terms.items()}
+    p = MPolynomial(terms)
+    values = {v: r * r if on else r for v, r, on in zip(VARS, points, rooted)}
+    sqrts = {v: r for v, r, on in zip(VARS, points, rooted) if on} or None
+    want = Fraction(0)
+    for exps, coeff in p.terms().items():
+        prod = Fraction(coeff)
+        for v, h, r, on in zip(VARS, exps, points, rooted):
+            prod *= r ** h if on else r ** (h // 2)
+        want += prod
+    got = p.evaluate(values, sqrts)
+    assert isinstance(got, Fraction)
+    assert got == want

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import corpus
+from topopoly import embedding as em
 from topopoly import multigraph as mg
 
 
@@ -133,3 +135,29 @@ def test_bridge_is_a_component_split(ends):
     for e in g.edges:
         split = mg.components(g, g.edge_set() - {e}) == mg.components(g) + 1
         assert mg.is_bridge(g, e) == split
+
+
+def _table_cases():
+    yield mg.Multigraph((), {})
+    yield mg.Multigraph((0, 1, 2), {})                       # isolated only
+    yield mg.Multigraph((0, 1), {1: (0, 0), 2: (0, 1), 3: (1, 1)})
+    yield mg.Multigraph((0, 1, 2, 3), {1: (0, 1), 2: (0, 1), 3: (1, 0),
+                                       5: (2, 2), 7: (1, 2)})
+    for emb in corpus.main_corpus():
+        yield emb.rotation.underlying()
+        yield em.derive_dagger(emb).dagger
+    for rs in corpus.cellular_corpus():
+        yield rs.underlying()
+
+
+def test_component_table_matches_the_counter_on_every_mask():
+    checked = 0
+    for g in _table_cases():
+        count = mg.component_counter(g)
+        table = mg.component_table(g)
+        assert len(table) == 1 << len(g.edges)
+        assert table == [count(a) for a in range(len(table))], g
+        checked += len(table)
+    assert mg.component_table(mg.Multigraph((), {})) == [0]
+    assert mg.component_table(mg.Multigraph((0, 1, 2), {})) == [3]
+    assert checked > 40000

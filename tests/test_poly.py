@@ -1,6 +1,7 @@
 """The polynomials: frozen small values, route agreement, relations."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -363,19 +364,34 @@ def test_identity_suite_is_deterministic():
     assert lines1 == lines2
 
 
+def test_identity_suite_memory_is_bounded_at_the_cap():
+    # 16 edges, the identity cap: the rank tables are lists of 2^16
+    # small ints, so the whole suite stays under 5 MB of Python heap.
+    emb = em.with_disc_regions(corpus.random_rotation(random.Random(5), 4, 16))
+    tracemalloc.start()
+    try:
+        results = poly.verify_identities(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(r.failed for r in results)
+    assert peak < 5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
 def _theta_statuses():
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     return {r.name: r.status for r in results}
 
 
 def test_identity_suite_catches_a_wrong_rank(monkeypatch):
-    # One rank of M raised after make_perspective validated it: the rank
-    # walk reads it, the tally does not, so the checks must disagree.
+    # One entry of M's rank table raised after make_perspective validated
+    # it: the rank walk reads it, the tally does not, so the checks must
+    # disagree.
     real = em.scheme_perspective
 
     def corrupted(scheme):
         mp = real(scheme)
-        mp.m._cache[0b011] += 1
+        mp.m.table()[0b011] += 1
         return mp
 
     monkeypatch.setattr(em, "scheme_perspective", corrupted)

@@ -195,7 +195,7 @@ def test_forced_gate_fails_instead_of_raising(monkeypatch):
     rs = rb.RotationSystem.single(
         {0: ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (3, 1), (4, 1))},
         {1: 1, 2: 1, 3: 1, 4: 1})
-    monkeypatch.setattr(st, "surface_kind", lambda g: "torus")
+    monkeypatch.setattr(st, "surface_kind", lambda g, gamma=None: "torus")
     results = {r.name: r for r in st.run_state_checks(rs)[0]}
     details = {name: (r.status, r.detail) for name, r in results.items()}
     assert details["noncrossing-min-formula"] == (
@@ -281,7 +281,7 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
         calls.clear()
         st.run_state_checks(rs)
         per_graph.append(dict(calls))
-    # Three traces, none per state: the surface's genus, the dual, and
-    # the genus again when lr-relation assembles L.  No subset is swept.
+    # One trace, none per state: the dual's.  The genus of the surface
+    # comes from the tally's row of W = E.  No subset is swept.
     assert per_graph[0] == per_graph[1] == {
-        "dual": 1, "dual_tally": 1, "trace_sectors": 3}
+        "dual": 1, "dual_tally": 1, "trace_sectors": 1}
