@@ -42,7 +42,23 @@ class EmbeddedGraph:
     trace: rb.BoundaryTrace = field(init=False, repr=False)
 
     def __post_init__(self):
-        trace = rb.trace_boundary(self.rotation)
+        self._glue(rb.trace_boundary(self.rotation))
+
+    @classmethod
+    def _on_trace(cls, rotation: rb.RotationSystem, trace: rb.BoundaryTrace,
+                  regions: Mapping[int, int],
+                  region_genus: Mapping[int, int]) -> "EmbeddedGraph":
+        """The embedding on a full trace of rotation the caller already
+        holds, checked as the constructor checks it, so that the rotation
+        is not traced a second time."""
+        emb = cls.__new__(cls)
+        object.__setattr__(emb, "rotation", rotation)
+        object.__setattr__(emb, "regions", regions)
+        object.__setattr__(emb, "region_genus", region_genus)
+        emb._glue(trace)
+        return emb
+
+    def _glue(self, trace: rb.BoundaryTrace) -> None:
         regions = {int(c): int(r) for c, r in self.regions.items()}
         genus = {int(r): int(g) for r, g in self.region_genus.items()}
         for c in range(trace.f):
@@ -77,9 +93,10 @@ class EmbeddedGraph:
 def with_disc_regions(rotation: rb.RotationSystem) -> EmbeddedGraph:
     """Glue a disc onto every boundary circle.  For a pinch-free
     rotation system this is its cellular embedding."""
-    f = rb.trace_boundary(rotation).f
-    return EmbeddedGraph(rotation, {c: c for c in range(f)},
-                         {c: 0 for c in range(f)})
+    trace = rb.trace_boundary(rotation)
+    discs = range(trace.f)
+    return EmbeddedGraph._on_trace(rotation, trace, {c: c for c in discs},
+                                   {c: 0 for c in discs})
 
 
 # ---------------------------------------------------------------------------

@@ -53,19 +53,27 @@ class MPolynomial:
                     del clean[exps]
         self._terms = clean
 
+    @classmethod
+    def _valid(cls, terms: dict[tuple[int, ...], int]) -> "MPolynomial":
+        """Wrap a term dict whose keys are already valid exponent tuples,
+        as sums of checked exponents are; only zero coefficients go."""
+        p = cls.__new__(cls)
+        p._terms = {e: c for e, c in terms.items() if c}
+        return p
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero() -> "MPolynomial":
-        return MPolynomial()
+        return MPolynomial._valid({})
 
     @staticmethod
     def one() -> "MPolynomial":
-        return MPolynomial({_ZEROS: 1})
+        return MPolynomial._valid({_ZEROS: 1})
 
     @staticmethod
     def constant(c: int) -> "MPolynomial":
-        return MPolynomial({_ZEROS: c})
+        return MPolynomial._valid({_ZEROS: c})
 
     @staticmethod
     def variable(name: str, power: int = 1) -> "MPolynomial":
@@ -108,12 +116,12 @@ class MPolynomial:
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
             terms[exps] = terms.get(exps, 0) + coeff
-        return MPolynomial(terms)
+        return MPolynomial._valid(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPolynomial({e: -c for e, c in self._terms.items()})
+        return MPolynomial._valid({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -128,7 +136,7 @@ class MPolynomial:
             for e2, c2 in other._terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return MPolynomial(terms)
+        return MPolynomial._valid(terms)
 
     __rmul__ = __mul__
 
@@ -218,7 +226,8 @@ class MPolynomial:
                 raise ValueError(f"cannot substitute into half-power of {name}")
             rest = list(exps)
             rest[i] = 0
-            out = out + MPolynomial({tuple(rest): coeff}) * image_pow(h // 2)
+            term = MPolynomial._valid({tuple(rest): coeff})
+            out = out + term * image_pow(h // 2)
         return out
 
     # -- printing ----------------------------------------------------
@@ -284,7 +293,9 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
     Each bucket key gives one half-unit exponent h per name in names;
     w is the variable itself, or v - 1 for each v in shifted, whose
     exponents must be whole and are expanded binomially.  All buckets
-    go into one term dict, so no polynomial products are formed.
+    go into one term dict, so no polynomial products are formed.  The
+    exponents of the names not shifted are checked once per key; every
+    term a key expands to is then valid.
     """
     shifted = frozenset(shifted)
     index = [_VAR_INDEX[v] for v in names]
@@ -300,13 +311,15 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
                 n = h // 2
                 powers = [(2 * p, (-1) ** (n - p) * comb(n, p))
                           for p in range(n + 1)]
+            elif h < 0 or not isinstance(h, int):
+                raise ValueError(f"negative or non-integer exponent in {key}")
             else:
                 powers = [(h, 1)]
             partial = {e[:i] + (d,) + e[i + 1:]: c * m
                        for e, c in partial.items() for d, m in powers}
         for e, c in partial.items():
             terms[e] = terms.get(e, 0) + c
-    return MPolynomial(terms)
+    return MPolynomial._valid(terms)
 
 
 def compose_laurent(poly: MPolynomial,

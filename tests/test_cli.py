@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import argparse
 import io
 import random
 from collections import Counter
@@ -356,3 +357,70 @@ def test_repeated_runs_identical(capsys, files):
         _, out, _ = run(capsys, "identities", files["theta"])
         outs.add(out)
     assert len(outs) == 1
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, argparse exits included."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_a_reused_parser_carries_nothing_between_calls(capsys, files,
+                                                       monkeypatch):
+    theta = files["theta"]
+    sequence = [
+        ["poly", theta, "--which", "lv", "--method", "recursion"],
+        ["poly", theta, "--which", "lv"],
+        ["poly", theta, "--which", "lv", "--cap", "2"],
+        ["poly", theta, "--which", "lv"],
+        ["identities", theta, "--suite", "states"],
+        ["identities", theta],
+        ["poly", theta],
+        ["poly", theta],
+        ["--help"],
+        ["--help"],
+    ]
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    requests = []
+    real_lv = poly.las_vergnas_cellular
+
+    def recording_lv(rs, method, cap):
+        requests.append((method, cap))
+        return real_lv(rs, method, cap)
+
+    monkeypatch.setattr(poly, "las_vergnas_cellular", recording_lv)
+    _outcome(capsys, ["validate", theta])
+    built.clear()
+    reused = [_outcome(capsys, argv) for argv in sequence]
+    assert built == []
+    cap = poly.EXPANSION_CAP
+    assert requests == [("recursion", cap), ("expansion", cap),
+                        ("expansion", 2), ("expansion", cap)]
+
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    lv = (0, "1 + 3z + 2z^2 + xz^2\n", "")
+    assert reused[0] == reused[1] == reused[3] == lv
+    rc, out, err = reused[2]
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: subset expansion on 3 edges exceeds the cap "
+                        "of 2; pass a larger cap to force it\n")
+    assert reused[4][1] != reused[5][1]
+    assert reused[6] == reused[7] and reused[6][:2] == (2, "")
+    assert "--which" in reused[6][2]
+    assert reused[8] == reused[9] and reused[8][0] == 0
+    assert reused[8][1].startswith("usage: topopoly")

@@ -171,6 +171,28 @@ def test_assemble_rejects_half_powers_of_shifted_variables():
         assemble("x", {(1,): 1}, shifted="x")
 
 
+def test_constructor_messages():
+    with pytest.raises(ValueError,
+                       match=r"^exponent tuple \(2, 0\) needs 6 entries$"):
+        MPolynomial({(2, 0): 1})
+    for exps in ((0, -2, 0, 0, 0, 0), (0, 0, 1.0, 0, 0, 0)):
+        with pytest.raises(ValueError, match=r"^negative or non-integer "
+                                             r"exponent in \(0, "):
+            MPolynomial({exps: 1})
+
+
+def test_assemble_rejects_negative_or_non_integer_keys():
+    # The check moved from every term to each bucket key; zero counts
+    # are skipped before it, as they always were.
+    assert assemble("xy", {(2, -2): 0}) == 0
+    for key in ((2, -2), (2, 1.0), (-1, 0)):
+        with pytest.raises(ValueError, match=r"^negative or non-integer "
+                                             r"exponent in \("):
+            assemble("xy", {key: 1})
+        with pytest.raises(ValueError, match=r"^negative or non-integer "):
+            assemble("xyz", {key + (2,): 1}, shifted="z")
+
+
 st_rational = hst.builds(Fraction, hst.integers(-6, 6), hst.integers(1, 4))
 
 

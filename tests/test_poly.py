@@ -9,7 +9,9 @@ import pytest
 
 import corpus
 import golden
+from topopoly import cli
 from topopoly import embedding as em
+from topopoly import fileformat as ff
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
 from topopoly import poly
@@ -472,6 +474,47 @@ def test_expansions_trace_a_fixed_number_of_times(monkeypatch):
         poly.bollobas_riordan(emb.rotation)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
+    """Building an embedding, in the parser or by closing circles with
+    discs, reuses the trace that found its circles; every other full
+    trace a command runs is the polynomial's own."""
+    calls = []
+    real = rb.trace_sectors
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rb, "trace_sectors", counting)
+    cellular = tmp_path / "theta.txt"
+    cellular.write_text(ff.serialize(corpus.theta_torus()) + "cellular\n")
+    regions = tmp_path / "pinched.txt"
+    regions.write_text(ff.serialize(corpus.pinched_spheres()))
+    commands = {
+        "tutte": ["poly", str(cellular), "--which", "tutte"],
+        "dichromatic": ["poly", str(cellular), "--which", "dichromatic"],
+        "br": ["poly", str(cellular), "--which", "br"],
+        "krushkal": ["poly", str(cellular), "--which", "krushkal"],
+        "lv-ext": ["poly", str(cellular), "--which", "lv-ext"],
+        "lv": ["poly", str(cellular), "--which", "lv"],
+        "lv recursion": ["poly", str(cellular), "--which", "lv",
+                         "--method", "recursion"],
+        "identities": ["identities", str(cellular)],
+        "pseudo-surface lv-ext": ["poly", str(regions), "--which", "lv-ext"],
+        "pseudo-surface identities": ["identities", str(regions)],
+    }
+    counts = {}
+    for name, argv in commands.items():
+        calls.clear()
+        assert cli.main(argv) == 0
+        counts[name] = len(calls)
+    capsys.readouterr()
+    assert counts == {"tutte": 1, "dichromatic": 1, "br": 1, "krushkal": 1,
+                      "lv-ext": 1, "lv": 2, "lv recursion": 2, "identities": 5,
+                      "pseudo-surface lv-ext": 1,
+                      "pseudo-surface identities": 1}
 
 
 def test_recursions_tally_leaves_into_one_assembly(monkeypatch):
