@@ -6,7 +6,7 @@ Six subcommands over one file format (see fileformat):
   validate    surface invariants of an embedding
   poly        one polynomial, canonically printed
   identities  the cross-polynomial identity suite, RESULT lines
-  states      the medial state sweep, RESULT lines
+  states      the medial state checks, RESULT lines
   classify    edge classes (bridge / quasi-bridge / quasi-loop / ordinary)
 
 Commands that need a filled surface accept a bare rotation system and
@@ -115,7 +115,9 @@ def cmd_poly(args) -> int:
         if parsed.embedded is not None and not em.validate(parsed.embedded).cellular:
             raise ff.FormatError(
                 "not a cellular embedding; --which lv-ext handles these")
-        result = poly.las_vergnas_cellular(parsed.rotation, method, cap)
+        # A cellular input's embedding is reused, not built again.
+        result = poly.las_vergnas_cellular(parsed.embedded or parsed.rotation,
+                                           method, cap)
     elif which == "lv-ext":
         result = poly.las_vergnas_embedded(_embedded(parsed), method, cap)
     elif which == "krushkal":
@@ -225,14 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=poly.IDENTITY_CAP,
                    help=f"edge cap for the suite (default {poly.IDENTITY_CAP})")
     p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,
-                   help="edge cap on the 3^e state sweep "
+                   help="edge cap on the state checks, which tally the "
+                        "3^e medial states without listing them "
                         f"(default {st.STATE_SWEEP_CAP})")
     p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser("states", help="medial state sweep")
+    p = sub.add_parser("states", help="medial state checks")
     _add_file(p)
     p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,
-                   help="edge cap on the 3^e state sweep "
+                   help="edge cap on the state checks, which tally the "
+                        "3^e medial states without listing them "
                         f"(default {st.STATE_SWEEP_CAP})")
     p.set_defaults(func=cmd_states)
 

@@ -192,13 +192,20 @@ def _perspective_leaves(m: mt.RankMatroid, m_prime: mt.RankMatroid,
                                        x, y, z)
 
 
-def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
+def las_vergnas_cellular(x: rb.RotationSystem | em.EmbeddedGraph,
+                         method: str = "expansion",
                          cap: int = EXPANSION_CAP) -> MPolynomial:
     """The cellular three-variable polynomial, from boundary data of
-    the graph and its dual; z records half the genus deficiency."""
+    the graph and its dual; z records half the genus deficiency.
+
+    x is a rotation system, or its cellular embedding, which the
+    recursion then reads instead of closing the circles again.
+    """
+    emb = x if isinstance(x, em.EmbeddedGraph) else None
+    rs = x if emb is None else emb.rotation
     rb.require_pinch_free(rs, "the cellular polynomial")
     if method == "recursion":
-        emb = em.with_disc_regions(rs)
+        emb = em.with_disc_regions(rs) if emb is None else emb
         return las_vergnas_embedded(em.derive_dagger(emb), "recursion", cap)
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")

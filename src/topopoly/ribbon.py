@@ -25,19 +25,22 @@ sector left without half-edges still bounds one circle.
 circle_counter counts the same circles on int-encoded corner points,
 without building any Circle: its kappa is fixed, and an absent band
 pairs its points in to out at each end.  subset_sweep counts f(A) on
-one counter, the state checks count every medial state on one, and
+one counter, a failing state check counts medial states on one, and
 dual_sweep zips the sweep with a second sweep over the dual on E - A.
 
 transfer_tally and dual_tally return the tallies of those rows without
-visiting the subsets.  They decide the edges one at a time, vertex by
+visiting the subsets, and state_tally the curve counts of the 3^|E|
+medial states without visiting the states.  All three run one loop,
+_frontier_tally, which decides the edges one at a time, vertex by
 vertex in breadth-first order and each vertex's half-edges in rotation
-order.  A state after each step holds, per traced graph, the block
-labels of the frontier vertices and the pairing that the decided
-bands induce on the frontier corner points (the undecided points whose
-kappa partner is decided); subsets that reach one state have the same
-future, so equal states merge and carry a tally of |A| and the
-components and circles already closed.  Their cost follows the number
-of states, not 2^|E|.
+order, each edge taking one of its choices (outside or inside A; black,
+white or crossing).  A state after each step holds, per layer, the
+block labels of the frontier nodes (vertices, or the corners of a
+medial) and the pairing that the decided bands induce on the frontier
+corner points (the undecided points whose kappa partner is decided);
+decisions that reach one state have the same future, so equal states
+merge and carry a tally of the size and the blocks and circles already
+closed.  Their cost follows the number of states, not 2^|E| or 3^|E|.
 
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), orientability, the
@@ -421,7 +424,7 @@ def transfer_tally(x: RotationSystem | mg.Multigraph,
     order = _edge_order(g, ribbon)
     layers = [_block_moves(g, order, True)]
     if ribbon is not None:
-        layers.append(_circle_moves(ribbon, order, True))
+        layers.append(_circle_moves(ribbon, order, _in_a))
     if cut is not None:
         layers.append(_block_moves(cut, order, False))
     out: Counter = Counter()
@@ -444,15 +447,32 @@ def dual_tally(g: RotationSystem, d: RotationSystem | None = None) -> Counter:
         raise RibbonError("a dual must share the graph's edge ids")
     order = _edge_order(g.underlying(), g)
     layers = [_block_moves(g.underlying(), order, True),
-              _circle_moves(g, order, True),
+              _circle_moves(g, order, _in_a),
               _block_moves(d.underlying(), order, False),
-              _circle_moves(d, order, False)]
+              _circle_moves(d, order, _in_rest)]
     v, vd, n = len(g.sectors), len(d.sectors), len(order)
     out: Counter = Counter()
     for (size, c, f, cd, fd), m in _frontier_tally(order, layers):
         out[DualRow(size, c, f, 2 * c - v + size - f,
                     cd, fd, 2 * cd - vd + n - size - fd)] += m
     return out
+
+
+def state_tally(g: RotationSystem, mm: "MedialMap") -> Counter:
+    """Counter((medial curves, graph curves)) over the 3^|E| medial
+    states of g, without visiting the states; mm is medial(g).
+
+    The edges are decided one at a time, each black, white or crossing
+    (STATE_NAMES order).  The medial route is a union layer on the
+    corners of g (_medial_moves), the graph route a circle layer on its
+    disc arcs paired by smoothing_pairings, so the two counts share
+    nothing but the edge order.
+    """
+    order = _edge_order(g.underlying(), g)
+    layers = [_medial_moves(mm, order),
+              _circle_moves(g, order, smoothing_pairings)]
+    return Counter({(medial, graph): m for (_, medial, graph), m
+                    in _frontier_tally(order, layers, (0, 0, 0))})
 
 
 def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
@@ -486,43 +506,50 @@ def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
     return list(order)
 
 
-def _frontier_tally(order: list[int], layers) -> list[tuple[tuple[int, ...], int]]:
+def _frontier_tally(order: list[int], layers, sizes=(0, 1)
+                    ) -> list[tuple[tuple[int, ...], int]]:
     """Decide the edges of order one at a time over the given layers;
-    list the distinct (|A|, closed count per layer) tuples with their
-    number of subsets.
+    list the distinct (size, closed count per layer) tuples with their
+    number of decisions.
 
-    A layer is (moves, base): moves[t] maps the layer's part of a state
-    before edge order[t] is decided to its (part, closed) pair for
-    order[t] outside A and inside A, and base is added to the layer's
-    count at the end (isolated vertices, bare sectors).  A state is the
-    tuple of the parts; its value counts subsets by their packed tally,
-    one bit field for |A| and one per layer.  Subsets that reach one
-    state have the same future, so equal states merge.
+    Every edge has the same choices: two for a subset (outside A, then
+    inside), three for a medial state.  sizes[k] is what choice k adds
+    to the first field, so the default counts |A|.  A layer is (moves,
+    base): moves[t] maps the layer's part of a state before edge
+    order[t] is decided to one (part, closed) pair per choice, and base
+    is added to the layer's count at the end (isolated vertices, bare
+    sectors).  A state is the tuple of the parts; its value counts
+    decisions by their packed tally, one bit field for the size and one
+    per layer.  Decisions that reach one state have the same future, so
+    equal states merge.
     """
-    # No field exceeds 4|E|: |A| <= |E|, and each layer closes at most
-    # one block or circle per two of the 4|E| corner points.
+    # No field exceeds 4|E|: the size is at most |E|, and each layer
+    # closes at most one block or circle per two of the 4|E| corner points.
     width = (4 * len(order)).bit_length()
     shifts = [width * (k + 1) for k in range(len(layers))]
     states: dict = {tuple(() for _ in layers): (0, {0: 1})}
     for t in range(len(order)):
-        # Many states share a layer's part, so each part moves once.
+        # Many states share a layer's part, so each part moves once; it
+        # moves to the flat [part, closed, part, closed, ...] of its choices.
         known = []
         for (moves, _), shift, parts in zip(layers, shifts, zip(*states)):
             move, out = moves[t], {}
             for part in parts:
                 if part not in out:
-                    (p0, c0), (p1, c1) = move(part)
-                    out[part] = (p0, c0 << shift, p1, c1 << shift)
+                    flat = []
+                    for p, c in move(part):
+                        flat += (p, c << shift)
+                    out[part] = flat
             known.append(out)
         # A state's value is an offset and the tally it shifts; a state
         # reached from one state alone shares that tally.
         merged: dict = {}
         owned: set = set()
         for key, (offset, tally) in states.items():
-            outside, closed_outside, inside, closed_inside = zip(
-                *map(dict.__getitem__, known, key))
-            for new, step in ((outside, offset + sum(closed_outside)),
-                              (inside, offset + 1 + sum(closed_inside))):
+            # row yields each choice's new state, then its closed fields.
+            row = zip(*map(dict.__getitem__, known, key))
+            for new, closed, size in zip(row, row, sizes):
+                step = offset + size + sum(closed)
                 entry = merged.get(new)
                 if entry is None:
                     merged[new] = (step, tally)
@@ -546,58 +573,104 @@ def _frontier_tally(order: list[int], layers) -> list[tuple[tuple[int, ...], int
 
 def _block_moves(g: mg.Multigraph, order: list[int], inside: bool):
     """The layer of the vertex partition of (V, A) if inside, else of
-    (V, E - A), over the edge order.  Its part of a state labels the
-    frontier vertices (ends of both decided and undecided edges) by
-    block, in order of first appearance; a block closes into a
-    component when its last frontier vertex leaves."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for t, e in enumerate(order):
-        for v in g.ends[e]:
-            first.setdefault(v, t)
-            last[v] = t
+    (V, E - A), over the edge order: the union layer on the vertices in
+    which an edge joins its ends when it is inside A (its second
+    choice) if inside, and when it is outside A otherwise."""
+    joins = []
+    for e in order:
+        union = (g.ends[e],)
+        joins.append(((), union) if inside else (union, ()))
+    return _union_moves(joins, len(g.vertices))
+
+
+def _medial_moves(mm: "MedialMap", order: list[int]):
+    """The layer of the curves of a medial state, over the edge order:
+    the union layer on the corners of the graph (the medial's edges),
+    in which the medial vertex of each edge joins its four corner stubs
+    in two pairs, as its black, white or crossing smoothing says."""
+    return _union_moves([tuple(tuple((p[0], q[0]) for p, q in mm.pairings[e][s])
+                               for s in STATE_NAMES) for e in order],
+                        len(mm.corners))
+
+
+def _union_moves(joins, nodes: int):
+    """The layer of a partition of nodes: joins[t] lists, per choice for
+    the t-th edge of the order, the unions of two nodes that it makes.
+    Its part of a state labels the frontier nodes (those that edges
+    both decided and undecided join) by block, in order of first
+    appearance; a block closes when its last frontier node leaves.
+    Every node no edge joins is a block of its own, in the base."""
+    last: dict = {}
+    for t, choices in enumerate(joins):
+        for unions in choices:
+            for u, w in unions:
+                last[u] = last[w] = t
+    # place gives a node's place among the frontier nodes before the
+    # edge, then the entering nodes: the unions and settling read places.
     moves = []
-    frontier: tuple[int, ...] = ()
-    for t, e in enumerate(order):
-        u, w = g.ends[e]
-        ends = (u,) if u == w else (u, w)
-        enter = tuple(v for v in ends if first[v] == t)
-        leave = frozenset(v for v in ends if last[v] == t)
-        before = frontier
-        frontier = tuple(v for v in before + enter if v not in leave)
-        moves.append(_block_move(before, enter, leave, frontier, u, w, inside))
-    return moves, len(g.vertices) - len(first)
+    place: dict = {}
+    for t, choices in enumerate(joins):
+        before = len(place)
+        plans = []
+        for unions in choices:
+            plan = []
+            for u, w in unions:
+                plan.append((place.setdefault(u, len(place)),
+                             place.setdefault(w, len(place))))
+            plans.append(plan)
+        kept, gone, after = [], [], {}
+        for v, k in place.items():
+            if last[v] == t:
+                gone.append(k)
+            else:
+                after[v] = len(kept)
+                kept.append(k)
+        moves.append(_union_move(tuple(range(before, len(place))), kept, gone,
+                                 plans))
+        place = after
+    return moves, nodes - len(last)
 
 
-def _block_move(before, enter, leave, after, u, w, inside):
+def _union_move(fresh, kept, gone, plans):
     def settle(label):
-        kept = [label[v] for v in after]
-        closed = len({label[v] for v in leave}.difference(kept))
+        labels = [label[k] for k in kept]
         ids: dict = {}
-        return tuple([ids.setdefault(k, len(ids)) for k in kept]), closed
+        part = tuple([ids.setdefault(k, len(ids)) for k in labels])
+        if not gone:
+            return part, 0
+        return part, len({label[k] for k in gone}.difference(ids))
 
     def move(labels):
-        label = dict(zip(before, labels))
-        for k, v in enumerate(enter, len(before)):
-            label[v] = k
-        apart = settle(label)
-        a, b = label[u], label[w]
-        if a == b:
-            return apart, apart
-        joined = settle({v: b if k == a else k for v, k in label.items()})
-        return (apart, joined) if inside else (joined, apart)
+        # Each entering node starts a block of its own.
+        label = labels + fresh
+        apart = None
+        moved = []
+        for plan in plans:
+            joined = label
+            for i, j in plan:
+                a, b = joined[i], joined[j]
+                if a != b:
+                    joined = [b if k == a else k for k in joined]
+            if joined is not label:
+                moved.append(settle(joined))
+                continue
+            if apart is None:
+                apart = settle(label)
+            moved.append(apart)
+        return moved
 
     return move
 
 
-def _circle_moves(g: RotationSystem, order: list[int], inside: bool):
-    """The layer of the boundary circles of the bands of A in g if
-    inside, else of E - A, over the edge order, on the fixed disc arcs
-    of circle_counter.  Its part of a state pairs the frontier points
-    (the undecided corner points whose kappa partner is decided): each
-    is followed by the point at the other end of the path through the
-    decided points.  A circle closes when a decided edge's pairing
-    completes a cycle."""
+def _circle_moves(g: RotationSystem, order: list[int], pairings):
+    """The layer of the boundary circles of g over the edge order, on
+    the fixed disc arcs of circle_counter, with pairings(band) giving
+    the pairing of each choice for an edge whose band pairs as band (3
+    or 2; see circle_counter).  Its part of a state pairs the frontier
+    points (the undecided corner points whose kappa partner is
+    decided): each is followed by the point at the other end of the
+    path through the decided points.  A circle closes when a decided
+    edge's pairing completes a cycle."""
     index = {e: i for i, e in enumerate(g.edges)}
     kappa, bare = _disc_arcs(g)
     when = {index[e]: t for t, e in enumerate(order)}
@@ -605,15 +678,31 @@ def _circle_moves(g: RotationSystem, order: list[int], inside: bool):
     frontier: tuple[int, ...] = ()
     for t, e in enumerate(order):
         i = index[e]
-        band = 3 if g.signs[e] > 0 else 2
         own = range(4 * i, 4 * i + 4)
         fresh = tuple(kappa[p] for p in own if when[kappa[p] >> 2] > t)
         before = frontier
         frontier = tuple(p for p in before if p >> 2 != i) + fresh
         decided = tuple(when[kappa[p] >> 2] < t for p in own)
         moves.append(_circle_move(before, frontier, i, kappa[4 * i:4 * i + 4],
-                                  decided, (1, band) if inside else (band, 1)))
+                                  decided, pairings(3 if g.signs[e] > 0 else 2)))
     return moves, bare
+
+
+def _in_a(band: int) -> tuple[int, int]:
+    # The subsets' choices, outside A then inside: the bands of A.
+    return (1, band)
+
+
+def _in_rest(band: int) -> tuple[int, int]:
+    # The same choices, for the bands of E - A.
+    return (band, 1)
+
+
+def smoothing_pairings(band: int) -> tuple[int, int, int]:
+    """The circle_counter pairings of an edge's black, white and
+    crossing smoothings, for an edge whose band pairs as band: no band,
+    the band, and the band with one more half-twist."""
+    return (1, band, band ^ 1)
 
 
 def _circle_move(before, after, i, arcs, decided, pairings):

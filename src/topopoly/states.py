@@ -8,27 +8,33 @@ C below always name the edges whose medial vertex got the white,
 black, or crossing smoothing.
 
 The number of curves is computed here by two independent routes:
-gluing the smoothed medial's edges on one union-find set up per medial
-(medial_state_counter; medial_state_components counts one state), and
-counting the boundary circles of the original graph with C twisted
-and B dropped, on the subset sweep's ribbon.circle_counter
+gluing the smoothed medial's edges, a union-find on the corners of the
+graph (medial_state_counter; medial_state_components counts one
+state), and counting the boundary circles of the original graph with
+C twisted and B dropped, on the subset sweep's ribbon.circle_counter
 (state_components is the same count by twist and trace, kept as the
 reference); a two-term minimum formula, exact on the sphere, the
 torus and the projective plane, predicts the count of a crossing-free
 state.
 
-run_state_checks sweeps all 3^e states, comparing the two routes on
-each, and runs every relation that applies, one result line per
-check.  Everything else it needs comes from one ribbon.dual_tally,
-with the dual built once: the minimum formula and the quasi-tree
-duality are predicates on its rows, the crossing-free profile is its
-marginal over f (handed back with the results, for the states command
-to print), and the polynomials R and L of the diagonal relations are
-assembled from it.  Only a failing check sweeps the subsets
-(dual_sweep, over the same dual), to name the first bad one in mask
-order.  A check that finds a disagreement fails; only inputs outside
-the preconditions (pinched, edgeless, disconnected, over the sweep
-cap) raise, and the sweep cap, checked first, bounds all the work.
+run_state_checks compares the two routes on all 3^e states at once:
+ribbon.state_tally decides the edges one at a time on one frontier
+carrying both routes, and counts the states by (medial curves, graph
+curves) without listing them.  The routes agree exactly when every
+count lies on the diagonal; only a count off it enumerates the states,
+on the two counters above, to name the first that disagrees.  It runs
+every relation that applies, one result line per check.  Everything
+else it needs comes from one ribbon.dual_tally, with the dual built
+once: the minimum formula and the quasi-tree duality are predicates on
+its rows, the crossing-free profile is its marginal over f (handed
+back with the results, for the states command to print), and the
+polynomials R and L of the diagonal relations are assembled from it.
+Only a failing check sweeps the subsets (dual_sweep, over the same
+dual), to name the first bad one in mask order.  A check that finds a
+disagreement fails; only inputs outside the preconditions (pinched,
+edgeless, disconnected, over the sweep cap) raise.  The sweep cap,
+checked first, still counts edges; the tally's cost follows its
+frontier states, not 3^e.
 """
 
 from __future__ import annotations
@@ -232,7 +238,7 @@ def lr_relation(rs: rb.RotationSystem, rows: Counter, r_poly: MPolynomial,
 
 
 # ---------------------------------------------------------------------------
-# the full sweep
+# every state check
 
 
 def run_state_checks(rs: rb.RotationSystem, *,
@@ -274,21 +280,30 @@ def run_state_checks(rs: rb.RotationSystem, *,
         return _bad(name, poly._first_subset(
             edges, rb.dual_sweep(rs, dual_rs), bad))
 
-    # The graph route: no band for black, the band for white, the
-    # band twisted for crossing.
-    count = rb.circle_counter(rs)
-    band = [3 if rs.signs[e] > 0 else 2 for e in edges]
-    pairing = {BLACK: [1] * len(edges), WHITE: band,
-               CROSSING: [b ^ 1 for b in band]}
-    medial_count = medial_state_counter(mm)
+    # Both routes count every state at once: the tally is keyed by
+    # (medial curves, graph curves), so the routes agree on every state
+    # exactly when every key lies on the diagonal.
+    curves = rb.state_tally(rs, mm)
+    off = sorted(key for key in curves if key[0] != key[1])
 
-    def tracer_problems():
+    def tracer_problem():
+        # Only a disagreement counts the states one at a time, on the
+        # medial and on the graph (no band for black, the band for
+        # white, the band twisted for crossing), to name the first.
+        medial_count = medial_state_counter(mm)
+        count = rb.circle_counter(rs)
+        pairings = [dict(zip(rb.STATE_NAMES, rb.smoothing_pairings(
+            3 if rs.signs[e] > 0 else 2))) for e in edges]
         for combo in itertools.product(rb.STATE_NAMES, repeat=len(edges)):
             direct = medial_count(combo)
-            via_graph = count([pairing[s][i] for i, s in enumerate(combo)])
+            via_graph = count([p[s] for p, s in zip(pairings, combo)])
             if direct != via_graph:
-                yield (f"state {combo} on edges {list(edges)}: medial "
-                       f"{direct}, graph {via_graph}")
+                return (f"state {combo} on edges {list(edges)}: medial "
+                        f"{direct}, graph {via_graph}")
+        (medial, graph), m = off[0], curves[off[0]]
+        return (f"the state tally puts {m} of 3^{n} states at "
+                f"medial {medial}, graph {graph}, but no state disagrees "
+                f"when counted alone")
 
     def quasi_tree_problem(row):
         # The row keeps W and deletes A = E - W: G - A is a quasi-tree
@@ -307,8 +322,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
             return f"quasi-tree {q1} but spanning-tree dichotomy says {trees}"
         return None
 
-    mismatch = next(tracer_problems(), None)
-    out = [_bad("state-tracer-agreement", mismatch) if mismatch
+    out = [_bad("state-tracer-agreement", tracer_problem()) if off
            else _ok("state-tracer-agreement")]
     if low_genus:
         # The crossing-free state with white set W has f(W) curves, and

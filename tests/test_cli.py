@@ -14,6 +14,7 @@ from topopoly import fileformat as ff
 from topopoly import multigraph as mg
 from topopoly import poly
 from topopoly import ribbon as rb
+from topopoly import states as st
 
 THETA = """\
 vertex 0: sector (1.0 2.0 3.0)
@@ -281,23 +282,27 @@ def test_states_output(capsys, files):
 
 def test_states_sweeps_no_subset(capsys, files, monkeypatch):
     # A passing run reads one tally of the graph and its dual, built
-    # once; the printed profile comes from it.  Only a failure sweeps.
+    # once, and one tally of the medial states; the printed profile
+    # comes from the first.  Only a failure sweeps subsets or counts
+    # states one at a time.
     calls = Counter()
-    for name in ("subset_sweep", "dual_sweep", "dual", "dual_tally"):
-        def wrapper(*args, real=getattr(rb, name), name=name, **kwargs):
+    for module, name in ((rb, "subset_sweep"), (rb, "dual_sweep"), (rb, "dual"),
+                         (rb, "dual_tally"), (rb, "state_tally"),
+                         (rb, "circle_counter"), (st, "medial_state_counter")):
+        def wrapper(*args, real=getattr(module, name), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(rb, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     rc, out, _ = run(capsys, "states", files["theta"])
     assert rc == 0
     assert out.startswith("crossing-free curves 1: 4\n")
-    assert calls == {"dual": 1, "dual_tally": 1}
+    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1}
     calls.clear()
     rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "states")
     assert rc == 0
     assert "RESULT: quasi-tree-duality pass" in out
-    assert calls == {"dual": 1, "dual_tally": 1}
+    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1}
 
 
 def test_identities_reports_a_broken_dual_as_failure(capsys, files,

@@ -164,7 +164,12 @@ def test_cellular_routes_agree_on_corpus():
         a = poly.las_vergnas_cellular(rs, "expansion")
         b = poly.las_vergnas_cellular(rs, "recursion")
         c = poly.las_vergnas_embedded(em.with_disc_regions(rs), "expansion")
-        assert a == b == c
+        # A given cellular embedding, its regions numbered otherwise.
+        f = rb.trace_boundary(rs).f
+        emb = em.EmbeddedGraph(rs, {k: 2 * (f - k) for k in range(f)},
+                               {2 * (f - k): 0 for k in range(f)})
+        d = poly.las_vergnas_cellular(emb, "recursion")
+        assert str(a) == str(b) == str(c) == str(d)
 
 
 def test_plane_cellular_polynomial_is_tutte():
@@ -176,10 +181,11 @@ def test_plane_cellular_polynomial_is_tutte():
 
 
 def test_cellular_polynomial_rejects_pinches_by_either_method():
-    rs = corpus.pinched_spheres().rotation
-    for method in ("expansion", "recursion"):
-        with pytest.raises(rb.RibbonError):
-            poly.las_vergnas_cellular(rs, method)
+    emb = corpus.pinched_spheres()
+    for x in (emb, emb.rotation):
+        for method in ("expansion", "recursion"):
+            with pytest.raises(rb.RibbonError):
+                poly.las_vergnas_cellular(x, method)
 
 
 def test_embedded_recursion_matches_expansion_non_cellular():
@@ -512,7 +518,7 @@ def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
         counts[name] = len(calls)
     capsys.readouterr()
     assert counts == {"tutte": 1, "dichromatic": 1, "br": 1, "krushkal": 1,
-                      "lv-ext": 1, "lv": 2, "lv recursion": 2, "identities": 5,
+                      "lv-ext": 1, "lv": 2, "lv recursion": 1, "identities": 5,
                       "pseudo-surface lv-ext": 1,
                       "pseudo-surface identities": 1}
 

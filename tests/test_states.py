@@ -1,6 +1,7 @@
 """State counting on medials and the low-genus formulas."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -207,25 +208,23 @@ def test_forced_gate_fails_instead_of_raising(monkeypatch):
 
 
 def _corrupt_medial(monkeypatch):
-    real = st.medial_state_counter
+    # The medial smooths every crossing as black: the medial layer of
+    # the state tally, and the per-state medial count, both read it.
+    real = rb.medial
 
-    def medial_state_counter(mm):
-        count = real(mm)
-        return lambda combo: count(combo) + (CROSSING in combo)
+    def medial(g):
+        mm = real(g)
+        return rb.MedialMap(mm.medial, mm.corners, {
+            e: {**pairs, CROSSING: pairs[BLACK]}
+            for e, pairs in mm.pairings.items()})
 
-    monkeypatch.setattr(st, "medial_state_counter", medial_state_counter)
+    monkeypatch.setattr(rb, "medial", medial)
 
 
 def _corrupt_counter(monkeypatch):
-    real = rb.circle_counter
-
-    def circle_counter(g):
-        count = real(g)
-        band = [3 if g.signs[e] > 0 else 2 for e in g.edges]
-        return lambda pairing: count(pairing) + any(
-            p not in (1, b) for p, b in zip(pairing, band))
-
-    monkeypatch.setattr(rb, "circle_counter", circle_counter)
+    # The graph drops the band of every crossing edge: the circle layer
+    # of the state tally, and the per-state circle count, both read it.
+    monkeypatch.setattr(rb, "smoothing_pairings", lambda band: (1, band, 1))
 
 
 @pytest.mark.parametrize("corrupt, detail", [
@@ -241,6 +240,65 @@ def test_one_curve_off_on_crossing_states_fails_agreement(monkeypatch, corrupt,
         + detail)
     # Only crossing states were corrupted; the sweep rows are untouched.
     assert results["quasi-tree-duality"].status == "pass"
+
+
+def test_a_tally_off_the_diagonal_fails_agreement_alone(monkeypatch):
+    # The medial layer closes one more curve on every crossing, but each
+    # state counted alone agrees: the check still fails, and says so.
+    real = rb._medial_moves
+
+    def medial_moves(mm, order):
+        moves, base = real(mm, order)
+
+        def corrupt(move):
+            return lambda part: [(p, c + (s == CROSSING)) for s, (p, c)
+                                 in zip(rb.STATE_NAMES, move(part))]
+
+        return [corrupt(move) for move in moves], base
+
+    monkeypatch.setattr(rb, "_medial_moves", medial_moves)
+    results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())[0]}
+    res = results["state-tracer-agreement"]
+    assert (res.status, res.detail) == (
+        "fail", "the state tally puts 12 of 3^3 states at medial 2, graph 1, "
+                "but no state disagrees when counted alone")
+    assert results["quasi-tree-duality"].status == "pass"
+
+
+def _per_state(rs):
+    """Counter((medial curves, graph curves)) over every state, counted
+    one at a time."""
+    medial_count = st.medial_state_counter(rb.medial(rs))
+    count = rb.circle_counter(rs)
+    pairings = [dict(zip(rb.STATE_NAMES, rb.smoothing_pairings(
+        3 if rs.signs[e] > 0 else 2))) for e in rs.edges]
+    return Counter((medial_count(combo),
+                    count([p[s] for p, s in zip(pairings, combo)]))
+                   for combo in itertools.product(rb.STATE_NAMES,
+                                                  repeat=len(rs.edges)))
+
+
+def _connected(rng, n_edges, n):
+    out = []
+    while len(out) < n:
+        rs = corpus.random_rotation(rng, rng.randint(1, 5), n_edges,
+                                    allow_pinch=False)
+        if mg.components(rs.underlying()) == 1:
+            out.append(rs)
+    return out
+
+
+def test_state_tally_equals_the_per_state_counts():
+    graphs = corpus.cellular_corpus() + _connected(random.Random(9), 9, 3)
+    assert sum(rs.signs[e] < 0 for rs in graphs[-3:] for e in rs.edges)
+    for rs in graphs:
+        assert rb.state_tally(rs, rb.medial(rs)) == _per_state(rs), rs
+
+
+def test_state_checks_pass_at_twelve_edges():
+    (rs,) = _connected(random.Random(12), 12, 1)
+    results = {r.name: r for r in st.run_state_checks(rs, sweep_cap=12)[0]}
+    assert results["state-tracer-agreement"].status == "pass"
 
 
 def test_lr_relation_fails_on_half_powers(monkeypatch):
