@@ -7,7 +7,7 @@ The package is organized bottom-up:
   mpoly        integer polynomials with half-integer exponents
   ribbon       rotation systems with signs, boundary tracing, duals,
                partial duals via twisting, medial graphs, and the
-               subset sweeps and frontier tallies the expansions read
+               frontier tallies the expansions and checks read
   embedding    region data on top of a rotation system, pseudo-surface
                invariants, edge classification, topological minors
   fileformat   the text format the CLI reads and writes

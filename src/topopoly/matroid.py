@@ -1,8 +1,8 @@
 """Matroids as rank oracles, and matroid perspectives.
 
 A matroid is a ground set together with a rank function.  A subset is
-an int mask, bit i standing for ground[i]: the multigraph encoding, so
-mask k of a graphic matroid is row k of ribbon.subset_sweep.
+an int mask, bit i standing for ground[i]: the multigraph encoding
+(multigraph.subset_ids), in which the failing checks name subsets too.
 RankMatroid.mask checks ids, and rank its mask.
 
 Duals and minors are mask transforms of the parent oracle, so a chain
@@ -22,18 +22,10 @@ circuit of M is a union of circuits of M'.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import compress, cycle
-from operator import gt
 from typing import Callable, Iterable
 
 from . import multigraph as mg
-
-# make_perspective checks domination on every subset up to this many
-# elements, and on this many seeded random subsets above it.
-PERSPECTIVE_EXHAUSTIVE_CAP = 12
-PERSPECTIVE_SAMPLES = 500
 
 
 class MatroidError(ValueError):
@@ -218,40 +210,33 @@ class MatroidPerspective:
         return self.m.ground
 
 
-def make_perspective(m: RankMatroid, m_prime: RankMatroid, *,
-                     exhaustive_cap: int = PERSPECTIVE_EXHAUSTIVE_CAP,
-                     samples: int = PERSPECTIVE_SAMPLES,
-                     seed: int = 2) -> MatroidPerspective:
+def make_perspective(m: RankMatroid, m_prime: RankMatroid) -> MatroidPerspective:
     """Validate and build the perspective (M, M').
 
-    Unit-increment domination is checked on every subset when the
-    ground set has at most exhaustive_cap elements, on the rank tables,
-    otherwise on a seeded random sample, by point queries.  Raises
-    MatroidError with a witness pair, the first in mask order.
+    Unit-increment domination is checked on every subset, on the rank
+    tables.  Raises MatroidError with a witness pair, the first in mask
+    order.
     """
     if m.ground != m_prime.ground:
         raise MatroidError("ground sets differ")
-    n = len(m.ground)
-    if n <= exhaustive_cap:
-        # Domination says k = r - r' never falls when an element is
-        # added: k[a] > k[a + b] nowhere that bit b is clear in a.  Only
-        # a fall walks the subsets, to name the first one.
-        t, tp = m.table(), m_prime.table()
-        k = [r - rp for r, rp in zip(t, tp)]
-        falls = any(any(compress(map(gt, k, k[b:]),
-                                 cycle((True,) * b + (False,) * b)))
-                    for b in _bits(m.full))
-        subsets = range(m.full) if falls else ()   # E has no element to add
-        rank, rank_prime = t.__getitem__, tp.__getitem__
-    else:
-        rng = random.Random(seed)
-        subsets = (rng.getrandbits(n) for _ in range(samples))
-        rank, rank_prime = m.rank, m_prime.rank
-    for a in subsets:
-        r_a, rp_a = rank(a), rank_prime(a)
+    # Domination: r(A + e) + r'(A) >= r(A) + r'(A + e), e not in A.  Byte
+    # a of a table's int is the rank of mask a (below 64); a shift by e's
+    # bytes puts A + e on A.  With top bits set no byte borrows, and a top
+    # bit stays set where the inequality holds.  Only a fall walks the masks.
+    t, tp = m.table(), m_prime.table()
+    r, rp = (int.from_bytes(bytes(x), "little") for x in (t, tp))
+    top = int.from_bytes(b"\x80" * len(t), "little")
+
+    def holds(i):
+        s, period = 8 << i, b"\x80" * (1 << i) + bytes(1 << i)
+        without = int.from_bytes(period * (len(t) >> i + 1), "little")
+        return ((((r >> s) + rp) | top) - r - (rp >> s)) & without == without
+
+    falls = not all(map(holds, range(len(m.ground))))
+    for a in range(m.full) if falls else ():   # E has no element to add
         for i, e in enumerate(m.ground):
             b = 1 << i
-            if not a & b and rank(a | b) - r_a < rank_prime(a | b) - rp_a:
+            if not a & b and t[a | b] - t[a] < tp[a | b] - tp[a]:
                 raise MatroidError(
                     f"not a perspective: rank step of M at "
                     f"A={mg.subset_ids(m.ground, a)}, e={e} is below M'")

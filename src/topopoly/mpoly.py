@@ -292,10 +292,10 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
 
     Each bucket key gives one half-unit exponent h per name in names;
     w is the variable itself, or v - 1 for each v in shifted, whose
-    exponents must be whole and are expanded binomially.  All buckets
-    go into one term dict, so no polynomial products are formed.  The
-    exponents of the names not shifted are checked once per key; every
-    term a key expands to is then valid.
+    exponents must be whole and not negative, and are expanded
+    binomially.  All buckets go into one term dict, so no polynomial
+    products are formed.  The exponents of the names not shifted are
+    checked once per key; every term a key expands to is then valid.
     """
     shifted = frozenset(shifted)
     index = [_VAR_INDEX[v] for v in names]
@@ -308,6 +308,8 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
             if v in shifted:
                 if h % 2:
                     raise ValueError(f"half-power of the shifted {v} - 1")
+                if h < 0:
+                    raise ValueError(f"negative power of the shifted {v} - 1")
                 n = h // 2
                 powers = [(2 * p, (-1) ** (n - p) * comb(n, p))
                           for p in range(n + 1)]

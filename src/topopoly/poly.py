@@ -27,9 +27,9 @@ to a bucket:
                         tracing; c(E), rho(E) and rho(0) once
   tutte, dichromatic    transfer_tally(g): c alone
 
-A bad row names the first subset, in mask order, that yields it: only
-that failure path sweeps the subsets (ribbon.subset_sweep or
-dual_sweep), in _first_subset, which the state checks share.
+A bad row names the first subset, in mask order, that yields it:
+_first_subset, which the state checks share, reruns the same tally
+with edges forced in or out, at most |E| times.
 
 verify_identities builds the dual_tally rows once per call and reuses
 them for L, R, lv-tidy and lv-dichromatic, and reads the surface's
@@ -60,6 +60,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import embedding as em
 from . import matroid as mt
@@ -116,16 +117,15 @@ def _skip(name, detail):
 # subset machinery
 
 
-def _first_subset(edges: tuple[int, ...], rows, bad) -> str:
-    """The error of the first subset A, in mask order, at which a fresh
-    sweep over edges yields a row of bad, which maps each bad row of a
-    tally to its message: a template whose fields {a} and {rest} take
-    the sorted edge ids of A and of E - A.  The tallies are not in
-    subset order, so only the failure path sweeps."""
-    full = (1 << len(edges)) - 1
-    k, row = next((k, r) for k, r in enumerate(rows) if r in bad)
-    return bad[row].format(a=mg.subset_ids(edges, k),
-                           rest=mg.subset_ids(edges, full ^ k))
+def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
+    """The error of the first subset A, in mask order, whose row is in
+    bad, which maps each bad row of a tally to its message: a template
+    whose fields {a} and {rest} take the sorted edge ids of A and of
+    E - A.  tally(forced=...) is that tally, forced as transfer_tally;
+    the highest edge id is the mask's most significant bit."""
+    inside, row = rb.first_witness(tally, edges[::-1], 2, bad)
+    return bad[row].format(a=[e for e in edges if inside[e]],
+                           rest=[e for e in edges if not inside[e]])
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +154,17 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
     if method == "expansion":
         t, tp = mp.m.table(), mp.m_prime.table()
         r_full, rp_full = t[-1], tp[-1]
+        sizes = mt.mask_sizes(len(mp.ground))
         counts: Counter = Counter()
-        for (size, r_a, rp_a), m in Counter(
-                zip(mt.mask_sizes(len(mp.ground)), t, tp)).items():
+        # Counter keeps the mask order of first sight: bad rows come in order.
+        for row, m in Counter(zip(sizes, t, tp)).items():
+            size, r_a, rp_a = row
             k = (r_full - r_a) - (rp_full - rp_a)
-            if k < 0:
-                a = next(a for a, (r, rp) in enumerate(zip(t, tp))
-                         if r - rp > r_full - rp_full)
-                raise PolyError(f"rank drop inversion on "
-                                f"{mg.subset_ids(mp.ground, a)}; "
-                                "not a matroid perspective")
+            if min(k, size - r_a, rp_full - rp_a) < 0:
+                a = mg.subset_ids(mp.ground, next(
+                    a for a, first in enumerate(zip(sizes, t, tp)) if first == row))
+                what = "rank drop inversion" if k < 0 else "negative exponent"
+                raise PolyError(f"{what} on {a}; not a matroid perspective")
             counts[2 * (rp_full - rp_a), 2 * (size - r_a), 2 * k] += m
         return assemble("xyz", counts, shifted="xy")
     if method == "recursion":
@@ -235,7 +236,8 @@ def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
                         else "bad exponents on {a}")
         counts[2 * (row.c - c_full), 2 * ey, ez2] += m
     if bad:
-        raise PolyError(_first_subset(rs.edges, rb.dual_sweep(rs), bad))
+        raise PolyError(_first_subset(
+            rs.edges, partial(rb.dual_tally, rs, rb.dual(rs)), bad))
     return assemble("xyz", counts, shifted="xy")
 
 
@@ -267,8 +269,8 @@ def las_vergnas_embedded(x, method: str = "expansion",
             bad[row] = "bad exponents on {a}"
         counts[2 * (c_a - c_full), 2 * (rho_a - rho_empty), 2 * ez] += m
     if bad:
-        raise PolyError(
-            _first_subset(s.g.edges, rb.subset_sweep(s.g, s.dagger), bad))
+        raise PolyError(_first_subset(
+            s.g.edges, partial(rb.transfer_tally, s.g, s.dagger), bad))
     return assemble("xyz", counts, shifted="xy")
 
 
@@ -368,7 +370,7 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
 
 def _ribbon_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
     """R from a tally of rows that start with |A|, c(A), f(A): the rows
-    of transfer_tally and of dual_tally (or dual_sweep) all do."""
+    of transfer_tally and of dual_tally both do."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     counts: Counter = Counter()
@@ -402,8 +404,8 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
             bad[row] = "negative genus from subset {a}"
         counts[2 * (c - c_full), 2 * (k - 1), ngenus, genus] += m
     if bad:
-        raise em.EmbeddingError(
-            _first_subset(rs.edges, rb.subset_sweep(rs, dagger), bad))
+        raise em.EmbeddingError(_first_subset(
+            rs.edges, partial(rb.transfer_tally, rs, dagger), bad))
     return assemble("xyab", counts)
 
 
@@ -450,8 +452,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         raise PolyError(f"the pointwise identities need at least one sample "
                         f"point, not {points}")
     rs = emb.rotation
-    n = len(rs.edges)
-    check_cap(n, cap, "the identity suite")
+    check_cap(len(rs.edges), cap, "the identity suite")
     report = em.validate(emb)
     scheme = em.derive_dagger(emb)
     g = scheme.g
@@ -465,38 +466,37 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
 
     l_ext = las_vergnas_embedded(scheme, "expansion", cap)
     mp = em.scheme_perspective(scheme)
-    t_pers = tutte_perspective(mp, "expansion", cap)
     t_m = _graphic_tutte(scheme.dagger, "yx", cap)     # M = B(H), H the dagger
     t_mp = tutte(g, cap)                                # M' = C(G)
 
-    # Perspective specialisations: the rank walk against the tallies.
-    self_b, self_c = (tutte_perspective(mt.MatroidPerspective(m, m), cap=cap)
-                      for m in (mp.m, mp.m_prime))
-    # scheme_perspective checked domination on a sample above the cap.
-    sampled = ""
-    if n > mt.PERSPECTIVE_EXHAUSTIVE_CAP:
-        sampled = f"domination sampled on {mt.PERSPECTIVE_SAMPLES} of 2^{n} subsets"
-    if self_b == t_m and self_c == t_mp:
-        out.append(_ok("perspective-self", sampled))
+    # Perspective specialisations: the rank walk against the tallies.  A
+    # bad rank table fails all three; their points are drawn either way.
+    prime_points = _points(rng, pool, 2, points)
+    try:
+        t_pers = tutte_perspective(mp, "expansion", cap)
+        self_b, self_c = (tutte_perspective(mt.MatroidPerspective(m, m), cap=cap)
+                          for m in (mp.m, mp.m_prime))
+    except PolyError as exc:
+        out += [_bad(name, str(exc)) for name in (
+            "perspective-self", "perspective-to-m", "perspective-to-m-prime")]
     else:
-        out.append(_bad("perspective-self", "; ".join(filter(None, (
-            "pair polynomial of (M, M) is not the Tutte polynomial", sampled)))))
+        if self_b == t_m and self_c == t_mp:
+            out.append(_ok("perspective-self"))
+        else:
+            out.append(_bad("perspective-self",
+                            "pair polynomial of (M, M) is not the Tutte polynomial"))
+        image = MPolynomial.variable("x") - 1
+        if t_pers.substitute("z", image) == t_m:
+            out.append(_ok("perspective-to-m"))
+        else:
+            out.append(_bad("perspective-to-m", "z -> x-1 did not recover M"))
+        drop = mp.m.rank() - mp.m_prime.rank()
 
-    image = MPolynomial.variable("x") - 1
-    if t_pers.substitute("z", image) == t_m:
-        out.append(_ok("perspective-to-m"))
-    else:
-        out.append(_bad("perspective-to-m", "z -> x-1 did not recover M"))
-
-    drop = mp.m.rank() - mp.m_prime.rank()
-
-    def to_m_prime(x0, y0):
-        lhs = (y0 - 1) ** drop * t_pers.evaluate(
-            {"x": x0, "y": y0, "z": Fraction(1, 1) / (y0 - 1)})
-        return lhs, t_mp.evaluate({"x": x0, "y": y0})
-
-    out.append(_pointwise("perspective-to-m-prime",
-                          _points(rng, pool, 2, points), to_m_prime))
+        def to_m_prime(x0, y0):
+            lhs = (y0 - 1) ** drop * t_pers.evaluate(
+                {"x": x0, "y": y0, "z": Fraction(1, 1) / (y0 - 1)})
+            return lhs, t_mp.evaluate({"x": x0, "y": y0})
+        out.append(_pointwise("perspective-to-m-prime", prime_points, to_m_prime))
 
     # Cellular-only material.
     l_cell = r_poly = None

@@ -24,11 +24,11 @@ sector left without half-edges still bounds one circle.
 
 circle_counter counts the same circles on int-encoded corner points,
 without building any Circle: its kappa is fixed, and an absent band
-pairs its points in to out at each end.  subset_sweep counts f(A) on
-one counter, a failing state check counts medial states on one, and
-dual_sweep zips the sweep with a second sweep over the dual on E - A.
+pairs its points in to out at each end.  A failing state check
+recounts its one misplaced medial state on it.
 
-transfer_tally and dual_tally return the tallies of those rows without
+transfer_tally and dual_tally return the tallies of the rows of the
+2^|E| edge subsets (sizes, component and circle counts) without
 visiting the subsets, and state_tally the curve counts of the 3^|E|
 medial states without visiting the states.  All three run one loop,
 _frontier_tally, which decides the edges one at a time, vertex by
@@ -41,6 +41,11 @@ corner points (the undecided points whose kappa partner is decided);
 decisions that reach one state have the same future, so equal states
 merge and carry a tally of the size and the blocks and circles already
 closed.  Their cost follows the number of states, not 2^|E| or 3^|E|.
+
+A failing check names its first bad subset or state on the same loop,
+which a forced map restricts to one choice per forced edge:
+first_witness forces the edges one by one, at most |E| runs for a
+subset and 2|E| for a state.  No code lists the subsets or the states.
 
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), orientability, the
@@ -338,45 +343,8 @@ def circle_counter(g: RotationSystem):
     return count
 
 
-def subset_sweep(x: RotationSystem | mg.Multigraph,
-                 cut: mg.Multigraph | None = None, complement: bool = False):
-    """Yield (|A|, c(A), f(A), c_cut(E - A)) for every edge subset A.
-
-    x is a rotation system, whose boundary circles are counted too, or
-    a bare multigraph, for which f is None.  cut is a second multigraph
-    on the same edge ids (the dagger graph, say); c_cut counts its
-    components on the edges outside A, and is None without it.
-
-    Row k is the subset with mask k in the multigraph encoding, bit i
-    standing for the i-th smallest edge id, so two sweeps over graphs
-    that share their edge ids line up row by row, and mask k of a
-    matroid names the same subset.  With complement, row k describes
-    E - A_k instead of A_k.
-
-    c(A) and c_cut come from multigraph.component_counter, and f(A)
-    from one circle_counter, on which each edge of A pairs its corner
-    points as its band and each absent edge as no band (p ^ 1).
-    """
-    ribbon = x if isinstance(x, RotationSystem) else None
-    g = x.underlying() if ribbon is not None else x
-    edges = g.edges
-    n = len(edges)
-    if cut is not None and cut.edge_set() != g.edge_set():
-        raise RibbonError("a cut graph must share the sweep's edge ids")
-
-    if ribbon is not None:
-        circles = circle_counter(ribbon)
-        band = [3 if ribbon.signs[e] > 0 else 2 for e in edges]
-    count = mg.component_counter(g)
-    if cut is not None:
-        count_cut = mg.component_counter(cut)
-    full = (1 << n) - 1
-    for k in range(1 << n):
-        a = k ^ full if complement else k
-        yield (a.bit_count(), count(a),
-               circles([band[i] if a >> i & 1 else 1 for i in range(n)])
-               if ribbon is not None else None,
-               count_cut(a ^ full) if cut is not None else None)
+# ---------------------------------------------------------------------------
+# the transfer tally: the rows of the subsets and states, edge by edge
 
 
 class DualRow(NamedTuple):
@@ -390,37 +358,21 @@ class DualRow(NamedTuple):
     genus_dual: int     # Euler genus of the dual's ribbon subgraph on E - A
 
 
-def dual_sweep(g: RotationSystem, d: RotationSystem | None = None):
-    """Yield one DualRow per edge subset A, in subset_sweep order.
-
-    The starred counts come from a second sweep over the geometric
-    dual d (built here unless given), which traces the dual itself, so
-    they share no boundary count with the graph's own.
-    """
-    d = dual(g) if d is None else d
-    v, vd = len(g.sectors), len(d.sectors)
-    for (size, c, f, _), (size_d, cd, fd, _) in zip(
-            subset_sweep(g), subset_sweep(d, complement=True)):
-        yield DualRow(size, c, f, 2 * c - v + size - f,
-                      cd, fd, 2 * cd - vd + size_d - fd)
-
-
-# ---------------------------------------------------------------------------
-# the transfer tally: the same rows, counted edge by edge
-
-
 def transfer_tally(x: RotationSystem | mg.Multigraph,
-                   cut: mg.Multigraph | None = None) -> Counter:
-    """Counter(subset_sweep(x, cut)), without visiting the subsets.
+                   cut: mg.Multigraph | None = None, *,
+                   forced: Mapping[int, int] | None = None) -> Counter:
+    """Counter of (|A|, c(A), f(A), c_cut(E - A)) over the edge subsets
+    A that agree with forced (edge id -> 0 outside A, 1 inside).
 
-    The edges are decided one at a time (see _frontier_tally), carrying
-    the vertex partition of A, the circles of A if x is a rotation
-    system, and the partition of cut on E - A.
+    f is None unless x is a rotation system, c_cut unless a cut graph
+    on the same edge ids (the dagger graph, say) is given.  The edges
+    are decided one at a time (see _frontier_tally), carrying the vertex
+    partition of A, the circles of A and the partition of cut on E - A.
     """
     ribbon = x if isinstance(x, RotationSystem) else None
     g = x.underlying() if ribbon is not None else x
     if cut is not None and cut.edge_set() != g.edge_set():
-        raise RibbonError("a cut graph must share the sweep's edge ids")
+        raise RibbonError("a cut graph must share the tally's edge ids")
     order = _edge_order(g, ribbon)
     layers = [_block_moves(g, order, True)]
     if ribbon is not None:
@@ -428,19 +380,21 @@ def transfer_tally(x: RotationSystem | mg.Multigraph,
     if cut is not None:
         layers.append(_block_moves(cut, order, False))
     out: Counter = Counter()
-    for (size, c, *rest), m in _frontier_tally(order, layers):
+    for (size, c, *rest), m in _frontier_tally(order, layers, forced=forced):
         f = rest.pop(0) if ribbon is not None else None
         c_cut = rest.pop(0) if cut is not None else None
         out[size, c, f, c_cut] += m
     return out
 
 
-def dual_tally(g: RotationSystem, d: RotationSystem | None = None) -> Counter:
-    """Counter(dual_sweep(g, d)), without visiting the subsets.
+def dual_tally(g: RotationSystem, d: RotationSystem | None = None, *,
+               forced: Mapping[int, int] | None = None) -> Counter:
+    """Counter of the DualRow of every edge subset A, forced as in
+    transfer_tally.
 
     One joint state carries the partition and the circles of A in g and
-    of E - A in the dual d (built here unless given), which is traced
-    on its own, as in dual_sweep.
+    of E - A in the dual d (built here unless given), which is traced on
+    its own, so the starred counts share no boundary count with g's.
     """
     d = dual(g) if d is None else d
     if d.edge_set() != g.edge_set():
@@ -452,18 +406,20 @@ def dual_tally(g: RotationSystem, d: RotationSystem | None = None) -> Counter:
               _circle_moves(d, order, _in_rest)]
     v, vd, n = len(g.sectors), len(d.sectors), len(order)
     out: Counter = Counter()
-    for (size, c, f, cd, fd), m in _frontier_tally(order, layers):
+    for (size, c, f, cd, fd), m in _frontier_tally(order, layers, forced=forced):
         out[DualRow(size, c, f, 2 * c - v + size - f,
                     cd, fd, 2 * cd - vd + n - size - fd)] += m
     return out
 
 
-def state_tally(g: RotationSystem, mm: "MedialMap") -> Counter:
+def state_tally(g: RotationSystem, mm: "MedialMap", *,
+                forced: Mapping[int, int] | None = None) -> Counter:
     """Counter((medial curves, graph curves)) over the 3^|E| medial
     states of g, without visiting the states; mm is medial(g).
 
     The edges are decided one at a time, each black, white or crossing
-    (STATE_NAMES order).  The medial route is a union layer on the
+    (STATE_NAMES order; forced maps an edge id to the index of the one
+    smoothing to keep).  The medial route is a union layer on the
     corners of g (_medial_moves), the graph route a circle layer on its
     disc arcs paired by smoothing_pairings, so the two counts share
     nothing but the edge order.
@@ -472,7 +428,29 @@ def state_tally(g: RotationSystem, mm: "MedialMap") -> Counter:
     layers = [_medial_moves(mm, order),
               _circle_moves(g, order, smoothing_pairings)]
     return Counter({(medial, graph): m for (_, medial, graph), m
-                    in _frontier_tally(order, layers, (0, 0, 0))})
+                    in _frontier_tally(order, layers, (0, 0, 0), forced)})
+
+
+def first_witness(tally, edges: Sequence[int], choices: int, bad):
+    """(forced, row): the lexicographically first decision of the edges,
+    most significant first, whose row is in bad, which the unforced
+    tally(forced=...) holds.  Each edge keeps the first choice under
+    which a bad row survives, and the last without a run: at most
+    (choices - 1) |E| runs.  The last tally that held a bad row holds
+    the witness's alone, as its other decisions lie under failed runs.
+    """
+    forced: dict[int, int] = {}
+    found = bad
+    for e in edges:
+        for k in range(choices - 1):
+            forced[e] = k
+            hits = [row for row in tally(forced=forced) if row in bad]
+            if hits:
+                found = hits
+                break
+        else:
+            forced[e] = choices - 1
+    return forced, next(iter(found))
 
 
 def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
@@ -506,7 +484,8 @@ def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
     return list(order)
 
 
-def _frontier_tally(order: list[int], layers, sizes=(0, 1)
+def _frontier_tally(order: list[int], layers, sizes=(0, 1),
+                    forced: Mapping[int, int] | None = None
                     ) -> list[tuple[tuple[int, ...], int]]:
     """Decide the edges of order one at a time over the given layers;
     list the distinct (size, closed count per layer) tuples with their
@@ -521,14 +500,17 @@ def _frontier_tally(order: list[int], layers, sizes=(0, 1)
     sectors).  A state is the tuple of the parts; its value counts
     decisions by their packed tally, one bit field for the size and one
     per layer.  Decisions that reach one state have the same future, so
-    equal states merge.
+    equal states merge.  An edge in forced keeps only its choice there.
     """
+    forced = forced or {}
     # No field exceeds 4|E|: the size is at most |E|, and each layer
     # closes at most one block or circle per two of the 4|E| corner points.
     width = (4 * len(order)).bit_length()
     shifts = [width * (k + 1) for k in range(len(layers))]
     states: dict = {tuple(() for _ in layers): (0, {0: 1})}
-    for t in range(len(order)):
+    for t, e in enumerate(order):
+        keep = slice(forced[e], forced[e] + 1) if e in forced else slice(None)
+        kept = sizes[keep]
         # Many states share a layer's part, so each part moves once; it
         # moves to the flat [part, closed, part, closed, ...] of its choices.
         known = []
@@ -537,7 +519,7 @@ def _frontier_tally(order: list[int], layers, sizes=(0, 1)
             for part in parts:
                 if part not in out:
                     flat = []
-                    for p, c in move(part):
+                    for p, c in move(part)[keep]:
                         flat += (p, c << shift)
                     out[part] = flat
             known.append(out)
@@ -548,7 +530,7 @@ def _frontier_tally(order: list[int], layers, sizes=(0, 1)
         for key, (offset, tally) in states.items():
             # row yields each choice's new state, then its closed fields.
             row = zip(*map(dict.__getitem__, known, key))
-            for new, closed, size in zip(row, row, sizes):
+            for new, closed, size in zip(row, row, kept):
                 step = offset + size + sum(closed)
                 entry = merged.get(new)
                 if entry is None:

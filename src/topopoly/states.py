@@ -11,37 +11,36 @@ The number of curves is computed here by two independent routes:
 gluing the smoothed medial's edges, a union-find on the corners of the
 graph (medial_state_counter; medial_state_components counts one
 state), and counting the boundary circles of the original graph with
-C twisted and B dropped, on the subset sweep's ribbon.circle_counter
-(state_components is the same count by twist and trace, kept as the
-reference); a two-term minimum formula, exact on the sphere, the
-torus and the projective plane, predicts the count of a crossing-free
-state.
+C twisted and B dropped, on ribbon.circle_counter (state_components
+is the same count by twist and trace, kept as the reference); a
+two-term minimum formula, exact on the sphere, the torus and the
+projective plane, predicts the count of a crossing-free state.
 
 run_state_checks compares the two routes on all 3^e states at once:
 ribbon.state_tally decides the edges one at a time on one frontier
 carrying both routes, and counts the states by (medial curves, graph
 curves) without listing them.  The routes agree exactly when every
-count lies on the diagonal; only a count off it enumerates the states,
-on the two counters above, to name the first that disagrees.  It runs
-every relation that applies, one result line per check.  Everything
-else it needs comes from one ribbon.dual_tally, with the dual built
-once: the minimum formula and the quasi-tree duality are predicates on
-its rows, the crossing-free profile is its marginal over f (handed
-back with the results, for the states command to print), and the
-polynomials R and L of the diagonal relations are assembled from it.
-Only a failing check sweeps the subsets (dual_sweep, over the same
-dual), to name the first bad one in mask order.  A check that finds a
-disagreement fails; only inputs outside the preconditions (pinched,
-edgeless, disconnected, over the sweep cap) raise.  The sweep cap,
-checked first, still counts edges; the tally's cost follows its
-frontier states, not 3^e.
+count lies on the diagonal; a count off it reruns the tally with
+smoothings forced to find the first misplaced state, which is then
+counted alone on the two counters above.  It runs every relation that
+applies, one result line per check.  Everything else it needs comes
+from one ribbon.dual_tally, with the dual built once: the minimum
+formula and the quasi-tree duality are predicates on its rows, the
+crossing-free profile is its marginal over f (handed back with the
+results, for the states command to print), and the polynomials R and
+L of the diagonal relations are assembled from it.  Only a failing
+check reruns that tally, to name the first bad white set in mask
+order.  A check that finds a disagreement fails; only inputs outside
+the preconditions (pinched, edgeless, disconnected, over the sweep
+cap) raise.  The sweep cap, checked first, still counts edges; the
+tally's cost follows its frontier states, not 3^e.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from . import multigraph as mg
@@ -274,36 +273,34 @@ def run_state_checks(rs: rb.RotationSystem, *,
         gate_detail = str(exc)
 
     def verdict(name, bad, detail=""):
-        # Only a failure sweeps, to name the first white set with a bad row.
+        # Only a failure reruns the tally, to name the first bad white set.
         if not bad:
             return _ok(name, detail)
         return _bad(name, poly._first_subset(
-            edges, rb.dual_sweep(rs, dual_rs), bad))
+            edges, partial(rb.dual_tally, rs, dual_rs), bad))
 
     # Both routes count every state at once: the tally is keyed by
     # (medial curves, graph curves), so the routes agree on every state
     # exactly when every key lies on the diagonal.
     curves = rb.state_tally(rs, mm)
-    off = sorted(key for key in curves if key[0] != key[1])
+    off = {key for key in curves if key[0] != key[1]}
 
     def tracer_problem():
-        # Only a disagreement counts the states one at a time, on the
-        # medial and on the graph (no band for black, the band for
-        # white, the band twisted for crossing), to name the first.
-        medial_count = medial_state_counter(mm)
-        count = rb.circle_counter(rs)
-        pairings = [dict(zip(rb.STATE_NAMES, rb.smoothing_pairings(
-            3 if rs.signs[e] > 0 else 2))) for e in edges]
-        for combo in itertools.product(rb.STATE_NAMES, repeat=len(edges)):
-            direct = medial_count(combo)
-            via_graph = count([p[s] for p, s in zip(pairings, combo)])
-            if direct != via_graph:
-                return (f"state {combo} on edges {list(edges)}: medial "
-                        f"{direct}, graph {via_graph}")
-        (medial, graph), m = off[0], curves[off[0]]
-        return (f"the state tally puts {m} of 3^{n} states at "
-                f"medial {medial}, graph {graph}, but no state disagrees "
-                f"when counted alone")
+        # The first state off the diagonal, smoothings forced in edge id
+        # order, is counted alone on the medial and on the graph (no
+        # band for black, the band for white, the band twisted for crossing).
+        chosen, (medial, graph) = rb.first_witness(
+            partial(rb.state_tally, rs, mm), edges, 3, off)
+        combo = tuple(rb.STATE_NAMES[chosen[e]] for e in edges)
+        direct = medial_state_counter(mm)(combo)
+        via_graph = rb.circle_counter(rs)([rb.smoothing_pairings(
+            3 if rs.signs[e] > 0 else 2)[chosen[e]] for e in edges])
+        where = f"state {combo} on edges {list(edges)}"
+        if direct != via_graph:
+            return f"{where}: medial {direct}, graph {via_graph}"
+        return (f"the state tally puts {where} at medial {medial}, graph "
+                f"{graph}, but counted alone it has medial {direct}, "
+                f"graph {via_graph}")
 
     def quasi_tree_problem(row):
         # The row keeps W and deletes A = E - W: G - A is a quasi-tree

@@ -132,7 +132,7 @@ def test_criterion_3_region_matroid():
                                 f"{sorted(a)}")
                 break
         try:
-            mt.make_perspective(b, mt.cycle_matroid(s.g), exhaustive_cap=7)
+            mt.make_perspective(b, mt.cycle_matroid(s.g))
         except mt.MatroidError as exc:
             problems.append(f"graph {idx}: perspective rejected: {exc}")
 

@@ -223,14 +223,14 @@ def test_identities_digon_all_pass(capsys, files):
     assert any("state-tracer-agreement" in line for line in lines)
 
 
-def test_identities_say_when_domination_is_sampled(capsys, tmp_path):
-    for n, detail in ((12, ""),
-                      (13, ": domination sampled on 500 of 2^13 subsets")):
+def test_identities_check_domination_on_every_subset(capsys, tmp_path):
+    # No sample above twelve edges: the result says nothing more.
+    for n in (12, 13):
         rc, out, _ = run(capsys, "identities", _bouquet(tmp_path, n),
                          "--suite", "poly")
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0] == "RESULT: perspective-self pass" + detail
+        assert lines[0] == "RESULT: perspective-self pass"
         assert all(line.endswith(" pass") for line in lines[1:])
 
 
@@ -282,12 +282,12 @@ def test_states_output(capsys, files):
 
 def test_states_sweeps_no_subset(capsys, files, monkeypatch):
     # A passing run reads one tally of the graph and its dual, built
-    # once, and one tally of the medial states; the printed profile
-    # comes from the first.  Only a failure sweeps subsets or counts
-    # states one at a time.
+    # once, and one tally of the medial states, one frontier run each;
+    # the printed profile comes from the first.  Only a failure reruns
+    # a tally to find its witness or counts a state alone.
     calls = Counter()
-    for module, name in ((rb, "subset_sweep"), (rb, "dual_sweep"), (rb, "dual"),
-                         (rb, "dual_tally"), (rb, "state_tally"),
+    for module, name in ((rb, "_frontier_tally"), (rb, "first_witness"),
+                         (rb, "dual"), (rb, "dual_tally"), (rb, "state_tally"),
                          (rb, "circle_counter"), (st, "medial_state_counter")):
         def wrapper(*args, real=getattr(module, name), name=name, **kwargs):
             calls[name] += 1
@@ -297,12 +297,14 @@ def test_states_sweeps_no_subset(capsys, files, monkeypatch):
     rc, out, _ = run(capsys, "states", files["theta"])
     assert rc == 0
     assert out.startswith("crossing-free curves 1: 4\n")
-    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1}
+    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
+                     "_frontier_tally": 2}
     calls.clear()
     rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "states")
     assert rc == 0
     assert "RESULT: quasi-tree-duality pass" in out
-    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1}
+    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
+                     "_frontier_tally": 2}
 
 
 def test_identities_reports_a_broken_dual_as_failure(capsys, files,

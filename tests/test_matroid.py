@@ -5,11 +5,11 @@ import random
 import pytest
 
 import corpus
+import sweeps
 from topopoly import embedding as em
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
 from topopoly import poly
-from topopoly import ribbon as rb
 
 
 def triangle():
@@ -54,7 +54,7 @@ def test_matroid_masks_match_sweep():
         s = em.derive_dagger(emb)
         cycle, bond = mt.cycle_matroid(s.g), mt.bond_matroid(s.dagger)
         v, rho0 = len(s.g.vertices), em.rho(s, ())
-        for k, (size, c, _, c_cut) in enumerate(rb.subset_sweep(s.g, s.dagger)):
+        for k, (size, c, _, c_cut) in enumerate(sweeps.subset_sweep(s.g, s.dagger)):
             assert cycle.rank(k) == v - c
             assert bond.rank(k) == size - c_cut + rho0
             checked += 1
@@ -193,7 +193,7 @@ def test_exhaustive_walks_read_the_tables(monkeypatch):
     s = em.derive_dagger(emb)
     bond, cycle = mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g)
     calls["mask"] = 0
-    mp = mt.make_perspective(bond, cycle)       # exhaustive: 10 <= 12
+    mp = mt.make_perspective(bond, cycle)
     t = poly.tutte_perspective(mp)
     assert calls == {"mask": 0, "table": 2}
     # rank reads the tables too, and they agree with the oracles
@@ -222,10 +222,6 @@ def test_point_queries_build_no_table(monkeypatch):
             m = mt.cycle_matroid(s.g)
             mt.is_flat(mt.contract(mt.delete(m, s.g.edges[0]), s.g.edges[-1]), 0)
     assert calls["table"] == 0 and calls["mask"] > 0
-    # the sampled domination check above the cap queries points too
-    g = corpus.random_rotation(random.Random(2), 3, 14).underlying()
-    mt.make_perspective(mt.cycle_matroid(g), mt.cycle_matroid(g))
-    assert calls["table"] == 0
 
 
 def _first_fall(m, m_prime):
@@ -242,21 +238,26 @@ def _first_fall(m, m_prime):
 
 def test_exhaustive_domination_names_the_first_witness():
     rng = random.Random(8)
-    seen = 0
+    pairs = []
     for _ in range(12):
         g = corpus.random_rotation(rng, rng.randint(1, 4),
                                    rng.randint(1, 8)).underlying()
         h = corpus.random_rotation(rng, rng.randint(1, 4), len(g.edges)).underlying()
-        for m, m_prime in ((mt.cycle_matroid(g), mt.bond_matroid(g)),
-                           (mt.cycle_matroid(g), mt.cycle_matroid(h)),
-                           (mt.bond_matroid(h), mt.cycle_matroid(g))):
-            want = _first_fall(mt.RankMatroid(m.ground, m.rank),
-                               mt.RankMatroid(m.ground, m_prime.rank))
-            if want is None:
-                mt.make_perspective(m, m_prime)
-                continue
-            seen += 1
-            with pytest.raises(mt.MatroidError) as err:
-                mt.make_perspective(m, m_prime)
-            assert str(err.value) == want
-    assert seen > 5
+        pairs += [(mt.cycle_matroid(g), mt.bond_matroid(g)),
+                  (mt.cycle_matroid(g), mt.cycle_matroid(h)),
+                  (mt.bond_matroid(h), mt.cycle_matroid(g))]
+    # Thirteen elements: every subset is checked above twelve too.
+    g, h = (corpus.random_rotation(rng, 4, 13).underlying() for _ in range(2))
+    pairs.append((mt.bond_matroid(h), mt.cycle_matroid(g)))
+    seen = 0
+    for m, m_prime in pairs:
+        want = _first_fall(mt.RankMatroid(m.ground, m.rank),
+                           mt.RankMatroid(m.ground, m_prime.rank))
+        if want is None:
+            mt.make_perspective(m, m_prime)
+            continue
+        seen += 1
+        with pytest.raises(mt.MatroidError) as err:
+            mt.make_perspective(m, m_prime)
+        assert str(err.value) == want
+    assert seen > 5 and want is not None and len(m.ground) == 13

@@ -171,6 +171,13 @@ def test_assemble_rejects_half_powers_of_shifted_variables():
         assemble("x", {(1,): 1}, shifted="x")
 
 
+def test_assemble_rejects_negative_powers_of_shifted_variables():
+    # (y - 1)^-1 is no polynomial: the bucket raises instead of vanishing.
+    for key in ((0, -2), (-4, 2)):
+        with pytest.raises(ValueError, match=r"^negative power of the shifted "):
+            assemble("xy", {key: 5}, shifted="xy")
+
+
 def test_constructor_messages():
     with pytest.raises(ValueError,
                        match=r"^exponent tuple \(2, 0\) needs 6 entries$"):

@@ -403,9 +403,14 @@ def test_identity_suite_catches_a_wrong_rank(monkeypatch):
         return mp
 
     monkeypatch.setattr(em, "scheme_perspective", corrupted)
-    status = _theta_statuses()
-    assert status["perspective-self"] == "fail"
-    assert status["perspective-to-m"] == "fail"
+    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
+    details = {r.name: (r.status, r.detail) for r in results}
+    # r({1, 2}) = 3 > 2 gives (y - 1)^-1: no pair polynomial, and each
+    # check says why.
+    for name in ("perspective-self", "perspective-to-m", "perspective-to-m-prime"):
+        assert details[name] == (
+            "fail", "negative exponent on [1, 2]; not a matroid perspective")
+    assert all(r.status == "pass" for r in results[3:])
 
 
 def test_identity_suite_catches_a_wrong_tally_row(monkeypatch):
@@ -566,14 +571,15 @@ def _count_calls(monkeypatch, names) -> Counter:
     return calls
 
 
-_SWEEPS = ((rb, "subset_sweep"), (rb, "dual_sweep"), (rb, "circle_counter"),
+_SWEEPS = ((rb, "_frontier_tally"), (rb, "first_witness"), (rb, "circle_counter"),
            (rb, "transfer_tally"), (rb, "dual_tally"))
 
 
 def test_identity_suite_expands_each_polynomial_once(monkeypatch):
     # T(M') = tutte(G) and T(M) = T(H; y, x) read one transfer tally
     # each, R comes from the suite's own dual_tally rows, and lv-ext and
-    # krushkal each make one transfer tally; no subset is swept.
+    # krushkal each make one transfer tally, one frontier run each; no
+    # tally is rerun to find a witness.
     calls = _count_calls(monkeypatch,
                          ((poly, "tutte"), (poly, "_graphic_tutte"),
                           (poly, "bollobas_riordan")) + _SWEEPS)
@@ -581,12 +587,13 @@ def test_identity_suite_expands_each_polynomial_once(monkeypatch):
     assert not [r.line() for r in results if r.status != "pass"]
     # tutte itself is one of the two _graphic_tutte calls
     assert calls == {"tutte": 1, "_graphic_tutte": 2, "transfer_tally": 4,
-                     "dual_tally": 1}
+                     "dual_tally": 1, "_frontier_tally": 5}
 
 
 def test_expansions_sweep_no_subset(monkeypatch):
-    # br, krushkal, lv, lv-ext, dichromatic and tutte each make one tally
-    # and neither sweep the subsets nor count circles subset by subset.
+    # br, krushkal, lv, lv-ext, dichromatic and tutte each make one tally,
+    # one frontier run, and neither rerun it nor count circles subset by
+    # subset.
     calls = _count_calls(monkeypatch, _SWEEPS)
     ten = next(e for e in corpus.main_corpus()
                if len(e.rotation.edges) == 10 and not e.rotation.pinch_vertices()
@@ -600,21 +607,45 @@ def test_expansions_sweep_no_subset(monkeypatch):
                        (lambda: poly.tutte(rs.underlying()), "transfer_tally")):
         calls.clear()
         run()
-        assert calls == {tally: 1}
+        assert calls == {tally: 1, "_frontier_tally": 1}
 
 
 def test_first_subset_names_the_mask_of_a_row():
-    # Error messages of the expansions name the first subset, in sweep
-    # order, whose row is bad.
+    # Error messages of the expansions name the first subset, in mask
+    # order, whose row is bad: rows[k] is the row of mask k of the edges
+    # 4 and 6, and the tally counts the masks that agree with forced.
     rows = [(0, "a"), (1, "b"), (1, "b"), (2, "c")]
-    assert poly._first_subset((4, 6), iter(rows), {(1, "b"): "on {a}"}) == "on [4]"
-    assert poly._first_subset((4, 6), iter(rows), {(2, "c"): "at {a}"}) == "at [4, 6]"
-    assert poly._first_subset((4, 6), iter(rows),
+
+    def tally(forced):
+        return Counter(row for k, row in enumerate(rows)
+                       if all(forced.get(e, k >> i & 1) == k >> i & 1
+                              for i, e in enumerate((4, 6))))
+
+    assert poly._first_subset((4, 6), tally, {(1, "b"): "on {a}"}) == "on [4]"
+    assert poly._first_subset((4, 6), tally, {(2, "c"): "at {a}"}) == "at [4, 6]"
+    assert poly._first_subset((4, 6), tally,
                               {(2, "c"): "at {a}", (1, "b"): "on {a}"}) == "on [4]"
     # {rest} names the complement, as the state checks' deleted sets do.
-    assert poly._first_subset((4, 6), iter(rows),
+    assert poly._first_subset((4, 6), tally,
                               {(1, "b"): "{rest}: off"}) == "[6]: off"
-    assert poly._first_subset((4, 6), iter(rows), {(0, "a"): "{rest}"}) == "[4, 6]"
+    assert poly._first_subset((4, 6), tally, {(0, "a"): "{rest}"}) == "[4, 6]"
+
+
+def test_a_failing_subset_check_reruns_its_tally_at_most_once_per_edge(
+        monkeypatch):
+    # A twisted dual puts the cellular expansion's rows off: its one
+    # tally, then at most one rerun per edge to name the first subset.
+    rng = random.Random(20)
+    while True:
+        rs = corpus.random_rotation(rng, 4, 20, allow_pinch=False)
+        if mg.components(rs.underlying()) == 1:
+            break
+    real = rb.dual
+    monkeypatch.setattr(rb, "dual", lambda g: rb.twist(real(g), [1]))
+    calls = _count_calls(monkeypatch, ((rb, "_frontier_tally"),))
+    with pytest.raises(poly.PolyError, match="on "):
+        poly.las_vergnas_cellular(rs)
+    assert 1 < calls["_frontier_tally"] <= len(rs.edges) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ them.
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
 import corpus
+import sweeps
 from topopoly import embedding as em
 from topopoly import multigraph as mg
 from topopoly import ribbon as rb
@@ -35,7 +37,7 @@ def test_subset_sweep_matches_oracles():
         if len(rs.edges) > 9:
             continue
         scheme = em.derive_dagger(emb)
-        rows = rb.subset_sweep(rs, scheme.dagger)
+        rows = sweeps.subset_sweep(rs, scheme.dagger)
         for k, (size, c, f, rho) in enumerate(rows):
             a = [e for i, e in enumerate(rs.edges) if k >> i & 1]
             assert size == len(a)
@@ -51,8 +53,8 @@ def test_subset_sweep_bare_graph_and_complement():
     for rs in corpus.cellular_corpus():
         g, d = rs.underlying(), rb.dual(rs)
         full = rs.edge_set()
-        bare = list(rb.subset_sweep(g))
-        dual_rows = rb.subset_sweep(d, complement=True)
+        bare = list(sweeps.subset_sweep(g))
+        dual_rows = sweeps.subset_sweep(d, complement=True)
         for k, ((size, c, f, cut), row_d) in enumerate(zip(bare, dual_rows)):
             a = frozenset(e for i, e in enumerate(rs.edges) if k >> i & 1)
             assert (f, cut) == (None, None)
@@ -67,7 +69,7 @@ def test_dual_sweep_matches_oracles():
             continue
         d = rb.dual(rs)
         full = rs.edge_set()
-        for k, row in enumerate(rb.dual_sweep(rs)):
+        for k, row in enumerate(sweeps.dual_sweep(rs)):
             a = frozenset(e for i, e in enumerate(rs.edges) if k >> i & 1)
             assert row == (len(a), mg.components(rs.underlying(), a),
                            rb.boundary_count(rs, a), rb.euler_genus(rs, a),
@@ -80,7 +82,7 @@ def test_dual_sweep_matches_oracles():
 def test_subset_sweep_rejects_foreign_cut():
     g = corpus.theta_torus().underlying()
     with pytest.raises(rb.RibbonError):
-        list(rb.subset_sweep(g, mg.delete_edge(g, 1)))
+        list(sweeps.subset_sweep(g, mg.delete_edge(g, 1)))
     with pytest.raises(rb.RibbonError):
         rb.transfer_tally(g, mg.delete_edge(g, 1))
     theta = corpus.theta_torus()
@@ -100,7 +102,7 @@ def test_transfer_tally_matches_subset_sweep():
         rs, dagger = emb.rotation, em.derive_dagger(emb).dagger
         g = rs.underlying()
         for args in ((rs,), (rs, dagger), (g, dagger), (g,)):
-            assert rb.transfer_tally(*args) == Counter(rb.subset_sweep(*args)), args
+            assert rb.transfer_tally(*args) == Counter(sweeps.subset_sweep(*args)), args
             checked += 1
     assert checked == 832
 
@@ -108,8 +110,8 @@ def test_transfer_tally_matches_subset_sweep():
 def test_dual_tally_matches_dual_sweep():
     for rs in corpus.cellular_corpus():
         d = rb.dual(rs)
-        assert rb.dual_tally(rs) == Counter(rb.dual_sweep(rs)), rs
-        assert rb.dual_tally(rs, d) == Counter(rb.dual_sweep(rs, d)), rs
+        assert rb.dual_tally(rs) == Counter(sweeps.dual_sweep(rs)), rs
+        assert rb.dual_tally(rs, d) == Counter(sweeps.dual_sweep(rs, d)), rs
 
 
 def _edge_cases():
@@ -142,7 +144,7 @@ def _edge_cases():
                          ids=[case[0] for case in _edge_cases()])
 def test_transfer_tally_edge_cases(name, args, want):
     got = rb.transfer_tally(*args)
-    assert got == Counter(rb.subset_sweep(*args))
+    assert got == Counter(sweeps.subset_sweep(*args))
     if want is not None:
         assert got == want
     assert sum(got.values()) == 2 ** len(args[0].edges)
@@ -152,7 +154,71 @@ def test_dual_tally_on_a_disconnected_graph():
     apart = rb.RotationSystem.single(
         {0: ((1, 0), (1, 1)), 5: ((2, 0), (3, 0), (2, 1), (3, 1))},
         {1: 1, 2: -1, 3: 1})
-    assert rb.dual_tally(apart) == Counter(rb.dual_sweep(apart))
+    assert rb.dual_tally(apart) == Counter(sweeps.dual_sweep(apart))
+
+
+# ---------------------------------------------------------------------------
+# first witnesses on forced tallies against the sweeps
+
+
+def _first(pairs, bad):
+    """The first (decision, row) pair of a sweep whose row is in bad."""
+    return next((what, row) for what, row in pairs if row in bad)
+
+
+def _counted(tally, runs):
+    def counted(forced):
+        runs.append(dict(forced))
+        return tally(forced=forced)
+
+    return counted
+
+
+def test_first_witness_is_the_first_swept_subset_and_state():
+    # Random sets of bad rows and keys: the witness on forced tallies is
+    # the first subset, in mask order, and the first state, in
+    # itertools.product order, with a bad row, after at most |E| and
+    # 2|E| runs.
+    rng = random.Random(16)
+    cases = Counter()
+    while cases["state"] < 40:
+        n = rng.randint(1, 7)
+        rs = corpus.random_rotation(rng, rng.randint(1, 4), n,
+                                    allow_pinch=rng.random() < 0.3)
+        g = rs.underlying()
+        cut = corpus.random_rotation(rng, rng.randint(1, 4), n).underlying()
+        subsets = [("plain", partial(rb.transfer_tally, rs), sweeps.subset_sweep(rs)),
+                   ("cut", partial(rb.transfer_tally, rs, cut),
+                    sweeps.subset_sweep(rs, cut)),
+                   ("bare", partial(rb.transfer_tally, g), sweeps.subset_sweep(g))]
+        if not rs.pinch_vertices():
+            subsets.append(("dual", partial(rb.dual_tally, rs),
+                            sweeps.dual_sweep(rs)))
+        for name, tally, rows in subsets:
+            rows = list(rows)
+            distinct = sorted(set(rows), key=repr)
+            bad = set(rng.sample(distinct, rng.randint(1, len(distinct))))
+            runs = []
+            inside, row = rb.first_witness(_counted(tally, runs), rs.edges[::-1],
+                                           2, bad)
+            mask = sum(inside[e] << i for i, e in enumerate(rs.edges))
+            assert (mask, row) == _first(enumerate(rows), bad), (name, rs)
+            assert len(runs) <= n
+            cases[name] += 1
+        if rs.pinch_vertices() or mg.components(g) != 1:
+            continue
+        states = list(sweeps.state_sweep(rs))
+        keys = sorted({key for _, key in states})
+        bad = set(rng.sample(keys, rng.randint(1, len(keys))))
+        runs = []
+        chosen, key = rb.first_witness(
+            _counted(partial(rb.state_tally, rs, rb.medial(rs)), runs),
+            rs.edges, 3, bad)
+        combo = tuple(rb.STATE_NAMES[chosen[e]] for e in rs.edges)
+        assert (combo, key) == _first(states, bad), rs
+        assert len(runs) <= 2 * n
+        cases["state"] += 1
+    assert min(cases.values()) >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +372,8 @@ def test_double_dual_boundary_profile():
         rs = _random_pinchfree(rng)
         dd = rb.dual(rb.dual(rs))
         assert dd.edge_set() == rs.edge_set()
-        assert ([f for _, _, f, _ in rb.subset_sweep(rs)]
-                == [f for _, _, f, _ in rb.subset_sweep(dd)])
+        assert ([f for _, _, f, _ in sweeps.subset_sweep(rs)]
+                == [f for _, _, f, _ in sweeps.subset_sweep(dd)])
 
 
 def test_theta_dual_is_onevertex():

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import corpus
+import sweeps
 from topopoly import embedding as em
 from topopoly import multigraph as mg
 from topopoly import poly
@@ -120,7 +121,7 @@ def test_surface_kind_rejects_high_genus():
 def _lr_relation(rs):
     """lr-relation on the inputs run_state_checks hands it, with R from
     its own expansion."""
-    return st.lr_relation(rs, Counter(rb.dual_sweep(rs)),
+    return st.lr_relation(rs, Counter(sweeps.dual_sweep(rs)),
                           poly.bollobas_riordan(rs), st.surface_kind(rs))
 
 
@@ -244,7 +245,8 @@ def test_one_curve_off_on_crossing_states_fails_agreement(monkeypatch, corrupt,
 
 def test_a_tally_off_the_diagonal_fails_agreement_alone(monkeypatch):
     # The medial layer closes one more curve on every crossing, but each
-    # state counted alone agrees: the check still fails, and says so.
+    # state counted alone agrees: the check still fails, and names the
+    # first state the tally misplaces with its counts both ways.
     real = rb._medial_moves
 
     def medial_moves(mm, order):
@@ -260,22 +262,16 @@ def test_a_tally_off_the_diagonal_fails_agreement_alone(monkeypatch):
     results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())[0]}
     res = results["state-tracer-agreement"]
     assert (res.status, res.detail) == (
-        "fail", "the state tally puts 12 of 3^3 states at medial 2, graph 1, "
-                "but no state disagrees when counted alone")
+        "fail", "the state tally puts state ('black', 'black', 'crossing') on "
+                "edges [1, 2, 3] at medial 2, graph 1, but counted alone it has "
+                "medial 1, graph 1")
     assert results["quasi-tree-duality"].status == "pass"
 
 
 def _per_state(rs):
     """Counter((medial curves, graph curves)) over every state, counted
     one at a time."""
-    medial_count = st.medial_state_counter(rb.medial(rs))
-    count = rb.circle_counter(rs)
-    pairings = [dict(zip(rb.STATE_NAMES, rb.smoothing_pairings(
-        3 if rs.signs[e] > 0 else 2))) for e in rs.edges]
-    return Counter((medial_count(combo),
-                    count([p[s] for p, s in zip(pairings, combo)]))
-                   for combo in itertools.product(rb.STATE_NAMES,
-                                                  repeat=len(rs.edges)))
+    return Counter(key for _, key in sweeps.state_sweep(rs))
 
 
 def _connected(rng, n_edges, n):
@@ -301,6 +297,27 @@ def test_state_checks_pass_at_twelve_edges():
     assert results["state-tracer-agreement"].status == "pass"
 
 
+def test_a_failing_state_check_reruns_its_tally_at_most_twice_per_edge(
+        monkeypatch):
+    # The state tally's first run, then at most two reruns per edge to
+    # name the first state off the diagonal.
+    (rs,) = _connected(random.Random(12), 12, 1)
+    _corrupt_medial(monkeypatch)
+    runs = Counter()
+    real = rb._frontier_tally
+
+    def frontier_tally(order, layers, sizes=(0, 1), forced=None):
+        runs[len(sizes)] += 1
+        return real(order, layers, sizes, forced)
+
+    monkeypatch.setattr(rb, "_frontier_tally", frontier_tally)
+    results = {r.name: r for r in st.run_state_checks(rs, sweep_cap=12)[0]}
+    res = results["state-tracer-agreement"]
+    assert res.status == "fail" and "'crossing'" in res.detail
+    assert 1 < runs[3] <= 2 * len(rs.edges) + 1
+    assert results["quasi-tree-duality"].status == "pass"
+
+
 def test_lr_relation_fails_on_half_powers(monkeypatch):
     real = poly._cellular_from_rows
     monkeypatch.setattr(poly, "_cellular_from_rows", lambda *a, **k: (
@@ -323,8 +340,8 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(rb, "dual")
-    counted(rb, "subset_sweep")
-    counted(rb, "dual_sweep")
+    counted(rb, "_frontier_tally")
+    counted(rb, "first_witness")
     counted(rb, "dual_tally")
     counted(rb, "twist")
     counted(rb, "trace_sectors")
@@ -340,6 +357,7 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
         st.run_state_checks(rs)
         per_graph.append(dict(calls))
     # One trace, none per state: the dual's.  The genus of the surface
-    # comes from the tally's row of W = E.  No subset is swept.
+    # comes from the tally's row of W = E.  Two frontier runs, the dual
+    # tally's and the state tally's; no tally is rerun.
     assert per_graph[0] == per_graph[1] == {
-        "dual": 1, "dual_tally": 1, "trace_sectors": 1}
+        "dual": 1, "dual_tally": 1, "trace_sectors": 1, "_frontier_tally": 2}
