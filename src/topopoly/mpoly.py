@@ -15,8 +15,9 @@ so the same polynomial always prints the same way:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 VARS = ("x", "y", "z", "a", "b", "t")
@@ -286,6 +287,12 @@ def _power_sum(rows: Mapping[tuple[int, ...], int],
     return Fraction(sum(terms), den)
 
 
+@cache
+def _binomial_row(n: int) -> tuple[tuple[int, int], ...]:
+    """(v - 1)^n as (half-unit exponent of v, coefficient) pairs."""
+    return tuple((2 * p, (-1) ** (n - p) * comb(n, p)) for p in range(n + 1))
+
+
 def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
              shifted: Iterable[str] = ()) -> MPolynomial:
     """Sum of count * prod w^(h/2) over the buckets.
@@ -293,35 +300,46 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
     Each bucket key gives one half-unit exponent h per name in names;
     w is the variable itself, or v - 1 for each v in shifted, whose
     exponents must be whole and not negative, and are expanded
-    binomially.  All buckets go into one term dict, so no polynomial
-    products are formed.  The exponents of the names not shifted are
-    checked once per key; every term a key expands to is then valid.
+    binomially.  Every bucket with a nonzero count is checked first, in
+    iteration order, so the first bad bucket raises; a key needs one
+    entry per name.  The short keys are then expanded one shifted
+    variable at a time: each pass maps every term through the cached
+    binomial row of its exponent and merges equal keys, so the next
+    pass sees each key once.  No polynomial products are formed, and
+    the keys are widened to all of VARS once, at the end.
     """
     shifted = frozenset(shifted)
-    index = [_VAR_INDEX[v] for v in names]
-    terms: dict[tuple[int, ...], int] = {}
-    for key, count in buckets.items():
-        if not count:
-            continue
-        partial = {_ZEROS: count}
-        for i, v, h in zip(index, names, key):
+    terms = {key: count for key, count in buckets.items() if count}
+    for key in terms:
+        if len(key) != len(names):
+            raise ValueError(f"bucket key {key} needs {len(names)} entries")
+        for v, h in zip(names, key):
             if v in shifted:
                 if h % 2:
                     raise ValueError(f"half-power of the shifted {v} - 1")
                 if h < 0:
                     raise ValueError(f"negative power of the shifted {v} - 1")
-                n = h // 2
-                powers = [(2 * p, (-1) ** (n - p) * comb(n, p))
-                          for p in range(n + 1)]
-            elif h < 0 or not isinstance(h, int):
+            if h < 0 or not isinstance(h, int):
                 raise ValueError(f"negative or non-integer exponent in {key}")
-            else:
-                powers = [(h, 1)]
-            partial = {e[:i] + (d,) + e[i + 1:]: c * m
-                       for e, c in partial.items() for d, m in powers}
-        for e, c in partial.items():
-            terms[e] = terms.get(e, 0) + c
-    return MPolynomial._valid(terms)
+    for i, v in enumerate(names):
+        if v not in shifted:
+            continue
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for key, count in terms.items():
+            if not key[i]:                  # (v - 1)^0 keeps the key
+                out[key] = get(key, 0) + count
+                continue
+            head, tail = key[:i], key[i + 1:]
+            for d, m in _binomial_row(key[i] // 2):
+                e = head + (d,) + tail
+                out[e] = get(e, 0) + count * m
+        terms = out
+    # Each variable of VARS reads its place in the key, or the 0 after it.
+    place = {v: i for i, v in enumerate(names)}
+    widen = itemgetter(*(place.get(v, len(names)) for v in VARS))
+    return MPolynomial._valid({widen(key + (0,)): count
+                               for key, count in terms.items()})
 
 
 def compose_laurent(poly: MPolynomial,

@@ -1,13 +1,16 @@
 """Polynomials of graphs in surfaces, and their exact identities.
 
-Every polynomial here comes from mpoly.assemble, which expands each
-distinct exponent bucket once.  Subset expansions tally one bucket
-per edge subset; the two delete/contract recursions (matroid pair and
-embedding scheme) tally one monomial per leaf, scored on the path to
-it.  The scheme recursion is memoised on its minors: it tallies the
-leaves below each distinct minor once instead of listing them.
-Expansion and recursion therefore build byte-equal canonical strings
-whenever they agree as polynomials.
+Every polynomial here comes from mpoly.assemble, which checks the
+exponent buckets, then expands the binomial powers one shifted
+variable at a time over merged keys.  Subset expansions tally one
+bucket per edge subset; the two delete/contract recursions (matroid
+pair and embedding scheme) tally one monomial per leaf, scored on the
+path to it.  The scheme recursion is memoised on its minors, each
+keyed by one flat string of relabelled vertices: per depth it splits
+each distinct minor once, and it tallies the leaves below each
+distinct node once, on packed int exponent keys, instead of listing
+them.  Expansion and recursion therefore build byte-equal canonical
+strings whenever they agree as polynomials.
 
 The subset expansions read their counts from the tallies of
 ribbon.transfer_tally, which gives, per distinct row, how many subsets
@@ -42,9 +45,9 @@ deriving them from f(A), so it shares no boundary count with the
 scheme expansion; tutte_perspective's expansion, the one rank walk,
 reads the matroids' rank tables, filled on the graphs by
 multigraph.component_table, and is checked against T(G) and
-T(H; y, x), H the dagger graph, from tallies; the scheme recursion tests its edges on its own memoised
-minor tuples, not on tally rows; and the perspective recursion works
-on matroid minors, unmemoised.
+T(H; y, x), H the dagger graph, from tallies; the scheme recursion
+tests its edges on its own flat minor keys, not on tally rows; and
+the perspective recursion works on matroid minors, unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
@@ -211,7 +214,8 @@ def las_vergnas_cellular(x: rb.RotationSystem | em.EmbeddedGraph,
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return _cellular_from_rows(rs, rb.dual_tally(rs))
+    d = rb.dual(rs)
+    return _cellular_from_rows(rs, d, rb.dual_tally(rs, d))
 
 
 def _surface_genus(rs: rb.RotationSystem, rows: Counter) -> int:
@@ -221,7 +225,10 @@ def _surface_genus(rs: rb.RotationSystem, rows: Counter) -> int:
     return next(row.genus for row in rows if row.size == n)
 
 
-def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
+def _cellular_from_rows(rs: rb.RotationSystem, d: rb.RotationSystem,
+                        rows: Counter) -> MPolynomial:
+    """L from rows, the dual_tally of rs and its dual d; a bad row is
+    named on forced tallies of the same d."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     gamma = _surface_genus(rs, rows)
@@ -237,7 +244,7 @@ def _cellular_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
         counts[2 * (row.c - c_full), 2 * ey, ez2] += m
     if bad:
         raise PolyError(_first_subset(
-            rs.edges, partial(rb.dual_tally, rs, rb.dual(rs)), bad))
+            rs.edges, partial(rb.dual_tally, rs, d), bad))
     return assemble("xyz", counts, shifted="xy")
 
 
@@ -282,83 +289,108 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     The walk is memoised.  A node is the minor pair G/K\\D and H/D\\K
     left once the edges above its top edge are decided (K contracted, D
     deleted; H is the dagger graph, in which deleting e contracts it and
-    contracting e deletes it).  Its key is the end pairs of the undecided
-    edges of both minors, highest id first, with vertices relabelled in
-    order of first appearance.  Relabelling is sound because every test
-    at or below the node asks only whether an edge is a bridge or a loop,
-    which neither a vertex's name nor an isolated vertex can change; so
-    nodes with equal keys have equal leaf tallies, and each is solved
-    once.  Nodes are expanded one depth at a time (every edge decided
-    removes one edge from both minors), then tallied from the leaves up,
-    each child's tally shifted by the score of the branch into it; no
-    Python recursion grows with |E|.
+    contracting e deletes it).  Each minor is keyed by one flat string:
+    the ends of its undecided edges, highest id first, two characters
+    an edge, with vertices relabelled in order of first appearance (the
+    input's own vertex ids are relabelled on entry).  Relabelling is
+    sound because every test at or below the node asks only whether an
+    edge is a bridge or a loop, which neither a vertex's name nor an
+    isolated vertex can change; so nodes with equal key pairs have equal
+    leaf tallies, and each is solved once.  Nodes are expanded one depth
+    at a time (every edge decided removes one edge from both minors).
+    At each depth every distinct G-minor and every distinct H-minor is
+    split once by _split, and a node only pairs the two splits; the
+    split caches hold one depth.  The tallies then go from the leaves
+    up, each keyed by one packed int (x (n+1) + y) (n+1) + z in whole
+    units: every leaf has x + y + z <= n = |E|, so no digit carries, and
+    shifting a child's tally by a branch's score adds one int to each
+    key.  The root's tally is unpacked to half-unit triples.  No Python
+    recursion grows with |E|.
     """
     order = s.g.edges[::-1]
-    level = {(_minor([s.g.ends[e] for e in order], 0, 0),
-              _minor([s.dagger.ends[e] for e in order], 0, 0)): 0}
-    plan = []       # per depth: each node's branches as (child index, score)
+    base = len(order) + 1
+    x_score, y_score, z_score = base * base, base, 1
+    level = {(_entry_key(s.g, order), _entry_key(s.dagger, order)): 0}
+    plan = []   # per depth, per node: (deleted child, score, contracted child)
     for _ in order:
+        gs, hs = zip(*level)
+        g_split = {g: _split(g) for g in dict.fromkeys(gs)}
+        h_split = {h: _split(h) for h in dict.fromkeys(hs)}
         below: dict = {}
-        plan.append([[(below.setdefault(child, len(below)), score)
-                      for child, score in _branches(*key)] for key in level])
+        nodes = []
+        for g, h in level:
+            g_bridge, g_del, g_con = g_split[g]
+            h_bridge, h_del, h_con = h_split[h]
+            dele = below.setdefault((g_del, h_con), len(below))
+            if h_bridge:                                    # quasi-loop
+                nodes.append((dele, y_score, None))
+            elif g_bridge:
+                nodes.append((dele, x_score, None))
+            else:                           # a dagger loop is a quasi-bridge
+                nodes.append((dele, z_score if h[0] == h[1] else 0,
+                              below.setdefault((g_con, h_del), len(below))))
+        plan.append(nodes)
         level = below
-    tallies = [Counter({(0, 0, 0): 1})]
+    tallies = [{0: 1}]
     for nodes in reversed(plan):
         up = []
-        for branches in nodes:
-            tally: Counter = Counter()
-            for i, (dx, dy, dz) in branches:
-                for (x, y, z), m in tallies[i].items():
-                    tally[x + dx, y + dy, z + dz] += m
+        for i, score, j in nodes:
+            if j is None:
+                up.append({k + score: m for k, m in tallies[i].items()})
+                continue
+            tally = dict(tallies[j])
+            get = tally.get
+            for k, m in tallies[i].items():
+                k += score
+                tally[k] = get(k, 0) + m
             up.append(tally)
         tallies = up
-    return tallies[0]
+    leaves: Counter = Counter()
+    for k, m in tallies[0].items():
+        x, yz = divmod(k, x_score)
+        y, z = divmod(yz, base)
+        leaves[2 * x, 2 * y, 2 * z] = m
+    return leaves
 
 
-def _branches(g: tuple, h: tuple) -> list:
-    """The branches below a memo node of _scheme_leaves: (child key,
-    half-unit score) pairs for its top edge e, the first pair of g and h."""
-    (gu, gv), (hu, hv) = g[0], h[0]
-    dele = (_minor(g[1:], gu, gu), _minor(h[1:], hu, hv))
-    if _is_bridge(h):                               # quasi-loop
-        return [(dele, (0, 2, 0))]
-    if _is_bridge(g):
-        return [(dele, (2, 0, 0))]
-    cont = (_minor(g[1:], gu, gv), _minor(h[1:], hu, hu))
-    return [(dele, (0, 0, 2 * (hu == hv))),         # a dagger loop is a quasi-bridge
-            (cont, (0, 0, 0))]
+def _entry_key(g: mg.Multigraph, order) -> str:
+    """The flat key of g: the ends of the edges in order, each vertex
+    the character of its rank in order of first appearance."""
+    ends = [v for e in order for v in g.ends[e]]
+    rank = dict(zip(dict.fromkeys(ends), range(len(ends))))
+    return "".join(map(chr, map(rank.__getitem__, ends)))
 
 
-def _minor(pairs, keep: int, drop: int) -> tuple:
-    """End pairs with vertex drop merged into keep, vertices relabelled
-    in order of first appearance; keep == drop merges nothing."""
-    ids: dict = {}
-    out = []
-    for u, v in pairs:
-        u = keep if u == drop else u
-        v = keep if v == drop else v
-        out.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))))
-    return tuple(out)
+def _relabel(key: str) -> str:
+    """key with its vertices renamed 0, 1, ... in order of first appearance."""
+    return key.translate(dict(zip(map(ord, dict.fromkeys(key)), range(len(key)))))
 
 
-def _is_bridge(pairs: tuple) -> bool:
-    """Whether the ends of the first pair fall in different components
-    of the other pairs: one union-find over relabelled vertices."""
-    (a, b), rest = pairs[0], pairs[1:]
-    if a == b:
-        return False
-    parent = list(range(2 * len(pairs)))
-    for u, v in rest:
+def _split(key: str) -> tuple[bool, str, str]:
+    """Whether the top edge of a flat minor key is a bridge, and the
+    keys of the minor with it deleted and with it contracted.
+
+    The top edge's ends are vertices 0 and 1, or 0 twice for a loop,
+    which is no bridge and whose contraction is its deletion.
+    """
+    rest = key[2:]
+    deleted = _relabel(rest)
+    if key[1] == key[0]:
+        return False, deleted, deleted
+    parent = list(range(len(key)))
+    ends = map(ord, rest)
+    for u, v in zip(ends, ends):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         parent[u] = v
+    a, b = 0, 1
     while parent[a] != a:
         a = parent[a]
     while parent[b] != b:
         b = parent[b]
-    return a != b
+    return a != b, deleted, _relabel(rest.replace("\x01", "\x00"))
 
 
 def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolynomial:
@@ -505,7 +537,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         # One tally serves L, R, lv-tidy and lv-dichromatic.
         d = rb.dual(rs)
         rows = rb.dual_tally(rs, d)
-        l_cell = _cellular_from_rows(rs, rows)
+        l_cell = _cellular_from_rows(rs, d, rows)
         r_poly = _ribbon_from_rows(rs, rows)
         gamma = _surface_genus(rs, rows)
         if l_cell == l_ext:

@@ -194,18 +194,18 @@ def generating_function_check(r_poly: MPolynomial,
     return _ok(name)
 
 
-def lr_relation(rs: rb.RotationSystem, rows: Counter, r_poly: MPolynomial,
-                kind: str) -> CheckResult:
+def lr_relation(rs: rb.RotationSystem, d: rb.RotationSystem, rows: Counter,
+                r_poly: MPolynomial, kind: str) -> CheckResult:
     """The diagonal of R against the z-slices of L, by surface:
     sphere and projective plane use L(t+1, t+1, 1); the torus weights
     the z-slices of L as L2 + t L1 + L0 at (t+1, t+1).
 
-    L comes from rows, the dual_tally of the connected graph rs, whose
-    surface is kind.
+    L comes from rows, the dual_tally of the connected graph rs and its
+    dual d, whose surface is kind.
     """
     name = "lr-relation"
     try:
-        l_poly = poly._cellular_from_rows(rs, rows)
+        l_poly = poly._cellular_from_rows(rs, d, rows)
     except poly.PolyError as exc:   # the graph and its dual disagree
         return _bad(name, f"no cellular polynomial: {exc}")
     rhs = laurent_to_poly(compose_laurent(r_poly, _DIAGONAL))
@@ -336,7 +336,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
         profile[row.f] = profile.get(row.f, 0) + m
     out.append(generating_function_check(r_poly, profile))
     if low_genus:
-        out.append(lr_relation(rs, tally, r_poly, kind))
+        out.append(lr_relation(rs, dual_rs, tally, r_poly, kind))
     else:
         out.append(_skip("lr-relation", gate_detail))
     out.append(verdict("quasi-tree-duality", {

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from topopoly.mpoly import (VARS, MPolynomial, _power_sum, assemble,
@@ -163,6 +163,56 @@ def test_assemble_matches_products(buckets):
     for (i, h, k), c in buckets.items():
         want = want + c * (X - 1) ** i * MPolynomial.monomial(1, y=h, z=k)
     assert assemble("xyz", keys, shifted="x") == want
+
+
+@hst.composite
+def _assemble_args(draw):
+    """Random names, a random shifted subset of them, and buckets with
+    zero, negative and cancelling counts."""
+    names = "".join(draw(hst.lists(hst.sampled_from(VARS), min_size=1,
+                                   max_size=4, unique=True)))
+    shifted = "".join(draw(hst.sets(hst.sampled_from(names))))
+    key = hst.tuples(*(hst.integers(0, 4).map(lambda n: 2 * n) if v in shifted
+                       else hst.integers(0, 5) for v in names))
+    return names, draw(hst.dictionaries(key, hst.integers(-3, 3), max_size=8)), shifted
+
+
+@settings(max_examples=80, deadline=None)
+@given(args=_assemble_args())
+# (x - 1) + 1 = x: the constants cancel, and a zero count adds nothing.
+@example(args=("xy", {(2, 0): 1, (0, 0): 1, (4, 1): 0}, "x"))
+# 2(z - 1)(x - 1) - 2(z - 1) + 2(x - 1) - 2 = 2zx - 4z: x and 1 cancel.
+@example(args=("zx", {(2, 2): 2, (2, 0): -2, (0, 2): 2, (0, 0): -2}, "zx"))
+def test_assemble_matches_powers_of_v_minus_one(args):
+    names, buckets, shifted = args
+    want = MPolynomial.zero()
+    for key, count in buckets.items():
+        term = MPolynomial.constant(count)
+        for v, h in zip(names, key):
+            term = term * ((MPolynomial.variable(v) - 1) ** (h // 2) if v in shifted
+                           else MPolynomial.variable_half(v, h))
+        want = want + term
+    assert assemble(names, buckets, shifted) == want
+
+
+def test_assemble_names_the_first_bad_bucket():
+    # Two bad buckets in different variables: the first in iteration
+    # order raises, whichever variable it is in; zero counts are skipped.
+    for buckets, message in (
+            ({(2, 2): 1, (0, 3): 2, (1, 0): 5}, "half-power of the shifted y"),
+            ({(2, 2): 1, (1, 0): 5, (0, 3): 2}, "half-power of the shifted x"),
+            ({(1, 0): 0, (0, -2): 1, (-2, 0): 1}, "negative power of the shifted y"),
+            ({(-2, 0): 1, (0, -2): 1}, "negative power of the shifted x")):
+        with pytest.raises(ValueError, match=rf"^{message} - 1$"):
+            assemble("xy", buckets, shifted="xy")
+    with pytest.raises(ValueError, match=r"^negative or non-integer exponent "
+                                         r"in \(0, -2\)$"):
+        assemble("xy", {(0, -2): 1, (-2, 0): 1}, shifted="x")
+    # A key needs one entry per name, and a shifted power must be an int.
+    with pytest.raises(ValueError, match=r"^bucket key \(2, 0, 2\) needs 2 "):
+        assemble("xy", {(2, 0, 2): 1}, shifted="x")
+    with pytest.raises(ValueError, match=r"^negative or non-integer "):
+        assemble("xy", {(2.0, 0): 1}, shifted="x")
 
 
 def test_assemble_rejects_half_powers_of_shifted_variables():

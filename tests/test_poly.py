@@ -212,13 +212,96 @@ def _scheme_leaves_on_minors(s, x=0, y=0, z=0):
         yield from _scheme_leaves_on_minors(em.contract_edge(s, e), x, y, z)
 
 
+def _pinched_with_high_ids(seed: int = 300, count: int = 8):
+    """Seeded pinched embeddings whose vertex and region ids are 300 and
+    above, in shuffled order, so the walk's relabelling on entry has
+    labels to rename."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rs = corpus.random_rotation(rng, rng.randint(2, 5), rng.randint(4, 9))
+        if not rs.pinch_vertices():
+            continue
+        emb = corpus.close_random(rng, rs)
+        vid = dict(zip(rs.sectors, rng.sample(range(300, 400), len(rs.sectors))))
+        rid = dict(zip(emb.region_genus,
+                       rng.sample(range(300, 400), len(emb.region_genus))))
+        high = rb.RotationSystem({vid[v]: secs for v, secs in rs.sectors.items()},
+                                 rs.signs)
+        out.append(em.EmbeddedGraph(high, {c: rid[r] for c, r in emb.regions.items()},
+                                    {rid[r]: g for r, g in emb.region_genus.items()}))
+    return out
+
+
 def test_scheme_memo_matches_minors():
     pool = corpus.main_corpus()
     pool += [em.with_disc_regions(rs) for rs in corpus.cellular_corpus()]
-    for emb in pool:
+    high = _pinched_with_high_ids()
+    assert all(min(s.g.vertices + s.dagger.vertices) >= 300
+               for s in map(em.derive_dagger, high))
+    for emb in pool + high:
         s = em.derive_dagger(emb)
         assert Counter(poly._scheme_leaves(s)) == Counter(_scheme_leaves_on_minors(s))
     assert len(pool) == 254
+
+
+def _flat(g: mg.Multigraph) -> tuple:
+    """The ends of g's edges, highest id first, vertices renamed 0, 1, ...
+    in order of first appearance."""
+    ends = [v for e in sorted(g.edges, reverse=True) for v in g.ends[e]]
+    rank: dict = {}
+    return tuple(rank.setdefault(v, len(rank)) for v in ends)
+
+
+def _minors_per_depth(s):
+    """Per depth of the scheme walk, the node count and the distinct
+    G-minors and H-minors as _flat tuples; the nodes come from the
+    materialised minors of the reference walk, merged on equal minors."""
+    level = {(_flat(s.g), _flat(s.dagger)): s}
+    out = []
+    for _ in s.g.edges:
+        out.append((len(level), {g for g, _ in level}, {h for _, h in level}))
+        below: dict = {}
+        for node in level.values():
+            e = max(node.g.edges)
+            kids = [em.delete_edge(node, e)]
+            if not (mg.is_bridge(node.dagger, e) or mg.is_bridge(node.g, e)):
+                kids.append(em.contract_edge(node, e))
+            for kid in kids:
+                below.setdefault((_flat(kid.g), _flat(kid.dagger)), kid)
+        level = below
+    return out
+
+
+def test_scheme_recursion_splits_each_minor_once(monkeypatch):
+    # One split per distinct (depth, G-minor) and per distinct (depth,
+    # H-minor), however many nodes share it.  A key's characters are its
+    # relabelled vertices, two per edge; its length gives its depth.
+    calls: Counter = Counter()
+    real = poly._split
+
+    def split(key):
+        calls[tuple(map(ord, key))] += 1
+        return real(key)
+
+    monkeypatch.setattr(poly, "_split", split)
+    shared_g = shared_h = False
+    for emb in corpus.main_corpus():
+        if len(emb.rotation.edges) != 10:
+            continue
+        s = em.derive_dagger(emb)
+        calls.clear()
+        leaves = poly._scheme_leaves(s)
+        want: Counter = Counter()
+        for nodes, gs, hs in _minors_per_depth(s):
+            want.update(gs)
+            want.update(hs)
+            shared_g |= nodes > len(gs)
+            shared_h |= nodes > len(hs)
+        assert calls == want
+        assert leaves == Counter(_scheme_leaves_on_minors(s))
+    # Nodes share minors on both sides: a split per node would be caught.
+    assert shared_g and shared_h
 
 
 def _large_embedded():

@@ -121,7 +121,8 @@ def test_surface_kind_rejects_high_genus():
 def _lr_relation(rs):
     """lr-relation on the inputs run_state_checks hands it, with R from
     its own expansion."""
-    return st.lr_relation(rs, Counter(sweeps.dual_sweep(rs)),
+    d = rb.dual(rs)
+    return st.lr_relation(rs, d, Counter(sweeps.dual_sweep(rs, d)),
                           poly.bollobas_riordan(rs), st.surface_kind(rs))
 
 
@@ -190,6 +191,19 @@ def test_broken_dual_fails_quasi_tree_duality(monkeypatch):
     assert (res.status, res.detail) == (
         "fail", "deleted [1, 2, 3]: G - A has 2 boundary circles, "
                 "G* on A has 1")
+
+
+def test_broken_dual_names_its_lr_witness_on_the_same_dual(monkeypatch):
+    # lr-relation names its bad subset on forced tallies of the dual whose
+    # rows failed: the checks build that dual once.
+    _twist_one_dual_edge(monkeypatch)
+    calls = []
+    twisted = rb.dual
+    monkeypatch.setattr(rb, "dual", lambda g: calls.append(g) or twisted(g))
+    results = {r.name: r for r in st.run_state_checks(corpus.theta_torus())[0]}
+    assert len(calls) == 1
+    assert results["lr-relation"].line() == (
+        "RESULT: lr-relation fail: no cellular polynomial: odd genus split on []")
 
 
 def test_forced_gate_fails_instead_of_raising(monkeypatch):
