@@ -115,9 +115,7 @@ def cmd_poly(args) -> int:
         if parsed.embedded is not None and not em.validate(parsed.embedded).cellular:
             raise ff.FormatError(
                 "not a cellular embedding; --which lv-ext handles these")
-        # A cellular input's embedding is reused, not built again.
-        result = poly.las_vergnas_cellular(parsed.embedded or parsed.rotation,
-                                           method, cap)
+        result = poly.las_vergnas_cellular(parsed.rotation, method, cap)
     elif which == "lv-ext":
         result = poly.las_vergnas_embedded(_embedded(parsed), method, cap)
     elif which == "krushkal":

@@ -6,7 +6,8 @@ region, and every region is a connected surface with genus and one or
 more boundary circles.  Filling each region accordingly rebuilds the
 ambient pseudo-surface, so validation, region adjacency (the dagger
 graph), region counts rho, edge classification and complement
-invariants are all computed from this data.
+invariants are all computed from this data, on the circles of the
+rotation system's own full trace (RotationSystem.trace).
 
 Deletion and contraction live at two levels.  The scheme level tracks
 only the abstract graph and its dagger, which is all the transition
@@ -19,7 +20,7 @@ contraction, since contracting a loop pinches the surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import matroid as mt
@@ -39,26 +40,9 @@ class EmbeddedGraph:
     rotation: rb.RotationSystem
     regions: Mapping[int, int]
     region_genus: Mapping[int, int]
-    trace: rb.BoundaryTrace = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._glue(rb.trace_boundary(self.rotation))
-
-    @classmethod
-    def _on_trace(cls, rotation: rb.RotationSystem, trace: rb.BoundaryTrace,
-                  regions: Mapping[int, int],
-                  region_genus: Mapping[int, int]) -> "EmbeddedGraph":
-        """The embedding on a full trace of rotation the caller already
-        holds, checked as the constructor checks it, so that the rotation
-        is not traced a second time."""
-        emb = cls.__new__(cls)
-        object.__setattr__(emb, "rotation", rotation)
-        object.__setattr__(emb, "regions", regions)
-        object.__setattr__(emb, "region_genus", region_genus)
-        emb._glue(trace)
-        return emb
-
-    def _glue(self, trace: rb.BoundaryTrace) -> None:
+        trace = self.trace
         regions = {int(c): int(r) for c, r in self.regions.items()}
         genus = {int(r): int(g) for r, g in self.region_genus.items()}
         for c in range(trace.f):
@@ -76,7 +60,11 @@ class EmbeddedGraph:
                 raise EmbeddingError(f"region {r} has no boundary circles")
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "region_genus", genus)
-        object.__setattr__(self, "trace", trace)
+
+    @property
+    def trace(self) -> rb.BoundaryTrace:
+        """The rotation system's full trace, whose circles regions glue."""
+        return self.rotation.trace
 
     def side_regions(self, e: int) -> tuple[int, int]:
         """(region on the left of e, region on the right)."""
@@ -93,10 +81,8 @@ class EmbeddedGraph:
 def with_disc_regions(rotation: rb.RotationSystem) -> EmbeddedGraph:
     """Glue a disc onto every boundary circle.  For a pinch-free
     rotation system this is its cellular embedding."""
-    trace = rb.trace_boundary(rotation)
-    discs = range(trace.f)
-    return EmbeddedGraph._on_trace(rotation, trace, {c: c for c in discs},
-                                   {c: 0 for c in discs})
+    discs = range(rotation.trace.f)
+    return EmbeddedGraph(rotation, {c: c for c in discs}, {c: 0 for c in discs})
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,7 @@ def parse(text: str) -> ParsedInput:
     if not region_rows:
         return ParsedInput(rotation, None)
 
-    trace = rb.trace_boundary(rotation)
-    f = trace.f
+    f = rotation.trace.f
     regions: dict[int, int] = {}
     region_genus: dict[int, int] = {}
     for lineno, r, genus, circles in region_rows:
@@ -170,8 +169,7 @@ def parse(text: str) -> ParsedInput:
         if c not in regions:
             raise FormatError(f"circle {c} of the trace is not covered by any region")
     try:
-        embedded = em.EmbeddedGraph._on_trace(rotation, trace, regions,
-                                              region_genus)
+        embedded = em.EmbeddedGraph(rotation, regions, region_genus)
     except em.EmbeddingError as exc:
         raise FormatError(str(exc)) from exc
     return ParsedInput(rotation, embedded)

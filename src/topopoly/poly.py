@@ -35,9 +35,9 @@ _first_subset, which the state checks share, reruns the same tally
 with edges forced in or out, at most |E| times.
 
 verify_identities builds the dual_tally rows once per call and reuses
-them for L, R, lv-tidy and lv-dichromatic, and reads the surface's
-genus off their row of A = E; the states module reads one dual_tally
-for L, R, the genus and its state checks.
+them for L, R, lv-tidy and lv-dichromatic; the states module reads one
+dual_tally for L, R and its state checks.  Both take the surface's
+genus from ribbon.euler_genus, on the rotation system's one trace.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
@@ -196,33 +196,20 @@ def _perspective_leaves(m: mt.RankMatroid, m_prime: mt.RankMatroid,
                                        x, y, z)
 
 
-def las_vergnas_cellular(x: rb.RotationSystem | em.EmbeddedGraph,
-                         method: str = "expansion",
+def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
                          cap: int = EXPANSION_CAP) -> MPolynomial:
-    """The cellular three-variable polynomial, from boundary data of
-    the graph and its dual; z records half the genus deficiency.
-
-    x is a rotation system, or its cellular embedding, which the
-    recursion then reads instead of closing the circles again.
-    """
-    emb = x if isinstance(x, em.EmbeddedGraph) else None
-    rs = x if emb is None else emb.rotation
+    """The cellular three-variable polynomial of a pinch-free rotation
+    system, from boundary data of the graph and its dual; z records half
+    the genus deficiency.  The recursion runs on its disc embedding."""
     rb.require_pinch_free(rs, "the cellular polynomial")
     if method == "recursion":
-        emb = em.with_disc_regions(rs) if emb is None else emb
-        return las_vergnas_embedded(em.derive_dagger(emb), "recursion", cap)
+        return las_vergnas_embedded(em.derive_dagger(em.with_disc_regions(rs)),
+                                    "recursion", cap)
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(rs.edges), cap, "subset expansion")
     d = rb.dual(rs)
     return _cellular_from_rows(rs, d, rb.dual_tally(rs, d))
-
-
-def _surface_genus(rs: rb.RotationSystem, rows: Counter) -> int:
-    """The Euler genus of the surface, read off the row of A = E of a
-    dual_tally of rs."""
-    n = len(rs.edges)
-    return next(row.genus for row in rows if row.size == n)
 
 
 def _cellular_from_rows(rs: rb.RotationSystem, d: rb.RotationSystem,
@@ -231,7 +218,7 @@ def _cellular_from_rows(rs: rb.RotationSystem, d: rb.RotationSystem,
     named on forced tallies of the same d."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
-    gamma = _surface_genus(rs, rows)
+    gamma = rb.euler_genus(rs)
     counts: Counter = Counter()
     bad = {}
     for row, m in rows.items():
@@ -454,14 +441,13 @@ def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
 # identity suite
 
 
-def _point_pool() -> tuple[Fraction, ...]:
-    vals = {Fraction(n, d) for d in (1, 2, 3) for n in range(-9, 10)}
-    vals -= {Fraction(0), Fraction(1)}
-    return tuple(sorted(vals))
+# The sample points' coordinates: n/d for |n| < 10 and d <= 3, but 0 and 1.
+_POINT_POOL = tuple(sorted({Fraction(n, d) for d in (1, 2, 3)
+                            for n in range(-9, 10)} - {0, 1}))
 
 
-def _points(rng: random.Random, pool, k: int, n: int):
-    return [tuple(rng.choice(pool) for _ in range(k)) for _ in range(n)]
+def _points(rng: random.Random, k: int, n: int):
+    return [tuple(rng.choice(_POINT_POOL) for _ in range(k)) for _ in range(n)]
 
 
 def _pointwise(name: str, pts, fn) -> CheckResult:
@@ -493,7 +479,6 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     connected_surface = report.components == 1
 
     rng = random.Random(seed)
-    pool = _point_pool()
     out: list[CheckResult] = []
 
     l_ext = las_vergnas_embedded(scheme, "expansion", cap)
@@ -503,7 +488,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
 
     # Perspective specialisations: the rank walk against the tallies.  A
     # bad rank table fails all three; their points are drawn either way.
-    prime_points = _points(rng, pool, 2, points)
+    prime_points = _points(rng, 2, points)
     try:
         t_pers = tutte_perspective(mp, "expansion", cap)
         self_b, self_c = (tutte_perspective(mt.MatroidPerspective(m, m), cap=cap)
@@ -539,7 +524,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         rows = rb.dual_tally(rs, d)
         l_cell = _cellular_from_rows(rs, d, rows)
         r_poly = _ribbon_from_rows(rs, rows)
-        gamma = _surface_genus(rs, rows)
+        gamma = rb.euler_genus(rs)
         if l_cell == l_ext:
             out.append(_ok("lv-extension-matches-cellular"))
         else:
@@ -555,7 +540,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                 {"x": x0, "y": y0, "z": Fraction(1, 1) / (y0 - 1)})
             return lhs, t_mp.evaluate({"x": x0, "y": y0})
 
-        out.append(_pointwise("lv-to-tutte", _points(rng, pool, 2, points),
+        out.append(_pointwise("lv-to-tutte", _points(rng, 2, points),
                               lv_to_tutte))
 
         v = len(rs.sectors)
@@ -576,13 +561,13 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                 {"x": x0, "y": y0, "z": 1 / (z0 * z0 * (y0 - 1))})
             return lhs, _power_sum(tidy_rows, (x0 - 1, y0 - 1, Fraction(z0)))
 
-        out.append(_pointwise("lv-tidy", _points(rng, pool, 3, points), tidy))
+        out.append(_pointwise("lv-tidy", _points(rng, 3, points), tidy))
 
         def dichro(x0, y0, z0):
             lhs = l_cell.evaluate({"x": x0, "y": y0, "z": z0})
             return lhs, _power_sum(comp_rows, (x0 - 1, y0 - 1, Fraction(z0)))
 
-        out.append(_pointwise("lv-dichromatic", _points(rng, pool, 3, points),
+        out.append(_pointwise("lv-dichromatic", _points(rng, 3, points),
                               dichro))
 
         def br_at_one(x0, y0):
@@ -591,7 +576,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                 {"x": x0, "y": y0 + 1, "z": Fraction(1, 1) / y0})
             return lhs, rhs
 
-        out.append(_pointwise("br-at-z1", _points(rng, pool, 2, points),
+        out.append(_pointwise("br-at-z1", _points(rng, 2, points),
                               br_at_one))
     else:
         for name in ("lv-to-tutte", "lv-tidy", "lv-dichromatic", "br-at-z1"):
@@ -611,7 +596,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                 sqrts={"a": q * z0, "b": 1 / Fraction(q)})
             return lhs, rhs
 
-        out.append(_pointwise("br-from-krushkal", _points(rng, pool, 3, points),
+        out.append(_pointwise("br-from-krushkal", _points(rng, 3, points),
                               br_from_k))
 
         def lv_from_k_cell(x0, y0, w):
@@ -622,7 +607,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
             return lhs, rhs
 
         out.append(_pointwise("lv-from-krushkal-cellular",
-                              _points(rng, pool, 3, points), lv_from_k_cell))
+                              _points(rng, 3, points), lv_from_k_cell))
     else:
         why = ("needs a cellular embedding" if k_poly is not None
                else "needs a connected pinch-free surface")
@@ -641,7 +626,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
             return lhs, rhs
 
         out.append(_pointwise("lv-from-krushkal",
-                              _points(rng, pool, 3, points), lv_from_k))
+                              _points(rng, 3, points), lv_from_k))
     else:
         out.append(_skip("lv-from-krushkal",
                          "needs a connected pinch-free surface"))

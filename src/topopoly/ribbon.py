@@ -52,12 +52,18 @@ petrials (band twists), orientability, the
 medial map with its per-vertex smoothing pairings, and the sector
 surgery (disc flips and non-loop contraction) used for topological
 minors.  Circles are numbered canonically, so traces are reproducible.
+
+A rotation system's full trace is its trace attribute, traced on first
+use and returned by trace_boundary for the whole edge set: the dual, the
+genus and every embedding of one system share it.  Systems never change;
+surgery builds new ones, which trace themselves.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import multigraph as mg
@@ -144,6 +150,11 @@ class RotationSystem:
 
     def pinch_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if len(self.sectors[v]) > 1)
+
+    @cached_property
+    def trace(self) -> "BoundaryTrace":
+        """The boundary circles of every band, traced on first use."""
+        return trace_sectors(all_sectors(self), self.signs, self.edge_set())
 
     def underlying(self) -> mg.Multigraph:
         return mg.Multigraph(self.vertices, dict(self.ends))
@@ -282,6 +293,8 @@ def all_sectors(g: RotationSystem) -> list[tuple[Home, Sector]]:
 def trace_boundary(g: RotationSystem,
                    subset: Iterable[int] | None = None) -> BoundaryTrace:
     a = g.edge_set() if subset is None else frozenset(subset)
+    if a == g.edge_set():
+        return g.trace
     if not a <= g.edge_set():
         raise RibbonError(f"subset {sorted(set(a) - g.edge_set())} not among the edges")
     return trace_sectors(all_sectors(g), g.signs, a)
@@ -653,6 +666,8 @@ def _circle_moves(g: RotationSystem, order: list[int], pairings):
     decided): each is followed by the point at the other end of the
     path through the decided points.  A circle closes when a decided
     edge's pairing completes a cycle."""
+    # A _union_moves layer on the corner points counts the same circles,
+    # but relabels the whole frontier per union; a pairing moves two ends.
     index = {e: i for i, e in enumerate(g.edges)}
     kappa, bare = _disc_arcs(g)
     when = {index[e]: t for t, e in enumerate(order)}

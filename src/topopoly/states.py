@@ -23,17 +23,17 @@ curves) without listing them.  The routes agree exactly when every
 count lies on the diagonal; a count off it reruns the tally with
 smoothings forced to find the first misplaced state, which is then
 counted alone on the two counters above.  It runs every relation that
-applies, one result line per check.  Everything else it needs comes
-from one ribbon.dual_tally, with the dual built once: the minimum
-formula and the quasi-tree duality are predicates on its rows, the
-crossing-free profile is its marginal over f (handed back with the
-results, for the states command to print), and the polynomials R and
-L of the diagonal relations are assembled from it.  Only a failing
-check reruns that tally, to name the first bad white set in mask
-order.  A check that finds a disagreement fails; only inputs outside
-the preconditions (pinched, edgeless, disconnected, over the sweep
-cap) raise.  The sweep cap, checked first, still counts edges; the
-tally's cost follows its frontier states, not 3^e.
+applies, one result line per check.  The genus and the dual come
+from the graph's one trace, everything else from one ribbon.dual_tally:
+the minimum formula and the quasi-tree duality are predicates on its
+rows, the crossing-free profile is its marginal over f (handed back
+with the results, for the states command to print), and the
+polynomials R and L of the diagonal relations are assembled from it.
+Only a failing check reruns that tally, to name the first bad white
+set in mask order.  A check that finds a disagreement fails; only
+inputs outside the preconditions (pinched, edgeless, disconnected,
+over the sweep cap) raise.  The sweep cap, checked first, still counts
+edges; the tally's cost follows its frontier states, not 3^e.
 """
 
 from __future__ import annotations
@@ -159,11 +159,10 @@ def lv_component_formula(rs: rb.RotationSystem,
 # low-genus surfaces and the diagonal relation
 
 
-def surface_kind(rs: rb.RotationSystem, gamma: int | None = None) -> str:
+def surface_kind(rs: rb.RotationSystem) -> str:
     """sphere / projective-plane / torus for a connected cellular
-    filling; anything else raises GenusRangeError.  gamma, the Euler
-    genus of the surface, is traced unless given."""
-    gamma = rb.euler_genus(rs) if gamma is None else gamma
+    filling; anything else raises GenusRangeError."""
+    gamma = rb.euler_genus(rs)
     orientable = rb.is_orientable(rs)
     if gamma == 0:
         return "sphere"
@@ -259,15 +258,14 @@ def run_state_checks(rs: rb.RotationSystem, *,
     check_cap(len(edges), sweep_cap, "the full state sweep")
 
     mm = rb.medial(rs)
-    # The rows count a white set W, and E - W in the dual; the row of
-    # W = E holds the genus of the surface.
+    # The rows count a white set W, and E - W in the dual.
     dual_rs = rb.dual(rs)
     tally = rb.dual_tally(rs, dual_rs)
     n, v, vd = len(edges), len(rs.sectors), len(dual_rs.sectors)
-    gamma = poly._surface_genus(rs, tally)
+    gamma = rb.euler_genus(rs)
     low_genus = True
     try:
-        kind = surface_kind(rs, gamma)
+        kind = surface_kind(rs)
     except GenusRangeError as exc:
         low_genus = False
         gate_detail = str(exc)

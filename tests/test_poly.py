@@ -168,7 +168,7 @@ def test_cellular_routes_agree_on_corpus():
         f = rb.trace_boundary(rs).f
         emb = em.EmbeddedGraph(rs, {k: 2 * (f - k) for k in range(f)},
                                {2 * (f - k): 0 for k in range(f)})
-        d = poly.las_vergnas_cellular(emb, "recursion")
+        d = poly.las_vergnas_embedded(emb, "recursion")
         assert str(a) == str(b) == str(c) == str(d)
 
 
@@ -181,11 +181,10 @@ def test_plane_cellular_polynomial_is_tutte():
 
 
 def test_cellular_polynomial_rejects_pinches_by_either_method():
-    emb = corpus.pinched_spheres()
-    for x in (emb, emb.rotation):
-        for method in ("expansion", "recursion"):
-            with pytest.raises(rb.RibbonError):
-                poly.las_vergnas_cellular(x, method)
+    rs = corpus.pinched_spheres().rotation
+    for method in ("expansion", "recursion"):
+        with pytest.raises(rb.RibbonError):
+            poly.las_vergnas_cellular(rs, method)
 
 
 def test_embedded_recursion_matches_expansion_non_cellular():
@@ -571,9 +570,9 @@ def test_expansions_trace_a_fixed_number_of_times(monkeypatch):
 
 
 def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
-    """Building an embedding, in the parser or by closing circles with
-    discs, reuses the trace that found its circles; every other full
-    trace a command runs is the polynomial's own."""
+    """The parsed rotation system holds its one full trace: the
+    embedding, the dual, the genus and the complement statistics of a
+    command all read it."""
     calls = []
     real = rb.trace_sectors
 
@@ -606,7 +605,7 @@ def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
         counts[name] = len(calls)
     capsys.readouterr()
     assert counts == {"tutte": 1, "dichromatic": 1, "br": 1, "krushkal": 1,
-                      "lv-ext": 1, "lv": 2, "lv recursion": 1, "identities": 5,
+                      "lv-ext": 1, "lv": 1, "lv recursion": 1, "identities": 1,
                       "pseudo-surface lv-ext": 1,
                       "pseudo-surface identities": 1}
 

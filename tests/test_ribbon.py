@@ -16,6 +16,7 @@ import sweeps
 from topopoly import embedding as em
 from topopoly import multigraph as mg
 from topopoly import ribbon as rb
+from topopoly import states as st
 
 
 def all_subsets(edges):
@@ -285,6 +286,39 @@ def test_subset_trace_is_induced():
     assert rb.boundary_count(theta, frozenset()) == 2
     assert rb.boundary_count(theta, {1}) == 1
     assert rb.euler_genus(theta, {1}) == 0
+
+
+def test_a_rotation_system_traces_itself_once(monkeypatch):
+    # Every reader of the full trace shares the system's one trace; a
+    # proper subset traces again, and every new system traces itself.
+    traces = []
+    real = rb.trace_sectors
+
+    def counting(*args):
+        traces.append(real(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(rb, "trace_sectors", counting)
+    rs = corpus.theta_torus()
+    shared = [rb.trace_boundary(rs), rb.trace_boundary(rs, rs.edges),
+              em.with_disc_regions(rs).trace]
+    rb.dual(rs)
+    assert (rb.euler_genus(rs), rb.boundary_count(rs), st.surface_kind(rs)) == (
+        2, 1, "torus")
+    assert len(traces) == 1
+    assert all(t is traces[0] for t in shared + [rs.trace])
+
+    part = rb.trace_boundary(rs, {1, 2})
+    assert len(traces) == 2 and part is traces[1] and part.f == 2
+    assert rs.trace is traces[0]
+
+    made = [rb.twist(rs, [1]), rb.delete_edge(rs, 1), rb.contract_edge(rs, 1),
+            rb.dual(rs)]
+    for g in made:
+        assert g.trace is traces[-1]
+        assert g.trace == rb.RotationSystem(g.sectors, g.signs).trace
+    assert len(traces) == 2 + 2 * len(made)
+    assert all(g.trace != rs.trace for g in made[:2])
 
 
 # ---------------------------------------------------------------------------

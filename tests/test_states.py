@@ -365,13 +365,15 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
     counted(poly, "las_vergnas_cellular")
     seven = next(rs for rs in corpus.cellular_corpus()
                  if len(rs.edges) == 7 and rb.euler_genus(rs) <= 2)
+    # The selection traced seven; a fresh system holds no trace yet.
+    seven = rb.RotationSystem(seven.sectors, seven.signs)
     per_graph = []
     for rs in (corpus.theta_torus(), seven):     # 27 and 2,187 states
         calls.clear()
         st.run_state_checks(rs)
         per_graph.append(dict(calls))
-    # One trace, none per state: the dual's.  The genus of the surface
-    # comes from the tally's row of W = E.  Two frontier runs, the dual
-    # tally's and the state tally's; no tally is rerun.
+    # One trace, none per state: the graph's, which gives the dual and
+    # the genus of the surface.  Two frontier runs, the dual tally's and
+    # the state tally's; no tally is rerun.
     assert per_graph[0] == per_graph[1] == {
         "dual": 1, "dual_tally": 1, "trace_sectors": 1, "_frontier_tally": 2}
