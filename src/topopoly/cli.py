@@ -13,11 +13,9 @@ Commands that need a filled surface accept a bare rotation system and
 close every boundary circle with a disc, noting so on stderr.  Exit
 status: 0 all good, 1 a check failed, 2 bad input or unusable request.
 
-The argument parser is built once per process, on the first main call,
-and reused by every later call.  A shell invocation makes one call and
-builds it once, as it always did; only callers that run main many times
-in one process (the tests, the benchmark, library code) save the
-rebuild, about 1.1 ms a call on a 2-vCPU machine with Python 3.11.
+The argument parser is built on the first main call and reused by
+every later call in the process (see build_parser); callers that run
+main many times save about 1.1 ms a call (2 vCPUs, Python 3.11).
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ def cmd_trace(args) -> int:
 
 def cmd_validate(args) -> int:
     emb = _embedded(ff.parse(_read_text(args.file)))
-    report = em.validate(emb)
+    report = emb.report
     print(f"components {report.components}")
     print(f"euler-characteristic {report.euler_characteristic}")
     print(f"euler-genus {report.euler_genus}")
@@ -112,7 +110,7 @@ def cmd_poly(args) -> int:
     elif which == "br":
         result = poly.bollobas_riordan(parsed.rotation, cap)
     elif which == "lv":
-        if parsed.embedded is not None and not em.validate(parsed.embedded).cellular:
+        if parsed.embedded is not None and not parsed.embedded.report.cellular:
             raise ff.FormatError(
                 "not a cellular embedding; --which lv-ext handles these")
         result = poly.las_vergnas_cellular(parsed.rotation, method, cap)
@@ -174,9 +172,8 @@ _CLASS_LABEL = {
 
 def cmd_classify(args) -> int:
     emb = _embedded(ff.parse(_read_text(args.file)))
-    scheme = em.derive_dagger(emb)
     for e in emb.rotation.edges:
-        print(f"edge {e}: {_CLASS_LABEL[em.classify_edge(emb, e, scheme)]}")
+        print(f"edge {e}: {_CLASS_LABEL[em.classify_edge(emb, e)]}")
     return 0
 
 

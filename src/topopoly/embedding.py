@@ -7,7 +7,9 @@ more boundary circles.  Filling each region accordingly rebuilds the
 ambient pseudo-surface, so validation, region adjacency (the dagger
 graph), region counts rho, edge classification and complement
 invariants are all computed from this data, on the circles of the
-rotation system's own full trace (RotationSystem.trace).
+rotation system's own full trace (RotationSystem.trace).  An embedded
+graph keeps its validation report and its scheme, each made on first
+use by validate and derive_dagger, for every reader.
 
 Deletion and contraction live at two levels.  The scheme level tracks
 only the abstract graph and its dagger, which is all the transition
@@ -21,6 +23,7 @@ contraction, since contracting a loop pinches the surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import matroid as mt
@@ -47,7 +50,8 @@ class EmbeddedGraph:
         genus = {int(r): int(g) for r, g in self.region_genus.items()}
         for c in range(trace.f):
             if c not in regions:
-                raise EmbeddingError(f"circle {c} not covered by any region")
+                raise EmbeddingError(
+                    f"circle {c} of the trace is not covered by any region")
         for c, r in regions.items():
             if not 0 <= c < trace.f:
                 raise EmbeddingError(f"region {r} lists unknown circle {c}")
@@ -65,6 +69,16 @@ class EmbeddedGraph:
     def trace(self) -> rb.BoundaryTrace:
         """The rotation system's full trace, whose circles regions glue."""
         return self.rotation.trace
+
+    @cached_property
+    def report(self) -> "ValidationReport":
+        """The surface's invariants, found by validate on first use."""
+        return validate(self)
+
+    @cached_property
+    def scheme(self) -> "EmbeddingScheme":
+        """The graph and its dagger graph, by derive_dagger on first use."""
+        return derive_dagger(self)
 
     def side_regions(self, e: int) -> tuple[int, int]:
         """(region on the left of e, region on the right)."""
@@ -99,12 +113,9 @@ class ValidationReport:
 
 def validate(emb: EmbeddedGraph) -> ValidationReport:
     rot = emb.rotation
-    v = len(rot.sectors)
-    e = len(rot.signs)
-    chi = v - e
     circles = emb.region_circles()
-    for r, g in emb.region_genus.items():
-        chi += 2 - g - len(circles[r])
+    chi = len(rot.sectors) - len(rot.signs) + sum(
+        2 - g - len(circles[r]) for r, g in emb.region_genus.items())
 
     # k: regions, bands and vertex discs glued along circles and ends.
     nodes = [("v", w) for w in rot.vertices]
@@ -154,15 +165,11 @@ def derive_dagger(emb: EmbeddedGraph) -> EmbeddingScheme:
     return EmbeddingScheme(emb.rotation.underlying(), dagger)
 
 
-def _as_scheme(x) -> EmbeddingScheme:
-    return derive_dagger(x) if isinstance(x, EmbeddedGraph) else x
-
-
 def rho(x, a: Iterable[int] | None = None) -> int:
     """Number of regions of the spanning subgraph on edge set a: the
     components of the dagger graph after cutting the other edges open,
-    i.e. c_dagger(E - a)."""
-    s = _as_scheme(x)
+    i.e. c_dagger(E - a).  x is a scheme, or an embedding's own."""
+    s = x.scheme if isinstance(x, EmbeddedGraph) else x
     a = s.g.edge_set() if a is None else frozenset(a)
     return mg.components(s.dagger, s.dagger.edge_set() - a)
 
@@ -192,11 +199,10 @@ QUASI_LOOP = "quasi_loop"
 ORDINARY = "ordinary"
 
 
-def classify_edge(emb: EmbeddedGraph, e: int,
-                  scheme: EmbeddingScheme | None = None) -> str:
+def classify_edge(emb: EmbeddedGraph, e: int) -> str:
     """Sort an edge into bridge / quasi-bridge-only / quasi-loop /
-    ordinary, cross-checking the drawing against the matroid side."""
-    s = scheme if scheme is not None else derive_dagger(emb)
+    ordinary, cross-checking the drawing against its own scheme."""
+    s = emb.scheme
     if e not in s.g.ends:
         raise EmbeddingError(f"no edge {e}")
 
@@ -245,10 +251,9 @@ def complement_stats(emb: EmbeddedGraph, a: Iterable[int]) -> ComplementStats:
     rot = emb.rotation
     rb.require_pinch_free(rot, "the complement surface")
     a = frozenset(a)
-    report = validate(emb)
     k = rho(emb, a)
     f = rb.trace_boundary(rot, a).f
-    chi = report.euler_characteristic - (len(rot.sectors) - len(a))
+    chi = emb.report.euler_characteristic - (len(rot.sectors) - len(a))
     genus = 2 * k - f - chi
     ngenus = rb.euler_genus(rot, a)
     if genus < 0 or ngenus < 0:

@@ -105,7 +105,11 @@ def parse(text: str) -> ParsedInput:
             genus = int(m.group(2))
             if genus < 0:
                 _fail(lineno, f"region {r} has negative genus {genus}")
-            circles = [int(tok) for tok in m.group(3).split(",") if tok.strip()]
+            tokens = [part.split() for part in m.group(3).split(",")]
+            if any(len(t) > 1 for t in tokens):
+                _fail(lineno, f"region {r} lists circles '{m.group(3).strip()}'; "
+                              "separate circle ids with commas")
+            circles = [int(t[0]) for t in tokens if t]
             if not circles:
                 _fail(lineno, f"region {r} lists no circles")
             if any(r == row[1] for row in region_rows):
@@ -165,9 +169,6 @@ def parse(text: str) -> ParsedInput:
                 _fail(lineno, f"circle {c} is glued to region {regions[c]} "
                               f"and region {r}")
             regions[c] = r
-    for c in range(f):
-        if c not in regions:
-            raise FormatError(f"circle {c} of the trace is not covered by any region")
     try:
         embedded = em.EmbeddedGraph(rotation, regions, region_genus)
     except em.EmbeddingError as exc:

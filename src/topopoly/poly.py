@@ -22,10 +22,10 @@ to a bucket:
 
   bollobas_riordan      transfer_tally(rs): c and f; c(E) once
   krushkal              transfer_tally(rs, dagger): c, f and rho(A);
-                        validate, derive_dagger and c(E) once
-  las_vergnas_cellular  ribbon.dual_tally: c and f of A, and of E - A
-                        in the dual, which is traced itself; c(E) and
-                        the genus once
+                        the embedding's report and dagger, and c(E)
+  las_vergnas_cellular  rs.dual_tally: c and f of A, and of E - A in
+                        the dual, which is traced itself; c(E) and the
+                        genus once
   las_vergnas_embedded  transfer_tally(g, dagger): c and rho(A), no
                         tracing; c(E), rho(E) and rho(0) once
   tutte, dichromatic    transfer_tally(g): c alone
@@ -34,10 +34,9 @@ A bad row names the first subset, in mask order, that yields it:
 _first_subset, which the state checks share, reruns the same tally
 with edges forced in or out, at most |E| times.
 
-verify_identities builds the dual_tally rows once per call and reuses
-them for L, R, lv-tidy and lv-dichromatic; the states module reads one
-dual_tally for L, R and its state checks.  Both take the surface's
-genus from ribbon.euler_genus, on the rotation system's one trace.
+The dual, its dual_tally, the validation report and the scheme are
+the input's own, made on first use, so one identities command tallies
+the rows once, for L, R, lv-tidy, lv-dichromatic and the state checks.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
@@ -64,6 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import Mapping
 
 from . import embedding as em
 from . import matroid as mt
@@ -203,19 +203,16 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
     the genus deficiency.  The recursion runs on its disc embedding."""
     rb.require_pinch_free(rs, "the cellular polynomial")
     if method == "recursion":
-        return las_vergnas_embedded(em.derive_dagger(em.with_disc_regions(rs)),
-                                    "recursion", cap)
+        return las_vergnas_embedded(em.with_disc_regions(rs), "recursion", cap)
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(rs.edges), cap, "subset expansion")
-    d = rb.dual(rs)
-    return _cellular_from_rows(rs, d, rb.dual_tally(rs, d))
+    return _cellular_from_rows(rs, rs.dual_tally)
 
 
-def _cellular_from_rows(rs: rb.RotationSystem, d: rb.RotationSystem,
-                        rows: Counter) -> MPolynomial:
-    """L from rows, the dual_tally of rs and its dual d; a bad row is
-    named on forced tallies of the same d."""
+def _cellular_from_rows(rs: rb.RotationSystem, rows: Mapping) -> MPolynomial:
+    """L from rows, the dual_tally of rs; a bad row is named on forced
+    tallies of the same dual, rs.dual."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
@@ -230,8 +227,7 @@ def _cellular_from_rows(rs: rb.RotationSystem, d: rb.RotationSystem,
                         else "bad exponents on {a}")
         counts[2 * (row.c - c_full), 2 * ey, ez2] += m
     if bad:
-        raise PolyError(_first_subset(
-            rs.edges, partial(rb.dual_tally, rs, d), bad))
+        raise PolyError(_first_subset(rs.edges, partial(rb.dual_tally, rs), bad))
     return assemble("xyz", counts, shifted="xy")
 
 
@@ -243,7 +239,7 @@ def las_vergnas_embedded(x, method: str = "expansion",
     over edge subsets; recursion deletes or contracts the highest edge
     id, scoring bridges x, quasi-loops y and proper quasi-bridges z.
     """
-    s = em.derive_dagger(x) if isinstance(x, em.EmbeddedGraph) else x
+    s = x.scheme if isinstance(x, em.EmbeddedGraph) else x
     if method == "recursion":
         check_cap(len(s.g.edges), cap, "delete/contract recursion")
         return assemble("xyz", _scheme_leaves(s))
@@ -387,7 +383,7 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
     return _ribbon_from_rows(rs, rb.transfer_tally(rs))
 
 
-def _ribbon_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
+def _ribbon_from_rows(rs: rb.RotationSystem, rows: Mapping) -> MPolynomial:
     """R from a tally of rows that start with |A|, c(A), f(A): the rows
     of transfer_tally and of dual_tally both do."""
     v = len(rs.sectors)
@@ -401,14 +397,13 @@ def _ribbon_from_rows(rs: rb.RotationSystem, rows: Counter) -> MPolynomial:
 def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Surface sum over subsets: component drop, complement regions,
     and the half-genera of the neighbourhood (a) and complement (b)."""
-    report = em.validate(emb)
-    rb.require_pinch_free(emb.rotation, "the surface polynomial")
+    rs, report = emb.rotation, emb.report
+    rb.require_pinch_free(rs, "the surface polynomial")
     if report.components != 1:
         raise PolyError("the surface polynomial needs a connected ambient surface")
-    check_cap(len(emb.rotation.edges), cap, "subset expansion")
-    rs = emb.rotation
+    check_cap(len(rs.edges), cap, "subset expansion")
     v = len(rs.sectors)
-    dagger = em.derive_dagger(emb).dagger
+    dagger = emb.scheme.dagger
     c_full = mg.components(rs.underlying())
     counts: Counter = Counter()
     bad = {}
@@ -471,12 +466,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                         f"point, not {points}")
     rs = emb.rotation
     check_cap(len(rs.edges), cap, "the identity suite")
-    report = em.validate(emb)
-    scheme = em.derive_dagger(emb)
-    g = scheme.g
-    pinch_free = not rs.pinch_vertices()
-    cellular = report.cellular
-    connected_surface = report.components == 1
+    scheme, cellular = emb.scheme, emb.report.cellular
 
     rng = random.Random(seed)
     out: list[CheckResult] = []
@@ -484,7 +474,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     l_ext = las_vergnas_embedded(scheme, "expansion", cap)
     mp = em.scheme_perspective(scheme)
     t_m = _graphic_tutte(scheme.dagger, "yx", cap)     # M = B(H), H the dagger
-    t_mp = tutte(g, cap)                                # M' = C(G)
+    t_mp = tutte(scheme.g, cap)                         # M' = C(G)
 
     # Perspective specialisations: the rank walk against the tallies.  A
     # bad rank table fails all three; their points are drawn either way.
@@ -520,9 +510,8 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     gamma = None
     if cellular:
         # One tally serves L, R, lv-tidy and lv-dichromatic.
-        d = rb.dual(rs)
-        rows = rb.dual_tally(rs, d)
-        l_cell = _cellular_from_rows(rs, d, rows)
+        rows = rs.dual_tally
+        l_cell = _cellular_from_rows(rs, rows)
         r_poly = _ribbon_from_rows(rs, rows)
         gamma = rb.euler_genus(rs)
         if l_cell == l_ext:
@@ -544,8 +533,8 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                               lv_to_tutte))
 
         v = len(rs.sectors)
-        c_g = mg.components(g)
-        n_dual = mg.nullity(d.underlying())
+        c_g = mg.components(scheme.g)
+        n_dual = mg.nullity(rs.dual.underlying())
         tidy_rows: Counter = Counter()
         comp_rows: Counter = Counter()
         for row, m in rows.items():
@@ -584,7 +573,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
 
     # Surface sum relations.
     k_poly = None
-    if pinch_free and connected_surface:
+    if not rs.pinch_vertices() and emb.report.components == 1:
         k_poly = krushkal(emb, cap)
 
     if k_poly is not None and cellular:

@@ -52,11 +52,10 @@ petrials (band twists), orientability, the
 medial map with its per-vertex smoothing pairings, and the sector
 surgery (disc flips and non-loop contraction) used for topological
 minors.  Circles are numbered canonically, so traces are reproducible.
-
-A rotation system's full trace is its trace attribute, traced on first
-use and returned by trace_boundary for the whole edge set: the dual, the
-genus and every embedding of one system share it.  Systems never change;
-surgery builds new ones, which trace themselves.
+A system keeps its full trace (which trace_boundary returns for the
+whole edge set), its dual, its unforced dual tally (read-only) and its
+underlying multigraph, each made on first use.  Systems never change;
+surgery builds new ones, which derive their own.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import multigraph as mg
@@ -156,7 +156,21 @@ class RotationSystem:
         """The boundary circles of every band, traced on first use."""
         return trace_sectors(all_sectors(self), self.signs, self.edge_set())
 
+    @cached_property
+    def dual(self) -> "RotationSystem":
+        """The geometric dual, built by ribbon.dual on first use."""
+        return dual(self)
+
+    @cached_property
+    def dual_tally(self) -> Mapping["DualRow", int]:
+        """The unforced ribbon.dual_tally, read-only, on first use."""
+        return MappingProxyType(dual_tally(self))
+
     def underlying(self) -> mg.Multigraph:
+        return self._underlying
+
+    @cached_property
+    def _underlying(self) -> mg.Multigraph:
         return mg.Multigraph(self.vertices, dict(self.ends))
 
     def __repr__(self):
@@ -400,18 +414,16 @@ def transfer_tally(x: RotationSystem | mg.Multigraph,
     return out
 
 
-def dual_tally(g: RotationSystem, d: RotationSystem | None = None, *,
+def dual_tally(g: RotationSystem, *,
                forced: Mapping[int, int] | None = None) -> Counter:
     """Counter of the DualRow of every edge subset A, forced as in
-    transfer_tally.
+    transfer_tally; g.dual_tally keeps the unforced one.
 
     One joint state carries the partition and the circles of A in g and
-    of E - A in the dual d (built here unless given), which is traced on
-    its own, so the starred counts share no boundary count with g's.
+    of E - A in the dual g.dual, which is traced on its own, so the
+    starred counts share no boundary count with g's.
     """
-    d = dual(g) if d is None else d
-    if d.edge_set() != g.edge_set():
-        raise RibbonError("a dual must share the graph's edge ids")
+    d = g.dual
     order = _edge_order(g.underlying(), g)
     layers = [_block_moves(g.underlying(), order, True),
               _circle_moves(g, order, _in_a),
@@ -831,14 +843,10 @@ def dual(g: RotationSystem) -> RotationSystem:
     dual vertices.
     """
     require_pinch_free(g, "the geometric dual")
-    bt = trace_boundary(g)
-    rotations = {}
-    for idx, c in enumerate(bt.circles):
-        rotations[idx] = tuple((e, 0) if s == LEFT else (e, 1) for e, s in c.sides)
-    signs = {}
-    for e in g.edges:
-        opposite = bt.side_entry_end[(e, LEFT)] != bt.side_entry_end[(e, RIGHT)]
-        signs[e] = 1 if opposite else -1
+    # With LEFT, RIGHT = 0, 1 the side (e, s) is the half-edge (e, s).
+    rotations = dict(enumerate(c.sides for c in g.trace.circles))
+    entry = g.trace.side_entry_end
+    signs = {e: 1 if entry[(e, LEFT)] != entry[(e, RIGHT)] else -1 for e in g.edges}
     return RotationSystem.single(rotations, signs)
 
 

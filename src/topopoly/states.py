@@ -24,7 +24,8 @@ count lies on the diagonal; a count off it reruns the tally with
 smoothings forced to find the first misplaced state, which is then
 counted alone on the two counters above.  It runs every relation that
 applies, one result line per check.  The genus and the dual come
-from the graph's one trace, everything else from one ribbon.dual_tally:
+from the graph's one trace, everything else from its own dual_tally,
+which the identity suite shares:
 the minimum formula and the quasi-tree duality are predicates on its
 rows, the crossing-free profile is its marginal over f (handed back
 with the results, for the states command to print), and the
@@ -38,7 +39,6 @@ edges; the tally's cost follows its frontier states, not 3^e.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
@@ -140,14 +140,13 @@ def lv_component_formula(rs: rb.RotationSystem,
         raise StateError(f"state has crossings on {sorted(c)}")
     f_w = rb.boundary_count(rs, w)
     gamma_w = rb.euler_genus(rs, w)
-    dual_rs = rb.dual(rs)
-    gamma_b = rb.euler_genus(dual_rs, b)
+    gamma_b = rb.euler_genus(rs.dual, b)
     min_form = min(f_w + gamma_b, f_w + gamma_w)
 
     if mg.components(rs.underlying()) == 1:
         # The rank form of the dual term equals f(W) + gamma*(B) exactly
         # when f(W) = f*(B), which the separate traces must confirm.
-        dual_g = dual_rs.underlying()
+        dual_g = rs.dual.underlying()
         rank1 = len(b) + mg.rank(dual_g) - 2 * mg.rank(dual_g, b) + 1
         if rank1 != f_w + gamma_b:
             raise StateError("rank form of the minimum drifted from the "
@@ -193,18 +192,18 @@ def generating_function_check(r_poly: MPolynomial,
     return _ok(name)
 
 
-def lr_relation(rs: rb.RotationSystem, d: rb.RotationSystem, rows: Counter,
+def lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
                 r_poly: MPolynomial, kind: str) -> CheckResult:
     """The diagonal of R against the z-slices of L, by surface:
     sphere and projective plane use L(t+1, t+1, 1); the torus weights
     the z-slices of L as L2 + t L1 + L0 at (t+1, t+1).
 
-    L comes from rows, the dual_tally of the connected graph rs and its
-    dual d, whose surface is kind.
+    L comes from rows, the dual_tally of the connected graph rs, whose
+    surface is kind; a bad row is named on the same dual, rs.dual.
     """
     name = "lr-relation"
     try:
-        l_poly = poly._cellular_from_rows(rs, d, rows)
+        l_poly = poly._cellular_from_rows(rs, rows)
     except poly.PolyError as exc:   # the graph and its dual disagree
         return _bad(name, f"no cellular polynomial: {exc}")
     rhs = laurent_to_poly(compose_laurent(r_poly, _DIAGONAL))
@@ -259,9 +258,8 @@ def run_state_checks(rs: rb.RotationSystem, *,
 
     mm = rb.medial(rs)
     # The rows count a white set W, and E - W in the dual.
-    dual_rs = rb.dual(rs)
-    tally = rb.dual_tally(rs, dual_rs)
-    n, v, vd = len(edges), len(rs.sectors), len(dual_rs.sectors)
+    tally = rs.dual_tally
+    n, v, vd = len(edges), len(rs.sectors), len(rs.dual.sectors)
     gamma = rb.euler_genus(rs)
     low_genus = True
     try:
@@ -275,7 +273,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
         if not bad:
             return _ok(name, detail)
         return _bad(name, poly._first_subset(
-            edges, partial(rb.dual_tally, rs, dual_rs), bad))
+            edges, partial(rb.dual_tally, rs), bad))
 
     # Both routes count every state at once: the tally is keyed by
     # (medial curves, graph curves), so the routes agree on every state
@@ -334,7 +332,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
         profile[row.f] = profile.get(row.f, 0) + m
     out.append(generating_function_check(r_poly, profile))
     if low_genus:
-        out.append(lr_relation(rs, dual_rs, tally, r_poly, kind))
+        out.append(lr_relation(rs, tally, r_poly, kind))
     else:
         out.append(_skip("lr-relation", gate_detail))
     out.append(verdict("quasi-tree-duality", {

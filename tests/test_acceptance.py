@@ -203,11 +203,10 @@ def test_criterion_4_edge_classification():
     pool = _main_pool()
     counts: Counter = Counter()
     for embd in pool:
-        s = em.derive_dagger(embd)
         for e in embd.rotation.edges:
             # classify_edge recomputes every class both topologically
             # and through the matroids and asserts they agree
-            counts[em.classify_edge(embd, e, s)] += 1
+            counts[em.classify_edge(embd, e)] += 1
     longitudinal = em.classify_edge(corpus.torus_loop_annulus(), 1)
     ok = (longitudinal == em.QUASI_BRIDGE_ONLY
           and set(counts) == {em.BRIDGE, em.QUASI_BRIDGE_ONLY,

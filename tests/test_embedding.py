@@ -188,9 +188,8 @@ def test_classify_ordinary_edge():
 
 def test_classification_runs_on_corpus_sample():
     for emb in corpus.main_corpus()[:60]:
-        s = em.derive_dagger(emb)
         for e in emb.rotation.edges:
-            em.classify_edge(emb, e, s)  # internal cross-checks assert
+            em.classify_edge(emb, e)  # internal cross-checks assert
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,10 @@ def test_error_region_problems():
            r"circle 1 is glued to region 0")
     _fails(base + "region 0: genus 0 circles 0",
            r"circle 1 of the trace is not covered")
+    _fails(base + "region 0: genus 0 circles 0 1",
+           r"^line 3: region 0 lists circles '0 1'; separate circle ids with commas$")
+    _fails(base + "region 0: genus 0 circles 0, 1 2,",
+           r"^line 3: region 0 lists circles '0, 1 2,'")
 
 
 def test_no_vertices():

@@ -216,9 +216,9 @@ def test_point_queries_build_no_table(monkeypatch):
     monkeypatch.setattr(mt.RankMatroid, "table", table)
     for emb in corpus.main_corpus():
         if len(emb.rotation.edges) >= 8:
-            s = em.derive_dagger(emb)
+            s = emb.scheme
             for e in s.g.edges:
-                em.classify_edge(emb, e, s)
+                em.classify_edge(emb, e)
             m = mt.cycle_matroid(s.g)
             mt.is_flat(mt.contract(mt.delete(m, s.g.edges[0]), s.g.edges[-1]), 0)
     assert calls["table"] == 0 and calls["mask"] > 0

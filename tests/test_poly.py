@@ -570,17 +570,33 @@ def test_expansions_trace_a_fixed_number_of_times(monkeypatch):
 
 
 def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
-    """The parsed rotation system holds its one full trace: the
-    embedding, the dual, the genus and the complement statistics of a
-    command all read it."""
-    calls = []
-    real = rb.trace_sectors
+    """The parsed rotation system holds its one full trace, dual, dual
+    tally and underlying graph, and the embedding its validation report
+    and scheme: every reader in a command shares them."""
+    calls = Counter()
+    for module, name in ((rb, "trace_sectors"), (rb, "dual"),
+                         (em, "validate"), (em, "derive_dagger")):
+        def counting(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+        monkeypatch.setattr(module, name, counting)
+    real_tally = rb.dual_tally
 
-    monkeypatch.setattr(rb, "trace_sectors", counting)
+    def dual_tally(*args, **kwargs):
+        # A failing check reruns it forced; no check fails here.
+        calls["dual_tally" if kwargs.get("forced") is None else "forced"] += 1
+        return real_tally(*args, **kwargs)
+
+    monkeypatch.setattr(rb, "dual_tally", dual_tally)
+    graphs = []                 # (system, graph) per underlying() call
+    real_underlying = rb.RotationSystem.underlying
+
+    def underlying(self):
+        graphs.append((self, real_underlying(self)))
+        return graphs[-1][1]
+
+    monkeypatch.setattr(rb.RotationSystem, "underlying", underlying)
     cellular = tmp_path / "theta.txt"
     cellular.write_text(ff.serialize(corpus.theta_torus()) + "cellular\n")
     regions = tmp_path / "pinched.txt"
@@ -595,19 +611,28 @@ def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
         "lv recursion": ["poly", str(cellular), "--which", "lv",
                          "--method", "recursion"],
         "identities": ["identities", str(cellular)],
+        "classify": ["classify", str(cellular)],
         "pseudo-surface lv-ext": ["poly", str(regions), "--which", "lv-ext"],
         "pseudo-surface identities": ["identities", str(regions)],
     }
-    counts = {}
+    traces, work = {}, {}
     for name, argv in commands.items():
         calls.clear()
+        graphs.clear()
         assert cli.main(argv) == 0
-        counts[name] = len(calls)
+        traces[name] = calls.pop("trace_sectors", 0)
+        work[name] = dict(calls)
+        built: dict[int, set] = {}
+        for system, g in graphs:
+            built.setdefault(id(system), set()).add(id(g))
+        assert all(len(ids) == 1 for ids in built.values()), name
     capsys.readouterr()
-    assert counts == {"tutte": 1, "dichromatic": 1, "br": 1, "krushkal": 1,
-                      "lv-ext": 1, "lv": 1, "lv recursion": 1, "identities": 1,
-                      "pseudo-surface lv-ext": 1,
-                      "pseudo-surface identities": 1}
+    assert traces == dict.fromkeys(commands, 1)
+    assert all(max(counts.values(), default=0) <= 1 for counts in work.values()), work
+    assert work["identities"] == {"dual": 1, "dual_tally": 1, "validate": 1,
+                                  "derive_dagger": 1}
+    assert work["krushkal"] == {"validate": 1, "derive_dagger": 1}
+    assert work["classify"] == {"derive_dagger": 1}
 
 
 def test_recursions_tally_leaves_into_one_assembly(monkeypatch):

@@ -86,9 +86,6 @@ def test_subset_sweep_rejects_foreign_cut():
         list(sweeps.subset_sweep(g, mg.delete_edge(g, 1)))
     with pytest.raises(rb.RibbonError):
         rb.transfer_tally(g, mg.delete_edge(g, 1))
-    theta = corpus.theta_torus()
-    with pytest.raises(rb.RibbonError):
-        rb.dual_tally(theta, rb.delete_edge(rb.dual(theta), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +107,8 @@ def test_transfer_tally_matches_subset_sweep():
 
 def test_dual_tally_matches_dual_sweep():
     for rs in corpus.cellular_corpus():
-        d = rb.dual(rs)
         assert rb.dual_tally(rs) == Counter(sweeps.dual_sweep(rs)), rs
-        assert rb.dual_tally(rs, d) == Counter(sweeps.dual_sweep(rs, d)), rs
+        assert rs.dual_tally == Counter(sweeps.dual_sweep(rs, rs.dual)), rs
 
 
 def _edge_cases():
@@ -319,6 +315,24 @@ def test_a_rotation_system_traces_itself_once(monkeypatch):
         assert g.trace == rb.RotationSystem(g.sectors, g.signs).trace
     assert len(traces) == 2 + 2 * len(made)
     assert all(g.trace != rs.trace for g in made[:2])
+
+
+def test_inputs_keep_what_they_derive_whole():
+    # The dual, the unforced dual tally (read-only), the underlying graph,
+    # the validation report and the scheme are made once and kept; a
+    # forced tally is never kept.
+    rs = corpus.theta_torus()
+    assert rs.dual is rs.dual and rs.dual == rb.dual(rs)
+    assert rs.underlying() is rs.underlying()
+    rows = rs.dual_tally
+    assert rows is rs.dual_tally and rows == rb.dual_tally(rs)
+    with pytest.raises(TypeError):
+        rows[next(iter(rows))] = 0
+    forced = rb.dual_tally(rs, forced={1: 1})
+    assert sum(forced.values()) == 4 and rs.dual_tally is rows
+    emb = em.with_disc_regions(rs)
+    assert emb.report is emb.report and emb.report == em.validate(emb)
+    assert emb.scheme is emb.scheme and emb.scheme == em.derive_dagger(emb)
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,7 @@ def test_surface_kind_rejects_high_genus():
 def _lr_relation(rs):
     """lr-relation on the inputs run_state_checks hands it, with R from
     its own expansion."""
-    d = rb.dual(rs)
-    return st.lr_relation(rs, d, Counter(sweeps.dual_sweep(rs, d)),
+    return st.lr_relation(rs, Counter(sweeps.dual_sweep(rs, rs.dual)),
                           poly.bollobas_riordan(rs), st.surface_kind(rs))
 
 
