@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which checks to run (default all)")
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--points", type=int, default=8,
-                   help="sample points per numeric identity (default 8)")
+                   help="sample points per numeric identity, 1 to "
+                        f"{poly.POINTS_CAP} (default 8)")
     p.add_argument("--cap", type=int, default=poly.IDENTITY_CAP,
                    help=f"edge cap for the suite (default {poly.IDENTITY_CAP})")
     p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,

@@ -156,6 +156,13 @@ class EmbeddingScheme:
         if self.g.edge_set() != self.dagger.edge_set():
             raise EmbeddingError("scheme graphs must share their edge ids")
 
+    @cached_property
+    def bond(self) -> mt.RankMatroid:
+        """B(H), H the dagger graph, built on first use; classify_edge
+        reads it for every edge.  scheme_perspective builds its own and
+        shares no rank cache with it."""
+        return mt.bond_matroid(self.dagger)
+
 
 def derive_dagger(emb: EmbeddedGraph) -> EmbeddingScheme:
     """Region-adjacency graph: one vertex per region, and edge e joins
@@ -210,7 +217,7 @@ def classify_edge(emb: EmbeddedGraph, e: int) -> str:
     quasi_bridge_topo = rl == rr
     quasi_loop_topo = rho(s, {e}) > rho(s, ())
 
-    bond = mt.bond_matroid(s.dagger)
+    bond = s.bond
     if mt.is_loop(bond, e) != quasi_loop_topo:
         raise EmbeddingError(f"edge {e}: region count and matroid loop test disagree")
     if mt.is_isthmus(bond, e) != quasi_bridge_topo:

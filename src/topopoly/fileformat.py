@@ -16,7 +16,9 @@ Region lines glue the numbered boundary circles of the full trace
 (see the trace command) onto a region of the given genus.  The single
 keyword "cellular" glues a disc onto every circle instead of explicit
 region lines.  With neither, the file describes a bare rotation
-system.  All parse errors carry the offending line number.
+system.  Every parse error carries the offending line number, but the
+two that concern the file as a whole: "no vertex lines", and a circle
+of the trace that no region covers.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ def parse(text: str) -> ParsedInput:
     signs: dict[int, int] = {}
     declared_ends: dict[int, tuple[int, int]] = {}
     edge_line: dict[int, int] = {}
+    vertex_line: dict[int, int] = {}
     region_rows: list[tuple[int, int, int, list[int]]] = []  # line, id, genus, circles
     cellular_line = None
 
@@ -89,6 +92,7 @@ def parse(text: str) -> ParsedInput:
                     halves.append((int(hm.group(1)), int(hm.group(2))))
                 secs.append(tuple(halves))
             sectors[v] = tuple(secs)
+            vertex_line[v] = lineno
             continue
         m = _EDGE.fullmatch(line)
         if m:
@@ -128,9 +132,9 @@ def parse(text: str) -> ParsedInput:
         for sec in secs:
             for h in sec:
                 if h in placed:
-                    raise FormatError(
-                        f"half-edge {h[0]}.{h[1]} placed twice (vertex {placed[h]} "
-                        f"and vertex {v})")
+                    _fail(vertex_line[v],
+                          f"half-edge {h[0]}.{h[1]} placed twice (vertex "
+                          f"{placed[h]} and vertex {v})")
                 placed[h] = v
     for e in signs:
         for end in (0, 1):
@@ -144,7 +148,7 @@ def parse(text: str) -> ParsedInput:
                   f"{actual[0]} {actual[1]}")
     for (e, _end), v in placed.items():
         if e not in signs:
-            raise FormatError(f"vertex {v} references undeclared edge {e}")
+            _fail(vertex_line[v], f"vertex {v} references undeclared edge {e}")
 
     try:
         rotation = rb.RotationSystem(sectors, signs)

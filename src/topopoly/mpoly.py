@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 VARS = ("x", "y", "z", "a", "b", "t")
@@ -36,9 +36,13 @@ def _power_suffix(h: int) -> str:
 
 
 class MPolynomial:
-    """Immutable sparse polynomial; do not mutate the term dict."""
+    """Immutable sparse polynomial; do not mutate the term dict.
 
-    __slots__ = ("_terms",)
+    _layout is what evaluate reads: None until its first call, then
+    kept, since the terms never change.
+    """
+
+    __slots__ = ("_terms", "_layout")
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
         clean: dict[tuple[int, ...], int] = {}
@@ -53,6 +57,7 @@ class MPolynomial:
                 if not clean[exps]:
                     del clean[exps]
         self._terms = clean
+        self._layout = None
 
     @classmethod
     def _valid(cls, terms: dict[tuple[int, ...], int]) -> "MPolynomial":
@@ -60,6 +65,7 @@ class MPolynomial:
         as sums of checked exponents are; only zero coefficients go."""
         p = cls.__new__(cls)
         p._terms = {e: c for e, c in terms.items() if c}
+        p._layout = None
         return p
 
     # -- constructors ------------------------------------------------
@@ -172,30 +178,40 @@ class MPolynomial:
         Variables with odd half-unit exponents need an entry in sqrts
         giving a rational square root of their value.  A variable with
         such an entry is raised to its half-unit exponent h on the root,
-        any other to h/2 on its value; the terms are summed by
-        _power_sum on integer numerators.
+        any other to h/2 on its value.  The layout of the terms is built
+        on the first call and kept; each call only picks, per variable,
+        the root with the half-unit column or the value with the halved
+        column, and _power_kernel sums the terms on integer numerators.
         """
         sqrts = sqrts or {}
         for name, s in sqrts.items():
             v = values.get(name)
-            if v is None or Fraction(s) * Fraction(s) != Fraction(v):
+            if v is None or _rational(s) * _rational(s) != _rational(v):
                 raise ValueError(f"sqrts[{name!r}] is not a square root of the value")
-        cols = list(zip(*self._terms))      # one exponent column per variable
-        used = [(VARS[i], col) for i, col in enumerate(cols) if any(col)]
+        coeffs, used = self._layout or self._lay_out()
         if not used:                        # a constant
-            return Fraction(sum(self._terms.values()))
-        if any(name not in sqrts and (name not in values or any(map(_odd, col)))
-               for name, col in used):
+            return Fraction(sum(coeffs))
+        if any(name not in sqrts and (odd or name not in values)
+               for name, _, _, odd, _ in used):
             self._first_missing(values, sqrts)
-        bases, exps = [], []
-        for name, col in used:
+        factors = []
+        for name, half, halved, _, top in used:
             if name in sqrts:
-                bases.append(Fraction(sqrts[name]))
-                exps.append(col)
+                factors.append((half, _rational(sqrts[name]), 0, top))
             else:
-                bases.append(Fraction(values[name]))
-                exps.append(map(_half, col))
-        return _power_sum(dict(zip(zip(*exps), self._terms.values())), bases)
+                factors.append((halved, _rational(values[name]), 0, top >> 1))
+        return _power_kernel(coeffs, factors)
+
+    def _lay_out(self):
+        """The coefficients in term order, and for each variable some
+        term uses: its name, half-unit exponent column, halved column,
+        whether any exponent is odd, and the largest exponent (the
+        smallest is 0 or more)."""
+        used = tuple((VARS[i], col, tuple(map(_half, col)), any(map(_odd, col)),
+                      max(col))
+                     for i, col in enumerate(zip(*self._terms)) if any(col))
+        self._layout = (tuple(self._terms.values()), used)
+        return self._layout
 
     def _first_missing(self, values, sqrts) -> None:
         """Raise the error of the first term, in term order, that needs
@@ -211,25 +227,23 @@ class MPolynomial:
                     raise ValueError(f"no value for {name}")
 
     def substitute(self, name: str, image: "MPolynomial") -> "MPolynomial":
-        """Replace a whole-power variable by a polynomial."""
+        """Replace a whole-power variable by a polynomial.  Every term
+        times its power of the image is added into one term dict."""
         i = _VAR_INDEX[name]
-        out = MPolynomial.zero()
-        powers: dict[int, MPolynomial] = {0: MPolynomial.one()}
-
-        def image_pow(p: int) -> MPolynomial:
-            if p not in powers:
-                powers[p] = image_pow(p - 1) * image
-            return powers[p]
-
+        powers = [MPolynomial.one()]        # image^k at index k
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for exps, coeff in self._terms.items():
             h = exps[i]
             if h % 2:
                 raise ValueError(f"cannot substitute into half-power of {name}")
-            rest = list(exps)
-            rest[i] = 0
-            term = MPolynomial._valid({tuple(rest): coeff})
-            out = out + term * image_pow(h // 2)
-        return out
+            while len(powers) <= h // 2:
+                powers.append(powers[-1] * image)
+            rest = exps[:i] + (0,) + exps[i + 1:]
+            for e, c in powers[h // 2]._terms.items():
+                key = tuple(map(add, rest, e))
+                out[key] = get(key, 0) + coeff * c
+        return MPolynomial._valid(out)
 
     # -- printing ----------------------------------------------------
 
@@ -266,25 +280,50 @@ def _coerce(value) -> MPolynomial:
     raise TypeError(f"cannot combine MPolynomial with {type(value).__name__}")
 
 
+def _rational(v) -> Fraction | int:
+    """v itself when it is an int or a Fraction, else Fraction(v)."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _power_kernel(coeffs: Iterable[int],
+                  factors: Iterable[tuple[Iterable[int], Fraction | int, int, int]]
+                  ) -> Fraction:
+    """Exact sum over the terms of coeffs[k] * prod b^(col[k] - neg),
+    with one (col, b, neg, pos) factor per variable: col holds each
+    term's exponent shifted by neg >= 0, and every exponent lies in
+    [-neg, pos], pos >= 0.
+
+    Base p/q to the power e is p^(e + neg) q^(pos - e) over
+    p^neg q^pos: one numerator table and one denominator per base, so
+    the sum runs on Python ints, term by term, and builds a single
+    Fraction at the end.
+    """
+    terms, den = coeffs, 1
+    for col, b, neg, pos in factors:
+        p, q = b.numerator, b.denominator
+        if p == q:                          # b = 1
+            continue
+        ps, qs = [1], [1]                   # p^i and q^i, i = 0..neg+pos
+        for _ in range(neg + pos):
+            ps.append(ps[-1] * p)
+            qs.append(qs[-1] * q)
+        table = list(map(mul, ps, reversed(qs))) if q != 1 else ps
+        terms = map(mul, terms, map(table.__getitem__, col))
+        den *= p ** neg * q ** pos
+    return Fraction(sum(terms), den)
+
+
 def _power_sum(rows: Mapping[tuple[int, ...], int],
                bases: Sequence[Fraction]) -> Fraction:
     """Exact sum of count * prod bases[i]^e[i] over the rows, which map
     integer exponent tuples e, negative entries allowed, to counts.
-
-    Base p/q to the power e is p^(e + P) q^(Q - e) over p^P q^Q, with
-    P and Q the largest negative and positive exponent of the column:
-    one numerator table and one denominator per base, so the sum runs
-    on Python ints, term by term, and builds a single Fraction at the
-    end.
-    """
-    terms, den = iter(rows.values()), 1
+    Each exponent column goes to _power_kernel shifted up by its
+    largest negative exponent, if any."""
+    factors = []
     for b, col in zip(bases, zip(*rows)):
         neg, pos = max(-min(col), 0), max(max(col), 0)
-        p, q = b.numerator, b.denominator
-        power = {e: p ** (e + neg) * q ** (pos - e) for e in range(-neg, pos + 1)}
-        terms = map(mul, terms, map(power.__getitem__, col))
-        den *= p ** neg * q ** pos
-    return Fraction(sum(terms), den)
+        factors.append((map(neg.__add__, col) if neg else col, b, neg, pos))
+    return _power_kernel(rows.values(), factors)
 
 
 @cache

@@ -51,9 +51,12 @@ the perspective recursion works on matroid minors, unmemoised.
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
 polynomial identities or at seeded rational sample points chosen away
-from the poles of the substitution being tested.  Every sum at a point,
-MPolynomial.evaluate and the row sums of lv-tidy and lv-dichromatic,
-runs on mpoly._power_sum, in integers over one common denominator.
+from the poles of the substitution being tested.  Every sum at a point
+runs on one kernel, mpoly._power_kernel, in integers over one common
+denominator.  MPolynomial.evaluate feeds it the integer layout of the
+terms, built on the polynomial's first evaluation and kept, so each
+point only picks a column and a base per variable; the row sums of
+lv-tidy and lv-dichromatic reach it through mpoly._power_sum.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from .mpoly import MPolynomial, _power_sum, assemble
 
 EXPANSION_CAP = 20
 IDENTITY_CAP = 16
+POINTS_CAP = 1000           # sample points per pointwise identity
 
 
 class CapError(ValueError):
@@ -460,10 +464,15 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
 
     Identities whose preconditions the input does not meet come back
     as skips, never silently dropped.  All comparisons are exact.
+    Each pointwise identity draws points sample points, 1 to
+    POINTS_CAP.
     """
     if points < 1:
         raise PolyError(f"the pointwise identities need at least one sample "
                         f"point, not {points}")
+    if points > POINTS_CAP:
+        raise PolyError(f"the pointwise identities take at most {POINTS_CAP} "
+                        f"sample points, not {points}")
     rs = emb.rotation
     check_cap(len(rs.edges), cap, "the identity suite")
     scheme, cellular = emb.scheme, emb.report.cellular

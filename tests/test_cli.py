@@ -243,6 +243,22 @@ def test_identities_rejects_no_points(capsys, files):
         assert "sample point" in err
 
 
+def test_identities_bounds_the_points(capsys, files):
+    # Each point is one tuple per check: the cap bounds time and memory.
+    rc, out, err = run(capsys, "identities", files["theta"],
+                       "--points", str(poly.POINTS_CAP + 1))
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: the pointwise identities take at most {poly.POINTS_CAP} "
+        f"sample points, not {poly.POINTS_CAP + 1}")
+    rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "poly",
+                     "--points", str(poly.POINTS_CAP))
+    assert rc == 0 and " fail" not in out
+    with pytest.raises(SystemExit):
+        cli.main(["identities", "--help"])
+    assert f"1 to {poly.POINTS_CAP}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_identities_suite_selectors(capsys, files):
     _, out, _ = run(capsys, "identities", files["digon"], "--suite", "poly")
     assert not any(name in out for name in STATE_NAMES)

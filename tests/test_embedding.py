@@ -192,6 +192,22 @@ def test_classification_runs_on_corpus_sample():
             em.classify_edge(emb, e)  # internal cross-checks assert
 
 
+def test_classify_pass_builds_one_bond_matroid(monkeypatch):
+    builds = []
+    real = mt.bond_matroid
+
+    def counting(g):
+        builds.append(g)
+        return real(g)
+
+    monkeypatch.setattr(mt, "bond_matroid", counting)
+    emb = next(x for x in corpus.main_corpus() if len(x.rotation.edges) == 10)
+    classes = [em.classify_edge(emb, e) for e in emb.rotation.edges]
+    assert len(classes) == 10 and len(builds) == 1
+    # The identity suite's perspective does not share it.
+    assert em.scheme_perspective(emb.scheme).m is not emb.scheme.bond
+
+
 # ---------------------------------------------------------------------------
 # complement stats
 

@@ -86,6 +86,12 @@ def test_error_lines_are_reported():
 def test_error_half_placed_twice():
     _fails("vertex 0: sector (1.0 1.1 1.0)\nedge 1: 0 0 sign +",
            r"half-edge 1.0 placed twice")
+    _fails("vertex 0: sector (1.0 1.1 1.0)\nedge 1: 0 0 sign +",
+           r"^line 1: half-edge 1.0 placed twice")
+    # The line is the second vertex's, the one that places it again.
+    _fails("# two vertices\nvertex 0: sector (1.0 1.1)\nedge 1: 0 0 sign +\n"
+           "vertex 1: sector (1.0)",
+           r"^line 4: half-edge 1.0 placed twice \(vertex 0 and vertex 1\)$")
 
 
 def test_error_half_missing():
@@ -102,6 +108,9 @@ def test_error_endpoint_mismatch():
 def test_error_undeclared_edge():
     _fails("vertex 0: sector (1.0 1.1)\n",
            r"vertex 0 references undeclared edge 1")
+    _fails("vertex 0: sector (1.0 1.1)\nedge 1: 0 0 sign +\n\n"
+           "vertex 1: sector (2.0 2.1)",
+           r"^line 4: vertex 1 references undeclared edge 2$")
 
 
 def test_error_region_problems():
@@ -113,7 +122,7 @@ def test_error_region_problems():
     _fails(base + "region 0: genus 0 circles 0,1\nregion 1: genus 0 circles 1",
            r"circle 1 is glued to region 0")
     _fails(base + "region 0: genus 0 circles 0",
-           r"circle 1 of the trace is not covered")
+           r"^circle 1 of the trace is not covered")
     _fails(base + "region 0: genus 0 circles 0 1",
            r"^line 3: region 0 lists circles '0 1'; separate circle ids with commas$")
     _fails(base + "region 0: genus 0 circles 0, 1 2,",
@@ -121,7 +130,8 @@ def test_error_region_problems():
 
 
 def test_no_vertices():
-    _fails("# empty\n", r"no vertex lines")
+    # A fault of the file as a whole names no line.
+    _fails("# empty\n", r"^no vertex lines$")
 
 
 def test_serialize_is_stable():

@@ -1,5 +1,6 @@
 """Integer polynomials with half-integer exponents."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -276,3 +277,82 @@ def test_evaluate_matches_a_naive_product(terms, points, rooted):
     got = p.evaluate(values, sqrts)
     assert isinstance(got, Fraction)
     assert got == want
+
+
+def _naive_value(p, points, rooted):
+    want = Fraction(0)
+    for exps, coeff in p.terms().items():
+        prod = Fraction(coeff)
+        for h, r, on in zip(exps, points, rooted):
+            prod *= r ** h if on else r ** (h // 2)
+        want += prod
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=hst.dictionaries(
+           hst.tuples(*(hst.integers(0, 5) for _ in VARS)),
+           hst.integers(-4, 4), max_size=6),
+       whole=hst.booleans(),
+       calls=hst.lists(hst.tuples(hst.tuples(*(st_rational for _ in VARS)),
+                                  hst.tuples(*(hst.booleans() for _ in VARS))),
+                       min_size=2, max_size=5))
+def test_repeated_evaluate_matches_a_naive_product(terms, whole, calls):
+    # One polynomial, evaluated again and again: its kept layout must
+    # serve every mix of rooted variables, points and sqrts or none.
+    if whole:
+        terms = {tuple(h - h % 2 for h in e): c for e, c in terms.items()}
+    p = MPolynomial(terms)
+    odd = [any(e[i] % 2 for e in p.terms()) for i in range(len(VARS))]
+    for points, flags in calls:
+        rooted = [on or o for on, o in zip(flags, odd)]
+        values = {v: r * r if on else r for v, r, on in zip(VARS, points, rooted)}
+        sqrts = {v: r for v, r, on in zip(VARS, points, rooted) if on} or None
+        got = p.evaluate(values, sqrts)
+        assert isinstance(got, Fraction)
+        assert got == _naive_value(p, points, rooted)
+
+
+def test_evaluate_errors_survive_an_earlier_evaluate():
+    p = MPolynomial.monomial(1, y=2) + MPolynomial.monomial(1, x=1)
+    assert p.evaluate({"x": 4, "y": 3}, sqrts={"x": 2}) == 5
+    with pytest.raises(ValueError, match=r"^no value for y$"):
+        p.evaluate({})
+    with pytest.raises(ValueError, match=r"^odd half-power of x needs sqrts$"):
+        p.evaluate({"x": 4, "y": 3})
+    with pytest.raises(ValueError, match=r"^sqrts\['x'\] is not a square root "
+                                         r"of the value$"):
+        p.evaluate({"x": 4, "y": 3}, sqrts={"x": 3})
+    assert p.evaluate({"x": Fraction(1, 4), "y": 1},
+                      sqrts={"x": Fraction(-1, 2)}) == Fraction(1, 2)
+
+
+def test_evaluate_takes_any_rational_input():
+    # ints and Fractions are read as they are; anything Fraction() takes
+    # still works, and the value is always a Fraction.
+    p = X * X * 3 + Y - 1
+    for x0, y0 in ((2, Fraction(1, 2)), (2.0, "1/2"), (Decimal("2"), 0.5),
+                   (True + 1, Fraction(2, 4))):
+        got = p.evaluate({"x": x0, "y": y0})
+        assert type(got) is Fraction and got == Fraction(23, 2)
+    assert type(MPolynomial.constant(3).evaluate({})) is Fraction
+    assert MPolynomial.variable_half("a", 3).evaluate(
+        {"a": 0.25}, sqrts={"a": "1/2"}) == Fraction(1, 8)
+
+
+st_poly = hst.dictionaries(hst.tuples(*(hst.integers(0, 4) for _ in VARS)),
+                           hst.integers(-3, 3), max_size=5).map(MPolynomial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st_poly, image=st_poly, var=hst.sampled_from(VARS))
+def test_substitute_matches_powers_of_the_image(p, image, var):
+    i = VARS.index(var)
+    p = MPolynomial({e[:i] + (e[i] - e[i] % 2,) + e[i + 1:]: c
+                     for e, c in p.terms().items()})
+    want = MPolynomial.zero()
+    for exps, coeff in p.terms().items():
+        rest = MPolynomial({exps[:i] + (0,) + exps[i + 1:]: coeff})
+        want = want + rest * image ** (exps[i] // 2)
+    got = p.substitute(var, image)
+    assert got == want and str(got) == str(want)

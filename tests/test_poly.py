@@ -510,6 +510,19 @@ def test_identity_suite_catches_a_wrong_tally_row(monkeypatch):
     assert _theta_statuses()["perspective-self"] == "fail"
 
 
+def test_identity_suite_names_its_first_failing_point(monkeypatch):
+    # One spurious term x in the cellular L: the first sample point of
+    # lv-to-tutte, and both sides there, are pinned byte for byte.
+    real = poly._cellular_from_rows
+    monkeypatch.setattr(poly, "_cellular_from_rows",
+                        lambda rs, rows: real(rs, rows) + MPolynomial.variable("x"))
+    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
+    lines = {r.name: r.line() for r in results}
+    assert lines["lv-to-tutte"] == "RESULT: lv-to-tutte fail: at (5, -7): 367 != 47"
+    assert lines["lv-tidy"] == ("RESULT: lv-tidy fail: at (1/3, 5/2, 8): "
+                                "37735/192 != 28519/192")
+
+
 def test_check_result_lines():
     assert poly.CheckResult("x", "pass").line() == "RESULT: x pass"
     assert poly.CheckResult("x", "fail", "why").line() == "RESULT: x fail: why"
