@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import comb
 from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
@@ -339,27 +340,30 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
     Each bucket key gives one half-unit exponent h per name in names;
     w is the variable itself, or v - 1 for each v in shifted, whose
     exponents must be whole and not negative, and are expanded
-    binomially.  Every bucket with a nonzero count is checked first, in
-    iteration order, so the first bad bucket raises; a key needs one
-    entry per name.  The short keys are then expanded one shifted
-    variable at a time: each pass maps every term through the cached
-    binomial row of its exponent and merges equal keys, so the next
-    pass sees each key once.  No polynomial products are formed, and
-    the keys are widened to all of VARS once, at the end.
+    binomially.  Every bucket with a nonzero count is checked first,
+    column by column (_columns_valid); only if a check fails are the
+    buckets walked in iteration order, so that the first bad bucket
+    raises.  A key needs one entry per name.  The short keys are then
+    expanded one shifted variable at a time: each pass maps every term
+    through the cached binomial row of its exponent and merges equal
+    keys, so the next pass sees each key once.  No polynomial products
+    are formed, and the keys are widened to all of VARS once, at the
+    end.
     """
     shifted = frozenset(shifted)
     terms = {key: count for key, count in buckets.items() if count}
-    for key in terms:
-        if len(key) != len(names):
-            raise ValueError(f"bucket key {key} needs {len(names)} entries")
-        for v, h in zip(names, key):
-            if v in shifted:
-                if h % 2:
-                    raise ValueError(f"half-power of the shifted {v} - 1")
-                if h < 0:
-                    raise ValueError(f"negative power of the shifted {v} - 1")
-            if h < 0 or not isinstance(h, int):
-                raise ValueError(f"negative or non-integer exponent in {key}")
+    if not _columns_valid(names, terms, shifted):
+        for key in terms:
+            if len(key) != len(names):
+                raise ValueError(f"bucket key {key} needs {len(names)} entries")
+            for v, h in zip(names, key):
+                if v in shifted:
+                    if h % 2:
+                        raise ValueError(f"half-power of the shifted {v} - 1")
+                    if h < 0:
+                        raise ValueError(f"negative power of the shifted {v} - 1")
+                if h < 0 or not isinstance(h, int):
+                    raise ValueError(f"negative or non-integer exponent in {key}")
     for i, v in enumerate(names):
         if v not in shifted:
             continue
@@ -379,6 +383,19 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
     widen = itemgetter(*(place.get(v, len(names)) for v in VARS))
     return MPolynomial._valid({widen(key + (0,)): count
                                for key, count in terms.items()})
+
+
+def _columns_valid(names: Sequence[str], keys, shifted: frozenset) -> bool:
+    """Whether every key has one whole, non-negative half-unit exponent
+    per name, even for each shifted name: one pass per column."""
+    if not set(map(len, keys)) <= {len(names)}:
+        return False
+    for v, column in zip(names, zip(*keys)):
+        if not all(map(isinstance, column, repeat(int))) or min(column) < 0:
+            return False
+        if v in shifted and any(map(_odd, column)):
+            return False
+    return True
 
 
 def compose_laurent(poly: MPolynomial,

@@ -12,6 +12,7 @@ of one mask, and component_table lists c of every mask.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -166,6 +167,80 @@ def component_table(g: Multigraph) -> list[int]:
 
     walk(0, 0, len(vid))
     return table
+
+
+def incidences(g: Multigraph) -> dict[int, list[int]]:
+    """The edges at each vertex of g, by id; a loop is listed once."""
+    at: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        u, w = g.ends[e]
+        at[u].append(e)
+        if w != u:
+            at[w].append(e)
+    return at
+
+
+def frontier_order(g: Multigraph, at: Mapping[int, Sequence[int]],
+                   tracked: Iterable[Sequence[int]]) -> list[int]:
+    """The breadth-first edge order of g with the narrowest frontier.
+
+    The order rooted at r decides the edges vertex by vertex, in the
+    order a breadth-first search from r reaches the vertices (then from
+    the smallest vertex not yet reached), each vertex's edges as at[v]
+    lists them (incidences(g), say, or a rotation).  A tracked element
+    is given by the edges that meet it, a vertex or an arc, say; it is
+    live after step t while some but not all of its edges are decided,
+    and w_t counts the live elements.  Every vertex is tried as the
+    root, and the order with the least sum of w_t^2 wins, ties to the
+    smaller root.  A root is dropped as soon as its partial sum reaches
+    the best so far: O(|V| (|E| + size of tracked)) at most.
+    """
+    meets: dict[int, list[int]] = {e: [] for e in g.ends}
+    sizes: list[int] = []
+    for s in map(frozenset, tracked):
+        if len(s) > 1:
+            for e in s:
+                meets[e].append(len(sizes))
+            sizes.append(len(s))
+
+    def walk(root: int, bound: int | None):
+        order: dict[int, None] = {}
+        left = sizes[:]         # undecided edges per element
+        live = cost = 0
+        reached = set()
+        for start in (root,) + g.vertices:
+            if start in reached:
+                continue
+            reached.add(start)
+            queue = deque([start])
+            while queue:
+                for e in at[queue.popleft()]:
+                    if e in order:
+                        continue
+                    order[e] = None
+                    for k in meets[e]:
+                        n = left[k]
+                        left[k] = n - 1
+                        if n == sizes[k]:
+                            live += 1
+                        elif n == 1:
+                            live -= 1
+                    cost += live * live
+                    if bound is not None and cost >= bound:
+                        return None
+                    for w in g.ends[e]:
+                        if w not in reached:
+                            reached.add(w)
+                            queue.append(w)
+        return cost, order
+
+    best: dict[int, None] = {}
+    bound = None
+    for root in g.vertices:
+        found = walk(root, bound)
+        if found is not None:
+            bound, best = found
+    return list(best)
 
 
 def rank(g: Multigraph, a: Iterable[int] | None = None) -> int:

@@ -9,8 +9,12 @@ path to it.  The scheme recursion is memoised on its minors, each
 keyed by one flat string of relabelled vertices: per depth it splits
 each distinct minor once, and it tallies the leaves below each
 distinct node once, on packed int exponent keys, instead of listing
-them.  Expansion and recursion therefore build byte-equal canonical
-strings whenever they agree as polynomials.
+them.  It decides the edges in the breadth-first order that
+multigraph.frontier_order finds narrowest on the vertices of G and of
+the dagger graph, since the distinct minors at a depth are set by how
+the decided edges join the live vertices; the leaf tally does not
+depend on the order.  Expansion and recursion therefore build
+byte-equal canonical strings whenever they agree as polynomials.
 
 The subset expansions read their counts from the tallies of
 ribbon.transfer_tally, which gives, per distinct row, how many subsets
@@ -30,6 +34,9 @@ to a bucket:
                         tracing; c(E), rho(E) and rho(0) once
   tutte, dichromatic    transfer_tally(g): c alone
 
+The tallies decide the edges in the order ribbon._edge_order picks by
+the same measure (see there); no row depends on it.
+
 A bad row names the first subset, in mask order, that yields it:
 _first_subset, which the state checks share, reruns the same tally
 with edges forced in or out, at most |E| times.
@@ -37,6 +44,9 @@ with edges forced in or out, at most |E| times.
 The dual, its dual_tally, the validation report and the scheme are
 the input's own, made on first use, so one identities command tallies
 the rows once, for L, R, lv-tidy, lv-dichromatic and the state checks.
+Likewise its one transfer_tally(g, dagger) gives L_ext and, as its
+marginals on (|A|, c(A)) and (|E - A|, c_H(E - A)), T(G) and
+T(H; y, x): two tallies (that one and krushkal's) besides the dual's.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
@@ -44,7 +54,7 @@ deriving them from f(A), so it shares no boundary count with the
 scheme expansion; tutte_perspective's expansion, the one rank walk,
 reads the matroids' rank tables, filled on the graphs by
 multigraph.component_table, and is checked against T(G) and
-T(H; y, x), H the dagger graph, from tallies; the scheme recursion
+T(H; y, x), H the dagger graph, from the scheme tally; the recursion
 tests its edges on its own flat minor keys, not on tally rows; and
 the perspective recursion works on matroid minors, unmemoised.
 
@@ -147,10 +157,18 @@ def tutte(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
 def _graphic_tutte(g: mg.Multigraph, names: str, cap: int) -> MPolynomial:
     """T(C(g)) in the (corank, nullity) variables names: "yx" gives T(B(g))."""
     check_cap(len(g.edges), cap, "Tutte expansion")
-    rows = rb.transfer_tally(g)     # one row per (|A|, c(A)); c(E) is the least c
-    v, c_full = len(g.vertices), min(c for _, c, _, _ in rows)
-    return assemble(names, {(2 * (c - c_full), 2 * (size - v + c)): m
-                            for (size, c, _, _), m in rows.items()}, shifted="xy")
+    return _tutte_from_rows(len(g.vertices), rb.transfer_tally(g), names)
+
+
+def _tutte_from_rows(v: int, rows: Mapping, names: str) -> MPolynomial:
+    """T(C(g)) as _graphic_tutte gives it, g a graph on v vertices, from
+    rows that start with |A|, c(A), one per subset A, so that c(E) is
+    the least c."""
+    c_full = min(c for _, c, *_ in rows)
+    counts: Counter = Counter()
+    for (size, c, *_), m in rows.items():
+        counts[2 * (c - c_full), 2 * (size - v + c)] += m
+    return assemble(names, counts, shifted="xy")
 
 
 def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
@@ -240,8 +258,9 @@ def las_vergnas_embedded(x, method: str = "expansion",
     """The pseudo-surface polynomial, over the embedding scheme.
 
     Expansion sums (x-1)^(c(A)-c(E)) (y-1)^(rho(A)-rho(0)) z^(...)
-    over edge subsets; recursion deletes or contracts the highest edge
-    id, scoring bridges x, quasi-loops y and proper quasi-bridges z.
+    over edge subsets; recursion deletes or contracts the edges in a
+    measured order (see _scheme_leaves), scoring bridges x, quasi-loops
+    y and proper quasi-bridges z.
     """
     s = x.scheme if isinstance(x, em.EmbeddedGraph) else x
     if method == "recursion":
@@ -250,13 +269,19 @@ def las_vergnas_embedded(x, method: str = "expansion",
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(s.g.edges), cap, "subset expansion")
+    return _scheme_from_rows(s, rb.transfer_tally(s.g, s.dagger))
+
+
+def _scheme_from_rows(s: em.EmbeddingScheme, rows: Mapping) -> MPolynomial:
+    """L_ext from rows, the transfer_tally(s.g, s.dagger) of the scheme;
+    a bad row is named on forced tallies of the same pair."""
     n = len(s.g.edges)
     c_full = mg.components(s.g)
     rho_full = em.rho(s)
     rho_empty = em.rho(s, ())
     counts: Counter = Counter()
     bad = {}
-    for row, m in rb.transfer_tally(s.g, s.dagger).items():
+    for row, m in rows.items():
         size, c_a, _, rho_a = row
         ez = (n - size) - (rho_full - rho_a) - (c_a - c_full)
         if ez < 0 or c_a < c_full or rho_a < rho_empty:
@@ -273,11 +298,22 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     a quasi-loop scores y, a bridge x, and a proper quasi-bridge z,
     beside an unscored contraction.
 
+    The edges are decided in the order of mg.frontier_order: of the
+    breadth-first orders of G, one per root, the one with the fewest
+    live vertices of G and of H (summed as squares over the steps), a
+    vertex being live while some but not all of its edges are decided.
+    Only the contractions among the decided edges at a live vertex
+    reach the undecided ones, so a narrow frontier leaves few distinct
+    minors per depth.  On the first connected random_rotation draws of
+    tests/corpus.py from Random(5), the walk takes 6 ms at 10 vertices
+    and 24 edges and 21 ms at 12 vertices and 30 edges (53 ms and
+    0.31 s deciding the highest id first; 2 vCPUs, Python 3.11).
+
     The walk is memoised.  A node is the minor pair G/K\\D and H/D\\K
     left once the edges above its top edge are decided (K contracted, D
     deleted; H is the dagger graph, in which deleting e contracts it and
     contracting e deletes it).  Each minor is keyed by one flat string:
-    the ends of its undecided edges, highest id first, two characters
+    the ends of its undecided edges in the walk's order, two characters
     an edge, with vertices relabelled in order of first appearance (the
     input's own vertex ids are relabelled on entry).  Relabelling is
     sound because every test at or below the node asks only whether an
@@ -287,14 +323,18 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     at a time (every edge decided removes one edge from both minors).
     At each depth every distinct G-minor and every distinct H-minor is
     split once by _split, and a node only pairs the two splits; the
-    split caches hold one depth.  The tallies then go from the leaves
-    up, each keyed by one packed int (x (n+1) + y) (n+1) + z in whole
-    units: every leaf has x + y + z <= n = |E|, so no digit carries, and
-    shifting a child's tally by a branch's score adds one int to each
-    key.  The root's tally is unpacked to half-unit triples.  No Python
-    recursion grows with |E|.
+    split caches hold one depth.  A bridge of either minor leaves one
+    branch, so its split builds no key for the other.  The tallies then
+    go from the leaves up, each keyed by one packed int
+    (x (n+1) + y) (n+1) + z in whole units: every leaf has
+    x + y + z <= n = |E|, so no digit carries, and shifting a child's
+    tally by a branch's score adds one int to each key.  The root's
+    tally is unpacked to half-unit triples.  No Python recursion grows
+    with |E|.
     """
-    order = s.g.edges[::-1]
+    at = mg.incidences(s.g)
+    order = mg.frontier_order(s.g, at, [*at.values(),
+                                        *mg.incidences(s.dagger).values()])
     base = len(order) + 1
     x_score, y_score, z_score = base * base, base, 1
     level = {(_entry_key(s.g, order), _entry_key(s.dagger, order)): 0}
@@ -302,12 +342,12 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     for _ in order:
         gs, hs = zip(*level)
         g_split = {g: _split(g) for g in dict.fromkeys(gs)}
-        h_split = {h: _split(h) for h in dict.fromkeys(hs)}
+        h_split = {h: _split(h, True) for h in dict.fromkeys(hs)}
         below: dict = {}
         nodes = []
         for g, h in level:
             g_bridge, g_del, g_con = g_split[g]
-            h_bridge, h_del, h_con = h_split[h]
+            h_bridge, h_con, h_del = h_split[h]
             dele = below.setdefault((g_del, h_con), len(below))
             if h_bridge:                                    # quasi-loop
                 nodes.append((dele, y_score, None))
@@ -341,8 +381,9 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
 
 
 def _entry_key(g: mg.Multigraph, order) -> str:
-    """The flat key of g: the ends of the edges in order, each vertex
-    the character of its rank in order of first appearance."""
+    """The flat key of g: the ends of the edges in order, the walk's
+    order of decision (so the top edge comes first), each vertex the
+    character of its rank in order of first appearance."""
     ends = [v for e in order for v in g.ends[e]]
     rank = dict(zip(dict.fromkeys(ends), range(len(ends))))
     return "".join(map(chr, map(rank.__getitem__, ends)))
@@ -353,16 +394,20 @@ def _relabel(key: str) -> str:
     return key.translate(dict(zip(map(ord, dict.fromkeys(key)), range(len(key)))))
 
 
-def _split(key: str) -> tuple[bool, str, str]:
+def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
     """Whether the top edge of a flat minor key is a bridge, and the
-    keys of the minor with it deleted and with it contracted.
+    keys of the two minors it leaves: for a G-minor its deletion, then
+    its contraction; for a dagger minor (dagger) its contraction, then
+    its deletion, as deleting an edge of G contracts it in H.  A bridge
+    of either leaves the deletion branch of G alone, so its second key
+    is None.
 
     The top edge's ends are vertices 0 and 1, or 0 twice for a loop,
     which is no bridge and whose contraction is its deletion.
     """
     rest = key[2:]
-    deleted = _relabel(rest)
     if key[1] == key[0]:
+        deleted = _relabel(rest)
         return False, deleted, deleted
     parent = list(range(len(key)))
     ends = map(ord, rest)
@@ -377,7 +422,11 @@ def _split(key: str) -> tuple[bool, str, str]:
         a = parent[a]
     while parent[b] != b:
         b = parent[b]
-    return a != b, deleted, _relabel(rest.replace("\x01", "\x00"))
+    merged = rest.replace("\x01", "\x00")
+    first, second = (merged, rest) if dagger else (rest, merged)
+    if a != b:
+        return True, _relabel(first), None
+    return False, _relabel(first), _relabel(second)
 
 
 def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolynomial:
@@ -480,10 +529,17 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     rng = random.Random(seed)
     out: list[CheckResult] = []
 
-    l_ext = las_vergnas_embedded(scheme, "expansion", cap)
+    # One tally of A in G and E - A in H, the dagger graph, gives L_ext
+    # and, as its marginals, T(M') = T(G) and T(M) = T(B(H)) = T(H; y, x).
+    scheme_rows = rb.transfer_tally(scheme.g, scheme.dagger)
+    l_ext = _scheme_from_rows(scheme, scheme_rows)
     mp = em.scheme_perspective(scheme)
-    t_m = _graphic_tutte(scheme.dagger, "yx", cap)     # M = B(H), H the dagger
-    t_mp = tutte(scheme.g, cap)                         # M' = C(G)
+    n = len(scheme.g.edges)
+    dagger_rows: Counter = Counter()
+    for (size, _, _, c_h), m in scheme_rows.items():
+        dagger_rows[n - size, c_h] += m
+    t_m = _tutte_from_rows(len(scheme.dagger.vertices), dagger_rows, "yx")
+    t_mp = _tutte_from_rows(len(scheme.g.vertices), scheme_rows, "xy")
 
     # Perspective specialisations: the rank walk against the tallies.  A
     # bad rank table fails all three; their points are drawn either way.

@@ -32,7 +32,8 @@ transfer_tally and dual_tally return the tallies of the rows of the
 visiting the subsets, and state_tally the curve counts of the 3^|E|
 medial states without visiting the states.  All three run one loop,
 _frontier_tally, which decides the edges one at a time, vertex by
-vertex in breadth-first order and each vertex's half-edges in rotation
+vertex in breadth-first order from the root that keeps the frontier
+narrowest (_edge_order) and each vertex's half-edges in rotation
 order, each edge taking one of its choices (outside or inside A; black,
 white or crossing).  A state after each step holds, per layer, the
 block labels of the frontier nodes (vertices, or the corners of a
@@ -60,7 +61,7 @@ surgery builds new ones, which derive their own.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -479,34 +480,28 @@ def first_witness(tally, edges: Sequence[int], choices: int, bad):
 
 
 def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
-    """The order the transfer tally decides edges in: vertex by vertex,
-    breadth first from the smallest vertex id (then from the smallest
-    one not yet reached), each vertex's half-edges in rotation order,
-    sector by sector (in id order for a bare multigraph)."""
-    at: dict[int, list[int]] = {v: [] for v in g.vertices}
-    if ribbon is not None:
-        for v, secs in ribbon.sectors.items():
-            at[v] = [e for sec in secs for e, _ in sec]
-    else:
-        for e in g.edges:
-            for v in g.ends[e]:
-                at[v].append(e)
-    order: dict[int, None] = {}
-    reached: dict[int, None] = {}
-    for root in g.vertices:
-        if root in reached:
-            continue
-        reached[root] = None
-        queue = deque([root])
-        while queue:
-            for e in at[queue.popleft()]:
-                if e not in order:
-                    order[e] = None
-                    for w in g.ends[e]:
-                        if w not in reached:
-                            reached[w] = None
-                            queue.append(w)
-    return list(order)
+    """The order the tallies decide edges in: of the breadth-first
+    orders of g, one per root, each vertex listing its half-edges in
+    rotation order, sector by sector (in id order for a bare
+    multigraph), the one mg.frontier_order finds narrowest on the
+    vertices of g and, for a ribbon graph, its disc arcs: what the
+    union and circle layers carry as frontier blocks and points.
+
+    The rows do not depend on the order, only the states do.  Summed
+    over the tallies of cellular_corpus() (transfer, scheme, krushkal,
+    dual and state tallies), the states fall from 2,630 with the root
+    at the smallest vertex id to 2,260; lv on the first connected
+    pinch-free random_rotation(Random(5), 10, 24) of tests/corpus.py
+    takes 0.09 s instead of 0.39–0.46 s (2 vCPUs, Python 3.11)."""
+    if ribbon is None:
+        at = mg.incidences(g)
+        return mg.frontier_order(g, at, at.values())
+    at = {v: [e for sec in secs for e, _ in sec] for v, secs in ribbon.sectors.items()}
+    # Every arc ends at an in point, the even one of its two.
+    kappa, _ = _disc_arcs(ribbon)
+    edges = ribbon.edges
+    arcs = [(edges[p >> 2], edges[kappa[p] >> 2]) for p in range(0, len(kappa), 2)]
+    return mg.frontier_order(g, at, [*at.values(), *arcs])
 
 
 def _frontier_tally(order: list[int], layers, sizes=(0, 1),

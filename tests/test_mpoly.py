@@ -216,6 +216,42 @@ def test_assemble_names_the_first_bad_bucket():
         assemble("xy", {(2.0, 0): 1}, shifted="x")
 
 
+def _first_bucket_error(names, buckets, shifted):
+    """The message of the first bad bucket, one bucket at a time: what
+    assemble raised before its columns were checked at once."""
+    for key, count in buckets.items():
+        if not count:
+            continue
+        if len(key) != len(names):
+            return f"bucket key {key} needs {len(names)} entries"
+        for v, h in zip(names, key):
+            if v in shifted and h % 2:
+                return f"half-power of the shifted {v} - 1"
+            if v in shifted and h < 0:
+                return f"negative power of the shifted {v} - 1"
+            if h < 0 or not isinstance(h, int):
+                return f"negative or non-integer exponent in {key}"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(names=hst.sampled_from(["x", "xy", "yzx"]), shifted=hst.sampled_from(["", "x", "xy"]),
+       buckets=hst.dictionaries(
+           hst.lists(hst.one_of(hst.integers(-3, 4), hst.just(2.0)), min_size=1,
+                     max_size=4).map(tuple),
+           hst.integers(-1, 2), max_size=6))
+def test_assemble_checks_columns_with_the_same_messages(names, shifted, buckets):
+    # The column check finds what the bucket walk finds, and the walk
+    # then names the same first bad bucket.
+    want = _first_bucket_error(names, buckets, shifted)
+    if want is None:
+        assemble(names, buckets, shifted)
+        return
+    with pytest.raises(ValueError) as raised:
+        assemble(names, buckets, shifted)
+    assert str(raised.value) == want
+
+
 def test_assemble_rejects_half_powers_of_shifted_variables():
     assert str(assemble("yx", {(2, 4): 3}, shifted="x")) == "3y - 6xy + 3x^2y"
     with pytest.raises(ValueError):

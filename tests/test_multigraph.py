@@ -161,3 +161,68 @@ def test_component_table_matches_the_counter_on_every_mask():
     assert mg.component_table(mg.Multigraph((), {})) == [0]
     assert mg.component_table(mg.Multigraph((0, 1, 2), {})) == [3]
     assert checked > 40000
+
+
+def _narrowest_by_reference(g, tracked, at):
+    """frontier_order by its definition: each root's breadth-first order,
+    scored by the first and last step of every tracked element."""
+    best = None
+    for root in g.vertices:
+        order, seen = [], set()
+        for start in (root,) + g.vertices:
+            if start in seen:
+                continue
+            seen.add(start)
+            queue = [start]
+            while queue:
+                for e in at[queue.pop(0)]:
+                    if e not in order:
+                        order.append(e)
+                        for w in g.ends[e]:
+                            if w not in seen:
+                                seen.add(w)
+                                queue.append(w)
+        width = [0] * len(order)
+        for element in tracked:
+            steps = [order.index(e) for e in set(element)] or [0]
+            for t in range(min(steps), max(steps)):
+                width[t] += 1
+        cost = sum(w * w for w in width)
+        if best is None or cost < best[0]:
+            best = (cost, order)
+    return best[1]
+
+
+def test_frontier_order_is_the_narrowest_breadth_first_order():
+    # A deterministic permutation of the edges: the reference's choice,
+    # on the scheme pair's vertices and on a ribbon graph's vertices and
+    # disc arcs, the same on a second call.
+    from topopoly import ribbon as rb
+    for emb in corpus.main_corpus():
+        s, rs = em.derive_dagger(emb), emb.rotation
+        at = mg.incidences(s.g)
+        tracked = [*at.values(), *mg.incidences(s.dagger).values()]
+        order = mg.frontier_order(s.g, at, tracked)
+        assert sorted(order) == list(s.g.edges)
+        assert order == _narrowest_by_reference(s.g, tracked, at)
+        assert order == mg.frontier_order(s.g, at, tracked)
+        # The tally's order: rotation order at each vertex; the disc arcs
+        # join corner points 4i + 2 end + io of the i-th smallest edge id.
+        at = {v: [e for sec in secs for e, _ in sec] for v, secs in rs.sectors.items()}
+        kappa, _ = rb._disc_arcs(rs)
+        arcs = [(rs.edges[p // 4], rs.edges[q // 4])
+                for p, q in enumerate(kappa) if p < q]
+        ribbon_order = rb._edge_order(rs.underlying(), rs)
+        assert sorted(ribbon_order) == list(rs.edges)
+        assert ribbon_order == _narrowest_by_reference(
+            rs.underlying(), [*at.values(), *arcs], at)
+        assert ribbon_order == rb._edge_order(rs.underlying(), rs)
+
+
+def test_frontier_order_ties_go_to_the_smaller_root():
+    # A path scores the same from either end; the smaller id wins, and
+    # an isolated vertex adds nothing.  With no edges the order is empty.
+    path = mg.Multigraph((0, 1, 2, 3, 9), {7: (3, 2), 5: (2, 1), 6: (1, 0)})
+    at = mg.incidences(path)
+    assert mg.frontier_order(path, at, at.values()) == [6, 5, 7]
+    assert mg.frontier_order(mg.Multigraph((0, 1)), {0: [], 1: []}, [[], []]) == []

@@ -244,55 +244,72 @@ def test_scheme_memo_matches_minors():
     assert len(pool) == 254
 
 
-def _flat(g: mg.Multigraph) -> tuple:
-    """The ends of g's edges, highest id first, vertices renamed 0, 1, ...
-    in order of first appearance."""
-    ends = [v for e in sorted(g.edges, reverse=True) for v in g.ends[e]]
+def _flat(g: mg.Multigraph, order) -> tuple:
+    """The ends of g's edges in order, vertices renamed 0, 1, ... in
+    order of first appearance."""
+    ends = [v for e in order for v in g.ends[e]]
     rank: dict = {}
     return tuple(rank.setdefault(v, len(rank)) for v in ends)
 
 
-def _minors_per_depth(s):
-    """Per depth of the scheme walk, the node count and the distinct
-    G-minors and H-minors as _flat tuples; the nodes come from the
-    materialised minors of the reference walk, merged on equal minors."""
-    level = {(_flat(s.g), _flat(s.dagger)): s}
+def _minors_per_depth(s, order):
+    """Per depth of the scheme walk deciding the edges in order, the node
+    count and the distinct G-minors and H-minors as _flat tuples; the
+    nodes come from the materialised minors of the reference walk,
+    merged on equal minors."""
+    level = {(_flat(s.g, order), _flat(s.dagger, order)): s}
     out = []
-    for _ in s.g.edges:
+    for t, e in enumerate(order):
         out.append((len(level), {g for g, _ in level}, {h for _, h in level}))
+        rest = order[t + 1:]
         below: dict = {}
         for node in level.values():
-            e = max(node.g.edges)
             kids = [em.delete_edge(node, e)]
             if not (mg.is_bridge(node.dagger, e) or mg.is_bridge(node.g, e)):
                 kids.append(em.contract_edge(node, e))
             for kid in kids:
-                below.setdefault((_flat(kid.g), _flat(kid.dagger)), kid)
+                below.setdefault((_flat(kid.g, rest), _flat(kid.dagger, rest)), kid)
         level = below
     return out
+
+
+def _count_splits(monkeypatch) -> Counter:
+    """Count poly._split calls per key, as tuples of relabelled vertices."""
+    calls: Counter = Counter()
+    real = poly._split
+
+    def split(key, *args):
+        calls[tuple(map(ord, key))] += 1
+        return real(key, *args)
+
+    monkeypatch.setattr(poly, "_split", split)
+    return calls
 
 
 def test_scheme_recursion_splits_each_minor_once(monkeypatch):
     # One split per distinct (depth, G-minor) and per distinct (depth,
     # H-minor), however many nodes share it.  A key's characters are its
     # relabelled vertices, two per edge; its length gives its depth.
-    calls: Counter = Counter()
-    real = poly._split
+    calls = _count_splits(monkeypatch)
+    orders = []
+    real_order = mg.frontier_order
 
-    def split(key):
-        calls[tuple(map(ord, key))] += 1
-        return real(key)
+    def frontier_order(*args):
+        orders.append(real_order(*args))
+        return orders[-1]
 
-    monkeypatch.setattr(poly, "_split", split)
+    monkeypatch.setattr(mg, "frontier_order", frontier_order)
     shared_g = shared_h = False
     for emb in corpus.main_corpus():
         if len(emb.rotation.edges) != 10:
             continue
         s = em.derive_dagger(emb)
         calls.clear()
+        orders.clear()
         leaves = poly._scheme_leaves(s)
+        (order,) = orders
         want: Counter = Counter()
-        for nodes, gs, hs in _minors_per_depth(s):
+        for nodes, gs, hs in _minors_per_depth(s, order):
             want.update(gs)
             want.update(hs)
             shared_g |= nodes > len(gs)
@@ -301,6 +318,37 @@ def test_scheme_recursion_splits_each_minor_once(monkeypatch):
         assert leaves == Counter(_scheme_leaves_on_minors(s))
     # Nodes share minors on both sides: a split per node would be caught.
     assert shared_g and shared_h
+
+
+def test_scheme_order_splits_no_more_than_highest_id_first(monkeypatch):
+    # Summed over both corpora, the measured order splits fewer minors
+    # than deciding the highest edge id first, with the same leaves.
+    calls = _count_splits(monkeypatch)
+    schemes = [em.derive_dagger(emb) for emb in corpus.main_corpus()]
+    schemes += [em.derive_dagger(em.with_disc_regions(rs))
+                for rs in corpus.cellular_corpus()]
+    chosen = [poly._scheme_leaves(s) for s in schemes]
+    narrow = sum(calls.values())
+    calls.clear()
+    monkeypatch.setattr(mg, "frontier_order",
+                        lambda g, at, tracked: list(g.edges[::-1]))
+    assert [poly._scheme_leaves(s) for s in schemes] == chosen
+    assert narrow < sum(calls.values())
+
+
+def _first_connected(n_vertices: int, n_edges: int) -> rb.RotationSystem:
+    rng = random.Random(5)
+    while True:
+        rs = corpus.random_rotation(rng, n_vertices, n_edges)
+        if mg.components(rs.underlying()) == 1:
+            return rs
+
+
+@pytest.mark.parametrize("n_vertices, n_edges", [(10, 24), (12, 30)])
+def test_scheme_recursion_matches_expansion_past_the_cap(n_vertices, n_edges):
+    emb = em.with_disc_regions(_first_connected(n_vertices, n_edges))
+    assert (poly.las_vergnas_embedded(emb, "recursion", n_edges)
+            == poly.las_vergnas_embedded(emb, "expansion", n_edges))
 
 
 def _large_embedded():
@@ -496,13 +544,13 @@ def test_identity_suite_catches_a_wrong_rank(monkeypatch):
 
 
 def test_identity_suite_catches_a_wrong_tally_row(monkeypatch):
-    # One spurious subset in the tally of a bare graph: the Tutte
-    # polynomials read it, the rank walk does not.
+    # One spurious subset in the scheme's tally of G and its dagger: the
+    # Tutte polynomials read it as marginals, the rank walk does not.
     real = rb.transfer_tally
 
     def corrupted(x, cut=None):
         rows = real(x, cut)
-        if isinstance(x, mg.Multigraph) and cut is None:
+        if isinstance(x, mg.Multigraph) and cut is not None:
             rows[next(iter(rows))] += 1
         return rows
 
@@ -696,18 +744,16 @@ _SWEEPS = ((rb, "_frontier_tally"), (rb, "first_witness"), (rb, "circle_counter"
 
 
 def test_identity_suite_expands_each_polynomial_once(monkeypatch):
-    # T(M') = tutte(G) and T(M) = T(H; y, x) read one transfer tally
-    # each, R comes from the suite's own dual_tally rows, and lv-ext and
-    # krushkal each make one transfer tally, one frontier run each; no
-    # tally is rerun to find a witness.
+    # lv-ext, T(M') = T(G) and T(M) = T(H; y, x) read one transfer tally
+    # of the scheme, R comes from the suite's own dual_tally rows, and
+    # krushkal makes one transfer tally, one frontier run each; no tally
+    # is rerun to find a witness.
     calls = _count_calls(monkeypatch,
                          ((poly, "tutte"), (poly, "_graphic_tutte"),
                           (poly, "bollobas_riordan")) + _SWEEPS)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
-    # tutte itself is one of the two _graphic_tutte calls
-    assert calls == {"tutte": 1, "_graphic_tutte": 2, "transfer_tally": 4,
-                     "dual_tally": 1, "_frontier_tally": 5}
+    assert calls == {"transfer_tally": 2, "dual_tally": 1, "_frontier_tally": 3}
 
 
 def test_expansions_sweep_no_subset(monkeypatch):
