@@ -117,22 +117,19 @@ def validate(emb: EmbeddedGraph) -> ValidationReport:
     chi = len(rot.sectors) - len(rot.signs) + sum(
         2 - g - len(circles[r]) for r, g in emb.region_genus.items())
 
-    # k: regions, bands and vertex discs glued along circles and ends.
-    nodes = [("v", w) for w in rot.vertices]
-    nodes += [("e", x) for x in rot.edges]
-    nodes += [("r", r) for r in emb.region_genus]
-    ds = mg.DisjointSets(nodes)
+    # k: the components of a graph on the vertices and the regions, in
+    # which each band joins its two ends and its two side regions, and
+    # each circle around a bare sector joins that vertex to its region.
+    vertex = {w: i for i, w in enumerate(rot.vertices)}
+    region = {r: len(vertex) + i for i, r in enumerate(emb.region_genus)}
+    joins = [(vertex[circle.home[0]], region[emb.regions[c]])
+             for c, circle in enumerate(emb.trace.circles) if circle.home is not None]
     for x in rot.edges:
-        u, w = rot.ends[x]
-        ds.union(("e", x), ("v", u))
-        ds.union(("e", x), ("v", w))
-        rl, rr = emb.side_regions(x)
-        ds.union(("e", x), ("r", rl))
-        ds.union(("e", x), ("r", rr))
-    for c, circle in enumerate(emb.trace.circles):
-        if circle.home is not None:
-            ds.union(("v", circle.home[0]), ("r", emb.regions[c]))
-    k = ds.count
+        (u, w), (rl, rr) = rot.ends[x], emb.side_regions(x)
+        joins += [(vertex[u], vertex[w]), (vertex[w], region[rl]),
+                  (region[rl], region[rr])]
+    k = mg.components(mg.Multigraph(range(len(vertex) + len(region)),
+                                    dict(enumerate(joins))))
 
     cellular = (not rot.pinch_vertices()
                 and all(g == 0 for g in emb.region_genus.values())

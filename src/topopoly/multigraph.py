@@ -7,44 +7,17 @@ so an edge keeps its id through any chain of deletions and contractions.
 
 Subsets walked exhaustively are int masks, bit i standing for the i-th
 smallest edge id: subset_ids decodes one, component_counter counts c
-of one mask, and component_table lists c of every mask.
+of one mask, and component_table lists c of every mask.  Each graph
+keeps its counter and its edge bits, made on first use; every component
+count runs on a counter but component_table's and poly._split's.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
-
-
-class DisjointSets:
-    """Union-find over an arbitrary fixed set of hashable items."""
-
-    def __init__(self, items: Iterable):
-        self._parent = {item: item for item in items}
-        self._count = len(self._parent)
-
-    def find(self, item):
-        parent = self._parent
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(self, a, b) -> bool:
-        """Merge the classes of a and b; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._parent[ra] = rb
-        self._count -= 1
-        return True
-
-    @property
-    def count(self) -> int:
-        return self._count
 
 
 @dataclass(frozen=True)
@@ -80,6 +53,16 @@ class Multigraph:
         u, v = self.ends[e]
         return u == v
 
+    @cached_property
+    def bits(self) -> Mapping[int, int]:
+        """Each edge id's bit in the mask encoding, made on first use."""
+        return {e: 1 << i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def counter(self) -> Callable[[int], int]:
+        """component_counter(self), made on first use."""
+        return component_counter(self)
+
     def __repr__(self):
         ends = ", ".join(f"{e}:{uv}" for e, uv in sorted(self.ends.items()))
         return f"Multigraph(v={list(self.vertices)}, ends={{{ends}}})"
@@ -91,12 +74,8 @@ def components(g: Multigraph, a: Iterable[int] | None = None) -> int:
     With a=None the full edge set is used.  All vertices of g count,
     including isolated ones.
     """
-    a = g.edge_set() if a is None else frozenset(a)
-    ds = DisjointSets(g.vertices)
-    for e in a:
-        u, v = g.ends[e]
-        ds.union(u, v)
-    return ds.count
+    full = (1 << len(g.ends)) - 1
+    return g.counter(full if a is None else sum(map(g.bits.__getitem__, set(a))))
 
 
 def subset_ids(edges: Sequence[int], mask: int) -> list[int]:
@@ -133,7 +112,8 @@ def component_table(g: Multigraph) -> list[int]:
     """c(A) of the spanning subgraph (V, A) for every mask A, indexed by
     the mask: one depth-first walk deciding the edges in bit order, on
     a union-find with rollback (union by size, no path compression, so
-    undoing a union resets one parent and one size)."""
+    undoing a union resets one parent and one size): the rank walk
+    reads every mask, and the counter would redo every union per mask."""
     vid = {v: k for k, v in enumerate(g.vertices)}
     pairs = [(vid[g.ends[e][0]], vid[g.ends[e][1]]) for e in g.edges]
     if not pairs:
@@ -257,12 +237,8 @@ def nullity(g: Multigraph, a: Iterable[int] | None = None) -> int:
 def is_bridge(g: Multigraph, e: int) -> bool:
     """True iff deleting e increases the component count, that is, iff
     the ends of e fall in different components of (V, E - e)."""
-    ds = DisjointSets(g.vertices)
-    for f, (u, v) in g.ends.items():
-        if f != e:
-            ds.union(u, v)
-    u, v = g.ends[e]
-    return ds.find(u) != ds.find(v)
+    full = (1 << len(g.ends)) - 1
+    return g.counter(full ^ g.bits[e]) > g.counter(full)
 
 
 def delete_edge(g: Multigraph, e: int) -> Multigraph:

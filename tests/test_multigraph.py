@@ -17,17 +17,6 @@ def triangle():
     return mg.Multigraph((0, 1, 2), {1: (0, 1), 2: (1, 2), 3: (0, 2)})
 
 
-def test_disjoint_sets():
-    ds = mg.DisjointSets([1, 2, 3, 4])
-    assert ds.count == 4
-    assert ds.union(1, 2)
-    assert not ds.union(2, 1)
-    ds.union(3, 4)
-    assert ds.count == 2
-    assert ds.find(1) == ds.find(2)
-    assert ds.find(1) != ds.find(3)
-
-
 def test_components_counts_isolated_vertices():
     g = mg.Multigraph((0, 1, 2), {1: (0, 1)})
     assert mg.components(g) == 2
@@ -212,11 +201,11 @@ def test_frontier_order_is_the_narrowest_breadth_first_order():
         kappa, _ = rb._disc_arcs(rs)
         arcs = [(rs.edges[p // 4], rs.edges[q // 4])
                 for p, q in enumerate(kappa) if p < q]
-        ribbon_order = rb._edge_order(rs.underlying(), rs)
+        ribbon_order = rb._edge_order(rs)
         assert sorted(ribbon_order) == list(rs.edges)
-        assert ribbon_order == _narrowest_by_reference(
+        assert list(ribbon_order) == _narrowest_by_reference(
             rs.underlying(), [*at.values(), *arcs], at)
-        assert ribbon_order == rb._edge_order(rs.underlying(), rs)
+        assert ribbon_order == rb._edge_order(rs) == rs.edge_order
 
 
 def test_frontier_order_ties_go_to_the_smaller_root():

@@ -31,6 +31,11 @@ def rank_walk_tutte(m: mt.RankMatroid):
     return poly.tutte_perspective(mt.MatroidPerspective(m, m))
 
 
+def swapped_tutte(g: mg.Multigraph):
+    """T(g; y, x), the Tutte polynomial of the bond matroid of g."""
+    return poly._tutte_from_rows(len(g.vertices), rb.transfer_tally(g), "yx")
+
+
 # ---------------------------------------------------------------------------
 # Tutte
 
@@ -55,8 +60,8 @@ def test_tutte_respects_duality():
     for x0, y0 in ((2, 3), (-1, 2), (5, -2)):
         assert (t.evaluate({"x": F(x0), "y": F(y0)})
                 == td.evaluate({"x": F(y0), "y": F(x0)}))
-    assert poly._graphic_tutte(g, "yx", poly.EXPANSION_CAP) == td
-    assert poly._graphic_tutte(dual, "yx", poly.EXPANSION_CAP) == t
+    assert swapped_tutte(g) == td
+    assert swapped_tutte(dual) == t
     bonds = mt.bond_matroid(g)
     assert td == poly.tutte_perspective(mt.make_perspective(bonds, bonds))
 
@@ -90,8 +95,7 @@ def test_tally_tutte_matches_rank_walk_on_corpora():
         cycles = mt.cycle_matroid(scheme.g)
         bonds = mt.bond_matroid(scheme.dagger)
         assert str(poly.tutte(scheme.g)) == str(rank_walk_tutte(cycles))
-        assert (str(poly._graphic_tutte(scheme.dagger, "yx", poly.EXPANSION_CAP))
-                == str(rank_walk_tutte(bonds)))
+        assert str(swapped_tutte(scheme.dagger)) == str(rank_walk_tutte(bonds))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +126,7 @@ def test_perspective_specializes_to_both_ends():
     # z -> x-1 recovers the source matroid's polynomial: M = B(H) has
     # T(M; x, y) = T(H; y, x), H the dagger graph
     x = MPolynomial.variable("x")
-    t_m = poly._graphic_tutte(scheme.dagger, "yx", poly.EXPANSION_CAP)
+    t_m = swapped_tutte(scheme.dagger)
     assert t.substitute("z", x - MPolynomial.one()) == t_m
     # scaled evaluation at z = 1/(y-1) recovers the target's, M' = C(G)
     tp = poly.tutte(scheme.g)
@@ -595,7 +599,7 @@ def test_tutte_counts_no_components(monkeypatch):
     ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
     g = ten.rotation.underlying()
     t = poly.tutte(g)
-    td = poly._graphic_tutte(g, "yx", poly.EXPANSION_CAP)
+    td = swapped_tutte(g)
     t_cycles = rank_walk_tutte(mt.cycle_matroid(g))
     t_bonds = rank_walk_tutte(mt.bond_matroid(g))
     assert calls == {}
@@ -749,11 +753,32 @@ def test_identity_suite_expands_each_polynomial_once(monkeypatch):
     # krushkal makes one transfer tally, one frontier run each; no tally
     # is rerun to find a witness.
     calls = _count_calls(monkeypatch,
-                         ((poly, "tutte"), (poly, "_graphic_tutte"),
-                          (poly, "bollobas_riordan")) + _SWEEPS)
+                         ((poly, "tutte"), (poly, "bollobas_riordan")) + _SWEEPS)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
     assert calls == {"transfer_tally": 2, "dual_tally": 1, "_frontier_tally": 3}
+
+
+def test_each_command_builds_an_order_and_disc_arcs_once(monkeypatch, tmp_path,
+                                                         capsys):
+    # A rotation system keeps its disc arcs and its tally order: the
+    # graph and the dual that the dual tally traces build their arcs
+    # once each, and the dual tally decides in the graph's order.  The
+    # only other order is that of the scheme's bare tally (identities).
+    ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10
+               and mg.components(e.rotation.underlying()) == 1
+               and em.validate(e).cellular)
+    path = tmp_path / "ten.txt"
+    path.write_text(ff.serialize(ten))
+    calls = _count_calls(monkeypatch, ((rb, "_disc_arcs"), (mg, "frontier_order")))
+    builds = {("identities",): (2, 2), ("states", "--sweep-cap", "10"): (2, 1),
+              ("poly", "--which", "lv"): (2, 1), ("poly", "--which", "br"): (1, 1),
+              ("poly", "--which", "krushkal"): (1, 1)}
+    for (command, *options), want in builds.items():
+        calls.clear()
+        assert cli.main([command, str(path), *options]) == 0
+        assert (calls["_disc_arcs"], calls["frontier_order"]) == want, command
+    capsys.readouterr()
 
 
 def test_expansions_sweep_no_subset(monkeypatch):

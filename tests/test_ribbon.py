@@ -264,6 +264,26 @@ def test_klein_bouquet():
     assert not rb.is_orientable(k)
 
 
+def test_is_orientable_by_its_definition():
+    # Orientable iff some orientation per sector leaves every band
+    # untwisted: reflecting a disc twists each band with one end on it.
+    seen = Counter()
+    systems = [emb.rotation for emb in corpus.main_corpus()]
+    for rs in systems + corpus.cellular_corpus():
+        homes = [home for home, _ in rb.all_sectors(rs)]
+        if len(homes) > 12:
+            continue
+        index = {home: k for k, home in enumerate(homes)}
+        bands = [(index[rs.half_home[e, 0]], index[rs.half_home[e, 1]], rs.signs[e] < 0)
+                 for e in rs.edges]
+        want = any(all((flip >> u ^ flip >> w ^ twisted) & 1 == 0
+                       for u, w, twisted in bands)
+                   for flip in range(1 << len(homes)))
+        assert rb.is_orientable(rs) == want, rs
+        seen[want] += 1
+    assert seen[True] > 50 and seen[False] > 50, seen
+
+
 def test_digon_is_planar():
     assert rb.boundary_count(corpus.plane_digon()) == 2
     assert rb.euler_genus(corpus.plane_digon()) == 0

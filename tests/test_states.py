@@ -71,14 +71,22 @@ def test_medial_state_counter_matches_glued_half_edges():
         mm = rb.medial(rs)
         count = st.medial_state_counter(mm)
         for combo in itertools.product(rb.STATE_NAMES, repeat=len(rs.edges)):
-            ds = mg.DisjointSets(mm.medial.half_home)
-            for cid in mm.corners:
-                ds.union((cid, 0), (cid, 1))
+            # A union-find of its own, sharing no code with the counter.
+            parent = {h: h for h in mm.medial.half_home}
+
+            def find(h):
+                while parent[h] != h:
+                    h = parent[h]
+                return h
+
+            glued = [((cid, 0), (cid, 1)) for cid in mm.corners]
             for e, s in zip(rs.edges, combo):
-                for p, q in mm.pairings[e][s]:
-                    ds.union(p, q)
+                glued += mm.pairings[e][s]
+            for p, q in glued:
+                parent[find(p)] = find(q)
+            curves = sum(parent[h] == h for h in parent)
             state = dict(zip(rs.edges, combo))
-            assert count(combo) == ds.count == st.medial_state_components(mm, state)
+            assert count(combo) == curves == st.medial_state_components(mm, state)
             checked += 1
     assert checked == 8685
 
