@@ -9,11 +9,10 @@ Duals and minors are mask transforms of the parent oracle, so a chain
 of operations stays cheap to build and correct by construction.  Point
 queries are memoised per instance, keyed by the mask.  An exhaustive
 walk reads RankMatroid.table instead, the list of all 2^|E| ranks
-indexed by the mask, built on first use: from one rollback union-find
-walk (multigraph.component_table) for a cycle matroid, from the
-parent's table for a dual, and from the oracle otherwise.  Once it
-exists, rank reads it too, so the identity suite reads the same bond
-and cycle ranks in several expansions for one walk each.
+indexed by the mask, built on first use: from the partition table of
+multigraph.component_table for a cycle matroid, from the parent's
+table for a dual, and from the oracle otherwise.  Once it exists,
+rank reads it too.
 
 A matroid perspective (M, M') is a pair on the same ground set such
 that rank increments in M dominate those in M'; equivalently every

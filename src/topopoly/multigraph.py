@@ -8,8 +8,10 @@ so an edge keeps its id through any chain of deletions and contractions.
 Subsets walked exhaustively are int masks, bit i standing for the i-th
 smallest edge id: subset_ids decodes one, component_counter counts c
 of one mask, and component_table lists c of every mask.  Each graph
-keeps its counter and its edge bits, made on first use; every component
-count runs on a counter but component_table's and poly._split's.
+keeps its counter, its edge bits and its tally order, made on first
+use.  Every component count runs on a counter but two: poly._split's
+bridge test, and component_table, which keeps vertex partitions, not
+a union-find.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ class Multigraph:
         """component_counter(self), made on first use."""
         return component_counter(self)
 
+    @cached_property
+    def tally_order(self) -> tuple[int, ...]:
+        """The order a bare graph's tallies decide its edges in: the
+        narrowest breadth-first order on its vertices (frontier_order),
+        each vertex listing its edges by id; made on first use."""
+        at = incidences(self)
+        return tuple(frontier_order(self, at, at.values()))
+
     def __repr__(self):
         ends = ", ".join(f"{e}:{uv}" for e, uv in sorted(self.ends.items()))
         return f"Multigraph(v={list(self.vertices)}, ends={{{ends}}})"
@@ -110,43 +120,34 @@ def component_counter(g: Multigraph) -> Callable[[int], int]:
 
 def component_table(g: Multigraph) -> list[int]:
     """c(A) of the spanning subgraph (V, A) for every mask A, indexed by
-    the mask: one depth-first walk deciding the edges in bit order, on
-    a union-find with rollback (union by size, no path compression, so
-    undoing a union resets one parent and one size): the rank walk
-    reads every mask, and the counter would redo every union per mask."""
+    the mask.  The edges are decided in bit order, keeping the distinct
+    vertex partitions reached so far, each a string of block labels (the
+    character of a block's smallest vertex index, at each vertex) with
+    its block count.  The table holds one partition id per mask: each
+    edge joins every partition once, a join list from id to id, and the
+    table doubles through it, the masks with the edge after those
+    without, so every per-mask step runs in C.  The rank walk reads
+    every mask, and the counter would redo every union per mask."""
     vid = {v: k for k, v in enumerate(g.vertices)}
-    pairs = [(vid[g.ends[e][0]], vid[g.ends[e][1]]) for e in g.edges]
-    if not pairs:
-        return [len(vid)]
-    parent = list(range(len(vid)))
-    size = [1] * len(vid)
-    table = [0] * (1 << len(pairs))
-    last = len(pairs) - 1
-
-    def walk(i: int, mask: int, c: int) -> None:
-        u, w = pairs[i]
-        while parent[u] != u:
-            u = parent[u]
-        while parent[w] != w:
-            w = parent[w]
-        if i == last:               # both leaves at once
-            table[mask] = c
-            table[mask | 1 << i] = c - (u != w)
-            return
-        walk(i + 1, mask, c)
-        if u == w:
-            walk(i + 1, mask | 1 << i, c)
-            return
-        if size[u] > size[w]:
-            u, w = w, u
-        parent[u] = w
-        size[w] += size[u]
-        walk(i + 1, mask | 1 << i, c - 1)
-        size[w] -= size[u]
-        parent[u] = u
-
-    walk(0, 0, len(vid))
-    return table
+    parts = ["".join(map(chr, range(len(vid))))]
+    ids = {parts[0]: 0}
+    blocks = [len(vid)]
+    table = [0]
+    for e in g.edges:
+        u, w = (vid[x] for x in g.ends[e])
+        join = []
+        for i in range(len(parts)):
+            p = parts[i]
+            a, b = p[u], p[w]
+            if a != b:
+                p = p.replace(a, b) if a > b else p.replace(b, a)
+                if p not in ids:
+                    ids[p] = len(parts)
+                    parts.append(p)
+                    blocks.append(blocks[i] - 1)
+            join.append(ids[p])
+        table += list(map(join.__getitem__, table))
+    return list(map(blocks.__getitem__, table))
 
 
 def incidences(g: Multigraph) -> dict[int, list[int]]:

@@ -47,16 +47,20 @@ the rows once, for L, R, lv-tidy, lv-dichromatic and the state checks.
 Likewise its one transfer_tally(g, dagger) gives L_ext and, as its
 marginals on (|A|, c(A)) and (|E - A|, c_H(E - A)), T(G) and
 T(H; y, x): two tallies (that one and krushkal's) besides the dual's.
+Its one count of the rows (|A|, r(A), r'(A)) over the 2^|E| masks
+gives the pair polynomial of (M, M') and, as its marginals, those of
+(M, M) and (M', M'), each by _perspective_from_rows, which
+tutte_perspective's expansion calls on its own count.
 
 The routes that check one another stay independent: the cellular
 expansion counts the dual's circles in its own trace instead of
 deriving them from f(A), so it shares no boundary count with the
-scheme expansion; tutte_perspective's expansion, the one rank walk,
-reads the matroids' rank tables, filled on the graphs by
-multigraph.component_table, and is checked against T(G) and
-T(H; y, x), H the dagger graph, from the scheme tally; the recursion
-tests its edges on its own flat minor keys, not on tally rows; and
-the perspective recursion works on matroid minors, unmemoised.
+scheme expansion; the rank walk reads the matroids' rank tables,
+filled on the graphs by multigraph.component_table, and is checked
+against T(G) and T(H; y, x), H the dagger graph, from the scheme
+tally; the recursion tests its edges on its own flat minor keys, not
+on tally rows; and the perspective recursion works on matroid minors,
+unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
@@ -172,24 +176,31 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
     how much of the rank drop M' has not yet seen."""
     check_cap(len(mp.ground), cap, f"perspective {method}")
     if method == "expansion":
-        t, tp = mp.m.table(), mp.m_prime.table()
-        r_full, rp_full = t[-1], tp[-1]
-        sizes = mt.mask_sizes(len(mp.ground))
-        counts: Counter = Counter()
-        # Counter keeps the mask order of first sight: bad rows come in order.
-        for row, m in Counter(zip(sizes, t, tp)).items():
-            size, r_a, rp_a = row
-            k = (r_full - r_a) - (rp_full - rp_a)
-            if min(k, size - r_a, rp_full - rp_a) < 0:
-                a = mg.subset_ids(mp.ground, next(
-                    a for a, first in enumerate(zip(sizes, t, tp)) if first == row))
-                what = "rank drop inversion" if k < 0 else "negative exponent"
-                raise PolyError(f"{what} on {a}; not a matroid perspective")
-            counts[2 * (rp_full - rp_a), 2 * (size - r_a), 2 * k] += m
-        return assemble("xyz", counts, shifted="xy")
+        return _perspective_from_rows(mp, Counter(zip(
+            mt.mask_sizes(len(mp.ground)), mp.m.table(), mp.m_prime.table())))
     if method == "recursion":
         return assemble("xyz", Counter(_perspective_leaves(mp.m, mp.m_prime)))
     raise PolyError(f"unknown method {method!r}")
+
+
+def _perspective_from_rows(mp: mt.MatroidPerspective, rows: Mapping) -> MPolynomial:
+    """The pair polynomial of mp from rows, a Counter of (|A|, r(A),
+    r'(A)) over the masks A in the mask order of first sight: the first
+    bad row raises, named by the first mask that yields it."""
+    t, tp = mp.m.table(), mp.m_prime.table()
+    r_full, rp_full = t[-1], tp[-1]
+    counts: Counter = Counter()
+    for row, m in rows.items():
+        size, r_a, rp_a = row
+        k = (r_full - r_a) - (rp_full - rp_a)
+        if min(k, size - r_a, rp_full - rp_a) < 0:
+            a = mg.subset_ids(mp.ground, next(
+                a for a, first in enumerate(zip(mt.mask_sizes(len(mp.ground)), t, tp))
+                if first == row))
+            what = "rank drop inversion" if k < 0 else "negative exponent"
+            raise PolyError(f"{what} on {a}; not a matroid perspective")
+        counts[2 * (rp_full - rp_a), 2 * (size - r_a), 2 * k] += m
+    return assemble("xyz", counts, shifted="xy")
 
 
 def _perspective_leaves(m: mt.RankMatroid, m_prime: mt.RankMatroid,
@@ -539,13 +550,20 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
     t_m = _tutte_from_rows(len(scheme.dagger.vertices), dagger_rows, "yx")
     t_mp = _tutte_from_rows(len(scheme.g.vertices), scheme_rows, "xy")
 
-    # Perspective specialisations: the rank walk against the tallies.  A
-    # bad rank table fails all three; their points are drawn either way.
+    # Perspective specialisations: the rank walk against the tallies.  One
+    # count of the masks gives (M, M') and, as its marginals, (M, M) and
+    # (M', M').  A bad rank table fails all three; their points are drawn
+    # either way.
     prime_points = _points(rng, 2, points)
+    rank_rows = Counter(zip(mt.mask_sizes(n), mp.m.table(), mp.m_prime.table()))
+    self_rows = Counter(), Counter()
+    for (size, r_a, rp_a), m in rank_rows.items():
+        self_rows[0][size, r_a, r_a] += m
+        self_rows[1][size, rp_a, rp_a] += m
     try:
-        t_pers = tutte_perspective(mp, "expansion", cap)
-        self_b, self_c = (tutte_perspective(mt.MatroidPerspective(m, m), cap=cap)
-                          for m in (mp.m, mp.m_prime))
+        t_pers = _perspective_from_rows(mp, rank_rows)
+        self_b, self_c = (_perspective_from_rows(mt.MatroidPerspective(x, x), rows)
+                          for x, rows in zip((mp.m, mp.m_prime), self_rows))
     except PolyError as exc:
         out += [_bad(name, str(exc)) for name in (
             "perspective-self", "perspective-to-m", "perspective-to-m-prime")]

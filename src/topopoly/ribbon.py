@@ -412,11 +412,7 @@ def transfer_tally(x: RotationSystem | mg.Multigraph,
     g = x.underlying() if ribbon is not None else x
     if cut is not None and cut.edge_set() != g.edge_set():
         raise RibbonError("a cut graph must share the tally's edge ids")
-    if ribbon is not None:
-        order = ribbon.edge_order
-    else:
-        at = mg.incidences(g)
-        order = mg.frontier_order(g, at, at.values())
+    order = g.tally_order if ribbon is None else ribbon.edge_order
     layers = [_block_moves(g, order, True)]
     if ribbon is not None:
         layers.append(_circle_moves(ribbon, order, _in_a))

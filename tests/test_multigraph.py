@@ -1,5 +1,7 @@
 """Abstract multigraph layer: components, rank, minors, isomorphism."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -137,6 +139,13 @@ def _table_cases():
         yield em.derive_dagger(emb).dagger
     for rs in corpus.cellular_corpus():
         yield rs.underlying()
+    # A near-forest: its vertex partitions number nearly 2^|E|.
+    rng = random.Random(5)
+    while True:
+        g = corpus.random_rotation(rng, 16, 16).underlying()
+        if mg.components(g) == 1:
+            yield g
+            break
 
 
 def test_component_table_matches_the_counter_on_every_mask():
@@ -150,6 +159,25 @@ def test_component_table_matches_the_counter_on_every_mask():
     assert mg.component_table(mg.Multigraph((), {})) == [0]
     assert mg.component_table(mg.Multigraph((0, 1, 2), {})) == [3]
     assert checked > 40000
+
+
+@hst.composite
+def st_multigraphs(draw):
+    """Up to 7 vertices and 10 edges, ids of both drawn apart: loops,
+    parallel edges and isolated vertices all come up."""
+    vertices = draw(hst.lists(hst.integers(-9, 99), unique=True, max_size=7))
+    pick = hst.sampled_from(vertices) if vertices else hst.nothing()
+    ends = draw(hst.lists(hst.tuples(pick, pick), max_size=10 if vertices else 0))
+    ids = draw(hst.lists(hst.integers(0, 99), unique=True,
+                         min_size=len(ends), max_size=len(ends)))
+    return mg.Multigraph(tuple(vertices), dict(zip(ids, ends)))
+
+
+@given(g=st_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_component_table_matches_the_counter_on_random_multigraphs(g):
+    count = mg.component_counter(g)
+    assert mg.component_table(g) == [count(a) for a in range(1 << len(g.edges))]
 
 
 def _narrowest_by_reference(g, tracked, at):

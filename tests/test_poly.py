@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -547,6 +548,30 @@ def test_identity_suite_catches_a_wrong_rank(monkeypatch):
     assert all(r.status == "pass" for r in results[3:])
 
 
+def test_identity_suite_catches_a_wrong_rank_of_m_prime_alone(monkeypatch):
+    # r' of the empty set raised to 1 after make_perspective validated M':
+    # (M, M') still has a pair polynomial, but its marginal (M', M') has
+    # (y - 1)^-1, so perspective-self fails through M' alone, and the
+    # three checks give its message.
+    pairs = []
+    real = em.scheme_perspective
+
+    def corrupted(scheme):
+        mp = real(scheme)
+        mp.m_prime.table()[0] += 1
+        pairs.append(mp)
+        return mp
+
+    monkeypatch.setattr(em, "scheme_perspective", corrupted)
+    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
+    why = "fail: negative exponent on []; not a matroid perspective"
+    assert [r.line() for r in results[:3]] == [
+        f"RESULT: perspective-self {why}", f"RESULT: perspective-to-m {why}",
+        f"RESULT: perspective-to-m-prime {why}"]
+    assert all(r.status == "pass" for r in results[3:])
+    assert str(poly.tutte_perspective(pairs[0])) == "1 + 3z + 3z^2 + z^3"
+
+
 def test_identity_suite_catches_a_wrong_tally_row(monkeypatch):
     # One spurious subset in the scheme's tally of G and its dagger: the
     # Tutte polynomials read it as marginals, the rank walk does not.
@@ -778,6 +803,36 @@ def test_each_command_builds_an_order_and_disc_arcs_once(monkeypatch, tmp_path,
         calls.clear()
         assert cli.main([command, str(path), *options]) == 0
         assert (calls["_disc_arcs"], calls["frontier_order"]) == want, command
+    capsys.readouterr()
+
+
+def test_a_bare_graph_keeps_its_tally_order(monkeypatch):
+    # A witness search reruns the scheme's tally once per edge, each run
+    # in the order the bare graph keeps: one frontier_order in all.
+    s = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10).scheme
+    calls = _count_calls(monkeypatch, ((mg, "frontier_order"),
+                                       (rb, "_frontier_tally")))
+    tally = partial(rb.transfer_tally, s.g, s.dagger)
+    last = next(reversed(tally()))
+    assert poly._first_subset(s.g.edges, tally, {last: "{a}"})
+    assert calls["_frontier_tally"] > 2
+    assert calls["frontier_order"] == 1
+
+
+def test_identities_counts_the_masks_once(monkeypatch, tmp_path, capsys):
+    # One rank table per graph, G and its dagger, and one count of the
+    # 2^|E| masks: it gives (M, M') and, as its marginals, (M, M) and
+    # (M', M'), with no expansion of its own.  mask_sizes runs for that
+    # count and for the bond matroid's table, the cycle table reversed.
+    ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10)
+    path = tmp_path / "ten.txt"
+    path.write_text(ff.serialize(ten))
+    calls = _count_calls(monkeypatch, (
+        (mg, "component_table"), (mt, "mask_sizes"), (poly, "tutte_perspective"),
+        (poly, "_perspective_from_rows")))
+    assert cli.main(["identities", str(path)]) == 0
+    assert calls == {"component_table": 2, "mask_sizes": 2,
+                     "_perspective_from_rows": 3}
     capsys.readouterr()
 
 
