@@ -183,25 +183,58 @@ class MPolynomial:
         on the first call and kept; each call only picks, per variable,
         the root with the half-unit column or the value with the halved
         column, and _power_kernel sums the terms on integer numerators.
+        The identity suite does not call it: it sums monomial_rows
+        tables instead, so evaluate stays an independent check on them.
         """
         sqrts = sqrts or {}
         for name, s in sqrts.items():
             v = values.get(name)
             if v is None or _rational(s) * _rational(s) != _rational(v):
                 raise ValueError(f"sqrts[{name!r}] is not a square root of the value")
+        coeffs, picked = self._picked(values, sqrts)
+        return _power_kernel(coeffs, [(col, 0, top) for col, top, _ in picked],
+                             [_rational(b) for _, _, b in picked])
+
+    def monomial_rows(self, scale: Sequence[int],
+                      values: Mapping[str, Sequence[int]],
+                      sqrts: Mapping[str, Sequence[int]] | None = None
+                      ) -> dict[tuple[int, ...], int]:
+        """The polynomial times a monomial, each variable standing for
+        a monomial, as integer exponent rows over some bases.
+
+        scale, values[name] and sqrts[name] hold exponents over the
+        bases: of the factor, of the variable's value and of a square
+        root of it.  Half-unit exponents are read as evaluate reads
+        them, and a term evaluate would reject raises the same error,
+        so _power_sum(rows, bases) is the factor times evaluate's value.
+        Terms that land on one row are summed.
+        """
+        coeffs, picked = self._picked(values, sqrts or {})
+        columns = []
+        for j, s in enumerate(scale):
+            col = [s] * len(coeffs)
+            for exps, _, image in picked:
+                if image[j]:
+                    col = list(map(add, col, map(image[j].__mul__, exps)))
+            columns.append(col)
+        rows: dict[tuple[int, ...], int] = {}
+        for row, coeff in zip(zip(*columns), coeffs):
+            rows[row] = rows.get(row, 0) + coeff
+        return rows
+
+    def _picked(self, values, sqrts):
+        """The coefficients in term order and, per variable some term
+        uses, what evaluate reads: the half-unit column, its largest
+        exponent and the variable's entry in sqrts if it has one, else
+        the halved column, its largest exponent and the entry in values.
+        Raises as _first_missing if a term needs an entry not given."""
         coeffs, used = self._layout or self._lay_out()
-        if not used:                        # a constant
-            return Fraction(sum(coeffs))
         if any(name not in sqrts and (odd or name not in values)
                for name, _, _, odd, _ in used):
             self._first_missing(values, sqrts)
-        factors = []
-        for name, half, halved, _, top in used:
-            if name in sqrts:
-                factors.append((half, _rational(sqrts[name]), 0, top))
-            else:
-                factors.append((halved, _rational(values[name]), 0, top >> 1))
-        return _power_kernel(coeffs, factors)
+        return coeffs, [(half, top, sqrts[name]) if name in sqrts
+                        else (halved, top >> 1, values[name])
+                        for name, half, halved, _, top in used]
 
     def _lay_out(self):
         """The coefficients in term order, and for each variable some
@@ -286,23 +319,25 @@ def _rational(v) -> Fraction | int:
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def _power_kernel(coeffs: Iterable[int],
-                  factors: Iterable[tuple[Iterable[int], Fraction | int, int, int]]
-                  ) -> Fraction:
+def _power_kernel(coeffs: Sequence[int],
+                  columns: Iterable[tuple[Sequence[int], int, int]],
+                  bases: Iterable[Fraction | int]) -> Fraction:
     """Exact sum over the terms of coeffs[k] * prod b^(col[k] - neg),
-    with one (col, b, neg, pos) factor per variable: col holds each
-    term's exponent shifted by neg >= 0, and every exponent lies in
+    with one (col, neg, pos) column per base b: col holds each term's
+    exponent shifted by neg >= 0, and every exponent lies in
     [-neg, pos], pos >= 0.
 
     Base p/q to the power e is p^(e + neg) q^(pos - e) over
     p^neg q^pos: one numerator table and one denominator per base, so
     the sum runs on Python ints, term by term, and builds a single
-    Fraction at the end.
+    Fraction at the end.  A base of 1 and a column of zeros are
+    skipped.  The columns can be laid out once and summed at many
+    bases, as the identity suite sums its signed tables.
     """
     terms, den = coeffs, 1
-    for col, b, neg, pos in factors:
+    for (col, neg, pos), b in zip(columns, bases):
         p, q = b.numerator, b.denominator
-        if p == q:                          # b = 1
+        if p == q or not (neg or pos):      # b = 1, or b^0 throughout
             continue
         ps, qs = [1], [1]                   # p^i and q^i, i = 0..neg+pos
         for _ in range(neg + pos):
@@ -314,17 +349,24 @@ def _power_kernel(coeffs: Iterable[int],
     return Fraction(sum(terms), den)
 
 
+def _power_layout(rows: Mapping[tuple[int, ...], int]
+                  ) -> tuple[tuple[int, ...], list[tuple[Sequence[int], int, int]]]:
+    """The counts of rows, which map integer exponent tuples, negative
+    entries allowed, to counts, and their columns as _power_kernel
+    reads them: each shifted up by its largest negative exponent, if
+    any."""
+    columns = []
+    for col in zip(*rows):
+        neg, pos = max(-min(col), 0), max(max(col), 0)
+        columns.append((tuple(map(neg.__add__, col)) if neg else col, neg, pos))
+    return tuple(rows.values()), columns
+
+
 def _power_sum(rows: Mapping[tuple[int, ...], int],
                bases: Sequence[Fraction]) -> Fraction:
-    """Exact sum of count * prod bases[i]^e[i] over the rows, which map
-    integer exponent tuples e, negative entries allowed, to counts.
-    Each exponent column goes to _power_kernel shifted up by its
-    largest negative exponent, if any."""
-    factors = []
-    for b, col in zip(bases, zip(*rows)):
-        neg, pos = max(-min(col), 0), max(max(col), 0)
-        factors.append((map(neg.__add__, col) if neg else col, b, neg, pos))
-    return _power_kernel(rows.values(), factors)
+    """Exact sum of count * prod bases[i]^e[i] over the rows, laid out
+    by _power_layout for one call of _power_kernel."""
+    return _power_kernel(*_power_layout(rows), bases)
 
 
 @cache

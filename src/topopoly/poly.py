@@ -65,12 +65,14 @@ unmemoised.
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly over the rationals: either as literal
 polynomial identities or at seeded rational sample points chosen away
-from the poles of the substitution being tested.  Every sum at a point
-runs on one kernel, mpoly._power_kernel, in integers over one common
-denominator.  MPolynomial.evaluate feeds it the integer layout of the
-terms, built on the polynomial's first evaluation and kept, so each
-point only picks a column and a base per variable; the row sums of
-lv-tidy and lv-dichromatic reach it through mpoly._power_sum.
+from the poles of the substitution being tested.  Each pointwise
+identity substitutes monomials in a few bases, the point's coordinates
+and their shifts by 1, so its two sides become one signed table of
+integer exponent rows over those bases (MPolynomial.monomial_rows,
+which rejects what evaluate rejects), laid out once per input.  At each
+point one mpoly._power_kernel sum of the table, in integers over one
+common denominator, is zero where the identity holds; only a failing
+point sums the two sides apart, through mpoly._power_sum, to name them.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from . import embedding as em
 from . import matroid as mt
 from . import multigraph as mg
 from . import ribbon as rb
-from .mpoly import MPolynomial, _power_sum, assemble
+from .mpoly import MPolynomial, _power_kernel, _power_layout, _power_sum, assemble
 
 EXPANSION_CAP = 20
 IDENTITY_CAP = 16
@@ -507,13 +509,42 @@ def _points(rng: random.Random, k: int, n: int):
     return [tuple(rng.choice(_POINT_POOL) for _ in range(k)) for _ in range(n)]
 
 
-def _pointwise(name: str, pts, fn) -> CheckResult:
+def _pointwise(name: str, pts, bases, lhs: Mapping, rhs: Mapping) -> CheckResult:
+    """Check lhs = rhs at each sample point pt, both sides given as
+    integer exponent rows over bases(*pt) (MPolynomial.monomial_rows).
+    The signed table lhs - rhs is laid out once; at each point one
+    _power_kernel sum over it is zero where the identity holds.  Only a
+    failing point sums the two sides apart, to name their values."""
+    table = dict(lhs)
+    for row, count in rhs.items():
+        table[row] = table.get(row, 0) - count
+    coeffs, columns = _power_layout({row: c for row, c in table.items() if c})
     for pt in pts:
-        lhs, rhs = fn(*pt)
-        if lhs != rhs:
+        at = bases(*pt)
+        if _power_kernel(coeffs, columns, at):
             coords = ", ".join(str(v) for v in pt)
-            return _bad(name, f"at ({coords}): {lhs} != {rhs}")
+            return _bad(name, f"at ({coords}): {_power_sum(lhs, at)} != "
+                              f"{_power_sum(rhs, at)}")
     return _ok(name)
+
+
+# The exponents of each variable's image over the bases of a sample
+# point.  Over (x0, y0, y0 - 1): x -> x0, y -> y0 and z -> 1/(y0 - 1).
+_XY = {"x": (1, 0, 0), "y": (0, 1, 0)}
+_XYZ = {**_XY, "z": (0, 0, -1)}
+# Over (x0, y0, w, x0 - 1, y0 - 1): L(x0, y0, w^2), and
+# K(x0 - 1, y0 - 1, 1/w^2, w^2) read through the roots 1/w and w.
+_L_AT_W = {"x": (1, 0, 0, 0, 0), "y": (0, 1, 0, 0, 0), "z": (0, 0, 2, 0, 0)}
+_K_AT_W = ({"x": (0, 0, 0, 1, 0), "y": (0, 0, 0, 0, 1)},
+           {"a": (0, 0, -1, 0, 0), "b": (0, 0, 1, 0, 0)})
+
+
+def _shift_y(x0, y0):
+    return x0, y0, y0 - 1
+
+
+def _shift_xy(x0, y0, w):
+    return x0, y0, w, x0 - 1, y0 - 1
 
 
 def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
@@ -549,6 +580,7 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         dagger_rows[n - size, c_h] += m
     t_m = _tutte_from_rows(len(scheme.dagger.vertices), dagger_rows, "yx")
     t_mp = _tutte_from_rows(len(scheme.g.vertices), scheme_rows, "xy")
+    t_mp_rows = t_mp.monomial_rows((0, 0, 0), _XY)
 
     # Perspective specialisations: the rank walk against the tallies.  One
     # count of the masks gives (M, M') and, as its marginals, (M, M) and
@@ -579,12 +611,10 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         else:
             out.append(_bad("perspective-to-m", "z -> x-1 did not recover M"))
         drop = mp.m.rank() - mp.m_prime.rank()
-
-        def to_m_prime(x0, y0):
-            lhs = (y0 - 1) ** drop * t_pers.evaluate(
-                {"x": x0, "y": y0, "z": Fraction(1, 1) / (y0 - 1)})
-            return lhs, t_mp.evaluate({"x": x0, "y": y0})
-        out.append(_pointwise("perspective-to-m-prime", prime_points, to_m_prime))
+        # (y0 - 1)^drop T(M, M'; x0, y0, 1/(y0 - 1)) = T(M'; x0, y0)
+        out.append(_pointwise("perspective-to-m-prime", prime_points, _shift_y,
+                              t_pers.monomial_rows((0, 0, drop), _XYZ),
+                              t_mp_rows))
 
     # Cellular-only material.
     l_cell = r_poly = None
@@ -605,49 +635,41 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
                          "needs a cellular embedding"))
 
     if cellular:
-        def lv_to_tutte(x0, y0):
-            lhs = (y0 - 1) ** gamma * l_cell.evaluate(
-                {"x": x0, "y": y0, "z": Fraction(1, 1) / (y0 - 1)})
-            return lhs, t_mp.evaluate({"x": x0, "y": y0})
-
-        out.append(_pointwise("lv-to-tutte", _points(rng, 2, points),
-                              lv_to_tutte))
+        # (y0 - 1)^gamma L(x0, y0, 1/(y0 - 1)) = T(M'; x0, y0)
+        out.append(_pointwise("lv-to-tutte", _points(rng, 2, points), _shift_y,
+                              l_cell.monomial_rows((0, 0, gamma), _XYZ),
+                              t_mp_rows))
 
         v = len(rs.sectors)
         c_g = mg.components(scheme.g)
         n_dual = mg.nullity(rs.dual.underlying())
+        # Rows over (x0, y0, z0, x0 - 1, y0 - 1), as _shift_xy gives.
         tidy_rows: Counter = Counter()
         comp_rows: Counter = Counter()
         for row, m in rows.items():
             # (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) z^(g(A)-g*(E-A))
-            tidy_rows[(row.c - c_g, row.size - v + row.c,
-                       row.genus - row.genus_dual)] += m
+            tidy_rows[(0, 0, row.genus - row.genus_dual, row.c - c_g,
+                       row.size - v + row.c)] += m
             # ((x-1)/z)^c(A) ((y-1)z)^c*(E-A) z^(n(G*)-|A|) / ((x-1)(y-1))^c(G)
-            comp_rows[(row.c - c_g, row.c_dual - c_g,
-                       n_dual + row.c_dual - row.c - row.size)] += m
+            comp_rows[(0, 0, n_dual + row.c_dual - row.c - row.size,
+                       row.c - c_g, row.c_dual - c_g)] += m
 
-        def tidy(x0, y0, z0):
-            lhs = (z0 * (y0 - 1)) ** gamma * l_cell.evaluate(
-                {"x": x0, "y": y0, "z": 1 / (z0 * z0 * (y0 - 1))})
-            return lhs, _power_sum(tidy_rows, (x0 - 1, y0 - 1, Fraction(z0)))
-
-        out.append(_pointwise("lv-tidy", _points(rng, 3, points), tidy))
-
-        def dichro(x0, y0, z0):
-            lhs = l_cell.evaluate({"x": x0, "y": y0, "z": z0})
-            return lhs, _power_sum(comp_rows, (x0 - 1, y0 - 1, Fraction(z0)))
-
-        out.append(_pointwise("lv-dichromatic", _points(rng, 3, points),
-                              dichro))
-
-        def br_at_one(x0, y0):
-            lhs = r_poly.evaluate({"x": x0, "y": y0, "z": 1})
-            rhs = Fraction(y0) ** gamma * l_cell.evaluate(
-                {"x": x0, "y": y0 + 1, "z": Fraction(1, 1) / y0})
-            return lhs, rhs
-
-        out.append(_pointwise("br-at-z1", _points(rng, 2, points),
-                              br_at_one))
+        # (z0 (y0 - 1))^gamma L(x0, y0, 1/(z0^2 (y0 - 1)))
+        out.append(_pointwise(
+            "lv-tidy", _points(rng, 3, points), _shift_xy,
+            l_cell.monomial_rows((0, 0, gamma, 0, gamma),
+                                 {**_L_AT_W, "z": (0, 0, -2, 0, -1)}),
+            tidy_rows))
+        out.append(_pointwise(
+            "lv-dichromatic", _points(rng, 3, points), _shift_xy,
+            l_cell.monomial_rows((0, 0, 0, 0, 0), {**_L_AT_W, "z": (0, 0, 1, 0, 0)}),
+            comp_rows))
+        # R(x0, y0, 1) = y0^gamma L(x0, y0 + 1, 1/y0), over (x0, y0, y0 + 1)
+        out.append(_pointwise(
+            "br-at-z1", _points(rng, 2, points), lambda x0, y0: (x0, y0, y0 + 1),
+            r_poly.monomial_rows((0, 0, 0), {**_XY, "z": (0, 0, 0)}),
+            l_cell.monomial_rows((0, gamma, 0), {"x": (1, 0, 0), "y": (0, 0, 1),
+                                                 "z": (0, -1, 0)})))
     else:
         for name in ("lv-to-tutte", "lv-tidy", "lv-dichromatic", "br-at-z1"):
             out.append(_skip(name, "needs a cellular embedding"))
@@ -658,26 +680,20 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         k_poly = krushkal(emb, cap)
 
     if k_poly is not None and cellular:
-        def br_from_k(x0, q, z0):
-            lhs = r_poly.evaluate({"x": x0, "y": q * q, "z": z0})
-            rhs = Fraction(q) ** gamma * k_poly.evaluate(
-                {"x": x0 - 1, "y": q * q, "a": q * q * z0 * z0,
-                 "b": 1 / Fraction(q * q)},
-                sqrts={"a": q * z0, "b": 1 / Fraction(q)})
-            return lhs, rhs
-
-        out.append(_pointwise("br-from-krushkal", _points(rng, 3, points),
-                              br_from_k))
-
-        def lv_from_k_cell(x0, y0, w):
-            lhs = l_cell.evaluate({"x": x0, "y": y0, "z": w * w})
-            rhs = Fraction(w) ** gamma * k_poly.evaluate(
-                {"x": x0 - 1, "y": y0 - 1, "a": 1 / Fraction(w * w), "b": w * w},
-                sqrts={"a": 1 / Fraction(w), "b": w})
-            return lhs, rhs
-
-        out.append(_pointwise("lv-from-krushkal-cellular",
-                              _points(rng, 3, points), lv_from_k_cell))
+        # R(x0, q^2, z0) = q^gamma K(x0 - 1, q^2, (q z0)^2, 1/q^2), over
+        # (x0, q, z0, x0 - 1, q - 1); K's a and b read the roots q z0 and 1/q.
+        out.append(_pointwise(
+            "br-from-krushkal", _points(rng, 3, points), _shift_xy,
+            r_poly.monomial_rows((0, 0, 0, 0, 0), {
+                "x": (1, 0, 0, 0, 0), "y": (0, 2, 0, 0, 0), "z": (0, 0, 1, 0, 0)}),
+            k_poly.monomial_rows((0, gamma, 0, 0, 0), {
+                "x": (0, 0, 0, 1, 0), "y": (0, 2, 0, 0, 0)}, {
+                "a": (0, 1, 1, 0, 0), "b": (0, -1, 0, 0, 0)})))
+        # L(x0, y0, w^2) = w^gamma K(x0 - 1, y0 - 1, 1/w^2, w^2)
+        out.append(_pointwise(
+            "lv-from-krushkal-cellular", _points(rng, 3, points), _shift_xy,
+            l_cell.monomial_rows((0, 0, 0, 0, 0), _L_AT_W),
+            k_poly.monomial_rows((0, 0, gamma, 0, 0), *_K_AT_W)))
     else:
         why = ("needs a cellular embedding" if k_poly is not None
                else "needs a connected pinch-free surface")
@@ -688,15 +704,11 @@ def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
         stats_full = em.complement_stats(emb, rs.edge_set())
         pre = stats_full.neighborhood_genus - stats_full.euler_genus
 
-        def lv_from_k(x0, y0, w):
-            lhs = l_ext.evaluate({"x": x0, "y": y0, "z": w * w})
-            rhs = Fraction(w) ** pre * k_poly.evaluate(
-                {"x": x0 - 1, "y": y0 - 1, "a": 1 / Fraction(w * w), "b": w * w},
-                sqrts={"a": 1 / Fraction(w), "b": w})
-            return lhs, rhs
-
-        out.append(_pointwise("lv-from-krushkal",
-                              _points(rng, 3, points), lv_from_k))
+        # L_ext(x0, y0, w^2) = w^pre K(x0 - 1, y0 - 1, 1/w^2, w^2)
+        out.append(_pointwise(
+            "lv-from-krushkal", _points(rng, 3, points), _shift_xy,
+            l_ext.monomial_rows((0, 0, 0, 0, 0), _L_AT_W),
+            k_poly.monomial_rows((0, 0, pre, 0, 0), *_K_AT_W)))
     else:
         out.append(_skip("lv-from-krushkal",
                          "needs a connected pinch-free surface"))

@@ -600,6 +600,73 @@ def test_identity_suite_names_its_first_failing_point(monkeypatch):
                                 "37735/192 != 28519/192")
 
 
+_K_TERM = MPolynomial.monomial(a=1, b=1)        # a^(1/2) b^(1/2)
+_SPURIOUS_TERMS = {
+    # (M, M') plus z: the lhs of perspective-to-m-prime, off at a point.
+    ("_perspective_from_rows", "z", "theta_torus"): {
+        "perspective-self": "fail: pair polynomial of (M, M) is not the Tutte polynomial",
+        "perspective-to-m": "fail: z -> x-1 did not recover M",
+        "perspective-to-m-prime": "fail: at (5/2, 6): 99/2 != 89/2"},
+    # The cellular L plus z: lhs of lv-dichromatic, rhs of br-at-z1.
+    ("_cellular_from_rows", "z", "theta_torus"): {
+        "lv-extension-matches-cellular":
+            "fail: scheme expansion differs from the cellular one",
+        "lv-to-tutte": "fail: at (5, -7): 39 != 47",
+        "lv-tidy": "fail: at (1/3, 5/2, 8): 28807/192 != 28519/192",
+        "lv-dichromatic": "fail: at (5/3, -4, -1/2): -1/12 != 5/12",
+        "br-at-z1": "fail: at (-7/2, -3): -3/2 != -9/2",
+        "lv-from-krushkal-cellular": "fail: at (3/2, -5, -5): 4577/2 != 4527/2"},
+    # R plus y: the lhs of br-at-z1 and of br-from-krushkal.
+    ("_ribbon_from_rows", "y", "theta_torus"): {
+        "br-at-z1": "fail: at (-7/2, -3): -9/2 != -3/2",
+        "br-from-krushkal": "fail: at (3/2, -7/2, 5/3): 67585/144 != 65821/144"},
+    # K plus a^(1/2) b^(1/2), read through the square roots of a and b;
+    # on the Klein bottle K itself has odd half-unit powers of a and b.
+    ("krushkal", "ab", "theta_torus"): {
+        "br-from-krushkal": "fail: at (3/2, -7/2, 5/3): 65821/144 != 68761/144",
+        "lv-from-krushkal-cellular": "fail: at (3/2, -5, -5): 4527/2 != 4577/2",
+        "lv-from-krushkal": "fail: at (-5/2, 6, -2): 5 != 9"},
+    ("krushkal", "ab", "klein_bouquet"): {
+        "br-from-krushkal": "fail: at (3/2, -7/2, 5/3): 64873/144 != 67813/144",
+        "lv-from-krushkal-cellular": "fail: at (3/2, -5, -5): 676 != 701",
+        "lv-from-krushkal": "fail: at (-5/2, 6, -2): 25 != 29"},
+}
+
+
+@pytest.mark.parametrize("case", _SPURIOUS_TERMS, ids="-".join)
+def test_every_pointwise_identity_names_its_first_failing_point(monkeypatch, case):
+    # One spurious term on one side of some pointwise identities: each
+    # check it reaches names its first failing point and both sides
+    # there, byte for byte; every other check passes.
+    owner, term, fixture = case
+    spurious = _K_TERM if term == "ab" else MPolynomial.variable(term)
+    real = getattr(poly, owner)
+    monkeypatch.setattr(poly, owner, lambda *args: real(*args) + spurious)
+    results = poly.verify_identities(em.with_disc_regions(getattr(corpus, fixture)()))
+    assert {r.name: r.line() for r in results if r.status != "pass"} == {
+        name: f"RESULT: {name} {why}" for name, why in _SPURIOUS_TERMS[case].items()}
+
+
+@pytest.mark.parametrize("owner, term, why", [
+    ("krushkal", MPolynomial.variable_half("y", 1), "odd half-power of y needs sqrts"),
+    ("_cellular_from_rows", MPolynomial.variable_half("z", 1),
+     "odd half-power of z needs sqrts"),
+    ("krushkal", MPolynomial.variable_half("z", 1), "odd half-power of z needs sqrts"),
+    ("krushkal", MPolynomial.variable("z"), "no value for z"),
+])
+def test_identities_reject_a_term_they_cannot_substitute(monkeypatch, tmp_path,
+                                                         capsys, owner, term, why):
+    # Only a and b of K are read through square roots: any other odd
+    # half-unit exponent, or a variable the identity gives no value,
+    # stops the command before it prints a line.
+    path = tmp_path / "theta.txt"
+    path.write_text(ff.serialize(em.with_disc_regions(corpus.theta_torus())))
+    real = getattr(poly, owner)
+    monkeypatch.setattr(poly, owner, lambda *args: real(*args) + term)
+    assert cli.main(["identities", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
 def test_check_result_lines():
     assert poly.CheckResult("x", "pass").line() == "RESULT: x pass"
     assert poly.CheckResult("x", "fail", "why").line() == "RESULT: x fail: why"
@@ -834,6 +901,19 @@ def test_identities_counts_the_masks_once(monkeypatch, tmp_path, capsys):
     assert calls == {"component_table": 2, "mask_sizes": 2,
                      "_perspective_from_rows": 3}
     capsys.readouterr()
+
+
+def test_pointwise_identities_sum_one_table_per_point(monkeypatch):
+    # Each pointwise identity is one signed table, laid out once: a
+    # passing identity makes one kernel sum per sample point, evaluates
+    # no polynomial and sums neither side apart.
+    calls = _count_calls(monkeypatch, (
+        (MPolynomial, "evaluate"), (poly, "_power_layout"), (poly, "_power_kernel"),
+        (poly, "_power_sum")))
+    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()),
+                                     points=5)
+    assert not [r.line() for r in results if r.status != "pass"]
+    assert calls == {"_power_layout": 8, "_power_kernel": 8 * 5}
 
 
 def test_expansions_sweep_no_subset(monkeypatch):
