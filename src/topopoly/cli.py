@@ -181,6 +181,13 @@ def _add_file(p) -> None:
     p.add_argument("file", help="input file, or - for stdin")
 
 
+def _add_sweep_cap(p) -> None:
+    p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,
+                   help="edge cap on the state checks, which tally the "
+                        "3^e medial states without listing them "
+                        f"(default {st.STATE_SWEEP_CAP})")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the CLI, built on the first call and shared by
@@ -222,18 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{poly.POINTS_CAP} (default 8)")
     p.add_argument("--cap", type=int, default=poly.IDENTITY_CAP,
                    help=f"edge cap for the suite (default {poly.IDENTITY_CAP})")
-    p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,
-                   help="edge cap on the state checks, which tally the "
-                        "3^e medial states without listing them "
-                        f"(default {st.STATE_SWEEP_CAP})")
+    _add_sweep_cap(p)
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("states", help="medial state checks")
     _add_file(p)
-    p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,
-                   help="edge cap on the state checks, which tally the "
-                        "3^e medial states without listing them "
-                        f"(default {st.STATE_SWEEP_CAP})")
+    _add_sweep_cap(p)
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("classify", help="edge classes in the surface")

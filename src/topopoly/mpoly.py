@@ -37,13 +37,9 @@ def _power_suffix(h: int) -> str:
 
 
 class MPolynomial:
-    """Immutable sparse polynomial; do not mutate the term dict.
+    """Immutable sparse polynomial; do not mutate the term dict."""
 
-    _layout is what evaluate reads: None until its first call, then
-    kept, since the terms never change.
-    """
-
-    __slots__ = ("_terms", "_layout")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
         clean: dict[tuple[int, ...], int] = {}
@@ -58,7 +54,6 @@ class MPolynomial:
                 if not clean[exps]:
                     del clean[exps]
         self._terms = clean
-        self._layout = None
 
     @classmethod
     def _valid(cls, terms: dict[tuple[int, ...], int]) -> "MPolynomial":
@@ -66,7 +61,6 @@ class MPolynomial:
         as sums of checked exponents are; only zero coefficients go."""
         p = cls.__new__(cls)
         p._terms = {e: c for e, c in terms.items() if c}
-        p._layout = None
         return p
 
     # -- constructors ------------------------------------------------
@@ -177,23 +171,25 @@ class MPolynomial:
         """Exact value at a rational point.
 
         Variables with odd half-unit exponents need an entry in sqrts
-        giving a rational square root of their value.  A variable with
-        such an entry is raised to its half-unit exponent h on the root,
-        any other to h/2 on its value.  The layout of the terms is built
-        on the first call and kept; each call only picks, per variable,
-        the root with the half-unit column or the value with the halved
-        column, and _power_kernel sums the terms on integer numerators.
-        The identity suite does not call it: it sums monomial_rows
-        tables instead, so evaluate stays an independent check on them.
+        giving a rational square root of their value.  Each given
+        variable is one base of monomial_rows, its root if it has an
+        entry in sqrts, else its value, and _power_sum sums the rows.
+        It shares monomial_rows and _power_kernel with the identity
+        suite's tables, so it is no independent check on them; the
+        tests' oracles are _naive_value and the Fraction products in
+        tests/test_mpoly.py.
         """
         sqrts = sqrts or {}
         for name, s in sqrts.items():
             v = values.get(name)
             if v is None or _rational(s) * _rational(s) != _rational(v):
                 raise ValueError(f"sqrts[{name!r}] is not a square root of the value")
-        coeffs, picked = self._picked(values, sqrts)
-        return _power_kernel(coeffs, [(col, 0, top) for col, top, _ in picked],
-                             [_rational(b) for _, _, b in picked])
+        units = {name: tuple(int(i == j) for i in range(len(values)))
+                 for j, name in enumerate(values)}
+        rows = self.monomial_rows((0,) * len(values), units,
+                                  {name: units[name] for name in sqrts})
+        return _power_sum(rows, [_rational(sqrts[name] if name in sqrts
+                                           else values[name]) for name in units])
 
     def monomial_rows(self, scale: Sequence[int],
                       values: Mapping[str, Sequence[int]],
@@ -204,52 +200,40 @@ class MPolynomial:
 
         scale, values[name] and sqrts[name] hold exponents over the
         bases: of the factor, of the variable's value and of a square
-        root of it.  Half-unit exponents are read as evaluate reads
-        them, and a term evaluate would reject raises the same error,
-        so _power_sum(rows, bases) is the factor times evaluate's value.
-        Terms that land on one row are summed.
+        root of it.  A variable with an entry in sqrts is raised to its
+        half-unit exponent h on the root, any other to h/2 on its
+        value; a term that needs an entry not given raises as
+        _first_missing.  Terms that land on one row are summed, so
+        _power_sum(rows, bases) is the factor times the polynomial's
+        value.
         """
-        coeffs, picked = self._picked(values, sqrts or {})
+        sqrts = sqrts or {}
+        picked = []                         # (exponent column, image)
+        for name, half in zip(VARS, zip(*self._terms)):
+            if not any(half):
+                continue
+            if name in sqrts:
+                picked.append((half, sqrts[name]))
+            elif name in values and not any(map(_odd, half)):
+                picked.append((tuple(map(_half, half)), values[name]))
+            else:
+                self._first_missing(values, sqrts)
+        coeffs = self._terms.values()
         columns = []
         for j, s in enumerate(scale):
             col = [s] * len(coeffs)
-            for exps, _, image in picked:
+            for exps, image in picked:
                 if image[j]:
                     col = list(map(add, col, map(image[j].__mul__, exps)))
             columns.append(col)
         rows: dict[tuple[int, ...], int] = {}
-        for row, coeff in zip(zip(*columns), coeffs):
+        for row, coeff in zip(zip(*columns) if columns else repeat(()), coeffs):
             rows[row] = rows.get(row, 0) + coeff
         return rows
 
-    def _picked(self, values, sqrts):
-        """The coefficients in term order and, per variable some term
-        uses, what evaluate reads: the half-unit column, its largest
-        exponent and the variable's entry in sqrts if it has one, else
-        the halved column, its largest exponent and the entry in values.
-        Raises as _first_missing if a term needs an entry not given."""
-        coeffs, used = self._layout or self._lay_out()
-        if any(name not in sqrts and (odd or name not in values)
-               for name, _, _, odd, _ in used):
-            self._first_missing(values, sqrts)
-        return coeffs, [(half, top, sqrts[name]) if name in sqrts
-                        else (halved, top >> 1, values[name])
-                        for name, half, halved, _, top in used]
-
-    def _lay_out(self):
-        """The coefficients in term order, and for each variable some
-        term uses: its name, half-unit exponent column, halved column,
-        whether any exponent is odd, and the largest exponent (the
-        smallest is 0 or more)."""
-        used = tuple((VARS[i], col, tuple(map(_half, col)), any(map(_odd, col)),
-                      max(col))
-                     for i, col in enumerate(zip(*self._terms)) if any(col))
-        self._layout = (tuple(self._terms.values()), used)
-        return self._layout
-
     def _first_missing(self, values, sqrts) -> None:
         """Raise the error of the first term, in term order, that needs
-        a value or a square root evaluate was not given."""
+        a value or a square root not given."""
         for exps in self._terms:
             for i, h in enumerate(exps):
                 name = VARS[i]
@@ -441,54 +425,25 @@ def _columns_valid(names: Sequence[str], keys, shifted: frozenset) -> bool:
 
 
 def compose_laurent(poly: MPolynomial,
-                    images: Mapping[str, Mapping[int, int]]) -> dict[int, int]:
-    """Substitute a one-symbol Laurent polynomial for each variable.
+                    images: Mapping[str, tuple[int, int]]) -> dict[int, int]:
+    """Substitute t^p (1 + t)^q for each variable, given as its image
+    (p, q), p possibly negative and q >= 0; whole-power variables only.
 
-    Each image maps exponent (possibly negative) to coefficient.  The
-    result is the Laurent expansion of poly under the substitution, as
-    an exponent -> coefficient dict.  Whole-power variables only.
+    The rows of poly over the bases (t, 1 + t) are expanded
+    binomially; the result is the Laurent expansion as an exponent ->
+    coefficient dict.
     """
-    for exps in poly._terms:
-        for i, h in enumerate(exps):
-            if h:
-                if h % 2:
-                    raise ValueError(f"half-power of {VARS[i]} cannot be composed")
-                if VARS[i] not in images:
-                    raise ValueError(f"no image for {VARS[i]}")
-    pow_cache: dict[tuple[str, int], dict[int, int]] = {}
-
-    def laurent_mul(u: Mapping[int, int], v: Mapping[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d1, c1 in u.items():
-            for d2, c2 in v.items():
-                key = d1 + d2
-                out[key] = out.get(key, 0) + c1 * c2
-        return {d: c for d, c in out.items() if c}
-
-    def image_pow(name: str, p: int) -> dict[int, int]:
-        if p == 0:
-            return {0: 1}
-        key = (name, p)
-        if key not in pow_cache:
-            pow_cache[key] = laurent_mul(image_pow(name, p - 1),
-                                         dict(images[name]))
-        return pow_cache[key]
-
     total: dict[int, int] = {}
-    for exps, coeff in poly._terms.items():
-        term: dict[int, int] = {0: coeff}
-        for i, h in enumerate(exps):
-            if h:
-                term = laurent_mul(term, image_pow(VARS[i], h // 2))
-        for d, c in term.items():
-            total[d] = total.get(d, 0) + c
+    for (p, q), coeff in poly.monomial_rows((0, 0), images).items():
+        for k in range(q + 1):
+            total[p + k] = total.get(p + k, 0) + coeff * comb(q, k)
     return {d: c for d, c in total.items() if c}
 
 
-def laurent_to_poly(laurent: Mapping[int, int], name: str = "t") -> MPolynomial:
-    """Build a polynomial from Laurent coefficients; negative powers
-    must have cancelled."""
+def laurent_to_poly(laurent: Mapping[int, int]) -> MPolynomial:
+    """Build a polynomial in t from Laurent coefficients; negative
+    powers must have cancelled."""
     bad = [d for d, c in laurent.items() if d < 0 and c]
     if bad:
         raise ValueError(f"negative powers survive: {sorted(bad)}")
-    return assemble((name,), {(2 * d,): c for d, c in laurent.items()})
+    return assemble(("t",), {(2 * d,): c for d, c in laurent.items()})

@@ -300,11 +300,7 @@ def id_respecting_isomorphism(g1: Multigraph, g2: Multigraph) -> dict | None:
         return None
 
     order = sorted(g1.vertices, key=lambda v: (-deg1[v], v))
-    edges_at1 = {v: [] for v in g1.vertices}
-    for e, (u, w) in g1.ends.items():
-        edges_at1[u].append(e)
-        if w != u:
-            edges_at1[w].append(e)
+    edges_at1 = incidences(g1)
 
     assign: dict = {}
     used: set = set()

@@ -168,8 +168,8 @@ def surface_kind(rs: rb.RotationSystem) -> str:
     raise GenusRangeError(f"genus out of range: Euler genus {gamma} exceeds 2")
 
 
-_DIAGONAL = {"x": {0: 1, 1: 1}, "y": {1: 1}, "z": {-1: 1}}
-_SHIFTED = {"x": {0: 1, 1: 1}, "y": {0: 1, 1: 1}, "z": {0: 1}}
+_DIAGONAL = {"x": (0, 1), "y": (1, 0), "z": (-1, 0)}
+_SHIFTED = {"x": (0, 1), "y": (0, 1), "z": (0, 0)}
 
 
 def generating_function_check(r_poly: MPolynomial,
