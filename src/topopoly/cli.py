@@ -137,8 +137,7 @@ def cmd_identities(args) -> int:
     emb = _embedded(ff.parse(_read_text(args.file)))
     results = []
     if args.suite in ("all", "poly"):
-        results.extend(poly.verify_identities(emb, seed=args.seed,
-                                              points=args.points, cap=args.cap))
+        results.extend(poly.verify_identities(emb, cap=args.cap))
     if args.suite in ("all", "states"):
         # State checks run on the rotation alone; inputs they cannot cover
         # (pinched, edgeless, disconnected, over the sweep cap) skip rather
@@ -223,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_file(p)
     p.add_argument("--suite", default="all", choices=("all", "poly", "states"),
                    help="which checks to run (default all)")
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--points", type=int, default=8,
-                   help="sample points per numeric identity, 1 to "
-                        f"{poly.POINTS_CAP} (default 8)")
     p.add_argument("--cap", type=int, default=poly.IDENTITY_CAP,
                    help=f"edge cap for the suite (default {poly.IDENTITY_CAP})")
     _add_sweep_cap(p)

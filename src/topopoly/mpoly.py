@@ -174,9 +174,9 @@ class MPolynomial:
         giving a rational square root of their value.  Each given
         variable is one base of monomial_rows, its root if it has an
         entry in sqrts, else its value, and _power_sum sums the rows.
-        It shares monomial_rows and _power_kernel with the identity
-        suite's tables, so it is no independent check on them; the
-        tests' oracles are _naive_value and the Fraction products in
+        The identity suite compares exponent buckets and evaluates
+        nothing, so this is a route independent of it; the tests'
+        oracles are _naive_value and the Fraction products in
         tests/test_mpoly.py.
         """
         sqrts = sqrts or {}
@@ -303,24 +303,21 @@ def _rational(v) -> Fraction | int:
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def _power_kernel(coeffs: Sequence[int],
-                  columns: Iterable[tuple[Sequence[int], int, int]],
-                  bases: Iterable[Fraction | int]) -> Fraction:
-    """Exact sum over the terms of coeffs[k] * prod b^(col[k] - neg),
-    with one (col, neg, pos) column per base b: col holds each term's
-    exponent shifted by neg >= 0, and every exponent lies in
-    [-neg, pos], pos >= 0.
+def _power_sum(rows: Mapping[tuple[int, ...], int],
+               bases: Sequence[Fraction | int]) -> Fraction:
+    """Exact sum of count * prod bases[i]^e[i] over rows, which map
+    integer exponent tuples, negative entries allowed, to counts.
 
-    Base p/q to the power e is p^(e + neg) q^(pos - e) over
-    p^neg q^pos: one numerator table and one denominator per base, so
-    the sum runs on Python ints, term by term, and builds a single
-    Fraction at the end.  A base of 1 and a column of zeros are
-    skipped.  The columns can be laid out once and summed at many
-    bases, as the identity suite sums its signed tables.
+    Base p/q to the power e, e in [-neg, pos] over its column, is
+    p^(e + neg) q^(pos - e) over p^neg q^pos: one numerator table and
+    one denominator per base, so the sum runs on Python ints, term by
+    term, and builds a single Fraction at the end.  A base of 1 and a
+    column of zeros are skipped.
     """
-    terms, den = coeffs, 1
-    for (col, neg, pos), b in zip(columns, bases):
+    terms, den = rows.values(), 1
+    for col, b in zip(zip(*rows), bases):
         p, q = b.numerator, b.denominator
+        neg, pos = max(-min(col), 0), max(max(col), 0)
         if p == q or not (neg or pos):      # b = 1, or b^0 throughout
             continue
         ps, qs = [1], [1]                   # p^i and q^i, i = 0..neg+pos
@@ -328,29 +325,9 @@ def _power_kernel(coeffs: Sequence[int],
             ps.append(ps[-1] * p)
             qs.append(qs[-1] * q)
         table = list(map(mul, ps, reversed(qs))) if q != 1 else ps
-        terms = map(mul, terms, map(table.__getitem__, col))
+        terms = map(mul, terms, map(table.__getitem__, map(neg.__add__, col)))
         den *= p ** neg * q ** pos
     return Fraction(sum(terms), den)
-
-
-def _power_layout(rows: Mapping[tuple[int, ...], int]
-                  ) -> tuple[tuple[int, ...], list[tuple[Sequence[int], int, int]]]:
-    """The counts of rows, which map integer exponent tuples, negative
-    entries allowed, to counts, and their columns as _power_kernel
-    reads them: each shifted up by its largest negative exponent, if
-    any."""
-    columns = []
-    for col in zip(*rows):
-        neg, pos = max(-min(col), 0), max(max(col), 0)
-        columns.append((tuple(map(neg.__add__, col)) if neg else col, neg, pos))
-    return tuple(rows.values()), columns
-
-
-def _power_sum(rows: Mapping[tuple[int, ...], int],
-               bases: Sequence[Fraction]) -> Fraction:
-    """Exact sum of count * prod bases[i]^e[i] over the rows, laid out
-    by _power_layout for one call of _power_kernel."""
-    return _power_kernel(*_power_layout(rows), bases)
 
 
 @cache

@@ -49,7 +49,7 @@ marginals on (|A|, c(A)) and (|E - A|, c_H(E - A)), T(G) and
 T(H; y, x): two tallies (that one and krushkal's) besides the dual's.
 Its one count of the rows (|A|, r(A), r'(A)) over the 2^|E| masks
 gives the pair polynomial of (M, M') and, as its marginals, those of
-(M, M) and (M', M'), each by _perspective_from_rows, which
+(M, M) and (M', M'), each by _perspective_buckets, which
 tutte_perspective's expansion calls on its own count.
 
 The routes that check one another stay independent: the cellular
@@ -63,24 +63,22 @@ on tally rows; and the perspective recursion works on matroid minors,
 unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
-on one embedded graph, exactly over the rationals: either as literal
-polynomial identities or at seeded rational sample points chosen away
-from the poles of the substitution being tested.  Each pointwise
-identity substitutes monomials in a few bases, the point's coordinates
-and their shifts by 1, so its two sides become one signed table of
-integer exponent rows over those bases (MPolynomial.monomial_rows,
-which rejects what evaluate rejects), laid out once per input.  At each
-point one mpoly._power_kernel sum of the table, in integers over one
-common denominator, is zero where the identity holds; only a failing
-point sums the two sides apart, through mpoly._power_sum, to name them.
+on one embedded graph, exactly.  Two are literal polynomial identities
+and compare assembled polynomials.  Each of the others substitutes
+monomials for the variables: in the bases the buckets are kept in,
+(x - 1), (y - 1), z and so on, every substitution maps each bucket's
+half-unit exponents to those of one monomial over the identity's own
+basis (x0 - 1, y0 - 1, w, ...), whose monomials are independent.  So
+the identity holds exactly when both sides sum to the same counts per
+exponent tuple: one Counter comparison, linear in the buckets, with no
+polynomial product and no sample point.  The maps only add and double
+half-units, never halve them, so a stray half-power fails the check.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Mapping
 
@@ -88,11 +86,10 @@ from . import embedding as em
 from . import matroid as mt
 from . import multigraph as mg
 from . import ribbon as rb
-from .mpoly import MPolynomial, _power_kernel, _power_layout, _power_sum, assemble
+from .mpoly import MPolynomial, _power_suffix, assemble
 
 EXPANSION_CAP = 20
 IDENTITY_CAP = 16
-POINTS_CAP = 1000           # sample points per pointwise identity
 
 
 class CapError(ValueError):
@@ -158,18 +155,30 @@ def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
 def tutte(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Corank-nullity sum of the cycle matroid of g."""
     check_cap(len(g.edges), cap, "Tutte expansion")
-    return _tutte_from_rows(len(g.vertices), rb.transfer_tally(g), "xy")
+    return _tutte_poly("xy", _tutte_buckets(len(g.vertices), rb.transfer_tally(g)))
 
 
-def _tutte_from_rows(v: int, rows: Mapping, names: str) -> MPolynomial:
-    """T(C(g)) in the (corank, nullity) variables names ("yx" gives
-    T(B(g))), g a graph on v vertices, from rows that start with |A|,
-    c(A), one per subset A, so that c(E) is the least c."""
+def _tutte_poly(names: str, buckets: Mapping) -> MPolynomial:
+    """T from its buckets over (x - 1, y - 1), in the (corank, nullity)
+    variables names: "yx" gives T(B(g)) from the buckets of T(C(g))."""
+    return assemble(names, buckets, shifted="xy")
+
+
+def _lv_poly(buckets: Mapping) -> MPolynomial:
+    """L, L_ext or the pair polynomial from its buckets over
+    (x - 1, y - 1, z)."""
+    return assemble("xyz", buckets, shifted="xy")
+
+
+def _tutte_buckets(v: int, rows: Mapping) -> Counter:
+    """The (corank, nullity) buckets of T(C(g)), g a graph on v
+    vertices, from rows that start with |A|, c(A), one per subset A, so
+    that c(E) is the least c."""
     c_full = min(c for _, c, *_ in rows)
     counts: Counter = Counter()
     for (size, c, *_), m in rows.items():
         counts[2 * (c - c_full), 2 * (size - v + c)] += m
-    return assemble(names, counts, shifted="xy")
+    return counts
 
 
 def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
@@ -186,9 +195,15 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
 
 
 def _perspective_from_rows(mp: mt.MatroidPerspective, rows: Mapping) -> MPolynomial:
-    """The pair polynomial of mp from rows, a Counter of (|A|, r(A),
-    r'(A)) over the masks A in the mask order of first sight: the first
-    bad row raises, named by the first mask that yields it."""
+    """The pair polynomial of mp from rows, as _perspective_buckets reads them."""
+    return _lv_poly(_perspective_buckets(mp, rows))
+
+
+def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
+    """The buckets of the pair polynomial of mp from rows, a Counter of
+    (|A|, r(A), r'(A)) over the masks A in the mask order of first
+    sight: the first bad row raises, named by the first mask that
+    yields it."""
     t, tp = mp.m.table(), mp.m_prime.table()
     r_full, rp_full = t[-1], tp[-1]
     counts: Counter = Counter()
@@ -202,7 +217,7 @@ def _perspective_from_rows(mp: mt.MatroidPerspective, rows: Mapping) -> MPolynom
             what = "rank drop inversion" if k < 0 else "negative exponent"
             raise PolyError(f"{what} on {a}; not a matroid perspective")
         counts[2 * (rp_full - rp_a), 2 * (size - r_a), 2 * k] += m
-    return assemble("xyz", counts, shifted="xy")
+    return counts
 
 
 def _perspective_leaves(m: mt.RankMatroid, m_prime: mt.RankMatroid,
@@ -241,8 +256,13 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
 
 
 def _cellular_from_rows(rs: rb.RotationSystem, rows: Mapping) -> MPolynomial:
-    """L from rows, the dual_tally of rs; a bad row is named on forced
-    tallies of the same dual, rs.dual."""
+    """L from rows, the dual_tally of rs."""
+    return _lv_poly(_cellular_buckets(rs, rows))
+
+
+def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+    """The buckets of L from rows, the dual_tally of rs; a bad row is
+    named on forced tallies of the same dual, rs.dual."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
@@ -258,7 +278,7 @@ def _cellular_from_rows(rs: rb.RotationSystem, rows: Mapping) -> MPolynomial:
         counts[2 * (row.c - c_full), 2 * ey, ez2] += m
     if bad:
         raise PolyError(_first_subset(rs.edges, partial(rb.dual_tally, rs), bad))
-    return assemble("xyz", counts, shifted="xy")
+    return counts
 
 
 def las_vergnas_embedded(x, method: str = "expansion",
@@ -277,12 +297,12 @@ def las_vergnas_embedded(x, method: str = "expansion",
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(s.g.edges), cap, "subset expansion")
-    return _scheme_from_rows(s, rb.transfer_tally(s.g, s.dagger))
+    return _lv_poly(_scheme_buckets(s, rb.transfer_tally(s.g, s.dagger)))
 
 
-def _scheme_from_rows(s: em.EmbeddingScheme, rows: Mapping) -> MPolynomial:
-    """L_ext from rows, the transfer_tally(s.g, s.dagger) of the scheme;
-    a bad row is named on forced tallies of the same pair."""
+def _scheme_buckets(s: em.EmbeddingScheme, rows: Mapping) -> Counter:
+    """The buckets of L_ext from rows, the transfer_tally(s.g, s.dagger)
+    of the scheme; a bad row is named on forced tallies of the same pair."""
     n = len(s.g.edges)
     c_full = mg.components(s.g)
     rho_full = em.rho(s)
@@ -298,7 +318,7 @@ def _scheme_from_rows(s: em.EmbeddingScheme, rows: Mapping) -> MPolynomial:
     if bad:
         raise PolyError(_first_subset(
             s.g.edges, partial(rb.transfer_tally, s.g, s.dagger), bad))
-    return assemble("xyz", counts, shifted="xy")
+    return counts
 
 
 def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
@@ -448,14 +468,19 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
 
 
 def _ribbon_from_rows(rs: rb.RotationSystem, rows: Mapping) -> MPolynomial:
-    """R from a tally of rows that start with |A|, c(A), f(A): the rows
-    of transfer_tally and of dual_tally both do."""
+    """R from its buckets over (x - 1, y, z), as _ribbon_buckets reads them."""
+    return assemble("xyz", _ribbon_buckets(rs, rows), shifted="x")
+
+
+def _ribbon_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+    """The buckets of R from a tally of rows that start with |A|, c(A),
+    f(A): the rows of transfer_tally and of dual_tally both do."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     counts: Counter = Counter()
     for (size, c, f, *_), m in rows.items():
         counts[2 * (c - c_full), 2 * (size - v + c), 2 * (2 * c - v + size - f)] += m
-    return assemble("xyz", counts, shifted="x")
+    return counts
 
 
 def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
@@ -466,6 +491,13 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     if report.components != 1:
         raise PolyError("the surface polynomial needs a connected ambient surface")
     check_cap(len(rs.edges), cap, "subset expansion")
+    return assemble("xyab", _krushkal_buckets(emb))
+
+
+def _krushkal_buckets(emb: em.EmbeddedGraph) -> Counter:
+    """The buckets of K over (x, y, a, b), from one transfer tally of
+    the graph cut by the dagger graph."""
+    rs, report = emb.rotation, emb.report
     v = len(rs.sectors)
     dagger = emb.scheme.dagger
     c_full = mg.components(rs.underlying())
@@ -484,7 +516,7 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     if bad:
         raise em.EmbeddingError(_first_subset(
             rs.edges, partial(rb.transfer_tally, rs, dagger), bad))
-    return assemble("xyab", counts)
+    return counts
 
 
 def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
@@ -500,215 +532,177 @@ def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
 # identity suite
 
 
-# The sample points' coordinates: n/d for |n| < 10 and d <= 3, but 0 and 1.
-_POINT_POOL = tuple(sorted({Fraction(n, d) for d in (1, 2, 3)
-                            for n in range(-9, 10)} - {0, 1}))
+def _tidy_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+    """The right side of lv-tidy over (x0 - 1, y0 - 1, z0), from rows,
+    the dual_tally of rs: (x0-1)^(r(E)-r(A)) (y0-1)^(|A|-r(A))
+    z0^(g(A)-g*(E-A)) per row."""
+    v, c_g = len(rs.sectors), mg.components(rs.underlying())
+    counts: Counter = Counter()
+    for row, m in rows.items():
+        counts[2 * (row.c - c_g), 2 * (row.size - v + row.c),
+               2 * (row.genus - row.genus_dual)] += m
+    return counts
 
 
-def _points(rng: random.Random, k: int, n: int):
-    return [tuple(rng.choice(_POINT_POOL) for _ in range(k)) for _ in range(n)]
+def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+    """The right side of lv-dichromatic over (x0 - 1, y0 - 1, z0), from
+    rows, the dual_tally of rs: ((x0-1)/z0)^c(A) ((y0-1) z0)^c*(E-A)
+    z0^(n(G*)-|A|) / ((x0-1)(y0-1))^c(G) per row."""
+    c_g = mg.components(rs.underlying())
+    n_dual = mg.nullity(rs.dual.underlying())
+    counts: Counter = Counter()
+    for row, m in rows.items():
+        counts[2 * (row.c - c_g), 2 * (row.c_dual - c_g),
+               2 * (n_dual + row.c_dual - row.c - row.size)] += m
+    return counts
 
 
-def _pointwise(name: str, pts, bases, lhs: Mapping, rhs: Mapping) -> CheckResult:
-    """Check lhs = rhs at each sample point pt, both sides given as
-    integer exponent rows over bases(*pt) (MPolynomial.monomial_rows).
-    The signed table lhs - rhs is laid out once; at each point one
-    _power_kernel sum over it is zero where the identity holds.  Only a
-    failing point sums the two sides apart, to name their values."""
-    table = dict(lhs)
-    for row, count in rhs.items():
-        table[row] = table.get(row, 0) - count
-    coeffs, columns = _power_layout({row: c for row, c in table.items() if c})
-    for pt in pts:
-        at = bases(*pt)
-        if _power_kernel(coeffs, columns, at):
-            coords = ", ".join(str(v) for v in pt)
-            return _bad(name, f"at ({coords}): {_power_sum(lhs, at)} != "
-                              f"{_power_sum(rhs, at)}")
-    return _ok(name)
+def _keyed(buckets: Mapping, key) -> Counter:
+    """The counts of buckets summed under key(*bucket)."""
+    counts: Counter = Counter()
+    for bucket, m in buckets.items():
+        counts[key(*bucket)] += m
+    return counts
 
 
-# The exponents of each variable's image over the bases of a sample
-# point.  Over (x0, y0, y0 - 1): x -> x0, y -> y0 and z -> 1/(y0 - 1).
-_XY = {"x": (1, 0, 0), "y": (0, 1, 0)}
-_XYZ = {**_XY, "z": (0, 0, -1)}
-# Over (x0, y0, w, x0 - 1, y0 - 1): L(x0, y0, w^2), and
-# K(x0 - 1, y0 - 1, 1/w^2, w^2) read through the roots 1/w and w.
-_L_AT_W = {"x": (1, 0, 0, 0, 0), "y": (0, 1, 0, 0, 0), "z": (0, 0, 2, 0, 0)}
-_K_AT_W = ({"x": (0, 0, 0, 1, 0), "y": (0, 0, 0, 0, 1)},
-           {"a": (0, 0, -1, 0, 0), "b": (0, 0, 1, 0, 0)})
+def _exact(name: str, basis: tuple[str, ...], lhs: Mapping,
+           rhs: Mapping) -> CheckResult:
+    """Check lhs = rhs, both sides given as counts of half-unit exponent
+    tuples over basis, whose monomials are independent, so the sides
+    agree exactly when the counts do.  A failure names the first
+    monomial, in sorted order, with a nonzero coefficient in lhs - rhs."""
+    diff = Counter(lhs)
+    diff.subtract(rhs)
+    first = min((key for key, c in diff.items() if c), default=None)
+    if first is None:
+        return _ok(name)
+    mono = " ".join(v + _power_suffix(h) for v, h in zip(basis, first) if h)
+    return _bad(name, f"{mono or '1'} has coefficient {diff[first]} in lhs - rhs")
 
 
-def _shift_y(x0, y0):
-    return x0, y0, y0 - 1
+_XY0 = ("(x0-1)", "(y0-1)")
 
 
-def _shift_xy(x0, y0, w):
-    return x0, y0, w, x0 - 1, y0 - 1
-
-
-def verify_identities(emb: em.EmbeddedGraph, *, seed: int = 11, points: int = 8,
+def verify_identities(emb: em.EmbeddedGraph, *,
                       cap: int = IDENTITY_CAP) -> list[CheckResult]:
     """Run every polynomial identity that applies to this embedding.
 
     Identities whose preconditions the input does not meet come back
-    as skips, never silently dropped.  All comparisons are exact.
-    Each pointwise identity draws points sample points, 1 to
-    POINTS_CAP.
+    as skips, never silently dropped.  All comparisons are exact: the
+    two literal identities compare assembled polynomials, and each
+    substitution identity maps the buckets of both sides to half-unit
+    exponents over its own basis and compares the counts (_exact).
     """
-    if points < 1:
-        raise PolyError(f"the pointwise identities need at least one sample "
-                        f"point, not {points}")
-    if points > POINTS_CAP:
-        raise PolyError(f"the pointwise identities take at most {POINTS_CAP} "
-                        f"sample points, not {points}")
     rs = emb.rotation
     check_cap(len(rs.edges), cap, "the identity suite")
     scheme, cellular = emb.scheme, emb.report.cellular
-
-    rng = random.Random(seed)
     out: list[CheckResult] = []
 
     # One tally of A in G and E - A in H, the dagger graph, gives L_ext
-    # and, as its marginals, T(M') = T(G) and T(M) = T(B(H)) = T(H; y, x).
+    # and, as its marginals, T(M') = T(G) and T(M) = T(B(H)) = T(H; y, x),
+    # whose buckets are keyed (y, x).
     scheme_rows = rb.transfer_tally(scheme.g, scheme.dagger)
-    l_ext = _scheme_from_rows(scheme, scheme_rows)
+    l_ext = _scheme_buckets(scheme, scheme_rows)
     mp = em.scheme_perspective(scheme)
     n = len(scheme.g.edges)
     dagger_rows: Counter = Counter()
     for (size, _, _, c_h), m in scheme_rows.items():
         dagger_rows[n - size, c_h] += m
-    t_m = _tutte_from_rows(len(scheme.dagger.vertices), dagger_rows, "yx")
-    t_mp = _tutte_from_rows(len(scheme.g.vertices), scheme_rows, "xy")
-    t_mp_rows = t_mp.monomial_rows((0, 0, 0), _XY)
+    t_m = _tutte_buckets(len(scheme.dagger.vertices), dagger_rows)
+    t_mp = _tutte_buckets(len(scheme.g.vertices), scheme_rows)
 
     # Perspective specialisations: the rank walk against the tallies.  One
     # count of the masks gives (M, M') and, as its marginals, (M, M) and
-    # (M', M').  A bad rank table fails all three; their points are drawn
-    # either way.
-    prime_points = _points(rng, 2, points)
+    # (M', M').  A bad rank table fails all three.
     rank_rows = Counter(zip(mt.mask_sizes(n), mp.m.table(), mp.m_prime.table()))
     self_rows = Counter(), Counter()
     for (size, r_a, rp_a), m in rank_rows.items():
         self_rows[0][size, r_a, r_a] += m
         self_rows[1][size, rp_a, rp_a] += m
     try:
-        t_pers = _perspective_from_rows(mp, rank_rows)
+        pair = _perspective_buckets(mp, rank_rows)
         self_b, self_c = (_perspective_from_rows(mt.MatroidPerspective(x, x), rows)
                           for x, rows in zip((mp.m, mp.m_prime), self_rows))
     except PolyError as exc:
         out += [_bad(name, str(exc)) for name in (
             "perspective-self", "perspective-to-m", "perspective-to-m-prime")]
     else:
-        if self_b == t_m and self_c == t_mp:
+        if (self_b, self_c) == (_tutte_poly("yx", t_m), _tutte_poly("xy", t_mp)):
             out.append(_ok("perspective-self"))
         else:
             out.append(_bad("perspective-self",
                             "pair polynomial of (M, M) is not the Tutte polynomial"))
-        image = MPolynomial.variable("x") - 1
-        if t_pers.substitute("z", image) == t_m:
-            out.append(_ok("perspective-to-m"))
-        else:
-            out.append(_bad("perspective-to-m", "z -> x-1 did not recover M"))
-        drop = mp.m.rank() - mp.m_prime.rank()
+        # T(M, M'; x, y, x - 1) = T(M; x, y)
+        out.append(_exact("perspective-to-m", ("(x-1)", "(y-1)"),
+                          _keyed(pair, lambda x, y, z: (x + z, y)),
+                          _keyed(t_m, lambda y, x: (x, y))))
+        drop = 2 * (mp.m.rank() - mp.m_prime.rank())
         # (y0 - 1)^drop T(M, M'; x0, y0, 1/(y0 - 1)) = T(M'; x0, y0)
-        out.append(_pointwise("perspective-to-m-prime", prime_points, _shift_y,
-                              t_pers.monomial_rows((0, 0, drop), _XYZ),
-                              t_mp_rows))
+        out.append(_exact("perspective-to-m-prime", _XY0,
+                          _keyed(pair, lambda x, y, z: (x, y - z + drop)), t_mp))
 
     # Cellular-only material.
-    l_cell = r_poly = None
-    gamma = None
     if cellular:
         # One tally serves L, R, lv-tidy and lv-dichromatic.
         rows = rs.dual_tally
-        l_cell = _cellular_from_rows(rs, rows)
-        r_poly = _ribbon_from_rows(rs, rows)
-        gamma = rb.euler_genus(rs)
-        if l_cell == l_ext:
+        l_cell = _cellular_buckets(rs, rows)
+        r_buckets = _ribbon_buckets(rs, rows)
+        gamma = 2 * rb.euler_genus(rs)          # in half-units
+        if _lv_poly(l_cell) == _lv_poly(l_ext):
             out.append(_ok("lv-extension-matches-cellular"))
         else:
             out.append(_bad("lv-extension-matches-cellular",
                             "scheme expansion differs from the cellular one"))
-    else:
-        out.append(_skip("lv-extension-matches-cellular",
-                         "needs a cellular embedding"))
-
-    if cellular:
         # (y0 - 1)^gamma L(x0, y0, 1/(y0 - 1)) = T(M'; x0, y0)
-        out.append(_pointwise("lv-to-tutte", _points(rng, 2, points), _shift_y,
-                              l_cell.monomial_rows((0, 0, gamma), _XYZ),
-                              t_mp_rows))
-
-        v = len(rs.sectors)
-        c_g = mg.components(scheme.g)
-        n_dual = mg.nullity(rs.dual.underlying())
-        # Rows over (x0, y0, z0, x0 - 1, y0 - 1), as _shift_xy gives.
-        tidy_rows: Counter = Counter()
-        comp_rows: Counter = Counter()
-        for row, m in rows.items():
-            # (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) z^(g(A)-g*(E-A))
-            tidy_rows[(0, 0, row.genus - row.genus_dual, row.c - c_g,
-                       row.size - v + row.c)] += m
-            # ((x-1)/z)^c(A) ((y-1)z)^c*(E-A) z^(n(G*)-|A|) / ((x-1)(y-1))^c(G)
-            comp_rows[(0, 0, n_dual + row.c_dual - row.c - row.size,
-                       row.c - c_g, row.c_dual - c_g)] += m
-
+        l_at = _keyed(l_cell, lambda x, y, z: (x, y - z + gamma))
+        out.append(_exact("lv-to-tutte", _XY0, l_at, t_mp))
         # (z0 (y0 - 1))^gamma L(x0, y0, 1/(z0^2 (y0 - 1)))
-        out.append(_pointwise(
-            "lv-tidy", _points(rng, 3, points), _shift_xy,
-            l_cell.monomial_rows((0, 0, gamma, 0, gamma),
-                                 {**_L_AT_W, "z": (0, 0, -2, 0, -1)}),
-            tidy_rows))
-        out.append(_pointwise(
-            "lv-dichromatic", _points(rng, 3, points), _shift_xy,
-            l_cell.monomial_rows((0, 0, 0, 0, 0), {**_L_AT_W, "z": (0, 0, 1, 0, 0)}),
-            comp_rows))
-        # R(x0, y0, 1) = y0^gamma L(x0, y0 + 1, 1/y0), over (x0, y0, y0 + 1)
-        out.append(_pointwise(
-            "br-at-z1", _points(rng, 2, points), lambda x0, y0: (x0, y0, y0 + 1),
-            r_poly.monomial_rows((0, 0, 0), {**_XY, "z": (0, 0, 0)}),
-            l_cell.monomial_rows((0, gamma, 0), {"x": (1, 0, 0), "y": (0, 0, 1),
-                                                 "z": (0, -1, 0)})))
+        out.append(_exact("lv-tidy", (*_XY0, "z0"),
+                          _keyed(l_cell, lambda x, y, z: (x, y - z + gamma,
+                                                          gamma - 2 * z)),
+                          _tidy_buckets(rs, rows)))
+        # L(x0, y0, z0) = its sum over the components of A and of E - A in G*
+        out.append(_exact("lv-dichromatic", (*_XY0, "z0"), l_cell,
+                          _component_buckets(rs, rows)))
+        # R(x0, y0, 1) = y0^gamma L(x0, y0 + 1, 1/y0)
+        out.append(_exact("br-at-z1", ("(x0-1)", "y0"),
+                          _keyed(r_buckets, lambda x, y, z: (x, y)), l_at))
     else:
-        for name in ("lv-to-tutte", "lv-tidy", "lv-dichromatic", "br-at-z1"):
+        for name in ("lv-extension-matches-cellular", "lv-to-tutte", "lv-tidy",
+                     "lv-dichromatic", "br-at-z1"):
             out.append(_skip(name, "needs a cellular embedding"))
 
     # Surface sum relations.
-    k_poly = None
+    k_buckets = None
     if not rs.pinch_vertices() and emb.report.components == 1:
-        k_poly = krushkal(emb, cap)
+        k_buckets = _krushkal_buckets(emb)
 
-    if k_poly is not None and cellular:
-        # R(x0, q^2, z0) = q^gamma K(x0 - 1, q^2, (q z0)^2, 1/q^2), over
-        # (x0, q, z0, x0 - 1, q - 1); K's a and b read the roots q z0 and 1/q.
-        out.append(_pointwise(
-            "br-from-krushkal", _points(rng, 3, points), _shift_xy,
-            r_poly.monomial_rows((0, 0, 0, 0, 0), {
-                "x": (1, 0, 0, 0, 0), "y": (0, 2, 0, 0, 0), "z": (0, 0, 1, 0, 0)}),
-            k_poly.monomial_rows((0, gamma, 0, 0, 0), {
-                "x": (0, 0, 0, 1, 0), "y": (0, 2, 0, 0, 0)}, {
-                "a": (0, 1, 1, 0, 0), "b": (0, -1, 0, 0, 0)})))
+    if k_buckets is not None and cellular:
+        # R(x0, q^2, z0) = q^gamma K(x0 - 1, q^2, (q z0)^2, 1/q^2)
+        out.append(_exact(
+            "br-from-krushkal", ("(x0-1)", "q", "z0"),
+            _keyed(r_buckets, lambda x, y, z: (x, 2 * y, z)),
+            _keyed(k_buckets,
+                   lambda x, y, a, b: (x, 2 * (y + a - b) + gamma, 2 * a))))
         # L(x0, y0, w^2) = w^gamma K(x0 - 1, y0 - 1, 1/w^2, w^2)
-        out.append(_pointwise(
-            "lv-from-krushkal-cellular", _points(rng, 3, points), _shift_xy,
-            l_cell.monomial_rows((0, 0, 0, 0, 0), _L_AT_W),
-            k_poly.monomial_rows((0, 0, gamma, 0, 0), *_K_AT_W)))
+        out.append(_exact(
+            "lv-from-krushkal-cellular", (*_XY0, "w"),
+            _keyed(l_cell, lambda x, y, z: (x, y, 2 * z)),
+            _keyed(k_buckets, lambda x, y, a, b: (x, y, gamma + 2 * (b - a)))))
     else:
-        why = ("needs a cellular embedding" if k_poly is not None
+        why = ("needs a cellular embedding" if k_buckets is not None
                else "needs a connected pinch-free surface")
         out.append(_skip("br-from-krushkal", why))
         out.append(_skip("lv-from-krushkal-cellular", why))
 
-    if k_poly is not None:
+    if k_buckets is not None:
         stats_full = em.complement_stats(emb, rs.edge_set())
-        pre = stats_full.neighborhood_genus - stats_full.euler_genus
-
+        pre = 2 * (stats_full.neighborhood_genus - stats_full.euler_genus)
         # L_ext(x0, y0, w^2) = w^pre K(x0 - 1, y0 - 1, 1/w^2, w^2)
-        out.append(_pointwise(
-            "lv-from-krushkal", _points(rng, 3, points), _shift_xy,
-            l_ext.monomial_rows((0, 0, 0, 0, 0), _L_AT_W),
-            k_poly.monomial_rows((0, 0, pre, 0, 0), *_K_AT_W)))
+        out.append(_exact(
+            "lv-from-krushkal", (*_XY0, "w"),
+            _keyed(l_ext, lambda x, y, z: (x, y, 2 * z)),
+            _keyed(k_buckets, lambda x, y, a, b: (x, y, pre + 2 * (b - a)))))
     else:
         out.append(_skip("lv-from-krushkal",
                          "needs a connected pinch-free surface"))

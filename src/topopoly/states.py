@@ -172,12 +172,12 @@ _DIAGONAL = {"x": (0, 1), "y": (1, 0), "z": (-1, 0)}
 _SHIFTED = {"x": (0, 1), "y": (0, 1), "z": (0, 0)}
 
 
-def generating_function_check(r_poly: MPolynomial,
+def generating_function_check(diag: Mapping[int, int],
                               profile: Mapping[int, int]) -> CheckResult:
     """t R(t+1, t, 1/t) must list the crossing-free states by curve
-    count (connected graphs)."""
+    count (connected graphs); diag holds the Laurent coefficients of
+    R(t+1, t, 1/t), compose_laurent(R, _DIAGONAL)."""
     name = "state-generating-function"
-    diag = compose_laurent(r_poly, _DIAGONAL)
     got = {d + 1: c for d, c in diag.items() if c}
     if got != profile:
         return _bad(name, f"diagonal gives {sorted(got.items())}, "
@@ -194,12 +194,18 @@ def lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
     L comes from rows, the dual_tally of the connected graph rs, whose
     surface is kind; a bad row is named on the same dual, rs.dual.
     """
+    return _lr_relation(rs, rows, compose_laurent(r_poly, _DIAGONAL), kind)
+
+
+def _lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
+                 diag: Mapping[int, int], kind: str) -> CheckResult:
+    """lr_relation on diag, the Laurent coefficients of R(t+1, t, 1/t)."""
     name = "lr-relation"
     try:
         l_poly = poly._cellular_from_rows(rs, rows)
     except poly.PolyError as exc:   # the graph and its dual disagree
         return _bad(name, f"no cellular polynomial: {exc}")
-    rhs = laurent_to_poly(compose_laurent(r_poly, _DIAGONAL))
+    rhs = laurent_to_poly(diag)
 
     if kind in ("sphere", "projective-plane"):
         lhs = laurent_to_poly(compose_laurent(l_poly, _SHIFTED))
@@ -319,13 +325,14 @@ def run_state_checks(rs: rb.RotationSystem, *,
             for row in tally if min(row.genus, row.genus_dual)}, kind))
     else:
         out.append(_skip("noncrossing-min-formula", gate_detail))
-    r_poly = poly._ribbon_from_rows(rs, tally)
+    # R(t+1, t, 1/t), which both checks below read.
+    diag = compose_laurent(poly._ribbon_from_rows(rs, tally), _DIAGONAL)
     profile: dict[int, int] = {}
     for row, m in tally.items():
         profile[row.f] = profile.get(row.f, 0) + m
-    out.append(generating_function_check(r_poly, profile))
+    out.append(generating_function_check(diag, profile))
     if low_genus:
-        out.append(lr_relation(rs, tally, r_poly, kind))
+        out.append(_lr_relation(rs, tally, diag, kind))
     else:
         out.append(_skip("lr-relation", gate_detail))
     out.append(verdict("quasi-tree-duality", {

@@ -234,29 +234,14 @@ def test_identities_check_domination_on_every_subset(capsys, tmp_path):
         assert all(line.endswith(" pass") for line in lines[1:])
 
 
-def test_identities_rejects_no_points(capsys, files):
-    for points in ("0", "-3"):
-        rc, out, err = run(capsys, "identities", files["theta"],
-                           "--points", points)
-        assert (rc, out) == (2, "")
-        assert err.splitlines()[-1].startswith("error:")
-        assert "sample point" in err
-
-
-def test_identities_bounds_the_points(capsys, files):
-    # Each point is one tuple per check: the cap bounds time and memory.
-    rc, out, err = run(capsys, "identities", files["theta"],
-                       "--points", str(poly.POINTS_CAP + 1))
-    assert (rc, out) == (2, "")
-    assert err.splitlines()[-1] == (
-        f"error: the pointwise identities take at most {poly.POINTS_CAP} "
-        f"sample points, not {poly.POINTS_CAP + 1}")
-    rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "poly",
-                     "--points", str(poly.POINTS_CAP))
-    assert rc == 0 and " fail" not in out
-    with pytest.raises(SystemExit):
-        cli.main(["identities", "--help"])
-    assert f"1 to {poly.POINTS_CAP}" in " ".join(capsys.readouterr().out.split())
+def test_identities_takes_no_seed_or_points(capsys, files):
+    # The identities are exact, so there is no sample point to seed or
+    # count: either option is a usage error, and stdout stays empty.
+    for option in (("--points", "5"), ("--seed", "3")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["identities", files["theta"], *option])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_identities_suite_selectors(capsys, files):

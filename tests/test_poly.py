@@ -14,6 +14,7 @@ from topopoly import cli
 from topopoly import embedding as em
 from topopoly import fileformat as ff
 from topopoly import matroid as mt
+from topopoly import mpoly
 from topopoly import multigraph as mg
 from topopoly import poly
 from topopoly import ribbon as rb
@@ -34,7 +35,8 @@ def rank_walk_tutte(m: mt.RankMatroid):
 
 def swapped_tutte(g: mg.Multigraph):
     """T(g; y, x), the Tutte polynomial of the bond matroid of g."""
-    return poly._tutte_from_rows(len(g.vertices), rb.transfer_tally(g), "yx")
+    return poly._tutte_poly("yx", poly._tutte_buckets(len(g.vertices),
+                                                     rb.transfer_tally(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,83 +590,166 @@ def test_identity_suite_catches_a_wrong_tally_row(monkeypatch):
 
 
 def test_identity_suite_names_its_first_failing_point(monkeypatch):
-    # One spurious term x in the cellular L: the first sample point of
-    # lv-to-tutte, and both sides there, are pinned byte for byte.
-    real = poly._cellular_from_rows
-    monkeypatch.setattr(poly, "_cellular_from_rows",
-                        lambda rs, rows: real(rs, rows) + MPolynomial.variable("x"))
+    # One spurious bucket (x - 1) in the cellular L: the first monomial
+    # on which the two sides of lv-to-tutte and of lv-tidy differ, and
+    # its coefficient, are pinned byte for byte.
+    real = poly._cellular_buckets
+
+    def spurious(rs, rows):
+        buckets = real(rs, rows)
+        buckets[2, 0, 0] += 1
+        return buckets
+
+    monkeypatch.setattr(poly, "_cellular_buckets", spurious)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     lines = {r.name: r.line() for r in results}
-    assert lines["lv-to-tutte"] == "RESULT: lv-to-tutte fail: at (5, -7): 367 != 47"
-    assert lines["lv-tidy"] == ("RESULT: lv-tidy fail: at (1/3, 5/2, 8): "
-                                "37735/192 != 28519/192")
+    assert lines["lv-to-tutte"] == (
+        "RESULT: lv-to-tutte fail: (x0-1) (y0-1)^2 has coefficient 1 in lhs - rhs")
+    assert lines["lv-tidy"] == ("RESULT: lv-tidy fail: (x0-1) (y0-1)^2 z0^2 "
+                                "has coefficient 1 in lhs - rhs")
 
 
-_K_TERM = MPolynomial.monomial(a=1, b=1)        # a^(1/2) b^(1/2)
+# Each case adds one bucket to what a bucket reader returns: the reader
+# behind the case's owner, a polynomial's builder or a right side's
+# reader, whose keys have one half-unit exponent per name given here.
+_READERS = {"_perspective_from_rows": ("_perspective_buckets", "xyz"),
+            "_cellular_from_rows": ("_cellular_buckets", "xyz"),
+            "_ribbon_from_rows": ("_ribbon_buckets", "xyz"),
+            "krushkal": ("_krushkal_buckets", "xyab"),
+            "_tutte_poly": ("_tutte_buckets", "xy"),
+            "las_vergnas_embedded": ("_scheme_buckets", "xyz"),
+            "_tidy_buckets": ("_tidy_buckets", "xyz"),
+            "_component_buckets": ("_component_buckets", "xyz")}
+
+
+def _add_bucket(monkeypatch, owner: str, key: tuple[int, ...]) -> None:
+    reader = _READERS[owner][0]
+    real = getattr(poly, reader)
+
+    def spurious(*args):
+        buckets = real(*args)
+        buckets[key] += 1
+        return buckets
+
+    monkeypatch.setattr(poly, reader, spurious)
+
+
+def _fails(text: str) -> str:
+    return f"fail: {text} in lhs - rhs"
+
+
 _SPURIOUS_TERMS = {
-    # (M, M') plus z: the lhs of perspective-to-m-prime, off at a point.
+    # (M, M') plus z: the lhs of perspective-to-m and perspective-to-m-prime.
     ("_perspective_from_rows", "z", "theta_torus"): {
         "perspective-self": "fail: pair polynomial of (M, M) is not the Tutte polynomial",
-        "perspective-to-m": "fail: z -> x-1 did not recover M",
-        "perspective-to-m-prime": "fail: at (5/2, 6): 99/2 != 89/2"},
-    # The cellular L plus z: lhs of lv-dichromatic, rhs of br-at-z1.
+        "perspective-to-m": _fails("(x-1) has coefficient 1"),
+        "perspective-to-m-prime": _fails("(y0-1) has coefficient 1")},
+    # T plus (x - 1), so T(M) plus (y - 1): the rhs of perspective-to-m,
+    # perspective-to-m-prime and lv-to-tutte.
+    ("_tutte_poly", "x", "theta_torus"): {
+        "perspective-self": "fail: pair polynomial of (M, M) is not the Tutte polynomial",
+        "perspective-to-m": _fails("(y-1) has coefficient -1"),
+        "perspective-to-m-prime": _fails("(x0-1) has coefficient -1"),
+        "lv-to-tutte": _fails("(x0-1) has coefficient -1")},
+    # The cellular L plus z: the lhs of lv-to-tutte, lv-tidy,
+    # lv-dichromatic and lv-from-krushkal-cellular, the rhs of br-at-z1.
     ("_cellular_from_rows", "z", "theta_torus"): {
         "lv-extension-matches-cellular":
             "fail: scheme expansion differs from the cellular one",
-        "lv-to-tutte": "fail: at (5, -7): 39 != 47",
-        "lv-tidy": "fail: at (1/3, 5/2, 8): 28807/192 != 28519/192",
-        "lv-dichromatic": "fail: at (5/3, -4, -1/2): -1/12 != 5/12",
-        "br-at-z1": "fail: at (-7/2, -3): -3/2 != -9/2",
-        "lv-from-krushkal-cellular": "fail: at (3/2, -5, -5): 4577/2 != 4527/2"},
+        "lv-to-tutte": _fails("(y0-1) has coefficient 1"),
+        "lv-tidy": _fails("(y0-1) has coefficient 1"),
+        "lv-dichromatic": _fails("z0 has coefficient 1"),
+        "br-at-z1": _fails("y0 has coefficient -1"),
+        "lv-from-krushkal-cellular": _fails("w^2 has coefficient 1")},
+    # The right sides of lv-tidy and lv-dichromatic plus z0.
+    ("_tidy_buckets", "z", "theta_torus"): {
+        "lv-tidy": _fails("z0 has coefficient -1")},
+    ("_component_buckets", "z", "theta_torus"): {
+        "lv-dichromatic": _fails("z0 has coefficient -1")},
+    # L_ext plus z: the lhs of lv-from-krushkal.
+    ("las_vergnas_embedded", "z", "theta_torus"): {
+        "lv-extension-matches-cellular":
+            "fail: scheme expansion differs from the cellular one",
+        "lv-from-krushkal": _fails("w^2 has coefficient 1")},
     # R plus y: the lhs of br-at-z1 and of br-from-krushkal.
     ("_ribbon_from_rows", "y", "theta_torus"): {
-        "br-at-z1": "fail: at (-7/2, -3): -9/2 != -3/2",
-        "br-from-krushkal": "fail: at (3/2, -7/2, 5/3): 67585/144 != 65821/144"},
-    # K plus a^(1/2) b^(1/2), read through the square roots of a and b;
-    # on the Klein bottle K itself has odd half-unit powers of a and b.
+        "br-at-z1": _fails("y0 has coefficient 1"),
+        "br-from-krushkal": _fails("q^2 has coefficient 1")},
+    # K plus a^(1/2) b^(1/2): the rhs of the three Krushkal checks; on
+    # the Klein bottle K itself has odd half-unit powers of a and b.
     ("krushkal", "ab", "theta_torus"): {
-        "br-from-krushkal": "fail: at (3/2, -7/2, 5/3): 65821/144 != 68761/144",
-        "lv-from-krushkal-cellular": "fail: at (3/2, -5, -5): 4527/2 != 4577/2",
-        "lv-from-krushkal": "fail: at (-5/2, 6, -2): 5 != 9"},
+        "br-from-krushkal": _fails("q^2 z0 has coefficient -1"),
+        "lv-from-krushkal-cellular": _fails("w^2 has coefficient -1"),
+        "lv-from-krushkal": _fails("w^2 has coefficient -1")},
     ("krushkal", "ab", "klein_bouquet"): {
-        "br-from-krushkal": "fail: at (3/2, -7/2, 5/3): 64873/144 != 67813/144",
-        "lv-from-krushkal-cellular": "fail: at (3/2, -5, -5): 676 != 701",
-        "lv-from-krushkal": "fail: at (-5/2, 6, -2): 25 != 29"},
+        "br-from-krushkal": _fails("q^2 z0 has coefficient -1"),
+        "lv-from-krushkal-cellular": _fails("w^2 has coefficient -1"),
+        "lv-from-krushkal": _fails("w^2 has coefficient -1")},
 }
 
 
 @pytest.mark.parametrize("case", _SPURIOUS_TERMS, ids="-".join)
 def test_every_pointwise_identity_names_its_first_failing_point(monkeypatch, case):
-    # One spurious term on one side of some pointwise identities: each
-    # check it reaches names its first failing point and both sides
-    # there, byte for byte; every other check passes.
+    # One spurious bucket on one side of some exact identities, a whole
+    # power of one variable or a^(1/2) b^(1/2): each check it reaches
+    # names the first monomial on which its sides differ, byte for byte;
+    # every other check passes.  Together the cases fail each of the
+    # nine exact checks through each of its two sides.
     owner, term, fixture = case
-    spurious = _K_TERM if term == "ab" else MPolynomial.variable(term)
-    real = getattr(poly, owner)
-    monkeypatch.setattr(poly, owner, lambda *args: real(*args) + spurious)
+    names = _READERS[owner][1]
+    half = 2 if len(term) == 1 else 1
+    _add_bucket(monkeypatch, owner, tuple(half * (v in term) for v in names))
     results = poly.verify_identities(em.with_disc_regions(getattr(corpus, fixture)()))
     assert {r.name: r.line() for r in results if r.status != "pass"} == {
         name: f"RESULT: {name} {why}" for name, why in _SPURIOUS_TERMS[case].items()}
 
 
-@pytest.mark.parametrize("owner, term, why", [
-    ("krushkal", MPolynomial.variable_half("y", 1), "odd half-power of y needs sqrts"),
-    ("_cellular_from_rows", MPolynomial.variable_half("z", 1),
-     "odd half-power of z needs sqrts"),
-    ("krushkal", MPolynomial.variable_half("z", 1), "odd half-power of z needs sqrts"),
-    ("krushkal", MPolynomial.variable("z"), "no value for z"),
+# The fail lines of the half-power cases below, on the theta torus; the
+# state checks' lr-relation reads the cellular L too.
+_HALF_POWER_FAILS = {
+    "odd half-power of y": [
+        "RESULT: br-from-krushkal fail: q^3 has coefficient -1 in lhs - rhs",
+        "RESULT: lv-from-krushkal-cellular fail: (y0-1)^(1/2) w^2 "
+        "has coefficient -1 in lhs - rhs",
+        "RESULT: lv-from-krushkal fail: (y0-1)^(1/2) w^2 "
+        "has coefficient -1 in lhs - rhs"],
+    "odd half-power of z": [
+        "RESULT: lv-extension-matches-cellular fail: scheme expansion "
+        "differs from the cellular one",
+        "RESULT: lv-to-tutte fail: (y0-1)^(3/2) has coefficient 1 in lhs - rhs",
+        "RESULT: lv-tidy fail: (y0-1)^(3/2) z0 has coefficient 1 in lhs - rhs",
+        "RESULT: lv-dichromatic fail: z0^(1/2) has coefficient 1 in lhs - rhs",
+        "RESULT: br-at-z1 fail: y0^(3/2) has coefficient -1 in lhs - rhs",
+        "RESULT: lv-from-krushkal-cellular fail: w has coefficient 1 in lhs - rhs",
+        "RESULT: lr-relation fail: half-power of z in the cellular polynomial"],
+    "odd half-power of x": [
+        "RESULT: br-from-krushkal fail: (x0-1)^(1/2) q^2 "
+        "has coefficient -1 in lhs - rhs",
+        "RESULT: lv-from-krushkal-cellular fail: (x0-1)^(1/2) w^2 "
+        "has coefficient -1 in lhs - rhs",
+        "RESULT: lv-from-krushkal fail: (x0-1)^(1/2) w^2 "
+        "has coefficient -1 in lhs - rhs"],
+}
+
+
+@pytest.mark.parametrize("owner, term, what", [
+    ("krushkal", (0, 1, 0, 0), "odd half-power of y"),
+    ("_cellular_from_rows", (0, 0, 1), "odd half-power of z"),
+    ("krushkal", (1, 0, 0, 0), "odd half-power of x"),
 ])
 def test_identities_reject_a_term_they_cannot_substitute(monkeypatch, tmp_path,
-                                                         capsys, owner, term, why):
-    # Only a and b of K are read through square roots: any other odd
-    # half-unit exponent, or a variable the identity gives no value,
-    # stops the command before it prints a line.
+                                                         capsys, owner, term, what):
+    # A bucket with an odd half-unit exponent where no side has one: the
+    # key maps never halve an exponent, so every check that reads it
+    # fails and names its image, and the command exits 1.
     path = tmp_path / "theta.txt"
     path.write_text(ff.serialize(em.with_disc_regions(corpus.theta_torus())))
-    real = getattr(poly, owner)
-    monkeypatch.setattr(poly, owner, lambda *args: real(*args) + term)
-    assert cli.main(["identities", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {why}\n")
+    _add_bucket(monkeypatch, owner, term)
+    assert cli.main(["identities", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if " fail" in line] == (
+        _HALF_POWER_FAILS[what])
 
 
 def test_check_result_lines():
@@ -896,24 +981,25 @@ def test_identities_counts_the_masks_once(monkeypatch, tmp_path, capsys):
     path.write_text(ff.serialize(ten))
     calls = _count_calls(monkeypatch, (
         (mg, "component_table"), (mt, "mask_sizes"), (poly, "tutte_perspective"),
-        (poly, "_perspective_from_rows")))
+        (poly, "_perspective_buckets")))
     assert cli.main(["identities", str(path)]) == 0
     assert calls == {"component_table": 2, "mask_sizes": 2,
-                     "_perspective_from_rows": 3}
+                     "_perspective_buckets": 3}
     capsys.readouterr()
 
 
-def test_pointwise_identities_sum_one_table_per_point(monkeypatch):
-    # Each pointwise identity is one signed table, laid out once: a
-    # passing identity makes one kernel sum per sample point, evaluates
-    # no polynomial and sums neither side apart.
+def test_identity_suite_compares_buckets_and_assembles_six_polynomials(monkeypatch):
+    # The substitution identities compare exponent buckets: a passing run
+    # reads no monomial rows, substitutes and evaluates nothing, and
+    # assembles only what the literal identities compare, T(M), T(M'),
+    # (M, M) and (M', M') for perspective-self, and L and L_ext for
+    # lv-extension-matches-cellular.
     calls = _count_calls(monkeypatch, (
-        (MPolynomial, "evaluate"), (poly, "_power_layout"), (poly, "_power_kernel"),
-        (poly, "_power_sum")))
-    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()),
-                                     points=5)
+        (MPolynomial, "monomial_rows"), (MPolynomial, "substitute"),
+        (MPolynomial, "evaluate"), (mpoly, "_power_sum"), (poly, "assemble")))
+    results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
-    assert calls == {"_power_layout": 8, "_power_kernel": 8 * 5}
+    assert calls == {"assemble": 6}
 
 
 def test_expansions_sweep_no_subset(monkeypatch):
