@@ -234,14 +234,29 @@ def test_identities_check_domination_on_every_subset(capsys, tmp_path):
         assert all(line.endswith(" pass") for line in lines[1:])
 
 
-def test_identities_takes_no_seed_or_points(capsys, files):
+def test_identities_rejects_no_points(capsys, files):
     # The identities are exact, so there is no sample point to seed or
-    # count: either option is a usage error, and stdout stays empty.
-    for option in (("--points", "5"), ("--seed", "3")):
+    # count: either option, at any value, is a usage error with empty stdout.
+    for option in (("--points", "0"), ("--points", "5"), ("--seed", "3")):
         with pytest.raises(SystemExit) as exc:
             cli.main(["identities", files["theta"], *option])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
+def test_identities_bounds_the_points(capsys, files):
+    # The run takes no sample point at all: help offers no option for one,
+    # and the poly suite passes on the theta graph without it.
+    assert not hasattr(poly, "POINTS_CAP")
+    with pytest.raises(SystemExit):
+        cli.main(["identities", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--points" not in help_text and "--seed" not in help_text
+    assert "sample point" not in help_text
+    rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "poly")
+    assert rc == 0 and " fail" not in out
 
 
 def test_identities_suite_selectors(capsys, files):
