@@ -63,9 +63,10 @@ on tally rows; and the perspective recursion works on matroid minors,
 unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
-on one embedded graph, exactly.  Two are literal polynomial identities
-and compare assembled polynomials.  Each of the others substitutes
-monomials for the variables: in the bases the buckets are kept in,
+on one embedded graph, exactly, and assembles no polynomial.  The two
+literal identities compare the buckets of their sides, both kept over
+the same basis.  Each of the others substitutes monomials for the
+variables: in the bases the buckets are kept in,
 (x - 1), (y - 1), z and so on, every substitution maps each bucket's
 half-unit exponents to those of one monomial over the identity's own
 basis (x0 - 1, y0 - 1, w, ...), whose monomials are independent.  So
@@ -155,13 +156,12 @@ def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
 def tutte(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Corank-nullity sum of the cycle matroid of g."""
     check_cap(len(g.edges), cap, "Tutte expansion")
-    return _tutte_poly("xy", _tutte_buckets(len(g.vertices), rb.transfer_tally(g)))
+    return _tutte_poly(_tutte_buckets(len(g.vertices), rb.transfer_tally(g)))
 
 
-def _tutte_poly(names: str, buckets: Mapping) -> MPolynomial:
-    """T from its buckets over (x - 1, y - 1), in the (corank, nullity)
-    variables names: "yx" gives T(B(g)) from the buckets of T(C(g))."""
-    return assemble(names, buckets, shifted="xy")
+def _tutte_poly(buckets: Mapping) -> MPolynomial:
+    """T from its (corank, nullity) buckets over (x - 1, y - 1)."""
+    return assemble("xy", buckets, shifted="xy")
 
 
 def _lv_poly(buckets: Mapping) -> MPolynomial:
@@ -565,19 +565,27 @@ def _keyed(buckets: Mapping, key) -> Counter:
     return counts
 
 
+def _first_difference(lhs: Mapping, rhs: Mapping):
+    """(key, count): the first key, in sorted order, with a nonzero count
+    in lhs - rhs, or None when the counts agree."""
+    diff = Counter(lhs)
+    diff.subtract(rhs)
+    first = min((key for key, c in diff.items() if c), default=None)
+    return None if first is None else (first, diff[first])
+
+
 def _exact(name: str, basis: tuple[str, ...], lhs: Mapping,
            rhs: Mapping) -> CheckResult:
     """Check lhs = rhs, both sides given as counts of half-unit exponent
     tuples over basis, whose monomials are independent, so the sides
     agree exactly when the counts do.  A failure names the first
     monomial, in sorted order, with a nonzero coefficient in lhs - rhs."""
-    diff = Counter(lhs)
-    diff.subtract(rhs)
-    first = min((key for key, c in diff.items() if c), default=None)
-    if first is None:
+    found = _first_difference(lhs, rhs)
+    if found is None:
         return _ok(name)
+    first, count = found
     mono = " ".join(v + _power_suffix(h) for v, h in zip(basis, first) if h)
-    return _bad(name, f"{mono or '1'} has coefficient {diff[first]} in lhs - rhs")
+    return _bad(name, f"{mono or '1'} has coefficient {count} in lhs - rhs")
 
 
 _XY0 = ("(x0-1)", "(y0-1)")
@@ -588,10 +596,11 @@ def verify_identities(emb: em.EmbeddedGraph, *,
     """Run every polynomial identity that applies to this embedding.
 
     Identities whose preconditions the input does not meet come back
-    as skips, never silently dropped.  All comparisons are exact: the
-    two literal identities compare assembled polynomials, and each
-    substitution identity maps the buckets of both sides to half-unit
-    exponents over its own basis and compares the counts (_exact).
+    as skips, never silently dropped.  All comparisons are exact and on
+    bucket counts: the two literal identities compare the buckets of
+    their sides, and each substitution identity maps the buckets of both
+    sides to half-unit exponents over its own basis and compares the
+    counts (_exact).
     """
     rs = emb.rotation
     check_cap(len(rs.edges), cap, "the identity suite")
@@ -621,13 +630,16 @@ def verify_identities(emb: em.EmbeddedGraph, *,
         self_rows[1][size, rp_a, rp_a] += m
     try:
         pair = _perspective_buckets(mp, rank_rows)
-        self_b, self_c = (_perspective_from_rows(mt.MatroidPerspective(x, x), rows)
+        self_b, self_c = (_perspective_buckets(mt.MatroidPerspective(x, x), rows)
                           for x, rows in zip((mp.m, mp.m_prime), self_rows))
     except PolyError as exc:
         out += [_bad(name, str(exc)) for name in (
             "perspective-self", "perspective-to-m", "perspective-to-m-prime")]
     else:
-        if (self_b, self_c) == (_tutte_poly("yx", t_m), _tutte_poly("xy", t_mp)):
+        # T(M, M; x, y, z) = T(M; x, y) = T(H; y, x), and likewise for M'.
+        off_m = _first_difference(self_b, _keyed(t_m, lambda y, x: (x, y, 0)))
+        off_mp = _first_difference(self_c, _keyed(t_mp, lambda x, y: (x, y, 0)))
+        if off_m is None and off_mp is None:
             out.append(_ok("perspective-self"))
         else:
             out.append(_bad("perspective-self",
@@ -648,7 +660,7 @@ def verify_identities(emb: em.EmbeddedGraph, *,
         l_cell = _cellular_buckets(rs, rows)
         r_buckets = _ribbon_buckets(rs, rows)
         gamma = 2 * rb.euler_genus(rs)          # in half-units
-        if _lv_poly(l_cell) == _lv_poly(l_ext):
+        if _first_difference(l_cell, l_ext) is None:
             out.append(_ok("lv-extension-matches-cellular"))
         else:
             out.append(_bad("lv-extension-matches-cellular",

@@ -42,6 +42,10 @@ corner points (the undecided points whose kappa partner is decided);
 decisions that reach one state have the same future, so equal states
 merge and carry a tally of the size and the blocks and circles already
 closed.  Their cost follows the number of states, not 2^|E| or 3^|E|.
+A circle layer's moves share one plan table (_circle_plan): how an
+edge's choices rejoin the paths through its four points depends only
+on how those points link to one another and on the choices' pairings,
+at most 60 cases in all, each worked out once per process.
 
 A failing check names its first bad subset or state on the same loop,
 which a forced map restricts to one choice per forced edge:
@@ -64,7 +68,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -574,11 +579,12 @@ def _frontier_tally(order: list[int], layers, sizes=(0, 1),
                     target[packed] = target.get(packed, 0) + m
         states = merged
     ((offset, tally),) = states.values()
-    tally = {packed + offset: m for packed, m in tally.items()}
+    packed = [p + offset for p in tally]
     mask = (1 << width) - 1
-    return [((packed & mask,) + tuple((packed >> shift & mask) + base
-                                      for shift, (_, base) in zip(shifts, layers)),
-             m) for packed, m in tally.items()]
+    columns = [[p & mask for p in packed]]
+    columns += [[(p >> shift & mask) + base for p in packed]
+                for shift, (_, base) in zip(shifts, layers)]
+    return list(zip(zip(*columns), tally.values()))
 
 
 def _block_moves(g: mg.Multigraph, order: list[int], inside: bool):
@@ -643,9 +649,8 @@ def _union_moves(joins, nodes: int):
 
 def _union_move(fresh, kept, gone, plans):
     def settle(label):
-        labels = [label[k] for k in kept]
         ids: dict = {}
-        part = tuple([ids.setdefault(k, len(ids)) for k in labels])
+        part = tuple([ids.setdefault(label[k], len(ids)) for k in kept])
         if not gone:
             return part, 0
         return part, len({label[k] for k in gone}.difference(ids))
@@ -680,7 +685,12 @@ def _circle_moves(g: RotationSystem, order: list[int], pairings):
     points (the undecided corner points whose kappa partner is
     decided): each is followed by the point at the other end of the
     path through the decided points.  A circle closes when a decided
-    edge's pairing completes a cycle."""
+    edge's pairing completes a cycle.
+
+    Each move reads how its edge's choices rejoin the paths from one
+    plan table, _circle_plan, memoised on the links among the edge's
+    own points and the pairings: every move of every layer shares it,
+    and its domain bounds it at 60 entries."""
     # A _union_moves layer on the corner points counts the same circles,
     # but relabels the whole frontier per union; a pairing moves two ends.
     index = {e: i for i, e in enumerate(g.edges)}
@@ -717,61 +727,73 @@ def smoothing_pairings(band: int) -> tuple[int, int, int]:
     return (1, band, band ^ 1)
 
 
-def _circle_move(before, after, i, arcs, decided, pairings):
-    base = 4 * i
-    # The edge's own frontier points sit at fixed places in a part; the
-    # rest of the part is carried over in the spans between them.
-    at = [before.index(base + j) if decided[j] else -1 for j in range(4)]
-    cuts = sorted(k for k in at if k >= 0)
-    spans = list(zip([0] + [k + 1 for k in cuts], cuts + [len(before)]))
-    fresh = [0] * (len(after) - len(before) + len(cuts))
-    where = {p: k for k, p in enumerate(after)}
-    plans: dict = {}
-
-    def plan(inner):
-        # inner[j] is the edge's own point that the link of point j
-        # reaches, or -1 if it leaves the edge.  Walk from each point
-        # whose link leaves, through the edge's pairing x and the links,
-        # to the next point whose link leaves; points no walk meets lie
-        # on closed circles.
-        out = []
-        for x in pairings:
-            ends, seen = [], 0
-            for j in range(4):
-                if inner[j] >= 0 or seen >> j & 1:
-                    continue
+@cache
+def _circle_plan(inner: tuple[int, ...], pairings: tuple[int, ...]):
+    """Per pairing x of pairings, (ends, closed) for an edge whose own
+    point j links to the own point inner[j], or leaves the edge if
+    inner[j] is -1.  Walking from each point whose link leaves, through
+    x and the links, to the next such point gives the pairs of ends;
+    the points no walk meets lie on the closed circles, counted in
+    closed.  inner is one of the 10 fixed-point-free partial
+    involutions of the 4 points and pairings one of the 6 tuples of
+    _in_a, _in_rest and smoothing_pairings, so the table holds at most
+    60 entries."""
+    out = []
+    for x in pairings:
+        ends, seen = [], 0
+        for j in range(4):
+            if inner[j] >= 0 or seen >> j & 1:
+                continue
+            k = j
+            while True:
+                seen |= 1 << k
+                k ^= x
+                seen |= 1 << k
+                if inner[k] < 0:
+                    break
+                k = inner[k]
+            ends.append((j, k))
+        closed = 0
+        for j in range(4):
+            if not seen >> j & 1:
+                closed += 1
                 k = j
-                while True:
+                while not seen >> k & 1:
                     seen |= 1 << k
                     k ^= x
                     seen |= 1 << k
-                    if inner[k] < 0:
-                        break
                     k = inner[k]
-                ends.append((j, k))
-            closed = 0
-            for j in range(4):
-                if not seen >> j & 1:
-                    closed += 1
-                    k = j
-                    while not seen >> k & 1:
-                        seen |= 1 << k
-                        k ^= x
-                        seen |= 1 << k
-                        k = inner[k]
-            out.append((ends, closed))
-        return out
+        out.append((tuple(ends), closed))
+    return tuple(out)
+
+
+def _picker(places: Sequence[int]):
+    """The function from a tuple to the tuple of its items at places."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    if places:
+        (k,) = places
+        return lambda items: (items[k],)
+    return lambda items: ()
+
+
+def _circle_move(before, after, i, arcs, decided, pairings):
+    base = 4 * i
+    # The edge's decided points sit at fixed places in a part; the rest
+    # of the part is carried over in order, then the entering points.
+    at = tuple((j, before.index(base + j)) for j in range(4) if decided[j])
+    own = {k for _, k in at}
+    carry = _picker([k for k in range(len(before)) if k not in own])
+    fresh = (0,) * (len(after) - len(before) + len(own))
+    where = {p: k for k, p in enumerate(after)}
 
     def move(mates):
-        link = [mates[at[j]] if decided[j] else arcs[j] for j in range(4)]
-        inner = tuple([p - base if p >> 2 == i else -1 for p in link])
-        steps = plans.get(inner)
-        if steps is None:
-            plans[inner] = steps = plan(inner)
-        carried = []
-        for a, b in spans:
-            carried += mates[a:b]
-        carried += fresh
+        link = list(arcs)
+        for j, k in at:
+            link[j] = mates[k]
+        steps = _circle_plan(tuple([p - base if p >> 2 == i else -1 for p in link]),
+                             pairings)
+        carried = [*carry(mates), *fresh]
         moved = []
         for ends, closed in steps:
             out = carried[:]

@@ -5,6 +5,7 @@ structures are frozen below and everything else is checked against
 them.
 """
 
+import itertools
 import random
 from collections import Counter
 from functools import partial
@@ -15,12 +16,12 @@ import corpus
 import sweeps
 from topopoly import embedding as em
 from topopoly import multigraph as mg
+from topopoly import poly
 from topopoly import ribbon as rb
 from topopoly import states as st
 
 
 def all_subsets(edges):
-    import itertools
     for k in range(len(edges) + 1):
         yield from map(frozenset, itertools.combinations(edges, k))
 
@@ -109,6 +110,62 @@ def test_dual_tally_matches_dual_sweep():
     for rs in corpus.cellular_corpus():
         assert rb.dual_tally(rs) == Counter(sweeps.dual_sweep(rs)), rs
         assert rs.dual_tally == Counter(sweeps.dual_sweep(rs, rs.dual)), rs
+
+
+# The domain of the circle layer's plan table: how an edge's own four
+# points link to one another through the decided points (a fixed-point
+# free partial involution, -1 where a link leaves the edge), and the
+# pairings of its choices.
+_LINKS = [inner for inner in itertools.product(range(-1, 4), repeat=4)
+          if all(k != j and (k < 0 or inner[k] == j) for j, k in enumerate(inner))]
+_PAIRINGS = sorted({pairings(band) for pairings in
+                    (rb._in_a, rb._in_rest, rb.smoothing_pairings) for band in (3, 2)})
+
+
+def _walk_orbits(inner, x):
+    """The paths and circles through the four points joined j to j ^ x
+    and j to inner[j], walked directly: the set of the two end points of
+    each path, and the number of circles."""
+    ends, circles, seen = set(), 0, set()
+    for start in range(4):
+        if start in seen:
+            continue
+        orbit, todo = set(), [start]
+        while todo:
+            j = todo.pop()
+            if j not in orbit:
+                orbit.add(j)
+                todo += [j ^ x] + ([inner[j]] if inner[j] >= 0 else [])
+        seen |= orbit
+        leaving = frozenset(j for j in orbit if inner[j] < 0)
+        if leaving:
+            ends.add(leaving)
+        else:
+            circles += 1
+    return ends, circles
+
+
+def test_circle_plan_table_matches_a_direct_walk():
+    assert (len(_LINKS), len(_PAIRINGS)) == (10, 6)
+    for inner in _LINKS:
+        for pairings in _PAIRINGS:
+            plan = rb._circle_plan(inner, pairings)
+            assert len(plan) == len(pairings)
+            for x, (ends, closed) in zip(pairings, plan):
+                assert ({frozenset(pair) for pair in ends}, closed) == (
+                    _walk_orbits(inner, x)), (inner, x)
+                assert all(len(set(pair)) == 2 for pair in ends)
+
+
+def test_circle_plan_table_stays_in_its_domain():
+    # Every tally of both corpora, identities and state checks, keys the
+    # table on the 10 x 6 links and pairings alone: no more entries.
+    rb._circle_plan.cache_clear()
+    for emb in corpus.main_corpus():
+        assert not any(r.failed for r in poly.verify_identities(emb))
+    for rs in corpus.cellular_corpus():
+        assert not any(r.failed for r in st.run_state_checks(rs)[0])
+    assert 0 < rb._circle_plan.cache_info().currsize <= len(_LINKS) * len(_PAIRINGS)
 
 
 def _edge_cases():
