@@ -7,9 +7,11 @@ more boundary circles.  Filling each region accordingly rebuilds the
 ambient pseudo-surface, so validation, region adjacency (the dagger
 graph), region counts rho, edge classification and complement
 invariants are all computed from this data, on the circles of the
-rotation system's own full trace (RotationSystem.trace).  An embedded
-graph keeps its validation report and its scheme, each made on first
-use by validate and derive_dagger, for every reader.
+rotation system's own full trace (RotationSystem.trace).  Building an
+embedded graph checks its regions against the circle count alone
+(RotationSystem.circle_count), so the trace is made by its first
+reader.  An embedded graph keeps its validation report and its scheme,
+each made on first use by validate and derive_dagger, for every reader.
 
 Deletion and contraction live at two levels.  The scheme level tracks
 only the abstract graph and its dagger, which is all the transition
@@ -45,15 +47,15 @@ class EmbeddedGraph:
     region_genus: Mapping[int, int]
 
     def __post_init__(self):
-        trace = self.trace
+        f = self.rotation.circle_count
         regions = {int(c): int(r) for c, r in self.regions.items()}
         genus = {int(r): int(g) for r, g in self.region_genus.items()}
-        for c in range(trace.f):
+        for c in range(f):
             if c not in regions:
                 raise EmbeddingError(
                     f"circle {c} of the trace is not covered by any region")
         for c, r in regions.items():
-            if not 0 <= c < trace.f:
+            if not 0 <= c < f:
                 raise EmbeddingError(f"region {r} lists unknown circle {c}")
             if r not in genus:
                 raise EmbeddingError(f"circle {c} glued to unknown region {r}")
@@ -87,7 +89,7 @@ class EmbeddedGraph:
 
     def region_circles(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {r: [] for r in self.region_genus}
-        for c in range(self.trace.f):
+        for c in range(self.rotation.circle_count):
             out[self.regions[c]].append(c)
         return out
 
@@ -95,7 +97,7 @@ class EmbeddedGraph:
 def with_disc_regions(rotation: rb.RotationSystem) -> EmbeddedGraph:
     """Glue a disc onto every boundary circle.  For a pinch-free
     rotation system this is its cellular embedding."""
-    discs = range(rotation.trace.f)
+    discs = range(rotation.circle_count)
     return EmbeddedGraph(rotation, {c: c for c in discs}, {c: 0 for c in discs})
 
 

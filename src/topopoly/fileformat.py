@@ -18,7 +18,9 @@ keyword "cellular" glues a disc onto every circle instead of explicit
 region lines.  With neither, the file describes a bare rotation
 system.  Every parse error carries the offending line number, but the
 two that concern the file as a whole: "no vertex lines", and a circle
-of the trace that no region covers.
+of the trace that no region covers.  Checking the regions needs only
+the number of circles (RotationSystem.circle_count), so parse traces
+nothing; the full trace is made by its first reader.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from . import ribbon as rb
 _VERTEX = re.compile(r"vertex\s+(\d+)\s*:\s*(.*)")
 _SECTOR = re.compile(r"sector\s*\(([^()]*)\)")
 _HALF = re.compile(r"(\d+)\.([01])")
+_GROUP = re.compile(r"(?:\s*\d+\.[01](?!\S))*\s*")
 _EDGE = re.compile(r"edge\s+(\d+)\s*:\s*(\d+)\s+(\d+)\s+sign\s+([+-])")
 _REGION = re.compile(r"region\s+(\d+)\s*:\s*genus\s+(-?\d+)\s+circles\s+([\d,\s]+)")
 
@@ -81,26 +84,23 @@ def parse(text: str) -> ParsedInput:
                 _fail(lineno, "vertex line has text outside sector (...) groups")
             if not groups:
                 _fail(lineno, f"vertex {v} needs at least one sector")
-            secs = []
             for grp in groups:
-                halves = []
-                for tok in grp.split():
-                    hm = _HALF.fullmatch(tok)
-                    if not hm:
-                        _fail(lineno, f"bad half-edge token '{tok}' "
-                                      "(expected edge.end with end 0 or 1)")
-                    halves.append((int(hm.group(1)), int(hm.group(2))))
-                secs.append(tuple(halves))
-            sectors[v] = tuple(secs)
+                if not _GROUP.fullmatch(grp):
+                    tok = next(t for t in grp.split() if not _HALF.fullmatch(t))
+                    _fail(lineno, f"bad half-edge token '{tok}' "
+                                  "(expected edge.end with end 0 or 1)")
+            sectors[v] = tuple([tuple([(int(t[:-2]), int(t[-1])) for t in grp.split()])
+                                for grp in groups])
             vertex_line[v] = lineno
             continue
         m = _EDGE.fullmatch(line)
         if m:
-            e = int(m.group(1))
+            e, u, w, sign = m.groups()
+            e = int(e)
             if e in signs:
                 _fail(lineno, f"edge {e} declared twice")
-            signs[e] = 1 if m.group(4) == "+" else -1
-            declared_ends[e] = (int(m.group(2)), int(m.group(3)))
+            signs[e] = 1 if sign == "+" else -1
+            declared_ends[e] = (int(u), int(w))
             edge_line[e] = lineno
             continue
         m = _REGION.fullmatch(line)
@@ -127,6 +127,44 @@ def parse(text: str) -> ParsedInput:
     if cellular_line is not None and region_rows:
         _fail(cellular_line, "'cellular' cannot be combined with region lines")
 
+    # The rotation system checks where every half-edge sits; only if it
+    # refuses, or an edge's ends differ, does _misplaced name the fault.
+    try:
+        rotation = rb.RotationSystem(sectors, signs)
+    except rb.RibbonError as exc:
+        _misplaced(sectors, signs, declared_ends, vertex_line, edge_line)
+        raise FormatError(str(exc)) from exc
+    if rotation.ends != declared_ends:
+        _misplaced(sectors, signs, declared_ends, vertex_line, edge_line)
+
+    if cellular_line is not None:
+        return ParsedInput(rotation, em.with_disc_regions(rotation))
+    if not region_rows:
+        return ParsedInput(rotation, None)
+
+    f = rotation.circle_count
+    regions: dict[int, int] = {}
+    region_genus: dict[int, int] = {}
+    for lineno, r, genus, circles in region_rows:
+        region_genus[r] = genus
+        for c in circles:
+            if not 0 <= c < f:
+                _fail(lineno, f"region {r} lists circle {c}, but the trace has "
+                              f"circles 0..{f - 1}")
+            if c in regions:
+                _fail(lineno, f"circle {c} is glued to region {regions[c]} "
+                              f"and region {r}")
+            regions[c] = r
+    try:
+        embedded = em.EmbeddedGraph(rotation, regions, region_genus)
+    except em.EmbeddingError as exc:
+        raise FormatError(str(exc)) from exc
+    return ParsedInput(rotation, embedded)
+
+
+def _misplaced(sectors, signs, declared_ends, vertex_line, edge_line) -> None:
+    """Fail on the first half-edge placed twice or nowhere, edge with
+    other ends than its line's, or vertex naming an undeclared edge."""
     placed: dict[tuple[int, int], int] = {}
     for v, secs in sectors.items():
         for sec in secs:
@@ -149,35 +187,6 @@ def parse(text: str) -> ParsedInput:
     for (e, _end), v in placed.items():
         if e not in signs:
             _fail(vertex_line[v], f"vertex {v} references undeclared edge {e}")
-
-    try:
-        rotation = rb.RotationSystem(sectors, signs)
-    except rb.RibbonError as exc:
-        raise FormatError(str(exc)) from exc
-
-    if cellular_line is not None:
-        return ParsedInput(rotation, em.with_disc_regions(rotation))
-    if not region_rows:
-        return ParsedInput(rotation, None)
-
-    f = rotation.trace.f
-    regions: dict[int, int] = {}
-    region_genus: dict[int, int] = {}
-    for lineno, r, genus, circles in region_rows:
-        region_genus[r] = genus
-        for c in circles:
-            if not 0 <= c < f:
-                _fail(lineno, f"region {r} lists circle {c}, but the trace has "
-                              f"circles 0..{f - 1}")
-            if c in regions:
-                _fail(lineno, f"circle {c} is glued to region {regions[c]} "
-                              f"and region {r}")
-            regions[c] = r
-    try:
-        embedded = em.EmbeddedGraph(rotation, regions, region_genus)
-    except em.EmbeddingError as exc:
-        raise FormatError(str(exc)) from exc
-    return ParsedInput(rotation, embedded)
 
 
 def serialize(x) -> str:

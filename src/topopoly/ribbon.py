@@ -24,8 +24,9 @@ sector left without half-edges still bounds one circle.
 
 circle_counter counts the same circles on int-encoded corner points,
 without building any Circle: its kappa is fixed, and an absent band
-pairs its points in to out at each end.  A failing state check
-recounts its one misplaced medial state on it.
+pairs its points in to out at each end.  A system's circle_count is
+its count with every band present, all that checking regions needs.
+A failing state check recounts its one misplaced medial state on it.
 
 transfer_tally and dual_tally return the tallies of the rows of the
 2^|E| edge subsets (sizes, component and circle counts) without
@@ -57,11 +58,11 @@ petrials (band twists), orientability, the
 medial map with its per-vertex smoothing pairings, and the sector
 surgery (disc flips and non-loop contraction) used for topological
 minors.  Circles are numbered canonically, so traces are reproducible.
-A system keeps its full trace (which trace_boundary returns for the
-whole edge set), its dual, its unforced dual tally (read-only), its
-disc arcs, its tally order and its underlying multigraph, each made on
-first use.  Systems never change; surgery builds new ones, which
-derive their own.
+A system keeps its circle count, its full trace (which trace_boundary
+returns for the whole edge set), its dual, its unforced dual tally
+(read-only), its disc arcs, its tally order and its underlying
+multigraph, each made on first use.  Systems never change; surgery
+builds new ones, which derive their own.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ class RotationSystem:
     def __post_init__(self):
         sectors = {}
         for v, secs in self.sectors.items():
-            secs = tuple(tuple((int(e), int(end)) for e, end in sec) for sec in secs)
+            secs = tuple([tuple([(int(e), int(end)) for e, end in sec]) for sec in secs])
             if not secs:
                 raise RibbonError(f"vertex {v} has no sectors")
             sectors[int(v)] = secs
         signs = {int(e): int(s) for e, s in self.signs.items()}
-        if any(s not in (1, -1) for s in signs.values()):
+        if not {1, -1}.issuperset(signs.values()):
             raise RibbonError("edge signs must be +1 or -1")
         half_home: dict[Half, Home] = {}
         for v in sectors:
@@ -162,6 +163,12 @@ class RotationSystem:
     def trace(self) -> "BoundaryTrace":
         """The boundary circles of every band, traced on first use."""
         return trace_sectors(all_sectors(self), self.signs, self.edge_set())
+
+    @cached_property
+    def circle_count(self) -> int:
+        """The full trace's f, counted by circle_counter with every band
+        present, on first use; no Circle is built."""
+        return circle_counter(self)([3 if self.signs[e] > 0 else 2 for e in self.edges])
 
     @cached_property
     def dual(self) -> "RotationSystem":

@@ -63,6 +63,33 @@ def klein_bouquet() -> rb.RotationSystem:
         {0: ((1, 0), (2, 0), (1, 1), (2, 1))}, {1: -1, 2: 1})
 
 
+def _pair_system(rotations: tuple[str, str], signs: str) -> rb.RotationSystem:
+    """Vertices 0 and 1 with the given rotations, half-edges written as
+    edge.end, and one sign character per edge from edge 1."""
+    return rb.RotationSystem.single(
+        {v: tuple((int(e), int(end)) for e, end in (t.split(".") for t in rot.split()))
+         for v, rot in enumerate(rotations)},
+        {e: 1 if s == "+" else -1 for e, s in enumerate(signs, start=1)})
+
+
+def ribbon_twins() -> tuple[rb.RotationSystem, rb.RotationSystem]:
+    """Two orientable embeddings, 2 vertices and 6 untwisted edges in
+    Euler genus 4: equal T and R, different L, K and L_ext."""
+    return (_pair_system(("4.1 1.0 2.0 5.1 6.1 3.1 6.0 1.1", "2.1 3.0 4.0 5.0"),
+                         "++++++"),
+            _pair_system(("4.0 2.0 5.1 3.0", "6.1 1.0 5.0 4.1 2.1 1.1 6.0 3.1"),
+                         "++++++"))
+
+
+def surface_twins() -> tuple[rb.RotationSystem, rb.RotationSystem]:
+    """Two non-orientable embeddings, 2 vertices and 6 edges in Euler
+    genus 4: equal T, R, L and L_ext, different K."""
+    return (_pair_system(("4.1 3.0 6.1 3.1 4.0 2.1 5.0 1.0", "2.0 5.1 6.0 1.1"),
+                         "--+-++"),
+            _pair_system(("3.0 1.0 3.1 2.0 6.1 5.0", "4.1 1.1 2.1 5.1 4.0 6.0"),
+                         "+--++-"))
+
+
 def torus_loop_annulus() -> em.EmbeddedGraph:
     """A plain loop whose two boundary circles bound one annulus,
     so the loop sits on a torus without cutting it into discs."""

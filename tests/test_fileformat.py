@@ -1,5 +1,6 @@
 """The text format: round trips and line-numbered rejection."""
 
+import hashlib
 import random
 
 import pytest
@@ -51,6 +52,24 @@ def test_parse_pinched_vertex():
     """
     parsed = ff.parse(text)
     assert parsed.rotation.pinch_vertices() == (0,)
+
+
+def test_parse_reads_the_circle_count_not_the_trace(monkeypatch):
+    # Bare, cellular and region files, pinched ones among them: parsing
+    # and the region checks count the circles and trace none.
+    bare = corpus.cellular_corpus()[:12]
+    embedded = corpus.main_corpus()[:60]
+    files = ([(ff.serialize(rs), rs, None) for rs in bare]
+             + [(ff.serialize(rs) + "cellular\n", rs, em.with_disc_regions(rs))
+                for rs in bare]
+             + [(ff.serialize(emb), emb.rotation, emb) for emb in embedded])
+    assert any(emb.rotation.pinch_vertices() for emb in embedded)
+    traces = []
+    monkeypatch.setattr(rb, "trace_sectors", lambda *args: traces.append(args))
+    for text, rotation, embedding in files:
+        parsed = ff.parse(text)
+        assert (parsed.rotation, parsed.embedded) == (rotation, embedding)
+    assert traces == []
 
 
 def test_round_trip_rotation():
@@ -185,3 +204,64 @@ def test_parse_inverts_serialize(seed, n_vertices, n_edges):
         parsed = ff.parse(text)
         assert getattr(parsed, field) == x
         assert ff.serialize(getattr(parsed, field)) == text
+
+
+def _mutant_texts(count=400, seed=2813) -> list[str]:
+    """Seeded edits of bare, cellular, region and pinched files from
+    both corpora: every other mutant makes one to four replace, insert
+    or delete edits anywhere, the rest swap one or two digits for 0-3,
+    which keeps most lines well formed and reaches the later checks."""
+    pool = []
+    for rs in corpus.cellular_corpus():
+        pool += [ff.serialize(rs), ff.serialize(rs) + "cellular\n"]
+    for emb in corpus.main_corpus():
+        pool += [ff.serialize(emb), ff.serialize(emb.rotation)]
+    chars = ("0123456789.,:()+-# \ncellular vertex sector edge sign region genus "
+             "circles\tx(\u00e9")
+    rng = random.Random(seed)
+    texts = []
+    for i in range(count):
+        text = rng.choice(pool)
+        if i % 2:
+            mutations = [(rng.choice(("replace", "insert", "delete")),
+                          rng.randrange(len(text) + 1), rng.choice(chars))
+                         for _ in range(rng.randint(1, 4))]
+        else:
+            digits = [at for at, c in enumerate(text) if c.isdigit()]
+            mutations = [("replace", rng.choice(digits), rng.choice("0123"))
+                         for _ in range(rng.randint(1, 2))]
+        texts.append(_mutate(text, mutations))
+    return texts
+
+
+def _outcome(text: str) -> str:
+    try:
+        parsed = ff.parse(text)
+    except ff.FormatError as exc:
+        return f"error: {exc}"
+    kept = parsed.rotation if parsed.embedded is None else parsed.embedded
+    return "ok: " + repr(ff.serialize(kept))
+
+
+_OUTCOMES_SHA256 = "85c76f479cb3c0ac83991b1f2eb094330581d12c720f57b6f3e2cb4a11859b95"
+_PINNED_OUTCOMES = {
+    0: "error: line 1: bad half-edge token '4.3' (expected edge.end with end 0 or 1)",
+    1: "error: line 2: unrecognised line 'vertx 1: sector (1.1 2.1)'",
+    2: "error: line 4: half-edge 1.0 placed twice (vertex 2 and vertex 3)",
+    3: "error: line 5: vertex line has text outside sector (...) groups",
+    12: "error: line 3: edge 1 declares ends 3 1 but its half-edges sit at 0 1",
+    18: "error: line 5: half-edge 3.0 appears in no sector",
+    20: "error: line 4: region 0 lists circle 2, but the trace has circles 0..1",
+    182: "ok: 'vertex 0: sector (1.0 1.1)\\nedge 1: 0 0 sign -\\n'",
+    292: "error: line 4: circle 1 is glued to region 0 and region 0",
+}
+
+
+def test_mutated_inputs_keep_their_messages():
+    # Every mutant's first error, or its re-serialized text, pinned by
+    # one digest over all of them.
+    outcomes = [_outcome(text) for text in _mutant_texts()]
+    for i, line in _PINNED_OUTCOMES.items():
+        assert outcomes[i] == line, i
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == _OUTCOMES_SHA256

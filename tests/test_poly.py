@@ -816,7 +816,9 @@ def test_expansions_trace_a_fixed_number_of_times(monkeypatch):
 def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
     """The parsed rotation system holds its one full trace, dual, dual
     tally and underlying graph, and the embedding its validation report
-    and scheme: every reader in a command shares them."""
+    and scheme: every reader in a command shares them.  Parsing reads
+    only the circle count, so the commands that never read a circle's
+    sides (tutte, dichromatic, br) trace nothing."""
     calls = Counter()
     for module, name in ((rb, "trace_sectors"), (rb, "dual"),
                          (em, "validate"), (em, "derive_dagger")):
@@ -871,7 +873,8 @@ def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
             built.setdefault(id(system), set()).add(id(g))
         assert all(len(ids) == 1 for ids in built.values()), name
     capsys.readouterr()
-    assert traces == dict.fromkeys(commands, 1)
+    untraced = ("tutte", "dichromatic", "br")
+    assert traces == {name: int(name not in untraced) for name in commands}
     assert all(max(counts.values(), default=0) <= 1 for counts in work.values()), work
     assert work["identities"] == {"dual": 1, "dual_tally": 1, "validate": 1,
                                   "derive_dagger": 1}
@@ -930,12 +933,13 @@ def test_identity_suite_expands_each_polynomial_once(monkeypatch):
     # lv-ext, T(M') = T(G) and T(M) = T(H; y, x) read one transfer tally
     # of the scheme, R comes from the suite's own dual_tally rows, and
     # krushkal makes one transfer tally, one frontier run each; no tally
-    # is rerun to find a witness.
+    # is rerun to find a witness.  The disc closure counts the circles once.
     calls = _count_calls(monkeypatch,
                          ((poly, "tutte"), (poly, "bollobas_riordan")) + _SWEEPS)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
-    assert calls == {"transfer_tally": 2, "dual_tally": 1, "_frontier_tally": 3}
+    assert calls == {"transfer_tally": 2, "dual_tally": 1, "_frontier_tally": 3,
+                     "circle_counter": 1}
 
 
 def test_each_command_builds_an_order_and_disc_arcs_once(monkeypatch, tmp_path,
@@ -1072,3 +1076,35 @@ def test_golden_polynomials():
         got = [golden.poly_digest(emb) for emb in pool]
         drift = [i for i, (a, b) in enumerate(zip(got, want[key])) if a != b]
         assert len(got) == len(want[key]) and not drift, (key, drift)
+
+
+# ---------------------------------------------------------------------------
+# which polynomial determines which: pinned pairs of cellular embeddings
+
+
+def _canonical_polys(rs: rb.RotationSystem) -> dict[str, str]:
+    emb = em.with_disc_regions(rs)
+    return {"T": str(poly.tutte(rs.underlying())),
+            "R": str(poly.bollobas_riordan(rs)),
+            "L": str(poly.las_vergnas_cellular(rs)),
+            "K": str(poly.krushkal(emb)),
+            "L_ext": str(poly.las_vergnas_embedded(emb))}
+
+
+def _shared(pair) -> set[str]:
+    first, second = map(_canonical_polys, pair)
+    return {name for name in first if first[name] == second[name]}
+
+
+def test_r_determines_neither_l_nor_k():
+    assert _shared(corpus.ribbon_twins()) == {"T", "R"}
+
+
+def test_r_and_l_together_do_not_determine_k():
+    assert _shared(corpus.surface_twins()) == {"T", "R", "L", "L_ext"}
+
+
+def test_l_determines_neither_r_nor_k():
+    pair = (corpus.bouquet_torus(), corpus.klein_bouquet())
+    assert _shared(pair) == {"T", "L", "L_ext"}
+    assert _canonical_polys(pair[0])["L"] == "1 + 2z + z^2"

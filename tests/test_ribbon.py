@@ -11,6 +11,8 @@ from collections import Counter
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import corpus
 import sweeps
@@ -352,6 +354,27 @@ def test_empty_sector_circle():
     assert tr.f == 3
     homes = [c.home for c in tr.circles if c.home is not None]
     assert homes == [(0, 0)]
+
+
+def test_circle_count_is_the_traces_f():
+    systems = [emb.rotation for emb in corpus.main_corpus()] + corpus.cellular_corpus()
+    assert any(() in secs for rs in systems for secs in rs.sectors.values())
+    for rs in systems:
+        assert rs.circle_count == rs.trace.f
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(min_value=0), hst.integers(min_value=1, max_value=5),
+       hst.integers(min_value=0, max_value=8),
+       hst.sets(hst.integers(min_value=0, max_value=4)))
+def test_circle_count_with_pinches_and_bare_sectors(seed, n_vertices, n_edges,
+                                                    bare):
+    # Drawn pinch points, plus a bare "sector ()" beside the sectors of
+    # each vertex in bare.
+    rs = corpus.random_rotation(random.Random(seed), n_vertices, n_edges)
+    rs = rb.RotationSystem({v: secs + ((),) * (v in bare)
+                            for v, secs in rs.sectors.items()}, rs.signs)
+    assert rs.circle_count == rs.trace.f
 
 
 def test_subset_trace_is_induced():
