@@ -2,9 +2,10 @@
 
 Exponents are stored in half-units so that terms like z^(1/2) and
 a^(3/2) are exact: a stored exponent h means the variable appears to
-the power h/2.  Stored exponents are never negative; computations that
-pass through negative powers must clear them before building a value
-of this class (see compose_laurent).
+the power h/2.  Stored exponents are never negative; a substitution
+that passes through negative powers (1/t, say) maps exponent buckets,
+as poly's identity suite and the state checks do, rather than build a
+value of this class.
 
 The canonical string sorts terms lexicographically by exponent tuple,
 so the same polynomial always prints the same way:
@@ -25,7 +26,6 @@ VARS = ("x", "y", "z", "a", "b", "t")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _ZEROS = (0,) * len(VARS)
 _odd = (1).__and__          # h & 1, mapped over an exponent column
-_half = (1).__rrshift__     # h >> 1
 
 
 def _power_suffix(h: int) -> str:
@@ -171,78 +171,35 @@ class MPolynomial:
         """Exact value at a rational point.
 
         Variables with odd half-unit exponents need an entry in sqrts
-        giving a rational square root of their value.  Each given
-        variable is one base of monomial_rows, its root if it has an
-        entry in sqrts, else its value, and _power_sum sums the rows.
-        The identity suite compares exponent buckets and evaluates
-        nothing, so this is a route independent of it; the tests'
-        oracles are _naive_value and the Fraction products in
-        tests/test_mpoly.py.
+        giving a rational square root of their value.  Each term becomes
+        one integer exponent row over the bases, a variable's root if it
+        has an entry in sqrts, else its value; a term that needs a value
+        or a root not given raises, the first such in term order.
+        _power_sum sums the rows.  The identity suite and the state
+        checks compare exponent buckets and evaluate nothing, so this is
+        a route independent of them; the tests' oracles are _naive_value
+        and the Fraction products in tests/test_mpoly.py.
         """
         sqrts = sqrts or {}
         for name, s in sqrts.items():
             v = values.get(name)
             if v is None or _rational(s) * _rational(s) != _rational(v):
                 raise ValueError(f"sqrts[{name!r}] is not a square root of the value")
-        units = {name: tuple(int(i == j) for i in range(len(values)))
-                 for j, name in enumerate(values)}
-        rows = self.monomial_rows((0,) * len(values), units,
-                                  {name: units[name] for name in sqrts})
-        return _power_sum(rows, [_rational(sqrts[name] if name in sqrts
-                                           else values[name]) for name in units])
-
-    def monomial_rows(self, scale: Sequence[int],
-                      values: Mapping[str, Sequence[int]],
-                      sqrts: Mapping[str, Sequence[int]] | None = None
-                      ) -> dict[tuple[int, ...], int]:
-        """The polynomial times a monomial, each variable standing for
-        a monomial, as integer exponent rows over some bases.
-
-        scale, values[name] and sqrts[name] hold exponents over the
-        bases: of the factor, of the variable's value and of a square
-        root of it.  A variable with an entry in sqrts is raised to its
-        half-unit exponent h on the root, any other to h/2 on its
-        value; a term that needs an entry not given raises as
-        _first_missing.  Terms that land on one row are summed, so
-        _power_sum(rows, bases) is the factor times the polynomial's
-        value.
-        """
-        sqrts = sqrts or {}
-        picked = []                         # (exponent column, image)
-        for name, half in zip(VARS, zip(*self._terms)):
-            if not any(half):
-                continue
-            if name in sqrts:
-                picked.append((half, sqrts[name]))
-            elif name in values and not any(map(_odd, half)):
-                picked.append((tuple(map(_half, half)), values[name]))
-            else:
-                self._first_missing(values, sqrts)
-        coeffs = self._terms.values()
-        columns = []
-        for j, s in enumerate(scale):
-            col = [s] * len(coeffs)
-            for exps, image in picked:
-                if image[j]:
-                    col = list(map(add, col, map(image[j].__mul__, exps)))
-            columns.append(col)
         rows: dict[tuple[int, ...], int] = {}
-        for row, coeff in zip(zip(*columns) if columns else repeat(()), coeffs):
-            rows[row] = rows.get(row, 0) + coeff
-        return rows
-
-    def _first_missing(self, values, sqrts) -> None:
-        """Raise the error of the first term, in term order, that needs
-        a value or a square root not given."""
-        for exps in self._terms:
-            for i, h in enumerate(exps):
-                name = VARS[i]
-                if not h or name in sqrts:
-                    continue
-                if h % 2:
-                    raise ValueError(f"odd half-power of {name} needs sqrts")
-                if name not in values:
-                    raise ValueError(f"no value for {name}")
+        for exps, coeff in self._terms.items():
+            row = []
+            for name, h in zip(VARS, exps):
+                if h and name not in sqrts:
+                    if h % 2:
+                        raise ValueError(f"odd half-power of {name} needs sqrts")
+                    if name not in values:
+                        raise ValueError(f"no value for {name}")
+                    h //= 2
+                row.append(h)
+            key = tuple(row)
+            rows[key] = rows.get(key, 0) + coeff
+        bases = {name: _rational(sqrts.get(name, v)) for name, v in values.items()}
+        return _power_sum(rows, [bases.get(name, 1) for name in VARS])
 
     def substitute(self, name: str, image: "MPolynomial") -> "MPolynomial":
         """Replace a whole-power variable by a polynomial.  Every term
@@ -399,28 +356,3 @@ def _columns_valid(names: Sequence[str], keys, shifted: frozenset) -> bool:
         if v in shifted and any(map(_odd, column)):
             return False
     return True
-
-
-def compose_laurent(poly: MPolynomial,
-                    images: Mapping[str, tuple[int, int]]) -> dict[int, int]:
-    """Substitute t^p (1 + t)^q for each variable, given as its image
-    (p, q), p possibly negative and q >= 0; whole-power variables only.
-
-    The rows of poly over the bases (t, 1 + t) are expanded
-    binomially; the result is the Laurent expansion as an exponent ->
-    coefficient dict.
-    """
-    total: dict[int, int] = {}
-    for (p, q), coeff in poly.monomial_rows((0, 0), images).items():
-        for k in range(q + 1):
-            total[p + k] = total.get(p + k, 0) + coeff * comb(q, k)
-    return {d: c for d, c in total.items() if c}
-
-
-def laurent_to_poly(laurent: Mapping[int, int]) -> MPolynomial:
-    """Build a polynomial in t from Laurent coefficients; negative
-    powers must have cancelled."""
-    bad = [d for d, c in laurent.items() if d < 0 and c]
-    if bad:
-        raise ValueError(f"negative powers survive: {sorted(bad)}")
-    return assemble(("t",), {(2 * d,): c for d, c in laurent.items()})

@@ -156,12 +156,8 @@ def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
 def tutte(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Corank-nullity sum of the cycle matroid of g."""
     check_cap(len(g.edges), cap, "Tutte expansion")
-    return _tutte_poly(_tutte_buckets(len(g.vertices), rb.transfer_tally(g)))
-
-
-def _tutte_poly(buckets: Mapping) -> MPolynomial:
-    """T from its (corank, nullity) buckets over (x - 1, y - 1)."""
-    return assemble("xy", buckets, shifted="xy")
+    return assemble("xy", _tutte_buckets(len(g.vertices), rb.transfer_tally(g)),
+                    shifted="xy")
 
 
 def _lv_poly(buckets: Mapping) -> MPolynomial:
@@ -171,9 +167,9 @@ def _lv_poly(buckets: Mapping) -> MPolynomial:
 
 
 def _tutte_buckets(v: int, rows: Mapping) -> Counter:
-    """The (corank, nullity) buckets of T(C(g)), g a graph on v
-    vertices, from rows that start with |A|, c(A), one per subset A, so
-    that c(E) is the least c."""
+    """The (corank, nullity) buckets of T(C(g)) over (x - 1, y - 1), g
+    a graph on v vertices, from rows that start with |A|, c(A), one per
+    subset A, so that c(E) is the least c."""
     c_full = min(c for _, c, *_ in rows)
     counts: Counter = Counter()
     for (size, c, *_), m in rows.items():
@@ -187,16 +183,11 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
     how much of the rank drop M' has not yet seen."""
     check_cap(len(mp.ground), cap, f"perspective {method}")
     if method == "expansion":
-        return _perspective_from_rows(mp, Counter(zip(
-            mt.mask_sizes(len(mp.ground)), mp.m.table(), mp.m_prime.table())))
+        return _lv_poly(_perspective_buckets(mp, Counter(zip(
+            mt.mask_sizes(len(mp.ground)), mp.m.table(), mp.m_prime.table()))))
     if method == "recursion":
         return assemble("xyz", Counter(_perspective_leaves(mp.m, mp.m_prime)))
     raise PolyError(f"unknown method {method!r}")
-
-
-def _perspective_from_rows(mp: mt.MatroidPerspective, rows: Mapping) -> MPolynomial:
-    """The pair polynomial of mp from rows, as _perspective_buckets reads them."""
-    return _lv_poly(_perspective_buckets(mp, rows))
 
 
 def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
@@ -252,12 +243,7 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return _cellular_from_rows(rs, rs.dual_tally)
-
-
-def _cellular_from_rows(rs: rb.RotationSystem, rows: Mapping) -> MPolynomial:
-    """L from rows, the dual_tally of rs."""
-    return _lv_poly(_cellular_buckets(rs, rows))
+    return _lv_poly(_cellular_buckets(rs, rs.dual_tally))
 
 
 def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
@@ -464,17 +450,13 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
     """Rank-nullity-genus sum of a ribbon graph."""
     rb.require_pinch_free(rs, "the ribbon polynomial")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return _ribbon_from_rows(rs, rb.transfer_tally(rs))
-
-
-def _ribbon_from_rows(rs: rb.RotationSystem, rows: Mapping) -> MPolynomial:
-    """R from its buckets over (x - 1, y, z), as _ribbon_buckets reads them."""
-    return assemble("xyz", _ribbon_buckets(rs, rows), shifted="x")
+    return assemble("xyz", _ribbon_buckets(rs, rb.transfer_tally(rs)), shifted="x")
 
 
 def _ribbon_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
-    """The buckets of R from a tally of rows that start with |A|, c(A),
-    f(A): the rows of transfer_tally and of dual_tally both do."""
+    """The buckets of R over (x - 1, y, z) from a tally of rows that
+    start with |A|, c(A), f(A): the rows of transfer_tally and of
+    dual_tally both do."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     counts: Counter = Counter()

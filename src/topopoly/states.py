@@ -29,8 +29,10 @@ which the identity suite shares:
 the minimum formula and the quasi-tree duality are predicates on its
 rows, the crossing-free profile is its marginal over f (handed back
 with the results, for the states command to print), and the
-polynomials R and L of the diagonal relations are assembled from it.
-Only a failing check reruns that tally, to name the first bad white
+diagonal relations read the exponent buckets of R and L from it, each
+bucket mapped to one power of t, and compare the counts; only a
+failing lr-relation assembles its two sides, to print them.  Only a
+failing check reruns that tally, to name the first bad white
 set in mask order.  A check that finds a disagreement fails; only
 inputs outside the preconditions (pinched, edgeless, disconnected,
 over the sweep cap) raise.  The sweep cap, checked first, still counts
@@ -39,6 +41,7 @@ edges; the tally's cost follows its frontier states, not 3^e.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
@@ -46,7 +49,7 @@ from typing import Mapping
 from . import multigraph as mg
 from . import poly
 from . import ribbon as rb
-from .mpoly import MPolynomial, compose_laurent, laurent_to_poly
+from .mpoly import assemble
 from .poly import CheckResult, _bad, _ok, _skip, check_cap
 from .ribbon import BLACK, CROSSING, STATE_NAMES, WHITE
 
@@ -168,15 +171,11 @@ def surface_kind(rs: rb.RotationSystem) -> str:
     raise GenusRangeError(f"genus out of range: Euler genus {gamma} exceeds 2")
 
 
-_DIAGONAL = {"x": (0, 1), "y": (1, 0), "z": (-1, 0)}
-_SHIFTED = {"x": (0, 1), "y": (0, 1), "z": (0, 0)}
-
-
 def generating_function_check(diag: Mapping[int, int],
                               profile: Mapping[int, int]) -> CheckResult:
     """t R(t+1, t, 1/t) must list the crossing-free states by curve
-    count (connected graphs); diag holds the Laurent coefficients of
-    R(t+1, t, 1/t), compose_laurent(R, _DIAGONAL)."""
+    count (connected graphs); diag holds the coefficients of
+    R(t+1, t, 1/t) by power of t, as _diagonal reads them."""
     name = "state-generating-function"
     got = {d + 1: c for d, c in diag.items() if c}
     if got != profile:
@@ -185,50 +184,44 @@ def generating_function_check(diag: Mapping[int, int],
     return _ok(name)
 
 
+def _diagonal(r_buckets: Mapping) -> Counter:
+    """R(t+1, t, 1/t) by power of t, from the buckets of R over
+    (x - 1, y, z): (x - 1) and y go to t, z to 1/t."""
+    return poly._keyed(r_buckets, lambda x, y, z: (x + y - z) // 2)
+
+
 def lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
-                r_poly: MPolynomial, kind: str) -> CheckResult:
+                r_buckets: Mapping, kind: str) -> CheckResult:
     """The diagonal of R against the z-slices of L, by surface:
     sphere and projective plane use L(t+1, t+1, 1); the torus weights
     the z-slices of L as L2 + t L1 + L0 at (t+1, t+1).
 
-    L comes from rows, the dual_tally of the connected graph rs, whose
-    surface is kind; a bad row is named on the same dual, rs.dual.
+    r_buckets are the buckets of R over (x - 1, y, z); L's come from
+    rows, the dual_tally of the connected graph rs, whose surface is
+    kind, over (x - 1, y - 1, z), so (x - 1) and (y - 1) go to t.  Both
+    hold whole powers of those, so halving is exact; L's z, which the
+    torus reads, is checked there.  A bad row is named on the same dual,
+    rs.dual.  Both sides are counts by power of t; only a failure
+    assembles them, to print them.
     """
-    return _lr_relation(rs, rows, compose_laurent(r_poly, _DIAGONAL), kind)
-
-
-def _lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
-                 diag: Mapping[int, int], kind: str) -> CheckResult:
-    """lr_relation on diag, the Laurent coefficients of R(t+1, t, 1/t)."""
     name = "lr-relation"
     try:
-        l_poly = poly._cellular_from_rows(rs, rows)
+        l_buckets = poly._cellular_buckets(rs, rows)
     except poly.PolyError as exc:   # the graph and its dual disagree
         return _bad(name, f"no cellular polynomial: {exc}")
-    rhs = laurent_to_poly(diag)
-
+    rhs = _diagonal(r_buckets)
     if kind in ("sphere", "projective-plane"):
-        lhs = laurent_to_poly(compose_laurent(l_poly, _SHIFTED))
+        lhs = poly._keyed(l_buckets, lambda x, y, z: (x + y) // 2)
     else:
-        slices: dict[int, dict] = {}
-        for exps, coeff in l_poly.terms().items():
-            hz = exps[2]
-            if hz % 2:
-                return _bad(name, "half-power of z in the cellular polynomial")
-            cleared = list(exps)
-            cleared[2] = 0
-            slices.setdefault(hz // 2, {})[tuple(cleared)] = coeff
-        if max(slices, default=0) > 2:
-            return _bad(name, f"z-degree {max(slices)} on a torus graph")
-        total: dict[int, int] = {}
-        for i, terms in slices.items():
-            piece = compose_laurent(MPolynomial(terms), _SHIFTED)
-            shift = 1 if i == 1 else 0
-            for d, c in piece.items():
-                total[d + shift] = total.get(d + shift, 0) + c
-        lhs = laurent_to_poly(total)
-
-    if lhs != rhs:
+        zs = {z for (_, _, z), m in l_buckets.items() if m}
+        if any(z % 2 for z in zs):
+            return _bad(name, "half-power of z in the cellular polynomial")
+        if max(zs, default=0) > 4:
+            return _bad(name, f"z-degree {max(zs) // 2} on a torus graph")
+        lhs = poly._keyed(l_buckets, lambda x, y, z: (x + y) // 2 + (z == 2))
+    if poly._first_difference(lhs, rhs) is not None:
+        lhs, rhs = (assemble(("t",), {(2 * d,): c for d, c in side.items()})
+                    for side in (lhs, rhs))
         return _bad(name, f"on the {kind}: {lhs} != {rhs}")
     return _ok(name, kind)
 
@@ -325,14 +318,14 @@ def run_state_checks(rs: rb.RotationSystem, *,
             for row in tally if min(row.genus, row.genus_dual)}, kind))
     else:
         out.append(_skip("noncrossing-min-formula", gate_detail))
-    # R(t+1, t, 1/t), which both checks below read.
-    diag = compose_laurent(poly._ribbon_from_rows(rs, tally), _DIAGONAL)
+    # The buckets of R, whose diagonal both checks below read.
+    r_buckets = poly._ribbon_buckets(rs, tally)
     profile: dict[int, int] = {}
     for row, m in tally.items():
         profile[row.f] = profile.get(row.f, 0) + m
-    out.append(generating_function_check(diag, profile))
+    out.append(generating_function_check(_diagonal(r_buckets), profile))
     if low_genus:
-        out.append(_lr_relation(rs, tally, diag, kind))
+        out.append(lr_relation(rs, tally, r_buckets, kind))
     else:
         out.append(_skip("lr-relation", gate_detail))
     out.append(verdict("quasi-tree-duality", {

@@ -1,6 +1,5 @@
 """Integer polynomials with half-integer exponents."""
 
-import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from topopoly.mpoly import (VARS, MPolynomial, _power_sum, assemble,
-                            compose_laurent, laurent_to_poly)
+from topopoly.mpoly import VARS, MPolynomial, _power_sum, assemble
 
 X = MPolynomial.variable("x")
 Y = MPolynomial.variable("y")
@@ -116,61 +114,6 @@ def test_substitute_rejects_half_powers():
     p = MPolynomial.variable_half("a", 1)
     with pytest.raises(ValueError):
         p.substitute("a", X)
-
-
-def test_compose_laurent():
-    # x -> t+1, y -> t, z -> 1/t on 1 + xz: gives 1 + (t+1)/t
-    p = ONE + X * Z
-    lau = compose_laurent(p, {"x": (0, 1), "y": (1, 0), "z": (-1, 0)})
-    assert lau == {0: 2, -1: 1}
-
-
-st_image = hst.tuples(hst.integers(-2, 2), hst.integers(0, 3))
-
-
-@settings(max_examples=80, deadline=None)
-@given(terms=hst.dictionaries(hst.tuples(*(hst.integers(0, 3) for _ in "xyz")),
-                              hst.integers(-4, 4), max_size=6),
-       images=hst.tuples(st_image, st_image, st_image))
-def test_compose_laurent_matches_a_naive_expansion(terms, images):
-    p = MPolynomial({(2 * i, 2 * j, 2 * k, 0, 0, 0): c
-                     for (i, j, k), c in terms.items()})
-    # Each variable's image t^p (1 + t)^q, as a Laurent dict.
-    laurents = []
-    for lo, q in images:
-        laurents.append({lo + d: math.comb(q, d) for d in range(q + 1)})
-    want: dict[int, int] = {}
-    for exps, coeff in p.terms().items():
-        term = {0: coeff}
-        for h, image in zip(exps, laurents):
-            for _ in range(h // 2):
-                prod: dict[int, int] = {}
-                for d1, c1 in term.items():
-                    for d2, c2 in image.items():
-                        prod[d1 + d2] = prod.get(d1 + d2, 0) + c1 * c2
-                term = prod
-        for d, c in term.items():
-            want[d] = want.get(d, 0) + c
-    want = {d: c for d, c in want.items() if c}
-    assert compose_laurent(p, dict(zip("xyz", images))) == want
-
-
-def test_compose_laurent_errors():
-    # A half-power or a missing image raises as monomial_rows does.
-    images = {"x": (0, 1), "z": (-1, 0)}
-    with pytest.raises(ValueError, match=r"^odd half-power of z needs sqrts$"):
-        compose_laurent(X + MPolynomial.variable_half("z", 1), images)
-    with pytest.raises(ValueError, match=r"^no value for y$"):
-        compose_laurent(X * Y + Z, images)
-    # A variable no term uses needs no image.
-    assert compose_laurent(X * Z * Z, images) == {-2: 1, -1: 1}
-
-
-def test_laurent_to_poly():
-    assert laurent_to_poly({0: 2, 1: 3}) == ONE * 2 + MPolynomial.variable("t") * 3
-    with pytest.raises(ValueError):
-        laurent_to_poly({-1: 1})
-    assert laurent_to_poly({-1: 0, 0: 1}) == ONE
 
 
 st_poly = hst.lists(

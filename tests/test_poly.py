@@ -612,13 +612,14 @@ def test_identity_suite_names_its_first_failing_point(monkeypatch):
 
 
 # Each case adds one bucket to what a bucket reader returns: the reader
-# behind the case's owner, a polynomial's builder or a right side's
-# reader, whose keys have one half-unit exponent per name given here.
-_READERS = {"_perspective_from_rows": ("_perspective_buckets", "xyz"),
-            "_cellular_from_rows": ("_cellular_buckets", "xyz"),
-            "_ribbon_from_rows": ("_ribbon_buckets", "xyz"),
+# behind the case's owner, a public polynomial function or a right
+# side's reader, whose keys have one half-unit exponent per name given
+# here.
+_READERS = {"tutte_perspective": ("_perspective_buckets", "xyz"),
+            "las_vergnas_cellular": ("_cellular_buckets", "xyz"),
+            "bollobas_riordan": ("_ribbon_buckets", "xyz"),
             "krushkal": ("_krushkal_buckets", "xyab"),
-            "_tutte_poly": ("_tutte_buckets", "xy"),
+            "tutte": ("_tutte_buckets", "xy"),
             "las_vergnas_embedded": ("_scheme_buckets", "xyz"),
             "_tidy_buckets": ("_tidy_buckets", "xyz"),
             "_component_buckets": ("_component_buckets", "xyz")}
@@ -642,20 +643,20 @@ def _fails(text: str) -> str:
 
 _SPURIOUS_TERMS = {
     # (M, M') plus z: the lhs of perspective-to-m and perspective-to-m-prime.
-    ("_perspective_from_rows", "z", "theta_torus"): {
+    ("tutte_perspective", "z", "theta_torus"): {
         "perspective-self": "fail: pair polynomial of (M, M) is not the Tutte polynomial",
         "perspective-to-m": _fails("(x-1) has coefficient 1"),
         "perspective-to-m-prime": _fails("(y0-1) has coefficient 1")},
     # T plus (x - 1), so T(M) plus (y - 1): the rhs of perspective-to-m,
     # perspective-to-m-prime and lv-to-tutte.
-    ("_tutte_poly", "x", "theta_torus"): {
+    ("tutte", "x", "theta_torus"): {
         "perspective-self": "fail: pair polynomial of (M, M) is not the Tutte polynomial",
         "perspective-to-m": _fails("(y-1) has coefficient -1"),
         "perspective-to-m-prime": _fails("(x0-1) has coefficient -1"),
         "lv-to-tutte": _fails("(x0-1) has coefficient -1")},
     # The cellular L plus z: the lhs of lv-to-tutte, lv-tidy,
     # lv-dichromatic and lv-from-krushkal-cellular, the rhs of br-at-z1.
-    ("_cellular_from_rows", "z", "theta_torus"): {
+    ("las_vergnas_cellular", "z", "theta_torus"): {
         "lv-extension-matches-cellular":
             "fail: scheme expansion differs from the cellular one",
         "lv-to-tutte": _fails("(y0-1) has coefficient 1"),
@@ -674,7 +675,7 @@ _SPURIOUS_TERMS = {
             "fail: scheme expansion differs from the cellular one",
         "lv-from-krushkal": _fails("w^2 has coefficient 1")},
     # R plus y: the lhs of br-at-z1 and of br-from-krushkal.
-    ("_ribbon_from_rows", "y", "theta_torus"): {
+    ("bollobas_riordan", "y", "theta_torus"): {
         "br-at-z1": _fails("y0 has coefficient 1"),
         "br-from-krushkal": _fails("q^2 has coefficient 1")},
     # K plus a^(1/2) b^(1/2): the rhs of the three Krushkal checks; on
@@ -736,7 +737,7 @@ _HALF_POWER_FAILS = {
 
 @pytest.mark.parametrize("owner, term, what", [
     ("krushkal", (0, 1, 0, 0), "odd half-power of y"),
-    ("_cellular_from_rows", (0, 0, 1), "odd half-power of z"),
+    ("las_vergnas_cellular", (0, 0, 1), "odd half-power of z"),
     ("krushkal", (1, 0, 0, 0), "odd half-power of x"),
 ])
 def test_identities_reject_a_term_they_cannot_substitute(monkeypatch, tmp_path,
@@ -995,13 +996,13 @@ def test_identities_counts_the_masks_once(monkeypatch, tmp_path, capsys):
 
 
 def test_identity_suite_compares_buckets_and_assembles_no_polynomial(monkeypatch):
-    # Every identity compares exponent buckets: a passing run reads no
-    # monomial rows, substitutes and evaluates nothing, and assembles no
-    # polynomial, not even for the literal identities perspective-self
-    # and lv-extension-matches-cellular.
+    # Every identity compares exponent buckets: a passing run
+    # substitutes and evaluates nothing, and assembles no polynomial,
+    # not even for the literal identities perspective-self and
+    # lv-extension-matches-cellular.
     calls = _count_calls(monkeypatch, (
-        (MPolynomial, "monomial_rows"), (MPolynomial, "substitute"),
-        (MPolynomial, "evaluate"), (mpoly, "_power_sum"), (poly, "assemble")))
+        (MPolynomial, "substitute"), (MPolynomial, "evaluate"),
+        (mpoly, "_power_sum"), (poly, "assemble")))
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
     assert calls == {}

@@ -9,11 +9,12 @@ import pytest
 import corpus
 import sweeps
 from topopoly import embedding as em
+from topopoly import mpoly
 from topopoly import multigraph as mg
 from topopoly import poly
 from topopoly import ribbon as rb
 from topopoly import states as st
-from topopoly.mpoly import MPolynomial, compose_laurent
+from topopoly.mpoly import MPolynomial
 from topopoly.ribbon import BLACK, CROSSING, WHITE
 
 
@@ -127,10 +128,11 @@ def test_surface_kind_rejects_high_genus():
 
 
 def _lr_relation(rs):
-    """lr-relation on the inputs run_state_checks hands it, with R from
-    its own expansion."""
+    """lr-relation on the inputs run_state_checks hands it, with R's
+    buckets from its own expansion's tally."""
     return st.lr_relation(rs, Counter(sweeps.dual_sweep(rs, rs.dual)),
-                          poly.bollobas_riordan(rs), st.surface_kind(rs))
+                          poly._ribbon_buckets(rs, rb.transfer_tally(rs)),
+                          st.surface_kind(rs))
 
 
 def test_lr_relation_on_low_genus_fixtures():
@@ -142,7 +144,7 @@ def test_lr_relation_on_low_genus_fixtures():
 
 def test_generating_function_check():
     theta = corpus.theta_torus()
-    diag = compose_laurent(poly.bollobas_riordan(theta), st._DIAGONAL)
+    diag = st._diagonal(poly._ribbon_buckets(theta, rb.transfer_tally(theta)))
     profile = st.run_state_checks(theta)[1]
     assert st.generating_function_check(diag, profile).status == "pass"
     res = st.generating_function_check(diag, {**profile, 1: 5})
@@ -339,10 +341,19 @@ def test_a_failing_state_check_reruns_its_tally_at_most_twice_per_edge(
     assert results["quasi-tree-duality"].status == "pass"
 
 
+def _spurious_bucket(monkeypatch, reader, key):
+    real = getattr(poly, reader)
+
+    def spurious(*args):
+        buckets = real(*args)
+        buckets[key] += 1
+        return buckets
+
+    monkeypatch.setattr(poly, reader, spurious)
+
+
 def test_lr_relation_fails_on_half_powers(monkeypatch):
-    real = poly._cellular_from_rows
-    monkeypatch.setattr(poly, "_cellular_from_rows", lambda *a, **k: (
-        real(*a, **k) * MPolynomial.variable_half("z", 1)))
+    _spurious_bucket(monkeypatch, "_cellular_buckets", (0, 0, 1))
     res = _lr_relation(corpus.theta_torus())
     assert (res.status, res.detail) == (
         "fail", "half-power of z in the cellular polynomial")
@@ -384,3 +395,70 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
     # the state tally's; no tally is rerun.
     assert per_graph[0] == per_graph[1] == {
         "dual": 1, "dual_tally": 1, "trace_sectors": 1, "_frontier_tally": 2}
+
+
+# One spurious whole-power bucket in R, over (x - 1, y, z), or in the
+# cellular L, over (x - 1, y - 1, z): every result line of the checks.
+_SPURIOUS_STATE_LINES = {
+    # R plus y: the diagonal gains t, on both checks that read it.
+    ("_ribbon_buckets", (0, 2, 0), "theta_torus"): [
+        "RESULT: state-tracer-agreement pass",
+        "RESULT: noncrossing-min-formula pass: torus",
+        "RESULT: state-generating-function fail: diagonal gives "
+        "[(1, 4), (2, 5)], profile is [(1, 4), (2, 4)]",
+        "RESULT: lr-relation fail: on the torus: 4 + 4t != 4 + 5t",
+        "RESULT: quasi-tree-duality pass"],
+    # L plus z: 1 at z = 1 on the sphere, t in the torus weighting.
+    ("_cellular_buckets", (0, 0, 2), "plane_digon"): [
+        "RESULT: state-tracer-agreement pass",
+        "RESULT: noncrossing-min-formula pass: sphere",
+        "RESULT: state-generating-function pass",
+        "RESULT: lr-relation fail: on the sphere: 3 + 2t != 2 + 2t",
+        "RESULT: quasi-tree-duality pass"],
+    ("_cellular_buckets", (0, 0, 2), "theta_torus"): [
+        "RESULT: state-tracer-agreement pass",
+        "RESULT: noncrossing-min-formula pass: torus",
+        "RESULT: state-generating-function pass",
+        "RESULT: lr-relation fail: on the torus: 4 + 5t != 4 + 4t",
+        "RESULT: quasi-tree-duality pass"],
+    # L plus z^3: the torus weighting covers z^0, z^1 and z^2 only.
+    ("_cellular_buckets", (0, 0, 6), "theta_torus"): [
+        "RESULT: state-tracer-agreement pass",
+        "RESULT: noncrossing-min-formula pass: torus",
+        "RESULT: state-generating-function pass",
+        "RESULT: lr-relation fail: z-degree 3 on a torus graph",
+        "RESULT: quasi-tree-duality pass"],
+}
+
+
+@pytest.mark.parametrize("case", _SPURIOUS_STATE_LINES,
+                         ids=lambda c: f"{c[0]}-{''.join(map(str, c[1]))}-{c[2]}")
+def test_each_state_relation_fails_through_each_side(monkeypatch, case):
+    # R feeds the diagonal, which both state-generating-function and the
+    # right side of lr-relation read; L feeds the left side of lr-relation,
+    # whose failure prints both sides as polynomials in t.
+    reader, key, fixture = case
+    _spurious_bucket(monkeypatch, reader, key)
+    results, _ = st.run_state_checks(getattr(corpus, fixture)())
+    assert [r.line() for r in results] == _SPURIOUS_STATE_LINES[case]
+
+
+def test_state_checks_compare_buckets_and_assemble_no_polynomial(monkeypatch):
+    # The state relations compare exponent buckets: a passing run
+    # assembles no polynomial and multiplies none.
+    calls = Counter()
+
+    # Each module's own binding of assemble, and the product.
+    for owner, name in ((mpoly, "assemble"), (poly, "assemble"),
+                        (st, "assemble"), (MPolynomial, "__mul__")):
+        def wrapper(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    seven = next(rs for rs in corpus.cellular_corpus()
+                 if len(rs.edges) == 7 and rb.euler_genus(rs) <= 2)
+    for rs in (corpus.theta_torus(), seven):
+        results, _ = st.run_state_checks(rs)
+        assert not [r.line() for r in results if r.status != "pass"]
+    assert calls == {}
