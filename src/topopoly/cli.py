@@ -143,8 +143,7 @@ def cmd_identities(args) -> int:
         # (pinched, edgeless, disconnected, over the sweep cap) skip rather
         # than abort so the polynomial half of the suite still reports.
         try:
-            results.extend(st.run_state_checks(emb.rotation,
-                                               sweep_cap=args.sweep_cap)[0])
+            results.extend(st.run_state_checks(emb, sweep_cap=args.sweep_cap)[0])
         except (st.StateError, rb.RibbonError, poly.CapError) as exc:
             results.append(poly.CheckResult("state-checks", "skip", str(exc)))
     return _print_results(results)

@@ -11,7 +11,8 @@ rotation system's own full trace (RotationSystem.trace).  Building an
 embedded graph checks its regions against the circle count alone
 (RotationSystem.circle_count), so the trace is made by its first
 reader.  An embedded graph keeps its validation report and its scheme,
-each made on first use by validate and derive_dagger, for every reader.
+each made on first use by validate and derive_dagger, and the one
+subset tally the identity suite reads, for every reader.
 
 Deletion and contraction live at two levels.  The scheme level tracks
 only the abstract graph and its dagger, which is all the transition
@@ -81,6 +82,17 @@ class EmbeddedGraph:
     def scheme(self) -> "EmbeddingScheme":
         """The graph and its dagger graph, by derive_dagger on first use."""
         return derive_dagger(self)
+
+    @cached_property
+    def tally(self) -> rb.Tally:
+        """The identity suite's one subset tally (see poly), on first use:
+        A in G, with its circles on a connected pinch-free surface, E - A
+        in the dagger graph, and E - A in the dual too if cellular."""
+        rs, report, dagger = self.rotation, self.report, self.scheme.dagger
+        if report.cellular:
+            return rb.dual_tally(rs, dagger)
+        ribbon = not rs.pinch_vertices() and report.components == 1
+        return rb.transfer_tally(rs if ribbon else rs.underlying(), dagger)
 
     def side_regions(self, e: int) -> tuple[int, int]:
         """(region on the left of e, region on the right)."""

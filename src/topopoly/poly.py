@@ -19,7 +19,8 @@ byte-equal canonical strings whenever they agree as polynomials.
 The subset expansions read their counts from the tallies of
 ribbon.transfer_tally, which gives, per distinct row, how many subsets
 A have that |A|, c(A), boundary circle count f(A) and, on request,
-component count of a second graph on E - A.  It decides the edges one
+component count of a second graph on E - A, and of ribbon.dual_tally,
+which adds the counts of E - A in the dual.  They decide the edges one
 at a time on frontier states instead of visiting the 2^|E| subsets.
 Each expansion sets up its invariants once and maps each distinct row
 to a bucket:
@@ -33,34 +34,42 @@ to a bucket:
   las_vergnas_embedded  transfer_tally(g, dagger): c and rho(A), no
                         tracing; c(E), rho(E) and rho(0) once
   tutte, dichromatic    transfer_tally(g): c alone
+  verify_identities     emb.tally: each reader above takes its fields
 
 The tallies decide the edges in the order ribbon._edge_order picks by
 the same measure (see there); no row depends on it.
 
 A bad row names the first subset, in mask order, that yields it:
-_first_subset, which the state checks share, reruns the same tally
-with edges forced in or out, at most |E| times.
+_first_subset, which the state checks share, reruns the pass of the
+tally that holds the row, on the layers it built, with edges forced in
+or out, at most |E| times.
 
-The dual, its dual_tally, the validation report and the scheme are
-the input's own, made on first use, so one identities command tallies
-the rows once, for L, R, lv-tidy, lv-dichromatic and the state checks.
-Likewise its one transfer_tally(g, dagger) gives L_ext and, as its
-marginals on (|A|, c(A)) and (|E - A|, c_H(E - A)), T(G) and
-T(H; y, x): two tallies (that one and krushkal's) besides the dual's.
+The dual, its dual_tally, the validation report, the scheme and the
+embedding's tally are the input's own, made on first use, so one
+identities command tallies the subsets once: emb.tally is one frontier
+pass with the layers the suite reads.  On a cellular input it is
+dual_tally(rs, dagger), whose rows give L, R, K, L_ext, lv-tidy,
+lv-dichromatic, the state checks and, as marginals on (|A|, c(A)) and
+(|E - A|, c_H(E - A)), T(G) and T(H; y, x); on a connected pinch-free
+surface transfer_tally(rs, dagger), for K, L_ext and the Tutte
+polynomials; otherwise transfer_tally(g, dagger), for L_ext and those.
 Its one count of the rows (|A|, r(A), r'(A)) over the 2^|E| masks
 gives the pair polynomial of (M, M') and, as its marginals, those of
 (M, M) and (M', M'), each by _perspective_buckets, which
 tutte_perspective's expansion calls on its own count.
 
-The routes that check one another stay independent: the cellular
-expansion counts the dual's circles in its own trace instead of
-deriving them from f(A), so it shares no boundary count with the
-scheme expansion; the rank walk reads the matroids' rank tables,
-filled on the graphs by multigraph.component_table, and is checked
-against T(G) and T(H; y, x), H the dagger graph, from the scheme
-tally; the recursion tests its edges on its own flat minor keys, not
-on tally rows; and the perspective recursion works on matroid minors,
-unmemoised.
+The routes that check one another stay independent.  The one tally
+shares the edge order and the merging of states, but each layer is
+built from its own graph: G*'s blocks and circles from rs.dual, which
+is traced itself, and H's blocks from the dagger graph of
+em.derive_dagger, so the counts on E - A that the cellular expansion
+and the scheme and surface expansions read come from independent
+constructions; every reader shares the layers of G on A.  The rank
+walk reads the matroids' rank tables, filled on the graphs by
+multigraph.component_table, and is checked against T(G) and
+T(H; y, x), H the dagger graph, from the tally; the recursion tests
+its edges on its own flat minor keys, not on tally rows; and the
+perspective recursion works on matroid minors, unmemoised.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly, and assembles no polynomial.  The two
@@ -80,7 +89,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping
 
 from . import embedding as em
@@ -142,8 +150,8 @@ def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
     """The error of the first subset A, in mask order, whose row is in
     bad, which maps each bad row of a tally to its message: a template
     whose fields {a} and {rest} take the sorted edge ids of A and of
-    E - A.  tally(forced=...) is that tally, forced as transfer_tally;
-    the highest edge id is the mask's most significant bit."""
+    E - A.  tally(forced=...) is a Tally's rerun; the highest edge id
+    is the mask's most significant bit."""
     inside, row = rb.first_witness(tally, edges[::-1], 2, bad)
     return bad[row].format(a=[e for e in edges if inside[e]],
                            rest=[e for e in edges if not inside[e]])
@@ -247,8 +255,8 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
 
 
 def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
-    """The buckets of L from rows, the dual_tally of rs; a bad row is
-    named on forced tallies of the same dual, rs.dual."""
+    """The buckets of L from rows, a dual_tally of rs; a bad row is
+    named on its reruns."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
@@ -263,7 +271,7 @@ def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
                         else "bad exponents on {a}")
         counts[2 * (row.c - c_full), 2 * ey, ez2] += m
     if bad:
-        raise PolyError(_first_subset(rs.edges, partial(rb.dual_tally, rs), bad))
+        raise PolyError(_first_subset(rs.edges, rows.rerun, bad))
     return counts
 
 
@@ -287,8 +295,8 @@ def las_vergnas_embedded(x, method: str = "expansion",
 
 
 def _scheme_buckets(s: em.EmbeddingScheme, rows: Mapping) -> Counter:
-    """The buckets of L_ext from rows, the transfer_tally(s.g, s.dagger)
-    of the scheme; a bad row is named on forced tallies of the same pair."""
+    """The buckets of L_ext from rows, a tally of A in s.g and E - A in
+    s.dagger, ending in rho(A); a bad row is named on its reruns."""
     n = len(s.g.edges)
     c_full = mg.components(s.g)
     rho_full = em.rho(s)
@@ -296,14 +304,13 @@ def _scheme_buckets(s: em.EmbeddingScheme, rows: Mapping) -> Counter:
     counts: Counter = Counter()
     bad = {}
     for row, m in rows.items():
-        size, c_a, _, rho_a = row
+        size, c_a, *_, rho_a = row
         ez = (n - size) - (rho_full - rho_a) - (c_a - c_full)
         if ez < 0 or c_a < c_full or rho_a < rho_empty:
             bad[row] = "bad exponents on {a}"
         counts[2 * (c_a - c_full), 2 * (rho_a - rho_empty), 2 * ez] += m
     if bad:
-        raise PolyError(_first_subset(
-            s.g.edges, partial(rb.transfer_tally, s.g, s.dagger), bad))
+        raise PolyError(_first_subset(s.g.edges, rows.rerun, bad))
     return counts
 
 
@@ -473,31 +480,30 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     if report.components != 1:
         raise PolyError("the surface polynomial needs a connected ambient surface")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return assemble("xyab", _krushkal_buckets(emb))
+    return assemble("xyab", _krushkal_buckets(
+        emb, rb.transfer_tally(rs, emb.scheme.dagger)))
 
 
-def _krushkal_buckets(emb: em.EmbeddedGraph) -> Counter:
-    """The buckets of K over (x, y, a, b), from one transfer tally of
-    the graph cut by the dagger graph."""
+def _krushkal_buckets(emb: em.EmbeddedGraph, rows: Mapping) -> Counter:
+    """The buckets of K over (x, y, a, b), from rows, a tally of A in
+    G, with f(A), and E - A in the dagger graph, ending in rho(A)."""
     rs, report = emb.rotation, emb.report
     v = len(rs.sectors)
-    dagger = emb.scheme.dagger
     c_full = mg.components(rs.underlying())
     counts: Counter = Counter()
     bad = {}
-    for row, m in rb.transfer_tally(rs, dagger).items():
+    for row, m in rows.items():
         # The complement of the neighbourhood of (V, A): rho(A) regions,
         # f(A) circles shared with the neighbourhood, and Euler
         # characteristic chi(surface) - (v - |A|), as in complement_stats.
-        size, c, f, k = row
+        size, c, f, *_, k = row
         ngenus = 2 * c - v + size - f
         genus = 2 * k - f - (report.euler_characteristic - (v - size))
         if genus < 0 or ngenus < 0:
             bad[row] = "negative genus from subset {a}"
         counts[2 * (c - c_full), 2 * (k - 1), ngenus, genus] += m
     if bad:
-        raise em.EmbeddingError(_first_subset(
-            rs.edges, partial(rb.transfer_tally, rs, dagger), bad))
+        raise em.EmbeddingError(_first_subset(rs.edges, rows.rerun, bad))
     return counts
 
 
@@ -589,18 +595,19 @@ def verify_identities(emb: em.EmbeddedGraph, *,
     scheme, cellular = emb.scheme, emb.report.cellular
     out: list[CheckResult] = []
 
-    # One tally of A in G and E - A in H, the dagger graph, gives L_ext
-    # and, as its marginals, T(M') = T(G) and T(M) = T(B(H)) = T(H; y, x),
-    # whose buckets are keyed (y, x).
-    scheme_rows = rb.transfer_tally(scheme.g, scheme.dagger)
-    l_ext = _scheme_buckets(scheme, scheme_rows)
+    # The embedding's one tally of A in G and E - A in H, the dagger
+    # graph, and on a cellular surface E - A in G*, gives every
+    # polynomial below: L_ext and, as its marginals, T(M') = T(G) and
+    # T(M) = T(B(H)) = T(H; y, x), whose buckets are keyed (y, x).
+    rows = emb.tally
+    l_ext = _scheme_buckets(scheme, rows)
     mp = em.scheme_perspective(scheme)
     n = len(scheme.g.edges)
     dagger_rows: Counter = Counter()
-    for (size, _, _, c_h), m in scheme_rows.items():
+    for (size, *_, c_h), m in rows.items():
         dagger_rows[n - size, c_h] += m
     t_m = _tutte_buckets(len(scheme.dagger.vertices), dagger_rows)
-    t_mp = _tutte_buckets(len(scheme.g.vertices), scheme_rows)
+    t_mp = _tutte_buckets(len(scheme.g.vertices), rows)
 
     # Perspective specialisations: the rank walk against the tallies.  One
     # count of the masks gives (M, M') and, as its marginals, (M, M) and
@@ -637,8 +644,6 @@ def verify_identities(emb: em.EmbeddedGraph, *,
 
     # Cellular-only material.
     if cellular:
-        # One tally serves L, R, lv-tidy and lv-dichromatic.
-        rows = rs.dual_tally
         l_cell = _cellular_buckets(rs, rows)
         r_buckets = _ribbon_buckets(rs, rows)
         gamma = 2 * rb.euler_genus(rs)          # in half-units
@@ -669,7 +674,7 @@ def verify_identities(emb: em.EmbeddedGraph, *,
     # Surface sum relations.
     k_buckets = None
     if not rs.pinch_vertices() and emb.report.components == 1:
-        k_buckets = _krushkal_buckets(emb)
+        k_buckets = _krushkal_buckets(emb, rows)
 
     if k_buckets is not None and cellular:
         # R(x0, q^2, z0) = q^gamma K(x0 - 1, q^2, (q z0)^2, 1/q^2)

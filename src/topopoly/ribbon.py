@@ -29,9 +29,10 @@ its count with every band present, all that checking regions needs.
 A failing state check recounts its one misplaced medial state on it.
 
 transfer_tally and dual_tally return the tallies of the rows of the
-2^|E| edge subsets (sizes, component and circle counts) without
-visiting the subsets, and state_tally the curve counts of the 3^|E|
-medial states without visiting the states.  All three run one loop,
+2^|E| edge subsets (sizes, component and circle counts, and on request
+a cut graph's components on E - A) without visiting the subsets, and
+state_tally the curve counts of the 3^|E| medial states without
+visiting the states.  All three run one loop,
 _frontier_tally, which decides the edges one at a time, vertex by
 vertex in breadth-first order from the root that keeps the frontier
 narrowest (_edge_order) and each vertex's half-edges in rotation
@@ -48,10 +49,11 @@ edge's choices rejoin the paths through its four points depends only
 on how those points link to one another and on the choices' pairings,
 at most 60 cases in all, each worked out once per process.
 
-A failing check names its first bad subset or state on the same loop,
-which a forced map restricts to one choice per forced edge:
-first_witness forces the edges one by one, at most |E| runs for a
-subset and 2|E| for a state.  No code lists the subsets or the states.
+Each returns a read-only Tally that keeps its layers: a failing check
+names its first bad subset or state on reruns of the same pass, which
+a forced map restricts to one choice per forced edge.  first_witness
+forces the edges one by one, at most |E| runs for a subset and 2|E|
+for a state.  No code lists the subsets or the states.
 
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), orientability, the
@@ -67,11 +69,10 @@ builds new ones, which derive their own.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import multigraph as mg
@@ -176,9 +177,9 @@ class RotationSystem:
         return dual(self)
 
     @cached_property
-    def dual_tally(self) -> Mapping["DualRow", int]:
-        """The unforced ribbon.dual_tally, read-only, on first use."""
-        return MappingProxyType(dual_tally(self))
+    def dual_tally(self) -> "Tally":
+        """The unforced ribbon.dual_tally, on first use."""
+        return dual_tally(self)
 
     @cached_property
     def disc_arcs(self) -> tuple[tuple[int, ...], int]:
@@ -409,10 +410,32 @@ class DualRow(NamedTuple):
     genus_dual: int     # Euler genus of the dual's ribbon subgraph on E - A
 
 
+# The row of dual_tally given a cut graph: a DualRow, then c_cut(E - A).
+CutDualRow = namedtuple("CutDualRow", (*DualRow._fields, "c_cut"))
+
+
+class Tally(dict):
+    """The count of each decoded row of one _frontier_tally, read-only;
+    rerun(forced=...) runs the same pass again, on the same layers."""
+
+    def __init__(self, order, layers, decode, sizes=(0, 1), forced=None):
+        counts: Counter = Counter()
+        for row, m in _frontier_tally(order, layers, sizes, forced):
+            counts[decode(*row)] += m
+        super().__init__(counts)
+        self.rerun = partial(Tally, order, layers, decode, sizes)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a tally is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 def transfer_tally(x: RotationSystem | mg.Multigraph,
                    cut: mg.Multigraph | None = None, *,
-                   forced: Mapping[int, int] | None = None) -> Counter:
-    """Counter of (|A|, c(A), f(A), c_cut(E - A)) over the edge subsets
+                   forced: Mapping[int, int] | None = None) -> Tally:
+    """Tally of (|A|, c(A), f(A), c_cut(E - A)) over the edge subsets
     A that agree with forced (edge id -> 0 outside A, 1 inside).
 
     f is None unless x is a rotation system, c_cut unless a cut graph
@@ -422,26 +445,25 @@ def transfer_tally(x: RotationSystem | mg.Multigraph,
     """
     ribbon = x if isinstance(x, RotationSystem) else None
     g = x.underlying() if ribbon is not None else x
-    if cut is not None and cut.edge_set() != g.edge_set():
-        raise RibbonError("a cut graph must share the tally's edge ids")
     order = g.tally_order if ribbon is None else ribbon.edge_order
     layers = [_block_moves(g, order, True)]
     if ribbon is not None:
         layers.append(_circle_moves(ribbon, order, _in_a))
     if cut is not None:
         layers.append(_block_moves(cut, order, False))
-    out: Counter = Counter()
-    for (size, c, *rest), m in _frontier_tally(order, layers, forced=forced):
-        f = rest.pop(0) if ribbon is not None else None
-        c_cut = rest.pop(0) if cut is not None else None
-        out[size, c, f, c_cut] += m
-    return out
+
+    def decode(size, c, *rest):
+        return (size, c, rest[0] if ribbon is not None else None,
+                rest[-1] if cut is not None else None)
+
+    return Tally(order, layers, decode, forced=forced)
 
 
-def dual_tally(g: RotationSystem, *,
-               forced: Mapping[int, int] | None = None) -> Counter:
-    """Counter of the DualRow of every edge subset A, forced as in
-    transfer_tally; g.dual_tally keeps the unforced one.
+def dual_tally(g: RotationSystem, cut: mg.Multigraph | None = None, *,
+               forced: Mapping[int, int] | None = None) -> Tally:
+    """Tally of the DualRow of every edge subset A, forced as in
+    transfer_tally, or of its CutDualRow given a cut graph;
+    g.dual_tally keeps the unforced one without a cut.
 
     One joint state carries the partition and the circles of A in g and
     of E - A in the dual g.dual, which is traced on its own, so the
@@ -453,17 +475,21 @@ def dual_tally(g: RotationSystem, *,
               _circle_moves(g, order, _in_a),
               _block_moves(d.underlying(), order, False),
               _circle_moves(d, order, _in_rest)]
+    if cut is not None:
+        layers.append(_block_moves(cut, order, False))
     v, vd, n = len(g.sectors), len(d.sectors), len(order)
-    out: Counter = Counter()
-    for (size, c, f, cd, fd), m in _frontier_tally(order, layers, forced=forced):
-        out[DualRow(size, c, f, 2 * c - v + size - f,
-                    cd, fd, 2 * cd - vd + n - size - fd)] += m
-    return out
+    row = DualRow if cut is None else CutDualRow
+
+    def decode(size, c, f, cd, fd, *c_cut):
+        return row(size, c, f, 2 * c - v + size - f,
+                   cd, fd, 2 * cd - vd + n - size - fd, *c_cut)
+
+    return Tally(order, layers, decode, forced=forced)
 
 
 def state_tally(g: RotationSystem, mm: "MedialMap", *,
-                forced: Mapping[int, int] | None = None) -> Counter:
-    """Counter((medial curves, graph curves)) over the 3^|E| medial
+                forced: Mapping[int, int] | None = None) -> Tally:
+    """Tally of (medial curves, graph curves) over the 3^|E| medial
     states of g, without visiting the states; mm is medial(g).
 
     The edges are decided one at a time, each black, white or crossing
@@ -476,8 +502,8 @@ def state_tally(g: RotationSystem, mm: "MedialMap", *,
     order = g.edge_order
     layers = [_medial_moves(mm, order),
               _circle_moves(g, order, smoothing_pairings)]
-    return Counter({(medial, graph): m for (_, medial, graph), m
-                    in _frontier_tally(order, layers, (0, 0, 0), forced)})
+    return Tally(order, layers, lambda _, medial, graph: (medial, graph),
+                 (0, 0, 0), forced)
 
 
 def first_witness(tally, edges: Sequence[int], choices: int, bad):
@@ -599,6 +625,8 @@ def _block_moves(g: mg.Multigraph, order: list[int], inside: bool):
     (V, E - A), over the edge order: the union layer on the vertices in
     which an edge joins its ends when it is inside A (its second
     choice) if inside, and when it is outside A otherwise."""
+    if g.edge_set() != set(order):
+        raise RibbonError("a cut graph must share the tally's edge ids")
     joins = []
     for e in order:
         union = (g.ends[e],)

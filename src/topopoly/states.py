@@ -24,8 +24,8 @@ count lies on the diagonal; a count off it reruns the tally with
 smoothings forced to find the first misplaced state, which is then
 counted alone on the two counters above.  It runs every relation that
 applies, one result line per check.  The genus and the dual come
-from the graph's one trace, everything else from its own dual_tally,
-which the identity suite shares:
+from the graph's one trace, everything else from its dual tally: in
+identities, the rows of the embedding's one tally, the suite's own:
 the minimum formula and the quasi-tree duality are predicates on its
 rows, the crossing-free profile is its marginal over f (handed back
 with the results, for the states command to print), and the
@@ -43,9 +43,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping
 
+from . import embedding as em
 from . import multigraph as mg
 from . import poly
 from . import ribbon as rb
@@ -197,11 +197,11 @@ def lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
     the z-slices of L as L2 + t L1 + L0 at (t+1, t+1).
 
     r_buckets are the buckets of R over (x - 1, y, z); L's come from
-    rows, the dual_tally of the connected graph rs, whose surface is
+    rows, a dual_tally of the connected graph rs, whose surface is
     kind, over (x - 1, y - 1, z), so (x - 1) and (y - 1) go to t.  Both
     hold whole powers of those, so halving is exact; L's z, which the
-    torus reads, is checked there.  A bad row is named on the same dual,
-    rs.dual.  Both sides are counts by power of t; only a failure
+    torus reads, is checked there.  A bad row is named on reruns of
+    the rows' own tally.  Both sides are counts by power of t; only a failure
     assembles them, to print them.
     """
     name = "lr-relation"
@@ -230,16 +230,18 @@ def lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
 # every state check
 
 
-def run_state_checks(rs: rb.RotationSystem, *,
+def run_state_checks(x: rb.RotationSystem | em.EmbeddedGraph, *,
                      sweep_cap: int = STATE_SWEEP_CAP
                      ) -> tuple[list[CheckResult], dict[int, int]]:
     """Every state-level check that applies to one ribbon graph, and
     the crossing-free profile: how many crossing-free states split
     into k curves, per k.
 
-    Needs an ordinary (pinch-free) connected ribbon graph with at
-    least one edge, the medial preconditions.
+    x is the graph, or an embedding of it whose own tally the checks
+    read if it is cellular.  Needs an ordinary (pinch-free) connected
+    ribbon graph with at least one edge, the medial preconditions.
     """
+    rs = x.rotation if isinstance(x, em.EmbeddedGraph) else x
     rb.require_pinch_free(rs, "state checks")
     if not rs.signs:
         raise StateError("state checks need at least one edge")
@@ -250,7 +252,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
 
     mm = rb.medial(rs)
     # The rows count a white set W, and E - W in the dual.
-    tally = rs.dual_tally
+    tally = x.tally if x is not rs and x.report.cellular else rs.dual_tally
     n, v, vd = len(edges), len(rs.sectors), len(rs.dual.sectors)
     gamma = rb.euler_genus(rs)
     low_genus = True
@@ -264,8 +266,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
         # Only a failure reruns the tally, to name the first bad white set.
         if not bad:
             return _ok(name, detail)
-        return _bad(name, poly._first_subset(
-            edges, partial(rb.dual_tally, rs), bad))
+        return _bad(name, poly._first_subset(edges, tally.rerun, bad))
 
     # Both routes count every state at once: the tally is keyed by
     # (medial curves, graph curves), so the routes agree on every state
@@ -277,8 +278,7 @@ def run_state_checks(rs: rb.RotationSystem, *,
         # The first state off the diagonal, smoothings forced in edge id
         # order, is counted alone on the medial and on the graph (no
         # band for black, the band for white, the band twisted for crossing).
-        chosen, (medial, graph) = rb.first_witness(
-            partial(rb.state_tally, rs, mm), edges, 3, off)
+        chosen, (medial, graph) = rb.first_witness(curves.rerun, edges, 3, off)
         combo = tuple(rb.STATE_NAMES[chosen[e]] for e in edges)
         direct = medial_state_counter(mm)(combo)
         via_graph = rb.circle_counter(rs)([rb.smoothing_pairings(

@@ -10,6 +10,7 @@ import pytest
 
 import corpus
 from topopoly import cli
+from topopoly import embedding as em
 from topopoly import fileformat as ff
 from topopoly import multigraph as mg
 from topopoly import poly
@@ -316,12 +317,15 @@ def test_states_sweeps_no_subset(capsys, files, monkeypatch):
     assert out.startswith("crossing-free curves 1: 4\n")
     assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
                      "_frontier_tally": 2}
-    calls.clear()
-    rc, out, _ = run(capsys, "identities", files["theta"], "--suite", "states")
-    assert rc == 0
-    assert "RESULT: quasi-tree-duality pass" in out
-    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
-                     "_frontier_tally": 2, "circle_counter": 1}
+    # identities reads the rows of its embedding's one tally, which the
+    # whole suite shares: the dual tally cut by the dagger graph.
+    for suite in ("states", "all"):
+        calls.clear()
+        rc, out, _ = run(capsys, "identities", files["theta"], "--suite", suite)
+        assert rc == 0
+        assert "RESULT: quasi-tree-duality pass" in out
+        assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
+                         "_frontier_tally": 2, "circle_counter": 1}
 
 
 def test_identities_reports_a_broken_dual_as_failure(capsys, files,
@@ -333,6 +337,160 @@ def test_identities_reports_a_broken_dual_as_failure(capsys, files,
     assert rc == 1
     assert "RESULT: quasi-tree-duality fail: " in out
     assert "state-checks skip" not in out
+
+
+# Two cellular inputs with several regions: a projective-plane graph
+# on 8 edges with 4 regions, and a one-vertex bouquet on 5 edges with 2.
+EIGHT_EDGES = """\
+vertex 0: sector (4.0 1.1 2.0 3.1)
+vertex 1: sector (8.1 8.0 2.1 3.0)
+vertex 2: sector (1.0)
+vertex 3: sector (7.0 5.0)
+vertex 4: sector (4.1 6.1 6.0 7.1 5.1)
+edge 1: 2 0 sign +
+edge 2: 0 1 sign +
+edge 3: 1 0 sign +
+edge 4: 0 4 sign +
+edge 5: 3 4 sign -
+edge 6: 4 4 sign +
+edge 7: 3 4 sign -
+edge 8: 1 1 sign -
+cellular
+"""
+
+BOUQUET = """\
+vertex 0: sector (2.1 3.1 4.0 5.1 2.0 1.1 4.1 5.0 1.0 3.0)
+edge 1: 0 0 sign +
+edge 2: 0 0 sign +
+edge 3: 0 0 sign +
+edge 4: 0 0 sign -
+edge 5: 0 0 sign -
+cellular
+"""
+
+
+def _swapped_dual(real):
+    # The dual with its two smallest edge ids swapped: its vertex
+    # partitions and its circles both move.
+    def dual(g):
+        d = real(g)
+        a, b = d.edges[:2]
+        swap = {a: b, b: a}
+        return rb.RotationSystem(
+            {v: tuple(tuple((swap.get(e, e), end) for e, end in sec) for sec in secs)
+             for v, secs in d.sectors.items()},
+            {swap.get(e, e): s for e, s in d.signs.items()})
+    return dual
+
+
+def _merged_dagger(real):
+    # The dagger graph with its first two regions merged into one vertex.
+    def derive_dagger(emb):
+        s = real(emb)
+        a, b = s.dagger.vertices[:2]
+        ends = {e: tuple(a if v == b else v for v in uv)
+                for e, uv in s.dagger.ends.items()}
+        return em.EmbeddingScheme(s.g, mg.Multigraph(s.dagger.vertices, ends))
+    return derive_dagger
+
+
+_PASSES = [f"RESULT: {name} pass" for name in (
+    "perspective-self", "perspective-to-m", "perspective-to-m-prime",
+    "lv-extension-matches-cellular", "lv-to-tutte", "lv-tidy", "lv-dichromatic",
+    "br-at-z1", "br-from-krushkal", "lv-from-krushkal-cellular",
+    "lv-from-krushkal", "state-tracer-agreement")]
+
+
+def _with(lines, **changed):
+    out = list(lines)
+    for name, line in changed.items():
+        (k,) = [k for k, old in enumerate(out) if old.startswith(
+            f"RESULT: {name.replace('_', '-')} ")]
+        out[k] = line
+    return "".join(line + "\n" for line in out)
+
+
+_EIGHT_STATES = ["RESULT: noncrossing-min-formula pass: projective-plane",
+                 "RESULT: state-generating-function pass",
+                 "RESULT: lr-relation pass: projective-plane",
+                 "RESULT: quasi-tree-duality pass"]
+_BOUQUET_STATES = ["RESULT: noncrossing-min-formula skip: genus out of range: "
+                   "Euler genus 4 exceeds 2",
+                   "RESULT: state-generating-function pass",
+                   "RESULT: lr-relation skip: genus out of range: Euler genus 4 "
+                   "exceeds 2",
+                   "RESULT: quasi-tree-duality pass"]
+_DAGGER_FAILS = "RESULT: lv-extension-matches-cellular fail: scheme expansion " \
+                "differs from the cellular one"
+
+# (input, mutant) -> (exit code, stdout, stderr) of identities, pinned
+# byte for byte.
+_INDEPENDENT_LAYERS = {
+    ("eight", "dual"): (1, _with(
+        _PASSES + _EIGHT_STATES,
+        lv_dichromatic="RESULT: lv-dichromatic fail: 1 has coefficient 2 in lhs - rhs",
+        quasi_tree_duality="RESULT: quasi-tree-duality fail: deleted [2, 4, 5, 6, 7, 8]: "
+                           "G - A has 3 boundary circles, G* on A has 5"), ""),
+    ("eight", "dagger"): (1, _with(
+        _PASSES + _EIGHT_STATES,
+        lv_extension_matches_cellular=_DAGGER_FAILS,
+        lv_from_krushkal_cellular="RESULT: lv-from-krushkal-cellular fail: "
+                                  "1 has coefficient 4 in lhs - rhs",
+        lv_from_krushkal="RESULT: lv-from-krushkal fail: 1 has coefficient 2 "
+                         "in lhs - rhs"), ""),
+    ("bouquet", "dual"): (2, "", "error: bad exponents on [2, 3]\n"),
+    ("bouquet", "dagger"): (1, _with(
+        _PASSES + _BOUQUET_STATES,
+        lv_extension_matches_cellular=_DAGGER_FAILS,
+        lv_from_krushkal_cellular="RESULT: lv-from-krushkal-cellular fail: "
+                                  "1 has coefficient 2 in lhs - rhs",
+        lv_from_krushkal="RESULT: lv-from-krushkal fail: 1 has coefficient 1 "
+                         "in lhs - rhs"), ""),
+}
+
+
+@pytest.mark.parametrize("case", _INDEPENDENT_LAYERS, ids="-".join)
+def test_identities_build_the_dual_and_the_dagger_apart(capsys, tmp_path,
+                                                        monkeypatch, case):
+    # The dual's layers come from rb.dual and the dagger's from
+    # em.derive_dagger: corrupting either one alone changes the report,
+    # and the lines that fail, the witnesses they name and the error
+    # line are pinned.  The unmutated inputs pass every check.
+    name, mutant = case
+    path = tmp_path / f"{name}.txt"
+    path.write_text({"eight": EIGHT_EDGES, "bouquet": BOUQUET}[name])
+    states = {"eight": _EIGHT_STATES, "bouquet": _BOUQUET_STATES}[name]
+    assert run(capsys, "identities", str(path)) == (0, _with(_PASSES + states), "")
+    if mutant == "dual":
+        monkeypatch.setattr(rb, "dual", _swapped_dual(rb.dual))
+    else:
+        monkeypatch.setattr(em, "derive_dagger", _merged_dagger(em.derive_dagger))
+    assert run(capsys, "identities", str(path)) == _INDEPENDENT_LAYERS[case]
+
+
+def test_a_witness_search_builds_each_layer_once(monkeypatch):
+    # Under the swapped dual the cellular rows of the bouquet go bad: lv
+    # names the first bad subset on reruns of its dual tally, and the
+    # suite on reruns of its embedding's one tally, each on the layers
+    # its first run built (G's and G*'s blocks and circles, and for the
+    # suite H's blocks), forcing one more edge a run.
+    parsed = ff.parse(BOUQUET)
+    monkeypatch.setattr(rb, "dual", _swapped_dual(rb.dual))
+    calls = Counter()
+    for name in ("_union_moves", "_circle_moves", "_frontier_tally"):
+        def wrapper(*args, real=getattr(rb, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rb, name, wrapper)
+    for search, unions in ((lambda: poly.las_vergnas_cellular(parsed.rotation), 2),
+                           (lambda: poly.verify_identities(parsed.embedded), 3)):
+        calls.clear()
+        with pytest.raises(poly.PolyError) as exc:
+            search()
+        assert str(exc.value) == "bad exponents on [2, 3]"
+        assert (calls["_union_moves"], calls["_circle_moves"]) == (unions, 2)
+        assert 1 < calls["_frontier_tally"] <= len(parsed.rotation.edges) + 1
 
 
 def test_states_sweep_cap(capsys, files):

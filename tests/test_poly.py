@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import corpus
 import golden
@@ -577,17 +579,17 @@ def test_identity_suite_catches_a_wrong_rank_of_m_prime_alone(monkeypatch):
 
 
 def test_identity_suite_catches_a_wrong_tally_row(monkeypatch):
-    # One spurious subset in the scheme's tally of G and its dagger: the
-    # Tutte polynomials read it as marginals, the rank walk does not.
-    real = rb.transfer_tally
+    # One spurious subset in the embedding's one tally of G, its dual and
+    # its dagger: the Tutte polynomials read it as marginals, the rank
+    # walk does not.
+    real = rb._frontier_tally
 
-    def corrupted(x, cut=None):
-        rows = real(x, cut)
-        if isinstance(x, mg.Multigraph) and cut is not None:
-            rows[next(iter(rows))] += 1
-        return rows
+    def corrupted(order, layers, sizes=(0, 1), forced=None):
+        (row, m), *rest = real(order, layers, sizes, forced)
+        # The five layers: G's blocks and circles, G*'s, and H's blocks.
+        return [(row, m + (len(layers) == 5)), *rest]
 
-    monkeypatch.setattr(rb, "transfer_tally", corrupted)
+    monkeypatch.setattr(rb, "_frontier_tally", corrupted)
     assert _theta_statuses()["perspective-self"] == "fail"
 
 
@@ -931,31 +933,55 @@ _SWEEPS = ((rb, "_frontier_tally"), (rb, "first_witness"), (rb, "circle_counter"
 
 
 def test_identity_suite_expands_each_polynomial_once(monkeypatch):
-    # lv-ext, T(M') = T(G) and T(M) = T(H; y, x) read one transfer tally
-    # of the scheme, R comes from the suite's own dual_tally rows, and
-    # krushkal makes one transfer tally, one frontier run each; no tally
-    # is rerun to find a witness.  The disc closure counts the circles once.
+    # lv-ext, T(M') = T(G), T(M) = T(H; y, x), L, R and K all read the
+    # embedding's one tally of G, its dual and its dagger graph: one
+    # dual_tally, one frontier run; no tally is rerun to find a witness.
+    # The disc closure counts the circles once.
     calls = _count_calls(monkeypatch,
                          ((poly, "tutte"), (poly, "bollobas_riordan")) + _SWEEPS)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
-    assert calls == {"transfer_tally": 2, "dual_tally": 1, "_frontier_tally": 3,
-                     "circle_counter": 1}
+    assert calls == {"dual_tally": 1, "_frontier_tally": 1, "circle_counter": 1}
+
+
+def test_identities_makes_one_subset_pass_per_input(monkeypatch, tmp_path, capsys):
+    # One frontier run tallies the subsets for the whole suite, with the
+    # layers it reads: a pinched input's two union layers (G on A, the
+    # dagger graph on E - A); a cellular input's three union and two
+    # circle layers (G on A, G* and H on E - A).  The theta's state
+    # checks add the state tally's run, a union layer on the medial's
+    # corners and a circle layer; the 10-edge input's skip by the cap.
+    ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10
+               and mg.components(e.rotation.underlying()) == 1
+               and em.validate(e).cellular)
+    inputs = {"pinched": (corpus.pinched_spheres(), (1, 2, 0)),
+              "ten": (ten, (1, 3, 2)),
+              "theta": (em.with_disc_regions(corpus.theta_torus()), (2, 4, 3))}
+    calls = _count_calls(monkeypatch, ((rb, "_frontier_tally"), (rb, "_union_moves"),
+                                       (rb, "_circle_moves")))
+    for name, (emb, want) in inputs.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(ff.serialize(emb))
+        calls.clear()
+        assert cli.main(["identities", str(path)]) == 0
+        assert (calls["_frontier_tally"], calls["_union_moves"],
+                calls["_circle_moves"]) == want, name
+    capsys.readouterr()
 
 
 def test_each_command_builds_an_order_and_disc_arcs_once(monkeypatch, tmp_path,
                                                          capsys):
     # A rotation system keeps its disc arcs and its tally order: the
     # graph and the dual that the dual tally traces build their arcs
-    # once each, and the dual tally decides in the graph's order.  The
-    # only other order is that of the scheme's bare tally (identities).
+    # once each, and the dual tally decides in the graph's order, also
+    # when identities cuts it by the dagger graph.
     ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10
                and mg.components(e.rotation.underlying()) == 1
                and em.validate(e).cellular)
     path = tmp_path / "ten.txt"
     path.write_text(ff.serialize(ten))
     calls = _count_calls(monkeypatch, ((rb, "_disc_arcs"), (mg, "frontier_order")))
-    builds = {("identities",): (2, 2), ("states", "--sweep-cap", "10"): (2, 1),
+    builds = {("identities",): (2, 1), ("states", "--sweep-cap", "10"): (2, 1),
               ("poly", "--which", "lv"): (2, 1), ("poly", "--which", "br"): (1, 1),
               ("poly", "--which", "krushkal"): (1, 1)}
     for (command, *options), want in builds.items():
@@ -1026,6 +1052,41 @@ def test_expansions_sweep_no_subset(monkeypatch):
         calls.clear()
         run()
         assert calls == {tally: 1, "_frontier_tally": 1}
+
+
+def _marginal(rows, key) -> Counter:
+    out: Counter = Counter()
+    for row, m in rows.items():
+        out[key(row)] += m
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.integers(min_value=0), hst.integers(min_value=1, max_value=4),
+       hst.integers(min_value=0, max_value=7), hst.booleans(),
+       hst.integers(min_value=0, max_value=6))
+def test_the_suite_tally_has_the_single_purpose_tallies_as_marginals(
+        seed, n_vertices, n_edges, discs, edge):
+    # The embedding's one tally, closed by discs (cellular) or by a
+    # random region gluing, sums row for row to the tallies that poly
+    # runs alone: the dual tally of rs, the tally of rs cut by the
+    # dagger graph H (krushkal) and that of the bare graph cut by H
+    # (lv-ext); also when one edge is forced, on its rerun.
+    rng = random.Random(seed)
+    rs = corpus.random_rotation(rng, n_vertices, n_edges, allow_pinch=False)
+    emb = corpus.close_random(rng, rs, disc_prob=float(discs))
+    report, dagger = em.validate(emb), emb.scheme.dagger
+    forced = {rs.edges[edge % n_edges]: rng.randrange(2)} if n_edges else {}
+    for kwargs in ({}, {"forced": forced}):
+        rows = emb.tally.rerun(**kwargs) if kwargs else emb.tally
+        assert _marginal(rows, lambda r: (r[0], r[1], None, r[-1])) == \
+            rb.transfer_tally(rs.underlying(), dagger, **kwargs)
+        if report.cellular or report.components == 1:
+            assert _marginal(rows, lambda r: (*r[:3], r[-1])) == \
+                rb.transfer_tally(rs, dagger, **kwargs)
+        if report.cellular:
+            assert _marginal(rows, lambda r: rb.DualRow(*r[:7])) == \
+                rb.dual_tally(rs, **kwargs)
 
 
 def test_first_subset_names_the_mask_of_a_row():
