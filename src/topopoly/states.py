@@ -201,8 +201,8 @@ def lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
     kind, over (x - 1, y - 1, z), so (x - 1) and (y - 1) go to t.  Both
     hold whole powers of those, so halving is exact; L's z, which the
     torus reads, is checked there.  A bad row is named on reruns of
-    the rows' own tally.  Both sides are counts by power of t; only a failure
-    assembles them, to print them.
+    the rows' own tally.  Both sides are counts by power of t; only a
+    failure assembles them, to print them.
     """
     name = "lr-relation"
     try:
