@@ -139,11 +139,12 @@ def cmd_identities(args) -> int:
     if args.suite in ("all", "poly"):
         results.extend(poly.verify_identities(emb, cap=args.cap))
     if args.suite in ("all", "states"):
-        # State checks run on the rotation alone; inputs they cannot cover
-        # (pinched, edgeless, disconnected, over the sweep cap) skip rather
-        # than abort so the polynomial half of the suite still reports.
+        # State checks read the suite's tally if it ran, else the rotation's
+        # own; inputs they cannot cover (pinched, edgeless, disconnected,
+        # over the sweep cap) skip, so the polynomial half still reports.
+        x = emb if args.suite == "all" else emb.rotation
         try:
-            results.extend(st.run_state_checks(emb, sweep_cap=args.sweep_cap)[0])
+            results.extend(st.run_state_checks(x, sweep_cap=args.sweep_cap)[0])
         except (st.StateError, rb.RibbonError, poly.CapError) as exc:
             results.append(poly.CheckResult("state-checks", "skip", str(exc)))
     return _print_results(results)

@@ -8,11 +8,11 @@ RankMatroid.mask checks ids, and rank its mask.
 Duals and minors are mask transforms of the parent oracle, so a chain
 of operations stays cheap to build and correct by construction.  Point
 queries are memoised per instance, keyed by the mask.  An exhaustive
-walk reads RankMatroid.table instead, the list of all 2^|E| ranks
-indexed by the mask, built on first use: from the partition table of
+walk reads RankMatroid.table instead, a bytearray whose byte A is the
+rank of mask A, built on first use, every per-mask step in C: from
 multigraph.component_table for a cycle matroid, from the parent's
-table for a dual, and from the oracle otherwise.  Once it exists,
-rank reads it too.
+table for a dual, and from the oracle otherwise.  A rank outside a
+byte raises.  Once it exists, rank reads it too.
 
 A matroid perspective (M, M') is a pair on the same ground set such
 that rank increments in M dominate those in M'; equivalently every
@@ -21,6 +21,8 @@ circuit of M is a union of circuits of M'.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -39,7 +41,7 @@ class RankMatroid:
 
     def __init__(self, ground: Iterable[int], rank_fn: Callable[[int], int],
                  name: str = "matroid",
-                 table_fn: Callable[[], list[int]] | None = None):
+                 table_fn: Callable[[], bytearray] | None = None):
         self.ground: tuple[int, ...] = tuple(sorted(ground))
         if len(set(self.ground)) != len(self.ground):
             raise MatroidError("duplicate ground element")
@@ -47,7 +49,7 @@ class RankMatroid:
         self._rank_fn = rank_fn
         self._table_fn = table_fn
         self._cache: dict[int, int] = {}
-        self._table: list[int] | None = None
+        self._table: bytearray | None = None
         self.name = name
 
     def mask(self, ids: Iterable[int]) -> int:
@@ -57,12 +59,12 @@ class RankMatroid:
             raise MatroidError(f"{ids - set(self.ground)} not in the ground set")
         return sum(1 << self.ground.index(e) for e in ids)
 
-    def table(self) -> list[int]:
+    def table(self) -> bytearray:
         """The rank of every mask, indexed by the mask; built on the
         first call, by table_fn if given, else by the oracle."""
         if self._table is None:
             self._table = (self._table_fn() if self._table_fn is not None
-                           else [self._rank_fn(a) for a in range(self.full + 1)])
+                           else bytearray(map(self._rank_fn, range(self.full + 1))))
             self._cache.clear()
         return self._table
 
@@ -93,7 +95,8 @@ def cycle_matroid(g: mg.Multigraph) -> RankMatroid:
     v = len(g.vertices)
     count = mg.component_counter(g)
     return RankMatroid(g.edges, lambda a: v - count(a), name="cycle",
-                       table_fn=lambda: [v - c for c in mg.component_table(g)])
+                       table_fn=lambda: bytearray(mg.component_table(g).translate(
+                           range(v, -1, -1)), "latin-1"))
 
 
 def bond_matroid(g: mg.Multigraph) -> RankMatroid:
@@ -103,12 +106,21 @@ def bond_matroid(g: mg.Multigraph) -> RankMatroid:
     return m
 
 
-def mask_sizes(n: int) -> list[int]:
+def mask_sizes(n: int) -> bytearray:
     """|A| for every mask A of n elements, indexed by the mask."""
-    out = [0]
+    out, step = bytearray(1), bytes(range(1, 256)) + bytes(1)
     for _ in range(n):
-        out += [k + 1 for k in out]
+        out += out.translate(step)
     return out
+
+
+def rank_rows(m: RankMatroid, m_prime: RankMatroid) -> Counter:
+    """The rows (|A|, r(A), r'(A)) of all masks, counted in order of first sight."""
+    n = len(m.ground)
+    lanes = bytearray(4 << n)
+    lanes[::4], lanes[1::4], lanes[2::4] = mask_sizes(n), m.table(), m_prime.table()
+    return Counter({tuple(k.to_bytes(4, sys.byteorder)[:3]): count for k, count
+                    in Counter(memoryview(lanes).cast("I")).items()})
 
 
 def dual(m: RankMatroid) -> RankMatroid:
@@ -116,9 +128,17 @@ def dual(m: RankMatroid) -> RankMatroid:
     the dual's table is the parent's reversed."""
     r_full = m.rank()
 
-    def table() -> list[int]:
-        return [k + r - r_full for k, r in
-                zip(mask_sizes(len(m.ground)), reversed(m.table()))]
+    def table() -> bytearray:
+        n = 1 << len(m.ground)
+        w = bytearray(b"\0\1" * n)      # lanes of 256 + |A| + r(E - A) - r(E)
+        w[::2] = mask_sizes(len(m.ground))
+        x = int.from_bytes(w, "little")
+        x -= int.from_bytes(bytes((r_full, 0)) * n, "little")
+        w[::2], w[1::2] = m.table()[::-1], bytes(n)
+        out = (x + int.from_bytes(w, "little")).to_bytes(2 * n, "little")
+        if out[1::2].strip(b"\1"):       # no lane borrows: 1 is a rank in 0..255
+            raise MatroidError(f"{m.name}* has a rank outside 0..255")
+        return bytearray(out[::2])
 
     return RankMatroid(m.ground,
                        lambda a: a.bit_count() + m.rank(m.full ^ a) - r_full,
@@ -219,11 +239,11 @@ def make_perspective(m: RankMatroid, m_prime: RankMatroid) -> MatroidPerspective
     if m.ground != m_prime.ground:
         raise MatroidError("ground sets differ")
     # Domination: r(A + e) + r'(A) >= r(A) + r'(A + e), e not in A.  Byte
-    # a of a table's int is the rank of mask a (below 64); a shift by e's
-    # bytes puts A + e on A.  With top bits set no byte borrows, and a top
-    # bit stays set where the inequality holds.  Only a fall walks the masks.
+    # a of a table's int is the rank of mask a (below 64, or the masks are
+    # walked); a shift by e's bytes puts A + e on A.  With top bits set no
+    # byte borrows, and a top bit stays set where the inequality holds.
     t, tp = m.table(), m_prime.table()
-    r, rp = (int.from_bytes(bytes(x), "little") for x in (t, tp))
+    r, rp = (int.from_bytes(x, "little") for x in (t, tp))
     top = int.from_bytes(b"\x80" * len(t), "little")
 
     def holds(i):
@@ -231,7 +251,8 @@ def make_perspective(m: RankMatroid, m_prime: RankMatroid) -> MatroidPerspective
         without = int.from_bytes(period * (len(t) >> i + 1), "little")
         return ((((r >> s) + rp) | top) - r - (rp >> s)) & without == without
 
-    falls = not all(map(holds, range(len(m.ground))))
+    falls = any(x.translate(None, bytes(range(64))) for x in (t, tp)) or not all(
+        map(holds, range(len(m.ground))))
     for a in range(m.full) if falls else ():   # E has no element to add
         for i, e in enumerate(m.ground):
             b = 1 << i

@@ -7,7 +7,7 @@ so an edge keeps its id through any chain of deletions and contractions.
 
 Subsets walked exhaustively are int masks, bit i standing for the i-th
 smallest edge id: subset_ids decodes one, component_counter counts c
-of one mask, and component_table lists c of every mask.  Each graph
+of one mask, and component_table gives c of every mask.  Each graph
 keeps its counter, its edge bits and its tally order, made on first
 use.  Every component count runs on a counter but two: poly._split's
 bridge test, and component_table, which keeps vertex partitions, not
@@ -118,21 +118,21 @@ def component_counter(g: Multigraph) -> Callable[[int], int]:
     return count
 
 
-def component_table(g: Multigraph) -> list[int]:
-    """c(A) of the spanning subgraph (V, A) for every mask A, indexed by
-    the mask.  The edges are decided in bit order, keeping the distinct
-    vertex partitions reached so far, each a string of block labels (the
-    character of a block's smallest vertex index, at each vertex) with
-    its block count.  The table holds one partition id per mask: each
-    edge joins every partition once, a join list from id to id, and the
-    table doubles through it, the masks with the edge after those
-    without, so every per-mask step runs in C.  The rank walk reads
-    every mask, and the counter would redo every union per mask."""
+def component_table(g: Multigraph) -> str:
+    """c(A) of the spanning subgraph (V, A) as the code point of character
+    A, for every mask A.  The edges are decided in bit order, keeping the
+    distinct vertex partitions reached so far, each a string of block
+    labels (the character of a block's smallest vertex index, at each
+    vertex) with its block count.  The table holds one partition id per
+    mask, a character: each edge joins every partition once, a join list
+    from id to id, and the table doubles through it by translate, the
+    masks with the edge after those without, so every per-mask step runs
+    in C.  The rank walk reads every mask; a counter redoes every union."""
     vid = {v: k for k, v in enumerate(g.vertices)}
     parts = ["".join(map(chr, range(len(vid))))]
     ids = {parts[0]: 0}
     blocks = [len(vid)]
-    table = [0]
+    table = "\0"
     for e in g.edges:
         u, w = (vid[x] for x in g.ends[e])
         join = []
@@ -146,8 +146,8 @@ def component_table(g: Multigraph) -> list[int]:
                     parts.append(p)
                     blocks.append(blocks[i] - 1)
             join.append(ids[p])
-        table += list(map(join.__getitem__, table))
-    return list(map(blocks.__getitem__, table))
+        table += table.translate(join)
+    return table.translate(blocks)
 
 
 def incidences(g: Multigraph) -> dict[int, list[int]]:

@@ -53,10 +53,10 @@ lv-dichromatic, the state checks and, as marginals on (|A|, c(A)) and
 (|E - A|, c_H(E - A)), T(G) and T(H; y, x); on a connected pinch-free
 surface transfer_tally(rs, dagger), for K, L_ext and the Tutte
 polynomials; otherwise transfer_tally(g, dagger), for L_ext and those.
-Its one count of the rows (|A|, r(A), r'(A)) over the 2^|E| masks
-gives the pair polynomial of (M, M') and, as its marginals, those of
-(M, M) and (M', M'), each by _perspective_buckets, which
-tutte_perspective's expansion calls on its own count.
+Its one count of the rows (|A|, r(A), r'(A)) over the 2^|E| masks,
+matroid.rank_rows, gives the pair polynomial of (M, M') and, as its
+marginals, those of (M, M) and (M', M'), each by _perspective_buckets,
+which tutte_perspective's expansion calls on its own count.
 
 The routes that check one another stay independent.  The one tally
 shares the edge order and the merging of states, but each layer is
@@ -65,8 +65,8 @@ is traced itself, and H's blocks from the dagger graph of
 em.derive_dagger, so the counts on E - A that the cellular expansion
 and the scheme and surface expansions read come from independent
 constructions; every reader shares the layers of G on A.  The rank
-walk reads the matroids' rank tables, filled on the graphs by
-multigraph.component_table, and is checked against T(G) and
+walk reads the matroids' rank tables, one byte per mask, filled on
+the graphs by multigraph.component_table, and is checked against T(G) and
 T(H; y, x), H the dagger graph, from the tally; the recursion tests
 its edges on its own flat minor keys, not on tally rows; and the
 perspective recursion works on matroid minors, unmemoised.
@@ -191,8 +191,7 @@ def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
     how much of the rank drop M' has not yet seen."""
     check_cap(len(mp.ground), cap, f"perspective {method}")
     if method == "expansion":
-        return _lv_poly(_perspective_buckets(mp, Counter(zip(
-            mt.mask_sizes(len(mp.ground)), mp.m.table(), mp.m_prime.table()))))
+        return _lv_poly(_perspective_buckets(mp, mt.rank_rows(mp.m, mp.m_prime)))
     if method == "recursion":
         return assemble("xyz", Counter(_perspective_leaves(mp.m, mp.m_prime)))
     raise PolyError(f"unknown method {method!r}")
@@ -602,17 +601,16 @@ def verify_identities(emb: em.EmbeddedGraph, *,
     rows = emb.tally
     l_ext = _scheme_buckets(scheme, rows)
     mp = em.scheme_perspective(scheme)
-    n = len(scheme.g.edges)
     dagger_rows: Counter = Counter()
     for (size, *_, c_h), m in rows.items():
-        dagger_rows[n - size, c_h] += m
+        dagger_rows[len(rs.edges) - size, c_h] += m
     t_m = _tutte_buckets(len(scheme.dagger.vertices), dagger_rows)
     t_mp = _tutte_buckets(len(scheme.g.vertices), rows)
 
     # Perspective specialisations: the rank walk against the tallies.  One
     # count of the masks gives (M, M') and, as its marginals, (M, M) and
     # (M', M').  A bad rank table fails all three.
-    rank_rows = Counter(zip(mt.mask_sizes(n), mp.m.table(), mp.m_prime.table()))
+    rank_rows = mt.rank_rows(mp.m, mp.m_prime)
     self_rows = Counter(), Counter()
     for (size, r_a, rp_a), m in rank_rows.items():
         self_rows[0][size, r_a, r_a] += m

@@ -328,6 +328,35 @@ def test_states_sweeps_no_subset(capsys, files, monkeypatch):
                          "_frontier_tally": 2, "circle_counter": 1}
 
 
+def test_the_state_half_alone_builds_no_dagger_layer(capsys, tmp_path,
+                                                    monkeypatch):
+    # Without the polynomial half, the state checks read the rotation's
+    # own dual tally, one union layer fewer than the suite's tally, which
+    # carries the dagger graph's blocks; the lines they print are those of
+    # the whole suite.
+    unions = Counter()
+    real = rb._union_moves
+
+    def counted(*args, **kwargs):
+        unions["all"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rb, "_union_moves", counted)
+    for text in (THETA, EIGHT_EDGES, BOUQUET):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        runs = {}
+        for suite in ("states", "all"):
+            unions.clear()
+            runs[suite] = run(capsys, "identities", str(path), "--suite", suite)
+            runs[suite] += (unions["all"],)
+        (rc, out, err, layers), (rc_all, out_all, err_all, layers_all) = \
+            runs["states"], runs["all"]
+        assert (rc, err) == (rc_all, err_all)
+        assert out_all.endswith(out) and out.count("\n") == 5
+        assert layers == layers_all - 1
+
+
 def test_identities_reports_a_broken_dual_as_failure(capsys, files,
                                                     monkeypatch):
     real = rb.dual
@@ -491,6 +520,23 @@ def test_a_witness_search_builds_each_layer_once(monkeypatch):
         assert str(exc.value) == "bad exponents on [2, 3]"
         assert (calls["_union_moves"], calls["_circle_moves"]) == (unions, 2)
         assert 1 < calls["_frontier_tally"] <= len(parsed.rotation.edges) + 1
+
+
+def test_identities_past_a_byte_of_vertices_and_regions(capsys, tmp_path):
+    # The theta graph with 298 isolated vertices, closed by discs: 300
+    # vertices and 299 regions, so c(A) passes a byte, while no rank
+    # exceeds |E|.  The report was recorded before the rank tables held
+    # a byte per mask.
+    head, edges = THETA.split("edge 1", 1)
+    isolated = "".join(f"vertex {v}: sector ()\n" for v in range(2, 300))
+    path = tmp_path / "wide.txt"
+    path.write_text(f"{head}{isolated}edge 1{edges}cellular\n")
+    surface = "skip: needs a connected pinch-free surface"
+    want = _with(_PASSES[:8] + [f"RESULT: {name} {surface}" for name in (
+        "br-from-krushkal", "lv-from-krushkal-cellular", "lv-from-krushkal")])
+    assert run(capsys, "identities", str(path), "--suite", "poly") == (0, want, "")
+    assert run(capsys, "identities", str(path)) == (0, want + (
+        "RESULT: state-checks skip: state checks need a connected graph\n"), "")
 
 
 def test_states_sweep_cap(capsys, files):

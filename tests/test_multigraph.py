@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 import corpus
 from topopoly import embedding as em
+from topopoly import matroid as mt
 from topopoly import multigraph as mg
 
 
@@ -152,12 +153,12 @@ def test_component_table_matches_the_counter_on_every_mask():
     checked = 0
     for g in _table_cases():
         count = mg.component_counter(g)
-        table = mg.component_table(g)
+        table = list(map(ord, mg.component_table(g)))
         assert len(table) == 1 << len(g.edges)
         assert table == [count(a) for a in range(len(table))], g
         checked += len(table)
-    assert mg.component_table(mg.Multigraph((), {})) == [0]
-    assert mg.component_table(mg.Multigraph((0, 1, 2), {})) == [3]
+    assert mg.component_table(mg.Multigraph((), {})) == "\0"
+    assert mg.component_table(mg.Multigraph((0, 1, 2), {})) == "\3"
     assert checked > 40000
 
 
@@ -177,7 +178,50 @@ def st_multigraphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_component_table_matches_the_counter_on_random_multigraphs(g):
     count = mg.component_counter(g)
-    assert mg.component_table(g) == [count(a) for a in range(1 << len(g.edges))]
+    assert list(map(ord, mg.component_table(g))) == [
+        count(a) for a in range(1 << len(g.edges))]
+
+
+@hst.composite
+def st_near_forests(draw):
+    """A tree on 9 to 12 vertices, each vertex after the first joined to
+    an earlier one, plus up to two more edges, ids shuffled: the tree's
+    subsets alone give 2^8 or more vertex partitions, past the 128 ids
+    of str.translate's ASCII path and the 256 of a byte."""
+    n = draw(hst.integers(9, 12))
+    ends = [(draw(hst.integers(0, v - 1)), v) for v in range(1, n)]
+    pick = hst.integers(0, n - 1)
+    ends += draw(hst.lists(hst.tuples(pick, pick), max_size=2))
+    ids = draw(hst.permutations(range(len(ends))))
+    return mg.Multigraph(tuple(range(n)), dict(zip(ids, ends)))
+
+
+def _tables_match_the_counter(g):
+    count = mg.component_counter(g)
+    c = [count(a) for a in range(1 << len(g.edges))]
+    assert list(map(ord, mg.component_table(g))) == c
+    # The rank tables, one byte per mask: r(A) = v - c(A), and the
+    # bond matroid's |A| + r(E - A) - r(E) on the reversed table.
+    v, full = len(g.vertices), len(c) - 1
+    cycle, bond = mt.cycle_matroid(g).table(), mt.bond_matroid(g).table()
+    assert type(cycle) is type(bond) is bytearray
+    assert list(cycle) == [v - k for k in c]
+    assert list(bond) == [a.bit_count() - c[full ^ a] + c[full] for a in range(full + 1)]
+
+
+@given(g=st_near_forests())
+@settings(max_examples=12, deadline=None)
+def test_tables_match_the_counter_past_the_ascii_ids(g):
+    _tables_match_the_counter(g)
+
+
+def test_tables_match_the_counter_past_a_byte_of_vertices():
+    # The theta graph with 298 isolated vertices: c(A) runs to 300, past
+    # a byte, while no rank exceeds |E|.
+    g = mg.Multigraph(tuple(range(300)), {1: (0, 1), 2: (0, 1), 3: (0, 1)})
+    _tables_match_the_counter(g)
+    assert list(mt.cycle_matroid(g).table()) == [0] + [1] * 7
+    assert list(mt.bond_matroid(g).table()) == [0, 1, 1, 2, 1, 2, 2, 2]
 
 
 def _narrowest_by_reference(g, tracked, at):

@@ -514,8 +514,9 @@ def test_identity_suite_is_deterministic():
 
 
 def test_identity_suite_memory_is_bounded_at_the_cap():
-    # 16 edges, the identity cap: the rank tables are lists of 2^16
-    # small ints, so the whole suite stays under 5 MB of Python heap.
+    # 16 edges, the identity cap: the rank tables hold a byte for each
+    # of the 2^16 masks, so the whole suite stays under 5 MB of Python
+    # heap.
     emb = em.with_disc_regions(corpus.random_rotation(random.Random(5), 4, 16))
     tracemalloc.start()
     try:
@@ -525,6 +526,39 @@ def test_identity_suite_memory_is_bounded_at_the_cap():
         tracemalloc.stop()
     assert not any(r.failed for r in results)
     assert peak < 5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_the_rank_walk_memory_is_bounded_on_a_near_forest():
+    # The first connected random_rotation(Random(5), 16, 16): its vertex
+    # partitions number nearly 2^|E|, the rank tables' worst case.  The
+    # suite peaked at 4.97 MB of Python heap (6.76 MB when the tables
+    # were lists of ints), bounded here at that plus 25%.
+    rng = random.Random(5)
+    while True:
+        rs = corpus.random_rotation(rng, 16, 16)
+        if mg.components(rs.underlying()) == 1:
+            break
+    emb = em.with_disc_regions(rs)
+    tracemalloc.start()
+    try:
+        results = poly.verify_identities(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(r.failed for r in results)
+    assert peak < 1.25 * 4.97 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
+
+
+def test_the_pair_expansions_count_the_mask_rows_in_one_place(monkeypatch):
+    # The suite and tutte_perspective's expansion each count the rows
+    # (|A|, r(A), r'(A)) once, through matroid.rank_rows.
+    calls = _count_calls(monkeypatch, ((mt, "rank_rows"),))
+    theta = em.with_disc_regions(corpus.theta_torus())
+    assert not any(r.failed for r in poly.verify_identities(theta))
+    assert calls["rank_rows"] == 1
+    mp = em.scheme_perspective(theta.scheme)
+    assert poly.tutte_perspective(mp) == poly.tutte_perspective(mp, "recursion")
+    assert calls["rank_rows"] == 2
 
 
 def _theta_statuses():
