@@ -28,9 +28,11 @@ to a bucket:
   bollobas_riordan      transfer_tally(rs): c and f; c(E) once
   krushkal              transfer_tally(rs, dagger): c, f and rho(A);
                         the embedding's report and dagger, and c(E)
-  las_vergnas_cellular  rs.dual_tally: c and f of A, and of E - A in
-                        the dual, which is traced itself; c(E) and the
-                        genus once
+  las_vergnas_cellular  transfer_tally(g, g*): c(A), and c*(E - A) in
+                        the dual, no circle layer: L as the pair
+                        polynomial of B(G*) -> C(G); c(E) and n(G*)
+                        once.  Its genus form, on a dual tally, is
+                        what the suite checks it against
   las_vergnas_embedded  transfer_tally(g, dagger): c and rho(A), no
                         tracing; c(E), rho(E) and rho(0) once
   tutte, dichromatic    transfer_tally(g): c alone
@@ -64,7 +66,11 @@ built from its own graph: G*'s blocks and circles from rs.dual, which
 is traced itself, and H's blocks from the dagger graph of
 em.derive_dagger, so the counts on E - A that the cellular expansion
 and the scheme and surface expansions read come from independent
-constructions; every reader shares the layers of G on A.  The rank
+constructions; every reader shares the layers of G on A.  The lv
+command likewise reads G*'s blocks from rs.dual and lv-ext H's from
+em.derive_dagger.  It reads no circle, so a dual that keeps its
+underlying graph but not its bands (a twist, say) leaves it alone;
+only the suite's genus form sees that.  The rank
 walk reads the matroids' rank tables, one byte per mask, filled on
 the graphs by multigraph.component_table, and is checked against T(G) and
 T(H; y, x), H the dagger graph, from the tally; the recursion tests
@@ -241,21 +247,38 @@ def _perspective_leaves(m: mt.RankMatroid, m_prime: mt.RankMatroid,
 
 def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
                          cap: int = EXPANSION_CAP) -> MPolynomial:
-    """The cellular three-variable polynomial of a pinch-free rotation
-    system, from boundary data of the graph and its dual; z records half
-    the genus deficiency.  The recursion runs on its disc embedding."""
+    """The cellular three-variable polynomial L of a pinch-free rotation
+    system: the pair polynomial of the matroid perspective B(G*) -> C(G)
+    (Las Vergnas 1978), whose ranks are the component counts c(A) in G
+    and c*(E - A) in the dual G*.  Its genus form, with z recording half
+    the genus deficiency, is a theorem the identity suite checks
+    (_cellular_buckets).  The expansion reads one transfer tally of A in
+    G cut by G* on E - A, and rejects a row with a negative exponent by
+    its first subset; the recursion runs on its disc embedding."""
     rb.require_pinch_free(rs, "the cellular polynomial")
     if method == "recursion":
         return las_vergnas_embedded(em.with_disc_regions(rs), "recursion", cap)
     if method != "expansion":
         raise PolyError(f"unknown method {method!r}")
     check_cap(len(rs.edges), cap, "subset expansion")
-    return _lv_poly(_cellular_buckets(rs, rs.dual_tally))
+    rows = rb.transfer_tally(rs.underlying(), rs.dual.underlying())
+    bucket = _component_form(rs)
+    counts: Counter = Counter()
+    bad = {}
+    for row, m in rows.items():
+        size, c, _, c_dual = row
+        key = bucket(size, c, c_dual)
+        if min(key) < 0:
+            bad[row] = "bad exponents on {a}"
+        counts[key] += m
+    if bad:
+        raise PolyError(_first_subset(rs.edges, rows.rerun, bad))
+    return _lv_poly(counts)
 
 
 def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
-    """The buckets of L from rows, a dual_tally of rs; a bad row is
-    named on its reruns."""
+    """The buckets of L in its genus form from rows, a dual_tally of
+    rs; a bad row is named on its reruns."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
@@ -531,17 +554,25 @@ def _tidy_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
     return counts
 
 
-def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
-    """The right side of lv-dichromatic over (x0 - 1, y0 - 1, z0), from
-    rows, the dual_tally of rs: ((x0-1)/z0)^c(A) ((y0-1) z0)^c*(E-A)
-    z0^(n(G*)-|A|) / ((x0-1)(y0-1))^c(G) per row."""
+def _component_form(rs: rb.RotationSystem):
+    """The bucket over (x - 1, y - 1, z) of a subset A in the component
+    form of L, as a function of |A|, c(A) and c*(E - A):
+    ((x-1)/z)^c(A) ((y-1) z)^c*(E-A) z^(n(G*)-|A|) / ((x-1)(y-1))^c(G),
+    the corank, nullity and rank drop of A in B(G*) -> C(G)."""
     c_g = mg.components(rs.underlying())
     n_dual = mg.nullity(rs.dual.underlying())
-    counts: Counter = Counter()
-    for row, m in rows.items():
-        counts[2 * (row.c - c_g), 2 * (row.c_dual - c_g),
-               2 * (n_dual + row.c_dual - row.c - row.size)] += m
-    return counts
+
+    def bucket(size, c, c_dual):
+        return 2 * (c - c_g), 2 * (c_dual - c_g), 2 * (n_dual + c_dual - c - size)
+
+    return bucket
+
+
+def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+    """The right side of lv-dichromatic over (x0 - 1, y0 - 1, z0), from
+    rows, the dual_tally of rs: _component_form per row."""
+    bucket = _component_form(rs)
+    return _keyed(rows, lambda size, c, f, genus, c_dual, *_: bucket(size, c, c_dual))
 
 
 def _keyed(buckets: Mapping, key) -> Counter:

@@ -498,12 +498,13 @@ def test_identities_build_the_dual_and_the_dagger_apart(capsys, tmp_path,
 
 
 def test_a_witness_search_builds_each_layer_once(monkeypatch):
-    # Under the swapped dual the cellular rows of the bouquet go bad: lv
-    # names the first bad subset on reruns of its dual tally, and the
-    # suite on reruns of its embedding's one tally, each on the layers
-    # its first run built (G's and G*'s blocks and circles, and for the
-    # suite H's blocks), forcing one more edge a run.
+    # Under the swapped dual the cellular rows of the bouquet go bad: the
+    # genus form of L names the first bad subset on reruns of the dual
+    # tally, and the suite on reruns of its embedding's one tally, each
+    # on the layers its first run built (G's and G*'s blocks and circles,
+    # and for the suite H's blocks), forcing one more edge a run.
     parsed = ff.parse(BOUQUET)
+    rs = parsed.rotation
     monkeypatch.setattr(rb, "dual", _swapped_dual(rb.dual))
     calls = Counter()
     for name in ("_union_moves", "_circle_moves", "_frontier_tally"):
@@ -512,7 +513,7 @@ def test_a_witness_search_builds_each_layer_once(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rb, name, wrapper)
-    for search, unions in ((lambda: poly.las_vergnas_cellular(parsed.rotation), 2),
+    for search, unions in ((lambda: poly._cellular_buckets(rs, rs.dual_tally), 2),
                            (lambda: poly.verify_identities(parsed.embedded), 3)):
         calls.clear()
         with pytest.raises(poly.PolyError) as exc:
@@ -520,6 +521,33 @@ def test_a_witness_search_builds_each_layer_once(monkeypatch):
         assert str(exc.value) == "bad exponents on [2, 3]"
         assert (calls["_union_moves"], calls["_circle_moves"]) == (unions, 2)
         assert 1 < calls["_frontier_tally"] <= len(parsed.rotation.edges) + 1
+
+
+_EIGHT_L = "x^2y^3 + x^2y^3z + 2x^3y^2 + 2x^3y^2z + x^4y + x^4yz\n"
+
+
+@pytest.mark.parametrize("mutant", ("dual", "dagger"))
+def test_lv_and_lv_ext_read_the_dual_and_the_dagger_apart(capsys, tmp_path,
+                                                          monkeypatch, mutant):
+    # lv reads G* from rb.dual and lv-ext reads H from em.derive_dagger:
+    # each mutant moves one command alone.  Under the swapped dual, lv's
+    # component form has a negative power of z, and the command names
+    # the first subset that yields it; under the merged dagger graph
+    # lv-ext prints another polynomial.
+    path = tmp_path / "eight.txt"
+    path.write_text(EIGHT_EDGES)
+    for which in ("lv", "lv-ext"):
+        assert run(capsys, "poly", str(path), "--which", which) == (0, _EIGHT_L, "")
+    if mutant == "dual":
+        monkeypatch.setattr(rb, "dual", _swapped_dual(rb.dual))
+        assert run(capsys, "poly", str(path), "--which", "lv") == (
+            2, "", "error: bad exponents on [2, 3, 8]\n")
+        assert run(capsys, "poly", str(path), "--which", "lv-ext") == (0, _EIGHT_L, "")
+    else:
+        monkeypatch.setattr(em, "derive_dagger", _merged_dagger(em.derive_dagger))
+        rc, out, err = run(capsys, "poly", str(path), "--which", "lv-ext")
+        assert (rc, err) == (0, "") and out not in ("", _EIGHT_L)
+        assert run(capsys, "poly", str(path), "--which", "lv") == (0, _EIGHT_L, "")
 
 
 def test_identities_past_a_byte_of_vertices_and_regions(capsys, tmp_path):

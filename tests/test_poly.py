@@ -183,6 +183,41 @@ def test_cellular_routes_agree_on_corpus():
         assert str(a) == str(b) == str(c) == str(d)
 
 
+def _genus_form(rs: rb.RotationSystem) -> Counter:
+    """The buckets of L in its genus form, on the dual tally of rs: the
+    identity suite's reading; the lv command reads the component form."""
+    return poly._cellular_buckets(rs, rs.dual_tally)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(min_value=0), hst.integers(min_value=1, max_value=5),
+       hst.integers(min_value=0, max_value=8), hst.integers(min_value=0, max_value=2),
+       hst.booleans())
+def test_lv_reads_the_genus_form_off_component_counts(seed, n_vertices, n_edges,
+                                                      isolated, signed):
+    # The command's L, the pair polynomial of B(G*) -> C(G) on the
+    # components of A in G and of E - A in G*, is the genus form on
+    # random pinch-free systems: disconnected ones, with isolated
+    # vertices added, and with twisted bands when signed.
+    rs = corpus.random_rotation(random.Random(seed), n_vertices, n_edges,
+                                allow_pinch=False, signed=signed)
+    rs = rb.RotationSystem({**rs.sectors, **{n_vertices + k: ((),)
+                                             for k in range(isolated)}}, rs.signs)
+    assert str(poly.las_vergnas_cellular(rs)) == str(poly._lv_poly(_genus_form(rs)))
+
+
+def test_lv_reads_the_genus_form_past_the_cap():
+    # The first connected pinch-free 24-edge draw of Random(5), past the
+    # default cap.
+    rng = random.Random(5)
+    while True:
+        rs = corpus.random_rotation(rng, 10, 24)
+        if mg.components(rs.underlying()) == 1 and not rs.pinch_vertices():
+            break
+    assert (str(poly.las_vergnas_cellular(rs, cap=24))
+            == str(poly._lv_poly(_genus_form(rs))))
+
+
 def test_plane_cellular_polynomial_is_tutte():
     for rs in corpus.cellular_corpus():
         if rb.euler_genus(rs) != 0:
@@ -457,13 +492,15 @@ def test_lv_ext_names_its_first_bad_subset():
 
 
 def test_lv_names_its_first_odd_genus_split(monkeypatch):
+    # A twisted dual keeps its underlying graph, so only the genus form
+    # reads it: the suite's, which lv's component form does not share.
     real = rb.dual
     monkeypatch.setattr(rb, "dual", lambda g: rb.twist(real(g), [g.edges[0]]))
     with pytest.raises(poly.PolyError, match=r"^odd genus split on \[2\]$"):
-        poly.las_vergnas_cellular(corpus.bouquet_torus())
+        _genus_form(corpus.bouquet_torus())
     monkeypatch.setattr(rb, "dual", lambda g: rb.twist(real(g), [g.edges[-1]]))
     with pytest.raises(poly.PolyError, match=r"^odd genus split on \[6\]$"):
-        poly.las_vergnas_cellular(_eight_edge_graphs()[5].rotation)
+        _genus_form(_eight_edge_graphs()[5].rotation)
 
 
 def test_krushkal_names_its_first_negative_genus(monkeypatch):
@@ -1008,7 +1045,9 @@ def test_each_command_builds_an_order_and_disc_arcs_once(monkeypatch, tmp_path,
     # A rotation system keeps its disc arcs and its tally order: the
     # graph and the dual that the dual tally traces build their arcs
     # once each, and the dual tally decides in the graph's order, also
-    # when identities cuts it by the dagger graph.
+    # when identities cuts it by the dagger graph.  lv's tally of the
+    # bare graph cut by the dual's builds no arcs past the graph's own,
+    # which parsing counts circles on, and the bare graph's one order.
     ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10
                and mg.components(e.rotation.underlying()) == 1
                and em.validate(e).cellular)
@@ -1016,12 +1055,27 @@ def test_each_command_builds_an_order_and_disc_arcs_once(monkeypatch, tmp_path,
     path.write_text(ff.serialize(ten))
     calls = _count_calls(monkeypatch, ((rb, "_disc_arcs"), (mg, "frontier_order")))
     builds = {("identities",): (2, 1), ("states", "--sweep-cap", "10"): (2, 1),
-              ("poly", "--which", "lv"): (2, 1), ("poly", "--which", "br"): (1, 1),
+              ("poly", "--which", "lv"): (1, 1), ("poly", "--which", "br"): (1, 1),
               ("poly", "--which", "krushkal"): (1, 1)}
     for (command, *options), want in builds.items():
         calls.clear()
         assert cli.main([command, str(path), *options]) == 0
         assert (calls["_disc_arcs"], calls["frontier_order"]) == want, command
+    capsys.readouterr()
+
+
+def test_lv_makes_one_pass_on_two_union_layers(monkeypatch, tmp_path, capsys):
+    # poly --which lv tallies A in G cut by G* on E - A: one frontier
+    # run on two union layers, and no circle layer.
+    ten = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10
+               and mg.components(e.rotation.underlying()) == 1
+               and em.validate(e).cellular)
+    path = tmp_path / "ten.txt"
+    path.write_text(ff.serialize(ten))
+    calls = _count_calls(monkeypatch, ((rb, "_frontier_tally"), (rb, "_union_moves"),
+                                       (rb, "_circle_moves")))
+    assert cli.main(["poly", str(path), "--which", "lv"]) == 0
+    assert calls == {"_frontier_tally": 1, "_union_moves": 2}
     capsys.readouterr()
 
 
@@ -1079,7 +1133,7 @@ def test_expansions_sweep_no_subset(monkeypatch):
     rs = ten.rotation
     for run, tally in ((lambda: poly.bollobas_riordan(rs), "transfer_tally"),
                        (lambda: poly.krushkal(ten), "transfer_tally"),
-                       (lambda: poly.las_vergnas_cellular(rs), "dual_tally"),
+                       (lambda: poly.las_vergnas_cellular(rs), "transfer_tally"),
                        (lambda: poly.las_vergnas_embedded(ten), "transfer_tally"),
                        (lambda: poly.dichromatic(rs.underlying()), "transfer_tally"),
                        (lambda: poly.tutte(rs.underlying()), "transfer_tally")):
@@ -1146,7 +1200,7 @@ def test_first_subset_names_the_mask_of_a_row():
 
 def test_a_failing_subset_check_reruns_its_tally_at_most_once_per_edge(
         monkeypatch):
-    # A twisted dual puts the cellular expansion's rows off: its one
+    # A twisted dual puts the rows of L's genus form off: its one dual
     # tally, then at most one rerun per edge to name the first subset.
     rng = random.Random(20)
     while True:
@@ -1157,7 +1211,7 @@ def test_a_failing_subset_check_reruns_its_tally_at_most_once_per_edge(
     monkeypatch.setattr(rb, "dual", lambda g: rb.twist(real(g), [1]))
     calls = _count_calls(monkeypatch, ((rb, "_frontier_tally"),))
     with pytest.raises(poly.PolyError, match="on "):
-        poly.las_vergnas_cellular(rs)
+        _genus_form(rs)
     assert 1 < calls["_frontier_tally"] <= len(rs.edges) + 1
 
 
