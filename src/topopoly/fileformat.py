@@ -20,13 +20,17 @@ system.  Every parse error carries the offending line number, but the
 two that concern the file as a whole: "no vertex lines", and a circle
 of the trace that no region covers.  Checking the regions needs only
 the number of circles (RotationSystem.circle_count), so parse traces
-nothing; the full trace is made by its first reader.
+nothing; the full trace is made by its first reader.  A disc on every
+circle can fail no check, so a "cellular" file counts no circle at
+parse either: its embedding is built by the first reader of
+ParsedInput.embedded.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import embedding as em
 from . import ribbon as rb
@@ -45,10 +49,19 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class ParsedInput:
-    """A rotation system, plus the embedding when region data was given."""
+    """A rotation system, plus the embedding its region lines give, or
+    the keyword cellular."""
 
     rotation: rb.RotationSystem
-    embedded: em.EmbeddedGraph | None
+    given: em.EmbeddedGraph | None = None
+    cellular: bool = False
+
+    @cached_property
+    def embedded(self) -> em.EmbeddedGraph | None:
+        """The file's embedding, None for a bare rotation system; for
+        the keyword cellular, a disc on every circle, glued on first
+        read."""
+        return em.with_disc_regions(self.rotation) if self.cellular else self.given
 
 
 def _fail(lineno: int, msg: str):
@@ -138,9 +151,9 @@ def parse(text: str) -> ParsedInput:
         _misplaced(sectors, signs, declared_ends, vertex_line, edge_line)
 
     if cellular_line is not None:
-        return ParsedInput(rotation, em.with_disc_regions(rotation))
+        return ParsedInput(rotation, cellular=True)
     if not region_rows:
-        return ParsedInput(rotation, None)
+        return ParsedInput(rotation)
 
     f = rotation.circle_count
     regions: dict[int, int] = {}

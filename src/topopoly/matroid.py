@@ -5,14 +5,16 @@ an int mask, bit i standing for ground[i]: the multigraph encoding
 (multigraph.subset_ids), in which the failing checks name subsets too.
 RankMatroid.mask checks ids, and rank its mask.
 
-Duals and minors are mask transforms of the parent oracle, so a chain
-of operations stays cheap to build and correct by construction.  Point
-queries are memoised per instance, keyed by the mask.  An exhaustive
-walk reads RankMatroid.table instead, a bytearray whose byte A is the
-rank of mask A, built on first use, every per-mask step in C: from
-multigraph.component_table for a cycle matroid, from the parent's
-table for a dual, and from the oracle otherwise.  A rank outside a
-byte raises.  Once it exists, rank reads it too.
+A dual is a mask transform of the parent oracle, so it stays cheap to
+build and correct by construction; minors, and the exhaustive axiom,
+circuit and flat checks, are test oracles (tests/oracles.py), since no
+command runs them.  Point queries are memoised per instance, keyed by
+the mask.  An exhaustive walk reads RankMatroid.table instead, a
+bytearray whose byte A is the rank of mask A, built on first use,
+every per-mask step in C: from multigraph.component_table for a cycle
+matroid, from the parent's table for a dual, and from the oracle
+otherwise.  A rank outside a byte raises.  Once it exists, rank reads
+it too.
 
 A matroid perspective (M, M') is a pair on the same ground set such
 that rank increments in M dominate those in M'; equivalently every
@@ -85,11 +87,6 @@ class RankMatroid:
         return f"RankMatroid({self.name}, ground={list(self.ground)})"
 
 
-def _bits(a: int) -> list[int]:
-    """The one-bit masks of the elements in a."""
-    return [1 << i for i in range(a.bit_length()) if a >> i & 1]
-
-
 def cycle_matroid(g: mg.Multigraph) -> RankMatroid:
     """C(G): rank of A is v(G) - c(A)."""
     v = len(g.vertices)
@@ -115,12 +112,16 @@ def mask_sizes(n: int) -> bytearray:
 
 
 def rank_rows(m: RankMatroid, m_prime: RankMatroid) -> Counter:
-    """The rows (|A|, r(A), r'(A)) of all masks, counted in order of first sight."""
+    """The rows (|A|, r(A), r'(A)) of all masks, counted in order of first
+    sight.  Each mask is one four-byte lane r(A), |A|, r'(A), 0, counted
+    as a native int: on a little-endian host a rank, not |A|, is the
+    int's low byte."""
     n = len(m.ground)
     lanes = bytearray(4 << n)
-    lanes[::4], lanes[1::4], lanes[2::4] = mask_sizes(n), m.table(), m_prime.table()
-    return Counter({tuple(k.to_bytes(4, sys.byteorder)[:3]): count for k, count
-                    in Counter(memoryview(lanes).cast("I")).items()})
+    lanes[::4], lanes[1::4], lanes[2::4] = m.table(), mask_sizes(n), m_prime.table()
+    return Counter({(b[1], b[0], b[2]): count for b, count in (
+        (k.to_bytes(4, sys.byteorder), count)
+        for k, count in Counter(memoryview(lanes).cast("I")).items())})
 
 
 def dual(m: RankMatroid) -> RankMatroid:
@@ -145,33 +146,6 @@ def dual(m: RankMatroid) -> RankMatroid:
                        name=f"{m.name}*", table_fn=table)
 
 
-def _minor(m: RankMatroid, e: int, contract: bool) -> RankMatroid:
-    """M \\ e or M / e.  A mask of the minor lifts to the parent by
-    keeping the bits below e's, moving the rest up one place, and for
-    a contraction setting e's bit."""
-    if e not in m.ground:
-        raise MatroidError(f"no element {e}")
-    i = m.ground.index(e)
-    low = (1 << i) - 1
-    bit = 1 << i if contract else 0
-    r_e = m.rank(bit) if contract else 0
-
-    def r(a: int) -> int:
-        return m.rank((a & low) | ((a >> i) << (i + 1)) | bit) - r_e
-
-    sep = "/" if contract else "\\"
-    return RankMatroid(m.ground[:i] + m.ground[i + 1:], r,
-                       name=f"{m.name}{sep}{e}")
-
-
-def delete(m: RankMatroid, e: int) -> RankMatroid:
-    return _minor(m, e, contract=False)
-
-
-def contract(m: RankMatroid, e: int) -> RankMatroid:
-    return _minor(m, e, contract=True)
-
-
 def is_loop(m: RankMatroid, e: int) -> bool:
     return m.rank(m.mask((e,))) == 0
 
@@ -179,41 +153,6 @@ def is_loop(m: RankMatroid, e: int) -> bool:
 def is_isthmus(m: RankMatroid, e: int) -> bool:
     """True iff e is in every basis: r(E) - r(E - e) = 1."""
     return m.rank() - m.rank(m.full ^ m.mask((e,))) == 1
-
-
-def is_flat(m: RankMatroid, a: int) -> bool:
-    """True iff adding any outside element raises the rank."""
-    r_a = m.rank(a)
-    return all(m.rank(a | b) == r_a + 1 for b in _bits(m.full ^ a))
-
-
-def check_rank_axioms(m: RankMatroid, max_exhaustive: int = 12) -> None:
-    """Opt-in axiom validation; raises MatroidError with a witness.
-
-    Checks r(empty) = 0, unit increase, and local submodularity
-    r(A+e) + r(A+f) >= r(A+e+f) + r(A), exhaustively when the ground
-    set has at most max_exhaustive elements.
-    """
-    if len(m.ground) > max_exhaustive:
-        raise MatroidError(
-            f"axiom check is exhaustive; ground set of {len(m.ground)} exceeds "
-            f"cap {max_exhaustive}")
-    if m.rank(0) != 0:
-        raise MatroidError("rank of the empty set is not 0")
-    for a in range(m.full + 1):
-        r_a = m.rank(a)
-        rest = [(1 << i, e) for i, e in enumerate(m.ground) if not a >> i & 1]
-        for b, e in rest:
-            step = m.rank(a | b) - r_a
-            if step not in (0, 1):
-                raise MatroidError(f"rank step {step} at "
-                                   f"A={mg.subset_ids(m.ground, a)}, e={e}")
-        for j, (b, e) in enumerate(rest):
-            for c, f in rest[j + 1:]:
-                if m.rank(a | b) + m.rank(a | c) < m.rank(a | b | c) + r_a:
-                    raise MatroidError(
-                        f"submodularity fails at A={mg.subset_ids(m.ground, a)}, "
-                        f"e={e}, f={f}")
 
 
 @dataclass(frozen=True)
@@ -261,40 +200,3 @@ def make_perspective(m: RankMatroid, m_prime: RankMatroid) -> MatroidPerspective
                     f"not a perspective: rank step of M at "
                     f"A={mg.subset_ids(m.ground, a)}, e={e} is below M'")
     return MatroidPerspective(m, m_prime)
-
-
-def circuits(m: RankMatroid) -> list[int]:
-    """The masks of all circuits, the minimal dependent sets: r(A) =
-    |A| - 1 with every A - e independent.  Exhaustive (small ground
-    sets only)."""
-    return [a for a in range(1, m.full + 1)
-            if m.rank(a) == a.bit_count() - 1
-            and all(m.rank(a ^ e) == a.bit_count() - 1 for e in _bits(a))]
-
-
-def check_circuit_refinement(mp: MatroidPerspective, cap: int = 8) -> None:
-    """Opt-in: every circuit of M must be a union of circuits of M'.
-
-    Exhaustive, so gated to small ground sets.
-    """
-    if len(mp.ground) > cap:
-        raise MatroidError(f"circuit check capped at {cap} elements")
-    prime_circuits = circuits(mp.m_prime)
-    for c in circuits(mp.m):
-        covered = 0
-        for cp in prime_circuits:
-            if cp & c == cp:
-                covered |= cp
-        if covered != c:
-            raise MatroidError(f"circuit {mg.subset_ids(mp.ground, c)} of M "
-                               f"is not a union of circuits of M'")
-
-
-def check_flat_refinement(mp: MatroidPerspective, cap: int = 8) -> None:
-    """Opt-in: every flat of M' must be a flat of M (small ground sets)."""
-    if len(mp.ground) > cap:
-        raise MatroidError(f"flat check capped at {cap} elements")
-    for a in range(mp.m.full + 1):
-        if is_flat(mp.m_prime, a) and not is_flat(mp.m, a):
-            raise MatroidError(
-                f"flat {mg.subset_ids(mp.ground, a)} of M' is not a flat of M")

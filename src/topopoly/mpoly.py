@@ -15,12 +15,14 @@ so the same polynomial always prints the same way:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from math import comb
 from operator import add, itemgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 VARS = ("x", "y", "z", "a", "b", "t")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -255,8 +257,11 @@ def _coerce(value) -> MPolynomial:
     raise TypeError(f"cannot combine MPolynomial with {type(value).__name__}")
 
 
+# Fraction is imported where evaluate needs it, not at module level:
+# fractions pulls in decimal and numbers, which no command uses.
 def _rational(v) -> Fraction | int:
     """v itself when it is an int or a Fraction, else Fraction(v)."""
+    from fractions import Fraction
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
@@ -271,6 +276,7 @@ def _power_sum(rows: Mapping[tuple[int, ...], int],
     term, and builds a single Fraction at the end.  A base of 1 and a
     column of zeros are skipped.
     """
+    from fractions import Fraction
     terms, den = rows.values(), 1
     for col, b in zip(zip(*rows), bases):
         p, q = b.numerator, b.denominator

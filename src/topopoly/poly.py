@@ -75,7 +75,8 @@ walk reads the matroids' rank tables, one byte per mask, filled on
 the graphs by multigraph.component_table, and is checked against T(G) and
 T(H; y, x), H the dagger graph, from the tally; the recursion tests
 its edges on its own flat minor keys, not on tally rows; and the
-perspective recursion works on matroid minors, unmemoised.
+perspective recursion, on matroid minors and unmemoised, is a test
+oracle (tests/oracles.py): tutte_perspective runs by expansion only.
 
 verify_identities cross-checks every relation between the polynomials
 on one embedded graph, exactly, and assembles no polynomial.  The two
@@ -194,13 +195,13 @@ def _tutte_buckets(v: int, rows: Mapping) -> Counter:
 def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
                       cap: int = EXPANSION_CAP) -> MPolynomial:
     """Three-variable corank-nullity sum of a matroid pair; z tracks
-    how much of the rank drop M' has not yet seen."""
-    check_cap(len(mp.ground), cap, f"perspective {method}")
-    if method == "expansion":
-        return _lv_poly(_perspective_buckets(mp, mt.rank_rows(mp.m, mp.m_prime)))
-    if method == "recursion":
-        return assemble("xyz", Counter(_perspective_leaves(mp.m, mp.m_prime)))
-    raise PolyError(f"unknown method {method!r}")
+    how much of the rank drop M' has not yet seen.  It runs by
+    expansion only, on the rank rows: the delete/contract recursion on
+    matroid minors is a test oracle (tests/oracles.py)."""
+    if method != "expansion":
+        raise PolyError(f"unknown method {method!r}")
+    check_cap(len(mp.ground), cap, "perspective expansion")
+    return _lv_poly(_perspective_buckets(mp, mt.rank_rows(mp.m, mp.m_prime)))
 
 
 def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
@@ -222,27 +223,6 @@ def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
             raise PolyError(f"{what} on {a}; not a matroid perspective")
         counts[2 * (rp_full - rp_a), 2 * (size - r_a), 2 * k] += m
     return counts
-
-
-def _perspective_leaves(m: mt.RankMatroid, m_prime: mt.RankMatroid,
-                        x: int = 0, y: int = 0, z: int = 0):
-    """Delete/contract on the highest edge id, yielding the half-unit
-    exponents (x, y, z) scored on the path to each leaf: a loop of M
-    scores y, an isthmus of M' x, and an isthmus of M alone z, beside
-    an unscored contraction branch."""
-    if not m.ground:
-        yield x, y, z
-        return
-    e = max(m.ground)
-    dele = (mt.delete(m, e), mt.delete(m_prime, e))
-    if mt.is_loop(m, e):
-        yield from _perspective_leaves(*dele, x, y + 2, z)
-    elif mt.is_isthmus(m_prime, e):
-        yield from _perspective_leaves(*dele, x + 2, y, z)
-    else:
-        yield from _perspective_leaves(*dele, x, y, z + 2 * mt.is_isthmus(m, e))
-        yield from _perspective_leaves(mt.contract(m, e), mt.contract(m_prime, e),
-                                       x, y, z)
 
 
 def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",

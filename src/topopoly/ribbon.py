@@ -1098,70 +1098,3 @@ def medial(g: RotationSystem) -> MedialMap:
 
     med = RotationSystem.single(rotations, med_signs)
     return MedialMap(med, corners, pairings)
-
-
-def medial_faces(mm: MedialMap) -> tuple[dict[int, tuple[int, ...]],
-                                         list[tuple[int, ...]]]:
-    """Checkerboard-colour the faces of the medial.
-
-    Returns (black, white): black maps each original vertex to the
-    cyclic sequence of medial vertices its face walks; white lists the
-    same sequences for the remaining faces.  A face is black iff every
-    pass it makes through a medial vertex stays on one original
-    half-edge, white iff no pass does; anything else is an error.
-    """
-    bt = trace_boundary(mm.medial)
-    black: dict[int, tuple[int, ...]] = {}
-    white: list[tuple[int, ...]] = []
-    corner_vertex = {c: v for c, (v, _, _) in mm.corners.items()}
-
-    def stub(point):
-        c, end = point[0], point[1]
-        _v, from_half, to_half = mm.corners[c]
-        return (from_half, OUT) if end == 0 else (to_half, IN)
-
-    for circle in bt.circles:
-        # The walk alternates arcs along corner edges with passes
-        # through medial vertices; a pass joins visits 2i+1 and 2i+2.
-        # It stays inside the black face iff the two corner-edge stubs
-        # it joins hang off the same original half-edge.
-        n = len(circle.visits)
-        stations = []
-        colours = set()
-        owners = set()
-        for i in range(1, n + 1, 2):
-            a = circle.visits[i]
-            b = circle.visits[(i + 1) % n]
-            ha, hb = stub(a)[0], stub(b)[0]
-            if ha[0] != hb[0]:
-                raise RibbonError("pass jumps between medial vertices")
-            stations.append(ha[0])
-            colours.add(ha == hb)
-            owners.add(corner_vertex[a[0]])
-        if len(colours) != 1:
-            raise RibbonError("face mixes black and white passes")
-        stations = tuple(stations)
-        if colours.pop():
-            if len(owners) != 1:
-                raise RibbonError("black face spans several vertices")
-            v = owners.pop()
-            if v in black:
-                raise RibbonError(f"two black faces claim vertex {v}")
-            black[v] = stations
-        else:
-            white.append(stations)
-    return black, white
-
-
-def cyclic_forms_equal(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Equality of cyclic words up to rotation and reflection."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    rev = tuple(reversed(doubled))
-    return any(doubled[i:i + len(a)] == a or rev[i:i + len(a)] == a
-               for i in range(len(b)))
-

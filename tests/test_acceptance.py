@@ -17,6 +17,7 @@ import pytest
 
 import corpus
 import golden
+import oracles
 import topopoly
 from topopoly import embedding as em
 from topopoly import matroid as mt
@@ -107,7 +108,7 @@ def test_criterion_2_expansion_matches_recursion():
         mp = mt.MatroidPerspective(mt.bond_matroid(sd.dagger),
                                    mt.cycle_matroid(sd.g))
         t_exp = poly.tutte_perspective(mp, "expansion")
-        t_rec = poly.tutte_perspective(mp, "recursion")
+        t_rec = oracles.perspective_recursion(mp)
         if not (l_exp == l_rec == t_exp == t_rec):
             mismatched += 1
     elapsed = time.perf_counter() - t0
@@ -152,8 +153,8 @@ def test_criterion_3_region_matroid():
                 continue
             bd = mt.bond_matroid(dele.dagger)
             bc = mt.bond_matroid(cont.dagger)
-            md = mt.delete(b, e)
-            mc = mt.contract(b, e)
+            md = oracles.delete(b, e)
+            mc = oracles.contract(b, e)
             for a in _subsets(rest, cap_size=6):
                 if (bd.rank(bd.mask(a)) != md.rank(md.mask(a))
                         or bc.rank(bc.mask(a)) != mc.rank(mc.mask(a))):

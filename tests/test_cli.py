@@ -2,7 +2,10 @@
 
 import argparse
 import io
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -326,6 +329,30 @@ def test_states_sweeps_no_subset(capsys, files, monkeypatch):
         assert "RESULT: quasi-tree-duality pass" in out
         assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
                          "_frontier_tally": 2, "circle_counter": 1}
+
+
+def test_commands_that_read_no_region_glue_no_discs(capsys, files, monkeypatch):
+    # A cellular file's disc embedding is built by its first reader.
+    # tutte and dichromatic read the underlying graph alone, so they
+    # build no disc arcs; br reads its circles off one frontier tally,
+    # which sets up the disc arcs once and counts no circle apart.  lv
+    # and the other readers of the embedding glue the discs once.
+    calls = Counter()
+    for module, name in ((rb, "_disc_arcs"), (rb, "circle_counter"),
+                         (em, "with_disc_regions")):
+        def wrapper(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    glued = {"with_disc_regions": 1, "circle_counter": 1, "_disc_arcs": 1}
+    for which, want in (("tutte", {}), ("dichromatic", {}),
+                        ("br", {"_disc_arcs": 1}), ("lv", glued),
+                        ("lv-ext", glued), ("krushkal", glued)):
+        calls.clear()
+        rc, out, _ = run(capsys, "poly", files["digon"], "--which", which)
+        assert rc == 0 and out
+        assert calls == want, which
 
 
 def test_the_state_half_alone_builds_no_dagger_layer(capsys, tmp_path,
@@ -680,3 +707,17 @@ def test_a_reused_parser_carries_nothing_between_calls(capsys, files,
     assert "--which" in reused[6][2]
     assert reused[8] == reused[9] and reused[8][0] == 0
     assert reused[8][1].startswith("usage: topopoly")
+
+
+def test_importing_the_cli_loads_no_rational_arithmetic():
+    # Only MPolynomial.evaluate reads Fractions, and it imports them on
+    # its first call: a fresh process that imports the CLI, as every
+    # one-shot command does, loads none of fractions, decimal or numbers.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, topopoly.cli; print(' '.join(sorted("
+             "{'fractions', 'decimal', 'numbers'} & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env=env, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import corpus
+import oracles
 from topopoly import embedding as em
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
@@ -153,7 +154,7 @@ def test_minor_identities_pointwise():
             rest = rs.edge_set() - {e}
             bd = mt.bond_matroid(em.delete_edge(s, e).dagger)
             bc = mt.bond_matroid(em.contract_edge(s, e).dagger)
-            md, mc = mt.delete(b, e), mt.contract(b, e)
+            md, mc = oracles.delete(b, e), oracles.contract(b, e)
             for a in all_subsets(rest):
                 assert bd.rank(bd.mask(a)) == md.rank(md.mask(a))
                 assert bc.rank(bc.mask(a)) == mc.rank(mc.mask(a))

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,26 @@ def test_parse_reads_the_circle_count_not_the_trace(monkeypatch):
         parsed = ff.parse(text)
         assert (parsed.rotation, parsed.embedded) == (rotation, embedding)
     assert traces == []
+
+
+def test_a_cellular_file_builds_its_embedding_on_first_read(monkeypatch):
+    # A disc on every circle can fail no check, so parse neither counts
+    # the circles nor glues the discs; the first read of embedded does
+    # both, once, and every later read returns the same embedding.
+    calls = Counter()
+    for module, name in ((rb, "circle_counter"), (em, "with_disc_regions")):
+        def counting(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    parsed = ff.parse(THETA + "cellular\n")
+    assert calls == {}
+    emb = parsed.embedded
+    assert parsed.embedded is emb
+    assert calls == {"with_disc_regions": 1, "circle_counter": 1}
+    assert emb.rotation is parsed.rotation
+    assert emb == em.with_disc_regions(corpus.theta_torus())
 
 
 def test_round_trip_rotation():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import corpus
+import oracles
 import sweeps
 from topopoly import embedding as em
 from topopoly import matroid as mt
@@ -89,21 +90,21 @@ def test_dual_rank_formula():
 
 def test_minors():
     m = mt.cycle_matroid(triangle())
-    dm = mt.delete(m, 3)
-    cm = mt.contract(m, 3)
+    dm = oracles.delete(m, 3)
+    cm = oracles.contract(m, 3)
     assert dm.ground == (1, 2) and cm.ground == (1, 2)
     assert dm.rank(dm.mask({1, 2})) == 2
     assert cm.rank(cm.mask({1, 2})) == 1
     assert cm.rank(cm.mask({1})) == 1
     # the middle element: the bit of 3 moves down to where 2's was
-    dm, cm = mt.delete(m, 2), mt.contract(m, 2)
+    dm, cm = oracles.delete(m, 2), oracles.contract(m, 2)
     assert dm.ground == (1, 3) and cm.ground == (1, 3)
     assert (dm.rank(dm.mask({3})), dm.rank(dm.mask({1, 3}))) == (1, 2)
     assert (cm.rank(cm.mask({3})), cm.rank(cm.mask({1, 3}))) == (1, 1)
     # every element, every subset, against the graph's own minors
     g = triangle()
     for e in g.edges:
-        dm, cm = mt.delete(m, e), mt.contract(m, e)
+        dm, cm = oracles.delete(m, e), oracles.contract(m, e)
         for a in range(dm.full + 1):
             ids = mg.subset_ids(dm.ground, a)
             assert dm.rank(a) == mg.rank(mg.delete_edge(g, e), ids)
@@ -115,24 +116,24 @@ def test_axioms_on_graphic_matroids():
     for _ in range(6):
         rs = corpus.random_rotation(rng, rng.randint(1, 4), rng.randint(0, 6))
         g = rs.underlying()
-        mt.check_rank_axioms(mt.cycle_matroid(g))
-        mt.check_rank_axioms(mt.bond_matroid(g))
+        oracles.check_rank_axioms(mt.cycle_matroid(g))
+        oracles.check_rank_axioms(mt.bond_matroid(g))
 
 
 def test_circuits_of_triangle():
     m = mt.cycle_matroid(triangle())
-    assert mt.circuits(m) == [m.mask({1, 2, 3})]
+    assert oracles.circuits(m) == [m.mask({1, 2, 3})]
     b = mt.bond_matroid(triangle())
-    assert sorted(mg.subset_ids(b.ground, c) for c in mt.circuits(b)) \
+    assert sorted(mg.subset_ids(b.ground, c) for c in oracles.circuits(b)) \
         == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_is_flat():
     m = mt.cycle_matroid(triangle())
-    assert mt.is_flat(m, m.mask(()))
-    assert mt.is_flat(m, m.mask({1}))
-    assert not mt.is_flat(m, m.mask({1, 2}))  # closure is everything
-    assert mt.is_flat(m, m.mask({1, 2, 3}))
+    assert oracles.is_flat(m, m.mask(()))
+    assert oracles.is_flat(m, m.mask({1}))
+    assert not oracles.is_flat(m, m.mask({1, 2}))  # closure is everything
+    assert oracles.is_flat(m, m.mask({1, 2, 3}))
 
 
 def test_self_perspective_is_valid():
@@ -150,8 +151,8 @@ def test_identity_like_perspective():
                             lambda a: m.rank(a | one) - m.rank(one),
                             name="contracted")
     mp = mt.make_perspective(m, target)
-    mt.check_circuit_refinement(mp)  # raises on failure
-    mt.check_flat_refinement(mp)
+    oracles.check_circuit_refinement(mp)  # raises on failure
+    oracles.check_flat_refinement(mp)
 
 
 def test_perspective_rejects_wrong_order():
@@ -206,7 +207,7 @@ def test_exhaustive_walks_read_the_tables(monkeypatch):
     fresh_bond, fresh_cycle = mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g)
     assert list(bond.table()) == [fresh_bond.rank(a) for a in range(bond.full + 1)]
     assert list(cycle.table()) == [fresh_cycle.rank(a) for a in range(cycle.full + 1)]
-    assert t == poly.tutte_perspective(mp, "recursion")
+    assert t == oracles.perspective_recursion(mp)
 
 
 def test_point_queries_build_no_table(monkeypatch):
@@ -224,7 +225,8 @@ def test_point_queries_build_no_table(monkeypatch):
             for e in s.g.edges:
                 em.classify_edge(emb, e)
             m = mt.cycle_matroid(s.g)
-            mt.is_flat(mt.contract(mt.delete(m, s.g.edges[0]), s.g.edges[-1]), 0)
+            minor = oracles.contract(oracles.delete(m, s.g.edges[0]), s.g.edges[-1])
+            oracles.is_flat(minor, 0)
     assert calls["table"] == 0 and calls["mask"] > 0
 
 

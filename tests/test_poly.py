@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 
 import corpus
 import golden
+import oracles
 from topopoly import cli
 from topopoly import embedding as em
 from topopoly import fileformat as ff
@@ -117,7 +118,7 @@ def _theta_perspective():
 def test_perspective_expansion_matches_recursion():
     mp = _theta_perspective()
     assert (poly.tutte_perspective(mp, "expansion")
-            == poly.tutte_perspective(mp, "recursion"))
+            == oracles.perspective_recursion(mp))
 
 
 def test_perspective_self_is_tutte():
@@ -533,7 +534,7 @@ def test_cap_is_enforced():
     s = em.derive_dagger(em.with_disc_regions(rs))
     mp = mt.MatroidPerspective(mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g))
     with pytest.raises(poly.CapError, match="^perspective recursion on 6 "):
-        poly.tutte_perspective(mp, "recursion", cap=5)
+        oracles.perspective_recursion(mp, cap=5)
 
 
 def test_identity_suite_on_named_fixtures():
@@ -594,7 +595,7 @@ def test_the_pair_expansions_count_the_mask_rows_in_one_place(monkeypatch):
     assert not any(r.failed for r in poly.verify_identities(theta))
     assert calls["rank_rows"] == 1
     mp = em.scheme_perspective(theta.scheme)
-    assert poly.tutte_perspective(mp) == poly.tutte_perspective(mp, "recursion")
+    assert poly.tutte_perspective(mp) == oracles.perspective_recursion(mp)
     assert calls["rank_rows"] == 2
 
 
@@ -982,7 +983,7 @@ def test_recursions_tally_leaves_into_one_assembly(monkeypatch):
                                    mt.cycle_matroid(scheme.g))
         calls.clear()
         poly.las_vergnas_embedded(scheme, "recursion")
-        poly.tutte_perspective(mp, "recursion")
+        oracles.perspective_recursion(mp)
         assert calls == ["assemble", "assemble"]
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import corpus
+import oracles
 import sweeps
 from topopoly import embedding as em
 from topopoly import multigraph as mg
@@ -628,17 +629,17 @@ def test_medial_invariants_on_cellular_corpus():
 def test_medial_faces_recover_graph_and_dual():
     for rs in corpus.cellular_corpus()[:20]:
         mm = rb.medial(rs)
-        black, white = rb.medial_faces(mm)
+        black, white = oracles.medial_faces(mm)
         for v, stations in black.items():
             want = [e for (e, _end) in rs.rotation(v)]
-            assert rb.cyclic_forms_equal(stations, want)
+            assert oracles.cyclic_forms_equal(stations, want)
         dual_rot = [[e for (e, _end) in circle.sides]
                     for circle in rb.trace_boundary(rs).circles]
         used = [False] * len(dual_rot)
         for stations in white:
             hit = False
             for i, want in enumerate(dual_rot):
-                if not used[i] and rb.cyclic_forms_equal(stations, want):
+                if not used[i] and oracles.cyclic_forms_equal(stations, want):
                     used[i] = hit = True
                     break
             assert hit, f"white face {stations} matches no dual vertex"
@@ -646,7 +647,7 @@ def test_medial_faces_recover_graph_and_dual():
 
 
 def test_cyclic_forms_equal():
-    assert rb.cyclic_forms_equal([1, 2, 3], [2, 3, 1])
-    assert rb.cyclic_forms_equal([1, 2, 3], [3, 2, 1])  # reflection allowed
-    assert not rb.cyclic_forms_equal([1, 2, 3], [1, 3, 2, 2])
-    assert rb.cyclic_forms_equal([], [])
+    assert oracles.cyclic_forms_equal([1, 2, 3], [2, 3, 1])
+    assert oracles.cyclic_forms_equal([1, 2, 3], [3, 2, 1])  # reflection allowed
+    assert not oracles.cyclic_forms_equal([1, 2, 3], [1, 3, 2, 2])
+    assert oracles.cyclic_forms_equal([], [])
