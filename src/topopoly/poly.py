@@ -192,14 +192,12 @@ def _tutte_buckets(v: int, rows: Mapping) -> Counter:
     return counts
 
 
-def tutte_perspective(mp: mt.MatroidPerspective, method: str = "expansion",
+def tutte_perspective(mp: mt.MatroidPerspective, *,
                       cap: int = EXPANSION_CAP) -> MPolynomial:
     """Three-variable corank-nullity sum of a matroid pair; z tracks
     how much of the rank drop M' has not yet seen.  It runs by
     expansion only, on the rank rows: the delete/contract recursion on
     matroid minors is a test oracle (tests/oracles.py)."""
-    if method != "expansion":
-        raise PolyError(f"unknown method {method!r}")
     check_cap(len(mp.ground), cap, "perspective expansion")
     return _lv_poly(_perspective_buckets(mp, mt.rank_rows(mp.m, mp.m_prime)))
 

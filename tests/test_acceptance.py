@@ -74,7 +74,7 @@ def test_criterion_1_theta_four_routes():
         poly.las_vergnas_cellular(theta, "expansion"),
         poly.las_vergnas_embedded(emb, "expansion"),
         poly.las_vergnas_embedded(emb, "recursion"),
-        poly.tutte_perspective(mp, "expansion"),
+        poly.tutte_perspective(mp),
     )
     elapsed = time.perf_counter() - t0
     ok = all(str(r) == THETA_L for r in routes) and elapsed < 1.0
@@ -107,7 +107,7 @@ def test_criterion_2_expansion_matches_recursion():
         sd = em.derive_dagger(embd)
         mp = mt.MatroidPerspective(mt.bond_matroid(sd.dagger),
                                    mt.cycle_matroid(sd.g))
-        t_exp = poly.tutte_perspective(mp, "expansion")
+        t_exp = poly.tutte_perspective(mp)
         t_rec = oracles.perspective_recursion(mp)
         if not (l_exp == l_rec == t_exp == t_rec):
             mismatched += 1

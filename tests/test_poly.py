@@ -117,20 +117,19 @@ def _theta_perspective():
 
 def test_perspective_expansion_matches_recursion():
     mp = _theta_perspective()
-    assert (poly.tutte_perspective(mp, "expansion")
-            == oracles.perspective_recursion(mp))
+    assert poly.tutte_perspective(mp) == oracles.perspective_recursion(mp)
 
 
 def test_perspective_self_is_tutte():
     m = mt.cycle_matroid(triangle())
     mp = mt.make_perspective(m, m)
-    assert poly.tutte_perspective(mp, "expansion") == poly.tutte(triangle())
+    assert poly.tutte_perspective(mp) == poly.tutte(triangle())
 
 
 def test_perspective_specializes_to_both_ends():
     scheme = em.derive_dagger(em.with_disc_regions(corpus.theta_torus()))
     mp = em.scheme_perspective(scheme)
-    t = poly.tutte_perspective(mp, "expansion")
+    t = poly.tutte_perspective(mp)
     # z -> x-1 recovers the source matroid's polynomial: M = B(H) has
     # T(M; x, y) = T(H; y, x), H the dagger graph
     x = MPolynomial.variable("x")
@@ -160,7 +159,7 @@ def test_theta_value_four_routes():
         poly.las_vergnas_cellular(theta, "expansion"),
         poly.las_vergnas_embedded(emb, "expansion"),
         poly.las_vergnas_embedded(emb, "recursion"),
-        poly.tutte_perspective(mp, "expansion"),
+        poly.tutte_perspective(mp),
     )
     assert all(str(r) == THETA_L for r in routes)
 
