@@ -112,17 +112,12 @@ def mask_sizes(n: int) -> bytearray:
 
 
 def rank_rows(m: RankMatroid, m_prime: RankMatroid) -> Counter:
-    """The rows (|A|, r(A), r'(A)) of all masks, counted in order of first
-    sight.  Each mask is one four-byte lane r(A), |A|, r'(A), 0, counted
-    as a native int: on a little-endian host a rank, not |A|, is its
-    low byte, the bits a dict indexes by first."""
+    """The rows (|A|, r(A), r'(A)) of all masks, counted in order of first sight."""
     n = len(m.ground)
     lanes = bytearray(4 << n)
-    lanes[::4], lanes[1::4], lanes[2::4] = m.table(), mask_sizes(n), m_prime.table()
-    counts = Counter(memoryview(lanes).cast("I"))
-    decoded = (k.to_bytes(4, sys.byteorder) for k in counts)
-    return Counter({(b[1], b[0], b[2]): count
-                    for b, count in zip(decoded, counts.values())})
+    lanes[::4], lanes[1::4], lanes[2::4] = mask_sizes(n), m.table(), m_prime.table()
+    return Counter({tuple(k.to_bytes(4, sys.byteorder)[:3]): count for k, count
+                    in Counter(memoryview(lanes).cast("I")).items()})
 
 
 def dual(m: RankMatroid) -> RankMatroid:

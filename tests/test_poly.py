@@ -532,6 +532,8 @@ def test_cap_is_enforced():
         poly.bollobas_riordan(rs, cap=5)
     s = em.derive_dagger(em.with_disc_regions(rs))
     mp = mt.MatroidPerspective(mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g))
+    with pytest.raises(poly.CapError, match="^perspective expansion on 6 "):
+        poly.tutte_perspective(mp, cap=5)
     with pytest.raises(poly.CapError, match="^perspective recursion on 6 "):
         oracles.perspective_recursion(mp, cap=5)
 
