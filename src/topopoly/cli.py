@@ -110,7 +110,9 @@ def cmd_poly(args) -> int:
     elif which == "br":
         result = poly.bollobas_riordan(parsed.rotation, cap)
     elif which == "lv":
-        if parsed.embedded is not None and not parsed.embedded.report.cellular:
+        # Discs on every circle are cellular unless a vertex is pinched.
+        if (parsed.rotation.pinch_vertices() if parsed.cellular else
+                parsed.given is not None and not parsed.given.report.cellular):
             raise ff.FormatError(
                 "not a cellular embedding; --which lv-ext handles these")
         result = poly.las_vergnas_cellular(parsed.rotation, method, cap)

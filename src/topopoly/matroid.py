@@ -8,13 +8,12 @@ RankMatroid.mask checks ids, and rank its mask.
 A dual is a mask transform of the parent oracle, so it stays cheap to
 build and correct by construction; minors, and the exhaustive axiom,
 circuit and flat checks, are test oracles (tests/oracles.py), since no
-command runs them.  Point queries are memoised per instance, keyed by
-the mask.  An exhaustive walk reads RankMatroid.table instead, a
-bytearray whose byte A is the rank of mask A, built on first use,
-every per-mask step in C: from multigraph.component_table for a cycle
-matroid, from the parent's table for a dual, and from the oracle
-otherwise.  A rank outside a byte raises.  Once it exists, rank reads
-it too.
+command runs them.  A point query runs the oracle.  An exhaustive
+walk reads RankMatroid.table instead, a bytearray whose byte A is the
+rank of mask A, built on first use, every per-mask step in C: from
+multigraph.component_table for a cycle matroid, from the parent's
+table for a dual, and from the oracle otherwise.  A rank outside a
+byte raises.  Once it exists, rank reads it too.
 
 A matroid perspective (M, M') is a pair on the same ground set such
 that rank increments in M dominate those in M'; equivalently every
@@ -38,8 +37,7 @@ class MatroidError(ValueError):
 class RankMatroid:
     """A matroid given by its rank oracle on masks of the ground set."""
 
-    __slots__ = ("ground", "full", "_rank_fn", "_table_fn", "_cache",
-                 "_table", "name")
+    __slots__ = ("ground", "full", "_rank_fn", "_table_fn", "_table", "name")
 
     def __init__(self, ground: Iterable[int], rank_fn: Callable[[int], int],
                  name: str = "matroid",
@@ -50,7 +48,6 @@ class RankMatroid:
         self.full = (1 << len(self.ground)) - 1
         self._rank_fn = rank_fn
         self._table_fn = table_fn
-        self._cache: dict[int, int] = {}
         self._table: bytearray | None = None
         self.name = name
 
@@ -67,21 +64,15 @@ class RankMatroid:
         if self._table is None:
             self._table = (self._table_fn() if self._table_fn is not None
                            else bytearray(map(self._rank_fn, range(self.full + 1))))
-            self._cache.clear()
         return self._table
 
     def rank(self, a: int | None = None) -> int:
         """Rank of mask a, of the ground set by default, read from the
-        table once it exists; a is checked on a cache miss only."""
+        table once it exists, else from the oracle."""
         a = self.full if a is None else a
-        if self._table is not None and 0 <= a <= self.full:
-            return self._table[a]
-        cached = self._cache.get(a)
-        if cached is None:
-            if not 0 <= a <= self.full:
-                raise MatroidError(f"mask {a} is outside 0..{self.full}")
-            cached = self._cache[a] = self._rank_fn(a)
-        return cached
+        if not 0 <= a <= self.full:
+            raise MatroidError(f"mask {a} is outside 0..{self.full}")
+        return self._rank_fn(a) if self._table is None else self._table[a]
 
     def __repr__(self):
         return f"RankMatroid({self.name}, ground={list(self.ground)})"

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import repeat
-from math import comb
-from operator import add, itemgetter, mul
+from math import comb, prod
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -173,21 +173,24 @@ class MPolynomial:
         """Exact value at a rational point.
 
         Variables with odd half-unit exponents need an entry in sqrts
-        giving a rational square root of their value.  Each term becomes
-        one integer exponent row over the bases, a variable's root if it
-        has an entry in sqrts, else its value; a term that needs a value
-        or a root not given raises, the first such in term order.
-        _power_sum sums the rows.  The identity suite and the state
-        checks compare exponent buckets and evaluate nothing, so this is
-        a route independent of them; the tests' oracles are _naive_value
-        and the Fraction products in tests/test_mpoly.py.
+        giving a rational square root of their value.  Each term is its
+        coefficient times, for each variable it holds, the variable's
+        root to the power h if it has an entry in sqrts, else its value
+        to the power h/2; a term that needs a value or a root not given
+        raises, the first such in term order.  Every given value is then
+        read by Fraction(), so one it rejects raises even when no term
+        reads it.  The identity suite and the state checks compare
+        exponent buckets and evaluate nothing; the tests' oracles are
+        _naive_value and the Fraction products in tests/test_mpoly.py.
         """
+        # fractions pulls in decimal and numbers, which no command uses.
+        from fractions import Fraction
         sqrts = sqrts or {}
         for name, s in sqrts.items():
             v = values.get(name)
-            if v is None or _rational(s) * _rational(s) != _rational(v):
+            if v is None or Fraction(s) ** 2 != Fraction(v):
                 raise ValueError(f"sqrts[{name!r}] is not a square root of the value")
-        rows: dict[tuple[int, ...], int] = {}
+        rows = []                           # (coeff, [(name, power)]) per term
         for exps, coeff in self._terms.items():
             row = []
             for name, h in zip(VARS, exps):
@@ -197,30 +200,25 @@ class MPolynomial:
                     if name not in values:
                         raise ValueError(f"no value for {name}")
                     h //= 2
-                row.append(h)
-            key = tuple(row)
-            rows[key] = rows.get(key, 0) + coeff
-        bases = {name: _rational(sqrts.get(name, v)) for name, v in values.items()}
-        return _power_sum(rows, [bases.get(name, 1) for name in VARS])
+                if h:
+                    row.append((name, h))
+            rows.append((coeff, row))
+        bases = {name: Fraction(sqrts.get(name, v)) for name, v in values.items()}
+        return sum((coeff * prod(bases[name] ** h for name, h in row)
+                    for coeff, row in rows), Fraction(0))
 
     def substitute(self, name: str, image: "MPolynomial") -> "MPolynomial":
-        """Replace a whole-power variable by a polynomial.  Every term
-        times its power of the image is added into one term dict."""
+        """Replace a whole-power variable by a polynomial: the sum over
+        the terms of the rest of the term times its power of the image."""
         i = _VAR_INDEX[name]
-        powers = [MPolynomial.one()]        # image^k at index k
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
+        out = MPolynomial.zero()
         for exps, coeff in self._terms.items():
             h = exps[i]
             if h % 2:
                 raise ValueError(f"cannot substitute into half-power of {name}")
-            while len(powers) <= h // 2:
-                powers.append(powers[-1] * image)
-            rest = exps[:i] + (0,) + exps[i + 1:]
-            for e, c in powers[h // 2]._terms.items():
-                key = tuple(map(add, rest, e))
-                out[key] = get(key, 0) + coeff * c
-        return MPolynomial._valid(out)
+            rest = MPolynomial._valid({exps[:i] + (0,) + exps[i + 1:]: coeff})
+            out = out + rest * image ** (h // 2)
+        return out
 
     # -- printing ----------------------------------------------------
 
@@ -255,42 +253,6 @@ def _coerce(value) -> MPolynomial:
     if isinstance(value, int):
         return MPolynomial.constant(value)
     raise TypeError(f"cannot combine MPolynomial with {type(value).__name__}")
-
-
-# Fraction is imported where evaluate needs it, not at module level:
-# fractions pulls in decimal and numbers, which no command uses.
-def _rational(v) -> Fraction | int:
-    """v itself when it is an int or a Fraction, else Fraction(v)."""
-    from fractions import Fraction
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def _power_sum(rows: Mapping[tuple[int, ...], int],
-               bases: Sequence[Fraction | int]) -> Fraction:
-    """Exact sum of count * prod bases[i]^e[i] over rows, which map
-    integer exponent tuples, negative entries allowed, to counts.
-
-    Base p/q to the power e, e in [-neg, pos] over its column, is
-    p^(e + neg) q^(pos - e) over p^neg q^pos: one numerator table and
-    one denominator per base, so the sum runs on Python ints, term by
-    term, and builds a single Fraction at the end.  A base of 1 and a
-    column of zeros are skipped.
-    """
-    from fractions import Fraction
-    terms, den = rows.values(), 1
-    for col, b in zip(zip(*rows), bases):
-        p, q = b.numerator, b.denominator
-        neg, pos = max(-min(col), 0), max(max(col), 0)
-        if p == q or not (neg or pos):      # b = 1, or b^0 throughout
-            continue
-        ps, qs = [1], [1]                   # p^i and q^i, i = 0..neg+pos
-        for _ in range(neg + pos):
-            ps.append(ps[-1] * p)
-            qs.append(qs[-1] * q)
-        table = list(map(mul, ps, reversed(qs))) if q != 1 else ps
-        terms = map(mul, terms, map(table.__getitem__, map(neg.__add__, col)))
-        den *= p ** neg * q ** pos
-    return Fraction(sum(terms), den)
 
 
 @cache

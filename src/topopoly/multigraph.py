@@ -277,65 +277,24 @@ def id_respecting_isomorphism(g1: Multigraph, g2: Multigraph) -> dict | None:
     """Vertex bijection g1 -> g2 sending each edge id onto the same id.
 
     Edge ids must coincide and every edge must keep its endpoint pair
-    (as an unordered pair).  Returns one such bijection, or None.
-    Backtracking with degree pruning; meant for small graphs.
+    (as an unordered pair).  Returns one such bijection, or None.  Each
+    vertex of g1 goes to a vertex of g2 with the same set of incident
+    edge ids, in vertex order.  Two vertices share that set only when
+    both are isolated or every edge at them joins the two, so any
+    bijection within these classes works if any does, and checking
+    each edge's ends decides.
     """
     if g1.edge_set() != g2.edge_set() or len(g1.vertices) != len(g2.vertices):
         return None
-
-    def profile(g):
-        deg = {v: 0 for v in g.vertices}
-        loops = {v: 0 for v in g.vertices}
-        for u, w in g.ends.values():
-            deg[u] += 1
-            deg[w] += 1
-            if u == w:
-                loops[u] += 1
-        return deg, loops
-
-    deg1, loops1 = profile(g1)
-    deg2, loops2 = profile(g2)
-    if sorted(zip(deg1.values(), loops1.values())) != \
-            sorted(zip(deg2.values(), loops2.values())):
-        return None
-
-    order = sorted(g1.vertices, key=lambda v: (-deg1[v], v))
-    edges_at1 = incidences(g1)
-
-    assign: dict = {}
-    used: set = set()
-
-    def feasible(v, cand):
-        for e in edges_at1[v]:
-            a, b = g1.ends[e]
-            c, d = g2.ends[e]
-            img = {assign.get(a), assign.get(b)}
-            img.discard(None)
-            if v == a == b:
-                if {c, d} != {cand}:
-                    return False
-            elif not img <= {c, d} or cand not in {c, d}:
-                return False
-            other = a if b == v else b
-            if other in assign and {assign[other], cand} != {c, d}:
-                return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for cand in g2.vertices:
-            if cand in used or deg2[cand] != deg1[v] or loops2[cand] != loops1[v]:
-                continue
-            if not feasible(v, cand):
-                continue
-            assign[v] = cand
-            used.add(cand)
-            if extend(i + 1):
-                return True
-            del assign[v]
-            used.discard(cand)
-        return False
-
-    return dict(assign) if extend(0) else None
+    classes: dict[frozenset, list[int]] = {}
+    for w, es in incidences(g2).items():
+        classes.setdefault(frozenset(es), []).append(w)
+    phi = {}
+    for v, es in incidences(g1).items():
+        pool = classes.get(frozenset(es))
+        if not pool:
+            return None
+        phi[v] = pool.pop(0)
+    if all({phi[u], phi[w]} == set(g2.ends[e]) for e, (u, w) in g1.ends.items()):
+        return phi
+    return None

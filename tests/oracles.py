@@ -1,8 +1,9 @@
 """Reference code that only the tests run.
 
 Matroid minors and the exhaustive axiom, circuit and flat checks, the
-delete/contract recursion of the pair polynomial on those minors, and
-the checkerboard colouring of a medial map.  No command reaches them;
+delete/contract recursion of the pair polynomial on those minors, the
+checkerboard colouring of a medial map, and an isomorphism search over
+every vertex bijection.  No command reaches them;
 the tests use them as independent routes to what the library computes
 another way (the pair polynomial from its rank rows, the medial state
 counts from frontier tallies).
@@ -11,6 +12,7 @@ counts from frontier tallies).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 from typing import Sequence
 
 from topopoly import matroid as mt
@@ -232,3 +234,21 @@ def cyclic_forms_equal(a: Sequence[int], b: Sequence[int]) -> bool:
     rev = tuple(reversed(doubled))
     return any(doubled[i:i + len(a)] == a or rev[i:i + len(a)] == a
                for i in range(len(b)))
+
+
+# ---------------------------------------------------------------------------
+# isomorphism by brute force
+
+
+def brute_isomorphism(g1: mg.Multigraph, g2: mg.Multigraph) -> dict | None:
+    """The first vertex bijection g1 -> g2, trying every one in turn,
+    under which each edge id keeps its unordered endpoint pair; None if
+    there is none."""
+    if g1.edge_set() != g2.edge_set() or len(g1.vertices) != len(g2.vertices):
+        return None
+    for image in permutations(g2.vertices):
+        phi = dict(zip(g1.vertices, image))
+        if all(sorted((phi[u], phi[w])) == sorted(g2.ends[e])
+               for e, (u, w) in g1.ends.items()):
+            return phi
+    return None

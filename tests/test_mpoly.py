@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from topopoly.mpoly import VARS, MPolynomial, _power_sum, assemble
+from topopoly.mpoly import VARS, MPolynomial, assemble
 
 X = MPolynomial.variable("x")
 Y = MPolynomial.variable("y")
@@ -93,15 +93,13 @@ def test_evaluate_errors_name_the_missing_input():
     assert (X * 2).evaluate({"x": 3}) == 6
 
 
-def test_power_sum_with_negative_exponents():
-    # 3 (2/3) (-1/2)^-2 + 1 + 2 (2/3)^-1 (-1/2) - (2/3)^-3
-    rows = {(1, -2): 3, (0, 0): 1, (-1, 1): 2, (-3, 0): -1}
-    got = _power_sum(rows, (Fraction(2, 3), Fraction(-1, 2)))
-    assert got == Fraction(15, 2) - Fraction(27, 8)
-    assert _power_sum({}, (Fraction(2),)) == 0
-    assert _power_sum({(0,): 5}, (Fraction(0),)) == 5
-    with pytest.raises(ZeroDivisionError):
-        _power_sum({(-1,): 1}, (Fraction(0),))
+def test_evaluate_zero_and_a_constant_at_a_zero_base():
+    # The empty sum is Fraction(0), and a base no term reads, 0 included,
+    # leaves a constant as it is.
+    got = MPolynomial.zero().evaluate({"x": Fraction(2)})
+    assert type(got) is Fraction and got == 0
+    got = MPolynomial.constant(5).evaluate({"x": Fraction(0)})
+    assert type(got) is Fraction and got == 5
 
 
 def test_substitute():

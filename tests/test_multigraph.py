@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import corpus
+import oracles
 from topopoly import embedding as em
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
@@ -99,6 +100,48 @@ def test_iso_rejects_loop_mismatch():
     g1 = mg.Multigraph((0, 1), {1: (0, 0), 2: (0, 1)})
     g2 = mg.Multigraph((0, 1), {1: (0, 1), 2: (0, 1)})
     assert mg.id_respecting_isomorphism(g1, g2) is None
+
+
+def _is_isomorphism(phi, g1, g2):
+    return (sorted(phi) == list(g1.vertices)
+            and sorted(phi.values()) == list(g2.vertices)
+            and all(sorted((phi[u], phi[w])) == sorted(g2.ends[e])
+                    for e, (u, w) in g1.ends.items()))
+
+
+@hst.composite
+def st_iso_case(draw):
+    """Ends of at most 7 edges on n <= 5 vertices, a relabelling, and a
+    few (edge index, new ends) moves."""
+    n = draw(hst.integers(1, 5))
+    pair = hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1))
+    return (n, draw(hst.lists(pair, max_size=7)),
+            draw(hst.permutations(range(n))),
+            draw(hst.lists(hst.tuples(hst.integers(0, 6), pair), max_size=3)))
+
+
+@given(case=st_iso_case())
+@example(case=(5, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 4)], [4, 3, 2, 1, 0],
+               [(0, (1, 0)), (1, (2, 3)), (4, (0, 0)), (2, (4, 4))]))
+@settings(max_examples=150, deadline=None)
+def test_iso_agrees_with_a_search_over_every_bijection(case):
+    # Random multigraphs on at most 5 vertices, with loops, parallel
+    # edges, isolated vertices and two-vertex components, against a
+    # relabelled copy and against copies with one edge's ends moved.
+    n, ends, perm, moves = case
+    g1 = mg.Multigraph(range(n), dict(enumerate(ends, 1)))
+    label = [10 + p for p in perm]
+    relabelled = dict(enumerate(((label[w], label[u]) for u, w in ends), 1))
+    copies = [relabelled]
+    for k, (u, w) in moves if ends else ():
+        copies.append({**relabelled, k % len(ends) + 1: (label[u], label[w])})
+    for i, ends2 in enumerate(copies):
+        g2 = mg.Multigraph(label, ends2)
+        want = oracles.brute_isomorphism(g1, g2)
+        got = mg.id_respecting_isomorphism(g1, g2)
+        assert (got is None) == (want is None), (g1, g2)
+        assert i or got is not None
+        assert got is None or _is_isomorphism(got, g1, g2)
 
 
 st_edges = hst.lists(hst.tuples(hst.integers(0, 4), hst.integers(0, 4)),
