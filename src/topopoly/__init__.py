@@ -14,13 +14,16 @@ The package is organized bottom-up:
   poly         the polynomials themselves and the identity suite
   states       medial state counting and the low-genus formulas
   cli          the command line front end
+
+matroid and states load on first use, by __getattr__ below or inside
+the functions that read them: trace, validate and poly never load them.
 """
+
+import importlib
 
 from .embedding import (EmbeddedGraph, EmbeddingError, EmbeddingScheme,
                         classify_edge, complement_stats, derive_dagger,
                         scheme_perspective, validate, with_disc_regions)
-from .matroid import (MatroidError, MatroidPerspective, RankMatroid,
-                      bond_matroid, cycle_matroid, make_perspective)
 from .mpoly import MPolynomial
 from .multigraph import Multigraph
 from .poly import (CapError, CheckResult, PolyError, bollobas_riordan,
@@ -30,11 +33,29 @@ from .poly import (CapError, CheckResult, PolyError, bollobas_riordan,
 from .ribbon import (RibbonError, RotationSystem, boundary_count, dual,
                      euler_genus, is_orientable, medial, trace_boundary,
                      twist)
-from .states import (GenusRangeError, StateError, lr_relation,
-                     lv_component_formula, medial_state_components,
-                     run_state_checks, state_components)
 
 __version__ = "0.1.0"
+
+_LAZY = {name: module for module, names in (
+    ("matroid", ("MatroidError", "MatroidPerspective", "RankMatroid",
+                 "bond_matroid", "cycle_matroid", "make_perspective")),
+    ("states", ("GenusRangeError", "StateError", "lr_relation",
+                "lv_component_formula", "medial_state_components",
+                "run_state_checks", "state_components")),
+) for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f"{__name__}.{module}")
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "CapError", "CheckResult", "EmbeddedGraph", "EmbeddingError",

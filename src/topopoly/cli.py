@@ -28,7 +28,6 @@ from . import embedding as em
 from . import fileformat as ff
 from . import poly
 from . import ribbon as rb
-from . import states as st
 
 _IO_NAMES = {rb.IN: "in", rb.OUT: "out"}
 
@@ -141,6 +140,7 @@ def cmd_identities(args) -> int:
     if args.suite in ("all", "poly"):
         results.extend(poly.verify_identities(emb, cap=args.cap))
     if args.suite in ("all", "states"):
+        from . import states as st
         # State checks read the suite's tally if it ran, else the rotation's
         # own; inputs they cannot cover (pinched, edgeless, disconnected,
         # over the sweep cap) skip, so the polynomial half still reports.
@@ -153,6 +153,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_states(args) -> int:
+    from . import states as st
     parsed = ff.parse(_read_text(args.file))
     rs = parsed.rotation
     # The profile comes with the checks, so a request over the sweep cap
@@ -183,10 +184,10 @@ def _add_file(p) -> None:
 
 
 def _add_sweep_cap(p) -> None:
-    p.add_argument("--sweep-cap", type=int, default=st.STATE_SWEEP_CAP,
+    p.add_argument("--sweep-cap", type=int, default=poly.STATE_SWEEP_CAP,
                    help="edge cap on the state checks, which tally the "
                         "3^e medial states without listing them "
-                        f"(default {st.STATE_SWEEP_CAP})")
+                        f"(default {poly.STATE_SWEEP_CAP})")
 
 
 @functools.cache

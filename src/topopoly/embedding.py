@@ -25,32 +25,31 @@ contraction, since contracting a loop pinches the surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from . import matroid as mt
 from . import multigraph as mg
 from . import ribbon as rb
+
+if TYPE_CHECKING:
+    from . import matroid as mt
 
 
 class EmbeddingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
+class EmbeddedGraph(mg.Frozen):
     """Rotation system with regions: circle index -> region id, and
     region id -> Euler genus of the (compactified) region."""
 
-    rotation: rb.RotationSystem
-    regions: Mapping[int, int]
-    region_genus: Mapping[int, int]
+    _fields = ("rotation", "regions", "region_genus")
 
-    def __post_init__(self):
-        f = self.rotation.circle_count
-        regions = {int(c): int(r) for c, r in self.regions.items()}
-        genus = {int(r): int(g) for r, g in self.region_genus.items()}
+    def __init__(self, rotation: rb.RotationSystem, regions: Mapping[int, int],
+                 region_genus: Mapping[int, int]):
+        f = rotation.circle_count
+        regions = {int(c): int(r) for c, r in regions.items()}
+        genus = {int(r): int(g) for r, g in region_genus.items()}
         for c in range(f):
             if c not in regions:
                 raise EmbeddingError(
@@ -65,8 +64,7 @@ class EmbeddedGraph:
                 raise EmbeddingError(f"region {r} has negative genus {g}")
             if r not in regions.values():
                 raise EmbeddingError(f"region {r} has no boundary circles")
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "region_genus", genus)
+        self.__dict__.update(rotation=rotation, regions=regions, region_genus=genus)
 
     @property
     def trace(self) -> rb.BoundaryTrace:
@@ -117,8 +115,7 @@ def with_disc_regions(rotation: rb.RotationSystem) -> EmbeddedGraph:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     components: int             # k of the ambient pseudo-surface
     euler_characteristic: int
     euler_genus: int            # 2k - chi; negative only with pinches
@@ -155,23 +152,23 @@ def validate(emb: EmbeddedGraph) -> ValidationReport:
 # dagger graph and scheme
 
 
-@dataclass(frozen=True)
-class EmbeddingScheme:
+class EmbeddingScheme(mg.Frozen):
     """The abstract graph together with its region-adjacency graph.
     Both share edge ids; minors move an edge between the two."""
 
-    g: mg.Multigraph
-    dagger: mg.Multigraph
+    _fields = ("g", "dagger")
 
-    def __post_init__(self):
-        if self.g.edge_set() != self.dagger.edge_set():
+    def __init__(self, g: mg.Multigraph, dagger: mg.Multigraph):
+        if g.edge_set() != dagger.edge_set():
             raise EmbeddingError("scheme graphs must share their edge ids")
+        self.__dict__.update(g=g, dagger=dagger)
 
     @cached_property
     def bond(self) -> mt.RankMatroid:
         """B(H), H the dagger graph, built on first use; classify_edge
         reads it for every edge.  scheme_perspective builds its own and
         shares no rank cache with it."""
+        from . import matroid as mt
         return mt.bond_matroid(self.dagger)
 
 
@@ -205,6 +202,7 @@ def contract_edge(s: EmbeddingScheme, e: int) -> EmbeddingScheme:
 def scheme_perspective(s: EmbeddingScheme) -> mt.MatroidPerspective:
     """The bond matroid of the dagger graph seen through the cycle
     matroid of the graph itself, validated as a perspective."""
+    from . import matroid as mt
     return mt.make_perspective(mt.bond_matroid(s.dagger), mt.cycle_matroid(s.g))
 
 
@@ -220,6 +218,7 @@ ORDINARY = "ordinary"
 def classify_edge(emb: EmbeddedGraph, e: int) -> str:
     """Sort an edge into bridge / quasi-bridge-only / quasi-loop /
     ordinary, cross-checking the drawing against its own scheme."""
+    from . import matroid as mt
     s = emb.scheme
     if e not in s.g.ends:
         raise EmbeddingError(f"no edge {e}")
@@ -253,8 +252,7 @@ def classify_edge(emb: EmbeddedGraph, e: int) -> str:
 # complement invariants
 
 
-@dataclass(frozen=True)
-class ComplementStats:
+class ComplementStats(NamedTuple):
     """Invariants of the ambient surface minus the open neighbourhood
     of the spanning subgraph (V, A)."""
 

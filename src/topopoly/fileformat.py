@@ -29,10 +29,10 @@ ParsedInput.embedded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import embedding as em
+from . import multigraph as mg
 from . import ribbon as rb
 
 _VERTEX = re.compile(r"vertex\s+(\d+)\s*:\s*(.*)")
@@ -47,14 +47,15 @@ class FormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(mg.Frozen):
     """A rotation system, plus the embedding its region lines give, or
     the keyword cellular."""
 
-    rotation: rb.RotationSystem
-    given: em.EmbeddedGraph | None = None
-    cellular: bool = False
+    _fields = ("rotation", "given", "cellular")
+
+    def __init__(self, rotation: rb.RotationSystem,
+                 given: em.EmbeddedGraph | None = None, cellular: bool = False):
+        self.__dict__.update(rotation=rotation, given=given, cellular=cellular)
 
     @cached_property
     def embedded(self) -> em.EmbeddedGraph | None:

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import multigraph as mg
 
@@ -142,8 +141,7 @@ def is_isthmus(m: RankMatroid, e: int) -> bool:
     return m.rank() - m.rank(m.full ^ m.mask((e,))) == 1
 
 
-@dataclass(frozen=True)
-class MatroidPerspective:
+class MatroidPerspective(NamedTuple):
     """A validated pair (M, M') on one ground set, with rank increments
     of M dominating those of M'."""
 

@@ -49,7 +49,7 @@ class MPolynomial:
             exps = tuple(exps)
             if len(exps) != len(VARS):
                 raise ValueError(f"exponent tuple {exps} needs {len(VARS)} entries")
-            if any(h < 0 or not isinstance(h, int) for h in exps):
+            if any(not isinstance(h, int) or h < 0 for h in exps):
                 raise ValueError(f"negative or non-integer exponent in {exps}")
             if coeff:
                 clean[exps] = clean.get(exps, 0) + coeff
@@ -285,12 +285,12 @@ def assemble(names: Sequence[str], buckets: Mapping[tuple[int, ...], int],
             if len(key) != len(names):
                 raise ValueError(f"bucket key {key} needs {len(names)} entries")
             for v, h in zip(names, key):
-                if v in shifted:
+                if v in shifted and isinstance(h, int):
                     if h % 2:
                         raise ValueError(f"half-power of the shifted {v} - 1")
                     if h < 0:
                         raise ValueError(f"negative power of the shifted {v} - 1")
-                if h < 0 or not isinstance(h, int):
+                if not isinstance(h, int) or h < 0:
                     raise ValueError(f"negative or non-integer exponent in {key}")
     for i, v in enumerate(names):
         if v not in shifted:

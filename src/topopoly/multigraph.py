@@ -12,18 +12,37 @@ keeps its counter, its edge bits and its tally order, made on first
 use.  Every component count runs on a counter but two: poly._split's
 bridge test, and component_table, which keeps vertex partitions, not
 a union-find.
+
+Frozen is the read-only base of the package's value classes: plain
+classes, cheap to define when a one-shot command loads (see README).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Frozen:
+    """A read-only value, equal to one of its class with equal _fields.  __init__
+    and cached_property write __dict__; setting or deleting raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+
+class Multigraph(Frozen):
     """An abstract multigraph.
 
     ends maps each edge id to its (unordered) endpoint pair; a loop has
@@ -31,16 +50,16 @@ class Multigraph:
     in `vertices`.
     """
 
-    vertices: tuple[int, ...]
-    ends: Mapping[int, tuple[int, int]] = field(default_factory=dict)
+    _fields = ("vertices", "ends")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "ends", dict(self.ends))
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __init__(self, vertices: Iterable[int],
+                 ends: Mapping[int, tuple[int, int]] = {}):   # copied, never changed
+        vertices, ends = tuple(sorted(vertices)), dict(ends)
+        self.__dict__.update(vertices=vertices, ends=ends)
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise ValueError("duplicate vertex id")
-        for e, (u, v) in self.ends.items():
+        for e, (u, v) in ends.items():
             if u not in vset or v not in vset:
                 raise ValueError(f"edge {e} has endpoint outside the vertex set")
 

@@ -95,17 +95,19 @@ half-units, never halve them, so a stray half-power fails the check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import embedding as em
-from . import matroid as mt
 from . import multigraph as mg
 from . import ribbon as rb
 from .mpoly import MPolynomial, _power_suffix, assemble
 
+if TYPE_CHECKING:
+    from . import matroid as mt
+
 EXPANSION_CAP = 20
 IDENTITY_CAP = 16
+STATE_SWEEP_CAP = 8
 
 
 class CapError(ValueError):
@@ -122,8 +124,7 @@ def check_cap(n_edges: int, cap: int, what: str) -> None:
                        f"pass a larger cap to force it")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str                 # pass | fail | skip
     detail: str = ""
@@ -198,6 +199,7 @@ def tutte_perspective(mp: mt.MatroidPerspective, *,
     how much of the rank drop M' has not yet seen.  It runs by
     expansion only, on the rank rows: the delete/contract recursion on
     matroid minors is a test oracle (tests/oracles.py)."""
+    from . import matroid as mt
     check_cap(len(mp.ground), cap, "perspective expansion")
     return _lv_poly(_perspective_buckets(mp, mt.rank_rows(mp.m, mp.m_prime)))
 
@@ -214,6 +216,7 @@ def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
         size, r_a, rp_a = row
         k = (r_full - r_a) - (rp_full - rp_a)
         if min(k, size - r_a, rp_full - rp_a) < 0:
+            from . import matroid as mt
             a = mg.subset_ids(mp.ground, next(
                 a for a, first in enumerate(zip(mt.mask_sizes(len(mp.ground)), t, tp))
                 if first == row))
@@ -598,6 +601,7 @@ def verify_identities(emb: em.EmbeddedGraph, *,
     sides to half-unit exponents over its own basis and compares the
     counts (_exact).
     """
+    from . import matroid as mt
     rs = emb.rotation
     check_cap(len(rs.edges), cap, "the identity suite")
     scheme, cellular = emb.scheme, emb.report.cellular

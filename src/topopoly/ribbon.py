@@ -64,13 +64,13 @@ A system keeps its circle count, its full trace (which trace_boundary
 returns for the whole edge set), its dual, its unforced dual tally
 (read-only), its disc arcs, its tally order and its underlying
 multigraph, each made on first use.  Systems never change; surgery
-builds new ones, which derive their own.
+builds new ones, which derive their own.  A system is a multigraph.Frozen;
+circles, traces, surgeries and medial maps are NamedTuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -90,23 +90,20 @@ class RibbonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(mg.Frozen):
     """Signed rotation system; sectors[v] lists the discs at vertex v."""
 
-    sectors: Mapping[int, tuple[Sector, ...]]
-    signs: Mapping[int, int]
-    ends: Mapping[int, tuple[int, int]] = field(init=False, repr=False)
-    half_home: Mapping[Half, Home] = field(init=False, repr=False)
+    _fields = ("sectors", "signs")     # they fix ends and half_home
 
-    def __post_init__(self):
-        sectors = {}
-        for v, secs in self.sectors.items():
+    def __init__(self, sectors: Mapping[int, Iterable[Iterable[Half]]],
+                 signs: Mapping[int, int]):
+        given, sectors = sectors, {}
+        for v, secs in given.items():
             secs = tuple([tuple([(int(e), int(end)) for e, end in sec]) for sec in secs])
             if not secs:
                 raise RibbonError(f"vertex {v} has no sectors")
             sectors[int(v)] = secs
-        signs = {int(e): int(s) for e, s in self.signs.items()}
+        signs = {int(e): int(s) for e, s in signs.items()}
         if not {1, -1}.issuperset(signs.values()):
             raise RibbonError("edge signs must be +1 or -1")
         half_home: dict[Half, Home] = {}
@@ -124,10 +121,8 @@ class RotationSystem:
             if (e, 0) not in half_home or (e, 1) not in half_home:
                 raise RibbonError(f"edge {e} is missing an end")
             ends[e] = (half_home[(e, 0)][0], half_home[(e, 1)][0])
-        object.__setattr__(self, "sectors", sectors)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "half_home", half_home)
+        self.__dict__.update(sectors=sectors, signs=signs, ends=ends,
+                             half_home=half_home)
 
     @staticmethod
     def single(rotations: Mapping[int, Sequence[Half]],
@@ -219,8 +214,7 @@ def require_pinch_free(g: RotationSystem, what: str) -> None:
 # boundary tracing
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     """One boundary circle.
 
     visits lists corner points in traversal order, starting at the
@@ -237,8 +231,7 @@ class Circle:
     home: Home | None = None
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
+class BoundaryTrace(NamedTuple):
     circles: tuple[Circle, ...]
     side_circle: Mapping[tuple[int, int], int]
     side_entry_end: Mapping[tuple[int, int], int]
@@ -919,8 +912,7 @@ def delete_edge(g: RotationSystem, e: int) -> RotationSystem:
 # circle identities (region bookkeeping) can transport them.
 
 
-@dataclass(frozen=True)
-class Surgery:
+class Surgery(NamedTuple):
     system: "RotationSystem"
     point_map: Mapping[Point, Point]    # surviving old point -> new point
     home_map: Mapping[Home, Home]       # surviving old sector -> new sector
@@ -1031,8 +1023,7 @@ BLACK, WHITE, CROSSING = "black", "white", "crossing"
 STATE_NAMES = (BLACK, WHITE, CROSSING)
 
 
-@dataclass(frozen=True)
-class MedialMap:
+class MedialMap(NamedTuple):
     """The medial of a connected ribbon graph, with smoothing data.
 
     medial has one 4-valent vertex per original edge (ids are reused)

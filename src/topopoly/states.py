@@ -42,18 +42,15 @@ edges; the tally's cost follows its frontier states, not 3^e.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import embedding as em
 from . import multigraph as mg
 from . import poly
 from . import ribbon as rb
 from .mpoly import assemble
-from .poly import CheckResult, _bad, _ok, _skip, check_cap
+from .poly import STATE_SWEEP_CAP, CheckResult, _bad, _ok, _skip, check_cap
 from .ribbon import BLACK, CROSSING, STATE_NAMES, WHITE
-
-STATE_SWEEP_CAP = 8
 
 
 class StateError(ValueError):
@@ -120,8 +117,7 @@ def medial_state_counter(mm: rb.MedialMap):
     return count
 
 
-@dataclass(frozen=True)
-class FormulaReport:
+class FormulaReport(NamedTuple):
     components: int         # curves of the crossing-free state
     min_form_value: int     # two-term minimum (exact up to genus 2)
     agrees: bool

@@ -6,12 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import corpus
+import topopoly
 from topopoly import cli
 from topopoly import embedding as em
 from topopoly import fileformat as ff
@@ -711,15 +713,72 @@ def test_a_reused_parser_carries_nothing_between_calls(capsys, files,
     assert reused[8][1].startswith("usage: topopoly")
 
 
+def _probe(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports topopoly from here."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          capture_output=True, env=env, text=True)
+
+
 def test_importing_the_cli_loads_no_rational_arithmetic():
     # Only MPolynomial.evaluate reads Fractions, and it imports them on
     # its first call: a fresh process that imports the CLI, as every
     # one-shot command does, loads none of fractions, decimal or numbers.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = ("import sys, topopoly.cli; print(' '.join(sorted("
              "{'fractions', 'decimal', 'numbers'} & set(sys.modules))))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          env=env, text=True)
+    proc = _probe(probe)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
+def test_poly_commands_load_no_dataclasses_matroid_or_states(tmp_path):
+    # The value classes are plain classes and NamedTuples, and matroid and
+    # states load inside the functions that read them: two poly commands
+    # on a cellular file load none of the four modules; identities loads
+    # matroid and states.
+    path = tmp_path / "theta.txt"
+    path.write_text(THETA + "cellular\n")
+    probe = """
+        import io, sys
+        import topopoly.cli as cli
+        def loaded():
+            return sorted({"dataclasses", "inspect", "topopoly.matroid",
+                           "topopoly.states"} & set(sys.modules))
+        sys.stdout = io.StringIO()
+        codes = [cli.main(["poly", sys.argv[1], "--which", "lv-ext",
+                           "--method", "recursion"]),
+                 cli.main(["poly", sys.argv[1], "--which", "krushkal"])]
+        after_poly = loaded()
+        codes.append(cli.main(["identities", sys.argv[1]]))
+        sys.stdout = sys.__stdout__
+        print(codes, after_poly, loaded())
+    """
+    proc = _probe(probe, str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("[0, 0, 0] [] "
+                           "['topopoly.matroid', 'topopoly.states']\n")
+
+
+def test_the_package_exports_every_public_name_from_its_module():
+    # matroid's and states' names resolve on first use: dir lists them
+    # before they load, and a star import binds each name of __all__ to
+    # the object its own module defines.
+    probe = """
+        import sys
+        import topopoly
+        assert "topopoly.matroid" not in sys.modules
+        assert "topopoly.states" not in sys.modules
+        missing = set(topopoly.__all__) - set(dir(topopoly))
+        ns = {}
+        exec("from topopoly import *", ns)
+        wrong = [name for name in topopoly.__all__
+                 if not ns[name].__module__.startswith("topopoly.")
+                 or vars(sys.modules[ns[name].__module__]).get(name) is not ns[name]]
+        print(sorted(missing), wrong, "matroid" in dir(topopoly),
+              topopoly.states is sys.modules["topopoly.states"])
+    """
+    proc = _probe(probe)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] [] True True\n", "")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        topopoly.no_such_name

@@ -208,11 +208,13 @@ def _first_bucket_error(names, buckets, shifted):
         if len(key) != len(names):
             return f"bucket key {key} needs {len(names)} entries"
         for v, h in zip(names, key):
+            if not isinstance(h, int):
+                return f"negative or non-integer exponent in {key}"
             if v in shifted and h % 2:
                 return f"half-power of the shifted {v} - 1"
             if v in shifted and h < 0:
                 return f"negative power of the shifted {v} - 1"
-            if h < 0 or not isinstance(h, int):
+            if h < 0:
                 return f"negative or non-integer exponent in {key}"
     return None
 
@@ -220,8 +222,8 @@ def _first_bucket_error(names, buckets, shifted):
 @settings(max_examples=150, deadline=None)
 @given(names=hst.sampled_from(["x", "xy", "yzx"]), shifted=hst.sampled_from(["", "x", "xy"]),
        buckets=hst.dictionaries(
-           hst.lists(hst.one_of(hst.integers(-3, 4), hst.just(2.0)), min_size=1,
-                     max_size=4).map(tuple),
+           hst.lists(hst.one_of(hst.integers(-3, 4), hst.sampled_from((2.0, "a"))),
+                     min_size=1, max_size=4).map(tuple),
            hst.integers(-1, 2), max_size=6))
 def test_assemble_checks_columns_with_the_same_messages(names, shifted, buckets):
     # The column check finds what the bucket walk finds, and the walk
@@ -256,6 +258,18 @@ def test_constructor_messages():
         with pytest.raises(ValueError, match=r"^negative or non-integer "
                                              r"exponent in \(0, "):
             MPolynomial({exps: 1})
+
+
+def test_exponents_of_another_type_raise_value_error():
+    # The type is tested before the sign and the parity, which would
+    # raise TypeError on a string or None.
+    with pytest.raises(ValueError, match=r"^negative or non-integer exponent "
+                                         r"in \('a', 0, 0, 0, 0, 0\)$"):
+        MPolynomial({("a", 0, 0, 0, 0, 0): 1})
+    for key, shifted in ((("a", 0), ""), (("a", 0), "x"), ((None, 0), "")):
+        with pytest.raises(ValueError, match=r"^negative or non-integer exponent "
+                                             rf"in \({key[0]!r}, 0\)$"):
+            assemble("xy", {key: 1}, shifted=shifted)
 
 
 def test_assemble_rejects_negative_or_non_integer_keys():
