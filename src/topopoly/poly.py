@@ -3,18 +3,18 @@
 Every polynomial here comes from mpoly.assemble, which checks the
 exponent buckets, then expands the binomial powers one shifted
 variable at a time over merged keys.  Subset expansions tally one
-bucket per edge subset; the two delete/contract recursions (matroid
-pair and embedding scheme) tally one monomial per leaf, scored on the
-path to it.  The scheme recursion is memoised on its minors, each
-keyed by one flat string of relabelled vertices: per depth it splits
-each distinct minor once, and it tallies the leaves below each
-distinct node once, on packed int exponent keys, instead of listing
-them.  It decides the edges in the breadth-first order that
-multigraph.frontier_order finds narrowest on the vertices of G and of
-the dagger graph, since the distinct minors at a depth are set by how
-the decided edges join the live vertices; the leaf tally does not
-depend on the order.  Expansion and recursion therefore build
-byte-equal canonical strings whenever they agree as polynomials.
+bucket per edge subset; the delete/contract recursion on an embedding
+scheme tallies one monomial per leaf, scored on the path to it.  It
+is memoised on its minors, each keyed by one flat string of
+relabelled vertices: per depth it splits each distinct minor once,
+and it tallies the leaves below each distinct node once, on packed
+int exponent keys, instead of listing them.  It decides the edges in
+the breadth-first order that multigraph.frontier_order finds
+narrowest on the vertices of G and of the dagger graph, since the
+distinct minors at a depth are set by how the decided edges join the
+live vertices; the leaf tally does not depend on the order.
+Expansion and recursion therefore build byte-equal canonical strings
+whenever they agree as polynomials.
 
 The subset expansions read their counts from the tallies of
 ribbon.transfer_tally, which gives, per distinct row, how many subsets
@@ -28,13 +28,13 @@ to a bucket:
   bollobas_riordan      transfer_tally(rs): c and f; c(E) once
   krushkal              transfer_tally(rs, dagger): c, f and rho(A);
                         the embedding's report and dagger, and c(E)
-  las_vergnas_cellular  transfer_tally(g, g*): c(A), and c*(E - A) in
-                        the dual, no circle layer: L as the pair
-                        polynomial of B(G*) -> C(G); c(E) and n(G*)
-                        once.  Its genus form, on a dual tally, is
-                        what the suite checks it against
-  las_vergnas_embedded  transfer_tally(g, dagger): c and rho(A), no
-                        tracing; c(E), rho(E) and rho(0) once
+  las_vergnas_cellular  L_ext of the scheme (G, G*), G* from rs.dual:
+                        L is the pair polynomial of B(G*) -> C(G) as
+                        L_ext is of B(H) -> C(G).  The suite checks it
+                        against its genus form, on a dual tally
+  las_vergnas_embedded  transfer_tally(g, cut), cut H or G*: c(A) and
+                        c_cut(E - A), no circle layer; c(g), c(cut) and
+                        n(cut) once
   tutte, dichromatic    transfer_tally(g): c alone
   verify_identities     emb.tally: each reader above takes its fields
 
@@ -229,32 +229,15 @@ def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
 def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
                          cap: int = EXPANSION_CAP) -> MPolynomial:
     """The cellular three-variable polynomial L of a pinch-free rotation
-    system: the pair polynomial of the matroid perspective B(G*) -> C(G)
-    (Las Vergnas 1978), whose ranks are the component counts c(A) in G
-    and c*(E - A) in the dual G*.  Its genus form, with z recording half
-    the genus deficiency, is a theorem the identity suite checks
-    (_cellular_buckets).  The expansion reads one transfer tally of A in
-    G cut by G* on E - A, and rejects a row with a negative exponent by
-    its first subset; the recursion runs on its disc embedding."""
+    system: L_ext of the scheme (G, G*), the pair polynomial of the
+    matroid perspective B(G*) -> C(G) (Las Vergnas 1978), as L_ext is
+    that of B(H) -> C(G) with the dagger graph H in place of the dual.
+    Both methods run on that scheme, G* built by rb.dual.  Its genus
+    form, with z recording half the genus deficiency, is a theorem the
+    identity suite checks (_cellular_buckets)."""
     rb.require_pinch_free(rs, "the cellular polynomial")
-    if method == "recursion":
-        return las_vergnas_embedded(em.with_disc_regions(rs), "recursion", cap)
-    if method != "expansion":
-        raise PolyError(f"unknown method {method!r}")
-    check_cap(len(rs.edges), cap, "subset expansion")
-    rows = rb.transfer_tally(rs.underlying(), rs.dual.underlying())
-    bucket = _component_form(rs)
-    counts: Counter = Counter()
-    bad = {}
-    for row, m in rows.items():
-        size, c, _, c_dual = row
-        key = bucket(size, c, c_dual)
-        if min(key) < 0:
-            bad[row] = "bad exponents on {a}"
-        counts[key] += m
-    if bad:
-        raise PolyError(_first_subset(rs.edges, rows.rerun, bad))
-    return _lv_poly(counts)
+    return las_vergnas_embedded(
+        em.EmbeddingScheme(rs.underlying(), rs.dual.underlying()), method, cap)
 
 
 def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
@@ -299,19 +282,16 @@ def las_vergnas_embedded(x, method: str = "expansion",
 
 def _scheme_buckets(s: em.EmbeddingScheme, rows: Mapping) -> Counter:
     """The buckets of L_ext from rows, a tally of A in s.g and E - A in
-    s.dagger, ending in rho(A); a bad row is named on its reruns."""
-    n = len(s.g.edges)
-    c_full = mg.components(s.g)
-    rho_full = em.rho(s)
-    rho_empty = em.rho(s, ())
+    s.dagger, ending in c_H(E - A) = rho(A): _scheme_form per row; a
+    bad row is named on its reruns."""
+    bucket = _scheme_form(s.g, s.dagger)
     counts: Counter = Counter()
     bad = {}
     for row, m in rows.items():
-        size, c_a, *_, rho_a = row
-        ez = (n - size) - (rho_full - rho_a) - (c_a - c_full)
-        if ez < 0 or c_a < c_full or rho_a < rho_empty:
+        key = bucket(row[0], row[1], row[-1])
+        if min(key) < 0:
             bad[row] = "bad exponents on {a}"
-        counts[2 * (c_a - c_full), 2 * (rho_a - rho_empty), 2 * ez] += m
+        counts[key] += m
     if bad:
         raise PolyError(_first_subset(s.g.edges, rows.rerun, bad))
     return counts
@@ -535,24 +515,28 @@ def _tidy_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
     return counts
 
 
-def _component_form(rs: rb.RotationSystem):
-    """The bucket over (x - 1, y - 1, z) of a subset A in the component
-    form of L, as a function of |A|, c(A) and c*(E - A):
-    ((x-1)/z)^c(A) ((y-1) z)^c*(E-A) z^(n(G*)-|A|) / ((x-1)(y-1))^c(G),
-    the corank, nullity and rank drop of A in B(G*) -> C(G)."""
-    c_g = mg.components(rs.underlying())
-    n_dual = mg.nullity(rs.dual.underlying())
+def _scheme_form(g: mg.Multigraph, cut: mg.Multigraph):
+    """The bucket over (x - 1, y - 1, z) of a subset A in the pair
+    polynomial of B(cut) -> C(g), as a function of |A|, c(A) and
+    c_cut(E - A): the corank c(A) - c(g), the nullity
+    c_cut(E - A) - c(cut) and the rank drop
+    n(cut) - |A| + c_cut(E - A) - c(cut) - (c(A) - c(g)).  With the
+    dual as cut it is the component form of L,
+    ((x-1)/z)^c(A) ((y-1) z)^c*(E-A) z^(n(G*)-|A|) / ((x-1)(y-1))^c(G)."""
+    c_g, c_cut, n_cut = mg.components(g), mg.components(cut), mg.nullity(cut)
 
-    def bucket(size, c, c_dual):
-        return 2 * (c - c_g), 2 * (c_dual - c_g), 2 * (n_dual + c_dual - c - size)
+    def bucket(size, c, c_rest):
+        return (2 * (c - c_g), 2 * (c_rest - c_cut),
+                2 * (n_cut - size + c_rest - c_cut - c + c_g))
 
     return bucket
 
 
 def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
     """The right side of lv-dichromatic over (x0 - 1, y0 - 1, z0), from
-    rows, the dual_tally of rs: _component_form per row."""
-    bucket = _component_form(rs)
+    rows, the dual_tally of rs: _scheme_form of G cut by G* per row,
+    with no check of its exponents, so a bad dual fails the identity."""
+    bucket = _scheme_form(rs.underlying(), rs.dual.underlying())
     return _keyed(rows, lambda size, c, f, genus, c_dual, *_: bucket(size, c, c_dual))
 
 

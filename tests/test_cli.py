@@ -17,6 +17,7 @@ import topopoly
 from topopoly import cli
 from topopoly import embedding as em
 from topopoly import fileformat as ff
+from topopoly import matroid as mt
 from topopoly import multigraph as mg
 from topopoly import poly
 from topopoly import ribbon as rb
@@ -99,6 +100,22 @@ def test_trace_bad_subset(capsys, files):
     rc, _, err = run(capsys, "trace", files["theta"], "--subset", "9")
     assert rc == 2
     assert "unknown edges" in err
+
+
+def test_trace_bare_sectors_and_edge_lists(capsys, files, tmp_path):
+    # A bare sector's circle is printed by its vertex and sector; an
+    # empty --subset traces the empty subset, one bare circle a vertex;
+    # a list with no edge id is refused.
+    lone = tmp_path / "lone.txt"
+    lone.write_text("vertex 0: sector ()\n")
+    assert run(capsys, "trace", str(lone)) == (0, (
+        "f 1\neuler-genus 0\norientable yes\n"
+        "circle 0: empty at vertex 0 sector 0\n"), "")
+    assert run(capsys, "trace", files["theta"], "--subset", "") == (0, (
+        "f 2\neuler-genus 0\ncircle 0: empty at vertex 0 sector 0\n"
+        "circle 1: empty at vertex 1 sector 0\n"), "")
+    assert run(capsys, "trace", files["theta"], "--subset", ",") == (
+        2, "", "error: bad subset ',': comma-separated edge ids\n")
 
 
 def test_validate_torus_loop(capsys, files):
@@ -581,6 +598,48 @@ def test_lv_and_lv_ext_read_the_dual_and_the_dagger_apart(capsys, tmp_path,
         assert run(capsys, "poly", str(path), "--which", "lv") == (0, _EIGHT_L, "")
 
 
+def test_lv_is_lv_ext_of_the_graph_cut_by_its_dual(monkeypatch):
+    # L is L_ext of the scheme (G, G*): over the cellular corpus each
+    # method gives the polynomial of the disc embedding's scheme (G, H).
+    # G* comes from rb.dual and H from em.derive_dagger, so the swapped
+    # dual, which needs two edges, moves lv alone, by each method.
+    def differs(systems):
+        out = set()
+        for rs in systems:
+            for method in ("expansion", "recursion"):
+                want = poly.las_vergnas_embedded(em.with_disc_regions(rs), method)
+                try:
+                    got = poly.las_vergnas_cellular(rs, method)
+                except poly.PolyError:
+                    got = None
+                if got != want:
+                    out.add(method)
+        return out
+
+    assert differs(corpus.cellular_corpus()) == set()
+    monkeypatch.setattr(rb, "dual", _swapped_dual(rb.dual))
+    assert differs([rs for rs in corpus.cellular_corpus()
+                    if len(rs.edges) > 1]) == {"expansion", "recursion"}
+
+
+def test_lv_by_recursion_builds_the_dual_and_no_disc_embedding(capsys, files,
+                                                               monkeypatch):
+    # On a cellular file lv's recursion runs on the scheme (G, G*): it
+    # builds the dual once, and neither the disc embedding nor its
+    # dagger graph.
+    calls = Counter()
+    for module, name in ((em, "with_disc_regions"), (em, "derive_dagger"),
+                         (rb, "dual")):
+        def wrapper(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    assert run(capsys, "poly", files["digon"], "--which", "lv",
+               "--method", "recursion") == (0, "y + x\n", "")
+    assert calls == {"dual": 1}
+
+
 def test_identities_past_a_byte_of_vertices_and_regions(capsys, tmp_path):
     # The theta graph with 298 isolated vertices, closed by discs: 300
     # vertices and 299 regions, so c(A) passes a byte, while no rank
@@ -629,6 +688,58 @@ def test_parse_error_reported(capsys, tmp_path):
     rc, _, err = run(capsys, "validate", str(p))
     assert rc == 2
     assert "1.1 appears in no sector" in err
+
+
+@pytest.mark.parametrize("text, err", [
+    ("vertex 0: sector (1.0 1.1)\nedge 1: 0 0 sign +\ncellular\ncellular\n",
+     "error: line 4: duplicate 'cellular' keyword\n"),
+    ("vertex 0:\n", "error: line 1: vertex 0 needs at least one sector\n"),
+    ("vertex 0: sector (1.0 1.1)\nedge 1: 0 0 sign +\n"
+     "region 0: genus 0 circles ,\n", "error: line 3: region 0 lists no circles\n"),
+], ids=("cellular-twice", "no-sector", "no-circles"))
+def test_parse_errors_name_their_line(capsys, tmp_path, text, err):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    assert run(capsys, "trace", str(p)) == (2, "", err)
+
+
+def _negated(real):
+    return lambda *args: not real(*args)
+
+
+def _dagger_loop(real):
+    # The dagger graph with edge 2 made a loop at one of its ends, so
+    # edge 1 becomes its bridge.
+    def derive_dagger(emb):
+        s = real(emb)
+        ends = dict(s.dagger.ends)
+        ends[2] = (ends[2][0],) * 2
+        return em.EmbeddingScheme(s.g, mg.Multigraph(s.dagger.vertices, ends))
+    return derive_dagger
+
+
+@pytest.mark.parametrize("file, mutate, err", [
+    # rho counts the edges of A, so every edge looks like a quasi-loop.
+    ("theta", lambda mp: mp.setattr(em, "rho", lambda x, a=None: len(a or ())),
+     "region count and matroid loop test disagree"),
+    ("theta", lambda mp: mp.setattr(mt, "is_isthmus", _negated(mt.is_isthmus)),
+     "side regions and matroid isthmus test disagree"),
+    ("digon", lambda mp: mp.setattr(em, "derive_dagger",
+                                    _dagger_loop(em.derive_dagger)),
+     "quasi-loop that is not a loop"),
+    ("digon", lambda mp: mp.setattr(mg, "is_bridge", lambda g, e: True),
+     "bridge with two distinct side regions"),
+], ids=("loop", "isthmus", "quasi-loop", "bridge"))
+def test_classify_refuses_a_drawing_its_scheme_contradicts(capsys, files,
+                                                          monkeypatch, file,
+                                                          mutate, err):
+    # Each of classify_edge's cross-checks of the drawing against its
+    # scheme can fail: the command exits 2 on the first edge, before
+    # printing anything.
+    mutate(monkeypatch)
+    rc, out, got = run(capsys, "classify", files[file])
+    assert (rc, out) == (2, "")
+    assert got.endswith(f"error: edge 1: {err}\n")
 
 
 def test_failing_checks_exit_one():

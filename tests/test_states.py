@@ -202,6 +202,27 @@ def test_broken_dual_fails_quasi_tree_duality(monkeypatch):
                 "G* on A has 1")
 
 
+@pytest.mark.parametrize("craft, why", [
+    # A quasi-tree's dual on A counts one more component...
+    (lambda s, c, f, g, cd, fd, gd: (s, c, f, g, cd + (c == f == 1), fd, gd),
+     "duality breaks"),
+    # ... or one more handle.
+    (lambda s, c, f, g, cd, fd, gd: (s, c, f, g, cd, fd, gd + 2 * (c == f == 1)),
+     "genus identity fails"),
+], ids=("duality", "genus"))
+def test_quasi_tree_duality_reaches_its_later_clauses(monkeypatch, craft, why):
+    # A real dual keeps f(W) = f*(E - W), so the circle clause masks
+    # the two after it; crafted rows keep the circles and change the
+    # dual's component count or genus on every quasi-tree row alone.
+    # The witness is named on reruns of the same crafted rows.
+    real = rb.DualRow
+    monkeypatch.setattr(rb, "DualRow", lambda *row: real(*craft(*row)))
+    for rs, deleted in ((corpus.theta_torus(), [2, 3]), (corpus.plane_digon(), [2])):
+        results = {r.name: r for r in st.run_state_checks(rs)[0]}
+        assert results["quasi-tree-duality"].line() == (
+            f"RESULT: quasi-tree-duality fail: deleted {deleted}: {why}")
+
+
 def test_broken_dual_names_its_lr_witness_on_the_same_dual(monkeypatch):
     # lr-relation names its bad subset on forced tallies of the dual whose
     # rows failed: the checks build that dual once.
