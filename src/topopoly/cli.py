@@ -174,8 +174,11 @@ _CLASS_LABEL = {
 
 def cmd_classify(args) -> int:
     emb = _embedded(ff.parse(_read_text(args.file)))
-    for e in emb.rotation.edges:
-        print(f"edge {e}: {_CLASS_LABEL[em.classify_edge(emb, e)]}")
+    # Every edge is classified first: a refusal on a later one prints nothing.
+    lines = [f"edge {e}: {_CLASS_LABEL[em.classify_edge(emb, e)]}"
+             for e in emb.rotation.edges]
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -9,9 +9,9 @@ Subsets walked exhaustively are int masks, bit i standing for the i-th
 smallest edge id: subset_ids decodes one, component_counter counts c
 of one mask, and component_table gives c of every mask.  Each graph
 keeps its counter, its edge bits and its tally order, made on first
-use.  Every component count runs on a counter but two: poly._split's
-bridge test, and component_table, which keeps vertex partitions, not
-a union-find.
+use.  Every component count runs on a counter but three: poly._split's
+bridge test, component_table's vertex partitions, and the block layers
+of ribbon's tallies, which count closed blocks on frontier labels.
 
 Frozen is the read-only base of the package's value classes: plain
 classes, cheap to define when a one-shot command loads (see README).

@@ -21,30 +21,25 @@ ribbon.transfer_tally, which gives, per distinct row, how many subsets
 A have that |A|, c(A), boundary circle count f(A) and, on request,
 component count of a second graph on E - A, and of ribbon.dual_tally,
 which adds the counts of E - A in the dual.  They decide the edges one
-at a time on frontier states instead of visiting the 2^|E| subsets.
-Each expansion sets up its invariants once and maps each distinct row
-to a bucket:
+at a time on frontier states, in the order ribbon._edge_order picks
+(no row depends on it), instead of visiting the 2^|E| subsets.  Each
+reader sets up its invariants once and is a key function on _keyed,
+the one loop that sums rows into exponent buckets:
 
   bollobas_riordan      transfer_tally(rs): c and f; c(E) once
-  krushkal              transfer_tally(rs, dagger): c, f and rho(A);
-                        the embedding's report and dagger, and c(E)
-  las_vergnas_cellular  L_ext of the scheme (G, G*), G* from rs.dual:
-                        L is the pair polynomial of B(G*) -> C(G) as
-                        L_ext is of B(H) -> C(G).  The suite checks it
-                        against its genus form, on a dual tally
+  krushkal              transfer_tally(rs, dagger): c, f and rho(A)
+  las_vergnas_cellular  L_ext of the scheme (G, G*), G* from rs.dual;
+                        the suite checks its genus form, on a dual tally
   las_vergnas_embedded  transfer_tally(g, cut), cut H or G*: c(A) and
-                        c_cut(E - A), no circle layer; c(g), c(cut) and
-                        n(cut) once
+                        c_cut(E - A); c(g), c(cut) and n(cut) once
   tutte, dichromatic    transfer_tally(g): c alone
   verify_identities     emb.tally: each reader above takes its fields
 
-The tallies decide the edges in the order ribbon._edge_order picks by
-the same measure (see there); no row depends on it.
-
-A bad row names the first subset, in mask order, that yields it:
-_first_subset, which the state checks share, reruns the pass of the
-tally that holds the row, on the layers it built, with edges forced in
-or out, at most |E| times.
+A reader that refuses bad rows runs on _checked, which asks once per
+bucket whether it is bad and only then names the first subset, in mask
+order, whose row lands in a bad one: _first_subset, which the state
+checks share, reruns the pass of the tally that holds the row, on the
+layers it built, with edges forced in or out, at most |E| times.
 
 The dual, its dual_tally, the validation report, the scheme and the
 embedding's tally are the input's own, made on first use, so one
@@ -165,6 +160,29 @@ def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
                            rest=[e for e in edges if not inside[e]])
 
 
+def _keyed(rows: Mapping, key) -> Counter:
+    """The counts of rows summed under key(*row): the one loop that
+    turns tally rows, or buckets, into buckets."""
+    counts: Counter = Counter()
+    for row, m in rows.items():
+        counts[key(*row)] += m
+    return counts
+
+
+def _checked(rows: Mapping, key, edges: tuple[int, ...], bad,
+             error: type[ValueError] = PolyError) -> Counter:
+    """_keyed(rows, key), unless bad(*bucket), asked once per bucket,
+    gives a message template (see _first_subset) for some bucket: then
+    error names the first subset whose row lands in a bad bucket, on
+    the reruns of rows, a tally of the subsets of edges."""
+    counts = _keyed(rows, key)
+    wrong = {k: why for k in counts if (why := bad(*k))}
+    if wrong:
+        raise error(_first_subset(edges, rows.rerun, {
+            row: wrong[k] for row in rows if (k := key(*row)) in wrong}))
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # the polynomials
 
@@ -187,10 +205,7 @@ def _tutte_buckets(v: int, rows: Mapping) -> Counter:
     a graph on v vertices, from rows that start with |A|, c(A), one per
     subset A, so that c(E) is the least c."""
     c_full = min(c for _, c, *_ in rows)
-    counts: Counter = Counter()
-    for (size, c, *_), m in rows.items():
-        counts[2 * (c - c_full), 2 * (size - v + c)] += m
-    return counts
+    return _keyed(rows, lambda size, c, *_: (2 * (c - c_full), 2 * (size - v + c)))
 
 
 def tutte_perspective(mp: mt.MatroidPerspective, *,
@@ -211,18 +226,19 @@ def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
     yields it."""
     t, tp = mp.m.table(), mp.m_prime.table()
     r_full, rp_full = t[-1], tp[-1]
-    counts: Counter = Counter()
-    for row, m in rows.items():
-        size, r_a, rp_a = row
-        k = (r_full - r_a) - (rp_full - rp_a)
-        if min(k, size - r_a, rp_full - rp_a) < 0:
-            from . import matroid as mt
-            a = mg.subset_ids(mp.ground, next(
-                a for a, first in enumerate(zip(mt.mask_sizes(len(mp.ground)), t, tp))
-                if first == row))
-            what = "rank drop inversion" if k < 0 else "negative exponent"
-            raise PolyError(f"{what} on {a}; not a matroid perspective")
-        counts[2 * (rp_full - rp_a), 2 * (size - r_a), 2 * k] += m
+
+    def key(size, r_a, rp_a):
+        return (2 * (rp_full - rp_a), 2 * (size - r_a),
+                2 * ((r_full - r_a) - (rp_full - rp_a)))
+
+    counts = _keyed(rows, key)
+    if any(min(k) < 0 for k in counts):
+        from . import matroid as mt
+        a, k = next((a, key(*row)) for a, row in enumerate(
+            zip(mt.mask_sizes(len(mp.ground)), t, tp)) if min(key(*row)) < 0)
+        what = "rank drop inversion" if k[2] < 0 else "negative exponent"
+        raise PolyError(f"{what} on {mg.subset_ids(mp.ground, a)}; "
+                        "not a matroid perspective")
     return counts
 
 
@@ -242,23 +258,19 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
 
 def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
     """The buckets of L in its genus form from rows, a dual_tally of
-    rs; a bad row is named on its reruns."""
+    rs; a bad row is named on its reruns.  z is 2 gamma less the genus
+    split gamma + g(A) - g*(E - A), in half units: an odd split, an odd z."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
-    counts: Counter = Counter()
-    bad = {}
-    for row, m in rows.items():
-        split = gamma + row.genus - row.genus_dual
-        ey = (row.size - v + row.c) - split // 2
-        ez2 = gamma - row.genus + row.genus_dual
-        if split % 2 or ey < 0 or ez2 < 0:
-            bad[row] = ("odd genus split on {a}" if split % 2
-                        else "bad exponents on {a}")
-        counts[2 * (row.c - c_full), 2 * ey, ez2] += m
-    if bad:
-        raise PolyError(_first_subset(rs.edges, rows.rerun, bad))
-    return counts
+
+    def key(size, c, f, genus, c_dual, f_dual, genus_dual, *_):
+        split = gamma + genus - genus_dual
+        return 2 * (c - c_full), 2 * (size - v + c - split // 2), 2 * gamma - split
+
+    return _checked(rows, key, rs.edges, lambda x, y, z: (
+        "odd genus split on {a}" if z % 2
+        else "bad exponents on {a}" if min(y, z) < 0 else None))
 
 
 def las_vergnas_embedded(x, method: str = "expansion",
@@ -285,16 +297,8 @@ def _scheme_buckets(s: em.EmbeddingScheme, rows: Mapping) -> Counter:
     s.dagger, ending in c_H(E - A) = rho(A): _scheme_form per row; a
     bad row is named on its reruns."""
     bucket = _scheme_form(s.g, s.dagger)
-    counts: Counter = Counter()
-    bad = {}
-    for row, m in rows.items():
-        key = bucket(row[0], row[1], row[-1])
-        if min(key) < 0:
-            bad[row] = "bad exponents on {a}"
-        counts[key] += m
-    if bad:
-        raise PolyError(_first_subset(s.g.edges, rows.rerun, bad))
-    return counts
+    return _checked(rows, lambda size, c, *rest: bucket(size, c, rest[-1]), s.g.edges,
+                    lambda *k: "bad exponents on {a}" if min(k) < 0 else None)
 
 
 def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
@@ -376,12 +380,8 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
                 tally[k] = get(k, 0) + m
             up.append(tally)
         tallies = up
-    leaves: Counter = Counter()
-    for k, m in tallies[0].items():
-        x, yz = divmod(k, x_score)
-        y, z = divmod(yz, base)
-        leaves[2 * x, 2 * y, 2 * z] = m
-    return leaves
+    return Counter({(2 * (k // x_score), 2 * (k // base % base), 2 * (k % base)): m
+                    for k, m in tallies[0].items()})
 
 
 def _entry_key(g: mg.Multigraph, order) -> str:
@@ -449,10 +449,8 @@ def _ribbon_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
     dual_tally both do."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
-    counts: Counter = Counter()
-    for (size, c, f, *_), m in rows.items():
-        counts[2 * (c - c_full), 2 * (size - v + c), 2 * (2 * c - v + size - f)] += m
-    return counts
+    return _keyed(rows, lambda size, c, f, *_: (
+        2 * (c - c_full), 2 * (size - v + c), 2 * (2 * c - v + size - f)))
 
 
 def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
@@ -470,33 +468,27 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
 def _krushkal_buckets(emb: em.EmbeddedGraph, rows: Mapping) -> Counter:
     """The buckets of K over (x, y, a, b), from rows, a tally of A in
     G, with f(A), and E - A in the dagger graph, ending in rho(A)."""
-    rs, report = emb.rotation, emb.report
+    rs, chi = emb.rotation, emb.report.euler_characteristic
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
-    counts: Counter = Counter()
-    bad = {}
-    for row, m in rows.items():
+
+    def key(size, c, f, *rest):
         # The complement of the neighbourhood of (V, A): rho(A) regions,
         # f(A) circles shared with the neighbourhood, and Euler
         # characteristic chi(surface) - (v - |A|), as in complement_stats.
-        size, c, f, *_, k = row
-        ngenus = 2 * c - v + size - f
-        genus = 2 * k - f - (report.euler_characteristic - (v - size))
-        if genus < 0 or ngenus < 0:
-            bad[row] = "negative genus from subset {a}"
-        counts[2 * (c - c_full), 2 * (k - 1), ngenus, genus] += m
-    if bad:
-        raise em.EmbeddingError(_first_subset(rs.edges, rows.rerun, bad))
-    return counts
+        return (2 * (c - c_full), 2 * (rest[-1] - 1), 2 * c - v + size - f,
+                2 * rest[-1] - f - (chi - (v - size)))
+
+    return _checked(rows, key, rs.edges, lambda x, y, a, b: (
+        "negative genus from subset {a}" if min(a, b) < 0 else None),
+        em.EmbeddingError)
 
 
 def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
     """Component-count sum: x^c(A) y^|A| over edge subsets."""
     check_cap(len(g.edges), cap, "subset expansion")
-    counts: Counter = Counter()
-    for (size, c, _, _), m in rb.transfer_tally(g).items():
-        counts[2 * c, 2 * size] += m
-    return assemble("xy", counts)
+    return assemble("xy", _keyed(rb.transfer_tally(g),
+                                 lambda size, c, *_: (2 * c, 2 * size)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +500,8 @@ def _tidy_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
     the dual_tally of rs: (x0-1)^(r(E)-r(A)) (y0-1)^(|A|-r(A))
     z0^(g(A)-g*(E-A)) per row."""
     v, c_g = len(rs.sectors), mg.components(rs.underlying())
-    counts: Counter = Counter()
-    for row, m in rows.items():
-        counts[2 * (row.c - c_g), 2 * (row.size - v + row.c),
-               2 * (row.genus - row.genus_dual)] += m
-    return counts
+    return _keyed(rows, lambda size, c, f, genus, c_dual, f_dual, genus_dual, *_: (
+        2 * (c - c_g), 2 * (size - v + c), 2 * (genus - genus_dual)))
 
 
 def _scheme_form(g: mg.Multigraph, cut: mg.Multigraph):
@@ -538,14 +527,6 @@ def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
     with no check of its exponents, so a bad dual fails the identity."""
     bucket = _scheme_form(rs.underlying(), rs.dual.underlying())
     return _keyed(rows, lambda size, c, f, genus, c_dual, *_: bucket(size, c, c_dual))
-
-
-def _keyed(buckets: Mapping, key) -> Counter:
-    """The counts of buckets summed under key(*bucket)."""
-    counts: Counter = Counter()
-    for bucket, m in buckets.items():
-        counts[key(*bucket)] += m
-    return counts
 
 
 def _first_difference(lhs: Mapping, rhs: Mapping):
@@ -598,20 +579,17 @@ def verify_identities(emb: em.EmbeddedGraph, *,
     rows = emb.tally
     l_ext = _scheme_buckets(scheme, rows)
     mp = em.scheme_perspective(scheme)
-    dagger_rows: Counter = Counter()
-    for (size, *_, c_h), m in rows.items():
-        dagger_rows[len(rs.edges) - size, c_h] += m
-    t_m = _tutte_buckets(len(scheme.dagger.vertices), dagger_rows)
+    n = len(rs.edges)
+    t_m = _tutte_buckets(len(scheme.dagger.vertices),
+                         _keyed(rows, lambda size, *rest: (n - size, rest[-1])))
     t_mp = _tutte_buckets(len(scheme.g.vertices), rows)
 
     # Perspective specialisations: the rank walk against the tallies.  One
     # count of the masks gives (M, M') and, as its marginals, (M, M) and
     # (M', M').  A bad rank table fails all three.
     rank_rows = mt.rank_rows(mp.m, mp.m_prime)
-    self_rows = Counter(), Counter()
-    for (size, r_a, rp_a), m in rank_rows.items():
-        self_rows[0][size, r_a, r_a] += m
-        self_rows[1][size, rp_a, rp_a] += m
+    self_rows = (_keyed(rank_rows, lambda size, r_a, rp_a: (size, r_a, r_a)),
+                 _keyed(rank_rows, lambda size, r_a, rp_a: (size, rp_a, rp_a)))
     try:
         pair = _perspective_buckets(mp, rank_rows)
         self_b, self_c = (_perspective_buckets(mt.MatroidPerspective(x, x), rows)
@@ -621,13 +599,10 @@ def verify_identities(emb: em.EmbeddedGraph, *,
             "perspective-self", "perspective-to-m", "perspective-to-m-prime")]
     else:
         # T(M, M; x, y, z) = T(M; x, y) = T(H; y, x), and likewise for M'.
-        off_m = _first_difference(self_b, _keyed(t_m, lambda y, x: (x, y, 0)))
-        off_mp = _first_difference(self_c, _keyed(t_mp, lambda x, y: (x, y, 0)))
-        if off_m is None and off_mp is None:
-            out.append(_ok("perspective-self"))
-        else:
-            out.append(_bad("perspective-self",
-                            "pair polynomial of (M, M) is not the Tutte polynomial"))
+        same = (self_b == _keyed(t_m, lambda y, x: (x, y, 0))
+                and self_c == _keyed(t_mp, lambda x, y: (x, y, 0)))
+        out.append(_ok("perspective-self") if same else _bad(
+            "perspective-self", "pair polynomial of (M, M) is not the Tutte polynomial"))
         # T(M, M'; x, y, x - 1) = T(M; x, y)
         out.append(_exact("perspective-to-m", ("(x-1)", "(y-1)"),
                           _keyed(pair, lambda x, y, z: (x + z, y)),
@@ -642,11 +617,9 @@ def verify_identities(emb: em.EmbeddedGraph, *,
         l_cell = _cellular_buckets(rs, rows)
         r_buckets = _ribbon_buckets(rs, rows)
         gamma = 2 * rb.euler_genus(rs)          # in half-units
-        if _first_difference(l_cell, l_ext) is None:
-            out.append(_ok("lv-extension-matches-cellular"))
-        else:
-            out.append(_bad("lv-extension-matches-cellular",
-                            "scheme expansion differs from the cellular one"))
+        out.append(_ok("lv-extension-matches-cellular") if l_cell == l_ext else _bad(
+            "lv-extension-matches-cellular",
+            "scheme expansion differs from the cellular one"))
         # (y0 - 1)^gamma L(x0, y0, 1/(y0 - 1)) = T(M'; x0, y0)
         l_at = _keyed(l_cell, lambda x, y, z: (x, y - z + gamma))
         out.append(_exact("lv-to-tutte", _XY0, l_at, t_mp))
@@ -686,8 +659,8 @@ def verify_identities(emb: em.EmbeddedGraph, *,
     else:
         why = ("needs a cellular embedding" if k_buckets is not None
                else "needs a connected pinch-free surface")
-        out.append(_skip("br-from-krushkal", why))
-        out.append(_skip("lv-from-krushkal-cellular", why))
+        out += [_skip(name, why) for name in ("br-from-krushkal",
+                                               "lv-from-krushkal-cellular")]
 
     if k_buckets is not None:
         stats_full = em.complement_stats(emb, rs.edge_set())

@@ -322,14 +322,18 @@ def all_sectors(g: RotationSystem) -> list[tuple[Home, Sector]]:
             for k, sec in enumerate(g.sectors[v])]
 
 
-def trace_boundary(g: RotationSystem,
-                   subset: Iterable[int] | None = None) -> BoundaryTrace:
+def _edge_subset(g: RotationSystem, subset: Iterable[int] | None) -> frozenset:
+    """subset as a frozenset of edges of g, all of them if None."""
     a = g.edge_set() if subset is None else frozenset(subset)
-    if a == g.edge_set():
-        return g.trace
     if not a <= g.edge_set():
         raise RibbonError(f"subset {sorted(set(a) - g.edge_set())} not among the edges")
-    return trace_sectors(all_sectors(g), g.signs, a)
+    return a
+
+
+def trace_boundary(g: RotationSystem,
+                   subset: Iterable[int] | None = None) -> BoundaryTrace:
+    a = _edge_subset(g, subset)
+    return g.trace if a == g.edge_set() else trace_sectors(all_sectors(g), g.signs, a)
 
 
 def _disc_arcs(g: RotationSystem) -> tuple[tuple[int, ...], int]:
@@ -840,9 +844,11 @@ def boundary_count(g: RotationSystem, subset: Iterable[int] | None = None) -> in
 
 def euler_genus(g: RotationSystem, subset: Iterable[int] | None = None) -> int:
     """Euler genus of the surface spanned by the discs and the bands of
-    the subset: 2c - v + |A| - f."""
-    a = g.edge_set() if subset is None else frozenset(subset)
-    f = trace_boundary(g, a).f
+    the subset: 2c - v + |A| - f, f read off the full trace, or for a
+    proper subset counted by circle_counter without tracing it."""
+    a = _edge_subset(g, subset)
+    f = g.trace.f if a == g.edge_set() else circle_counter(g)(
+        [(3 if g.signs[e] > 0 else 2) if e in a else 1 for e in g.edges])
     c = mg.components(g.underlying(), a)
     return 2 * c - len(g.sectors) + len(a) - f
 

@@ -316,9 +316,7 @@ def run_state_checks(x: rb.RotationSystem | em.EmbeddedGraph, *,
         out.append(_skip("noncrossing-min-formula", gate_detail))
     # The buckets of R, whose diagonal both checks below read.
     r_buckets = poly._ribbon_buckets(rs, tally)
-    profile: dict[int, int] = {}
-    for row, m in tally.items():
-        profile[row.f] = profile.get(row.f, 0) + m
+    profile = poly._keyed(tally, lambda size, c, f, *_: f)
     out.append(generating_function_check(_diagonal(r_buckets), profile))
     if low_genus:
         out.append(lr_relation(rs, tally, r_buckets, kind))

@@ -96,6 +96,22 @@ def test_trace_subset(capsys, files):
     assert "orientable" not in out
 
 
+def test_trace_of_a_subset_traces_once(capsys, files, monkeypatch):
+    # The circles and the genus of a proper subset come from one trace:
+    # the genus counts f on the disc arcs.
+    calls = []
+    real = rb.trace_sectors
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rb, "trace_sectors", counting)
+    rc, out, _ = run(capsys, "trace", files["theta"], "--subset", "1,2")
+    assert (rc, out.splitlines()[:2]) == (0, ["f 2", "euler-genus 0"])
+    assert len(calls) == 1
+
+
 def test_trace_bad_subset(capsys, files):
     rc, _, err = run(capsys, "trace", files["theta"], "--subset", "9")
     assert rc == 2
@@ -721,25 +737,28 @@ def _dagger_loop(real):
 @pytest.mark.parametrize("file, mutate, err", [
     # rho counts the edges of A, so every edge looks like a quasi-loop.
     ("theta", lambda mp: mp.setattr(em, "rho", lambda x, a=None: len(a or ())),
-     "region count and matroid loop test disagree"),
+     "edge 1: region count and matroid loop test disagree"),
     ("theta", lambda mp: mp.setattr(mt, "is_isthmus", _negated(mt.is_isthmus)),
-     "side regions and matroid isthmus test disagree"),
+     "edge 1: side regions and matroid isthmus test disagree"),
     ("digon", lambda mp: mp.setattr(em, "derive_dagger",
                                     _dagger_loop(em.derive_dagger)),
-     "quasi-loop that is not a loop"),
+     "edge 1: quasi-loop that is not a loop"),
     ("digon", lambda mp: mp.setattr(mg, "is_bridge", lambda g, e: True),
-     "bridge with two distinct side regions"),
-], ids=("loop", "isthmus", "quasi-loop", "bridge"))
+     "edge 1: bridge with two distinct side regions"),
+    # Edge 1 classifies as ordinary, so the refusal comes on edge 2.
+    ("digon", lambda mp: mp.setattr(mg, "is_bridge", lambda g, e: e == 2),
+     "edge 2: bridge with two distinct side regions"),
+], ids=("loop", "isthmus", "quasi-loop", "bridge", "later-bridge"))
 def test_classify_refuses_a_drawing_its_scheme_contradicts(capsys, files,
                                                           monkeypatch, file,
                                                           mutate, err):
     # Each of classify_edge's cross-checks of the drawing against its
-    # scheme can fail: the command exits 2 on the first edge, before
-    # printing anything.
+    # scheme can fail: the command exits 2 before printing anything,
+    # also when the edges before the one refused classify cleanly.
     mutate(monkeypatch)
     rc, out, got = run(capsys, "classify", files[file])
     assert (rc, out) == (2, "")
-    assert got.endswith(f"error: edge 1: {err}\n")
+    assert got.endswith(f"error: {err}\n")
 
 
 def test_failing_checks_exit_one():

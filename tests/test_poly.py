@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 import corpus
 import golden
 import oracles
+import sweeps
 from topopoly import cli
 from topopoly import embedding as em
 from topopoly import fileformat as ff
@@ -1198,6 +1199,40 @@ def test_first_subset_names_the_mask_of_a_row():
     assert poly._first_subset((4, 6), tally,
                               {(1, "b"): "{rest}: off"}) == "[6]: off"
     assert poly._first_subset((4, 6), tally, {(0, "a"): "{rest}"}) == "[4, 6]"
+
+
+def test_checked_names_the_first_mask_whose_row_lands_in_a_bad_bucket():
+    # The one refusal path of the bucket readers, on synthetic bad
+    # buckets of a key that merges rows: the subset named is the first
+    # mask, in the sweep's order, whose row lands in one, and bad is
+    # asked once per bucket.  A bucket set that is never bad passes.
+    rng = random.Random(38)
+    graphs = [emb for emb in corpus.main_corpus() if len(emb.rotation.edges) <= 8]
+    assert len(graphs) > 100 and any(emb.rotation.pinch_vertices() for emb in graphs)
+
+    def key(size, c, f, rho):
+        return size - c, f + rho
+
+    for emb in graphs:
+        rs, dagger = emb.rotation, emb.scheme.dagger
+        tally = rb.transfer_tally(rs, dagger)
+        counts = poly._keyed(tally, key)
+        assert poly._checked(tally, key, rs.edges, lambda *k: None) == counts
+        chosen = set(rng.sample(sorted(counts), rng.randint(1, min(3, len(counts)))))
+        asked = []
+
+        def bad(*k):
+            asked.append(k)
+            return "{a} against {rest}" if k in chosen else None
+
+        with pytest.raises(poly.PolyError) as exc:
+            poly._checked(tally, key, rs.edges, bad)
+        assert sorted(asked) == sorted(counts)
+        mask = next(k for k, row in enumerate(sweeps.subset_sweep(rs, dagger))
+                    if key(*row) in chosen)
+        rest = mask ^ ((1 << len(rs.edges)) - 1)
+        assert str(exc.value) == (f"{mg.subset_ids(rs.edges, mask)} against "
+                                  f"{mg.subset_ids(rs.edges, rest)}")
 
 
 def test_a_failing_subset_check_reruns_its_tally_at_most_once_per_edge(
