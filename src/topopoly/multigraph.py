@@ -8,10 +8,11 @@ so an edge keeps its id through any chain of deletions and contractions.
 Subsets walked exhaustively are int masks, bit i standing for the i-th
 smallest edge id: subset_ids decodes one, component_counter counts c
 of one mask, and component_table gives c of every mask.  Each graph
-keeps its counter, its edge bits and its tally order, made on first
-use.  Every component count runs on a counter but three: poly._split's
-bridge test, component_table's vertex partitions, and the block layers
-of ribbon's tallies, which count closed blocks on frontier labels.
+keeps its counter, its edge bits, its own c(E) and its tally order,
+made on first use.  Every component count runs on a counter but
+three: poly._split's bridge test, component_table's vertex partitions,
+and the block layers of ribbon's tallies, which count closed blocks on
+frontier labels.
 
 Frozen is the read-only base of the package's value classes: plain
 classes, cheap to define when a one-shot command loads (see README).
@@ -85,6 +86,11 @@ class Multigraph(Frozen):
         return component_counter(self)
 
     @cached_property
+    def component_count(self) -> int:
+        """c(E), the components of the whole graph, counted on first use."""
+        return self.counter((1 << len(self.ends)) - 1)
+
+    @cached_property
     def tally_order(self) -> tuple[int, ...]:
         """The order a bare graph's tallies decide its edges in: the
         narrowest breadth-first order on its vertices (frontier_order),
@@ -100,11 +106,12 @@ class Multigraph(Frozen):
 def components(g: Multigraph, a: Iterable[int] | None = None) -> int:
     """Number of components of the spanning subgraph (V, A).
 
-    With a=None the full edge set is used.  All vertices of g count,
-    including isolated ones.
+    With a=None the full edge set is used, whose count the graph keeps.
+    All vertices of g count, including isolated ones.
     """
-    full = (1 << len(g.ends)) - 1
-    return g.counter(full if a is None else sum(map(g.bits.__getitem__, set(a))))
+    if a is None:
+        return g.component_count
+    return g.counter(sum(map(g.bits.__getitem__, set(a))))
 
 
 def subset_ids(edges: Sequence[int], mask: int) -> list[int]:
@@ -250,7 +257,9 @@ def rank(g: Multigraph, a: Iterable[int] | None = None) -> int:
 
 def nullity(g: Multigraph, a: Iterable[int] | None = None) -> int:
     """Nullity n(A) = |A| - r(A)."""
-    a = g.edge_set() if a is None else frozenset(a)
+    if a is None:
+        return len(g.ends) - rank(g)
+    a = frozenset(a)
     return len(a) - rank(g, a)
 
 
@@ -258,7 +267,7 @@ def is_bridge(g: Multigraph, e: int) -> bool:
     """True iff deleting e increases the component count, that is, iff
     the ends of e fall in different components of (V, E - e)."""
     full = (1 << len(g.ends)) - 1
-    return g.counter(full ^ g.bits[e]) > g.counter(full)
+    return g.counter(full ^ g.bits[e]) > g.component_count
 
 
 def delete_edge(g: Multigraph, e: int) -> Multigraph:

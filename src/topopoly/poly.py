@@ -82,9 +82,12 @@ variables: in the bases the buckets are kept in,
 half-unit exponents to those of one monomial over the identity's own
 basis (x0 - 1, y0 - 1, w, ...), whose monomials are independent.  So
 the identity holds exactly when both sides sum to the same counts per
-exponent tuple: one Counter comparison, linear in the buckets, with no
-polynomial product and no sample point.  The maps only add and double
-half-units, never halve them, so a stray half-power fails the check.
+exponent tuple: one comparison of two dicts, in C, with no polynomial
+product and no sample point.  Every bucket map is a _Counts, a dict
+whose counts are all positive, so equal counts are equal dicts; only a
+mismatch subtracts one side from the other, to name its first
+monomial.  The maps only add and double half-units, never halve them,
+so a stray half-power fails the check.
 """
 
 from __future__ import annotations
@@ -160,17 +163,28 @@ def _first_subset(edges: tuple[int, ...], tally, bad) -> str:
                            rest=[e for e in edges if not inside[e]])
 
 
-def _keyed(rows: Mapping, key) -> Counter:
+class _Counts(dict):
+    """Counts by key, as _keyed sums them; a missing key reads 0, as in
+    a Counter, but counting and comparing stay dict operations, in C."""
+
+    def __missing__(self, key):
+        return 0
+
+
+def _keyed(rows: Mapping, key) -> _Counts:
     """The counts of rows summed under key(*row): the one loop that
-    turns tally rows, or buckets, into buckets."""
-    counts: Counter = Counter()
+    turns tally rows, or buckets, into buckets.  Every count of rows is
+    positive, so every sum is."""
+    counts = _Counts()
+    get = counts.get
     for row, m in rows.items():
-        counts[key(*row)] += m
+        k = key(*row)
+        counts[k] = get(k, 0) + m
     return counts
 
 
 def _checked(rows: Mapping, key, edges: tuple[int, ...], bad,
-             error: type[ValueError] = PolyError) -> Counter:
+             error: type[ValueError] = PolyError) -> _Counts:
     """_keyed(rows, key), unless bad(*bucket), asked once per bucket,
     gives a message template (see _first_subset) for some bucket: then
     error names the first subset whose row lands in a bad bucket, on
@@ -200,7 +214,7 @@ def _lv_poly(buckets: Mapping) -> MPolynomial:
     return assemble("xyz", buckets, shifted="xy")
 
 
-def _tutte_buckets(v: int, rows: Mapping) -> Counter:
+def _tutte_buckets(v: int, rows: Mapping) -> _Counts:
     """The (corank, nullity) buckets of T(C(g)) over (x - 1, y - 1), g
     a graph on v vertices, from rows that start with |A|, c(A), one per
     subset A, so that c(E) is the least c."""
@@ -219,7 +233,7 @@ def tutte_perspective(mp: mt.MatroidPerspective, *,
     return _lv_poly(_perspective_buckets(mp, mt.rank_rows(mp.m, mp.m_prime)))
 
 
-def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> Counter:
+def _perspective_buckets(mp: mt.MatroidPerspective, rows: Mapping) -> _Counts:
     """The buckets of the pair polynomial of mp from rows, a Counter of
     (|A|, r(A), r'(A)) over the masks A in the mask order of first
     sight: the first bad row raises, named by the first mask that
@@ -256,7 +270,7 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
         em.EmbeddingScheme(rs.underlying(), rs.dual.underlying()), method, cap)
 
 
-def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
     """The buckets of L in its genus form from rows, a dual_tally of
     rs; a bad row is named on its reruns.  z is 2 gamma less the genus
     split gamma + g(A) - g*(E - A), in half units: an odd split, an odd z."""
@@ -292,7 +306,7 @@ def las_vergnas_embedded(x, method: str = "expansion",
     return _lv_poly(_scheme_buckets(s, rb.transfer_tally(s.g, s.dagger)))
 
 
-def _scheme_buckets(s: em.EmbeddingScheme, rows: Mapping) -> Counter:
+def _scheme_buckets(s: em.EmbeddingScheme, rows: Mapping) -> _Counts:
     """The buckets of L_ext from rows, a tally of A in s.g and E - A in
     s.dagger, ending in c_H(E - A) = rho(A): _scheme_form per row; a
     bad row is named on its reruns."""
@@ -443,7 +457,7 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
     return assemble("xyz", _ribbon_buckets(rs, rb.transfer_tally(rs)), shifted="x")
 
 
-def _ribbon_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+def _ribbon_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
     """The buckets of R over (x - 1, y, z) from a tally of rows that
     start with |A|, c(A), f(A): the rows of transfer_tally and of
     dual_tally both do."""
@@ -465,7 +479,7 @@ def krushkal(emb: em.EmbeddedGraph, cap: int = EXPANSION_CAP) -> MPolynomial:
         emb, rb.transfer_tally(rs, emb.scheme.dagger)))
 
 
-def _krushkal_buckets(emb: em.EmbeddedGraph, rows: Mapping) -> Counter:
+def _krushkal_buckets(emb: em.EmbeddedGraph, rows: Mapping) -> _Counts:
     """The buckets of K over (x, y, a, b), from rows, a tally of A in
     G, with f(A), and E - A in the dagger graph, ending in rho(A)."""
     rs, chi = emb.rotation, emb.report.euler_characteristic
@@ -495,7 +509,7 @@ def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
 # identity suite
 
 
-def _tidy_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+def _tidy_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
     """The right side of lv-tidy over (x0 - 1, y0 - 1, z0), from rows,
     the dual_tally of rs: (x0-1)^(r(E)-r(A)) (y0-1)^(|A|-r(A))
     z0^(g(A)-g*(E-A)) per row."""
@@ -521,7 +535,7 @@ def _scheme_form(g: mg.Multigraph, cut: mg.Multigraph):
     return bucket
 
 
-def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
+def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
     """The right side of lv-dichromatic over (x0 - 1, y0 - 1, z0), from
     rows, the dual_tally of rs: _scheme_form of G cut by G* per row,
     with no check of its exponents, so a bad dual fails the identity."""
@@ -531,7 +545,11 @@ def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> Counter:
 
 def _first_difference(lhs: Mapping, rhs: Mapping):
     """(key, count): the first key, in sorted order, with a nonzero count
-    in lhs - rhs, or None when the counts agree."""
+    in lhs - rhs, or None when the counts agree.  Equal maps agree, so
+    two _Counts are compared as dicts first, in C; with no zero count,
+    unequal ones differ somewhere, found by subtracting."""
+    if lhs == rhs:
+        return None
     diff = Counter(lhs)
     diff.subtract(rhs)
     first = min((key for key, c in diff.items() if c), default=None)
@@ -599,6 +617,7 @@ def verify_identities(emb: em.EmbeddedGraph, *,
             "perspective-self", "perspective-to-m", "perspective-to-m-prime")]
     else:
         # T(M, M; x, y, z) = T(M; x, y) = T(H; y, x), and likewise for M'.
+        # Both sides are _Counts, so == compares them as dicts, in C.
         same = (self_b == _keyed(t_m, lambda y, x: (x, y, 0))
                 and self_c == _keyed(t_mp, lambda x, y: (x, y, 0)))
         out.append(_ok("perspective-self") if same else _bad(

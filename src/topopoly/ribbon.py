@@ -70,7 +70,7 @@ circles, traces, surgeries and medial maps are NamedTuples.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cache, cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -416,9 +416,11 @@ class Tally(dict):
     rerun(forced=...) runs the same pass again, on the same layers."""
 
     def __init__(self, order, layers, decode, sizes=(0, 1), forced=None):
-        counts: Counter = Counter()
+        counts: dict = {}
+        get = counts.get
         for row, m in _frontier_tally(order, layers, sizes, forced):
-            counts[decode(*row)] += m
+            row = decode(*row)
+            counts[row] = get(row, 0) + m
         super().__init__(counts)
         self.rerun = partial(Tally, order, layers, decode, sizes)
 
@@ -844,12 +846,14 @@ def boundary_count(g: RotationSystem, subset: Iterable[int] | None = None) -> in
 
 def euler_genus(g: RotationSystem, subset: Iterable[int] | None = None) -> int:
     """Euler genus of the surface spanned by the discs and the bands of
-    the subset: 2c - v + |A| - f, f read off the full trace, or for a
-    proper subset counted by circle_counter without tracing it."""
+    the subset: 2c - v + |A| - f.  For the whole edge set, f and c are
+    read off the full trace and the c(E) the underlying graph keeps;
+    for a proper subset f is counted by circle_counter without tracing."""
     a = _edge_subset(g, subset)
-    f = g.trace.f if a == g.edge_set() else circle_counter(g)(
+    full = a == g.edge_set()
+    f = g.trace.f if full else circle_counter(g)(
         [(3 if g.signs[e] > 0 else 2) if e in a else 1 for e in g.edges])
-    c = mg.components(g.underlying(), a)
+    c = mg.components(g.underlying(), None if full else a)
     return 2 * c - len(g.sectors) + len(a) - f
 
 
@@ -1048,7 +1052,7 @@ def medial(g: RotationSystem) -> MedialMap:
     require_pinch_free(g, "the medial graph")
     if not g.signs:
         raise RibbonError("medial of an edgeless graph is empty")
-    if mg.components(g.underlying(), g.edge_set()) != 1:
+    if mg.components(g.underlying()) != 1:
         raise RibbonError("medial construction expects a connected graph")
 
     # One corner per consecutive pair of the rotation; a 1-valent

@@ -41,7 +41,6 @@ edges; the tally's cost follows its frontier states, not 3^e.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Mapping, NamedTuple
 
 from . import embedding as em
@@ -180,7 +179,7 @@ def generating_function_check(diag: Mapping[int, int],
     return _ok(name)
 
 
-def _diagonal(r_buckets: Mapping) -> Counter:
+def _diagonal(r_buckets: Mapping) -> poly._Counts:
     """R(t+1, t, 1/t) by power of t, from the buckets of R over
     (x - 1, y, z): (x - 1) and y go to t, z to 1/t."""
     return poly._keyed(r_buckets, lambda x, y, z: (x + y - z) // 2)
@@ -241,7 +240,7 @@ def run_state_checks(x: rb.RotationSystem | em.EmbeddedGraph, *,
     rb.require_pinch_free(rs, "state checks")
     if not rs.signs:
         raise StateError("state checks need at least one edge")
-    if mg.components(rs.underlying(), rs.edge_set()) != 1:
+    if mg.components(rs.underlying()) != 1:
         raise StateError("state checks need a connected graph")
     edges = rs.edges
     check_cap(len(edges), sweep_cap, "the full state sweep")

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -1233,6 +1234,87 @@ def test_checked_names_the_first_mask_whose_row_lands_in_a_bad_bucket():
         rest = mask ^ ((1 << len(rs.edges)) - 1)
         assert str(exc.value) == (f"{mg.subset_ids(rs.edges, mask)} against "
                                   f"{mg.subset_ids(rs.edges, rest)}")
+
+
+def _brute_difference(lhs, rhs):
+    """(key, count): the first key, in sorted order, on which the counts
+    of lhs and rhs differ, and lhs's count less rhs's; None if none."""
+    for key in sorted(set(lhs) | set(rhs)):
+        if lhs.get(key, 0) != rhs.get(key, 0):
+            return key, lhs.get(key, 0) - rhs.get(key, 0)
+    return None
+
+
+_bucket_maps = hst.dictionaries(
+    hst.tuples(*[hst.integers(-2, 6)] * 3), hst.integers(1, 9), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bucket_maps, hst.sampled_from(
+           ("equal", "permuted", "extra key", "moved count", "one count off")),
+       hst.randoms(use_true_random=False))
+def test_bucket_comparison_agrees_with_a_brute_force_difference(
+        counts, how, rng):
+    # The suite compares two maps of positive counts as dicts first: on
+    # equal maps, maps inserted in another order, a map with one extra
+    # key, one with a count moved to a new key (equal totals) and one
+    # count off by one, the first difference is what a walk over the
+    # sorted keys finds, and _exact passes exactly when the maps agree.
+    items = list(counts.items())
+    other = dict(items)
+    if how == "permuted":
+        rng.shuffle(items)
+        other = dict(items)
+    fresh = next(k for k in ((9, i, 0) for i in range(20)) if k not in counts)
+    if how == "extra key":
+        other[fresh] = rng.randint(1, 9)
+    elif how in ("moved count", "one count off") and items:
+        key = rng.choice(items)[0]
+        other[key] -= 1
+        if how == "moved count":
+            other[fresh] = 1
+        if not other[key]:
+            del other[key]
+    lhs, rhs = poly._Counts(counts), poly._Counts(other)
+    if rng.random() < 0.5:
+        lhs, rhs = rhs, lhs
+    assert poly._first_difference(lhs, rhs) == _brute_difference(lhs, rhs)
+    result = poly._exact("check", ("x", "y", "z"), lhs, rhs)
+    assert result.status == ("pass" if _brute_difference(lhs, rhs) is None
+                             else "fail")
+    # A Counter side with a zero count agrees with the map without it,
+    # and a side that is no dict is compared, not passed: an unbound
+    # dict.__eq__ would return NotImplemented, which is true.
+    padded = Counter(lhs)
+    padded[(-9, 0, 0)] = 0
+    assert poly._first_difference(padded, rhs) == _brute_difference(lhs, rhs)
+    assert (poly._first_difference(lhs, MappingProxyType(rhs))
+            == _brute_difference(lhs, rhs))
+
+
+def test_keyed_counts_are_positive_and_a_missing_key_reads_zero():
+    # Every bucket map the suite compares comes from _keyed, whose dict
+    # comparison is exact only while no count is zero or negative: on
+    # every tally of cellular_corpus(), each count is positive and the
+    # counts keep their total, under the identity key and a merging one.
+    empty = poly._Counts()
+    assert empty[(0, 2)] == 0 and (0, 2) not in empty and empty == {}
+    for rs in corpus.cellular_corpus():
+        emb = em.with_disc_regions(rs)
+        for tally in (emb.tally, rb.transfer_tally(rs),
+                      rb.state_tally(rs, rb.medial(rs))):
+            for key in (lambda *row: row, lambda first, *_: first):
+                counts = poly._keyed(tally, key)
+                assert type(counts) is poly._Counts
+                assert min(counts.values()) > 0
+                assert sum(counts.values()) == sum(tally.values())
+        for buckets in (poly._scheme_buckets(emb.scheme, emb.tally),
+                        poly._cellular_buckets(rs, emb.tally),
+                        poly._ribbon_buckets(rs, emb.tally),
+                        poly._tidy_buckets(rs, emb.tally),
+                        poly._component_buckets(rs, emb.tally),
+                        poly._krushkal_buckets(emb, emb.tally)):
+            assert type(buckets) is poly._Counts and min(buckets.values()) > 0
 
 
 def test_a_failing_subset_check_reruns_its_tally_at_most_once_per_edge(
