@@ -11,8 +11,9 @@ rotation system's own full trace (RotationSystem.trace).  Building an
 embedded graph checks its regions against the circle count alone
 (RotationSystem.circle_count), so the trace is made by its first
 reader.  An embedded graph keeps its validation report and its scheme,
-each made on first use by validate and derive_dagger, and the one
-subset tally the identity suite reads, for every reader.
+each made on first use by validate and derive_dagger, and the tally
+the identity suite reads, one subset tally with x on A and each cut on
+E - A, for every reader.
 
 Deletion and contraction live at two levels.  The scheme level tracks
 only the abstract graph and its dagger, which is all the transition
@@ -85,10 +86,10 @@ class EmbeddedGraph(mg.Frozen):
     def tally(self) -> rb.Tally:
         """The identity suite's one subset tally (see poly), on first use:
         A in G, with its circles on a connected pinch-free surface, E - A
-        in the dagger graph, and E - A in the dual too if cellular."""
+        in the dual too if cellular, and E - A in the dagger graph."""
         rs, report, dagger = self.rotation, self.report, self.scheme.dagger
         if report.cellular:
-            return rb.dual_tally(rs, dagger)
+            return rb.transfer_tally(rs, rs.dual, dagger)
         ribbon = not rs.pinch_vertices() and report.components == 1
         return rb.transfer_tally(rs if ribbon else rs.underlying(), dagger)
 

@@ -166,8 +166,8 @@ def parse(text: str) -> ParsedInput:
                 _fail(lineno, f"region {r} lists circle {c}, but the trace has "
                               f"circles 0..{f - 1}")
             if c in regions:
-                _fail(lineno, f"circle {c} is glued to region {regions[c]} "
-                              f"and region {r}")
+                _fail(lineno, f"region {r} lists circle {c} twice" if regions[c] == r
+                      else f"circle {c} is glued to region {regions[c]} and region {r}")
             regions[c] = r
     try:
         embedded = em.EmbeddedGraph(rotation, regions, region_genus)

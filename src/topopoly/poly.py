@@ -16,20 +16,20 @@ live vertices; the leaf tally does not depend on the order.
 Expansion and recursion therefore build byte-equal canonical strings
 whenever they agree as polynomials.
 
-The subset expansions read their counts from the tallies of
-ribbon.transfer_tally, which gives, per distinct row, how many subsets
-A have that |A|, c(A), boundary circle count f(A) and, on request,
-component count of a second graph on E - A, and of ribbon.dual_tally,
-which adds the counts of E - A in the dual.  They decide the edges one
-at a time on frontier states, in the order ribbon._edge_order picks
-(no row depends on it), instead of visiting the 2^|E| subsets.  Each
-reader sets up its invariants once and is a key function on _keyed,
-the one loop that sums rows into exponent buckets:
+The subset expansions read their counts from ribbon.transfer_tally,
+the one subset tally, x on A and each cut on E - A: how many subsets
+A have each flat row (|A|, c(A)[, f(A)], then per cut c_k(E - A)
+[, f_k(E - A)]), f for a rotation system alone.  It decides the edges
+one at a time on frontier states, in the order ribbon._edge_order
+picks (no row depends on it), instead of visiting the 2^|E| subsets.
+Each reader sets up its invariants once and is a key function on
+_keyed, the one loop that sums rows into exponent buckets; a genus is
+computed where it is read, as 2c - v + |A| - f:
 
   bollobas_riordan      transfer_tally(rs): c and f; c(E) once
   krushkal              transfer_tally(rs, dagger): c, f and rho(A)
   las_vergnas_cellular  L_ext of the scheme (G, G*), G* from rs.dual;
-                        the suite checks its genus form, on a dual tally
+                        the suite checks its genus form (rs, rs.dual)
   las_vergnas_embedded  transfer_tally(g, cut), cut H or G*: c(A) and
                         c_cut(E - A); c(g), c(cut) and n(cut) once
   tutte, dichromatic    transfer_tally(g): c alone
@@ -44,12 +44,13 @@ layers it built, with edges forced in or out, at most |E| times.
 The dual, its dual_tally, the validation report, the scheme and the
 embedding's tally are the input's own, made on first use, so one
 identities command tallies the subsets once: emb.tally is one frontier
-pass with the layers the suite reads.  On a cellular input it is
-dual_tally(rs, dagger), whose rows give L, R, K, L_ext, lv-tidy,
-lv-dichromatic, the state checks and, as marginals on (|A|, c(A)) and
-(|E - A|, c_H(E - A)), T(G) and T(H; y, x); on a connected pinch-free
-surface transfer_tally(rs, dagger), for K, L_ext and the Tutte
-polynomials; otherwise transfer_tally(g, dagger), for L_ext and those.
+pass with the layers the suite reads, the dagger graph last.  On a
+cellular input it is transfer_tally(rs, rs.dual, dagger), whose rows
+give L, R, K, L_ext, lv-tidy, lv-dichromatic, the state checks and, as
+marginals on (|A|, c(A)) and (|E - A|, c_H(E - A)), T(G) and
+T(H; y, x); on a connected pinch-free surface transfer_tally(rs,
+dagger), for K, L_ext and the Tutte polynomials; otherwise
+transfer_tally(g, dagger), for L_ext and those.
 Its one count of the rows (|A|, r(A), r'(A)) over the 2^|E| masks,
 matroid.rank_rows, gives the pair polynomial of (M, M') and, as its
 marginals, those of (M, M) and (M', M'), each by _perspective_buckets,
@@ -271,15 +272,16 @@ def las_vergnas_cellular(rs: rb.RotationSystem, method: str = "expansion",
 
 
 def _cellular_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
-    """The buckets of L in its genus form from rows, a dual_tally of
-    rs; a bad row is named on its reruns.  z is 2 gamma less the genus
-    split gamma + g(A) - g*(E - A), in half units: an odd split, an odd z."""
-    v = len(rs.sectors)
+    """The buckets of L in its genus form from rows, a tally of rs cut
+    first by rs.dual; a bad row is named on its reruns.  z is 2 gamma
+    less the genus split gamma + g(A) - g*(E - A), in half units: an
+    odd split, an odd z."""
+    v, vd, n = len(rs.sectors), len(rs.dual.sectors), len(rs.edges)
     c_full = mg.components(rs.underlying())
     gamma = rb.euler_genus(rs)
 
-    def key(size, c, f, genus, c_dual, f_dual, genus_dual, *_):
-        split = gamma + genus - genus_dual
+    def key(size, c, f, c_dual, f_dual, *_):
+        split = gamma + (2 * c - v + size - f) - (2 * c_dual - vd + n - size - f_dual)
         return 2 * (c - c_full), 2 * (size - v + c - split // 2), 2 * gamma - split
 
     return _checked(rows, key, rs.edges, lambda x, y, z: (
@@ -459,8 +461,8 @@ def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolyno
 
 def _ribbon_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
     """The buckets of R over (x - 1, y, z) from a tally of rows that
-    start with |A|, c(A), f(A): the rows of transfer_tally and of
-    dual_tally both do."""
+    start with |A|, c(A), f(A), as transfer_tally's do when x is a
+    rotation system."""
     v = len(rs.sectors)
     c_full = mg.components(rs.underlying())
     return _keyed(rows, lambda size, c, f, *_: (
@@ -511,11 +513,13 @@ def dichromatic(g: mg.Multigraph, cap: int = EXPANSION_CAP) -> MPolynomial:
 
 def _tidy_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
     """The right side of lv-tidy over (x0 - 1, y0 - 1, z0), from rows,
-    the dual_tally of rs: (x0-1)^(r(E)-r(A)) (y0-1)^(|A|-r(A))
-    z0^(g(A)-g*(E-A)) per row."""
-    v, c_g = len(rs.sectors), mg.components(rs.underlying())
-    return _keyed(rows, lambda size, c, f, genus, c_dual, f_dual, genus_dual, *_: (
-        2 * (c - c_g), 2 * (size - v + c), 2 * (genus - genus_dual)))
+    a tally of rs cut first by rs.dual: (x0-1)^(r(E)-r(A))
+    (y0-1)^(|A|-r(A)) z0^(g(A)-g*(E-A)) per row."""
+    v, vd, n = len(rs.sectors), len(rs.dual.sectors), len(rs.edges)
+    c_g = mg.components(rs.underlying())
+    return _keyed(rows, lambda size, c, f, c_dual, f_dual, *_: (
+        2 * (c - c_g), 2 * (size - v + c),
+        2 * ((2 * c - v + size - f) - (2 * c_dual - vd + n - size - f_dual))))
 
 
 def _scheme_form(g: mg.Multigraph, cut: mg.Multigraph):
@@ -537,10 +541,10 @@ def _scheme_form(g: mg.Multigraph, cut: mg.Multigraph):
 
 def _component_buckets(rs: rb.RotationSystem, rows: Mapping) -> _Counts:
     """The right side of lv-dichromatic over (x0 - 1, y0 - 1, z0), from
-    rows, the dual_tally of rs: _scheme_form of G cut by G* per row,
-    with no check of its exponents, so a bad dual fails the identity."""
+    rows, a tally of rs cut first by rs.dual: _scheme_form of G cut by
+    G* per row, with no check of its exponents, so a bad dual fails."""
     bucket = _scheme_form(rs.underlying(), rs.dual.underlying())
-    return _keyed(rows, lambda size, c, f, genus, c_dual, *_: bucket(size, c, c_dual))
+    return _keyed(rows, lambda size, c, f, c_dual, *_: bucket(size, c, c_dual))
 
 
 def _first_difference(lhs: Mapping, rhs: Mapping):

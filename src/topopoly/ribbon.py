@@ -28,32 +28,33 @@ pairs its points in to out at each end.  A system's circle_count is
 its count with every band present, all that checking regions needs.
 A failing state check recounts its one misplaced medial state on it.
 
-transfer_tally and dual_tally return the tallies of the rows of the
-2^|E| edge subsets (sizes, component and circle counts, and on request
-a cut graph's components on E - A) without visiting the subsets, and
-state_tally the curve counts of the 3^|E| medial states without
-visiting the states.  All three run one loop,
-_frontier_tally, which decides the edges one at a time, vertex by
-vertex in breadth-first order from the root that keeps the frontier
-narrowest (_edge_order) and each vertex's half-edges in rotation
-order, each edge taking one of its choices (outside or inside A; black,
-white or crossing).  A state after each step holds, per layer, the
-block labels of the frontier nodes (vertices, or the corners of a
-medial) and the pairing that the decided bands induce on the frontier
-corner points (the undecided points whose kappa partner is decided);
-decisions that reach one state have the same future, so equal states
-merge and carry a tally of the size and the blocks and circles already
-closed.  Their cost follows the number of states, not 2^|E| or 3^|E|.
-A circle layer's moves share one plan table (_circle_plan): how an
-edge's choices rejoin the paths through its four points depends only
-on how those points link to one another and on the choices' pairings,
-at most 60 cases in all, each worked out once per process.
+transfer_tally is the one subset tally, x on A and each cut on E - A:
+the rows (|A|, then the components, and a rotation system's circles,
+of each graph) of the 2^|E| edge subsets, without visiting them.
+state_tally gives the curve counts of the 3^|E| medial states without
+visiting the states.  Both run one loop, _frontier_tally, which
+decides the edges one at a time, vertex by vertex in breadth-first
+order from the root that keeps the frontier narrowest (_edge_order)
+and each vertex's half-edges in rotation order, each edge taking one
+of its choices (outside or inside A; black, white or crossing).  A
+state after each step holds, per layer, the block labels of the
+frontier nodes (vertices, or the corners of a medial) and the pairing
+that the decided bands induce on the frontier corner points (the
+undecided points whose kappa partner is decided); decisions that reach
+one state have the same future, so equal states merge and carry a
+tally of the size and the blocks and circles already closed.  Their
+cost follows the number of states, not 2^|E| or 3^|E|.  A circle
+layer's moves share one plan table (_circle_plan): how an edge's
+choices rejoin the paths through its four points depends only on how
+those points link to one another and on the choices' pairings, at most
+60 cases in all, each worked out once per process.
 
 Each returns a read-only Tally that keeps its layers: a failing check
-names its first bad subset or state on reruns of the same pass, which
-a forced map restricts to one choice per forced edge.  first_witness
-forces the edges one by one, at most |E| runs for a subset and 2|E|
-for a state.  No code lists the subsets or the states.
+names its first bad subset or state on its reruns (Tally.rerun, the
+one way to force), which a forced map restricts to one choice per
+forced edge.  first_witness forces the edges one by one, at most |E|
+runs for a subset and 2|E| for a state.  No code lists the subsets or
+the states.
 
 On top of the tracer sit Euler genus, the geometric dual, partial
 petrials (band twists), orientability, the
@@ -61,7 +62,7 @@ medial map with its per-vertex smoothing pairings, and the sector
 surgery (disc flips and non-loop contraction) used for topological
 minors.  Circles are numbered canonically, so traces are reproducible.
 A system keeps its circle count, its full trace (which trace_boundary
-returns for the whole edge set), its dual, its unforced dual tally
+returns for the whole edge set), its dual, its tally cut by its dual
 (read-only), its disc arcs, its tally order and its underlying
 multigraph, each made on first use.  Systems never change; surgery
 builds new ones, which derive their own.  A system is a multigraph.Frozen;
@@ -70,7 +71,6 @@ circles, traces, surgeries and medial maps are NamedTuples.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache, cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -173,8 +173,8 @@ class RotationSystem(mg.Frozen):
 
     @cached_property
     def dual_tally(self) -> "Tally":
-        """The unforced ribbon.dual_tally, on first use."""
-        return dual_tally(self)
+        """The unforced transfer_tally(self, self.dual), on first use."""
+        return transfer_tally(self, self.dual)
 
     @cached_property
     def disc_arcs(self) -> tuple[tuple[int, ...], int]:
@@ -396,33 +396,16 @@ def circle_counter(g: RotationSystem):
 # the transfer tally: the rows of the subsets and states, edge by edge
 
 
-class DualRow(NamedTuple):
-    """Counts of one edge subset A, and of E - A in the dual."""
-    size: int           # |A|
-    c: int              # c(A)
-    f: int              # f(A)
-    genus: int          # Euler genus of the ribbon subgraph on A
-    c_dual: int         # c*(E - A)
-    f_dual: int         # f*(E - A)
-    genus_dual: int     # Euler genus of the dual's ribbon subgraph on E - A
-
-
-# The row of dual_tally given a cut graph: a DualRow, then c_cut(E - A).
-CutDualRow = namedtuple("CutDualRow", (*DualRow._fields, "c_cut"))
-
-
 class Tally(dict):
-    """The count of each decoded row of one _frontier_tally, read-only;
+    """The count of each row of one _frontier_tally, read-only, kept as
+    it comes, as no two rows are equal, or through decode if given;
     rerun(forced=...) runs the same pass again, on the same layers."""
 
-    def __init__(self, order, layers, decode, sizes=(0, 1), forced=None):
-        counts: dict = {}
-        get = counts.get
-        for row, m in _frontier_tally(order, layers, sizes, forced):
-            row = decode(*row)
-            counts[row] = get(row, 0) + m
-        super().__init__(counts)
-        self.rerun = partial(Tally, order, layers, decode, sizes)
+    def __init__(self, order, layers, sizes=(0, 1), decode=None, forced=None):
+        rows = _frontier_tally(order, layers, sizes, forced)
+        super().__init__(rows if decode is None else
+                         [(decode(row), m) for row, m in rows])
+        self.rerun = partial(Tally, order, layers, sizes, decode)
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a tally is read-only")
@@ -432,77 +415,40 @@ class Tally(dict):
 
 
 def transfer_tally(x: RotationSystem | mg.Multigraph,
-                   cut: mg.Multigraph | None = None, *,
-                   forced: Mapping[int, int] | None = None) -> Tally:
-    """Tally of (|A|, c(A), f(A), c_cut(E - A)) over the edge subsets
-    A that agree with forced (edge id -> 0 outside A, 1 inside).
-
-    f is None unless x is a rotation system, c_cut unless a cut graph
-    on the same edge ids (the dagger graph, say) is given.  The edges
-    are decided one at a time (see _frontier_tally), carrying the vertex
-    partition of A, the circles of A and the partition of cut on E - A.
-    """
-    ribbon = x if isinstance(x, RotationSystem) else None
-    g = x.underlying() if ribbon is not None else x
-    order = g.tally_order if ribbon is None else ribbon.edge_order
-    layers = [_block_moves(g, order, True)]
-    if ribbon is not None:
-        layers.append(_circle_moves(ribbon, order, _in_a))
-    if cut is not None:
-        layers.append(_block_moves(cut, order, False))
-
-    def decode(size, c, *rest):
-        return (size, c, rest[0] if ribbon is not None else None,
-                rest[-1] if cut is not None else None)
-
-    return Tally(order, layers, decode, forced=forced)
+                   *cuts: RotationSystem | mg.Multigraph) -> Tally:
+    """The one subset tally, of the rows (|A|, c(A)[, f(A)], then per
+    cut c_k(E - A)[, f_k(E - A)]) over the edge subsets A: x carries A
+    and each cut graph (the dual or the dagger graph, say, on the same
+    edge ids) E - A, in the order given.  Each graph brings its union
+    layer, and a rotation system its circle layer too, traced on its
+    own, wherever it sits.  The edges are decided one at a time (see
+    _frontier_tally), in the order x keeps."""
+    order = x.edge_order if isinstance(x, RotationSystem) else x.tally_order
+    layers = []
+    for y, inside in ((x, True), *((cut, False) for cut in cuts)):
+        if isinstance(y, RotationSystem):
+            layers += [_block_moves(y.underlying(), order, inside),
+                       _circle_moves(y, order, _in_a if inside else _in_rest)]
+        else:
+            layers.append(_block_moves(y, order, inside))
+    return Tally(order, layers)
 
 
-def dual_tally(g: RotationSystem, cut: mg.Multigraph | None = None, *,
-               forced: Mapping[int, int] | None = None) -> Tally:
-    """Tally of the DualRow of every edge subset A, forced as in
-    transfer_tally, or of its CutDualRow given a cut graph;
-    g.dual_tally keeps the unforced one without a cut.
-
-    One joint state carries the partition and the circles of A in g and
-    of E - A in the dual g.dual, which is traced on its own, so the
-    starred counts share no boundary count with g's.
-    """
-    d = g.dual
-    order = g.edge_order
-    layers = [_block_moves(g.underlying(), order, True),
-              _circle_moves(g, order, _in_a),
-              _block_moves(d.underlying(), order, False),
-              _circle_moves(d, order, _in_rest)]
-    if cut is not None:
-        layers.append(_block_moves(cut, order, False))
-    v, vd, n = len(g.sectors), len(d.sectors), len(order)
-    row = DualRow if cut is None else CutDualRow
-
-    def decode(size, c, f, cd, fd, *c_cut):
-        return row(size, c, f, 2 * c - v + size - f,
-                   cd, fd, 2 * cd - vd + n - size - fd, *c_cut)
-
-    return Tally(order, layers, decode, forced=forced)
-
-
-def state_tally(g: RotationSystem, mm: "MedialMap", *,
-                forced: Mapping[int, int] | None = None) -> Tally:
+def state_tally(g: RotationSystem, mm: "MedialMap") -> Tally:
     """Tally of (medial curves, graph curves) over the 3^|E| medial
     states of g, without visiting the states; mm is medial(g).
 
     The edges are decided one at a time, each black, white or crossing
-    (STATE_NAMES order; forced maps an edge id to the index of the one
-    smoothing to keep).  The medial route is a union layer on the
-    corners of g (_medial_moves), the graph route a circle layer on its
-    disc arcs paired by smoothing_pairings, so the two counts share
-    nothing but the edge order.
+    (STATE_NAMES order; a rerun's forced maps an edge id to the index
+    of the one smoothing to keep).  The medial route is a union layer
+    on the corners of g (_medial_moves), the graph route a circle layer
+    on its disc arcs paired by smoothing_pairings, so the two counts
+    share nothing but the edge order; decode drops the size, always 0.
     """
     order = g.edge_order
     layers = [_medial_moves(mm, order),
               _circle_moves(g, order, smoothing_pairings)]
-    return Tally(order, layers, lambda _, medial, graph: (medial, graph),
-                 (0, 0, 0), forced)
+    return Tally(order, layers, (0, 0, 0), itemgetter(1, 2))
 
 
 def first_witness(tally, edges: Sequence[int], choices: int, bad):

@@ -23,20 +23,22 @@ curves) without listing them.  The routes agree exactly when every
 count lies on the diagonal; a count off it reruns the tally with
 smoothings forced to find the first misplaced state, which is then
 counted alone on the two counters above.  It runs every relation that
-applies, one result line per check.  The genus and the dual come
-from the graph's one trace, everything else from its dual tally: in
-identities, the rows of the embedding's one tally, the suite's own:
-the minimum formula and the quasi-tree duality are predicates on its
-rows, the crossing-free profile is its marginal over f (handed back
-with the results, for the states command to print), and the
-diagonal relations read the exponent buckets of R and L from it, each
-bucket mapped to one power of t, and compare the counts; only a
-failing lr-relation assembles its two sides, to print them.  Only a
-failing check reruns that tally, to name the first bad white
-set in mask order.  A check that finds a disagreement fails; only
-inputs outside the preconditions (pinched, edgeless, disconnected,
-over the sweep cap) raise.  The sweep cap, checked first, still counts
-edges; the tally's cost follows its frontier states, not 3^e.
+applies, one result line per check.  The genus and the dual come from
+the graph's one trace, everything else from one subset tally, W on the
+graph and E - W on the dual (rs.dual_tally; in identities the
+embedding's one tally, the suite's own): the minimum formula and the
+quasi-tree duality are predicates on its flat rows (|W|, c, f, c*, f*,
+...), with each genus computed as 2c - v + |W| - f, the crossing-free
+profile is its marginal over f (handed back with the results, for the
+states command to print), and the diagonal relations read the exponent
+buckets of R and L from it, each bucket mapped to one power of t, and
+compare the counts; only a failing lr-relation assembles its two
+sides, to print them.  Only a failing check reruns that tally, to name
+the first bad white set in mask order.  A check that finds a
+disagreement fails; only inputs outside the preconditions (pinched,
+edgeless, disconnected, over the sweep cap) raise.  The sweep cap,
+checked first, still counts edges; the tally's cost follows its
+frontier states, not 3^e.
 """
 
 from __future__ import annotations
@@ -185,19 +187,19 @@ def _diagonal(r_buckets: Mapping) -> poly._Counts:
     return poly._keyed(r_buckets, lambda x, y, z: (x + y - z) // 2)
 
 
-def lr_relation(rs: rb.RotationSystem, rows: Mapping[rb.DualRow, int],
+def lr_relation(rs: rb.RotationSystem, rows: Mapping[tuple, int],
                 r_buckets: Mapping, kind: str) -> CheckResult:
     """The diagonal of R against the z-slices of L, by surface:
     sphere and projective plane use L(t+1, t+1, 1); the torus weights
     the z-slices of L as L2 + t L1 + L0 at (t+1, t+1).
 
     r_buckets are the buckets of R over (x - 1, y, z); L's come from
-    rows, a dual_tally of the connected graph rs, whose surface is
-    kind, over (x - 1, y - 1, z), so (x - 1) and (y - 1) go to t.  Both
-    hold whole powers of those, so halving is exact; L's z, which the
-    torus reads, is checked there.  A bad row is named on reruns of
-    the rows' own tally.  Both sides are counts by power of t; only a
-    failure assembles them, to print them.
+    rows, a tally of the connected graph rs cut first by rs.dual, whose
+    surface is kind, over (x - 1, y - 1, z), so (x - 1) and (y - 1) go
+    to t.  Both hold whole powers of those, so halving is exact; L's z,
+    which the torus reads, is checked there.  A bad row is named on
+    reruns of the rows' own tally.  Both sides are counts by power of
+    t; only a failure assembles them, to print them.
     """
     name = "lr-relation"
     try:
@@ -285,18 +287,24 @@ def run_state_checks(x: rb.RotationSystem | em.EmbeddedGraph, *,
                 f"{graph}, but counted alone it has medial {direct}, "
                 f"graph {via_graph}")
 
+    def genera(size, c, f, c_dual, f_dual, *_):
+        # The Euler genus of W in G and of E - W in G*.
+        return 2 * c - v + size - f, 2 * c_dual - vd + n - size - f_dual
+
     def quasi_tree_problem(row):
         # The row keeps W and deletes A = E - W: G - A is a quasi-tree
         # when c(W) = f(W) = 1, and G* on A when c*(A) = f*(A) = 1.
-        q1 = row.c == 1 and row.f == 1
-        trees = ((row.size == v - 1 and row.c == 1)
-                 or (n - row.size == vd - 1 and row.c_dual == 1))
-        if row.f != row.f_dual:
-            return (f"G - A has {row.f} boundary circles, "
-                    f"G* on A has {row.f_dual}")
-        if q1 != (row.c_dual == 1 and row.f_dual == 1):
+        size, c, f, c_dual, f_dual, *_ = row
+        q1 = c == 1 and f == 1
+        trees = (size == v - 1 and c == 1) or (n - size == vd - 1 and c_dual == 1)
+        if f != f_dual:
+            return f"G - A has {f} boundary circles, G* on A has {f_dual}"
+        if q1 != (c_dual == 1 and f_dual == 1):
             return "duality breaks"
-        if q1 and row.genus + row.genus_dual != gamma:
+        # With c = f = c* = f* = 1 the genera sum to 2 - v - v* + |E|,
+        # which is gamma as v* = f(E) on a connected graph: only a wrong
+        # gamma reaches this clause.
+        if q1 and sum(genera(*row)) != gamma:
             return "genus identity fails"
         if low_genus and q1 != trees:
             return f"quasi-tree {q1} but spanning-tree dichotomy says {trees}"
@@ -308,9 +316,8 @@ def run_state_checks(x: rb.RotationSystem | em.EmbeddedGraph, *,
         # The crossing-free state with white set W has f(W) curves, and
         # the minimum is f(W) + min(genus(W), genus*(E - W)).
         out.append(verdict("noncrossing-min-formula", {
-            row: f"white set {{a}}: minimum "
-                 f"{row.f + min(row.genus, row.genus_dual)}, curves {row.f}"
-            for row in tally if min(row.genus, row.genus_dual)}, kind))
+            row: f"white set {{a}}: minimum {row[2] + low}, curves {row[2]}"
+            for row in tally if (low := min(genera(*row)))}, kind))
     else:
         out.append(_skip("noncrossing-min-formula", gate_detail))
     # The buckets of R, whose diagonal both checks below read.

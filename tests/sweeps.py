@@ -13,17 +13,17 @@ import itertools
 from topopoly import multigraph as mg
 from topopoly import ribbon as rb
 from topopoly import states as st
-from topopoly.ribbon import DualRow, RibbonError, RotationSystem, circle_counter, dual
+from topopoly.ribbon import RibbonError, RotationSystem, circle_counter, dual
 
 
 def subset_sweep(x: RotationSystem | mg.Multigraph,
-                 cut: mg.Multigraph | None = None, complement: bool = False):
-    """Yield (|A|, c(A), f(A), c_cut(E - A)) for every edge subset A.
+                 *cuts: RotationSystem | mg.Multigraph, complement: bool = False):
+    """Yield the flat row of transfer_tally(x, *cuts) for every edge
+    subset A: (|A|, c(A)[, f(A)], then per cut c_k(E - A)[, f_k(E - A)]).
 
-    x is a rotation system, whose boundary circles are counted too, or
-    a bare multigraph, for which f is None.  cut is a second multigraph
-    on the same edge ids (the dagger graph, say); c_cut counts its
-    components on the edges outside A, and is None without it.
+    x and each cut graph, on the same edge ids (the dual or the dagger
+    graph, say), are rotation systems, whose boundary circles are
+    counted too, or bare multigraphs; x counts A and each cut E - A.
 
     Row k is the subset with mask k in the multigraph encoding, bit i
     standing for the i-th smallest edge id, so two sweeps over graphs
@@ -31,45 +31,45 @@ def subset_sweep(x: RotationSystem | mg.Multigraph,
     matroid names the same subset.  With complement, row k describes
     E - A_k instead of A_k.
 
-    c(A) and c_cut come from multigraph.component_counter, and f(A)
-    from one circle_counter, on which each edge of A pairs its corner
-    points as its band and each absent edge as no band (p ^ 1).
+    Components come from multigraph.component_counter, and circles
+    from one circle_counter per rotation system, on which each present
+    edge pairs its corner points as its band and each absent edge as
+    no band (p ^ 1).
     """
-    ribbon = x if isinstance(x, RotationSystem) else None
-    g = x.underlying() if ribbon is not None else x
-    edges = g.edges
+    edges = x.edges
     n = len(edges)
-    if cut is not None and cut.edge_set() != g.edge_set():
-        raise RibbonError("a cut graph must share the sweep's edge ids")
-
-    if ribbon is not None:
-        circles = circle_counter(ribbon)
-        band = [3 if ribbon.signs[e] > 0 else 2 for e in edges]
-    count = mg.component_counter(g)
-    if cut is not None:
-        count_cut = mg.component_counter(cut)
     full = (1 << n) - 1
+    counters = []
+    for y, flip in ((x, 0), *((cut, full) for cut in cuts)):
+        ribbon = isinstance(y, RotationSystem)
+        g = y.underlying() if ribbon else y
+        if g.edges != edges:
+            raise RibbonError("a cut graph must share the sweep's edge ids")
+        band = [3 if y.signs[e] > 0 else 2 for e in edges] if ribbon else None
+        counters.append((flip, mg.component_counter(g),
+                         circle_counter(y) if ribbon else None, band))
     for k in range(1 << n):
         a = k ^ full if complement else k
-        yield (a.bit_count(), count(a),
-               circles([band[i] if a >> i & 1 else 1 for i in range(n)])
-               if ribbon is not None else None,
-               count_cut(a ^ full) if cut is not None else None)
+        row = [a.bit_count()]
+        for flip, count, circles, band in counters:
+            b = a ^ flip
+            row.append(count(b))
+            if circles is not None:
+                row.append(circles([band[i] if b >> i & 1 else 1 for i in range(n)]))
+        yield tuple(row)
 
 
 def dual_sweep(g: RotationSystem, d: RotationSystem | None = None):
-    """Yield one DualRow per edge subset A, in subset_sweep order.
+    """Yield the row of transfer_tally(g, d) per edge subset A, in
+    subset_sweep order: (|A|, c(A), f(A), c*(E - A), f*(E - A)).
 
     The starred counts come from a second sweep over the geometric
     dual d (built here unless given), which traces the dual itself, so
     they share no boundary count with the graph's own.
     """
     d = dual(g) if d is None else d
-    v, vd = len(g.sectors), len(d.sectors)
-    for (size, c, f, _), (size_d, cd, fd, _) in zip(
-            subset_sweep(g), subset_sweep(d, complement=True)):
-        yield DualRow(size, c, f, 2 * c - v + size - f,
-                      cd, fd, 2 * cd - vd + size_d - fd)
+    for row, (_, cd, fd) in zip(subset_sweep(g), subset_sweep(d, complement=True)):
+        yield (*row, cd, fd)
 
 
 def state_sweep(rs: RotationSystem):

@@ -343,7 +343,7 @@ def test_states_sweeps_no_subset(capsys, files, monkeypatch):
     # closes the bare file by discs, which counts its circles once.
     calls = Counter()
     for module, name in ((rb, "_frontier_tally"), (rb, "first_witness"),
-                         (rb, "dual"), (rb, "dual_tally"), (rb, "state_tally"),
+                         (rb, "dual"), (rb, "transfer_tally"), (rb, "state_tally"),
                          (rb, "circle_counter"), (st, "medial_state_counter")):
         def wrapper(*args, real=getattr(module, name), name=name, **kwargs):
             calls[name] += 1
@@ -353,7 +353,7 @@ def test_states_sweeps_no_subset(capsys, files, monkeypatch):
     rc, out, _ = run(capsys, "states", files["theta"])
     assert rc == 0
     assert out.startswith("crossing-free curves 1: 4\n")
-    assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
+    assert calls == {"dual": 1, "transfer_tally": 1, "state_tally": 1,
                      "_frontier_tally": 2}
     # identities reads the rows of its embedding's one tally, which the
     # whole suite shares: the dual tally cut by the dagger graph.
@@ -362,7 +362,7 @@ def test_states_sweeps_no_subset(capsys, files, monkeypatch):
         rc, out, _ = run(capsys, "identities", files["theta"], "--suite", suite)
         assert rc == 0
         assert "RESULT: quasi-tree-duality pass" in out
-        assert calls == {"dual": 1, "dual_tally": 1, "state_tally": 1,
+        assert calls == {"dual": 1, "transfer_tally": 1, "state_tally": 1,
                          "_frontier_tally": 2, "circle_counter": 1}
 
 

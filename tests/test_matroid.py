@@ -59,7 +59,7 @@ def test_matroid_masks_match_sweep():
         s = em.derive_dagger(emb)
         cycle, bond = mt.cycle_matroid(s.g), mt.bond_matroid(s.dagger)
         v, rho0 = len(s.g.vertices), em.rho(s, ())
-        for k, (size, c, _, c_cut) in enumerate(sweeps.subset_sweep(s.g, s.dagger)):
+        for k, (size, c, c_cut) in enumerate(sweeps.subset_sweep(s.g, s.dagger)):
             assert cycle.rank(k) == v - c
             assert bond.rank(k) == size - c_cut + rho0
             checked += 1

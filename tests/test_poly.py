@@ -4,7 +4,6 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from types import MappingProxyType
 
 import pytest
@@ -905,14 +904,15 @@ def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    real_tally = rb.dual_tally
+    real_tally = rb.transfer_tally
 
-    def dual_tally(*args, **kwargs):
-        # A failing check reruns it forced; no check fails here.
-        calls["dual_tally" if kwargs.get("forced") is None else "forced"] += 1
-        return real_tally(*args, **kwargs)
+    def transfer_tally(*args):
+        # A failing check reruns it forced, by Tally.rerun, which no
+        # check here does.
+        calls["transfer_tally"] += 1
+        return real_tally(*args)
 
-    monkeypatch.setattr(rb, "dual_tally", dual_tally)
+    monkeypatch.setattr(rb, "transfer_tally", transfer_tally)
     graphs = []                 # (system, graph) per underlying() call
     real_underlying = rb.RotationSystem.underlying
 
@@ -954,9 +954,10 @@ def test_each_command_traces_its_input_once(monkeypatch, tmp_path, capsys):
     untraced = ("tutte", "dichromatic", "br")
     assert traces == {name: int(name not in untraced) for name in commands}
     assert all(max(counts.values(), default=0) <= 1 for counts in work.values()), work
-    assert work["identities"] == {"dual": 1, "dual_tally": 1, "validate": 1,
+    assert work["identities"] == {"dual": 1, "transfer_tally": 1, "validate": 1,
                                   "derive_dagger": 1}
-    assert work["krushkal"] == {"validate": 1, "derive_dagger": 1}
+    assert work["krushkal"] == {"validate": 1, "derive_dagger": 1,
+                                "transfer_tally": 1}
     assert work["classify"] == {"derive_dagger": 1}
 
 
@@ -1004,19 +1005,19 @@ def _count_calls(monkeypatch, names) -> Counter:
 
 
 _SWEEPS = ((rb, "_frontier_tally"), (rb, "first_witness"), (rb, "circle_counter"),
-           (rb, "transfer_tally"), (rb, "dual_tally"))
+           (rb, "transfer_tally"))
 
 
 def test_identity_suite_expands_each_polynomial_once(monkeypatch):
     # lv-ext, T(M') = T(G), T(M) = T(H; y, x), L, R and K all read the
     # embedding's one tally of G, its dual and its dagger graph: one
-    # dual_tally, one frontier run; no tally is rerun to find a witness.
+    # transfer_tally, one frontier run; no tally is rerun to find a witness.
     # The disc closure counts the circles once.
     calls = _count_calls(monkeypatch,
                          ((poly, "tutte"), (poly, "bollobas_riordan")) + _SWEEPS)
     results = poly.verify_identities(em.with_disc_regions(corpus.theta_torus()))
     assert not [r.line() for r in results if r.status != "pass"]
-    assert calls == {"dual_tally": 1, "_frontier_tally": 1, "circle_counter": 1}
+    assert calls == {"transfer_tally": 1, "_frontier_tally": 1, "circle_counter": 1}
 
 
 def test_identities_makes_one_subset_pass_per_input(monkeypatch, tmp_path, capsys):
@@ -1089,9 +1090,9 @@ def test_a_bare_graph_keeps_its_tally_order(monkeypatch):
     s = next(e for e in corpus.main_corpus() if len(e.rotation.edges) == 10).scheme
     calls = _count_calls(monkeypatch, ((mg, "frontier_order"),
                                        (rb, "_frontier_tally")))
-    tally = partial(rb.transfer_tally, s.g, s.dagger)
-    last = next(reversed(tally()))
-    assert poly._first_subset(s.g.edges, tally, {last: "{a}"})
+    tally = rb.transfer_tally(s.g, s.dagger)
+    last = next(reversed(tally))
+    assert poly._first_subset(s.g.edges, tally.rerun, {last: "{a}"})
     assert calls["_frontier_tally"] > 2
     assert calls["frontier_order"] == 1
 
@@ -1170,15 +1171,17 @@ def test_the_suite_tally_has_the_single_purpose_tallies_as_marginals(
     report, dagger = em.validate(emb), emb.scheme.dagger
     forced = {rs.edges[edge % n_edges]: rng.randrange(2)} if n_edges else {}
     for kwargs in ({}, {"forced": forced}):
-        rows = emb.tally.rerun(**kwargs) if kwargs else emb.tally
-        assert _marginal(rows, lambda r: (r[0], r[1], None, r[-1])) == \
-            rb.transfer_tally(rs.underlying(), dagger, **kwargs)
+        def run(tally):
+            return tally.rerun(**kwargs) if kwargs else tally
+
+        rows = run(emb.tally)
+        assert _marginal(rows, lambda r: (r[0], r[1], r[-1])) == \
+            run(rb.transfer_tally(rs.underlying(), dagger))
         if report.cellular or report.components == 1:
             assert _marginal(rows, lambda r: (*r[:3], r[-1])) == \
-                rb.transfer_tally(rs, dagger, **kwargs)
+                run(rb.transfer_tally(rs, dagger))
         if report.cellular:
-            assert _marginal(rows, lambda r: rb.DualRow(*r[:7])) == \
-                rb.dual_tally(rs, **kwargs)
+            assert _marginal(rows, lambda r: r[:5]) == run(rs.dual_tally)
 
 
 def test_first_subset_names_the_mask_of_a_row():

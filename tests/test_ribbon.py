@@ -8,7 +8,6 @@ them.
 import itertools
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -60,12 +59,12 @@ def test_subset_sweep_bare_graph_and_complement():
         full = rs.edge_set()
         bare = list(sweeps.subset_sweep(g))
         dual_rows = sweeps.subset_sweep(d, complement=True)
-        for k, ((size, c, f, cut), row_d) in enumerate(zip(bare, dual_rows)):
+        for k, (row, row_d) in enumerate(zip(bare, dual_rows)):
             a = frozenset(e for i, e in enumerate(rs.edges) if k >> i & 1)
-            assert (f, cut) == (None, None)
-            assert (size, c) == (len(a), mg.components(g, a))
+            # A bare graph's row has no f and, with no cut, no c_cut.
+            assert row == (len(a), mg.components(g, a))
             assert row_d == (len(full - a), mg.components(d.underlying(), full - a),
-                             rb.trace_boundary(d, full - a).f, None)
+                             rb.trace_boundary(d, full - a).f)
 
 
 def test_dual_sweep_matches_oracles():
@@ -74,14 +73,17 @@ def test_dual_sweep_matches_oracles():
             continue
         d = rb.dual(rs)
         full = rs.edge_set()
+        v, vd, n = len(rs.sectors), len(d.sectors), len(rs.edges)
         for k, row in enumerate(sweeps.dual_sweep(rs)):
             a = frozenset(e for i, e in enumerate(rs.edges) if k >> i & 1)
             assert row == (len(a), mg.components(rs.underlying(), a),
-                           rb.boundary_count(rs, a), rb.euler_genus(rs, a),
+                           rb.boundary_count(rs, a),
                            mg.components(d.underlying(), full - a),
-                           rb.boundary_count(d, full - a),
-                           rb.euler_genus(d, full - a))
-            assert row.f == row.f_dual
+                           rb.boundary_count(d, full - a))
+            size, c, f, c_dual, f_dual = row
+            assert (2 * c - v + size - f, 2 * c_dual - vd + n - size - f_dual) == (
+                rb.euler_genus(rs, a), rb.euler_genus(d, full - a))
+            assert f == f_dual
 
 
 def test_subset_sweep_rejects_foreign_cut():
@@ -98,20 +100,25 @@ def test_subset_sweep_rejects_foreign_cut():
 
 def test_transfer_tally_matches_subset_sweep():
     # Pinched sectors, sign -1 bands, disconnected graphs and surfaces,
-    # with and without the ribbon and the dagger graph.
+    # with and without the ribbon and the dagger graph; on pinch-free
+    # inputs also the callers' cuts by the dual: the states' fallback,
+    # the suite's cellular tally and lv's graph cut by G*.
     checked = 0
     for emb in corpus.main_corpus():
         rs, dagger = emb.rotation, em.derive_dagger(emb).dagger
         g = rs.underlying()
-        for args in ((rs,), (rs, dagger), (g, dagger), (g,)):
+        shapes = [(rs,), (rs, dagger), (g, dagger), (g,)]
+        if not rs.pinch_vertices():
+            shapes += [(rs, rs.dual), (rs, rs.dual, dagger), (g, rs.dual.underlying())]
+        for args in shapes:
             assert rb.transfer_tally(*args) == Counter(sweeps.subset_sweep(*args)), args
             checked += 1
-    assert checked == 832
+    assert checked == 832 + 3 * 159
 
 
 def test_dual_tally_matches_dual_sweep():
     for rs in corpus.cellular_corpus():
-        assert rb.dual_tally(rs) == Counter(sweeps.dual_sweep(rs)), rs
+        assert rb.transfer_tally(rs, rb.dual(rs)) == Counter(sweeps.dual_sweep(rs)), rs
         assert rs.dual_tally == Counter(sweeps.dual_sweep(rs, rs.dual)), rs
 
 
@@ -183,15 +190,13 @@ def _edge_cases():
         {0: ((1, 0), (1, 1)), 5: ((2, 0), (3, 0), (2, 1), (3, 1))},
         {1: 1, 2: -1, 3: 1})
     return [
-        ("bare sector", (bare,), {(0, 1, 1, None): 1}),
+        ("bare sector", (bare,), {(0, 1, 1): 1}),
         ("bare sector and cut", (bare, two), {(0, 1, 1, 2): 1}),
-        ("bare multigraph", (two,), {(0, 2, None, None): 1}),
-        ("isolated vertex", (isolated,), {(0, 3, 3, None): 1, (1, 2, 2, None): 1}),
-        ("pinch", (pinched,), {(0, 1, 2, None): 1, (1, 1, 2, None): 1}),
-        ("plane loop", (corpus.plane_loop(),),
-         {(0, 1, 1, None): 1, (1, 1, 2, None): 1}),
-        ("twisted loop", (corpus.proj_loop(),),
-         {(0, 1, 1, None): 1, (1, 1, 1, None): 1}),
+        ("bare multigraph", (two,), {(0, 2): 1}),
+        ("isolated vertex", (isolated,), {(0, 3, 3): 1, (1, 2, 2): 1}),
+        ("pinch", (pinched,), {(0, 1, 2): 1, (1, 1, 2): 1}),
+        ("plane loop", (corpus.plane_loop(),), {(0, 1, 1): 1, (1, 1, 2): 1}),
+        ("twisted loop", (corpus.proj_loop(),), {(0, 1, 1): 1, (1, 1, 1): 1}),
         ("disconnected", (apart,), None),
         ("disconnected, dual cut", (apart, rb.dual(apart).underlying()), None),
     ]
@@ -211,7 +216,7 @@ def test_dual_tally_on_a_disconnected_graph():
     apart = rb.RotationSystem.single(
         {0: ((1, 0), (1, 1)), 5: ((2, 0), (3, 0), (2, 1), (3, 1))},
         {1: 1, 2: -1, 3: 1})
-    assert rb.dual_tally(apart) == Counter(sweeps.dual_sweep(apart))
+    assert apart.dual_tally == Counter(sweeps.dual_sweep(apart))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +249,12 @@ def test_first_witness_is_the_first_swept_subset_and_state():
                                     allow_pinch=rng.random() < 0.3)
         g = rs.underlying()
         cut = corpus.random_rotation(rng, rng.randint(1, 4), n).underlying()
-        subsets = [("plain", partial(rb.transfer_tally, rs), sweeps.subset_sweep(rs)),
-                   ("cut", partial(rb.transfer_tally, rs, cut),
+        subsets = [("plain", rb.transfer_tally(rs).rerun, sweeps.subset_sweep(rs)),
+                   ("cut", rb.transfer_tally(rs, cut).rerun,
                     sweeps.subset_sweep(rs, cut)),
-                   ("bare", partial(rb.transfer_tally, g), sweeps.subset_sweep(g))]
+                   ("bare", rb.transfer_tally(g).rerun, sweeps.subset_sweep(g))]
         if not rs.pinch_vertices():
-            subsets.append(("dual", partial(rb.dual_tally, rs),
+            subsets.append(("dual", rb.transfer_tally(rs, rs.dual).rerun,
                             sweeps.dual_sweep(rs)))
         for name, tally, rows in subsets:
             rows = list(rows)
@@ -269,7 +274,7 @@ def test_first_witness_is_the_first_swept_subset_and_state():
         bad = set(rng.sample(keys, rng.randint(1, len(keys))))
         runs = []
         chosen, key = rb.first_witness(
-            _counted(partial(rb.state_tally, rs, rb.medial(rs)), runs),
+            _counted(rb.state_tally(rs, rb.medial(rs)).rerun, runs),
             rs.edges, 3, bad)
         combo = tuple(rb.STATE_NAMES[chosen[e]] for e in rs.edges)
         assert (combo, key) == _first(states, bad), rs
@@ -426,10 +431,10 @@ def test_inputs_keep_what_they_derive_whole():
     assert rs.dual is rs.dual and rs.dual == rb.dual(rs)
     assert rs.underlying() is rs.underlying()
     rows = rs.dual_tally
-    assert rows is rs.dual_tally and rows == rb.dual_tally(rs)
+    assert rows is rs.dual_tally and rows == rb.transfer_tally(rs, rs.dual)
     with pytest.raises(TypeError):
         rows[next(iter(rows))] = 0
-    forced = rb.dual_tally(rs, forced={1: 1})
+    forced = rows.rerun(forced={1: 1})
     assert sum(forced.values()) == 4 and rs.dual_tally is rows
     emb = em.with_disc_regions(rs)
     assert emb.report is emb.report and emb.report == em.validate(emb)
@@ -521,8 +526,8 @@ def test_double_dual_boundary_profile():
         rs = _random_pinchfree(rng)
         dd = rb.dual(rb.dual(rs))
         assert dd.edge_set() == rs.edge_set()
-        assert ([f for _, _, f, _ in sweeps.subset_sweep(rs)]
-                == [f for _, _, f, _ in sweeps.subset_sweep(dd)])
+        assert ([f for _, _, f in sweeps.subset_sweep(rs)]
+                == [f for _, _, f in sweeps.subset_sweep(dd)])
 
 
 def test_theta_dual_is_onevertex():

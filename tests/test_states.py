@@ -202,21 +202,39 @@ def test_broken_dual_fails_quasi_tree_duality(monkeypatch):
                 "G* on A has 1")
 
 
+def _craft_dual_components(monkeypatch):
+    # A quasi-tree's dual on A counts one more component, on every
+    # quasi-tree row of the tally of G cut by G* (its four layers) alone.
+    real = rb._frontier_tally
+
+    def frontier_tally(order, layers, sizes=(0, 1), forced=None):
+        rows = real(order, layers, sizes, forced)
+        if len(layers) != 4:
+            return rows
+        return [((s, c, f, cd + (c == f == 1), fd), m)
+                for (s, c, f, cd, fd), m in rows]
+
+    monkeypatch.setattr(rb, "_frontier_tally", frontier_tally)
+
+
+def _craft_gamma(monkeypatch):
+    # One more handle on the whole surface: the genera of a quasi-tree
+    # row no longer sum to gamma.
+    real = rb.euler_genus
+    monkeypatch.setattr(rb, "euler_genus", lambda g, *subset: real(g, *subset) + 2)
+
+
 @pytest.mark.parametrize("craft, why", [
-    # A quasi-tree's dual on A counts one more component...
-    (lambda s, c, f, g, cd, fd, gd: (s, c, f, g, cd + (c == f == 1), fd, gd),
-     "duality breaks"),
-    # ... or one more handle.
-    (lambda s, c, f, g, cd, fd, gd: (s, c, f, g, cd, fd, gd + 2 * (c == f == 1)),
-     "genus identity fails"),
+    (_craft_dual_components, "duality breaks"),
+    (_craft_gamma, "genus identity fails"),
 ], ids=("duality", "genus"))
 def test_quasi_tree_duality_reaches_its_later_clauses(monkeypatch, craft, why):
     # A real dual keeps f(W) = f*(E - W), so the circle clause masks
     # the two after it; crafted rows keep the circles and change the
-    # dual's component count or genus on every quasi-tree row alone.
-    # The witness is named on reruns of the same crafted rows.
-    real = rb.DualRow
-    monkeypatch.setattr(rb, "DualRow", lambda *row: real(*craft(*row)))
+    # dual's component count on every quasi-tree row alone, and a
+    # crafted gamma leaves the rows as they are.  The witness is named
+    # on reruns of the same crafted rows.
+    craft(monkeypatch)
     for rs, deleted in ((corpus.theta_torus(), [2, 3]), (corpus.plane_digon(), [2])):
         results = {r.name: r for r in st.run_state_checks(rs)[0]}
         assert results["quasi-tree-duality"].line() == (
@@ -395,7 +413,7 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
     counted(rb, "dual")
     counted(rb, "_frontier_tally")
     counted(rb, "first_witness")
-    counted(rb, "dual_tally")
+    counted(rb, "transfer_tally")
     counted(rb, "twist")
     counted(rb, "trace_sectors")
     counted(st, "state_components")
@@ -415,7 +433,7 @@ def test_state_checks_build_the_dual_a_fixed_number_of_times(monkeypatch):
     # the genus of the surface.  Two frontier runs, the dual tally's and
     # the state tally's; no tally is rerun.
     assert per_graph[0] == per_graph[1] == {
-        "dual": 1, "dual_tally": 1, "trace_sectors": 1, "_frontier_tally": 2}
+        "dual": 1, "transfer_tally": 1, "trace_sectors": 1, "_frontier_tally": 2}
 
 
 # One spurious whole-power bucket in R, over (x - 1, y, z), or in the
