@@ -38,6 +38,12 @@ def _power_suffix(h: int) -> str:
     return f"^({h}/2)"
 
 
+# Each variable's text at the half-unit exponents below 64, "" at 0, for
+# the printer; a higher exponent is spelled out term by term.
+_X, _Y, _Z, _A, _B, _T = (tuple(v + _power_suffix(h) if h else "" for h in range(64))
+                          for v in VARS)
+
+
 class MPolynomial:
     """Immutable sparse polynomial; do not mutate the term dict."""
 
@@ -223,25 +229,21 @@ class MPolynomial:
     # -- printing ----------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         parts = []
-        for exps in sorted(self._terms):
-            coeff = self._terms[exps]
-            mono = "".join(VARS[i] + _power_suffix(h)
-                           for i, h in enumerate(exps) if h)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        for exps in sorted(terms):
+            coeff = terms[exps]
+            try:
+                x, y, z, a, b, t = exps
+                mono = _X[x] + _Y[y] + _Z[z] + _A[a] + _B[b] + _T[t]
+            except IndexError:
+                mono = "".join(v + _power_suffix(h) for v, h in zip(VARS, exps) if h)
+            sign, mag = ("+ ", coeff) if coeff > 0 else ("- ", -coeff)
+            parts.append(sign + mono if mag == 1 and mono else f"{sign}{mag}{mono}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"MPolynomial({self})"

@@ -7,8 +7,9 @@ bucket per edge subset; the delete/contract recursion on an embedding
 scheme tallies one monomial per leaf, scored on the path to it.  It
 is memoised on its minors, each keyed by one flat string of
 relabelled vertices: per depth it splits each distinct minor once,
-and it tallies the leaves below each distinct node once, on packed
-int exponent keys, instead of listing them.  It decides the edges in
+and it carries each distinct node's tally of the scores above it
+forward, on packed int exponent keys, instead of listing the leaves.
+It decides the edges in
 the breadth-first order that multigraph.frontier_order finds
 narrowest on the vertices of G and of the dagger graph, since the
 distinct minors at a depth are set by how the decided edges join the
@@ -329,9 +330,9 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     Only the contractions among the decided edges at a live vertex
     reach the undecided ones, so a narrow frontier leaves few distinct
     minors per depth.  On the first connected random_rotation draws of
-    tests/corpus.py from Random(5), the walk takes 6 ms at 10 vertices
-    and 24 edges and 21 ms at 12 vertices and 30 edges (53 ms and
-    0.31 s deciding the highest id first; 2 vCPUs, Python 3.11).
+    tests/corpus.py from Random(5), the walk takes 2.2 ms at 10
+    vertices and 24 edges and 7.7 ms at 12 vertices and 30 edges (21 ms
+    and 0.12 s deciding the highest id first; 2 vCPUs, Python 3.11).
 
     The walk is memoised.  A node is the minor pair G/K\\D and H/D\\K
     left once the edges above its top edge are decided (K contracted, D
@@ -343,61 +344,73 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     sound because every test at or below the node asks only whether an
     edge is a bridge or a loop, which neither a vertex's name nor an
     isolated vertex can change; so nodes with equal key pairs have equal
-    leaf tallies, and each is solved once.  Nodes are expanded one depth
+    subtrees, and each is expanded once.  Nodes are expanded one depth
     at a time (every edge decided removes one edge from both minors).
     At each depth every distinct G-minor and every distinct H-minor is
     split once by _split, and a node only pairs the two splits; the
     split caches hold one depth.  A bridge of either minor leaves one
-    branch, so its split builds no key for the other.  The tallies then
-    go from the leaves up, each keyed by one packed int
-    (x (n+1) + y) (n+1) + z in whole units: every leaf has
-    x + y + z <= n = |E|, so no digit carries, and shifting a child's
-    tally by a branch's score adds one int to each key.  The root's
-    tally is unpacked to half-unit triples.  No Python recursion grows
-    with |E|.
+    branch, so its split builds no key for the other.
+
+    The walk runs forward, like ribbon's tallies over frontier states:
+    each node carries the tally of the scores on the paths to it from
+    the root, whose tally is {0: 1}, and each child adds its parent's
+    tally, shifted by the branch's score, into its own (_add).  A tally
+    is keyed by one packed int (x (n+1) + y) (n+1) + z in whole units:
+    every leaf has x + y + z <= n = |E|, so no digit carries, and the
+    shift adds one int to each key.  Only two depths are held; the one
+    node left once every edge is decided holds the leaf tally, unpacked
+    to half-unit triples.  No Python recursion grows with |E|.  On the
+    4 x 4 torus grid (tests/corpus.py's torus_grid, 32 edges) the walk
+    takes 0.22 s and peaks at 4.3 MB under tracemalloc.
     """
     at = mg.incidences(s.g)
     order = mg.frontier_order(s.g, at, [*at.values(),
                                         *mg.incidences(s.dagger).values()])
     base = len(order) + 1
     x_score, y_score, z_score = base * base, base, 1
-    level = {(_entry_key(s.g, order), _entry_key(s.dagger, order)): 0}
-    plan = []   # per depth, per node: (deleted child, score, contracted child)
+    level = {(_entry_key(s.g, order), _entry_key(s.dagger, order)): {0: 1}}
     for _ in order:
         gs, hs = zip(*level)
         g_split = {g: _split(g) for g in dict.fromkeys(gs)}
         h_split = {h: _split(h, True) for h in dict.fromkeys(hs)}
         below: dict = {}
-        nodes = []
-        for g, h in level:
+        owned: set = set()      # the children whose dict is their own
+        for (g, h), tally in level.items():
             g_bridge, g_del, g_con = g_split[g]
             h_bridge, h_con, h_del = h_split[h]
-            dele = below.setdefault((g_del, h_con), len(below))
             if h_bridge:                                    # quasi-loop
-                nodes.append((dele, y_score, None))
+                _add(below, owned, (g_del, h_con), tally, y_score)
             elif g_bridge:
-                nodes.append((dele, x_score, None))
+                _add(below, owned, (g_del, h_con), tally, x_score)
             else:                           # a dagger loop is a quasi-bridge
-                nodes.append((dele, z_score if h[0] == h[1] else 0,
-                              below.setdefault((g_con, h_del), len(below))))
-        plan.append(nodes)
+                _add(below, owned, (g_del, h_con), tally, z_score if h[0] == h[1] else 0)
+                _add(below, owned, (g_con, h_del), tally, 0)
         level = below
-    tallies = [{0: 1}]
-    for nodes in reversed(plan):
-        up = []
-        for i, score, j in nodes:
-            if j is None:
-                up.append({k + score: m for k, m in tallies[i].items()})
-                continue
-            tally = dict(tallies[j])
-            get = tally.get
-            for k, m in tallies[i].items():
-                k += score
-                tally[k] = get(k, 0) + m
-            up.append(tally)
-        tallies = up
+    (tally,) = level.values()
     return Counter({(2 * (k // x_score), 2 * (k // base % base), 2 * (k % base)): m
-                    for k, m in tallies[0].items()})
+                    for k, m in tally.items()})
+
+
+def _add(below: dict, owned: set, child, tally: dict, score: int) -> None:
+    """Add tally, shifted by score, into the tally of child in below.  A
+    child reached by an unscored branch shares its parent's dict until a
+    second parent merges into it; only then is the dict copied (owned
+    names the children whose dict is their own)."""
+    into = below.get(child)
+    if into is None:
+        if score:
+            below[child] = {k + score: m for k, m in tally.items()}
+            owned.add(child)
+        else:
+            below[child] = tally
+        return
+    if child not in owned:
+        below[child] = into = dict(into)
+        owned.add(child)
+    get = into.get
+    for k, m in tally.items():
+        k += score
+        into[k] = get(k, 0) + m
 
 
 def _entry_key(g: mg.Multigraph, order) -> str:
@@ -409,9 +422,21 @@ def _entry_key(g: mg.Multigraph, order) -> str:
     return "".join(map(chr, map(rank.__getitem__, ends)))
 
 
+# The first 256 labels as one string, for str.maketrans; a key with
+# more distinct vertices is renamed through a dict.
+_LABELS = "".join(map(chr, range(256)))
+
+
 def _relabel(key: str) -> str:
-    """key with its vertices renamed 0, 1, ... in order of first appearance."""
-    return key.translate(dict(zip(map(ord, dict.fromkeys(key)), range(len(key)))))
+    """key with its vertices renamed 0, 1, ... in order of first
+    appearance; key itself when they already are."""
+    seen = "".join(dict.fromkeys(key))
+    labels = _LABELS[:len(seen)]
+    if seen == labels:
+        return key
+    if len(seen) <= len(_LABELS):
+        return key.translate(str.maketrans(seen, labels))
+    return key.translate(dict(zip(map(ord, seen), range(len(seen)))))
 
 
 def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
@@ -423,7 +448,8 @@ def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
     is None.
 
     The top edge's ends are vertices 0 and 1, or 0 twice for a loop,
-    which is no bridge and whose contraction is its deletion.  The
+    which is no bridge and whose contraction is its deletion.  An edge
+    one of whose ends no other edge meets is a bridge.  Otherwise the
     bridge test runs its own union-find on the key's characters, as it
     is hot (21,345 calls on perfbench's seed-1 recurse pool) and a
     multigraph and its counter would be built for each key.
@@ -432,6 +458,10 @@ def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
     if key[1] == key[0]:
         deleted = _relabel(rest)
         return False, deleted, deleted
+    merged = rest.replace("\x01", "\x00")
+    first, second = (merged, rest) if dagger else (rest, merged)
+    if "\x00" not in rest or "\x01" not in rest:
+        return True, _relabel(first), None
     parent = list(range(len(key)))
     ends = map(ord, rest)
     for u, v in zip(ends, ends):
@@ -445,8 +475,6 @@ def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
         a = parent[a]
     while parent[b] != b:
         b = parent[b]
-    merged = rest.replace("\x01", "\x00")
-    first, second = (merged, rest) if dagger else (rest, merged)
     if a != b:
         return True, _relabel(first), None
     return False, _relabel(first), _relabel(second)

@@ -110,6 +110,22 @@ def pinched_spheres() -> em.EmbeddedGraph:
     return em.with_disc_regions(rs)
 
 
+def torus_grid(n: int) -> rb.RotationSystem:
+    """The n x n grid on the torus: vertex (i, j) is i n + j, with the
+    rotation east, north, west, south.  The east edge of (i, j), id
+    2 (i n + j) + 1, has end 0 there and end 1 at (i, j + 1); the north
+    edge, the next id, has end 0 there and end 1 at (i + 1, j), indices
+    mod n.  All signs +1: n^2 circles, Euler genus 2."""
+    def east(i, j):
+        return 2 * (i % n * n + j % n) + 1
+
+    return rb.RotationSystem.single(
+        {i * n + j: ((east(i, j), 0), (east(i, j) + 1, 0),
+                     (east(i, j - 1), 1), (east(i - 1, j) + 1, 1))
+         for i in range(n) for j in range(n)},
+        dict.fromkeys(range(1, 2 * n * n + 1), 1))
+
+
 def named_embedded() -> list[em.EmbeddedGraph]:
     return [
         em.with_disc_regions(theta_torus()),

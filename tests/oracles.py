@@ -2,11 +2,12 @@
 
 Matroid minors and the exhaustive axiom, circuit and flat checks, the
 delete/contract recursion of the pair polynomial on those minors, the
-checkerboard colouring of a medial map, and an isomorphism search over
-every vertex bijection.  No command reaches them;
+checkerboard colouring of a medial map, an isomorphism search over
+every vertex bijection, and the canonical string of a polynomial
+spelled out variable by variable.  No command reaches them;
 the tests use them as independent routes to what the library computes
 another way (the pair polynomial from its rank rows, the medial state
-counts from frontier tallies).
+counts from frontier tallies, the printed polynomial from tables).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from topopoly import multigraph as mg
 from topopoly import poly
 from topopoly import ribbon as rb
 from topopoly.matroid import MatroidError, MatroidPerspective, RankMatroid
-from topopoly.mpoly import MPolynomial
+from topopoly.mpoly import VARS, MPolynomial, _power_suffix
 from topopoly.ribbon import IN, OUT, RibbonError
 
 # ---------------------------------------------------------------------------
@@ -252,3 +253,32 @@ def brute_isomorphism(g1: mg.Multigraph, g2: mg.Multigraph) -> dict | None:
                for e, (u, w) in g1.ends.items()):
             return phi
     return None
+
+
+# ---------------------------------------------------------------------------
+# the canonical string
+
+
+def polynomial_text(p: MPolynomial) -> str:
+    """str(p) as a generator over VARS builds it: the terms in sorted
+    exponent order, each monomial spelled out variable by variable."""
+    terms = p.terms()
+    if not terms:
+        return "0"
+    parts = []
+    for exps in sorted(terms):
+        coeff = terms[exps]
+        mono = "".join(VARS[i] + _power_suffix(h)
+                       for i, h in enumerate(exps) if h)
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}{mono}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import oracles
 from topopoly.mpoly import VARS, MPolynomial, assemble
 
 X = MPolynomial.variable("x")
@@ -18,6 +19,24 @@ ONE = MPolynomial.one()
 def test_canonical_string():
     p = ONE + Z * 3 + Z * Z * 2 + X * Z * Z
     assert str(p) == "1 + 3z + 2z^2 + xz^2"
+
+
+# Half-unit exponents: mostly small, some odd (half powers), some past
+# the printer's tables of 64.
+_st_exponent = hst.one_of(hst.integers(0, 6), hst.integers(0, 63), hst.integers(60, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=hst.one_of(
+    hst.dictionaries(hst.tuples(*[_st_exponent] * len(VARS)),
+                     hst.integers(-50, 50), max_size=12),
+    hst.dictionaries(hst.just((0,) * len(VARS)), hst.integers(-50, 50))))
+def test_string_matches_the_generator_printer(terms):
+    # Random term maps, the constants and the zero polynomial among them
+    # (a zero coefficient drops its term): str builds each monomial from
+    # per-variable tables, the oracle spells it out variable by variable.
+    p = MPolynomial(terms)
+    assert str(p) == oracles.polynomial_text(p)
 
 
 def test_half_power_string():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import corpus
@@ -381,6 +381,100 @@ def test_scheme_order_splits_no_more_than_highest_id_first(monkeypatch):
                         lambda g, at, tracked: list(g.edges[::-1]))
     assert [poly._scheme_leaves(s) for s in schemes] == chosen
     assert narrow < sum(calls.values())
+
+
+def _renamed(labels) -> list[int]:
+    """labels renamed 0, 1, ... in order of first appearance."""
+    rank: dict = {}
+    return [rank.setdefault(v, len(rank)) for v in labels]
+
+
+def _text(labels) -> str:
+    return "".join(map(chr, labels))
+
+
+_st_labels = hst.one_of(
+    hst.lists(hst.integers(0, 30)),                            # repeats
+    hst.lists(hst.integers(0, 30)).map(_renamed),              # already canonical
+    hst.lists(hst.integers(0, 1300), min_size=257, max_size=400),
+    hst.permutations(range(300)),                              # 300 labels
+    hst.integers(257, 1300).map(lambda n: list(range(n))),     # canonical, past 256
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=_st_labels)
+def test_relabel_renames_in_order_of_first_appearance(labels):
+    # Canonical keys come back as they are; more than 256 distinct
+    # labels take the dict path past the translation table.
+    assert poly._relabel(_text(labels)) == _text(_renamed(labels))
+
+
+def _split_reference(labels, dagger):
+    """poly._split on a key given as labels, by a plain union-find over
+    the other edges: whether the top edge joins two classes, then the
+    deletion and contraction keys, renamed."""
+    u, v, *rest = labels
+    deleted = _text(_renamed(rest))
+    if u == v:
+        return False, deleted, deleted
+    contracted = _text(_renamed([u if w == v else w for w in rest]))
+    parent = {}
+
+    def find(w):
+        while parent.get(w, w) != w:
+            w = parent[w]
+        return w
+
+    for a, b in zip(rest[::2], rest[1::2]):
+        parent[find(a)] = find(b)
+    bridge = find(u) != find(v)
+    first, second = (contracted, deleted) if dagger else (deleted, contracted)
+    return bridge, first, None if bridge else second
+
+
+@settings(max_examples=300, deadline=None)
+@given(top=hst.sampled_from([(0, 0), (0, 1)]),
+       rest=hst.one_of(hst.lists(hst.tuples(hst.integers(0, 6), hst.integers(0, 6))),
+                       hst.lists(hst.tuples(hst.integers(0, 2), hst.integers(0, 2))),
+                       hst.lists(hst.tuples(hst.integers(1, 6), hst.integers(1, 6))),
+                       hst.lists(hst.tuples(hst.sampled_from([0, 2, 3, 4]),
+                                            hst.sampled_from([0, 2, 3, 4])))),
+       dagger=hst.booleans())
+@example(top=(0, 1), rest=[(0, 1)], dagger=False)
+def test_split_matches_a_union_find(top, rest, dagger):
+    # Keys as the walk builds them, renamed in order of first
+    # appearance; the last two strategies leave vertex 0 or vertex 1 of
+    # the top edge alone, a bridge found without the union-find.
+    labels = _renamed([*top, *(w for edge in rest for w in edge)])
+    assert poly._split(_text(labels), dagger) == _split_reference(labels, dagger)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_scheme_recursion_matches_expansion_on_torus_grids(n):
+    # The n x n grid on the torus: 2 n^2 edges, one face per square.
+    emb = em.with_disc_regions(corpus.torus_grid(n))
+    rs, cap = emb.rotation, 2 * n * n
+    want = poly.las_vergnas_embedded(emb, "expansion", cap)
+    assert poly.las_vergnas_embedded(emb, "recursion", cap) == want
+    assert poly.las_vergnas_cellular(rs, "recursion", cap) == want
+    assert poly.las_vergnas_cellular(rs, "expansion", cap) == want
+
+
+def test_scheme_walk_memory_is_bounded_on_the_3x3_grid():
+    # The walk holds two depths of tallies.  On the 3 x 3 torus grid it
+    # peaks at 161 KB of Python heap; a walk that also kept a plan of
+    # every depth's nodes, to fold the tallies from the leaves up,
+    # peaked at 516 KB.
+    s = em.with_disc_regions(corpus.torus_grid(3)).scheme
+    assert len(s.g.edges) == len(s.dagger.edges) == 18
+    tracemalloc.start()
+    try:
+        poly._scheme_leaves(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2 ** 10, f"peak {peak / 2 ** 10:.0f} KB"
 
 
 def _first_connected(n_vertices: int, n_edges: int) -> rb.RotationSystem:
