@@ -8,25 +8,30 @@ Every edge carries a sign, +1 for an untwisted band and -1 for a
 half-twisted one.  A half-edge is the pair (edge id, end in {0, 1}).
 
 Boundary tracing works on "corner points": each band has four of them,
-(edge, end, io) with io 0 for in and 1 for out.  Two involutions move
-between corner points.  Within a sector, kappa joins the out point of
-a half-edge to the in point of the next present half-edge.  Along a
-band, beta joins the points at the two ends, crosswise for sign +1 and
-straight for sign -1:
+(edge, end, io) with io 0 for in and 1 for out, held as the int
+4i + 2 end + io of the i-th smallest edge id, so int order is tuple
+order.  Two involutions move between corner points.  Within a sector,
+kappa joins the out point of a half-edge to the in point of the next
+half-edge of the full rotation: _disc_arcs builds it once per system,
+the one corner cycle.  Along an edge, a pairing p ^ x joins the points:
+x = 3 for an untwisted band joins the two ends crosswise, 2 for a
+half-twisted one straight, and 1 for an absent band joins in to out at
+each end, so a walk passes the edge:
 
-    sign +1:  (e,0,in) <-> (e,1,out)    (e,0,out) <-> (e,1,in)
-    sign -1:  (e,0,in) <-> (e,1,in)     (e,0,out) <-> (e,1,out)
+    3 (sign +1):  (e,0,in) <-> (e,1,out)    (e,0,out) <-> (e,1,in)
+    2 (sign -1):  (e,0,in) <-> (e,1,in)     (e,0,out) <-> (e,1,out)
+    1 (absent):   (e,0,in) <-> (e,0,out)    (e,1,in) <-> (e,1,out)
 
 The boundary circles of the surface built from one disc per sector and
-one band per edge are the orbits alternating beta and kappa.  Tracing
-a subset of the edges erases the other bands but keeps every disc; a
-sector left without half-edges still bounds one circle.
-
-circle_counter counts the same circles on int-encoded corner points,
-without building any Circle: its kappa is fixed, and an absent band
-pairs its points in to out at each end.  A system's circle_count is
-its count with every band present, all that checking regions needs.
-A failing state check recounts its one misplaced medial state on it.
+one band per edge of a subset are the orbits alternating the pairings
+and kappa: erasing the other bands keeps every disc, and a sector left
+without present half-edges still bounds one circle.  trace_sectors
+walks them and records each Circle.  circle_counter counts them on the
+same arcs without building any Circle, and every circle layer of the
+tallies follows the same pairings edge by edge.  A system's
+circle_count is its count with every band present, all that checking
+regions needs.  A failing state check recounts its one misplaced medial
+state on it.
 
 transfer_tally is the one subset tally, x on A and each cut on E - A:
 the rows (|A|, then the components, and a rotation system's circles,
@@ -157,8 +162,9 @@ class RotationSystem(mg.Frozen):
 
     @cached_property
     def trace(self) -> "BoundaryTrace":
-        """The boundary circles of every band, traced on first use."""
-        return trace_sectors(all_sectors(self), self.signs, self.edge_set())
+        """trace_sectors of every band, walked on the disc arcs on first
+        use."""
+        return trace_sectors(self, self.edge_set())
 
     @cached_property
     def circle_count(self) -> int:
@@ -247,72 +253,49 @@ class BoundaryTrace(NamedTuple):
         return {c.home: i for i, c in enumerate(self.circles) if c.home is not None}
 
 
-def _beta(e: int, end: int, io: int, sign: int) -> Point:
-    if sign > 0:
-        return (e, 1 - end, 1 - io)
-    return (e, 1 - end, io)
-
-
-def _side_of(point: Point, sign: int) -> int:
-    # The left side is the beta pair through (e, 0, in).
-    e, end, io = point
-    if end == 0:
-        return LEFT if io == IN else RIGHT
-    if sign > 0:
-        return LEFT if io == OUT else RIGHT
-    return LEFT if io == IN else RIGHT
-
-
-def trace_sectors(sectors: Sequence[tuple[Home, Sector]],
-                  signs: Mapping[int, int],
-                  subset: frozenset) -> BoundaryTrace:
-    """Trace the boundary circles of the bands in subset over the given
-    discs.  Each disc is (home, cyclic half-edge order)."""
-    kappa: dict[Point, Point] = {}
-    empty_homes = []
-    for home, rot in sectors:
-        present = [h for h in rot if h[0] in subset]
-        if not present:
-            empty_homes.append(home)
-            continue
-        k = len(present)
-        for i, h in enumerate(present):
-            nxt = present[(i + 1) % k]
-            kappa[(h[0], h[1], OUT)] = (nxt[0], nxt[1], IN)
-            kappa[(nxt[0], nxt[1], IN)] = (h[0], h[1], OUT)
-
-    unvisited = set(kappa)
+def trace_sectors(g: RotationSystem, subset: frozenset) -> BoundaryTrace:
+    """Trace the boundary circles of the bands in subset over every disc
+    of g, on the disc arcs and pairings of circle_counter: each walk
+    alternates p ^ pairing and kappa, as count does, and records the
+    points and sides of the present bands alone, passing the others.
+    It starts at each unseen point of a present band in increasing
+    order, which is (edge, end, io) order, so circles are numbered by
+    their smallest point and leave along a band first; the circles of
+    sectors with no present half-edge follow, by home."""
+    kappa, _ = g.disc_arcs
+    edges = g.edges
+    pairing = [(3 if g.signs[e] > 0 else 2) if e in subset else 1 for e in edges]
     circles: list[Circle] = []
-    while unvisited:
-        start = min(unvisited)
+    side_circle: dict[tuple[int, int], int] = {}
+    side_entry: dict[tuple[int, int], int] = {}
+    seen = bytearray(len(kappa))
+    for start in range(len(kappa)):
+        if seen[start] or pairing[start >> 2] == 1:
+            continue
         visits: list[Point] = []
         sides: list[tuple[int, int]] = []
         entry_ends: list[int] = []
         p = start
         while True:
-            visits.append(p)
-            unvisited.discard(p)
-            e, end, io = p
-            sides.append((e, _side_of(p, signs[e])))
-            entry_ends.append(end)
-            q = _beta(e, end, io, signs[e])
-            visits.append(q)
-            unvisited.discard(q)
+            band = pairing[p >> 2]
+            q = p ^ band
+            seen[p] = seen[q] = 1
+            if band != 1:
+                e, end = edges[p >> 2], p >> 1 & 1
+                # The left side is the band's pair through (e, 0, in).
+                side = (e, LEFT if p & 3 in (0, band) else RIGHT)
+                side_circle[side] = len(circles)
+                side_entry[side] = end
+                sides.append(side)
+                entry_ends.append(end)
+                visits += (e, end, p & 1), (e, 1 - end, q & 1)
             p = kappa[q]
             if p == start:
                 break
         circles.append(Circle(tuple(visits), tuple(sides), tuple(entry_ends)))
-
-    # Discovery order is already by smallest point; empty discs go last.
-    for home in sorted(empty_homes):
-        circles.append(Circle((), (), (), home=home))
-
-    side_circle: dict[tuple[int, int], int] = {}
-    side_entry: dict[tuple[int, int], int] = {}
-    for idx, c in enumerate(circles):
-        for side, entry in zip(c.sides, c.entry_ends):
-            side_circle[side] = idx
-            side_entry[side] = entry
+    for home, sec in all_sectors(g):
+        if not any(e in subset for e, _ in sec):
+            circles.append(Circle((), (), (), home=home))
     return BoundaryTrace(tuple(circles), side_circle, side_entry)
 
 
@@ -333,7 +316,7 @@ def _edge_subset(g: RotationSystem, subset: Iterable[int] | None) -> frozenset:
 def trace_boundary(g: RotationSystem,
                    subset: Iterable[int] | None = None) -> BoundaryTrace:
     a = _edge_subset(g, subset)
-    return g.trace if a == g.edge_set() else trace_sectors(all_sectors(g), g.signs, a)
+    return g.trace if a == g.edge_set() else trace_sectors(g, a)
 
 
 def _disc_arcs(g: RotationSystem) -> tuple[tuple[int, ...], int]:
@@ -365,8 +348,9 @@ def circle_counter(g: RotationSystem):
     of every sector, whatever bands are present.  pairing[i] pairs the
     points of edge i as p ^ pairing[i]: 3 for an untwisted band, 2 for
     a half-twisted one, 1 for no band (in to out at each end, so a
-    circle walks past the edge).  count returns the circles of
-    trace_sectors: the orbits, plus one per sector with no half-edges.
+    circle walks past the edge).  count returns the f of trace_sectors
+    on the bands that pairing keeps, walking the same orbits without
+    recording them: the orbits, plus one per sector with no half-edges.
     """
     kappa, bare = g.disc_arcs
     # kappa ends every arc at an in point, so every circle has one.

@@ -3,18 +3,19 @@
 Matroid minors and the exhaustive axiom, circuit and flat checks, the
 delete/contract recursion of the pair polynomial on those minors, the
 checkerboard colouring of a medial map, an isomorphism search over
-every vertex bijection, and the canonical string of a polynomial
-spelled out variable by variable.  No command reaches them;
-the tests use them as independent routes to what the library computes
-another way (the pair polynomial from its rank rows, the medial state
-counts from frontier tallies, the printed polynomial from tables).
+every vertex bijection, the canonical string of a polynomial spelled
+out variable by variable, and a boundary tracer on tuple corner
+points.  No command reaches them; the tests use them as independent
+routes to what the library computes another way (the pair polynomial
+from its rank rows, the medial state counts from frontier tallies, the
+printed polynomial from tables, traces from the int disc arcs).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from topopoly import matroid as mt
 from topopoly import multigraph as mg
@@ -22,7 +23,7 @@ from topopoly import poly
 from topopoly import ribbon as rb
 from topopoly.matroid import MatroidError, MatroidPerspective, RankMatroid
 from topopoly.mpoly import VARS, MPolynomial, _power_suffix
-from topopoly.ribbon import IN, OUT, RibbonError
+from topopoly.ribbon import IN, LEFT, OUT, RIGHT, BoundaryTrace, Circle, RibbonError
 
 # ---------------------------------------------------------------------------
 # matroid minors and exhaustive checks
@@ -282,3 +283,80 @@ def polynomial_text(p: MPolynomial) -> str:
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# boundary tracing on tuple corner points
+
+
+def _beta(e: int, end: int, io: int, sign: int) -> rb.Point:
+    if sign > 0:
+        return (e, 1 - end, 1 - io)
+    return (e, 1 - end, io)
+
+
+def _side_of(point: rb.Point, sign: int) -> int:
+    # The left side is the beta pair through (e, 0, in).
+    e, end, io = point
+    if end == 0:
+        return LEFT if io == IN else RIGHT
+    if sign > 0:
+        return LEFT if io == OUT else RIGHT
+    return LEFT if io == IN else RIGHT
+
+
+def trace_sectors(sectors: Sequence[tuple[rb.Home, rb.Sector]],
+                  signs: Mapping[int, int],
+                  subset: frozenset) -> BoundaryTrace:
+    """The boundary circles of the bands in subset over the given discs,
+    each (home, cyclic half-edge order): kappa, keyed by (edge, end, io)
+    points, joins the out point of each present half-edge to the in
+    point of the next present one; beta joins a band's points at its two
+    ends, crosswise for sign +1 and straight for sign -1.  Circles are
+    numbered by their smallest point, then the bare discs by home."""
+    kappa: dict[rb.Point, rb.Point] = {}
+    empty_homes = []
+    for home, rot in sectors:
+        present = [h for h in rot if h[0] in subset]
+        if not present:
+            empty_homes.append(home)
+            continue
+        k = len(present)
+        for i, h in enumerate(present):
+            nxt = present[(i + 1) % k]
+            kappa[(h[0], h[1], OUT)] = (nxt[0], nxt[1], IN)
+            kappa[(nxt[0], nxt[1], IN)] = (h[0], h[1], OUT)
+
+    unvisited = set(kappa)
+    circles: list[Circle] = []
+    while unvisited:
+        start = min(unvisited)
+        visits: list[rb.Point] = []
+        sides: list[tuple[int, int]] = []
+        entry_ends: list[int] = []
+        p = start
+        while True:
+            visits.append(p)
+            unvisited.discard(p)
+            e, end, io = p
+            sides.append((e, _side_of(p, signs[e])))
+            entry_ends.append(end)
+            q = _beta(e, end, io, signs[e])
+            visits.append(q)
+            unvisited.discard(q)
+            p = kappa[q]
+            if p == start:
+                break
+        circles.append(Circle(tuple(visits), tuple(sides), tuple(entry_ends)))
+
+    # Discovery order is already by smallest point; empty discs go last.
+    for home in sorted(empty_homes):
+        circles.append(Circle((), (), (), home=home))
+
+    side_circle: dict[tuple[int, int], int] = {}
+    side_entry: dict[tuple[int, int], int] = {}
+    for idx, c in enumerate(circles):
+        for side, entry in zip(c.sides, c.entry_ends):
+            side_circle[side] = idx
+            side_entry[side] = entry
+    return BoundaryTrace(tuple(circles), side_circle, side_entry)

@@ -372,8 +372,9 @@ def test_commands_that_read_no_region_glue_no_discs(capsys, files, monkeypatch):
     # build no disc arcs; br reads its circles off one frontier tally,
     # which sets up the disc arcs once and counts no circle apart.  lv
     # reads the pinch vertices off the rotation system, and its tally
-    # sets up no disc arcs either.  The readers of the embedding glue
-    # the discs once.
+    # counts no circle, but the trace behind its dual walks the disc
+    # arcs, set up once.  The readers of the embedding glue the discs
+    # once.
     calls = Counter()
     for module, name in ((rb, "_disc_arcs"), (rb, "circle_counter"),
                          (em, "with_disc_regions")):
@@ -384,7 +385,7 @@ def test_commands_that_read_no_region_glue_no_discs(capsys, files, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
     glued = {"with_disc_regions": 1, "circle_counter": 1, "_disc_arcs": 1}
     for which, want in (("tutte", {}), ("dichromatic", {}),
-                        ("br", {"_disc_arcs": 1}), ("lv", {}),
+                        ("br", {"_disc_arcs": 1}), ("lv", {"_disc_arcs": 1}),
                         ("lv-ext", glued), ("krushkal", glued)):
         calls.clear()
         rc, out, _ = run(capsys, "poly", files["digon"], "--which", which)

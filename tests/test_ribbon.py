@@ -383,6 +383,29 @@ def test_circle_count_with_pinches_and_bare_sectors(seed, n_vertices, n_edges,
     assert rs.circle_count == rs.trace.f
 
 
+@settings(max_examples=300, deadline=None)
+@given(hst.integers(min_value=0), hst.integers(min_value=1, max_value=5),
+       hst.integers(min_value=0, max_value=9),
+       hst.sets(hst.integers(min_value=0, max_value=4)),
+       hst.sampled_from(("empty", "all", "drawn")), hst.integers(min_value=0))
+def test_trace_matches_the_tuple_tracer(seed, n_vertices, n_edges, bare, kind,
+                                        mask):
+    # Drawn pinch points and loops, a bare "sector ()" beside the sectors
+    # of each vertex in bare, and the subsets empty, whole or drawn from
+    # the bits of mask: the walk on the disc arcs numbers, walks and
+    # enters every circle as the tracer on tuple points does.
+    rs = corpus.random_rotation(random.Random(seed), n_vertices, n_edges)
+    rs = rb.RotationSystem({v: secs + ((),) * (v in bare)
+                            for v, secs in rs.sectors.items()}, rs.signs)
+    subset = {"empty": frozenset(), "all": rs.edge_set(),
+              "drawn": frozenset(e for e in rs.edges if mask >> e & 1)}[kind]
+    want = oracles.trace_sectors(rb.all_sectors(rs), rs.signs, subset)
+    for got in (rb.trace_sectors(rs, subset), rb.trace_boundary(rs, subset)):
+        assert got.circles == want.circles
+        assert got.side_circle == want.side_circle
+        assert got.side_entry_end == want.side_entry_end
+
+
 def test_subset_trace_is_induced():
     theta = corpus.theta_torus()
     assert rb.boundary_count(theta, frozenset()) == 2

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import corpus
+import oracles
 import sweeps
 from topopoly import embedding as em
 from topopoly import mpoly
@@ -47,18 +48,25 @@ def test_plane_loop_state_counts():
 
 def test_circle_counter_matches_twist_and_trace_on_every_state():
     # The graph route of the state checks: black drops the band, white
-    # keeps it, crossing twists it.
+    # keeps it, crossing twists it.  circle_counter and state_components
+    # both walk _disc_arcs; the tuple tracer of tests/oracles.py builds
+    # its own kappa, so a fault in the disc arcs shows here too.
     checked = 0
     for rs in corpus.cellular_corpus():
         if len(rs.edges) > 6:
             continue
         count = rb.circle_counter(rs)
+        sectors = rb.all_sectors(rs)
         band = [3 if rs.signs[e] > 0 else 2 for e in rs.edges]
         for combo in itertools.product(rb.STATE_NAMES, repeat=len(band)):
             pairing = [{BLACK: 1, WHITE: b, CROSSING: b ^ 1}[s]
                        for s, b in zip(combo, band)]
             state = dict(zip(rs.edges, combo))
-            assert count(pairing) == st.state_components(rs, state), state
+            f = count(pairing)
+            assert f == st.state_components(rs, state), state
+            signs = {e: -s if state[e] == CROSSING else s for e, s in rs.signs.items()}
+            kept = frozenset(e for e in rs.edges if state[e] != BLACK)
+            assert f == oracles.trace_sectors(sectors, signs, kept).f, state
             checked += 1
     assert checked == 8685
 
