@@ -42,17 +42,29 @@ decides the edges one at a time, vertex by vertex in breadth-first
 order from the root that keeps the frontier narrowest (_edge_order)
 and each vertex's half-edges in rotation order, each edge taking one
 of its choices (outside or inside A; black, white or crossing).  A
-state after each step holds, per layer, the block labels of the
-frontier nodes (vertices, or the corners of a medial) and the pairing
-that the decided bands induce on the frontier corner points (the
-undecided points whose kappa partner is decided); decisions that reach
-one state have the same future, so equal states merge and carry a
-tally of the size and the blocks and circles already closed.  Their
-cost follows the number of states, not 2^|E| or 3^|E|.  A circle
-layer's moves share one plan table (_circle_plan): how an edge's
-choices rejoin the paths through its four points depends only on how
-those points link to one another and on the choices' pairings, at most
-60 cases in all, each worked out once per process.
+state after each step holds, per layer, a part: the block labels of
+the frontier nodes (vertices, or the corners of a medial) in order of
+first appearance, or the mate array of the frontier corner points (the
+undecided points whose kappa partner is decided), each point's entry
+the frontier position of the other end of its path through the decided
+bands.  Each step numbers a layer's distinct parts, so a state is a
+tuple of small ints; decisions that reach one state have the same
+future, so equal states merge and carry a tally of the size and the
+blocks and circles already closed.  Their cost follows the number of
+states, not 2^|E| or 3^|E|.
+
+Both kinds of part are canonical: a move's result depends only on its
+shape (the frontier's size and how the edge's choices join its places)
+and the part, never on the graph.  So while a frontier has at most
+_TABLE_WIDTH positions, each (shape, part) moves once per process, in
+the shared table _MOVES that every layer, tally, rerun and command
+reads; wider frontiers, as on the grids, move per step.  Few pairs
+repeat within one tally, so the table serves processes that run many
+tallies (a corpus, a benchmark, the identity suite) and a one-shot
+command gains little from it.  Below the table, every circle move reads
+one plan table (_circle_plan): how an edge's choices rejoin the paths
+through its four points depends only on how those points link to one
+another and on the choices' pairings, at most 60 cases in all.
 
 Each returns a read-only Tally that keeps its layers: a failing check
 names its first bad subset or state on its reruns (Tally.rerun, the
@@ -492,39 +504,51 @@ def _frontier_tally(order: list[int], layers, sizes=(0, 1),
     base): moves[t] maps the layer's part of a state before edge
     order[t] is decided to one (part, closed) pair per choice, and base
     is added to the layer's count at the end (isolated vertices, bare
-    sectors).  A state is the tuple of the parts; its value counts
-    decisions by their packed tally, one bit field for the size and one
-    per layer.  Decisions that reach one state have the same future, so
-    equal states merge.  An edge in forced keeps only its choice there.
+    sectors).  Each step numbers the distinct parts of each layer as
+    they first arise and keeps each part tuple once, so a state is the
+    tuple of its layers' part numbers, hashed as a few small ints, and
+    each part moves once a step.  A state's value counts decisions by
+    their packed tally, one bit field for the size and one per layer.
+    Decisions that reach one state have the same future, so equal
+    states merge.  An edge in forced keeps only its choice there.
+
+    A move of a frontier at most _TABLE_WIDTH positions wide reads the
+    process-wide table _MOVES, keyed by the move's shape and the part
+    (_shared_move); the entries made by earlier tallies save their work
+    here, so the gain grows with the tallies a process runs, and a
+    one-shot command, whose (shape, part) pairs seldom repeat, gains
+    little.  The rows never depend on what the table holds.
     """
     forced = forced or {}
     # No field exceeds 4|E|: the size is at most |E|, and each layer
     # closes at most one block or circle per two of the 4|E| corner points.
     width = (4 * len(order)).bit_length()
     shifts = [width * (k + 1) for k in range(len(layers))]
-    states: dict = {tuple(() for _ in layers): (0, {0: 1})}
+    # parts[k] holds layer k's parts as dict keys, in number order.
+    parts = [{(): 0} for _ in layers]
+    states: dict = {(0,) * len(layers): (0, {0: 1})}
     for t, e in enumerate(order):
         keep = slice(forced[e], forced[e] + 1) if e in forced else slice(None)
         kept = sizes[keep]
-        # Many states share a layer's part, so each part moves once; it
-        # moves to the flat [part, closed, part, closed, ...] of its choices.
+        # Each part moves to the flat [number, closed, number, closed,
+        # ...] of its choices, numbering the parts it reaches.
         known = []
-        for (moves, _), shift, parts in zip(layers, shifts, zip(*states)):
-            move, out = moves[t], {}
-            for part in parts:
-                if part not in out:
-                    flat = []
-                    for p, c in move(part)[keep]:
-                        flat += (p, c << shift)
-                    out[part] = flat
+        for k, ((moves, _), shift) in enumerate(zip(layers, shifts)):
+            move, numbers, out = moves[t], {}, []
+            for part in parts[k]:
+                flat = []
+                for p, c in move(part)[keep]:
+                    flat += (numbers.setdefault(p, len(numbers)), c << shift)
+                out.append(flat)
             known.append(out)
+            parts[k] = numbers
         # A state's value is an offset and the tally it shifts; a state
         # reached from one state alone shares that tally.
         merged: dict = {}
         owned: set = set()
         for key, (offset, tally) in states.items():
             # row yields each choice's new state, then its closed fields.
-            row = zip(*map(dict.__getitem__, known, key))
+            row = zip(*map(list.__getitem__, known, key))
             for new, closed, size in zip(row, row, kept):
                 step = offset + size + sum(closed)
                 entry = merged.get(new)
@@ -547,6 +571,39 @@ def _frontier_tally(order: list[int], layers, sizes=(0, 1),
     columns += [[(p >> shift & mask) + base for p in packed]
                 for shift, (_, base) in zip(shifts, layers)]
     return list(zip(zip(*columns), tally.values()))
+
+
+# A move's result depends on its shape and its part alone, so the moves
+# of the frontiers at most _TABLE_WIDTH positions wide are kept in one
+# table per process: (build, *shape) -> _Memo.  The width bounds the
+# table; measured, a wider or unbounded one cost memory on the grids.
+_TABLE_WIDTH = 6
+_MOVES: dict = {}
+
+
+class _Memo(dict):
+    """The moves of one shape, part -> the per-choice (part, closed)
+    pairs: a missing part is moved by move and kept."""
+
+    __slots__ = ("move",)
+
+    def __missing__(self, part):
+        moved = self[part] = self.move(part)
+        return moved
+
+
+def _shared_move(build, *shape):
+    """The move build(*shape), whose shape starts with the frontier's
+    width: the shape's _Memo in _MOVES if the width is at most
+    _TABLE_WIDTH, else built for its one step."""
+    if shape[0] > _TABLE_WIDTH:
+        return build(*shape)
+    key = (build, *shape)
+    memo = _MOVES.get(key)
+    if memo is None:
+        memo = _MOVES[key] = _Memo()
+        memo.move = build(*shape)
+    return memo.__getitem__
 
 
 def _block_moves(g: mg.Multigraph, order: list[int], inside: bool):
@@ -579,7 +636,13 @@ def _union_moves(joins, nodes: int):
     Its part of a state labels the frontier nodes (those that edges
     both decided and undecided join) by block, in order of first
     appearance; a block closes when its last frontier node leaves.
-    Every node no edge joins is a block of its own, in the base."""
+    Every node no edge joins is a block of its own, in the base.
+
+    A move's shape is the number of frontier nodes before the edge and
+    with the entering ones, the places that leave, and per choice the
+    unions as pairs of places: _shared_move builds a shape's move once
+    and keeps its results while the frontier is at most _TABLE_WIDTH
+    nodes wide."""
     last: dict = {}
     for t, choices in enumerate(joins):
         for unions in choices:
@@ -591,27 +654,27 @@ def _union_moves(joins, nodes: int):
     place: dict = {}
     for t, choices in enumerate(joins):
         before = len(place)
-        plans = []
-        for unions in choices:
-            plan = []
-            for u, w in unions:
-                plan.append((place.setdefault(u, len(place)),
-                             place.setdefault(w, len(place))))
-            plans.append(plan)
-        kept, gone, after = [], [], {}
+        plans = tuple(tuple((place.setdefault(u, len(place)),
+                             place.setdefault(w, len(place)))
+                            for u, w in unions)
+                      for unions in choices)
+        gone, after = [], {}
         for v, k in place.items():
             if last[v] == t:
                 gone.append(k)
             else:
-                after[v] = len(kept)
-                kept.append(k)
-        moves.append(_union_move(tuple(range(before, len(place))), kept, gone,
-                                 plans))
+                after[v] = len(after)
+        moves.append(_shared_move(_union_move, before, len(place), tuple(gone),
+                                  plans))
         place = after
     return moves, nodes - len(last)
 
 
-def _union_move(fresh, kept, gone, plans):
+def _union_move(before: int, size: int, gone: tuple[int, ...], plans):
+    # Places run in node order, so the kept ones are the rest, in order.
+    fresh = tuple(range(before, size))
+    kept = [k for k in range(size) if k not in gone]
+
     def settle(label):
         ids: dict = {}
         part = tuple([ids.setdefault(label[k], len(ids)) for k in kept])
@@ -636,7 +699,7 @@ def _union_move(fresh, kept, gone, plans):
             if apart is None:
                 apart = settle(label)
             moved.append(apart)
-        return moved
+        return tuple(moved)
 
     return move
 
@@ -645,32 +708,45 @@ def _circle_moves(g: RotationSystem, order: list[int], pairings):
     """The layer of the boundary circles of g over the edge order, on
     the fixed disc arcs of circle_counter, with pairings(band) giving
     the pairing of each choice for an edge whose band pairs as band (3
-    or 2; see circle_counter).  Its part of a state pairs the frontier
-    points (the undecided corner points whose kappa partner is
-    decided): each is followed by the point at the other end of the
-    path through the decided points.  A circle closes when a decided
-    edge's pairing completes a cycle.
+    or 2; see circle_counter).  The frontier points are the undecided
+    corner points whose kappa partner is decided, in a fixed order per
+    step; a part is their mate array, the frontier position of the
+    point at the other end of each one's path through the decided
+    points.  A circle closes when a decided edge's pairing completes a
+    cycle.
 
-    Each move reads how its edge's choices rejoin the paths from one
-    plan table, _circle_plan, memoised on the links among the edge's
-    own points and the pairings: every move of every layer shares it,
-    and its domain bounds it at 60 entries."""
+    A move's shape is the frontier's size, how each of the edge's four
+    points links (on the frontier at a position, by kappa to another
+    own point, or to an entering point) and the pairings: _shared_move
+    builds a shape's move once and keeps its results while the
+    frontier is at most _TABLE_WIDTH points wide.  Each move reads how
+    the choices rejoin the paths from one plan table, _circle_plan,
+    memoised on the links among the edge's own points and the
+    pairings, which its domain bounds at 60 entries."""
     # A _union_moves layer on the corner points counts the same circles,
     # but relabels the whole frontier per union; a pairing moves two ends.
     index = {e: i for i, e in enumerate(g.edges)}
     kappa, bare = g.disc_arcs
     when = {index[e]: t for t, e in enumerate(order)}
     moves = []
-    frontier: tuple[int, ...] = ()
+    frontier: list[int] = []
     for t, e in enumerate(order):
-        i = index[e]
-        own = range(4 * i, 4 * i + 4)
-        fresh = tuple(kappa[p] for p in own if when[kappa[p] >> 2] > t)
-        before = frontier
-        frontier = tuple(p for p in before if p >> 2 != i) + fresh
-        decided = tuple(when[kappa[p] >> 2] < t for p in own)
-        moves.append(_circle_move(before, frontier, i, kappa[4 * i:4 * i + 4],
-                                  decided, pairings(3 if g.signs[e] > 0 else 2)))
+        base = 4 * index[e]
+        at, inner, entering = [], [-1] * 4, []
+        for j in range(4):
+            p = kappa[base + j]
+            s = when[p >> 2]
+            if s < t:
+                at.append((j, frontier.index(base + j)))
+            elif s == t:
+                inner[j] = p - base
+            else:
+                entering.append(j)
+        moves.append(_shared_move(_circle_move, len(frontier), tuple(at),
+                                  tuple(inner), tuple(entering),
+                                  pairings(3 if g.signs[e] > 0 else 2)))
+        frontier = [p for p in frontier if p >> 2 != base >> 2]
+        frontier += [kappa[base + j] for j in entering]
     return moves, bare
 
 
@@ -741,31 +817,41 @@ def _picker(places: Sequence[int]):
     return lambda items: ()
 
 
-def _circle_move(before, after, i, arcs, decided, pairings):
-    base = 4 * i
-    # The edge's decided points sit at fixed places in a part; the rest
-    # of the part is carried over in order, then the entering points.
-    at = tuple((j, before.index(base + j)) for j in range(4) if decided[j])
-    own = {k for _, k in at}
-    carry = _picker([k for k in range(len(before)) if k not in own])
-    fresh = (0,) * (len(after) - len(before) + len(own))
-    where = {p: k for k, p in enumerate(after)}
+def _circle_move(n: int, at, inner, entering, pairings):
+    # The edge's points on the frontier sit at the positions at lists
+    # and leave it; the other positions keep their order, renumbered,
+    # then the entering points follow.
+    own = [-1] * n
+    for j, k in at:
+        own[k] = j
+    kept = [k for k in range(n) if own[k] < 0]
+    renumber = [-1] * n
+    for new, k in enumerate(kept):
+        renumber[k] = new
+    carry, renumbered = _picker(kept), renumber.__getitem__
+    fresh = (0,) * len(entering)
+    # reach[j]: where own point j's path leaves the edge, if it does.
+    reach = [-1] * 4
+    for f, j in enumerate(entering):
+        reach[j] = len(kept) + f
 
     def move(mates):
-        link = list(arcs)
+        link, ends_at = list(inner), reach[:]
         for j, k in at:
-            link[j] = mates[k]
-        steps = _circle_plan(tuple([p - base if p >> 2 == i else -1 for p in link]),
-                             pairings)
-        carried = [*carry(mates), *fresh]
+            k = mates[k]
+            if own[k] < 0:
+                ends_at[j] = renumber[k]
+            else:
+                link[j] = own[k]
+        carried = [*map(renumbered, carry(mates)), *fresh]
         moved = []
-        for ends, closed in steps:
+        for ends, closed in _circle_plan(tuple(link), pairings):
             out = carried[:]
             for j, k in ends:
-                out[where[link[j]]] = link[k]
-                out[where[link[k]]] = link[j]
+                out[ends_at[j]] = ends_at[k]
+                out[ends_at[k]] = ends_at[j]
             moved.append((tuple(out), closed))
-        return moved
+        return tuple(moved)
 
     return move
 

@@ -167,15 +167,90 @@ def test_circle_plan_table_matches_a_direct_walk():
                 assert all(len(set(pair)) == 2 for pair in ends)
 
 
-def test_circle_plan_table_stays_in_its_domain():
+def test_circle_plan_table_stays_in_its_domain(monkeypatch):
     # Every tally of both corpora, identities and state checks, keys the
-    # table on the 10 x 6 links and pairings alone: no more entries.
+    # table on the 10 x 6 links and pairings alone: no more entries.  An
+    # empty move table makes every move read the plan table again.
     rb._circle_plan.cache_clear()
+    monkeypatch.setattr(rb, "_MOVES", {})
     for emb in corpus.main_corpus():
         assert not any(r.failed for r in poly.verify_identities(emb))
     for rs in corpus.cellular_corpus():
         assert not any(r.failed for r in st.run_state_checks(rs)[0])
     assert 0 < rb._circle_plan.cache_info().currsize <= len(_LINKS) * len(_PAIRINGS)
+
+
+# ---------------------------------------------------------------------------
+# the shared move table
+
+
+def _tallies(emb, states=True):
+    """The rows of every tally the commands run on emb: its bare graph,
+    its rotation system, cut by the dagger graph and by the dual, and
+    if states its medial states, where they are defined."""
+    rs, dagger = emb.rotation, emb.scheme.dagger
+    cuts = [(rs.underlying(),), (rs,), (rs, dagger)]
+    pinch_free = not rs.pinch_vertices()
+    if pinch_free:
+        cuts.append((rs, rs.dual))
+    rows = [dict(rb.transfer_tally(*args)) for args in cuts]
+    if states and pinch_free and rs.edges and mg.components(rs.underlying()) == 1:
+        rows.append(dict(rb.state_tally(rs, rb.medial(rs))))
+    return rows
+
+
+def _both_corpora():
+    return [*map(em.with_disc_regions, corpus.cellular_corpus()),
+            *corpus.main_corpus()]
+
+
+def _state_check(rs):
+    (check,) = [r for r in st.run_state_checks(rs)[0]
+                if r.name == "state-tracer-agreement"]
+    return check.status
+
+
+def test_a_tally_never_depends_on_the_tables_history(monkeypatch):
+    # Each graph's rows with the move table emptied just before it, and
+    # with the table warm from every graph before it.  The 4 x 4 torus
+    # grid's frontiers pass the table's width, so its tallies also move
+    # per step; its state tally, 3^32 states, is left out for its cost.
+    grid = em.with_disc_regions(corpus.torus_grid(4))
+    moves = rb._circle_moves(grid.rotation, grid.rotation.edge_order, rb._in_a)[0]
+    assert {isinstance(getattr(m, "__self__", None), rb._Memo) for m in moves} == {
+        True, False}
+    graphs = [(emb, True) for emb in _both_corpora()] + [(grid, False)]
+    cold = []
+    for emb, states in graphs:
+        monkeypatch.setattr(rb, "_MOVES", {})
+        cold.append(_tallies(emb, states))
+    monkeypatch.setattr(rb, "_MOVES", {})
+    assert [_tallies(emb, states) for emb, states in graphs] == cold
+    # A wrong shared entry shows: one crossing in the circle layer of
+    # the theta graph's state tally closes one circle more, and the
+    # state check fails.
+    monkeypatch.setattr(rb, "_MOVES", {})
+    assert _state_check(corpus.theta_torus()) == "pass"
+    memo = next(memo for (build, *shape), memo in rb._MOVES.items()
+                if build is rb._circle_move and len(shape[-1]) == 3 and memo)
+    part, (black, white, (p, c)) = next(iter(memo.items()))
+    monkeypatch.setitem(memo, part, (black, white, (p, c + 1)))
+    assert _state_check(corpus.theta_torus()) == "fail"
+
+
+def test_the_move_table_stays_bounded(monkeypatch):
+    # Every tally of both corpora fills the table with a bounded number
+    # of shapes and parts, each at most the table's width.  Measured:
+    # 402 union shapes, 1,023 circle shapes and 5,147 parts; the bounds
+    # leave about 10%.
+    monkeypatch.setattr(rb, "_MOVES", {})
+    for emb in _both_corpora():
+        _tallies(emb)
+    kinds = Counter(build.__name__ for build, *_ in rb._MOVES)
+    unions, circles = kinds["_union_move"], kinds["_circle_move"]
+    parts = sum(map(len, rb._MOVES.values()))
+    assert unions <= 440 and circles <= 1120 and parts <= 5660, (unions, circles, parts)
+    assert max(len(part) for memo in rb._MOVES.values() for part in memo) <= rb._TABLE_WIDTH
 
 
 def _edge_cases():
