@@ -5,15 +5,15 @@ exponent buckets, then expands the binomial powers one shifted
 variable at a time over merged keys.  Subset expansions tally one
 bucket per edge subset; the delete/contract recursion on an embedding
 scheme tallies one monomial per leaf, scored on the path to it.  It
-is memoised on its minors, each keyed by one flat string of
-relabelled vertices: per depth it splits each distinct minor once,
-and it carries each distinct node's tally of the scores above it
+is memoised on its minors, each keyed by one flat string of vertices
+numbered by last appearance: per depth it splits each distinct minor
+once, and it carries each distinct node's tally of the scores above it
 forward, on packed int exponent keys, instead of listing the leaves.
-It decides the edges in
-the breadth-first order that multigraph.frontier_order finds
-narrowest on the vertices of G and of the dagger graph, since the
-distinct minors at a depth are set by how the decided edges join the
-live vertices; the leaf tally does not depend on the order.
+It decides the edges in the breadth-first order that
+multigraph.frontier_order finds narrowest on the vertices of G and of
+the dagger graph, since the distinct minors at a depth are set by how
+the decided edges join the live vertices; the leaf tally does not
+depend on the order.
 Expansion and recursion therefore build byte-equal canonical strings
 whenever they agree as polynomials.
 
@@ -339,9 +339,10 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     deleted; H is the dagger graph, in which deleting e contracts it and
     contracting e deletes it).  Each minor is keyed by one flat string:
     the ends of its undecided edges in the walk's order, two characters
-    an edge, with vertices relabelled in order of first appearance (the
-    input's own vertex ids are relabelled on entry).  Relabelling is
-    sound because every test at or below the node asks only whether an
+    an edge, with vertices numbered in order of last appearance (the
+    input's own vertex ids are renamed on entry), so deciding the top
+    edge renames no other vertex (see _split).  Renaming is sound
+    because every test at or below the node asks only whether an
     edge is a bridge or a loop, which neither a vertex's name nor an
     isolated vertex can change; so nodes with equal key pairs have equal
     subtrees, and each is expanded once.  Nodes are expanded one depth
@@ -349,7 +350,7 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     At each depth every distinct G-minor and every distinct H-minor is
     split once by _split, and a node only pairs the two splits; the
     split caches hold one depth.  A bridge of either minor leaves one
-    branch, so its split builds no key for the other.
+    branch, so its split returns no key for the other.
 
     The walk runs forward, like ribbon's tallies over frontier states:
     each node carries the tally of the scores on the paths to it from
@@ -361,7 +362,8 @@ def _scheme_leaves(s: em.EmbeddingScheme) -> Counter:
     node left once every edge is decided holds the leaf tally, unpacked
     to half-unit triples.  No Python recursion grows with |E|.  On the
     4 x 4 torus grid (tests/corpus.py's torus_grid, 32 edges) the walk
-    takes 0.22 s and peaks at 4.3 MB under tracemalloc.
+    takes 0.15-0.20 s and peaks at 4.0 MB under tracemalloc (2 vCPUs,
+    Python 3.11).
     """
     at = mg.incidences(s.g)
     order = mg.frontier_order(s.g, at, [*at.values(),
@@ -416,27 +418,10 @@ def _add(below: dict, owned: set, child, tally: dict, score: int) -> None:
 def _entry_key(g: mg.Multigraph, order) -> str:
     """The flat key of g: the ends of the edges in order, the walk's
     order of decision (so the top edge comes first), each vertex the
-    character of its rank in order of first appearance."""
+    character of its rank in order of last appearance."""
     ends = [v for e in order for v in g.ends[e]]
-    rank = dict(zip(dict.fromkeys(ends), range(len(ends))))
+    rank = dict(zip(dict.fromkeys(reversed(ends)), range(len(ends))))
     return "".join(map(chr, map(rank.__getitem__, ends)))
-
-
-# The first 256 labels as one string, for str.maketrans; a key with
-# more distinct vertices is renamed through a dict.
-_LABELS = "".join(map(chr, range(256)))
-
-
-def _relabel(key: str) -> str:
-    """key with its vertices renamed 0, 1, ... in order of first
-    appearance; key itself when they already are."""
-    seen = "".join(dict.fromkeys(key))
-    labels = _LABELS[:len(seen)]
-    if seen == labels:
-        return key
-    if len(seen) <= len(_LABELS):
-        return key.translate(str.maketrans(seen, labels))
-    return key.translate(dict(zip(map(ord, seen), range(len(seen)))))
 
 
 def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
@@ -447,21 +432,33 @@ def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
     of either leaves the deletion branch of G alone, so its second key
     is None.
 
-    The top edge's ends are vertices 0 and 1, or 0 twice for a loop,
-    which is no bridge and whose contraction is its deletion.  An edge
-    one of whose ends no other edge meets is a bridge.  Otherwise the
-    bridge test runs its own union-find on the key's characters, as it
-    is hot (21,345 calls on perfbench's seed-1 recurse pool) and a
+    Keys number their vertices by last appearance (_entry_key), so no
+    child is renamed.  Let lo <= hi label the top edge, rest = key[2:].
+    Scanning rest from the end meets its vertices as scanning key does,
+    and a vertex of the top edge alone is met last, with one of the
+    highest labels: the deletion key is rest, which is also a loop's
+    contraction (lo == hi; no bridge).  Merging hi into lo leaves every
+    other last occurrence in place, and the merged one is lo's, after
+    hi's as lo < hi: the contraction key is rest with hi read as lo and
+    the labels above hi, if any occur, moved down by one.  As the absent
+    labels are the highest, hi absent from rest finds every edge with an
+    end no other edge meets, a bridge contracting to rest.  Otherwise
+    the bridge test runs its own union-find on the key's characters, as
+    it is hot (21,345 calls on perfbench's seed-1 recurse pool) and a
     multigraph and its counter would be built for each key.
     """
     rest = key[2:]
-    if key[1] == key[0]:
-        deleted = _relabel(rest)
-        return False, deleted, deleted
-    merged = rest.replace("\x01", "\x00")
+    lo, hi = key[0], key[1]
+    if hi < lo:
+        lo, hi = hi, lo
+    if lo == hi:
+        return False, rest, rest
+    if hi not in rest:
+        return True, rest, None
+    merged, h = rest.replace(hi, lo), ord(hi)
+    if chr(h + 1) in rest:
+        merged = merged.translate(dict(zip(range(h + 1, len(key)), range(h, len(key)))))
     first, second = (merged, rest) if dagger else (rest, merged)
-    if "\x00" not in rest or "\x01" not in rest:
-        return True, _relabel(first), None
     parent = list(range(len(key)))
     ends = map(ord, rest)
     for u, v in zip(ends, ends):
@@ -470,14 +467,14 @@ def _split(key: str, dagger: bool = False) -> tuple[bool, str, str | None]:
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         parent[u] = v
-    a, b = 0, 1
+    a, b = ord(lo), h
     while parent[a] != a:
         a = parent[a]
     while parent[b] != b:
         b = parent[b]
     if a != b:
-        return True, _relabel(first), None
-    return False, _relabel(first), _relabel(second)
+        return True, first, None
+    return False, first, second
 
 
 def bollobas_riordan(rs: rb.RotationSystem, cap: int = EXPANSION_CAP) -> MPolynomial:

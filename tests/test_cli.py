@@ -229,6 +229,20 @@ def test_poly_recursion_depth_is_not_the_stack(capsys, tmp_path):
     assert (rc, out, err) == (0, "y^1200\n", "")
 
 
+def test_poly_recursion_past_256_vertices(capsys, tmp_path):
+    # A plane cycle of 300 edges: the walk's minor keys hold 300 labels,
+    # past one byte, and contracting any edge shifts the labels above it.
+    n = 300
+    path = tmp_path / "cycle.txt"
+    path.write_text("".join(f"vertex {v}: sector ({v + 1}.0 {v or n}.1)\n" for v in range(n))
+                    + "".join(f"edge {e}: {e - 1} {e % n} sign +\n" for e in range(1, n + 1))
+                    + "cellular\n")
+    want = "y + x + " + " + ".join(f"x^{k}" for k in range(2, n)) + "\n"
+    for method in ("expansion", "recursion"):
+        assert run(capsys, "poly", str(path), "--which", "lv-ext", "--method", method,
+                   "--cap", str(n)) == (0, want, "")
+
+
 def test_poly_lv_rejects_pinches_by_either_method(capsys, files):
     for method in ("expansion", "recursion"):
         rc, out, err = run(capsys, "poly", files["pinched"], "--which", "lv",

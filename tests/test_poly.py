@@ -293,10 +293,8 @@ def test_scheme_memo_matches_minors():
 
 def _flat(g: mg.Multigraph, order) -> tuple:
     """The ends of g's edges in order, vertices renamed 0, 1, ... in
-    order of first appearance."""
-    ends = [v for e in order for v in g.ends[e]]
-    rank: dict = {}
-    return tuple(rank.setdefault(v, len(rank)) for v in ends)
+    order of last appearance."""
+    return tuple(_renamed([v for e in order for v in g.ends[e]]))
 
 
 def _minors_per_depth(s, order):
@@ -367,6 +365,32 @@ def test_scheme_recursion_splits_each_minor_once(monkeypatch):
     assert shared_g and shared_h
 
 
+def test_scheme_walk_merges_as_many_minors_as_ever(monkeypatch):
+    # Deterministic work counts of the walk over both corpora and the
+    # pinched inputs with high ids: the nodes _add makes below the roots
+    # and the _split calls.  The totals are those of a walk that renamed
+    # every child key from scratch; a key that missed its canonical name
+    # would split or hold a minor twice and raise them.
+    work = Counter()
+    real_add, real_split = poly._add, poly._split
+
+    def add(below, owned, child, *rest):
+        work["nodes"] += child not in below
+        real_add(below, owned, child, *rest)
+
+    def split(*args):
+        work["splits"] += 1
+        return real_split(*args)
+
+    monkeypatch.setattr(poly, "_add", add)
+    monkeypatch.setattr(poly, "_split", split)
+    pool = corpus.main_corpus()
+    pool += [em.with_disc_regions(rs) for rs in corpus.cellular_corpus()]
+    for emb in pool + _pinched_with_high_ids():
+        poly._scheme_leaves(em.derive_dagger(emb))
+    assert work == {"nodes": 1910, "splits": 3240}
+
+
 def test_scheme_order_splits_no_more_than_highest_id_first(monkeypatch):
     # Summed over both corpora, the measured order splits fewer minors
     # than deciding the highest edge id first, with the same leaves.
@@ -384,30 +408,47 @@ def test_scheme_order_splits_no_more_than_highest_id_first(monkeypatch):
 
 
 def _renamed(labels) -> list[int]:
-    """labels renamed 0, 1, ... in order of first appearance."""
+    """labels renamed 0, 1, ... in order of last appearance, met
+    scanning from the end."""
     rank: dict = {}
-    return [rank.setdefault(v, len(rank)) for v in labels]
+    for v in reversed(labels):
+        rank.setdefault(v, len(rank))
+    return [rank[v] for v in labels]
 
 
 def _text(labels) -> str:
     return "".join(map(chr, labels))
 
 
-_st_labels = hst.one_of(
-    hst.lists(hst.integers(0, 30)),                            # repeats
-    hst.lists(hst.integers(0, 30)).map(_renamed),              # already canonical
-    hst.lists(hst.integers(0, 1300), min_size=257, max_size=400),
-    hst.permutations(range(300)),                              # 300 labels
-    hst.integers(257, 1300).map(lambda n: list(range(n))),     # canonical, past 256
+def _cycle(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+_st_edges = hst.one_of(
+    hst.lists(hst.tuples(hst.integers(0, 30), hst.integers(0, 30)),
+              min_size=1),                                      # repeats
+    hst.lists(hst.tuples(hst.integers(0, 1300), hst.integers(0, 1300)),
+              min_size=150, max_size=650),                      # past 256 labels
+    hst.integers(257, 1300).map(_cycle).flatmap(hst.permutations),  # no bridge
+    hst.tuples(hst.integers(2, 1300).map(_cycle),                 # chords and loops
+               hst.lists(hst.tuples(hst.integers(0, 1300), hst.integers(0, 1300)),
+                         max_size=20)).map(lambda t: t[0] + t[1]).flatmap(hst.permutations),
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(labels=_st_labels)
-def test_relabel_renames_in_order_of_first_appearance(labels):
-    # Canonical keys come back as they are; more than 256 distinct
-    # labels take the dict path past the translation table.
-    assert poly._relabel(_text(labels)) == _text(_renamed(labels))
+@given(edges=_st_edges, dagger=hst.booleans())
+def test_split_keys_stay_numbered_by_last_appearance(edges, dagger):
+    # A key numbered by last appearance, past 256 labels too: each child
+    # key comes back unchanged when renamed, and the deletion is key[2:].
+    key = _text(_renamed([w for edge in edges for w in edge]))
+    bridge, first, second = poly._split(key, dagger)
+    for child in (first, second):
+        if child is not None:
+            assert child == _text(_renamed(list(map(ord, child))))
+    assert (second is None) == bridge
+    if not (dagger and bridge):
+        assert (second if dagger else first) == key[2:]
 
 
 def _split_reference(labels, dagger):
@@ -443,9 +484,10 @@ def _split_reference(labels, dagger):
        dagger=hst.booleans())
 @example(top=(0, 1), rest=[(0, 1)], dagger=False)
 def test_split_matches_a_union_find(top, rest, dagger):
-    # Keys as the walk builds them, renamed in order of first
-    # appearance; the last two strategies leave vertex 0 or vertex 1 of
-    # the top edge alone, a bridge found without the union-find.
+    # Keys as the walk builds them, renamed in order of last appearance,
+    # so the top edge's two labels are arbitrary; the last two
+    # strategies leave one end of the top edge alone, a bridge found
+    # without the union-find.
     labels = _renamed([*top, *(w for edge in rest for w in edge)])
     assert poly._split(_text(labels), dagger) == _split_reference(labels, dagger)
 
